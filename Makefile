@@ -1,5 +1,4 @@
 GO ?= go
-BENCH_OUT ?= BENCH_pr9.json
 MGLINT := bin/mglint
 
 .PHONY: all build vet test race bench ci clean tcp-smoke serve-smoke mglint lint lint-fix lint-fix-check
@@ -70,28 +69,11 @@ tcp-smoke:
 serve-smoke:
 	./scripts/serve_overload_smoke.sh
 
-# Run the strong-scaling benchmarks (Figure 9: allreduce ablation +
-# data-parallel epoch sweep), the bucketed comm/compute-overlap ablation,
-# the 2D/3D direct-vs-GEMM lowering ablations, the distributed Half-V
-# stage (multigrid schedule through the data-parallel backend), and the
-# serving-throughput acceptance bench (batched engine vs sequential
-# per-request forwards), and the serving-overload bench (goodput/p99
-# with the shedding queue bounded vs unbounded at 2× capacity), and
-# save them as JSON to extend the perf trajectory; the raw
-# `go test -bench` text is kept alongside.
+# Run the repository benchmark BENCHMARK.json names: every workload once,
+# untraced, each in a process of its own (see bench/README.md). The
+# micro-ablations in bench_test.go stay reachable through `go test -bench`.
 bench:
-	$(GO) test -run '^$$' -bench 'Figure9|BucketedAllreduceOverlap|AblationConv|DistHalfVStage|ServeThroughput|ServeOverload' -benchmem -timeout 30m . | tee BENCH_raw.txt
-	awk 'BEGIN { print "[" } \
-	  /^Benchmark/ { \
-	    if (n++) printf(",\n"); \
-	    printf("  {\"name\":\"%s\",\"iters\":%s,\"ns_per_op\":%s", $$1, $$2, $$3); \
-	    for (i = 5; i < NF; i += 2) { \
-	      key = $$(i+1); gsub(/[\/%]/, "_per_", key); \
-	      printf(",\"%s\":%s", key, $$i); \
-	    } \
-	    printf("}"); \
-	  } \
-	  END { print "\n]" }' BENCH_raw.txt > $(BENCH_OUT)
+	bash bench/run.sh --workload all --seed 1 --seconds 20 --trace 0
 
 clean:
-	rm -f BENCH_raw.txt
+	rm -rf .bench_build/

@@ -534,13 +534,13 @@ func BenchmarkAblationConvLowering(b *testing.B) {
 	b.Run("Im2colGEMM", func(b *testing.B) {
 		c.Algo = nn.ConvGEMM
 		for i := 0; i < b.N; i++ {
-			nn.Conv2DGEMM(c, x)
+			c.Forward(x, false)
 		}
 	})
 }
 
 // BenchmarkAblationConv3DLowering compares the direct 7-deep Conv3D loops
-// against the Im2Col3D+GEMM lowering at the volumetric shapes of the 3D
+// against the im2col+GEMM lowering at the volumetric shapes of the 3D
 // DiffNet (the acceptance shape is the 64³ forward). Short mode keeps only
 // the 32³ smoke so the GEMM path still compiles and runs on every PR.
 func BenchmarkAblationConv3DLowering(b *testing.B) {
@@ -806,7 +806,7 @@ func BenchmarkAblationConvBackward(b *testing.B) {
 		c.Algo = nn.ConvGEMM
 		for i := 0; i < b.N; i++ {
 			nn.ZeroGrads(c)
-			nn.Conv2DGEMMBackward(c, x, gradOut)
+			c.Backward(gradOut)
 		}
 	})
 }

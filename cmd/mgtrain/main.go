@@ -1,7 +1,8 @@
 // Command mgtrain trains an MGDiffNet model with one of the paper's
-// multigrid schedules — single-process or data-parallel — and optionally
-// saves the weights for cmd/mginfer. Long runs can write durable
-// checkpoints and resume after a kill with bit-identical results.
+// multigrid schedules over the data-parallel trainer (one worker by
+// default) and optionally saves the weights for cmd/mginfer. Long runs can
+// write durable checkpoints and resume after a kill with bit-identical
+// results.
 //
 // Data parallelism comes in two transports: in-process worker goroutines
 // (-workers) and a multi-process TCP world (-transport tcp), where every
@@ -203,7 +204,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs.IntVar(&f.cycles, "cycles", 1, "number of multigrid cycles (paper uses 1)")
 	fs.IntVar(&f.filters, "filters", 16, "U-Net base filter count")
 	fs.Int64Var(&f.seed, "seed", 42, "initialization seed")
-	fs.IntVar(&f.workers, "workers", 1, "data-parallel worker count (1 = single-process)")
+	fs.IntVar(&f.workers, "workers", 1, "in-process data-parallel worker count")
 	fs.StringVar(&f.checkpoint, "checkpoint", "", "checkpoint file path (enables durable snapshots)")
 	fs.IntVar(&f.ckEvery, "checkpoint-every", 1, "epochs between checkpoint snapshots")
 	fs.BoolVar(&f.resume, "resume", false, "resume from -checkpoint if it exists")
@@ -261,52 +262,66 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return runTCP(&f, cfg, &ncfg, stdout, stderr)
 	}
 
-	var backend core.EpochBackend
-	var trainedNet func() *unet.UNet
-	if f.workers > 1 {
-		pt, err := dist.NewParallelTrainer(dist.ParallelConfig{
-			Workers:     f.workers,
-			Dim:         f.dim,
-			Res:         f.res,
-			Samples:     f.samples,
-			GlobalBatch: f.batch,
-			LR:          f.lr,
-			Seed:        f.seed,
-			Net:         &ncfg,
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "mgtrain:", err)
-			return 2
-		}
-		defer pt.Close()
-		backend = pt
-		trainedNet = pt.Net
-	} else {
-		tr := core.NewTrainer(cfg)
-		backend = tr
-		trainedNet = func() *unet.UNet { return tr.Net }
+	pt, err := dist.NewParallelTrainer(parallelConfig(&f, &ncfg, nil))
+	if err != nil {
+		fmt.Fprintln(stderr, "mgtrain:", err)
+		return 2
 	}
+	defer pt.Close()
+	code, err = train(&f, cfg, pt, fmt.Sprintf("%d workers", f.workers), true, f.resume, stdout, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "mgtrain:", err)
+	}
+	return code
+}
 
-	opts := core.RunOptions{CheckpointPath: f.checkpoint, CheckpointEvery: f.ckEvery}
-	if f.resume {
+// parallelConfig is the data-parallel trainer the flags describe: f.workers
+// in-process replicas, or this process's rank of tr's world.
+func parallelConfig(f *trainFlags, ncfg *unet.Config, tr dist.Transport) dist.ParallelConfig {
+	pc := dist.ParallelConfig{
+		Transport:   tr,
+		Dim:         f.dim,
+		Res:         f.res,
+		Samples:     f.samples,
+		GlobalBatch: f.batch,
+		LR:          f.lr,
+		Seed:        f.seed,
+		Net:         ncfg,
+	}
+	if tr == nil {
+		pc.Workers = f.workers
+	}
+	return pc
+}
+
+// train runs one schedule over pt: it loads the resume point, trains,
+// reports and saves the model. writer marks the process that owns the
+// checkpoint file and the output model — every in-process run, global rank
+// 0 of a TCP world. A failed schedule comes back as the error, unreported,
+// for the caller's transport to judge; otherwise the int is the exit code.
+func train(f *trainFlags, cfg core.Config, pt *dist.ParallelTrainer, world string, writer, resume bool, stdout, stderr io.Writer) (int, error) {
+	opts := core.RunOptions{CheckpointEvery: f.ckEvery}
+	if writer {
+		opts.CheckpointPath = f.checkpoint
+	}
+	if resume {
 		ck, err := core.LoadCheckpoint(f.checkpoint)
 		switch {
 		case errors.Is(err, os.ErrNotExist):
 			fmt.Fprintf(stdout, "mgtrain: no checkpoint at %s yet, starting fresh\n", f.checkpoint)
 		case err != nil:
 			fmt.Fprintln(stderr, "mgtrain:", err)
-			return 2
+			return 2, nil
 		default:
 			opts.Resume = ck
 		}
 	}
 
-	fmt.Fprintf(stdout, "mgtrain: %s, %dD, finest res %d, %d levels, %d workers\n",
-		strat, f.dim, f.res, f.levels, f.workers)
-	rep, err := core.RunSchedule(cfg, backend, opts)
+	fmt.Fprintf(stdout, "mgtrain: %s, %dD, finest res %d, %d levels, %s\n",
+		cfg.Strategy, f.dim, f.res, f.levels, world)
+	rep, err := core.RunSchedule(cfg, pt, opts)
 	if err != nil {
-		fmt.Fprintln(stderr, "mgtrain:", err)
-		return 1
+		return 1, err
 	}
 	fmt.Fprintf(stdout, "done: final loss %.6f in %.2fs over %d stages\n",
 		rep.FinalLoss, rep.TotalSeconds, len(rep.Stages))
@@ -314,14 +329,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stdout, "  level %d: %.2fs\n", lv, sec)
 	}
 
-	if f.out != "" {
-		if err := trainedNet().SaveFile(f.out); err != nil {
+	if f.out != "" && writer {
+		if err := pt.Net().SaveFile(f.out); err != nil {
 			fmt.Fprintln(stderr, "mgtrain: save:", err)
-			return 1
+			return 1, nil
 		}
 		fmt.Fprintf(stdout, "model written to %s\n", f.out)
 	}
-	return 0
+	return 0, nil
 }
 
 // runTCP runs this process as one rank of a multi-process TCP world. The
@@ -350,59 +365,20 @@ func runTCP(f *trainFlags, cfg core.Config, ncfg *unet.Config, stdout, stderr io
 			fmt.Fprintln(stderr, "mgtrain:", err)
 			return 1
 		}
-		pt, err := dist.NewParallelTrainer(dist.ParallelConfig{
-			Transport:   tr,
-			Dim:         f.dim,
-			Res:         f.res,
-			Samples:     f.samples,
-			GlobalBatch: f.batch,
-			LR:          f.lr,
-			Seed:        f.seed,
-			Net:         ncfg,
-		})
+		pt, err := dist.NewParallelTrainer(parallelConfig(f, ncfg, tr))
 		if err != nil {
 			tr.Close()
 			fmt.Fprintln(stderr, "mgtrain:", err)
 			return 2
 		}
-
-		opts := core.RunOptions{CheckpointEvery: f.ckEvery}
-		if rank == 0 {
-			opts.CheckpointPath = f.checkpoint
-		}
 		// Every rank of a resuming or reformed world loads the same shared
 		// checkpoint file, so all replicas restart bit-identical.
-		if f.checkpoint != "" && (f.resume || attempt > 0) {
-			ck, err := core.LoadCheckpoint(f.checkpoint)
-			switch {
-			case errors.Is(err, os.ErrNotExist):
-				fmt.Fprintf(stdout, "mgtrain: no checkpoint at %s yet, starting fresh\n", f.checkpoint)
-			case err != nil:
-				pt.Close()
-				tr.Close()
-				fmt.Fprintln(stderr, "mgtrain:", err)
-				return 2
-			default:
-				opts.Resume = ck
-			}
-		}
-
-		fmt.Fprintf(stdout, "mgtrain: %s, %dD, finest res %d, %d levels; tcp rank %d of %d\n",
-			cfg.Strategy, f.dim, f.res, f.levels, rank, len(peers))
-		rep, err := core.RunSchedule(cfg, pt, opts)
+		resume := f.checkpoint != "" && (f.resume || attempt > 0)
+		code, err := train(f, cfg, pt, fmt.Sprintf("tcp rank %d of %d", rank, len(peers)), rank == 0, resume, stdout, stderr)
 		pt.Close()
 		if err == nil {
 			tr.Close()
-			fmt.Fprintf(stdout, "done: final loss %.6f in %.2fs over %d stages\n",
-				rep.FinalLoss, rep.TotalSeconds, len(rep.Stages))
-			if f.out != "" && rank == 0 {
-				if err := pt.Net().SaveFile(f.out); err != nil {
-					fmt.Fprintln(stderr, "mgtrain: save:", err)
-					return 1
-				}
-				fmt.Fprintf(stdout, "model written to %s\n", f.out)
-			}
-			return 0
+			return code
 		}
 
 		dead := tr.Failed()

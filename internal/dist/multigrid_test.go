@@ -10,6 +10,7 @@ package dist
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"mgdiffnet/internal/core"
@@ -241,5 +242,50 @@ func TestTrainEpochRejectsBadResolution(t *testing.T) {
 	}
 	if _, err := pt.EvalLoss(0); err == nil {
 		t.Error("resolution 0 should be rejected")
+	}
+}
+
+// halfV3DPinnedLoss is the final loss of the run below. The rank-5 kernels
+// of internal/nn must keep their accumulation order bit for bit (the
+// benchmark's golden loss depends on it); drift shows here in under a
+// second, without running the benchmark.
+var halfV3DPinnedLoss = map[string]float64{"amd64": 410419.87958316505}
+
+// A 2-worker Half-V 8³→16³ run drives every rank-5 kernel below the GEMM
+// threshold — the direct conv and transposed-conv nests and both pools —
+// through forward, backward and Adam; its final loss is pinned per GOARCH
+// (floating-point contraction differs across architectures).
+func TestHalfV3DArithmeticPinned(t *testing.T) {
+	cfg := core.DefaultConfig(3)
+	cfg.Strategy = core.HalfV
+	cfg.FinestRes = 16
+	cfg.Levels = 2
+	cfg.Samples = 4
+	cfg.BatchSize = 2
+	cfg.MaxEpochsPerStage = 2
+	cfg.Patience = 1 << 30 // a fixed epoch count, never early stopping
+	cfg.Seed = 1
+	cfg.Net = smallNet(3)
+
+	// tensor.ParallelReduce sums per-chunk partials, so the last bits of the
+	// loss follow the kernel worker count; two procs over two replicas give
+	// each replica one worker on any machine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+
+	pt := newMultigridPT(t, cfg, 2)
+	defer pt.Close()
+	rep, err := core.RunSchedule(cfg, pt, core.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := cfg.Levels * cfg.MaxEpochsPerStage; len(rep.History) != want {
+		t.Fatalf("ran %d epochs, want %d", len(rep.History), want)
+	}
+	want, ok := halfV3DPinnedLoss[runtime.GOARCH]
+	if !ok {
+		t.Skipf("no pinned loss for GOARCH %s; got %.17g", runtime.GOARCH, rep.FinalLoss)
+	}
+	if rep.FinalLoss != want {
+		t.Fatalf("final loss %.17g, pinned %.17g: 3D arithmetic moved", rep.FinalLoss, want)
 	}
 }

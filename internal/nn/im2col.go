@@ -3,16 +3,21 @@ package nn
 import "mgdiffnet/internal/tensor"
 
 // gemmBuf is a persistently held scratch matrix for the GEMM convolution
-// lowerings: backing storage grown on demand plus a cached shaped view,
-// so steady-state passes with stable shapes allocate nothing.
+// lowering: backing storage grown on demand plus a cached shaped view, so
+// steady-state passes with stable shapes allocate nothing. Reuse across
+// passes is also what keeps the column slabs cache-resident instead of
+// re-faulting fresh pages every forward/backward.
 type gemmBuf struct {
 	data []float64
 	view *tensor.Tensor
 }
 
-// get returns a [rows, cols] view over the scratch. Fresh storage is
-// already zero; a reused view is zeroed on request. Callers that pass
-// zero=false must overwrite every element.
+// get returns a [rows, cols] view over the scratch, growing the backing
+// allocation only when the request exceeds it (the short final depth slab
+// of a pass reuses the full-slab buffer). Fresh storage is already zero; a
+// reused view is zeroed on request. Pass zero=false only when every element
+// is overwritten before it is read; accumulation targets of the *Into GEMM
+// kernels and the padding-skipping im2col fill need zero=true.
 func (b *gemmBuf) get(rows, cols int, zero bool) *tensor.Tensor {
 	need := rows * cols
 	fresh := false
@@ -47,47 +52,10 @@ func paramMat(view **tensor.Tensor, data []float64, rows, cols int) *tensor.Tens
 // lowering used by most production deep-learning engines. Out-of-bounds
 // (padding) positions contribute zeros.
 func Im2Col2D(x *tensor.Tensor, k, stride, pad int) *tensor.Tensor {
-	n, ci, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	ho := (h+2*pad-k)/stride + 1
-	wo := (w+2*pad-k)/stride + 1
-	cols := tensor.New(ci*k*k, n*ho*wo)
-	im2col2DInto(cols, x, k, stride, pad)
+	g := kernelGeom(x.Dim(0), x.Dim(1), 1, x.Dim(2), x.Dim(3), 1, k, 0, pad, stride)
+	cols := tensor.New(g.rows(), g.n*g.ho*g.wo)
+	im2col(cols.Data, x.Data, g, 0, 1)
 	return cols
-}
-
-// im2col2DInto fills a pre-zeroed [Cin·K·K, N·Ho·Wo] matrix.
-func im2col2DInto(cols, x *tensor.Tensor, k, stride, pad int) {
-	n, ci, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	ho := (h+2*pad-k)/stride + 1
-	wo := (w+2*pad-k)/stride + 1
-	cd, xd := cols.Data, x.Data
-	colW := n * ho * wo
-
-	tensor.ParallelFor(ci*k*k, func(row int) {
-		cin := row / (k * k)
-		rem := row % (k * k)
-		ky := rem / k
-		kx := rem % k
-		base := row * colW
-		for bn := 0; bn < n; bn++ {
-			xBase := (bn*ci + cin) * h * w
-			for oy := 0; oy < ho; oy++ {
-				iy := oy*stride - pad + ky
-				outRow := base + (bn*ho+oy)*wo
-				if iy < 0 || iy >= h {
-					continue // zeros already there
-				}
-				xRow := xBase + iy*w
-				for ox := 0; ox < wo; ox++ {
-					ix := ox*stride - pad + kx
-					if ix < 0 || ix >= w {
-						continue
-					}
-					cd[outRow+ox] = xd[xRow+ix]
-				}
-			}
-		}
-	})
 }
 
 // Col2Im2D is the adjoint of Im2Col2D: it scatters a [Cin·K·K, N·Ho·Wo]
@@ -96,40 +64,164 @@ func im2col2DInto(cols, x *tensor.Tensor, k, stride, pad int) {
 // gradient of the convolution.
 func Col2Im2D(cols *tensor.Tensor, n, ci, h, w, k, stride, pad int) *tensor.Tensor {
 	out := tensor.New(n, ci, h, w)
-	col2im2DInto(out, cols, k, stride, pad)
+	col2im(out.Data, cols.Data, kernelGeom(n, ci, 1, h, w, 1, k, 0, pad, stride), 0, 1)
 	return out
 }
 
-// col2im2DInto scatter-accumulates into a pre-zeroed NCHW tensor.
-func col2im2DInto(out, cols *tensor.Tensor, k, stride, pad int) {
-	n, ci, h, w := out.Dim(0), out.Dim(1), out.Dim(2), out.Dim(3)
-	ho := (h+2*pad-k)/stride + 1
-	wo := (w+2*pad-k)/stride + 1
-	cd, od := cols.Data, out.Data
-	colW := n * ho * wo
-	// Parallel over channels: each channel's k·k rows scatter only into
-	// that channel's image plane, so channels are independent.
-	tensor.ParallelFor(ci, func(cin int) {
-		for rem := 0; rem < k*k; rem++ {
-			row := cin*k*k + rem
-			ky := rem / k
-			kx := rem % k
-			base := row * colW
-			for bn := 0; bn < n; bn++ {
-				imgBase := (bn*ci + cin) * h * w
-				for oy := 0; oy < ho; oy++ {
-					iy := oy*stride - pad + ky
-					if iy < 0 || iy >= h {
-						continue
-					}
-					srcRow := base + (bn*ho+oy)*wo
-					dstRow := imgBase + iy*w
-					for ox := 0; ox < wo; ox++ {
-						ix := ox*stride - pad + kx
-						if ix < 0 || ix >= w {
-							continue
-						}
-						od[dstRow+ix] += cd[srcRow+ox]
+// Im2Col3D unrolls the sliding windows of an NCDHW input into a
+// [Cin·K³, N·Do·Ho·Wo] matrix so that volumetric convolution becomes one
+// GEMM. The layers do not materialize this matrix whole: they stream depth
+// slabs of it through a cache-resident scratch buffer (see im2col). The
+// full-matrix form exists for its algebraic contract — tests pair it with
+// Col2Im3D as an adjoint — and for callers that want the classical
+// one-shot lowering.
+func Im2Col3D(x *tensor.Tensor, k, stride, pad int) *tensor.Tensor {
+	g := kernelGeom(x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3), x.Dim(4), k, k, pad, pad, stride)
+	cols := tensor.New(g.rows(), g.n*g.do*g.ho*g.wo)
+	im2col(cols.Data, x.Data, g, 0, g.do)
+	return cols
+}
+
+// Col2Im3D is the adjoint of Im2Col3D: it scatters a [Cin·K³, N·Do·Ho·Wo]
+// column matrix back onto the NCDHW voxel grid, summing overlapping
+// contributions.
+func Col2Im3D(cols *tensor.Tensor, n, ci, d, h, w, k, stride, pad int) *tensor.Tensor {
+	g := kernelGeom(n, ci, d, h, w, k, k, pad, pad, stride)
+	out := tensor.New(n, ci, d, h, w)
+	col2im(out.Data, cols.Data, g, 0, g.do)
+	return out
+}
+
+// rows is the height of the column matrix: one row per (cin, kz, ky, kx).
+func (g geom) rows() int { return g.ci * g.kd * g.kh * g.kw }
+
+// convSlabElems bounds the per-slab column matrix at 2²¹ float64s
+// (16 MiB): small enough to sit in a last-level cache slice while the GEMM
+// streams it repeatedly, large enough that slab setup is amortized. Memory
+// use of the GEMM path is O(this bound), not O(volume) — which is why
+// kernel selection never needs to consider batch size or available memory.
+const convSlabElems = 1 << 21
+
+// slabDepth returns how many written-grid z-planes fit one column slab.
+// At rank 4 the single plane is the whole pass.
+func (g geom) slabDepth() int {
+	return max(1, min(g.do, convSlabElems/(g.rows()*g.n*g.ho*g.wo)))
+}
+
+// im2col fills a pre-zeroed [rows, N·(ozHi−ozLo)·Ho·Wo] matrix with the
+// unrolled windows whose output depth lies in [ozLo, ozHi). Slabbing is
+// what keeps the lowering cache-resident on megavoxel volumes: the full
+// column matrix of a 64³ pass runs to hundreds of megabytes, while a slab
+// reused across iterations stays in the last-level cache. For stride 1 the
+// innermost transfer is a single contiguous copy per output row.
+func im2col(cd, xd []float64, g geom, ozLo, ozHi int) {
+	n, ci, d, h, w := g.n, g.ci, g.d, g.h, g.w
+	ho, wo := g.ho, g.wo
+	kd, kh, kw := g.kd, g.kh, g.kw
+	pd, ph, pw, stride := g.pd, g.ph, g.pw, g.s
+	dz := ozHi - ozLo
+	kvol := kd * kh * kw
+	colW := n * dz * ho * wo
+
+	// One job per (unrolled row, sample, output z-plane): the job count
+	// scales with the volume, not just the channel count, so the unroll
+	// fans out even at the paper's small Cin. Each job owns a disjoint
+	// stretch of its column row — race-free by construction.
+	tensor.ParallelFor(ci*kvol*n*dz, func(job int) {
+		row := job / (n * dz)
+		rem := job % (n * dz)
+		bn := rem / dz
+		ozl := rem % dz
+		cin := row / kvol
+		krem := row % kvol
+		kz := krem / (kh * kw)
+		ky := (krem / kw) % kh
+		kx := krem % kw
+
+		iz := (ozLo+ozl)*stride - pd + kz
+		if iz < 0 || iz >= d {
+			return // zeros already there
+		}
+		base := row * colW
+		xBase := (bn*ci+cin)*d*h*w + iz*h*w
+		oxLo, oxHi := tapRange(wo, w, stride, pw, kx)
+		for oy := 0; oy < ho; oy++ {
+			iy := oy*stride - ph + ky
+			if iy < 0 || iy >= h {
+				continue
+			}
+			outRow := base + ((bn*dz+ozl)*ho+oy)*wo
+			src := xBase + iy*w - pw + kx
+			if stride == 1 {
+				copy(cd[outRow+oxLo:outRow+oxHi], xd[src+oxLo:src+oxHi])
+				continue
+			}
+			for ox := oxLo; ox < oxHi; ox++ {
+				cd[outRow+ox] = xd[src+ox*stride]
+			}
+		}
+	})
+}
+
+// tapRange returns the written-grid columns [lo, hi), possibly empty, whose
+// kernel tap kx lands inside a read-grid row of width w:
+// 0 ≤ ox·s − p + kx < w.
+func tapRange(wo, w, s, p, kx int) (lo, hi int) {
+	lo = max(0, (p-kx+s-1)/s)
+	return lo, max(lo, min(wo, (w+p-kx+s-1)/s))
+}
+
+// col2im adds the contributions of a [rows, N·(ozHi−ozLo)·Ho·Wo] column
+// slab onto the read grid. Slabs from consecutive depth ranges overlap
+// there (the receptive fields straddle slab boundaries); the += makes the
+// slabbed pass sum them exactly like a one-shot scatter.
+//
+// The loop is organized in gather form — one job per destination row
+// (sample, channel, iz, iy) — so every worker owns disjoint output rows
+// and the job count scales with the volume rather than the channel count.
+// Per destination element the (kz, ky, kx, ox) accumulation order is
+// fixed, so results are independent of the worker count and of the batch.
+func col2im(od, cd []float64, g geom, ozLo, ozHi int) {
+	n, ci, d, h, w := g.n, g.ci, g.d, g.h, g.w
+	ho, wo := g.ho, g.wo
+	kd, kh, kw := g.kd, g.kh, g.kw
+	pd, ph, pw, stride := g.pd, g.ph, g.pw, g.s
+	dz := ozHi - ozLo
+	colW := n * dz * ho * wo
+	tensor.ParallelFor(n*ci*d*h, func(job int) {
+		iy := job % h
+		rest := job / h
+		iz := rest % d
+		rest /= d
+		cin := rest % ci
+		bn := rest / ci
+		dstRow := ((bn*ci+cin)*d+iz)*h*w + iy*w
+		for kz := 0; kz < kd; kz++ {
+			ozNum := iz + pd - kz
+			if ozNum < 0 || ozNum%stride != 0 {
+				continue
+			}
+			oz := ozNum / stride
+			if oz < ozLo || oz >= ozHi {
+				continue
+			}
+			for ky := 0; ky < kh; ky++ {
+				oyNum := iy + ph - ky
+				if oyNum < 0 || oyNum%stride != 0 {
+					continue
+				}
+				oy := oyNum / stride
+				if oy >= ho {
+					continue
+				}
+				for kx := 0; kx < kw; kx++ {
+					row := ((cin*kd+kz)*kh+ky)*kw + kx
+					srcRow := row*colW + ((bn*dz+oz-ozLo)*ho+oy)*wo
+					oxLo, oxHi := tapRange(wo, w, stride, pw, kx)
+					dst := dstRow - pw + kx + oxLo*stride
+					for _, v := range cd[srcRow+oxLo : srcRow+oxHi] {
+						od[dst] += v
+						dst += stride
 					}
 				}
 			}
@@ -137,184 +229,102 @@ func col2im2DInto(out, cols *tensor.Tensor, k, stride, pad int) {
 	})
 }
 
-// gemmBackward computes the convolution gradients by GEMM lowering:
-// gradW = gradOut·colsᵀ, gradB = row sums, gradX = col2im(Wᵀ·gradOut). It
-// accumulates into the layer's parameter gradients exactly like the
-// direct Backward, reuses the layer's persistent scratch, and returns the
-// input gradient.
-func (c *Conv2D) gemmBackward(x, gradOut *tensor.Tensor) *tensor.Tensor {
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	k, s, p := c.Kernel, c.Stride, c.Pad
-	ho, wo := gradOut.Dim(2), gradOut.Dim(3)
-	ci, co := c.InChannels, c.OutChannels
-	colW := n * ho * wo
-
-	// Reorder gradOut from [N, Cout, Ho, Wo] into [Cout, N·Ho·Wo]. The
-	// matrix is fully overwritten, so no zeroing is needed.
-	gMat := c.prodBuf.get(co, colW, false)
+// chanMajor reorders depth planes [z0, z1) of the written-grid tensor yd
+// ([N, Cout, Do·Ho·Wo]) into the [Cout, N·(z1−z0)·Ho·Wo] matrix the GEMM
+// kernels contract over, overwriting every element of it.
+func (s *convState) chanMajor(yd []float64, g geom, z0, z1 int) *tensor.Tensor {
+	n, co := g.n, g.co
+	plane := g.ho * g.wo
+	slabVol := (z1 - z0) * plane
+	yMat := s.prodBuf.get(co, n*slabVol, false)
 	for bn := 0; bn < n; bn++ {
 		for oc := 0; oc < co; oc++ {
-			src := (bn*co + oc) * ho * wo
-			dst := oc*colW + bn*ho*wo
-			copy(gMat.Data[dst:dst+ho*wo], gradOut.Data[src:src+ho*wo])
+			src := ((bn*co+oc)*g.do + z0) * plane
+			dst := (oc*n + bn) * slabVol
+			copy(yMat.Data[dst:dst+slabVol], yd[src:src+slabVol])
 		}
 	}
-
-	// Bias gradient: row sums of gMat.
-	for oc := 0; oc < co; oc++ {
-		sum := 0.0
-		for i := 0; i < colW; i++ {
-			sum += gMat.Data[oc*colW+i]
-		}
-		c.B.Grad.Data[oc] += sum
-	}
-
-	cols := c.colsBuf.get(ci*k*k, colW, true)
-	im2col2DInto(cols, x, k, s, p)
-	// gradW accumulates in place: gw += gMat · colsᵀ, through the
-	// transpose-free kernels the 3D lowering uses.
-	gw := paramMat(&c.gwView, c.W.Grad.Data, co, ci*k*k)
-	tensor.MatMulTransBInto(gMat, cols, gw)
-
-	wMat := paramMat(&c.wMatView, c.W.Data.Data, co, ci*k*k)
-	gCols := c.gradColsBuf.get(ci*k*k, colW, true)
-	tensor.MatMulTransAInto(wMat, gMat, gCols)
-	gin := c.bwd.getZero(n, ci, h, w)
-	col2im2DInto(gin, gCols, k, s, p)
-	return gin
+	return yMat
 }
 
-// Conv2DGEMMBackward exposes gemmBackward for the lowering ablation bench.
-func Conv2DGEMMBackward(c *Conv2D, x, gradOut *tensor.Tensor) *tensor.Tensor {
-	return c.gemmBackward(x, gradOut)
-}
+// lowerCorrelate is correlate as y = W·im2col(x) + bias, streamed over
+// depth slabs. Each output element accumulates its terms in a fixed
+// ascending order (tensor.MatMulInto), so per-sample results do not depend
+// on the batch.
+func (s *convState) lowerCorrelate(yd, xd, bias []float64, w *Param, g geom) {
+	n, co, rows := g.n, g.co, g.rows()
+	plane := g.ho * g.wo
+	wMat := paramMat(&s.wMatView, w.Data.Data, co, rows)
+	dz := g.slabDepth()
+	for z0 := 0; z0 < g.do; z0 += dz {
+		z1 := min(z0+dz, g.do)
+		slabVol := (z1 - z0) * plane
+		cols := s.colsBuf.get(rows, n*slabVol, true)
+		im2col(cols.Data, xd, g, z0, z1)
+		prod := s.prodBuf.get(co, n*slabVol, true)
+		tensor.MatMulInto(wMat, cols, prod) // [Cout, N·dz·Ho·Wo]
 
-// gemmForward computes the same cross-correlation as the direct loops by
-// lowering to im2col + MatMul, reusing the layer's persistent scratch.
-// Each output element accumulates its terms in a fixed ascending order
-// (tensor.MatMulInto), so per-sample results do not depend on the batch.
-func (c *Conv2D) gemmForward(x *tensor.Tensor, n, ho, wo int) *tensor.Tensor {
-	k, s, p := c.Kernel, c.Stride, c.Pad
-	colW := n * ho * wo
-
-	cols := c.colsBuf.get(c.InChannels*k*k, colW, true)
-	im2col2DInto(cols, x, k, s, p)
-	wMat := paramMat(&c.wMatView, c.W.Data.Data, c.OutChannels, c.InChannels*k*k)
-	prod := c.prodBuf.get(c.OutChannels, colW, true)
-	tensor.MatMulInto(wMat, cols, prod) // [Cout, N·Ho·Wo]
-
-	out := c.fwd.get(n, c.OutChannels, ho, wo)
-	od, pd, bd := out.Data, prod.Data, c.B.Data.Data
-	tensor.ParallelFor(c.OutChannels, func(oc int) {
-		rowBase := oc * colW
-		for bn := 0; bn < n; bn++ {
-			dst := (bn*c.OutChannels + oc) * ho * wo
-			src := rowBase + bn*ho*wo
-			for i := 0; i < ho*wo; i++ {
-				od[dst+i] = pd[src+i] + bd[oc]
+		// Scatter the slab product into NCDHW order and add the bias.
+		pd := prod.Data
+		tensor.ParallelFor(co, func(oc int) {
+			b := 0.0
+			if bias != nil {
+				b = bias[oc]
 			}
+			for bn := 0; bn < n; bn++ {
+				src := (oc*n + bn) * slabVol
+				dst := ((bn*co+oc)*g.do + z0) * plane
+				row := yd[dst : dst+slabVol]
+				prow := pd[src : src+slabVol]
+				for i := range row {
+					row[i] = prow[i] + b
+				}
+			}
+		})
+	}
+}
+
+// lowerAdjoint is adjoint as x = col2im(Wᵀ·y) + bias over the same depth
+// slabs. The transposed product runs through tensor.MatMulTransAInto, so
+// no explicit transpose is ever materialized.
+func (s *convState) lowerAdjoint(xd, yd, bias []float64, w *Param, g geom) {
+	n, ci, rows := g.n, g.ci, g.rows()
+	wMat := paramMat(&s.wMatView, w.Data.Data, g.co, rows)
+	clear(xd) // col2im adds into it
+	dz := g.slabDepth()
+	for z0 := 0; z0 < g.do; z0 += dz {
+		z1 := min(z0+dz, g.do)
+		yMat := s.chanMajor(yd, g, z0, z1)
+		cols := s.colsBuf.get(rows, yMat.Dim(1), true)
+		tensor.MatMulTransAInto(wMat, yMat, cols)
+		col2im(xd, cols.Data, g, z0, z1)
+	}
+	if bias == nil {
+		return
+	}
+	vol := g.d * g.h * g.w
+	tensor.ParallelFor(n*ci, func(job int) {
+		b := bias[job%ci]
+		row := xd[job*vol : (job+1)*vol]
+		for i := range row {
+			row[i] += b
 		}
 	})
-	return out
 }
 
-// Conv2DGEMM exposes gemmForward for the direct-vs-GEMM ablation bench.
-// It shares the layer's weights, biases and scratch; results are
-// identical to the direct loops up to floating-point summation order.
-func Conv2DGEMM(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	return c.gemmForward(x, n, c.OutSize(h), c.OutSize(w))
-}
-
-// chanMajor reorders an [N, C, R] tensor (R = flattened spatial extent)
-// into the [C, N·R] matrix layout the GEMM kernels contract over.
-func chanMajor(dst *tensor.Tensor, src []float64, n, c, r int) {
-	for bn := 0; bn < n; bn++ {
-		for ch := 0; ch < c; ch++ {
-			s := (bn*c + ch) * r
-			d := ch*(n*r) + bn*r
-			copy(dst.Data[d:d+r], src[s:s+r])
-		}
+// lowerWeightGrad is weightGrad as W.Grad += y·im2col(x)ᵀ. The product
+// accumulates across slabs in a scratch matrix that is added to W.Grad
+// once, through tensor.MatMulTransBInto.
+func (s *convState) lowerWeightGrad(yd, xd []float64, w *Param, g geom) {
+	co, rows := g.co, g.rows()
+	gw := s.gwBuf.get(co, rows, true)
+	dz := g.slabDepth()
+	for z0 := 0; z0 < g.do; z0 += dz {
+		z1 := min(z0+dz, g.do)
+		yMat := s.chanMajor(yd, g, z0, z1)
+		cols := s.colsBuf.get(rows, yMat.Dim(1), true)
+		im2col(cols.Data, xd, g, z0, z1)
+		tensor.MatMulTransBInto(yMat, cols, gw)
 	}
-}
-
-// gemmForward computes the transposed convolution as the adjoint of the
-// im2col lowering: cols = W̃ᵀ·x̃ followed by a col2im scatter onto the
-// (larger) output grid. The transposed convolution is exactly the adjoint
-// of a (k, s, p) convolution from the output grid back to the input grid,
-// so the same col2im kernel serves both backprop and this forward.
-func (c *ConvTranspose2D) gemmForward(x *tensor.Tensor, n, ho, wo int) *tensor.Tensor {
-	k, s, p := c.Kernel, c.Stride, c.Pad
-	ci, co := c.InChannels, c.OutChannels
-	h, w := x.Dim(2), x.Dim(3)
-	hw := h * w
-
-	xMat := c.matBuf.get(ci, n*hw, false) // fully overwritten
-	chanMajor(xMat, x.Data, n, ci, hw)
-	wMat := paramMat(&c.wMatView, c.W.Data.Data, ci, co*k*k)
-	cols := c.colsBuf.get(co*k*k, n*hw, true)
-	tensor.MatMulTransAInto(wMat, xMat, cols) // [Co·K·K, N·H·W]
-
-	out := c.fwd.getZero(n, co, ho, wo)
-	col2im2DInto(out, cols, k, s, p)
-	od, bd := out.Data, c.B.Data.Data
-	tensor.ParallelFor(co, func(oc int) {
-		for bn := 0; bn < n; bn++ {
-			base := (bn*co + oc) * ho * wo
-			for i := 0; i < ho*wo; i++ {
-				od[base+i] += bd[oc]
-			}
-		}
-	})
-	return out
-}
-
-// gemmBackward computes the transposed convolution gradients by the same
-// lowering: gradX = W̃·im2col(gradOut), gradW += x̃·im2col(gradOut)ᵀ,
-// gradB = per-channel sums.
-func (c *ConvTranspose2D) gemmBackward(x, gradOut *tensor.Tensor) *tensor.Tensor {
-	k, s, p := c.Kernel, c.Stride, c.Pad
-	ci, co := c.InChannels, c.OutChannels
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	ho, wo := gradOut.Dim(2), gradOut.Dim(3)
-	hw := h * w
-
-	// Bias gradient.
-	gd := gradOut.Data
-	for oc := 0; oc < co; oc++ {
-		sum := 0.0
-		for bn := 0; bn < n; bn++ {
-			base := (bn*co + oc) * ho * wo
-			for i := 0; i < ho*wo; i++ {
-				sum += gd[base+i]
-			}
-		}
-		c.B.Grad.Data[oc] += sum
-	}
-
-	// im2col over gradOut with the adjoint (k, s, p) geometry yields the
-	// [Co·K·K, N·H·W] matrix both remaining gradients contract against.
-	cols := c.colsBuf.get(co*k*k, n*hw, true)
-	im2col2DInto(cols, gradOut, k, s, p)
-
-	// gradX = W̃ · cols, reordered back to NCHW.
-	wMat := paramMat(&c.wMatView, c.W.Data.Data, ci, co*k*k)
-	ginMat := c.matBuf.get(ci, n*hw, true)
-	tensor.MatMulInto(wMat, cols, ginMat)
-	gin := c.bwd.get(n, ci, h, w)
-	gi := gin.Data
-	for bn := 0; bn < n; bn++ {
-		for ch := 0; ch < ci; ch++ {
-			src := ch*(n*hw) + bn*hw
-			dst := (bn*ci + ch) * hw
-			copy(gi[dst:dst+hw], ginMat.Data[src:src+hw])
-		}
-	}
-
-	// gradW += x̃ · colsᵀ (matBuf is free again after the reorder above).
-	xMat := c.matBuf.get(ci, n*hw, false)
-	chanMajor(xMat, x.Data, n, ci, hw)
-	gw := paramMat(&c.gwView, c.W.Grad.Data, ci, co*k*k)
-	tensor.MatMulTransBInto(xMat, cols, gw)
-	return gin
+	paramMat(&s.gwView, w.Grad.Data, co, rows).Add(gw)
 }

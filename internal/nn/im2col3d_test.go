@@ -46,7 +46,8 @@ func TestConv3DGEMMMatchesDirect(t *testing.T) {
 		c.Algo = ConvDirect
 		x := randTensor(rng, 2, tc.ci, tc.d, tc.d, tc.d)
 		direct := c.Forward(x, false)
-		gemm := Conv3DGEMM(c, x)
+		c.Algo = ConvGEMM
+		gemm := c.Forward(x, false)
 		if !direct.SameShape(gemm) {
 			t.Fatalf("%+v: shapes %v vs %v", tc, direct.Shape(), gemm.Shape())
 		}
@@ -69,6 +70,7 @@ func TestConv3DGEMMBackwardMatchesDirect(t *testing.T) {
 		cDirect := NewConv3D(rng, "cd", tc.ci, tc.co, tc.k, tc.s, tc.p)
 		cDirect.Algo = ConvDirect
 		cGEMM := NewConv3D(rng, "cg", tc.ci, tc.co, tc.k, tc.s, tc.p)
+		cGEMM.Algo = ConvGEMM
 		cGEMM.W.Data.CopyFrom(cDirect.W.Data)
 		cGEMM.B.Data.CopyFrom(cDirect.B.Data)
 
@@ -78,7 +80,8 @@ func TestConv3DGEMMBackwardMatchesDirect(t *testing.T) {
 
 		ZeroGrads(cDirect, cGEMM)
 		gxDirect := cDirect.Backward(gradOut)
-		gxGEMM := Conv3DGEMMBackward(cGEMM, x, gradOut)
+		cGEMM.Forward(x, true)
+		gxGEMM := cGEMM.Backward(gradOut)
 
 		if !gxDirect.SameShape(gxGEMM) {
 			t.Fatalf("%+v: input grad shapes %v vs %v", tc, gxDirect.Shape(), gxGEMM.Shape())
@@ -125,29 +128,5 @@ func TestConv3DAlgoDispatchEquivalence(t *testing.T) {
 	gg := cGEMM.Backward(gradOut)
 	if d := gd.RMSE(gg); d > 1e-13 {
 		t.Fatalf("backward dispatch differs: RMSE %v", d)
-	}
-}
-
-// ConvAuto must pick the direct loops below the volume threshold and the
-// GEMM lowering above it (subject to the memory cap).
-func TestConv3DAutoThreshold(t *testing.T) {
-	rng := NewRNG(65)
-	c := NewConv3D(rng, "c", 1, 1, 3, 1, 1)
-	if c.Algo != ConvAuto {
-		t.Fatalf("new layers must default to ConvAuto, got %v", c.Algo)
-	}
-	if c.useGEMM(16, 16, 16) {
-		t.Fatal("16³ volume must stay on the direct loops")
-	}
-	if !c.useGEMM(32, 32, 32) {
-		t.Fatal("32³ volume must lower to GEMM")
-	}
-	c.Algo = ConvGEMM
-	if !c.useGEMM(2, 2, 2) {
-		t.Fatal("ConvGEMM must force the lowering")
-	}
-	c.Algo = ConvDirect
-	if c.useGEMM(64, 64, 64) {
-		t.Fatal("ConvDirect must force the loops")
 	}
 }

@@ -550,8 +550,10 @@ func TestConv2DGEMMMatchesDirect(t *testing.T) {
 	} {
 		c := NewConv2D(rng, "c", tc.ci, tc.co, tc.k, tc.s, tc.p)
 		x := randTensor(rng, 2, tc.ci, tc.h, tc.h)
+		c.Algo = ConvDirect
 		direct := c.Forward(x, false)
-		gemm := Conv2DGEMM(c, x)
+		c.Algo = ConvGEMM
+		gemm := c.Forward(x, false)
 		if !direct.SameShape(gemm) {
 			t.Fatalf("%+v: shapes %v vs %v", tc, direct.Shape(), gemm.Shape())
 		}
@@ -607,7 +609,9 @@ func TestConv2DGEMMBackwardMatchesDirect(t *testing.T) {
 		{2, 2, 5, 1, 2, 10},
 	} {
 		cDirect := NewConv2D(rng, "cd", tc.ci, tc.co, tc.k, tc.s, tc.p)
+		cDirect.Algo = ConvDirect
 		cGEMM := NewConv2D(rng, "cg", tc.ci, tc.co, tc.k, tc.s, tc.p)
+		cGEMM.Algo = ConvGEMM
 		// Identical weights.
 		cGEMM.W.Data.CopyFrom(cDirect.W.Data)
 		cGEMM.B.Data.CopyFrom(cDirect.B.Data)
@@ -618,7 +622,8 @@ func TestConv2DGEMMBackwardMatchesDirect(t *testing.T) {
 
 		ZeroGrads(cDirect, cGEMM)
 		gxDirect := cDirect.Backward(gradOut)
-		gxGEMM := Conv2DGEMMBackward(cGEMM, x, gradOut)
+		cGEMM.Forward(x, true)
+		gxGEMM := cGEMM.Backward(gradOut)
 
 		if d := gxDirect.RMSE(gxGEMM); d > 1e-12*(1+gxDirect.AbsMax()) {
 			t.Fatalf("%+v: input gradients differ by %v", tc, d)

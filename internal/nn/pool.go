@@ -6,13 +6,22 @@ import (
 	"mgdiffnet/internal/tensor"
 )
 
+// windowDepth is the depth of a k-wide pooling window over x: k over an
+// NCDHW volume, 1 over an NCHW image — the depth-1 case of the same kernel,
+// like the convolutions (see geom).
+func windowDepth(x *tensor.Tensor, k int) int {
+	if x.Rank() == 4 {
+		return 1
+	}
+	return k
+}
+
 // MaxPool is a max-pooling layer with kernel == stride (the paper's
 // downsampling is always a factor of two, property 2 of §3.1.2). It accepts
 // both NCHW (rank 4) and NCDHW (rank 5) inputs.
 type MaxPool struct {
 	K      int
 	argmax []int32
-	inLen  int
 	inShp  []int
 
 	fwd, bwd outBuf
@@ -23,82 +32,29 @@ func NewMaxPool(k int) *MaxPool { return &MaxPool{K: k} }
 
 func (m *MaxPool) setBufferReuse(on bool) { m.fwd.on, m.bwd.on = on, on }
 
-// argBuf returns the argmax scratch resized to n. The slice is private to
-// the layer (never escapes), so it is recycled unconditionally.
-func (m *MaxPool) argBuf(n int) []int32 {
-	if cap(m.argmax) < n {
-		m.argmax = make([]int32, n)
-	}
-	return m.argmax[:n]
-}
-
 // Forward implements Layer.
 func (m *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	switch x.Rank() {
-	case 4:
-		return m.forward2D(x, train)
-	case 5:
-		return m.forward3D(x, train)
-	default:
-		panic("nn: MaxPool expects rank-4 or rank-5 input")
-	}
+	return m.forward(x, train, windowDepth(x, m.K))
 }
 
-func (m *MaxPool) forward2D(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+// forward pools over kd×K×K windows.
+func (m *MaxPool) forward(x *tensor.Tensor, train bool, kd int) *tensor.Tensor {
+	d, h, w := gridOf(x, "MaxPool")
 	k := m.K
-	ho, wo := h/k, w/k
-	out := m.fwd.get(n, c, ho, wo)
+	do, ho, wo := d/kd, h/k, w/k
+	out := m.fwd.get(gridShape(x.Rank(), x.Dim(0), x.Dim(1), do, ho, wo)...)
 	var arg []int32
 	if train {
-		arg = m.argBuf(out.Len())
-		m.inLen = x.Len()
-		m.inShp = append(m.inShp[:0], x.Shape()...)
-	}
-	xd, od := x.Data, out.Data
-	tensor.ParallelFor(n*c, func(job int) {
-		inBase := job * h * w
-		outBase := job * ho * wo
-		for oy := 0; oy < ho; oy++ {
-			for ox := 0; ox < wo; ox++ {
-				best := math.Inf(-1)
-				bestIdx := 0
-				for ky := 0; ky < k; ky++ {
-					row := inBase + (oy*k+ky)*w + ox*k
-					for kx := 0; kx < k; kx++ {
-						if v := xd[row+kx]; v > best {
-							best = v
-							bestIdx = row + kx
-						}
-					}
-				}
-				o := outBase + oy*wo + ox
-				od[o] = best
-				if arg != nil {
-					arg[o] = int32(bestIdx)
-				}
-			}
+		// The argmax scratch is private to the layer (never escapes), so it
+		// is recycled unconditionally.
+		if cap(m.argmax) < out.Len() {
+			m.argmax = make([]int32, out.Len())
 		}
-	})
-	if arg != nil {
-		m.argmax = arg
-	}
-	return out
-}
-
-func (m *MaxPool) forward3D(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n, c, d, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3), x.Dim(4)
-	k := m.K
-	do, ho, wo := d/k, h/k, w/k
-	out := m.fwd.get(n, c, do, ho, wo)
-	var arg []int32
-	if train {
-		arg = m.argBuf(out.Len())
-		m.inLen = x.Len()
+		arg = m.argmax[:out.Len()]
 		m.inShp = append(m.inShp[:0], x.Shape()...)
 	}
 	xd, od := x.Data, out.Data
-	tensor.ParallelFor(n*c, func(job int) {
+	tensor.ParallelFor(x.Dim(0)*x.Dim(1), func(job int) {
 		inBase := job * d * h * w
 		outBase := job * do * ho * wo
 		for oz := 0; oz < do; oz++ {
@@ -106,9 +62,9 @@ func (m *MaxPool) forward3D(x *tensor.Tensor, train bool) *tensor.Tensor {
 				for ox := 0; ox < wo; ox++ {
 					best := math.Inf(-1)
 					bestIdx := 0
-					for kz := 0; kz < k; kz++ {
+					for kz := 0; kz < kd; kz++ {
 						for ky := 0; ky < k; ky++ {
-							row := inBase + ((oz*k+kz)*h+oy*k+ky)*w + ox*k
+							row := inBase + ((oz*kd+kz)*h+oy*k+ky)*w + ox*k
 							for kx := 0; kx < k; kx++ {
 								if v := xd[row+kx]; v > best {
 									best = v
@@ -126,9 +82,6 @@ func (m *MaxPool) forward3D(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 	})
-	if arg != nil {
-		m.argmax = arg
-	}
 	return out
 }
 
@@ -151,6 +104,7 @@ func (m *MaxPool) Params() []*Param { return nil }
 type AvgPool struct {
 	K     int
 	inShp []int
+	kd    int
 }
 
 // NewAvgPool builds an average-pooling layer with window and stride k.
@@ -158,120 +112,80 @@ func NewAvgPool(k int) *AvgPool { return &AvgPool{K: k} }
 
 // Forward implements Layer.
 func (a *AvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return a.forward(x, train, windowDepth(x, a.K))
+}
+
+func (a *AvgPool) forward(x *tensor.Tensor, train bool, kd int) *tensor.Tensor {
 	if train {
 		a.inShp = append([]int(nil), x.Shape()...)
+		a.kd = kd
 	}
-	return AvgPoolApply(x, a.K)
+	return avgPool(x, kd, a.K)
 }
 
 // AvgPoolApply average-pools x (rank 4 or 5) with window and stride k
 // without caching anything; it is the functional form used for restriction.
 func AvgPoolApply(x *tensor.Tensor, k int) *tensor.Tensor {
-	switch x.Rank() {
-	case 4:
-		n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-		ho, wo := h/k, w/k
-		out := tensor.New(n, c, ho, wo)
-		inv := 1.0 / float64(k*k)
-		xd, od := x.Data, out.Data
-		tensor.ParallelFor(n*c, func(job int) {
-			inBase := job * h * w
-			outBase := job * ho * wo
+	return avgPool(x, windowDepth(x, k), k)
+}
+
+// avgPool averages over kd×k×k windows.
+func avgPool(x *tensor.Tensor, kd, k int) *tensor.Tensor {
+	d, h, w := gridOf(x, "AvgPool")
+	do, ho, wo := d/kd, h/k, w/k
+	out := tensor.New(gridShape(x.Rank(), x.Dim(0), x.Dim(1), do, ho, wo)...)
+	inv := 1.0 / float64(kd*k*k)
+	xd, od := x.Data, out.Data
+	tensor.ParallelFor(x.Dim(0)*x.Dim(1), func(job int) {
+		inBase := job * d * h * w
+		outBase := job * do * ho * wo
+		for oz := 0; oz < do; oz++ {
 			for oy := 0; oy < ho; oy++ {
 				for ox := 0; ox < wo; ox++ {
 					s := 0.0
-					for ky := 0; ky < k; ky++ {
-						row := inBase + (oy*k+ky)*w + ox*k
-						for kx := 0; kx < k; kx++ {
-							s += xd[row+kx]
-						}
-					}
-					od[outBase+oy*wo+ox] = s * inv
-				}
-			}
-		})
-		return out
-	case 5:
-		n, c, d, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3), x.Dim(4)
-		do, ho, wo := d/k, h/k, w/k
-		out := tensor.New(n, c, do, ho, wo)
-		inv := 1.0 / float64(k*k*k)
-		xd, od := x.Data, out.Data
-		tensor.ParallelFor(n*c, func(job int) {
-			inBase := job * d * h * w
-			outBase := job * do * ho * wo
-			for oz := 0; oz < do; oz++ {
-				for oy := 0; oy < ho; oy++ {
-					for ox := 0; ox < wo; ox++ {
-						s := 0.0
-						for kz := 0; kz < k; kz++ {
-							for ky := 0; ky < k; ky++ {
-								row := inBase + ((oz*k+kz)*h+oy*k+ky)*w + ox*k
-								for kx := 0; kx < k; kx++ {
-									s += xd[row+kx]
-								}
+					for kz := 0; kz < kd; kz++ {
+						for ky := 0; ky < k; ky++ {
+							row := inBase + ((oz*kd+kz)*h+oy*k+ky)*w + ox*k
+							for kx := 0; kx < k; kx++ {
+								s += xd[row+kx]
 							}
 						}
-						od[outBase+(oz*ho+oy)*wo+ox] = s * inv
 					}
+					od[outBase+(oz*ho+oy)*wo+ox] = s * inv
 				}
 			}
-		})
-		return out
-	default:
-		panic("nn: AvgPool expects rank-4 or rank-5 input")
-	}
+		}
+	})
+	return out
 }
 
 // Backward implements Layer: the gradient is spread uniformly over each
 // pooling window.
 func (a *AvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	k := a.K
+	k, kd := a.K, a.kd
 	gin := tensor.New(a.inShp...)
-	switch len(a.inShp) {
-	case 4:
-		n, c, h, w := a.inShp[0], a.inShp[1], a.inShp[2], a.inShp[3]
-		ho, wo := grad.Dim(2), grad.Dim(3)
-		inv := 1.0 / float64(k*k)
-		tensor.ParallelFor(n*c, func(job int) {
-			inBase := job * h * w
-			outBase := job * ho * wo
+	d, h, w := gridOf(gin, "AvgPool")
+	do, ho, wo := gridOf(grad, "AvgPool")
+	inv := 1.0 / float64(kd*k*k)
+	tensor.ParallelFor(gin.Dim(0)*gin.Dim(1), func(job int) {
+		inBase := job * d * h * w
+		outBase := job * do * ho * wo
+		for oz := 0; oz < do; oz++ {
 			for oy := 0; oy < ho; oy++ {
 				for ox := 0; ox < wo; ox++ {
-					g := grad.Data[outBase+oy*wo+ox] * inv
-					for ky := 0; ky < k; ky++ {
-						row := inBase + (oy*k+ky)*w + ox*k
-						for kx := 0; kx < k; kx++ {
-							gin.Data[row+kx] += g
-						}
-					}
-				}
-			}
-		})
-	case 5:
-		n, c, d, h, w := a.inShp[0], a.inShp[1], a.inShp[2], a.inShp[3], a.inShp[4]
-		do, ho, wo := grad.Dim(2), grad.Dim(3), grad.Dim(4)
-		inv := 1.0 / float64(k*k*k)
-		tensor.ParallelFor(n*c, func(job int) {
-			inBase := job * d * h * w
-			outBase := job * do * ho * wo
-			for oz := 0; oz < do; oz++ {
-				for oy := 0; oy < ho; oy++ {
-					for ox := 0; ox < wo; ox++ {
-						g := grad.Data[outBase+(oz*ho+oy)*wo+ox] * inv
-						for kz := 0; kz < k; kz++ {
-							for ky := 0; ky < k; ky++ {
-								row := inBase + ((oz*k+kz)*h+oy*k+ky)*w + ox*k
-								for kx := 0; kx < k; kx++ {
-									gin.Data[row+kx] += g
-								}
+					g := grad.Data[outBase+(oz*ho+oy)*wo+ox] * inv
+					for kz := 0; kz < kd; kz++ {
+						for ky := 0; ky < k; ky++ {
+							row := inBase + ((oz*kd+kz)*h+oy*k+ky)*w + ox*k
+							for kx := 0; kx < k; kx++ {
+								gin.Data[row+kx] += g
 							}
 						}
 					}
 				}
 			}
-		})
-	}
+		}
+	})
 	return gin
 }
 

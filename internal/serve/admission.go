@@ -309,8 +309,8 @@ func (e *Engine) observeLatencyLocked(res int, d time.Duration) {
 // flapping at the boundary.
 const (
 	saturationAlpha = 0.1
-	defaultEnter    = 0.75
-	defaultExit     = 0.25
+	degradedEnter   = 0.75
+	degradedExit    = 0.25
 )
 
 // observeLoadLocked updates the saturation score and the degraded-mode
@@ -320,9 +320,9 @@ const (
 func (e *Engine) observeLoadLocked() {
 	occ := float64(e.pending) / float64(e.cfg.MaxQueue)
 	e.satScore += saturationAlpha * (occ - e.satScore)
-	if !e.degraded && e.satScore >= e.cfg.DegradedEnter {
+	if !e.degraded && e.satScore >= degradedEnter {
 		e.degraded = true
-	} else if e.degraded && e.satScore <= e.cfg.DegradedExit {
+	} else if e.degraded && e.satScore <= degradedExit {
 		e.degraded = false
 	}
 }

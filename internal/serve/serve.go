@@ -81,13 +81,6 @@ type Config struct {
 	// Zero or negative means the default 8·MaxBatch·Replicas.
 	MaxQueue int
 
-	// DegradedEnter and DegradedExit are the saturation-score hysteresis
-	// thresholds for degraded mode (score = EWMA of queue occupancy in
-	// [0,1]). Zero means the defaults (0.75 / 0.25); DegradedEnter > 1
-	// effectively disables degraded mode.
-	DegradedEnter float64
-	DegradedExit  float64
-
 	// CacheSize is the LRU result-cache capacity in entries. 0 means the
 	// default (256); negative disables caching.
 	CacheSize int
@@ -258,12 +251,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 8 * cfg.MaxBatch * cfg.Replicas
-	}
-	if cfg.DegradedEnter == 0 {
-		cfg.DegradedEnter = defaultEnter
-	}
-	if cfg.DegradedExit == 0 {
-		cfg.DegradedExit = defaultExit
 	}
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = 256

@@ -12,8 +12,8 @@ const blockSize = 64
 // whichever output axis is longer, so the wide-and-short products of the
 // im2col convolution lowering (m = Cout rows, millions of columns) still
 // fan out across workers. It is the GEMM kernel behind the im2col
-// convolution path (see nn.Conv2DGEMM, nn.Conv3DGEMM) and the
-// blocked/parallel counterpart of the naive triple loop.
+// convolution path (nn.ConvGEMM) and the blocked/parallel counterpart of
+// the naive triple loop.
 //
 // The per-element summation order is fixed (ascending p within ascending
 // p-blocks) regardless of the worker count, so results are bit-identical
