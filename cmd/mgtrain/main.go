@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"slices"
 	"strings"
@@ -325,8 +326,9 @@ func train(f *trainFlags, cfg core.Config, pt *dist.ParallelTrainer, world strin
 	}
 	fmt.Fprintf(stdout, "done: final loss %.6f in %.2fs over %d stages\n",
 		rep.FinalLoss, rep.TotalSeconds, len(rep.Stages))
-	for lv, sec := range rep.TimePerLevel() {
-		fmt.Fprintf(stdout, "  level %d: %.2fs\n", lv, sec)
+	perLevel := rep.TimePerLevel()
+	for _, lv := range slices.Sorted(maps.Keys(perLevel)) {
+		fmt.Fprintf(stdout, "  level %d: %.2fs\n", lv, perLevel[lv])
 	}
 
 	if f.out != "" && writer {

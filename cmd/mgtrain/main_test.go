@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -96,6 +97,25 @@ func TestRunTinyTraining(t *testing.T) {
 	}
 	if _, err := os.Stat(model); err != nil {
 		t.Fatalf("model not written: %v", err)
+	}
+}
+
+// The per-level timing lines come from a map; they must print in ascending
+// level order on every run and every rank, not in map iteration order.
+func TestRunPrintsLevelsInOrder(t *testing.T) {
+	var out, errw bytes.Buffer
+	if code := run(tinyArgs("-res", "32", "-levels", "3"), &out, &errw); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errw.String())
+	}
+	var got []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "  level ") {
+			got = append(got, line[:strings.Index(line, ":")])
+		}
+	}
+	want := []string{"  level 1", "  level 2", "  level 3"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("level lines %q, want %q", got, want)
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 
 // EpochBackend is what the schedule runner drives: anything that can train
 // one epoch and evaluate the dataset loss at a chosen multigrid
-// resolution. core.Trainer (single-process) and dist.ParallelTrainer
-// (data-parallel, satisfied without an import thanks to structural typing)
-// both implement it, which is what lets every V/W/F/Half-V strategy run
+// resolution. core.Trainer (one replica) and dist.ParallelTrainer (p
+// replicas, each an embedded core.Trainer plus a communicator) both
+// implement it, which is what lets every V/W/F/Half-V strategy run
 // distributed: the runner is agnostic to how an epoch is computed, and the
 // backend re-shards the global batch at whatever resolution each stage
 // requests.
@@ -40,9 +40,10 @@ type AdaptingBackend interface {
 // StatefulBackend is implemented by backends whose full training state can
 // be checkpointed: a unet gob snapshot plus the Adam state in the
 // network's parameter order. Export followed by Import must reproduce the
-// training trajectory bit for bit; both trainers' implementations do, and
-// they share the encoding, so a checkpoint written by a single-process run
-// restores into a distributed one and vice versa.
+// training trajectory bit for bit. core.Trainer's implementation is the
+// only one — dist.ParallelTrainer delegates to its replicas' — so a
+// checkpoint written by a single-process run restores into a distributed
+// one and vice versa.
 type StatefulBackend interface {
 	ExportState() (net []byte, opt nn.AdamState, err error)
 	ImportState(net []byte, opt nn.AdamState) error
@@ -69,9 +70,15 @@ type RunOptions struct {
 // prolongation stages train to the early-stopping criterion, architectural
 // adaptation fires on coarse-to-fine transitions when enabled, and the
 // whole run can be checkpointed and resumed bit-exactly at epoch
-// granularity. cfg must be valid (it panics like NewTrainer otherwise).
+// granularity.
 func RunSchedule(cfg Config, backend EpochBackend, opts RunOptions) (*Report, error) {
-	cfg.validate()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if cfg.MaxEpochsPerStage < 1 {
+		return nil, fmt.Errorf("core: MaxEpochsPerStage must be >= 1, got %d", cfg.MaxEpochsPerStage)
+	}
+	cfg.Patience = max(cfg.Patience, 1)
 	if cfg.Adapt {
 		if _, ok := backend.(AdaptingBackend); !ok {
 			return nil, fmt.Errorf("core: Adapt requires a backend implementing AdaptingBackend, got %T", backend)

@@ -8,7 +8,6 @@ import (
 
 	"mgdiffnet/internal/fem"
 	"mgdiffnet/internal/field"
-	"mgdiffnet/internal/nn"
 	"mgdiffnet/internal/sparse"
 	"mgdiffnet/internal/tensor"
 )
@@ -49,12 +48,16 @@ func NewSupervisedTrainer(cfg Config) *SupervisedTrainer {
 	if !ok {
 		panic("core: SupervisedTrainer requires a *field.Dataset data source")
 	}
-	return &SupervisedTrainer{
+	s := &SupervisedTrainer{
 		Trainer: tr,
 		omegas:  ds,
 		labels:  map[labelKey][]float64{},
 		CGTol:   1e-8,
 	}
+	// Every epoch the embedded trainer runs — TrainEpoch, EvalLoss, Run,
+	// BaseCurve — scores against the FEM labels.
+	tr.labelLoss = s.mseLoss
+	return s
 }
 
 // label returns (solving and caching on first use) the FEM solution for
@@ -92,30 +95,10 @@ func (s *SupervisedTrainer) label(i, res int) []float64 {
 	return u.Data
 }
 
-// TrainEpoch runs one supervised epoch at the given resolution: MSE between
-// the BC-imposed prediction and the FEM label, averaged over the batch.
-// It shadows Trainer.TrainEpoch (so BaseCurve must be called via the
-// supervised methods below) with the same clamped-final-batch, per-sample
-// accounting, and never returns an error.
-func (s *SupervisedTrainer) TrainEpoch(res int) (float64, error) {
-	bs := s.Cfg.BatchSize
-	ns := s.Data.Len()
-	total := 0.0
-	for lo := 0; lo < ns; lo += bs {
-		n := min(bs, ns-lo)
-		nu := s.Data.Batch(lo, n, res)
-		nn.ZeroGrads(s.Net)
-		pred := s.Net.Forward(nu, true)
-		loss, grad := s.mseLoss(pred, lo, res)
-		s.Net.Backward(grad)
-		s.Opt.Step()
-		total += loss * float64(n)
-	}
-	return total / float64(ns), nil
-}
-
-// mseLoss computes mean((u_pred − u_FEM)²) over the batch with Algorithm 1
-// BC imposition: Dirichlet nodes are overwritten (and receive no gradient).
+// mseLoss is the supervised loss of the batch whose first sample is start:
+// mean((u_pred − u_FEM)²) with Algorithm 1 BC imposition — Dirichlet nodes
+// are overwritten (and receive no gradient). Labels are solved on first
+// use, so a resolution's first epoch carries its label generation time.
 func (s *SupervisedTrainer) mseLoss(pred *tensor.Tensor, start, res int) (float64, *tensor.Tensor) {
 	n := pred.Dim(0)
 	per := pred.Len() / n
@@ -142,17 +125,4 @@ func (s *SupervisedTrainer) mseLoss(pred *tensor.Tensor, start, res int) (float6
 func isDirichletIdx(i, res int) bool {
 	ix := i % res
 	return ix == 0 || ix == res-1
-}
-
-// Run executes the configured schedule with supervised epochs via
-// RunSchedule (the shadowed TrainEpoch makes the SupervisedTrainer its own
-// EpochBackend), reporting stage timings that include on-demand label
-// generation (labels for a resolution are produced the first time that
-// resolution is trained).
-func (s *SupervisedTrainer) Run() *Report {
-	rep, err := RunSchedule(s.Cfg, s, RunOptions{})
-	if err != nil {
-		panic(err) // infallible backend, no checkpoint options
-	}
-	return rep
 }

@@ -35,6 +35,35 @@ func TestSupervisedLabelsCached(t *testing.T) {
 	}
 }
 
+// BaseCurve and EvalLoss are promoted from the embedded Trainer; they must
+// train and report the label MSE, not the energy loss.
+func TestSupervisedBaseCurveUsesLabels(t *testing.T) {
+	cfg := tinyConfig(2)
+	want, err := NewSupervisedTrainer(cfg).TrainEpoch(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewSupervisedTrainer(cfg)
+	curve := st.BaseCurve(8, 2)
+	if curve[0].Loss != want {
+		t.Fatalf("BaseCurve first epoch loss %v, want the supervised TrainEpoch's %v", curve[0].Loss, want)
+	}
+	if len(st.labels) != cfg.Samples {
+		t.Fatalf("BaseCurve populated %d labels, want %d", len(st.labels), cfg.Samples)
+	}
+	energy, err := NewTrainer(cfg).EvalLoss(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mse, err := NewSupervisedTrainer(cfg).EvalLoss(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mse == energy {
+		t.Fatalf("supervised EvalLoss reports the energy loss %v", energy)
+	}
+}
+
 func TestSupervisedHalfVSchedule(t *testing.T) {
 	cfg := tinyConfig(2)
 	cfg.Strategy = HalfV

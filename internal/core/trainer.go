@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"time"
 
@@ -78,22 +79,18 @@ func DefaultConfig(dim int) Config {
 	}
 }
 
-func (c *Config) validate() {
-	if c.Dim != 2 && c.Dim != 3 {
-		panic("core: Dim must be 2 or 3")
+// validate checks the fields one model replica needs; RunSchedule checks
+// the schedule's own (epoch budgets, patience) on top.
+func (c *Config) validate() error {
+	switch {
+	case c.Dim != 2 && c.Dim != 3:
+		return fmt.Errorf("core: Dim must be 2 or 3, got %d", c.Dim)
+	case c.Levels < 1:
+		return fmt.Errorf("core: Levels must be >= 1, got %d", c.Levels)
+	case c.BatchSize < 1 || c.Samples < 1:
+		return errors.New("core: Samples and BatchSize must be >= 1")
 	}
-	if c.Levels < 1 {
-		panic("core: Levels must be >= 1")
-	}
-	if c.BatchSize < 1 || c.Samples < 1 {
-		panic("core: Samples and BatchSize must be >= 1")
-	}
-	if c.MaxEpochsPerStage < 1 {
-		panic("core: MaxEpochsPerStage must be >= 1")
-	}
-	if c.Patience < 1 {
-		c.Patience = 1
-	}
+	return nil
 }
 
 // EpochRecord is one epoch of the loss trajectory (Figure 8).
@@ -133,7 +130,9 @@ func (r *Report) TimePerLevel() map[int]float64 {
 
 // DataSource supplies batched coefficient fields at any resolution. It is
 // satisfied by field.Dataset (the paper's Sobol log-permeability family)
-// and field.InclusionDataset (composite microstructures).
+// and field.InclusionDataset (composite microstructures). Implementations
+// must be safe for concurrent Batch calls: the replicas of a
+// dist.ParallelTrainer share one source.
 type DataSource interface {
 	// Len returns the number of samples.
 	Len() int
@@ -142,25 +141,53 @@ type DataSource interface {
 	Batch(start, count, res int) *tensor.Tensor
 }
 
-// Trainer owns the network, loss, dataset and optimizer of one run. The
-// network's parameters are arena-backed (nn.Arena): gradients live in one
-// contiguous slab zeroed with a single memset per batch, and the Adam
-// update runs as a fused sweep over the flat slabs — the same storage
-// layout the distributed backend uses, so checkpoints and trajectories
-// stay bit-identical across backends.
-type Trainer struct {
-	Cfg  Config
-	Net  *unet.UNet
-	Loss *fem.EnergyLoss
-	Data DataSource
-	Opt  *nn.Adam
-
-	arena *nn.Arena
+// batchReuser is the optional DataSource fast path: rasterize a mini-batch
+// into a caller-owned tensor instead of allocating one per call.
+// field.Dataset implements it.
+type batchReuser interface {
+	BatchInto(dst *tensor.Tensor, start, count, res int) *tensor.Tensor
 }
 
-// NewTrainer builds a trainer with a fresh U-Net and Sobol dataset.
+// Trainer is one model replica that can take an optimisation step: it owns
+// the network, loss, dataset and optimizer of one run. The network's
+// parameters are arena-backed (nn.Arena): gradients live in one contiguous
+// slab zeroed with a single memset per batch, and the Adam update runs as
+// a fused sweep over the flat slabs. Because the trainer owns its network
+// and loss outright and consumes every activation within the step, it
+// turns on their buffer and scratch reuse itself. dist.ParallelTrainer's
+// replicas embed a Trainer, so single-process and distributed runs share
+// one step and one checkpoint encoding.
+type Trainer struct {
+	Cfg   Config
+	Net   *unet.UNet
+	Loss  *fem.EnergyLoss
+	Data  DataSource
+	Opt   *nn.Adam
+	Arena *nn.Arena
+
+	in *tensor.Tensor // reused mini-batch input (batchReuser sources)
+	// labelLoss, when non-nil, replaces the energy loss: SupervisedTrainer
+	// scores the prediction against FEM labels, which needs the batch's
+	// first sample index rather than its coefficient field.
+	labelLoss func(pred *tensor.Tensor, start, res int) (float64, *tensor.Tensor)
+}
+
+// NewTrainer is BuildTrainer for callers whose configuration is fixed in
+// code: an invalid one panics.
 func NewTrainer(cfg Config) *Trainer {
-	cfg.validate()
+	t, err := BuildTrainer(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// BuildTrainer builds a trainer with a fresh U-Net and, unless cfg.Data
+// overrides it, the Sobol dataset.
+func BuildTrainer(cfg Config) (*Trainer, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	var ncfg unet.Config
 	if cfg.Net != nil {
 		ncfg = *cfg.Net
@@ -170,11 +197,12 @@ func NewTrainer(cfg Config) *Trainer {
 	ncfg.Dim = cfg.Dim
 	ncfg.Seed = cfg.Seed
 	net := unet.New(ncfg)
-
-	coarsest := cfg.FinestRes >> (cfg.Levels - 1)
-	if coarsest < net.MinInputSize() || coarsest%net.MinInputSize() != 0 {
-		panic(fmt.Sprintf("core: coarsest resolution %d incompatible with U-Net minimum %d", coarsest, net.MinInputSize()))
+	if err := net.ValidateRes(cfg.FinestRes >> (cfg.Levels - 1)); err != nil {
+		return nil, fmt.Errorf("core: level %d of FinestRes %d: %w", cfg.Levels, cfg.FinestRes, err)
 	}
+	net.SetBufferReuse(true)
+	loss := fem.NewEnergyLoss(cfg.Dim)
+	loss.SetScratchReuse(true)
 
 	data := cfg.Data
 	if data == nil {
@@ -184,53 +212,69 @@ func NewTrainer(cfg Config) *Trainer {
 	return &Trainer{
 		Cfg:   cfg,
 		Net:   net,
-		Loss:  fem.NewEnergyLoss(cfg.Dim),
+		Loss:  loss,
 		Data:  data,
 		Opt:   nn.NewAdam(params, cfg.LR),
-		arena: nn.NewArena(params),
+		Arena: nn.NewArena(params),
+	}, nil
+}
+
+// ForwardLoss is the first half of Algorithm 1's step on samples
+// [start, start+count): rasterize them into the trainer's input tensor,
+// run the network and evaluate the loss. It returns the per-sample mean
+// loss and its gradient with respect to the prediction, which stays valid
+// until the next call. With train set the gradient slab is zeroed first
+// and the activations Backward needs are cached.
+func (t *Trainer) ForwardLoss(start, count, res int, train bool) (float64, *tensor.Tensor) {
+	var nu *tensor.Tensor
+	if br, ok := t.Data.(batchReuser); ok {
+		t.in = br.BatchInto(t.in, start, count, res)
+		nu = t.in
+	} else {
+		nu = t.Data.Batch(start, count, res)
 	}
+	if train {
+		t.Arena.ZeroGrad()
+	}
+	pred := t.Net.Forward(nu, train)
+	if t.labelLoss != nil {
+		return t.labelLoss(pred, start, res)
+	}
+	return t.Loss.Eval(pred, nu)
+}
+
+// epoch is the single-replica epoch loop behind TrainEpoch and EvalLoss.
+// The final mini-batch is clamped when Samples is not divisible by
+// BatchSize — wrapping it around would train the first samples twice per
+// epoch — and each batch's (per-sample mean) loss is weighted by its
+// sample count so the epoch mean is per-sample, not per-batch.
+func (t *Trainer) epoch(res int, train bool) (float64, error) {
+	if err := t.Net.ValidateRes(res); err != nil {
+		return 0, err
+	}
+	bs := t.Cfg.BatchSize
+	ns := t.Data.Len()
+	total := 0.0
+	for lo := 0; lo < ns; lo += bs {
+		n := min(bs, ns-lo)
+		loss, grad := t.ForwardLoss(lo, n, res, train)
+		if train {
+			t.Net.Backward(grad)
+			t.Opt.Step()
+		}
+		total += loss * float64(n)
+	}
+	return total / float64(ns), nil
 }
 
 // TrainEpoch runs one epoch at the given resolution following Algorithm 1
-// and returns the mean per-sample loss. The final mini-batch is clamped
-// when Samples is not divisible by BatchSize — wrapping it around would
-// train the first samples twice per epoch — and each batch's (per-sample
-// mean) loss is weighted by its sample count so the epoch mean is
-// per-sample, not per-batch. TrainEpoch implements EpochBackend; the
-// single-process backend never returns an error.
-func (t *Trainer) TrainEpoch(res int) (float64, error) {
-	bs := t.Cfg.BatchSize
-	ns := t.Data.Len()
-	total := 0.0
-	for lo := 0; lo < ns; lo += bs {
-		n := min(bs, ns-lo)
-		nu := t.Data.Batch(lo, n, res)
-		t.arena.ZeroGrad()
-		pred := t.Net.Forward(nu, true)
-		loss, grad := t.Loss.Eval(pred, nu)
-		t.Net.Backward(grad)
-		t.Opt.Step()
-		total += loss * float64(n)
-	}
-	return total / float64(ns), nil
-}
+// and returns the mean per-sample loss. It implements EpochBackend; the
+// only error is a resolution the network cannot take.
+func (t *Trainer) TrainEpoch(res int) (float64, error) { return t.epoch(res, true) }
 
 // EvalLoss computes the mean per-sample loss over the dataset at the given
-// resolution without updating weights, with the same clamped-final-batch
-// accounting as TrainEpoch. It implements EpochBackend.
-func (t *Trainer) EvalLoss(res int) (float64, error) {
-	bs := t.Cfg.BatchSize
-	ns := t.Data.Len()
-	total := 0.0
-	for lo := 0; lo < ns; lo += bs {
-		n := min(bs, ns-lo)
-		nu := t.Data.Batch(lo, n, res)
-		pred := t.Net.Forward(nu, false)
-		loss, _ := t.Loss.Eval(pred, nu)
-		total += loss * float64(n)
-	}
-	return total / float64(ns), nil
-}
+// resolution without updating weights. It implements EpochBackend.
+func (t *Trainer) EvalLoss(res int) (float64, error) { return t.epoch(res, false) }
 
 // Params implements EpochBackend: the network's live parameters.
 func (t *Trainer) Params() []*nn.Param { return t.Net.Params() }
@@ -240,7 +284,7 @@ func (t *Trainer) Params() []*nn.Param { return t.Net.Params() }
 // with the optimizer.
 func (t *Trainer) Adapt() error {
 	fresh := t.Net.Adapt()
-	t.arena.Extend(fresh)
+	t.Arena.Extend(fresh)
 	t.Opt.ExtendParams(fresh)
 	return nil
 }
@@ -275,7 +319,8 @@ func (t *Trainer) ImportState(netBytes []byte, opt nn.AdamState) error {
 	if err != nil {
 		return err
 	}
-	t.Net, t.Opt, t.arena = u, o, arena
+	u.SetBufferReuse(true)
+	t.Net, t.Opt, t.Arena = u, o, arena
 	return nil
 }
 
@@ -284,8 +329,8 @@ func (t *Trainer) ImportState(netBytes []byte, opt nn.AdamState) error {
 func (t *Trainer) Run() *Report {
 	rep, err := RunSchedule(t.Cfg, t, RunOptions{})
 	if err != nil {
-		// The single-process backend is infallible and Run passes no
-		// checkpoint options; only a programming error can land here.
+		// Run passes no checkpoint options and NewTrainer vetted every
+		// level's resolution; only a programming error can land here.
 		panic(err)
 	}
 	return rep
@@ -308,7 +353,10 @@ func (t *Trainer) BaseCurve(res, maxEpochs int) []CurvePoint {
 	curve := make([]CurvePoint, 0, maxEpochs)
 	start := time.Now() //mglint:ignore detrand wall-clock telemetry for reported timings; never feeds the numeric path
 	for e := 0; e < maxEpochs; e++ {
-		loss, _ := t.TrainEpoch(res)
+		loss, err := t.TrainEpoch(res)
+		if err != nil {
+			panic(err) // a resolution the network cannot take: the caller's bug
+		}
 		curve = append(curve, CurvePoint{Epoch: e + 1, Loss: loss, CumSeconds: time.Since(start).Seconds()})
 	}
 	return curve

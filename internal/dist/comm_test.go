@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 
+	"mgdiffnet/internal/core"
+	"mgdiffnet/internal/tensor"
 	"mgdiffnet/internal/unet"
 )
 
@@ -345,5 +347,27 @@ func TestParallelEpochSteadyStateAllocs(t *testing.T) {
 			t.Errorf("workers=%d: steady-state epoch allocates %.0f objects, budget %.0f", p, avg, budgets[p])
 		}
 		pt.Close()
+	}
+
+	// The single-process trainer is the same step, so it fits the
+	// workers = 1 budget. AllocsPerRun measures at GOMAXPROCS 1, which the
+	// parallel trainer's per-epoch kernel throttle follows; pin the kernels
+	// the same way here so goroutine fan-out is not counted.
+	defer tensor.SetParallelism(tensor.SetParallelism(1))
+	cfg := core.DefaultConfig(2)
+	cfg.FinestRes, cfg.Levels, cfg.Samples, cfg.BatchSize, cfg.Seed, cfg.Net = 8, 1, 8, 4, 3, smallNet(2)
+	tr := core.NewTrainer(cfg)
+	epoch := func() {
+		if _, err := tr.TrainEpoch(8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		epoch()
+	}
+	avg := testing.AllocsPerRun(10, epoch)
+	t.Logf("core.Trainer: %.0f allocs per epoch", avg)
+	if avg > budgets[1] {
+		t.Errorf("core.Trainer: steady-state epoch allocates %.0f objects, budget %.0f", avg, budgets[1])
 	}
 }

@@ -11,11 +11,12 @@
 // rank kills for testing; the membership layer turns every failure into a
 // timely error (never a hang) and lets survivors agree on a shrunken
 // world and resume from the last checkpoint (elastic fault tolerance).
-// ParallelTrainer trains at a per-epoch resolution and satisfies
-// core.EpochBackend structurally (dist does not import the schedule
-// layer), so core.RunSchedule drives every multigrid strategy
-// data-parallel, with checkpoint/resume through the shared
-// ExportState/ImportState encoding.
+// Each replica of a ParallelTrainer is a core.Trainer — the one
+// implementation of the training step, Adapt and the checkpoint encoding —
+// plus a communicator; dist adds only the sharded loop and the overlapped
+// allreduce. ParallelTrainer trains at a per-epoch resolution and
+// implements core.EpochBackend, so core.RunSchedule drives every multigrid
+// strategy data-parallel, with checkpoint/resume through that encoding.
 //
 // The paper (§3.2) trains on megavoxel domains by sharding each global
 // mini-batch across devices, computing local gradients of the variational

@@ -1,8 +1,7 @@
 package dist
 
-// Distributed multigrid: dist.ParallelTrainer implements core.EpochBackend
-// (structurally — dist itself does not import core outside tests), so
-// core.RunSchedule drives every V/W/F/Half-V strategy data-parallel. The
+// Distributed multigrid: dist.ParallelTrainer implements core.EpochBackend,
+// so core.RunSchedule drives every V/W/F/Half-V strategy data-parallel. The
 // tests here enforce the two strong exactness bars: a 1-worker distributed
 // run matches the single-process core.Trainer bit for bit, and a
 // killed-and-resumed distributed run matches an uninterrupted one bit for
@@ -242,6 +241,18 @@ func TestTrainEpochRejectsBadResolution(t *testing.T) {
 	}
 	if _, err := pt.EvalLoss(0); err == nil {
 		t.Error("resolution 0 should be rejected")
+	}
+
+	// The same rule (unet.ValidateRes) on the single-process trainer: an
+	// error from the epoch loop, not a panic from inside the forward pass.
+	cfg := core.DefaultConfig(2)
+	cfg.FinestRes, cfg.Levels, cfg.Samples, cfg.BatchSize, cfg.Net = 8, 1, 4, 2, smallNet(2)
+	tr := core.NewTrainer(cfg)
+	if _, err := tr.TrainEpoch(7); err == nil {
+		t.Error("core.Trainer: resolution 7 should be rejected")
+	}
+	if _, err := tr.EvalLoss(0); err == nil {
+		t.Error("core.Trainer: resolution 0 should be rejected")
 	}
 }
 

@@ -1,29 +1,17 @@
 package dist
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"runtime"
 	"sync"
 	"time"
 
-	"mgdiffnet/internal/fem"
-	"mgdiffnet/internal/field"
+	"mgdiffnet/internal/core"
 	"mgdiffnet/internal/nn"
 	"mgdiffnet/internal/tensor"
 	"mgdiffnet/internal/unet"
 )
-
-// DataSource supplies batched coefficient fields at any resolution. It
-// mirrors core.DataSource (declared locally so dist does not depend on the
-// training-schedule layer) and is satisfied by field.Dataset and
-// field.InclusionDataset. Implementations must be safe for concurrent
-// Batch calls from worker goroutines.
-type DataSource interface {
-	Len() int
-	Batch(start, count, res int) *tensor.Tensor
-}
 
 // ParallelConfig drives a data-parallel training run (§3.2 of the paper).
 type ParallelConfig struct {
@@ -56,8 +44,9 @@ type ParallelConfig struct {
 	// Net overrides the default U-Net configuration when non-nil (Dim and
 	// Seed are forced to match this config).
 	Net *unet.Config
-	// Data overrides the default Sobol dataset when non-nil.
-	Data DataSource
+	// Data overrides the default Sobol dataset when non-nil; the replicas
+	// share it and call Batch concurrently.
+	Data core.DataSource
 	// Transport, when non-nil, makes this trainer one rank of a
 	// multi-process world: a single local replica is built over the given
 	// endpoint (e.g. a *TCPTransport) instead of Workers in-process
@@ -71,34 +60,23 @@ type ParallelConfig struct {
 	Transport Transport
 }
 
-// batchReuser is the optional DataSource fast path: rasterize a mini-batch
-// into a caller-owned tensor instead of allocating one per call.
-// field.Dataset implements it.
-type batchReuser interface {
-	BatchInto(dst *tensor.Tensor, start, count, res int) *tensor.Tensor
-}
-
 // lossBucket is the collective id of the 1-element loss allreduce that is
 // enqueued ahead of every batch's gradient buckets.
 const lossBucket = -1
 
-// replica is one data-parallel worker: its own model, loss and optimizer,
-// with all parameters and gradients arena-backed (nn.Arena) so the
-// allreduce operates on the gradient slab in place — no per-batch
-// gather/scatter — and a persistent Communicator plus comm goroutine that
-// overlap each gradient bucket's reduction with the remainder of the
+// replica is one data-parallel worker: a core.Trainer — its own model,
+// loss and optimizer, with all parameters and gradients arena-backed
+// (nn.Arena) so the allreduce operates on the gradient slab in place, no
+// per-batch gather/scatter — plus what is distributed about it: a
+// persistent Communicator, the bucket plan, and a comm goroutine that
+// overlaps each gradient bucket's reduction with the remainder of the
 // backward pass.
 type replica struct {
-	net    *unet.UNet
-	loss   *fem.EnergyLoss
-	opt    *nn.Adam
-	params []*nn.Param
-	arena  *nn.Arena
-	comm   *Communicator
-	plan   *bucketPlan
+	*core.Trainer
+	comm *Communicator
+	plan *bucketPlan
 
-	in      *tensor.Tensor // reused mini-batch input (batchReuser)
-	lossBuf []float64      // 1-element loss collective buffer
+	lossBuf []float64 // 1-element loss collective buffer
 
 	// Per-batch overlap state. The compute goroutine writes weight and
 	// contrib before enqueuing the batch's first collective and never
@@ -140,7 +118,7 @@ func (r *replica) stopComm() {
 // (architectural adaptation, checkpoint restore) and restarts the comm
 // goroutine over it.
 func (r *replica) replan(bucketElems int) error {
-	plan, err := newBucketPlan(r.net, r.arena, bucketElems)
+	plan, err := newBucketPlan(r.Net, r.Arena, bucketElems)
 	if err != nil {
 		return err
 	}
@@ -169,7 +147,7 @@ func (r *replica) commLoop(plan *bucketPlan, buckets chan int) {
 			err = r.comm.AllReduceFrom(r.lossBuf, r.contrib)
 		} else {
 			lo, hi := plan.bounds[id], plan.bounds[id+1]
-			span := r.arena.Grad()[lo:hi]
+			span := r.Arena.Grad()[lo:hi]
 			if r.contrib[r.comm.Rank()] && r.weight != 1 {
 				for i := range span {
 					span[i] *= r.weight
@@ -227,16 +205,6 @@ func (r *replica) enqueueAll() {
 	r.flushBuckets()
 }
 
-// nextBatch materializes the replica's shard of a mini-batch, reusing the
-// replica-owned input tensor when the data source supports it.
-func (r *replica) nextBatch(data DataSource, start, count, res int) *tensor.Tensor {
-	if br, ok := data.(batchReuser); ok {
-		r.in = br.BatchInto(r.in, start, count, res)
-		return r.in
-	}
-	return data.Batch(start, count, res)
-}
-
 type workerResult struct {
 	rank int
 	loss float64
@@ -251,22 +219,12 @@ type workerCmd struct {
 	train bool
 }
 
-// newReplica wires one worker: an arena-backed network (buffer reuse on —
-// the replica owns its activations outright), a private loss with scratch
-// reuse, the optimizer over the arena'd parameters (which selects the
-// fused flat Adam step), a persistent communicator, and the bucket plan
-// plus comm goroutine of the overlapped allreduce.
-func newReplica(net *unet.UNet, dim, workers int, lr float64, tr Transport, bucketElems int) (*replica, error) {
-	net.SetBufferReuse(true)
-	loss := fem.NewEnergyLoss(dim)
-	loss.SetScratchReuse(true)
-	params := net.Params()
+// newReplica wires one worker around its trainer: a persistent
+// communicator, and the bucket plan plus comm goroutine of the overlapped
+// allreduce.
+func newReplica(t *core.Trainer, workers int, tr Transport, bucketElems int) (*replica, error) {
 	r := &replica{
-		net:     net,
-		loss:    loss,
-		opt:     nn.NewAdam(params, lr),
-		params:  params,
-		arena:   nn.NewArena(params),
+		Trainer: t,
 		comm:    NewCommunicator(tr),
 		lossBuf: make([]float64, 1),
 		contrib: make([]bool, workers),
@@ -304,14 +262,12 @@ func newReplica(net *unet.UNet, dim, workers int, lr float64, tr Transport, buck
 // depends only on the per-sample output volume, never on the local shard
 // size.)
 type ParallelTrainer struct {
-	Cfg  ParallelConfig
-	data DataSource
+	Cfg ParallelConfig
 
 	world int   // communicator size p (ranks across all processes)
 	ranks []int // global rank of each local replica
 
 	reps []*replica
-	trs  []Transport
 	cmds []chan workerCmd
 	res  chan workerResult
 
@@ -330,32 +286,8 @@ func NewParallelTrainer(cfg ParallelConfig) (*ParallelTrainer, error) {
 	} else if cfg.Workers < 1 {
 		return nil, fmt.Errorf("dist: Workers must be >= 1, got %d", cfg.Workers)
 	}
-	if cfg.Dim != 2 && cfg.Dim != 3 {
-		return nil, fmt.Errorf("dist: Dim must be 2 or 3, got %d", cfg.Dim)
-	}
-	if cfg.Samples < 1 || cfg.GlobalBatch < 1 {
-		return nil, fmt.Errorf("dist: Samples and GlobalBatch must be >= 1")
-	}
 	if cfg.BucketElems < 0 {
 		return nil, fmt.Errorf("dist: BucketElems must be >= 0, got %d", cfg.BucketElems)
-	}
-	var ncfg unet.Config
-	if cfg.Net != nil {
-		ncfg = *cfg.Net
-	} else {
-		ncfg = unet.DefaultConfig(cfg.Dim)
-	}
-	ncfg.Dim = cfg.Dim
-	ncfg.Seed = cfg.Seed
-
-	probe := unet.New(ncfg)
-	if m := probe.MinInputSize(); cfg.Res < m || cfg.Res%m != 0 {
-		return nil, fmt.Errorf("dist: Res %d must be a positive multiple of the U-Net minimum %d", cfg.Res, m)
-	}
-
-	data := cfg.Data
-	if data == nil {
-		data = field.NewDataset(cfg.Samples, cfg.Dim)
 	}
 
 	// One local replica per transport endpoint: the whole world in-process
@@ -374,21 +306,27 @@ func NewParallelTrainer(cfg ParallelConfig) (*ParallelTrainer, error) {
 	}
 	pt := &ParallelTrainer{
 		Cfg:   cfg,
-		data:  data,
 		world: cfg.Workers,
 		ranks: ranks,
 		reps:  make([]*replica, len(trs)),
-		trs:   trs,
 		cmds:  make([]chan workerCmd, len(trs)),
 		res:   make(chan workerResult, len(trs)),
 	}
+	// Every replica is a one-level core.Trainer over the same config and
+	// seed — identical initial weights on every rank — whose own epoch loop
+	// (the whole global batch, local) is what a 1-rank world runs.
+	rc := core.Config{
+		Dim: cfg.Dim, Levels: 1, FinestRes: cfg.Res,
+		Samples: cfg.Samples, BatchSize: cfg.GlobalBatch,
+		LR: cfg.LR, Seed: cfg.Seed, Net: cfg.Net, Data: cfg.Data,
+	}
 	for w := range pt.reps {
-		net := probe
-		if w > 0 {
-			// Same config and seed: identical initial weights on every rank.
-			net = unet.New(ncfg)
+		t, err := core.BuildTrainer(rc)
+		if err != nil {
+			return nil, fmt.Errorf("dist: %w", err)
 		}
-		r, err := newReplica(net, cfg.Dim, pt.world, cfg.LR, pt.trs[w], cfg.BucketElems)
+		rc.Data = t.Data // one dataset, shared by every replica
+		r, err := newReplica(t, pt.world, trs[w], cfg.BucketElems)
 		if err != nil {
 			return nil, err
 		}
@@ -427,11 +365,9 @@ func (pt *ParallelTrainer) shard(rank, n int) (int, int) {
 // into the arena's gradient slab, scales and allreduces each fixed
 // gradient bucket as soon as backward finalizes it (overlapping the
 // reductions with the rest of the backward pass), and applies one fused
-// Adam step to the reduced slab. The final global batch is clamped when
-// Samples is not divisible by GlobalBatch, and each batch's loss is a
-// separate 1-element collective weighted by the shard's sample count —
-// both mirror core.Trainer exactly, so a 1-worker run reproduces the
-// single-process trainer bit for bit.
+// Adam step to the reduced slab. The batch clamping and the per-sample
+// loss weighting are the embedded trainer's (core.Trainer's epoch loop),
+// with each batch's loss a separate 1-element collective.
 //
 // Empty shards (more workers than samples in a clamped batch) neither run
 // backward nor zero-fill the slab: they replay the plan's bucket order
@@ -439,26 +375,20 @@ func (pt *ParallelTrainer) shard(rank, n int) (int, int) {
 // slab with the reduced result during the all-gather.
 func (pt *ParallelTrainer) runEpoch(w, res int) (float64, error) {
 	r := pt.reps[w]
-	rank := pt.ranks[w]
 	p := pt.world
+	if p == 1 {
+		// The whole batch is local: the trainer's own epoch, with no
+		// collectives and no comm goroutine.
+		return r.TrainEpoch(res)
+	}
+	rank := pt.ranks[w]
 	B := pt.Cfg.GlobalBatch
-	ns := pt.data.Len()
+	ns := r.Data.Len()
 
 	total := 0.0
 	for bStart := 0; bStart < ns; bStart += B {
 		bn := min(B, ns-bStart)
 		lo, hi := pt.shard(rank, bn)
-		if p == 1 {
-			// Whole batch is local: no collectives, no comm goroutine.
-			nu := r.nextBatch(pt.data, bStart+lo, hi-lo, res)
-			r.arena.ZeroGrad()
-			pred := r.net.Forward(nu, true)
-			lossVal, grad := r.loss.Eval(pred, nu)
-			r.net.Backward(grad)
-			r.opt.Step()
-			total += lossVal * float64(hi-lo)
-			continue
-		}
 		// Every rank derives every peer's shard occupancy from (bn, p), so
 		// contrib is identical across ranks — the precondition of
 		// AllReduceFrom.
@@ -467,13 +397,10 @@ func (pt *ParallelTrainer) runEpoch(w, res int) (float64, error) {
 		}
 		r.weight = float64(hi-lo) / float64(bn)
 		if hi > lo {
-			nu := r.nextBatch(pt.data, bStart+lo, hi-lo, res)
-			r.arena.ZeroGrad()
-			pred := r.net.Forward(nu, true)
-			lossVal, grad := r.loss.Eval(pred, nu)
+			lossVal, grad := r.ForwardLoss(bStart+lo, hi-lo, res, true)
 			r.lossBuf[0] = lossVal * float64(hi-lo)
 			r.beginBatch()
-			r.net.BackwardWithHook(grad, r.hook)
+			r.Net.BackwardWithHook(grad, r.hook)
 			r.flushBuckets()
 		} else {
 			r.lossBuf[0] = 0
@@ -483,7 +410,7 @@ func (pt *ParallelTrainer) runEpoch(w, res int) (float64, error) {
 		if err := <-r.done; err != nil {
 			return 0, err
 		}
-		r.opt.Step()
+		r.Opt.Step()
 		total += r.lossBuf[0]
 	}
 	return total / float64(ns), nil
@@ -498,7 +425,7 @@ func (pt *ParallelTrainer) evalEpoch(w, res int) (float64, error) {
 	r := pt.reps[w]
 	rank := pt.ranks[w]
 	B := pt.Cfg.GlobalBatch
-	ns := pt.data.Len()
+	ns := r.Data.Len()
 
 	total := 0.0
 	for bStart := 0; bStart < ns; bStart += B {
@@ -506,9 +433,7 @@ func (pt *ParallelTrainer) evalEpoch(w, res int) (float64, error) {
 		lo, hi := pt.shard(rank, bn)
 		r.lossBuf[0] = 0
 		if hi > lo {
-			nu := r.nextBatch(pt.data, bStart+lo, hi-lo, res)
-			pred := r.net.Forward(nu, false)
-			lossVal, _ := r.loss.Eval(pred, nu)
+			lossVal, _ := r.ForwardLoss(bStart+lo, hi-lo, res, false)
 			r.lossBuf[0] = lossVal * float64(hi-lo)
 		}
 		if err := r.comm.AllReduce(r.lossBuf); err != nil {
@@ -517,14 +442,6 @@ func (pt *ParallelTrainer) evalEpoch(w, res int) (float64, error) {
 		total += r.lossBuf[0]
 	}
 	return total / float64(ns), nil
-}
-
-// checkRes validates a per-epoch resolution against the current network.
-func (pt *ParallelTrainer) checkRes(res int) error {
-	if m := pt.reps[0].net.MinInputSize(); res < m || res%m != 0 {
-		return fmt.Errorf("dist: resolution %d must be a positive multiple of the U-Net minimum %d", res, m)
-	}
-	return nil
 }
 
 // runAll dispatches one collective command to every local worker and
@@ -564,7 +481,7 @@ func (pt *ParallelTrainer) runAll(c workerCmd) (float64, error) {
 // re-sharded identically at every level, so replicas stay bit-exact across
 // level switches. It implements core.EpochBackend.
 func (pt *ParallelTrainer) TrainEpoch(res int) (float64, error) {
-	if err := pt.checkRes(res); err != nil {
+	if err := pt.Net().ValidateRes(res); err != nil {
 		return 0, err
 	}
 	return pt.runAll(workerCmd{res: res, train: true})
@@ -574,7 +491,7 @@ func (pt *ParallelTrainer) TrainEpoch(res int) (float64, error) {
 // resolution without updating weights, sharding each batch across the
 // workers. It implements core.EpochBackend.
 func (pt *ParallelTrainer) EvalLoss(res int) (float64, error) {
-	if err := pt.checkRes(res); err != nil {
+	if err := pt.Net().ValidateRes(res); err != nil {
 		return 0, err
 	}
 	return pt.runAll(workerCmd{res: res})
@@ -588,65 +505,40 @@ func (pt *ParallelTrainer) TimeEpoch(res int) (time.Duration, float64, error) {
 	return time.Since(start), loss, err
 }
 
+// relayout applies an operation that changes the parameter layout to every
+// replica's trainer and re-plans its gradient buckets over the new arena.
+// It must not be called concurrently with an epoch.
+func (pt *ParallelTrainer) relayout(change func(*core.Trainer) error) error {
+	for _, r := range pt.reps {
+		if err := change(r.Trainer); err != nil {
+			return err
+		}
+		if err := r.replan(pt.Cfg.BucketElems); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Adapt implements core.AdaptingBackend: every replica applies the same
-// §4.1.2 adaptation step and registers the fresh parameters with its
-// optimizer. The replica RNGs were seeded identically and have consumed
-// identical draw sequences, so the fresh layers are born bit-identical on
-// every rank and replica synchronization survives without a broadcast. It
-// must not be called concurrently with an epoch.
+// §4.1.2 adaptation step. The replica RNGs were seeded identically and have
+// consumed identical draw sequences, so the fresh layers are born
+// bit-identical on every rank and replica synchronization survives without
+// a broadcast.
 func (pt *ParallelTrainer) Adapt() error {
-	for _, r := range pt.reps {
-		fresh := r.net.Adapt()
-		r.arena.Extend(fresh)
-		r.opt.ExtendParams(fresh)
-		r.params = append(r.params, fresh...)
-		if err := r.replan(pt.Cfg.BucketElems); err != nil {
-			return err
-		}
-	}
-	return nil
+	return pt.relayout((*core.Trainer).Adapt)
 }
 
-// ExportState implements core.StatefulBackend using replica 0 (replicas
-// are bit-identical while training is synchronous): a unet gob snapshot
-// plus the Adam state in the network's parameter order — the same
-// encoding core.Trainer uses, so checkpoints are portable between
-// single-process and distributed runs.
+// ExportState implements core.StatefulBackend with replica 0's state
+// (replicas are bit-identical while training is synchronous).
 func (pt *ParallelTrainer) ExportState() ([]byte, nn.AdamState, error) {
-	var buf bytes.Buffer
-	if err := pt.reps[0].net.Save(&buf); err != nil {
-		return nil, nn.AdamState{}, err
-	}
-	st, err := pt.reps[0].opt.ExportStateFor(pt.reps[0].net.Params())
-	if err != nil {
-		return nil, nn.AdamState{}, err
-	}
-	return buf.Bytes(), st, nil
+	return pt.reps[0].ExportState()
 }
 
-// ImportState restores every replica from the same snapshot, rebuilding
-// networks, optimizers, arenas and bucket plans. All replicas decode the
-// same bytes, so they come back bit-identical. It must not be called
-// concurrently with an epoch.
+// ImportState restores every replica from the same snapshot. All replicas
+// decode the same bytes, so they come back bit-identical.
 func (pt *ParallelTrainer) ImportState(netBytes []byte, opt nn.AdamState) error {
-	for _, r := range pt.reps {
-		u, err := unet.Load(bytes.NewReader(netBytes))
-		if err != nil {
-			return err
-		}
-		u.SetBufferReuse(true)
-		params := u.Params()
-		arena := nn.NewArena(params)
-		o, err := nn.NewAdamFromState(params, pt.Cfg.LR, opt)
-		if err != nil {
-			return err
-		}
-		r.net, r.opt, r.params, r.arena = u, o, params, arena
-		if err := r.replan(pt.Cfg.BucketElems); err != nil {
-			return err
-		}
-	}
-	return nil
+	return pt.relayout(func(t *core.Trainer) error { return t.ImportState(netBytes, opt) })
 }
 
 // MaxReplicaDivergence returns the largest absolute parameter difference
@@ -658,10 +550,11 @@ func (pt *ParallelTrainer) ImportState(netBytes []byte, opt nn.AdamState) error 
 // TrainEpoch.
 func (pt *ParallelTrainer) MaxReplicaDivergence() float64 {
 	maxd := 0.0
-	base := pt.reps[0].params
+	base := pt.Params()
 	for _, r := range pt.reps[1:] {
+		other := r.Params()
 		for i, p0 := range base {
-			d0, d1 := p0.Data.Data, r.params[i].Data.Data
+			d0, d1 := p0.Data.Data, other[i].Data.Data
 			for j := range d0 {
 				if d := math.Abs(d0[j] - d1[j]); d > maxd {
 					maxd = d
@@ -674,10 +567,10 @@ func (pt *ParallelTrainer) MaxReplicaDivergence() float64 {
 
 // Params returns replica 0's parameters (the canonical model: all replicas
 // are identical while training is synchronous).
-func (pt *ParallelTrainer) Params() []*nn.Param { return pt.reps[0].params }
+func (pt *ParallelTrainer) Params() []*nn.Param { return pt.reps[0].Params() }
 
 // Net returns replica 0's network.
-func (pt *ParallelTrainer) Net() *unet.UNet { return pt.reps[0].net }
+func (pt *ParallelTrainer) Net() *unet.UNet { return pt.reps[0].Net }
 
 // World returns the communicator size p — the rank count across all
 // processes, which is Workers in-process or Transport.Peers() when the

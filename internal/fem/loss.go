@@ -7,13 +7,6 @@ import (
 	"mgdiffnet/internal/tensor"
 )
 
-// Loss maps a batched network prediction and its diffusivity input to a
-// scalar training loss and the gradient with respect to the prediction.
-// Implementations must be safe for concurrent use by distributed workers.
-type Loss interface {
-	Eval(pred, nu *tensor.Tensor) (float64, *tensor.Tensor)
-}
-
 // EnergyLoss is the paper's variational FEM loss (§3.1.1) with exact
 // Dirichlet imposition (Algorithm 1): the raw prediction is masked to the
 // interior, boundary nodes are overwritten with the Dirichlet data, and the
@@ -37,7 +30,7 @@ type EnergyLoss struct {
 	// every batch. Guarded by the opt-in because the returned gradient is
 	// then overwritten by the next Eval, and because the scratch makes Eval
 	// single-flight: enable it only on a privately owned loss whose caller
-	// consumes the gradient within the step, as each dist replica does.
+	// consumes the gradient within the step, as core.Trainer does.
 	reuse    bool
 	gradBuf  *tensor.Tensor
 	fieldBuf *tensor.Tensor
@@ -109,10 +102,12 @@ func (l *EnergyLoss) Problem3DAt(res int) *Problem3D {
 	return p
 }
 
-// Eval implements Loss. pred and nu have shape [N, 1, R, R] (2D) or
-// [N, 1, R, R, R] (3D); the two must agree. The returned gradient has the
-// prediction's shape with zeros at Dirichlet nodes (the prediction there is
-// discarded by Algorithm 1, so it receives no gradient).
+// Eval maps a batched network prediction and its diffusivity input to the
+// scalar training loss and its gradient with respect to the prediction.
+// pred and nu have shape [N, 1, R, R] (2D) or [N, 1, R, R, R] (3D); the
+// two must agree. The returned gradient has the prediction's shape with
+// zeros at Dirichlet nodes (the prediction there is discarded by
+// Algorithm 1, so it receives no gradient).
 func (l *EnergyLoss) Eval(pred, nu *tensor.Tensor) (float64, *tensor.Tensor) {
 	wantRank := l.Dim + 2
 	if pred.Rank() != wantRank || !pred.SameShape(nu) {

@@ -227,9 +227,9 @@ func (d *Dataset) Batch(start, count, res int) *tensor.Tensor {
 // BatchInto is Batch rasterizing into dst when dst already has the batch
 // shape; a nil or mismatched dst is replaced by a fresh tensor, and the
 // used tensor is returned. Reusing the destination across mini-batches —
-// as the dist training loop does per replica — makes the steady-state
-// batch build allocation-free, and the samples are rasterized in place
-// rather than copied through per-sample temporaries.
+// as core.Trainer does — makes the steady-state batch build
+// allocation-free, and the samples are rasterized in place rather than
+// copied through per-sample temporaries.
 func (d *Dataset) BatchInto(dst *tensor.Tensor, start, count, res int) *tensor.Tensor {
 	var shape []int
 	var per int

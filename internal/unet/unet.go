@@ -101,7 +101,7 @@ type UNet struct {
 	// additionally recycles the network-level scratch below: the per-level
 	// skip slices and the concat/split tensors of the decoder. Enabled by
 	// owners whose training loop never retains activations across passes
-	// (dist.ParallelTrainer replicas).
+	// (core.Trainer).
 	reuse     bool
 	skips     []*tensor.Tensor
 	skipGrads []*tensor.Tensor
