@@ -28,12 +28,14 @@ func HaloFor(net *unet.UNet) int {
 // every retained output value is computed from exactly the same inputs as
 // the monolithic pass.
 //
-// When both passes execute the same convolution kernels the results agree
-// bit-for-bit. With the automatic im2col+GEMM lowering (nn.ConvAuto, the
-// 3D default) a slab's smaller extended volume can select a different
-// kernel than the monolithic pass near the size threshold, in which case
-// the results agree to floating-point summation order (≲1e-13) instead;
-// pin unet.Config.DirectConv to recover exact bitwise equality.
+// When both passes run the same arithmetic the results agree bit-for-bit.
+// Every convolution forward reads input rows in place at every size, but
+// in 3D the nn.ConvAuto volume threshold still decides where the bias
+// enters each sum (first below 32³ output voxels per sample, last from
+// there on), so a slab's smaller extended volume can add it at the other
+// end than the monolithic pass near the threshold, and the results agree
+// to rounding (≲1e-13) instead; pin unet.Config.DirectConv to recover
+// exact bitwise equality.
 // SpatialInference is safe for concurrent Forward/ForwardInto calls: a
 // pass owns the worker replicas and their scratch exclusively, so
 // concurrent callers serialize on an internal mutex (the slab workers

@@ -26,17 +26,22 @@ func (l *LeakyReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		l.in = x
 	}
 	out := l.fwd.get(x.Shape()...)
-	a := l.Alpha
-	tensor.ParallelRange(x.Len(), func(lo, hi int) {
+	leakyReLU(out.Data, x.Data, l.Alpha)
+	return out
+}
+
+func (l *LeakyReLU) forwardInPlace(x *tensor.Tensor) { leakyReLU(x.Data, x.Data, l.Alpha) }
+
+func leakyReLU(dst, src []float64, a float64) {
+	tensor.ParallelRange(len(src), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			v := x.Data[i]
+			v := src[i]
 			if v < 0 {
 				v *= a
 			}
-			out.Data[i] = v
+			dst[i] = v
 		}
 	})
-	return out
 }
 
 // Backward implements Layer.
@@ -75,15 +80,21 @@ func (s *Sigmoid) setBufferReuse(on bool) { s.fwd.on, s.bwd.on = on, on }
 // Forward implements Layer.
 func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := s.fwd.get(x.Shape()...)
-	tensor.ParallelRange(x.Len(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Data[i] = 1.0 / (1.0 + math.Exp(-x.Data[i]))
-		}
-	})
+	sigmoid(out.Data, x.Data)
 	if train {
 		s.out = out
 	}
 	return out
+}
+
+func (s *Sigmoid) forwardInPlace(x *tensor.Tensor) { sigmoid(x.Data, x.Data) }
+
+func sigmoid(dst, src []float64) {
+	tensor.ParallelRange(len(src), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst[i] = 1.0 / (1.0 + math.Exp(-src[i]))
+		}
+	})
 }
 
 // Backward implements Layer.

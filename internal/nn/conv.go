@@ -10,25 +10,30 @@ import (
 // ConvAlgo selects how a convolution layer executes its kernels.
 type ConvAlgo int
 
+// A convolution's forward pass reads input rows in place at every size
+// (correlateRows), except ConvTranspose2D's, which lowers to GEMM + col2im.
+// What the algorithm still selects is the lowered arithmetic's order: a
+// lowered forward adds the bias after every tap instead of before, and a
+// lowered backward runs the im2col/col2im GEMM products.
 const (
-	// ConvAuto (the zero value) lowers to im2col+GEMM where the lowering
-	// was measured to win: always at rank 4, and at rank 5 once the output
-	// volume is large enough to amortize the materialized column matrix.
+	// ConvAuto (the zero value) lowers where the lowering was measured to
+	// win: always at rank 4, and at rank 5 once the output volume reaches
+	// conv3dGEMMMinVolume.
 	ConvAuto ConvAlgo = iota
-	// ConvDirect forces the nested direct loops — the correctness oracle
-	// the GEMM path is tested against.
+	// ConvDirect forces the direct order — bias first, direct backward
+	// nests — the correctness oracle the lowering is tested against.
 	ConvDirect
-	// ConvGEMM forces the im2col+GEMM lowering regardless of size.
+	// ConvGEMM forces the lowering regardless of size.
 	ConvGEMM
 )
 
-// conv3dGEMMMinVolume is the per-sample output voxel count above which
-// ConvAuto switches Conv3D to the GEMM lowering. The threshold is
-// deliberately a function of the per-sample volume only — not the batch
-// size — so data-parallel batch sharding (dist.ParallelTrainer) cannot
-// change which kernel a replica picks. Memory never enters the decision:
-// the lowering streams depth slabs through a bounded scratch buffer
-// (convSlabElems), so its footprint is O(slab), not O(volume).
+// conv3dGEMMMinVolume is the per-sample output voxel count from which
+// ConvAuto gives Conv3D the lowered arithmetic: the bias enters its forward
+// sums last and its backward runs the GEMM products. The forward kernel is
+// the same either way; the threshold stays because the training bits are
+// pinned to it. It reads the per-sample volume only — not the batch size —
+// so data-parallel batch sharding (dist.ParallelTrainer) cannot change which
+// order a replica runs.
 const conv3dGEMMMinVolume = 32 * 32 * 32
 
 // geom is the geometry of one convolution over NCDHW data: the grid it
@@ -117,12 +122,13 @@ func transposedGeom(who string, x *tensor.Tensor, cin, cout, kd, k, pd, p, s int
 
 // convState is what a convolution layer of either rank and direction keeps
 // between calls: the input cached for Backward, the recyclable outputs, the
-// GEMM-lowering scratch and the cached matrix views of the weights.
+// scratch of the lowered passes (every backward that lowers, and
+// ConvTranspose2D's forward) and the cached matrix views of the weights.
 //
-// The lowering streams through the scratch, so a layer — and hence any
-// network containing one — must not run concurrent Forward calls on a
-// shared instance, not even with train=false. Clone the network per
-// goroutine instead, as dist.SpatialInference and dist.ParallelTrainer do.
+// Outputs and scratch are per layer, so a layer — and hence any network
+// containing one — must not run concurrent Forward calls on a shared
+// instance, not even with train=false. Clone the network per goroutine
+// instead, as dist.SpatialInference and dist.ParallelTrainer do.
 type convState struct {
 	in                      *tensor.Tensor
 	fwd, bwd                outBuf
@@ -138,7 +144,7 @@ func (s *convState) convForward(x *tensor.Tensor, train bool, w, b *Param, g geo
 		s.in = x
 	}
 	out := s.fwd.get(gridShape(x.Rank(), g.n, g.co, g.do, g.ho, g.wo)...)
-	s.correlate(out.Data, x.Data, b.Data.Data, w, g, lower)
+	correlateRows(out.Data, x.Data, w.Data.Data, b.Data.Data, g, lower)
 	return out
 }
 
@@ -176,7 +182,7 @@ func (s *convState) transposedBackward(grad *tensor.Tensor, w, b *Param, g geom,
 	biasGrad(b.Grad.Data, grad.Data, g.n, vol, vol)
 	s.weightGrad(s.in.Data, grad.Data, w, g, lower)
 	gin := s.bwd.get(s.in.Shape()...)
-	s.correlate(gin.Data, grad.Data, nil, w, g, lower)
+	correlateRows(gin.Data, grad.Data, w.Data.Data, nil, g, false)
 	return gin
 }
 
@@ -196,13 +202,13 @@ func heInitAny(rng interface{ NormFloat64() float64 }, w *tensor.Tensor, fanIn i
 // padding. Weight layout is [Cout, Cin, KH, KW]. It runs the kernels of
 // Conv3D at depth 1 (see geom).
 //
-// With ConvAuto (the default) Forward and Backward lower to im2col+GEMM —
-// which beats the direct loops at every U-Net level size on this
-// substrate — while ConvDirect pins the straightforward loops, kept as
-// the correctness oracle. Because the GEMM accumulates each output
-// element's terms in a fixed ascending order (see tensor.MatMulInto),
-// per-sample results are bit-identical regardless of batch composition,
-// which the serving engine's coalescing relies on.
+// Forward reads input rows in place; with ConvAuto (the default) it adds
+// the bias last and Backward lowers to im2col+GEMM — which beats the direct
+// nests at every U-Net level size on this substrate — while ConvDirect pins
+// the direct order, kept as the correctness oracle. Every output element
+// accumulates its terms in a fixed order, so per-sample results are
+// bit-identical regardless of batch composition, which the serving
+// engine's coalescing relies on.
 type Conv2D struct {
 	InChannels  int
 	OutChannels int
@@ -238,9 +244,9 @@ func NewConv2D(rng interface{ NormFloat64() float64 }, name string, inCh, outCh,
 // OutSize returns the spatial output size for an input extent n.
 func (c *Conv2D) OutSize(n int) int { return (n+2*c.Pad-c.Kernel)/c.Stride + 1 }
 
-// useGEMM decides whether a pass lowers to im2col+GEMM. The lowering wins
-// at every benchmarked size in 2D (unlike 3D, where tiny volumes favor the
-// direct loops), so ConvAuto always lowers; ConvDirect is the opt-out.
+// useGEMM decides whether a pass runs the lowered arithmetic (see
+// ConvAuto). The lowered backward wins at every benchmarked size in 2D, so
+// ConvAuto always lowers; ConvDirect is the opt-out.
 func (c *Conv2D) useGEMM() bool { return c.Algo != ConvDirect }
 
 func (c *Conv2D) geom(x *tensor.Tensor) geom {
@@ -266,9 +272,11 @@ func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
 // the output extent for input n is (n-1)*stride - 2*pad + kernel.
 //
 // Like Conv2D, Algo selects the execution strategy: ConvAuto (default)
-// lowers to GEMM + col2im, ConvDirect pins the gather loops kept as the
-// oracle. The GEMM path is bit-identical across batch compositions,
-// matching the serving engine's coalescing contract.
+// lowers to GEMM + col2im, forward and backward — the only forward that
+// still builds a column matrix, because the row kernel measured slower for
+// it at serving sizes — and ConvDirect pins the row gather kept as the
+// oracle. Both are bit-identical across batch compositions, matching the
+// serving engine's coalescing contract.
 type ConvTranspose2D struct {
 	InChannels  int
 	OutChannels int
@@ -328,9 +336,10 @@ func (c *ConvTranspose2D) Params() []*Param { return []*Param{c.W, c.B} }
 // padding. Weight layout is [Cout, Cin, KD, KH, KW]. It is the volumetric
 // kernel behind the paper's megavoxel 3D DiffNet.
 //
-// Above the ConvAuto size threshold, Forward and Backward lower to
-// im2col+GEMM; the direct 7-deep loops remain both the small-volume path
-// and the correctness oracle. Set Algo to pin either kernel.
+// Forward reads input rows in place at every size. From the ConvAuto size
+// threshold on it adds the bias last and Backward lowers to im2col+GEMM;
+// below it the direct order remains, which is also the correctness oracle.
+// Set Algo to pin either.
 type Conv3D struct {
 	InChannels  int
 	OutChannels int
@@ -364,8 +373,8 @@ func NewConv3D(rng interface{ NormFloat64() float64 }, name string, inCh, outCh,
 // OutSize returns the spatial output size for an input extent n.
 func (c *Conv3D) OutSize(n int) int { return (n+2*c.Pad-c.Kernel)/c.Stride + 1 }
 
-// useGEMM decides whether a pass with vol output voxels per sample lowers
-// to im2col+GEMM.
+// useGEMM decides whether a pass with vol output voxels per sample runs
+// the lowered arithmetic.
 func (c *Conv3D) useGEMM(vol int) bool {
 	switch c.Algo {
 	case ConvDirect:
@@ -397,9 +406,10 @@ func (c *Conv3D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 func (c *Conv3D) Params() []*Param { return []*Param{c.W, c.B} }
 
 // ConvTranspose3D is a 3D transposed convolution over NCDHW tensors.
-// Weight layout is [Cin, Cout, KD, KH, KW]. It runs the direct loops at
-// every size: its arithmetic is pinned by the training benchmark and no
-// workload has shown the lowering to win for it.
+// Weight layout is [Cin, Cout, KD, KH, KW]. It never lowers: its forward
+// is the row gather (adjointRows), its input gradient the row correlation
+// and its weight gradient the direct nest at every size, the arithmetic
+// the training benchmark pins.
 type ConvTranspose3D struct {
 	InChannels  int
 	OutChannels int

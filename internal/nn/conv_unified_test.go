@@ -128,10 +128,12 @@ func TestRank4IsDepth1OfRank5(t *testing.T) {
 	}
 }
 
-// Kernel selection is what was measured and what the benchmark pins:
-// rank-4 layers lower unless ConvDirect, Conv3D lowers from 32³ output
-// voxels per sample, ConvTranspose3D never. Each row runs a forward and a
-// backward pass and observes whether the lowering's scratch was touched.
+// Kernel selection is what was measured and what the benchmark pins. Every
+// forward pass reads its input rows in place, except ConvTranspose2D's,
+// which lowers unless ConvDirect. Backward passes lower in rank 4 unless
+// ConvDirect and in Conv3D from 32³ output voxels per sample; ConvTranspose3D
+// never lowers. Each row runs a forward and a backward pass and observes
+// whether the lowering's column scratch was touched.
 func TestKernelSelection(t *testing.T) {
 	conv2 := func(a ConvAlgo) (Layer, *convState) {
 		c := NewConv2D(NewRNG(1), "c", 1, 1, 3, 1, 1)
@@ -153,38 +155,38 @@ func TestKernelSelection(t *testing.T) {
 		return c, &c.convState
 	}
 	for _, tc := range []struct {
-		name  string
-		build func(ConvAlgo) (Layer, *convState)
-		algo  ConvAlgo
-		in    []int
-		want  bool
+		name     string
+		build    func(ConvAlgo) (Layer, *convState)
+		algo     ConvAlgo
+		in       []int
+		fwd, bwd bool
 	}{
-		{"Conv2D/auto", conv2, ConvAuto, []int{1, 1, 4, 4}, true},
-		{"Conv2D/direct", conv2, ConvDirect, []int{1, 1, 64, 64}, false},
-		{"Conv2D/gemm", conv2, ConvGEMM, []int{1, 1, 4, 4}, true},
-		{"ConvTranspose2D/auto", convT2, ConvAuto, []int{1, 1, 4, 4}, true},
-		{"ConvTranspose2D/direct", convT2, ConvDirect, []int{1, 1, 64, 64}, false},
-		{"ConvTranspose2D/gemm", convT2, ConvGEMM, []int{1, 1, 4, 4}, true},
-		{"Conv3D/auto/16³", conv3, ConvAuto, []int{1, 1, 16, 16, 16}, false},
-		{"Conv3D/auto/31·32·32", conv3, ConvAuto, []int{1, 1, 31, 32, 32}, false},
-		{"Conv3D/auto/32³", conv3, ConvAuto, []int{1, 1, 32, 32, 32}, true},
-		{"Conv3D/auto/batch8·16³", conv3, ConvAuto, []int{8, 1, 16, 16, 16}, false},
-		{"Conv3D/direct/32³", conv3, ConvDirect, []int{1, 1, 32, 32, 32}, false},
-		{"Conv3D/gemm/4³", conv3, ConvGEMM, []int{1, 1, 4, 4, 4}, true},
-		{"ConvTranspose3D/4³→8³", convT3, ConvAuto, []int{1, 1, 4, 4, 4}, false},
-		{"ConvTranspose3D/16³→32³", convT3, ConvAuto, []int{1, 1, 16, 16, 16}, false},
+		{"Conv2D/auto", conv2, ConvAuto, []int{1, 1, 4, 4}, false, true},
+		{"Conv2D/direct", conv2, ConvDirect, []int{1, 1, 64, 64}, false, false},
+		{"Conv2D/gemm", conv2, ConvGEMM, []int{1, 1, 4, 4}, false, true},
+		{"ConvTranspose2D/auto", convT2, ConvAuto, []int{1, 1, 4, 4}, true, true},
+		{"ConvTranspose2D/direct", convT2, ConvDirect, []int{1, 1, 64, 64}, false, false},
+		{"ConvTranspose2D/gemm", convT2, ConvGEMM, []int{1, 1, 4, 4}, true, true},
+		{"Conv3D/auto/16³", conv3, ConvAuto, []int{1, 1, 16, 16, 16}, false, false},
+		{"Conv3D/auto/31·32·32", conv3, ConvAuto, []int{1, 1, 31, 32, 32}, false, false},
+		{"Conv3D/auto/32³", conv3, ConvAuto, []int{1, 1, 32, 32, 32}, false, true},
+		{"Conv3D/auto/batch8·16³", conv3, ConvAuto, []int{8, 1, 16, 16, 16}, false, false},
+		{"Conv3D/direct/32³", conv3, ConvDirect, []int{1, 1, 32, 32, 32}, false, false},
+		{"Conv3D/gemm/4³", conv3, ConvGEMM, []int{1, 1, 4, 4, 4}, false, true},
+		{"ConvTranspose3D/4³→8³", convT3, ConvAuto, []int{1, 1, 4, 4, 4}, false, false},
+		{"ConvTranspose3D/16³→32³", convT3, ConvAuto, []int{1, 1, 16, 16, 16}, false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			l, st := tc.build(tc.algo)
 			x := tensor.New(tc.in...)
 			y := l.Forward(x, true)
-			if got := st.colsBuf.data != nil; got != tc.want {
-				t.Fatalf("forward lowered = %v, want %v", got, tc.want)
+			if got := st.colsBuf.data != nil; got != tc.fwd {
+				t.Fatalf("forward lowered = %v, want %v", got, tc.fwd)
 			}
 			st.colsBuf = gemmBuf{}
 			l.Backward(tensor.New(y.Shape()...))
-			if got := st.colsBuf.data != nil; got != tc.want {
-				t.Fatalf("backward lowered = %v, want %v", got, tc.want)
+			if got := st.colsBuf.data != nil; got != tc.bwd {
+				t.Fatalf("backward lowered = %v, want %v", got, tc.bwd)
 			}
 		})
 	}

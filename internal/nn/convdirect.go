@@ -2,30 +2,25 @@ package nn
 
 import "mgdiffnet/internal/tensor"
 
-// The three products every convolution layer is made of, each with a direct
-// nest here and a GEMM lowering in im2col.go. With y on the written grid
-// of g and x on the read grid:
+// The three products every convolution layer is made of. With y on the
+// written grid of g and x on the read grid:
 //
 //	correlate   y = W ⋆ x (+ bias)     conv forward,  transposed input gradient
 //	adjoint     x = Wᵀ ⋆ y (+ bias)    conv input gradient,  transposed forward
 //	weightGrad  W.Grad += y ⊗ x        both
 //
-// The direct nests accumulate in the order cin → kz → ky → kx (adjoint:
-// cout → kz → ky → kx); the training benchmark pins the resulting bits.
-
-func (s *convState) correlate(yd, xd, bias []float64, w *Param, g geom, lower bool) {
-	if lower {
-		s.lowerCorrelate(yd, xd, bias, w, g)
-	} else {
-		directCorrelate(yd, xd, w.Data.Data, bias, g)
-	}
-}
+// correlate and adjoint are one row kernel (rowProduct), run either way,
+// that reads input rows where they lie; weightGrad keeps a direct nest
+// here, and the backward products a GEMM lowering in im2col.go. Every sum
+// runs in the order cin → kz → ky → kx (adjoint: cout → kz → ky → kx) and
+// skips taps that fall into the padding; the training benchmark pins the
+// resulting bits.
 
 func (s *convState) adjoint(xd, yd, bias []float64, w *Param, g geom, lower bool) {
 	if lower {
 		s.lowerAdjoint(xd, yd, bias, w, g)
 	} else {
-		directAdjoint(xd, yd, w.Data.Data, bias, g)
+		adjointRows(xd, yd, w.Data.Data, bias, g)
 	}
 }
 
@@ -37,118 +32,196 @@ func (s *convState) weightGrad(yd, xd []float64, w *Param, g geom, lower bool) {
 	}
 }
 
-// directCorrelate overwrites yd; a nil bias is zero. Parallel over
-// (n, cout), race-free.
-func directCorrelate(yd, xd, wd, bias []float64, g geom) {
-	ci, co, s := g.ci, g.co, g.s
-	d, h, w := g.d, g.h, g.w
-	do, ho, wo := g.do, g.ho, g.wo
-	kd, kh, kw := g.kd, g.kh, g.kw
-	pd, ph, pw := g.pd, g.ph, g.pw
+// correlateRows overwrites yd with W ⋆ x. A nil bias is zero; otherwise
+// biasLast picks where it enters each sum: first, as the direct nest adds
+// it, or after every tap, as the lowering y = W·im2col(x) + b does. Both
+// orders are pinned (see Conv3D), and they are the only difference between
+// the two: a lowered sum's extra padding terms are w·(+0), which cannot
+// change a sum that starts at +0.
+func correlateRows(yd, xd, wd, bias []float64, g geom, biasLast bool) {
+	rowProduct(yd, xd, wd, bias, g, false, biasLast)
+}
 
-	tensor.ParallelFor(g.n*co, func(job int) {
-		bn := job / co
-		oc := job % co
-		outBase := (bn*co + oc) * do * ho * wo
-		b := 0.0
-		if bias != nil {
-			b = bias[oc]
-		}
-		// Clamping each tap range to the read grid skips the same padding
-		// terms a per-tap bounds test would, in the same order.
-		for oz := 0; oz < do; oz++ {
-			iz0 := oz*s - pd
-			kzLo, kzHi := max(0, -iz0), min(kd, d-iz0)
-			for oy := 0; oy < ho; oy++ {
-				iy0 := oy*s - ph
-				kyLo, kyHi := max(0, -iy0), min(kh, h-iy0)
-				for ox := 0; ox < wo; ox++ {
-					ix0 := ox*s - pw
-					kxLo, kxHi := max(0, -ix0), min(kw, w-ix0)
-					acc := b
-					for cin := 0; cin < ci; cin++ {
-						wBase := (oc*ci + cin) * kd * kh * kw
-						xBase := (bn*ci+cin)*d*h*w + ix0
-						for kz := kzLo; kz < kzHi; kz++ {
-							for ky := kyLo; ky < kyHi; ky++ {
-								rowW := wBase + (kz*kh+ky)*kw
-								rowX := xBase + ((iz0+kz)*h+iy0+ky)*w
-								xr := xd[rowX+kxLo : rowX+kxHi]
-								for i, wv := range wd[rowW+kxLo : rowW+kxHi] {
-									acc += wv * xr[i]
+// adjointRows overwrites xd with Wᵀ ⋆ y in gather form: every read-grid
+// element sums, after its bias (nil is zero), the written-grid elements
+// whose window covers it.
+func adjointRows(xd, yd, wd, bias []float64, g geom) {
+	rowProduct(xd, yd, wd, bias, g, true, false)
+}
+
+// The row kernel splits its output into jobs: a block of up to rowBlock
+// elements — whole rows, or a slice of one row wider than that — times up
+// to four output channels, accumulated in a stack buffer and then written
+// out. A block of several short rows spreads each tap's setup over all of
+// them; the channel groups of a block are consecutive jobs, so its input
+// rows stay in cache across them. Each channel's stretch of the buffer is
+// padded so the four accumulator rows never sit a multiple of 4 KiB apart:
+// accumulating straight into output rows a power-of-two volume apart
+// stalls on store/load aliasing.
+const (
+	rowBlock  = 256
+	rowStride = rowBlock + 8
+)
+
+// rowWorkUnit is how many multiply-adds count as one unit of work when
+// jobs are shared among the kernel workers: ParallelRange runs fewer than
+// 256 units serially.
+const rowWorkUnit = 128
+
+// rowProduct overwrites out with correlate, or with adjoint when
+// transposed, reading the rows of in where they lie. Each output element
+// sums its bias (first unless biasLast) and one term per kernel tap that
+// reaches it, in the order input channel → kz → ky → kx; taps that fall
+// into the padding are skipped.
+func rowProduct(out, in, wd, bias []float64, g geom, transposed, biasLast bool) {
+	s, kd, kh, kw, kvol := g.s, g.kd, g.kh, g.kw, g.kd*g.kh*g.kw
+	// The output grid (o…) with oc channels, the input grid (i…) with ic,
+	// their channel strides in W, and the terms an output element sums.
+	od, oh, ow, oc, id, ih, iw, ic := g.do, g.ho, g.wo, g.co, g.d, g.h, g.w, g.ci
+	oStep, iStep, terms := g.ci*kvol, kvol, g.ci*kvol
+	if transposed {
+		od, oh, ow, oc, id, ih, iw, ic = g.d, g.h, g.w, g.ci, g.do, g.ho, g.wo, g.co
+		oStep, iStep = kvol, g.ci*kvol
+		terms = ic * max(1, kd/s) * max(1, kh/s) * max(1, kw/s)
+	}
+	rows, rowsPer := g.n*od*oh, max(1, rowBlock/ow)
+	colBlocks, chanBlocks := (ow+rowBlock-1)/rowBlock, (oc+3)/4
+	jobs := (rows + rowsPer - 1) / rowsPer * colBlocks * chanBlocks
+	u := max(1, min(rowsPer, rows)*min(ow, rowBlock)*4*terms/rowWorkUnit)
+
+	tensor.ParallelRange(jobs*u, func(lo, hi int) {
+		var acc [4 * rowStride]float64
+		var wt [4]float64
+		for j := (lo + u - 1) / u; j < (hi+u-1)/u; j++ {
+			t, c0 := j/chanBlocks, j%chanBlocks*4
+			r0, x0 := t/colBlocks*rowsPer, t%colBlocks*rowBlock
+			r1, x1 := min(r0+rowsPer, rows), min(x0+rowBlock, ow)
+			bw, nc := x1-x0, min(4, oc-c0)
+			n0, z0, y0 := r0/(od*oh), r0/oh%od, r0%oh
+			for c := 0; c < nc; c++ {
+				b := 0.0
+				if bias != nil && !biasLast {
+					b = bias[c0+c]
+				}
+				fill(acc[c*rowStride:c*rowStride+(r1-r0)*bw], b)
+			}
+			for cin := 0; cin < ic; cin++ {
+				for kz := 0; kz < kd; kz++ {
+					for ky := 0; ky < kh; ky++ {
+						for kx := 0; kx < kw; kx++ {
+							// The output columns [x0, x1) the tap reaches, as
+							// [lo, hi) on the strided side: out[off+j·sa] += w·in[src+j·sx].
+							var lo, hi, off, src, sa, sx int
+							if transposed {
+								lo, hi = tapRange(iw, bw, s, g.pw+x0, kx)
+								off, src, sa, sx = lo*s-g.pw+kx-x0, lo, s, 1
+							} else {
+								lo, hi = tapRange(ow, iw, s, g.pw, kx)
+								lo, hi = max(lo, x0), min(hi, x1)
+								off, src, sa, sx = lo-x0, lo*s-g.pw+kx, 1, s
+							}
+							if lo >= hi {
+								continue
+							}
+							for c := 0; c < nc; c++ {
+								wt[c] = wd[(c0+c)*oStep+cin*iStep+(kz*kh+ky)*kw+kx]
+							}
+							n, z, y := n0, z0, y0
+							for r := r0; r < r1; r++ {
+								iz, okz := tapRow(z, g.pd, kz, s, id, transposed)
+								iy, oky := tapRow(y, g.ph, ky, s, ih, transposed)
+								if okz && oky {
+									row := (((n*ic+cin)*id+iz)*ih + iy) * iw
+									maddRow(acc[:], (r-r0)*bw+off, nc, &wt, in[row+src:], hi-lo, sa, sx)
 								}
+								n, z, y = nextRow(n, z, y, od, oh)
 							}
 						}
 					}
-					yd[outBase+(oz*ho+oy)*wo+ox] = acc
+				}
+			}
+			for c := 0; c < nc; c++ {
+				b := 0.0
+				if bias != nil && biasLast {
+					b = bias[c0+c]
+				}
+				n, z, y := n0, z0, y0
+				for r := r0; r < r1; r++ {
+					row := out[(((n*oc+c0+c)*od+z)*oh+y)*ow+x0:][:bw]
+					for i, v := range acc[c*rowStride+(r-r0)*bw:][:len(row)] {
+						row[i] = v + b
+					}
+					n, z, y = nextRow(n, z, y, od, oh)
 				}
 			}
 		}
 	})
 }
 
-// directAdjoint overwrites xd in gather form — each read-grid element sums
-// the written-grid elements whose window covers it — so it is race-free
-// parallel over (n, cin). A nil bias is zero.
-func directAdjoint(xd, yd, wd, bias []float64, g geom) {
-	ci, co, s := g.ci, g.co, g.s
-	d, h, w := g.d, g.h, g.w
-	do, ho, wo := g.do, g.ho, g.wo
-	kd, kh, kw := g.kd, g.kh, g.kw
-	pd, ph, pw := g.pd, g.ph, g.pw
-
-	tensor.ParallelFor(g.n*ci, func(job int) {
-		bn := job / ci
-		cin := job % ci
-		inBase := (bn*ci + cin) * d * h * w
-		b := 0.0
-		if bias != nil {
-			b = bias[cin]
+// tapRow returns the input index that kernel tap k joins to output index o
+// along one axis, if it lies in [0, n): o·s − p + k, or for the adjoint the
+// i with i·s − p + k = o.
+func tapRow(o, p, k, s, n int, transposed bool) (int, bool) {
+	i := o*s - p + k
+	if transposed {
+		if (o+p-k)%s != 0 {
+			return 0, false
 		}
-		for iz := 0; iz < d; iz++ {
-			for iy := 0; iy < h; iy++ {
-				for ix := 0; ix < w; ix++ {
-					acc := b
-					for oc := 0; oc < co; oc++ {
-						wBase := (oc*ci + cin) * kd * kh * kw
-						yBase := (bn*co + oc) * do * ho * wo
-						for kz := 0; kz < kd; kz++ {
-							ozNum := iz + pd - kz
-							if ozNum < 0 || ozNum%s != 0 {
-								continue
-							}
-							oz := ozNum / s
-							if oz >= do {
-								continue
-							}
-							for ky := 0; ky < kh; ky++ {
-								oyNum := iy + ph - ky
-								if oyNum < 0 || oyNum%s != 0 {
-									continue
-								}
-								oy := oyNum / s
-								if oy >= ho {
-									continue
-								}
-								for kx := 0; kx < kw; kx++ {
-									oxNum := ix + pw - kx
-									if oxNum < 0 || oxNum%s != 0 {
-										continue
-									}
-									ox := oxNum / s
-									if ox >= wo {
-										continue
-									}
-									acc += wd[wBase+(kz*kh+ky)*kw+kx] * yd[yBase+(oz*ho+oy)*wo+ox]
-								}
-							}
-						}
-					}
-					xd[inBase+(iz*h+iy)*w+ix] = acc
-				}
+		i = (o + p - k) / s
+	}
+	return i, i >= 0 && i < n
+}
+
+// nextRow advances the row index (n, z, y) of a grid with nz planes of ny
+// rows.
+func nextRow(n, z, y, nz, ny int) (int, int, int) {
+	if y++; y < ny {
+		return n, z, y
+	}
+	if z++; z < nz {
+		return n, z, 0
+	}
+	return n + 1, 0, 0
+}
+
+// maddRow adds wt[c]·x[j·sx] into acc[c·rowStride + off + j·sa] for j < n
+// and each of the nc ≤ 4 channels.
+func maddRow(acc []float64, off, nc int, wt *[4]float64, x []float64, n, sa, sx int) {
+	w0, w1, w2, w3 := wt[0], wt[1], wt[2], wt[3]
+	switch {
+	case nc == 4 && sa == 1 && sx == 1:
+		x = x[:n]
+		a0, a1 := acc[off:][:len(x)], acc[off+rowStride:][:len(x)]
+		a2, a3 := acc[off+2*rowStride:][:len(x)], acc[off+3*rowStride:][:len(x)]
+		for j, v := range x {
+			a0[j] += w0 * v
+			a1[j] += w1 * v
+			a2[j] += w2 * v
+			a3[j] += w3 * v
+		}
+	case nc == 4:
+		a := acc[off:]
+		for j := 0; j < n; j++ {
+			v, i := x[j*sx], j*sa
+			a[i] += w0 * v
+			a[i+rowStride] += w1 * v
+			a[i+2*rowStride] += w2 * v
+			a[i+3*rowStride] += w3 * v
+		}
+	default:
+		for c := 0; c < nc; c++ {
+			a := acc[c*rowStride+off:]
+			for j := 0; j < n; j++ {
+				a[j*sa] += wt[c] * x[j*sx]
 			}
 		}
-	})
+	}
+}
+
+func fill(a []float64, v float64) {
+	for i := range a {
+		a[i] = v
+	}
 }
 
 // directWeightGrad adds into gw, parallel over (cout, cin) pairs so the

@@ -6,7 +6,7 @@ import "mgdiffnet/internal/tensor"
 // lowering: backing storage grown on demand plus a cached shaped view, so
 // steady-state passes with stable shapes allocate nothing. Reuse across
 // passes is also what keeps the column slabs cache-resident instead of
-// re-faulting fresh pages every forward/backward.
+// re-faulting fresh pages every backward.
 type gemmBuf struct {
 	data []float64
 	view *tensor.Tensor
@@ -70,10 +70,12 @@ func Col2Im2D(cols *tensor.Tensor, n, ci, h, w, k, stride, pad int) *tensor.Tens
 
 // Im2Col3D unrolls the sliding windows of an NCDHW input into a
 // [Cin·K³, N·Do·Ho·Wo] matrix so that volumetric convolution becomes one
-// GEMM. The layers do not materialize this matrix whole: they stream depth
-// slabs of it through a cache-resident scratch buffer (see im2col). The
-// full-matrix form exists for its algebraic contract — tests pair it with
-// Col2Im3D as an adjoint — and for callers that want the classical
+// GEMM. The layers never materialize this matrix whole: their forward
+// passes read input rows in place (correlateRows), and the lowered backward
+// streams depth slabs of it through a cache-resident scratch buffer (see
+// im2col). The full-matrix form exists for its algebraic contract — tests
+// pair it with Col2Im3D as an adjoint, and hold the row kernel to
+// W·Im2Col3D(x) + b bit for bit — and for callers that want the classical
 // one-shot lowering.
 func Im2Col3D(x *tensor.Tensor, k, stride, pad int) *tensor.Tensor {
 	g := kernelGeom(x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3), x.Dim(4), k, k, pad, pad, stride)
@@ -95,11 +97,13 @@ func Col2Im3D(cols *tensor.Tensor, n, ci, d, h, w, k, stride, pad int) *tensor.T
 // rows is the height of the column matrix: one row per (cin, kz, ky, kx).
 func (g geom) rows() int { return g.ci * g.kd * g.kh * g.kw }
 
-// convSlabElems bounds the per-slab column matrix at 2²¹ float64s
+// convSlabElems bounds the per-slab column matrix of the lowered passes —
+// every lowered backward, and ConvTranspose2D's forward — at 2²¹ float64s
 // (16 MiB): small enough to sit in a last-level cache slice while the GEMM
 // streams it repeatedly, large enough that slab setup is amortized. Memory
 // use of the GEMM path is O(this bound), not O(volume) — which is why
 // kernel selection never needs to consider batch size or available memory.
+// The slab depth also fixes the order of the lowered bias-gradient sums.
 const convSlabElems = 1 << 21
 
 // slabDepth returns how many written-grid z-planes fit one column slab.
@@ -110,10 +114,10 @@ func (g geom) slabDepth() int {
 
 // im2col fills a pre-zeroed [rows, N·(ozHi−ozLo)·Ho·Wo] matrix with the
 // unrolled windows whose output depth lies in [ozLo, ozHi). Slabbing is
-// what keeps the lowering cache-resident on megavoxel volumes: the full
-// column matrix of a 64³ pass runs to hundreds of megabytes, while a slab
-// reused across iterations stays in the last-level cache. For stride 1 the
-// innermost transfer is a single contiguous copy per output row.
+// what keeps the lowered backward cache-resident on megavoxel volumes: the
+// full column matrix of a 64³ pass runs to hundreds of megabytes, while a
+// slab reused across iterations stays in the last-level cache. For stride
+// 1 the innermost transfer is a single contiguous copy per output row.
 func im2col(cd, xd []float64, g geom, ozLo, ozHi int) {
 	n, ci, d, h, w := g.n, g.ci, g.d, g.h, g.w
 	ho, wo := g.ho, g.wo
@@ -245,43 +249,6 @@ func (s *convState) chanMajor(yd []float64, g geom, z0, z1 int) *tensor.Tensor {
 		}
 	}
 	return yMat
-}
-
-// lowerCorrelate is correlate as y = W·im2col(x) + bias, streamed over
-// depth slabs. Each output element accumulates its terms in a fixed
-// ascending order (tensor.MatMulInto), so per-sample results do not depend
-// on the batch.
-func (s *convState) lowerCorrelate(yd, xd, bias []float64, w *Param, g geom) {
-	n, co, rows := g.n, g.co, g.rows()
-	plane := g.ho * g.wo
-	wMat := paramMat(&s.wMatView, w.Data.Data, co, rows)
-	dz := g.slabDepth()
-	for z0 := 0; z0 < g.do; z0 += dz {
-		z1 := min(z0+dz, g.do)
-		slabVol := (z1 - z0) * plane
-		cols := s.colsBuf.get(rows, n*slabVol, true)
-		im2col(cols.Data, xd, g, z0, z1)
-		prod := s.prodBuf.get(co, n*slabVol, true)
-		tensor.MatMulInto(wMat, cols, prod) // [Cout, N·dz·Ho·Wo]
-
-		// Scatter the slab product into NCDHW order and add the bias.
-		pd := prod.Data
-		tensor.ParallelFor(co, func(oc int) {
-			b := 0.0
-			if bias != nil {
-				b = bias[oc]
-			}
-			for bn := 0; bn < n; bn++ {
-				src := (oc*n + bn) * slabVol
-				dst := ((bn*co+oc)*g.do + z0) * plane
-				row := yd[dst : dst+slabVol]
-				prow := pd[src : src+slabVol]
-				for i := range row {
-					row[i] = prow[i] + b
-				}
-			}
-		})
-	}
 }
 
 // lowerAdjoint is adjoint as x = col2im(Wᵀ·y) + bias over the same depth

@@ -90,9 +90,21 @@ type Sequential struct {
 // NewSequential builds a Sequential from the given layers.
 func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
 
-// Forward applies every layer in order.
+// inPlacer is implemented by pointwise layers that can overwrite their
+// input with their output, bit for bit what Forward(x, false) returns.
+type inPlacer interface{ forwardInPlace(x *tensor.Tensor) }
+
+// Forward applies every layer in order. At inference a pointwise layer
+// overwrites the tensor the previous layer produced instead of allocating
+// its own output — never the Sequential's own input, which belongs to the
+// caller (a layer such as Identity may hand it on unchanged).
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	in := x
 	for _, l := range s.Layers {
+		if p, ok := l.(inPlacer); ok && !train && x != in {
+			p.forwardInPlace(x)
+			continue
+		}
 		x = l.Forward(x, train)
 	}
 	return x

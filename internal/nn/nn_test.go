@@ -379,6 +379,35 @@ func TestSequentialForwardBackward(t *testing.T) {
 	}
 }
 
+// At inference the activations of a Sequential overwrite the output of the
+// layer before them — same bits as their own Forward — but never the
+// Sequential's input, even when a layer hands that input on unchanged.
+func TestSequentialInferenceActivatesInPlace(t *testing.T) {
+	rng := NewRNG(23)
+	conv := NewConv2D(rng, "c", 1, 2, 3, 1, 1)
+	SetBufferReuse(conv, true)
+	seq := NewSequential(conv, NewLeakyReLU(0.01), NewSigmoid())
+	x := randTensor(rng, 2, 1, 8, 8)
+	want := NewSigmoid().Forward(NewLeakyReLU(0.01).Forward(conv.Forward(x, false).Clone(), false), false)
+	y := seq.Forward(x, false)
+	if y != conv.fwd.t {
+		t.Fatal("activations did not run in place on the convolution's output")
+	}
+	requireSameBits(t, "in-place activations", y.Data, want.Data)
+
+	orig := x.Clone()
+	for _, s := range []*Sequential{
+		NewSequential(NewLeakyReLU(0.01)),
+		NewSequential(NewIdentity(), NewSigmoid()),
+		NewSequential(NewIdentity(), NewSequential(NewIdentity()), NewLeakyReLU(0.01)),
+	} {
+		if y := s.Forward(x, false); y == x {
+			t.Fatal("an activation returned the Sequential's input as its output")
+		}
+		requireSameBits(t, "the Sequential's input", x.Data, orig.Data)
+	}
+}
+
 func TestSGDStep(t *testing.T) {
 	p := NewParam("w", 2)
 	p.Data.Data[0], p.Data.Data[1] = 1, 2

@@ -30,8 +30,8 @@
 // Every non-degraded response is bit-identical to a fresh monolithic
 // net.Forward + boundary imposition on the same input: batching never
 // changes per-sample values (convolutions, batch-norm inference statistics
-// and pointwise activations are sample-independent, and the 3D GEMM
-// lowering selects its kernel from per-sample volume), and the slab path
+// and pointwise activations are sample-independent, and Conv3D picks its
+// arithmetic from the per-sample volume), and the slab path
 // reproduces the monolithic pass by receptive-field-covering halos.
 // Admission control cannot change values either — it only decides whether
 // a forward runs, never how.

@@ -9,11 +9,10 @@ const blockSize = 64
 
 // MatMul computes C = A·B for A of shape [m, k] and B of shape [k, n],
 // using cache-blocked loops parallelized over row or column panels —
-// whichever output axis is longer, so the wide-and-short products of the
-// im2col convolution lowering (m = Cout rows, millions of columns) still
-// fan out across workers. It is the GEMM kernel behind the im2col
-// convolution path (nn.ConvGEMM) and the blocked/parallel counterpart of
-// the naive triple loop.
+// whichever output axis is longer, so wide-and-short products (m = Cout
+// rows, millions of columns) still fan out across workers. It is the
+// blocked/parallel counterpart of the naive triple loop, and W·im2col(x)
+// through it is the reference the convolution forward is tested against.
 //
 // The per-element summation order is fixed (ascending p within ascending
 // p-blocks) regardless of the worker count, so results are bit-identical
@@ -26,9 +25,7 @@ func MatMul(a, b *Tensor) *Tensor {
 }
 
 // MatMulInto accumulates C += A·B into an existing [m, n] tensor, sparing
-// the allocation when the caller reuses a scratch buffer across calls
-// (the im2col convolution path does; fresh 100+ MB allocations per forward
-// pass are what the megavoxel lowering must avoid).
+// the allocation when the caller reuses a scratch buffer across calls.
 func MatMulInto(a, b, c *Tensor) {
 	m, k := checkOperands(a, b, false, false, "MatMulInto")
 	n := b.Dim(1)

@@ -37,12 +37,15 @@ type Config struct {
 	// FinalSigmoid applies the paper's Sigmoid output activation; when
 	// false the output is linear (used in ablations).
 	FinalSigmoid bool
-	// DirectConv pins every convolution (2D and 3D) to the direct-loop
-	// kernel (the correctness oracle). When false — the default — layers
-	// select the im2col+GEMM lowering automatically (always in 2D, above
-	// the nn.ConvAuto volume threshold in 3D), which is what makes both
-	// megavoxel forward passes and high-throughput 2D serving fast. Old
-	// gob snapshots decode this as false and so pick up the fast path.
+	// DirectConv pins every convolution (2D and 3D) to the direct order
+	// (nn.ConvDirect, the correctness oracle): bias first in the forward
+	// sums, direct backward nests, and the row gather for 2D upsampling.
+	// When false — the default — layers pick the lowered order
+	// automatically (always in 2D, from the nn.ConvAuto volume threshold
+	// in 3D): bias last in the forward sums, im2col+GEMM backward, and a
+	// GEMM 2D upsampler. Every other forward reads input rows in place
+	// either way, so megavoxel inference is as fast with it as without.
+	// Old gob snapshots decode this as false.
 	DirectConv bool
 	// Seed drives deterministic weight initialization.
 	Seed int64
@@ -300,9 +303,10 @@ func (u *UNet) checkInput(x *tensor.Tensor) {
 // Backward are cached inside the constituent layers.
 //
 // Forward is not safe for concurrent calls on a shared network even with
-// train=false: the convolution layers reuse per-layer GEMM scratch
-// buffers (see nn.Conv2D/nn.Conv3D). Use Clone to give each goroutine its
-// own replica, as internal/dist and internal/serve do.
+// train=false: the layers reuse per-layer output and scratch buffers (see
+// nn.SetBufferReuse), and at inference the activations overwrite the
+// output of the convolution before them. Use Clone to give each goroutine
+// its own replica, as internal/dist and internal/serve do.
 func (u *UNet) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	u.checkInput(x)
 	skips := u.skips
