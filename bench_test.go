@@ -516,59 +516,6 @@ func BenchmarkSubstrates(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationConvLowering compares the direct convolution loops
-// against the im2col+GEMM lowering used by production engines.
-func BenchmarkAblationConvLowering(b *testing.B) {
-	rng := nn.NewRNG(50)
-	c := nn.NewConv2D(rng, "c", 16, 16, 3, 1, 1)
-	x := tensor.New(1, 16, 64, 64)
-	for i := range x.Data {
-		x.Data[i] = float64(i%13) * 0.1
-	}
-	b.Run("Direct", func(b *testing.B) {
-		c.Algo = nn.ConvDirect
-		for i := 0; i < b.N; i++ {
-			c.Forward(x, false)
-		}
-	})
-	b.Run("Im2colGEMM", func(b *testing.B) {
-		c.Algo = nn.ConvGEMM
-		for i := 0; i < b.N; i++ {
-			c.Forward(x, false)
-		}
-	})
-}
-
-// BenchmarkAblationConv3DLowering compares the direct 7-deep Conv3D loops
-// against the im2col+GEMM lowering at the volumetric shapes of the 3D
-// DiffNet (the acceptance shape is the 64³ forward). Short mode keeps only
-// the 32³ smoke so the GEMM path still compiles and runs on every PR.
-func BenchmarkAblationConv3DLowering(b *testing.B) {
-	rng := nn.NewRNG(52)
-	for _, res := range []int{32, 64} {
-		if testing.Short() && res > 32 {
-			continue
-		}
-		c := nn.NewConv3D(rng, "c", 4, 8, 3, 1, 1)
-		x := tensor.New(1, 4, res, res, res)
-		for i := range x.Data {
-			x.Data[i] = float64(i%13) * 0.1
-		}
-		b.Run(fmt.Sprintf("res%d/Direct", res), func(b *testing.B) {
-			c.Algo = nn.ConvDirect
-			for i := 0; i < b.N; i++ {
-				c.Forward(x, false)
-			}
-		})
-		b.Run(fmt.Sprintf("res%d/Im2colGEMM", res), func(b *testing.B) {
-			c.Algo = nn.ConvGEMM
-			for i := 0; i < b.N; i++ {
-				c.Forward(x, false)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationConv3DBackward is the training-path half of the 3D
 // lowering ablation: direct loops vs col2im GEMM gradients.
 func BenchmarkAblationConv3DBackward(b *testing.B) {

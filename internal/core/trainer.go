@@ -280,12 +280,22 @@ func (t *Trainer) EvalLoss(res int) (float64, error) { return t.epoch(res, false
 func (t *Trainer) Params() []*nn.Param { return t.Net.Params() }
 
 // Adapt implements AdaptingBackend: one §4.1.2 adaptation step on the
-// network, with the fresh parameters folded into the arena and registered
-// with the optimizer.
+// network. The arena and the optimizer are then rebuilt over the network's
+// parameters, as ImportState builds them: the fresh layers join both, and
+// the transpose convolution the step drops leaves both, since no backward
+// pass writes its gradient any more.
 func (t *Trainer) Adapt() error {
-	fresh := t.Net.Adapt()
-	t.Arena.Extend(fresh)
-	t.Opt.ExtendParams(fresh)
+	t.Opt.ExtendParams(t.Net.Adapt())
+	params := t.Net.Params()
+	st, err := t.Opt.ExportStateFor(params)
+	if err != nil {
+		return err
+	}
+	opt, err := nn.NewAdamFromState(params, t.Opt.LR, st)
+	if err != nil {
+		return err
+	}
+	t.Opt, t.Arena = opt, nn.NewArena(params)
 	return nil
 }
 

@@ -9,6 +9,7 @@ package dist
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 
@@ -195,6 +196,66 @@ func TestDistributedResumeBitExact(t *testing.T) {
 	}
 	if div := resumed.MaxReplicaDivergence(); div != 0 {
 		t.Fatalf("resumed replicas diverged by %g", div)
+	}
+}
+
+// Two §4.1.2 adaptations (Half-V over three levels): the second drops the
+// first's last transpose convolution, whose parameters must leave the arena
+// with it, or the bucket plan rejects an arena its backward groups do not
+// cover. One and two workers train through both to the same losses (to
+// rounding: they sum a batch's gradients in different orders), and a
+// 2-worker run killed after the second adaptation resumes from its
+// checkpoint to the uninterrupted run's weights, bit for bit.
+func TestTwoAdaptations(t *testing.T) {
+	cfg := multigridCfg()
+	cfg.Strategy = core.HalfV
+	cfg.Levels = 3
+	cfg.MaxEpochsPerStage = 2
+	cfg.Patience = 1 << 30 // a fixed epoch count, never early stopping
+
+	var reps []*core.Report
+	var pts []*ParallelTrainer
+	for _, workers := range []int{1, 2} {
+		pt := newMultigridPT(t, cfg, workers)
+		defer pt.Close()
+		rep, err := core.RunSchedule(cfg, pt, core.RunOptions{})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !rep.Stages[1].Adapted || !rep.Stages[2].Adapted {
+			t.Fatalf("workers=%d: stages %+v, want two adaptations", workers, rep.Stages)
+		}
+		reps, pts = append(reps, rep), append(pts, pt)
+	}
+	if len(reps[0].History) != len(reps[1].History) {
+		t.Fatalf("history %d vs %d epochs", len(reps[0].History), len(reps[1].History))
+	}
+	for i := range reps[0].History {
+		if a, b := reps[0].History[i].Loss, reps[1].History[i].Loss; math.Abs(a-b) > 1e-9*math.Abs(a) {
+			t.Fatalf("epoch %d: loss %v with one worker, %v with two", i, a, b)
+		}
+	}
+
+	path := t.TempDir() + "/ck.gob"
+	killed := newMultigridPT(t, cfg, 2)
+	defer killed.Close()
+	crash := &crashingParallel{ParallelTrainer: killed, failAfter: len(reps[1].History) - 1}
+	if _, err := core.RunSchedule(cfg, crash, core.RunOptions{CheckpointPath: path, CheckpointEvery: 1}); !errors.Is(err, errKilled) {
+		t.Fatalf("expected injected kill, got %v", err)
+	}
+	ck, err := core.LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := newMultigridPT(t, cfg, 2)
+	defer resumed.Close()
+	rep, err := core.RunSchedule(cfg, resumed, core.RunOptions{Resume: ck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameParams(t, "killed after the second adaptation and resumed", pts[1].Net().Params(), resumed.Net().Params())
+	if rep.FinalLoss != reps[1].FinalLoss {
+		t.Fatalf("final loss %v, uninterrupted %v", rep.FinalLoss, reps[1].FinalLoss)
 	}
 }
 

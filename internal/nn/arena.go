@@ -62,10 +62,9 @@ func (a *Arena) rebuild(params []*Param) {
 }
 
 // Extend grows the arena to additionally cover fresh parameters appended
-// after the existing ones (the §4.1.2 architectural-adaptation path). All
-// parameters — old and new — are re-backed into freshly grown slabs;
-// values are preserved. Callers holding raw slab slices (Data/Grad) must
-// re-fetch them afterwards.
+// after the existing ones. All parameters — old and new — are re-backed
+// into freshly grown slabs; values are preserved. Callers holding raw slab
+// slices (Data/Grad) must re-fetch them afterwards.
 func (a *Arena) Extend(fresh []*Param) {
 	a.rebuild(append(a.params[:len(a.params):len(a.params)], fresh...))
 }

@@ -11,17 +11,20 @@ import (
 type ConvAlgo int
 
 // A convolution's forward pass reads input rows in place at every size
-// (correlateRows), except ConvTranspose2D's, which lowers to GEMM + col2im.
-// What the algorithm still selects is the lowered arithmetic's order: a
-// lowered forward adds the bias after every tap instead of before, and a
-// lowered backward runs the im2col/col2im GEMM products.
+// (correlateRows), except ConvTranspose2D's, which lowers to GEMM + col2im,
+// and so does every weight gradient (weightGradRows). What the algorithm
+// still selects is the lowered arithmetic's order: a lowered forward adds
+// the bias after every tap instead of before, and a lowered backward sums
+// the weight gradient in the blocked order of the GEMM it replaced and
+// computes the input gradient as GEMM + col2im.
 const (
 	// ConvAuto (the zero value) lowers where the lowering was measured to
 	// win: always at rank 4, and at rank 5 once the output volume reaches
 	// conv3dGEMMMinVolume.
 	ConvAuto ConvAlgo = iota
-	// ConvDirect forces the direct order — bias first, direct backward
-	// nests — the correctness oracle the lowering is tested against.
+	// ConvDirect forces the direct order — bias first, one sum per
+	// weight-gradient element, the row gather for the input gradient — the
+	// correctness oracle the lowering is tested against.
 	ConvDirect
 	// ConvGEMM forces the lowering regardless of size.
 	ConvGEMM
@@ -29,9 +32,9 @@ const (
 
 // conv3dGEMMMinVolume is the per-sample output voxel count from which
 // ConvAuto gives Conv3D the lowered arithmetic: the bias enters its forward
-// sums last and its backward runs the GEMM products. The forward kernel is
-// the same either way; the threshold stays because the training bits are
-// pinned to it. It reads the per-sample volume only — not the batch size —
+// sums last and its backward runs the lowered orders. The forward and
+// weight-gradient kernels are the same either way; the threshold stays
+// because the training bits are pinned to it. It reads the per-sample volume only — not the batch size —
 // so data-parallel batch sharding (dist.ParallelTrainer) cannot change which
 // order a replica runs.
 const conv3dGEMMMinVolume = 32 * 32 * 32
@@ -122,18 +125,18 @@ func transposedGeom(who string, x *tensor.Tensor, cin, cout, kd, k, pd, p, s int
 
 // convState is what a convolution layer of either rank and direction keeps
 // between calls: the input cached for Backward, the recyclable outputs, the
-// scratch of the lowered passes (every backward that lowers, and
-// ConvTranspose2D's forward) and the cached matrix views of the weights.
+// scratch of the lowered adjoint (a lowered convolution's input gradient,
+// and ConvTranspose2D's forward) and the cached matrix view of the weights.
 //
 // Outputs and scratch are per layer, so a layer — and hence any network
 // containing one — must not run concurrent Forward calls on a shared
 // instance, not even with train=false. Clone the network per goroutine
 // instead, as dist.SpatialInference and dist.ParallelTrainer do.
 type convState struct {
-	in                      *tensor.Tensor
-	fwd, bwd                outBuf
-	colsBuf, prodBuf, gwBuf gemmBuf
-	wMatView, gwView        *tensor.Tensor
+	in               *tensor.Tensor
+	fwd, bwd         outBuf
+	colsBuf, prodBuf gemmBuf
+	wMatView         *tensor.Tensor
 }
 
 func (s *convState) setBufferReuse(on bool) { s.fwd.on, s.bwd.on = on, on }
@@ -158,7 +161,7 @@ func (s *convState) convBackward(grad *tensor.Tensor, w, b *Param, g geom, lower
 		planes = g.slabDepth()
 	}
 	biasGrad(b.Grad.Data, grad.Data, g.n, g.do*g.ho*g.wo, planes*g.ho*g.wo)
-	s.weightGrad(grad.Data, s.in.Data, w, g, lower)
+	weightGradRows(w.Grad.Data, grad.Data, s.in.Data, g, lower)
 	gin := s.bwd.get(s.in.Shape()...)
 	s.adjoint(gin.Data, grad.Data, nil, w, g, lower)
 	return gin
@@ -180,7 +183,7 @@ func (s *convState) transposedForward(x *tensor.Tensor, train bool, w, b *Param,
 func (s *convState) transposedBackward(grad *tensor.Tensor, w, b *Param, g geom, lower bool) *tensor.Tensor {
 	vol := g.d * g.h * g.w
 	biasGrad(b.Grad.Data, grad.Data, g.n, vol, vol)
-	s.weightGrad(s.in.Data, grad.Data, w, g, lower)
+	weightGradRows(w.Grad.Data, s.in.Data, grad.Data, g, lower)
 	gin := s.bwd.get(s.in.Shape()...)
 	correlateRows(gin.Data, grad.Data, w.Data.Data, nil, g, false)
 	return gin
@@ -203,9 +206,10 @@ func heInitAny(rng interface{ NormFloat64() float64 }, w *tensor.Tensor, fanIn i
 // Conv3D at depth 1 (see geom).
 //
 // Forward reads input rows in place; with ConvAuto (the default) it adds
-// the bias last and Backward lowers to im2col+GEMM — which beats the direct
-// nests at every U-Net level size on this substrate — while ConvDirect pins
-// the direct order, kept as the correctness oracle. Every output element
+// the bias last and Backward runs the lowered orders — its GEMM input
+// gradient beat the direct nests at every U-Net level size on this
+// substrate — while ConvDirect pins the direct order, kept as the
+// correctness oracle. Every output element
 // accumulates its terms in a fixed order, so per-sample results are
 // bit-identical regardless of batch composition, which the serving
 // engine's coalescing relies on.
@@ -272,10 +276,10 @@ func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
 // the output extent for input n is (n-1)*stride - 2*pad + kernel.
 //
 // Like Conv2D, Algo selects the execution strategy: ConvAuto (default)
-// lowers to GEMM + col2im, forward and backward — the only forward that
-// still builds a column matrix, because the row kernel measured slower for
-// it at serving sizes — and ConvDirect pins the row gather kept as the
-// oracle. Both are bit-identical across batch compositions, matching the
+// lowers the forward to GEMM + col2im — the only forward that still builds
+// a column matrix, because the row kernel measured slower for it at
+// serving sizes — and sums the weight gradient in the lowered order;
+// ConvDirect pins the row gather and the direct order, kept as the oracle. Both are bit-identical across batch compositions, matching the
 // serving engine's coalescing contract.
 type ConvTranspose2D struct {
 	InChannels  int
@@ -337,7 +341,7 @@ func (c *ConvTranspose2D) Params() []*Param { return []*Param{c.W, c.B} }
 // kernel behind the paper's megavoxel 3D DiffNet.
 //
 // Forward reads input rows in place at every size. From the ConvAuto size
-// threshold on it adds the bias last and Backward lowers to im2col+GEMM;
+// threshold on it adds the bias last and Backward runs the lowered orders;
 // below it the direct order remains, which is also the correctness oracle.
 // Set Algo to pin either.
 type Conv3D struct {
@@ -408,7 +412,7 @@ func (c *Conv3D) Params() []*Param { return []*Param{c.W, c.B} }
 // ConvTranspose3D is a 3D transposed convolution over NCDHW tensors.
 // Weight layout is [Cin, Cout, KD, KH, KW]. It never lowers: its forward
 // is the row gather (adjointRows), its input gradient the row correlation
-// and its weight gradient the direct nest at every size, the arithmetic
+// and its weight gradient the direct order at every size, the arithmetic
 // the training benchmark pins.
 type ConvTranspose3D struct {
 	InChannels  int

@@ -10,10 +10,12 @@ import "mgdiffnet/internal/tensor"
 //	weightGrad  W.Grad += y ⊗ x        both
 //
 // correlate and adjoint are one row kernel (rowProduct), run either way,
-// that reads input rows where they lie; weightGrad keeps a direct nest
-// here, and the backward products a GEMM lowering in im2col.go. Every sum
-// runs in the order cin → kz → ky → kx (adjoint: cout → kz → ky → kx) and
-// skips taps that fall into the padding; the training benchmark pins the
+// and weightGrad a second one (weightGradRows); both read their operand
+// rows where they lie. Only the lowered adjoint keeps a GEMM lowering, in
+// im2col.go. Every correlate sum runs in the order cin → kz → ky → kx
+// (adjoint: cout → kz → ky → kx), every weight-gradient sum over the
+// written grid in the orders weightGradRows describes, and all of them skip
+// taps that fall into the padding; the training benchmark pins the
 // resulting bits.
 
 func (s *convState) adjoint(xd, yd, bias []float64, w *Param, g geom, lower bool) {
@@ -21,14 +23,6 @@ func (s *convState) adjoint(xd, yd, bias []float64, w *Param, g geom, lower bool
 		s.lowerAdjoint(xd, yd, bias, w, g)
 	} else {
 		adjointRows(xd, yd, w.Data.Data, bias, g)
-	}
-}
-
-func (s *convState) weightGrad(yd, xd []float64, w *Param, g geom, lower bool) {
-	if lower {
-		s.lowerWeightGrad(yd, xd, w, g)
-	} else {
-		directWeightGrad(w.Grad.Data, yd, xd, g)
 	}
 }
 
@@ -224,51 +218,164 @@ func fill(a []float64, v float64) {
 	}
 }
 
-// directWeightGrad adds into gw, parallel over (cout, cin) pairs so the
-// accumulation is race-free.
-func directWeightGrad(gw, yd, xd []float64, g geom) {
-	n, ci, co, s := g.n, g.ci, g.co, g.s
-	d, h, w := g.d, g.h, g.w
-	do, ho, wo := g.do, g.ho, g.wo
-	kd, kh, kw := g.kd, g.kh, g.kw
-	pd, ph, pw := g.pd, g.ph, g.pw
+// The lowered weight-gradient order is the one the GEMM product
+// y·im2col(x)ᵀ summed in (tensor.MatMulTransBInto): column blocks of
+// gradBlock, and chunks of at least gradChunk columns when the product is
+// small. Both are pinned with the training bits. gradTaps bounds the kx taps
+// one weight-gradient job owns.
+const (
+	gradBlock = 64
+	gradChunk = 8192
+	gradTaps  = 8
+)
 
-	tensor.ParallelFor(co*ci, func(job int) {
-		oc := job / ci
-		cin := job % ci
-		wBase := (oc*ci + cin) * kd * kh * kw
-		for kz := 0; kz < kd; kz++ {
-			for ky := 0; ky < kh; ky++ {
-				for kx := 0; kx < kw; kx++ {
-					oxLo, oxHi := tapRange(wo, w, s, pw, kx)
-					acc := 0.0
-					for bn := 0; bn < n; bn++ {
-						yBase := (bn*co + oc) * do * ho * wo
-						xBase := (bn*ci + cin) * d * h * w
-						for oz := 0; oz < do; oz++ {
-							iz := oz*s - pd + kz
-							if iz < 0 || iz >= d {
-								continue
-							}
-							for oy := 0; oy < ho; oy++ {
-								iy := oy*s - ph + ky
-								if iy < 0 || iy >= h {
+// weightGradRows adds y ⊗ x into gw: element (co, ci, kz, ky, kx) gains the
+// sum, over the written-grid columns (bn, oz, oy, ox), of y[bn, co, oz, oy,
+// ox] times the x element the tap joins that column to. Taps that fall into
+// the padding are skipped.
+//
+// The direct order sums each element from +0 over bn → oz → oy → ox. The
+// lowered order is the GEMM's: the pass is cut into depth slabs of
+// slabDepth() planes, taken in order, and a slab's K columns, numbered
+// bn → oz → oy → ox, are summed in blocks of gradBlock, each from +0. When
+// the product is small (co·rows ≤ gradChunk) and K > gradChunk, the slab is
+// cut into chunks of max(gradChunk, ⌈K/256⌉) columns: blocks restart at each
+// chunk and their sums fold into a per-chunk partial from +0, and the
+// partials into the total; otherwise the block sums fold into the total
+// directly. The total runs from +0 across all slabs. Either order adds its
+// total into gw once. The GEMM added y·(+0) for a padding tap, which cannot
+// change a sum started at +0: such a sum is never −0.
+//
+// A job owns up to four output channels × one (cin, kz, ky) × up to
+// gradTaps kx taps, and every (channel, tap) pair is an accumulator chain of
+// its own: one x load feeds four multiply-adds, and the chains hide the add
+// latency. The jobs depend on the shape only and own whole gradient
+// elements, so the bits do not depend on the worker count.
+func weightGradRows(gw, yd, xd []float64, g geom, lowered bool) {
+	n, ci, co, s := g.n, g.ci, g.co, g.s
+	d, h, w, do, ho, wo := g.d, g.h, g.w, g.do, g.ho, g.wo
+	kd, kh, kw := g.kd, g.kh, g.kw
+	planes := do
+	if lowered {
+		planes = g.slabDepth()
+	}
+	small := co*g.rows() <= gradChunk
+	chanBlocks, tapBlocks := (co+3)/4, (kw+gradTaps-1)/gradTaps
+	jobs := chanBlocks * ci * kd * kh * tapBlocks
+	u := max(1, n*do*ho*wo*4*min(kw, gradTaps)/rowWorkUnit)
+
+	tensor.ParallelRange(jobs*u, func(lo, hi int) {
+		var blk, part, tot [4 * gradTaps]float64
+		var tapLo, tapHi [gradTaps]int
+		for j := (lo + u - 1) / u; j < (hi+u-1)/u; j++ {
+			kx0 := j % tapBlocks * gradTaps
+			ky, kz := j/tapBlocks%kh, j/(tapBlocks*kh)%kd
+			cin, c0 := j/(tapBlocks*kh*kd)%ci, j/(tapBlocks*kh*kd*ci)*4
+			nc, nt := min(4, co-c0), min(gradTaps, kw-kx0)
+			for i := 0; i < nt; i++ {
+				tapLo[i], tapHi[i] = tapRange(wo, w, s, g.pw, kx0+i)
+			}
+			chains := 4 * nt
+			clear(tot[:chains])
+			for z0 := 0; z0 < do; z0 += planes {
+				z1 := min(z0+planes, do)
+				k := n * (z1 - z0) * ho * wo
+				block, chunk, chunked := k, k, false
+				if lowered {
+					block = gradBlock
+					if small && k > gradChunk {
+						chunk, chunked = max(gradChunk, (k+255)/256), true
+					}
+				}
+				sums := tot[:chains]
+				if chunked {
+					sums = part[:chains]
+					clear(sums)
+				}
+				blockEnd, chunkEnd, q := min(block, chunk), chunk, 0
+				for bn := 0; bn < n; bn++ {
+					for oz := z0; oz < z1; oz++ {
+						iz := oz*s - g.pd + kz
+						for oy := 0; oy < ho; oy++ {
+							iy := oy*s - g.ph + ky
+							inside := iz >= 0 && iz < d && iy >= 0 && iy < h
+							yRow := (((bn*co+c0)*do+oz)*ho + oy) * wo
+							xRow := (((bn*ci+cin)*d+iz)*h+iy)*w - g.pw + kx0
+							// [a, b) is the stretch of this row inside one block.
+							for a := 0; a < wo; {
+								b := min(wo, blockEnd-q)
+								for i := 0; inside && i < nt; i++ {
+									if lo, hi := max(tapLo[i], a), min(tapHi[i], b); lo < hi {
+										maddCols(blk[4*i:4*i+4], nc, yd[yRow+lo:], do*ho*wo, xd[xRow+lo*s+i:], hi-lo, s)
+									}
+								}
+								a = b
+								if q+a < blockEnd {
 									continue
 								}
-								yRow := yBase + (oz*ho+oy)*wo
-								xi := xBase + (iz*h+iy)*w - pw + kx + oxLo*s
-								for _, yv := range yd[yRow+oxLo : yRow+oxHi] {
-									acc += yv * xd[xi]
-									xi += s
+								fold(sums, blk[:chains])
+								if blockEnd == chunkEnd {
+									if chunked {
+										fold(tot[:chains], sums)
+									}
+									chunkEnd = min(chunkEnd+chunk, k)
 								}
+								blockEnd = min(blockEnd+block, chunkEnd)
 							}
+							q += wo
 						}
 					}
-					gw[wBase+(kz*kh+ky)*kw+kx] += acc
+				}
+			}
+			for i := 0; i < nt; i++ {
+				for c := 0; c < nc; c++ {
+					gw[(((c0+c)*ci+cin)*kd+kz)*kh*kw+ky*kw+kx0+i] += tot[4*i+c]
 				}
 			}
 		}
 	})
+}
+
+// maddCols adds y[c·cs + j]·x[j·sx] into acc[c] for j < n and each of the
+// nc ≤ 4 channels, one chain per channel in ascending j.
+func maddCols(acc []float64, nc int, y []float64, cs int, x []float64, n, sx int) {
+	if nc < 4 {
+		for c := 0; c < nc; c++ {
+			a := acc[c]
+			for j, v := range y[c*cs:][:n] {
+				a += v * x[j*sx]
+			}
+			acc[c] = a
+		}
+		return
+	}
+	a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
+	y0, y1, y2, y3 := y[:n], y[cs:][:n], y[2*cs:][:n], y[3*cs:][:n]
+	if sx == 1 {
+		for j, v := range x[:n] {
+			a0 += y0[j] * v
+			a1 += y1[j] * v
+			a2 += y2[j] * v
+			a3 += y3[j] * v
+		}
+	} else {
+		for j := range y0 {
+			v := x[j*sx]
+			a0 += y0[j] * v
+			a1 += y1[j] * v
+			a2 += y2[j] * v
+			a3 += y3[j] * v
+		}
+	}
+	acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
+}
+
+// fold adds src into dst and zeroes src.
+func fold(dst, src []float64) {
+	for i, v := range src {
+		dst[i] += v
+		src[i] = 0
+	}
 }
 
 // biasGrad adds the per-channel sums of gd — n samples of len(gb) channels

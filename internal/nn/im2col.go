@@ -70,12 +70,11 @@ func Col2Im2D(cols *tensor.Tensor, n, ci, h, w, k, stride, pad int) *tensor.Tens
 
 // Im2Col3D unrolls the sliding windows of an NCDHW input into a
 // [Cin·K³, N·Do·Ho·Wo] matrix so that volumetric convolution becomes one
-// GEMM. The layers never materialize this matrix whole: their forward
-// passes read input rows in place (correlateRows), and the lowered backward
-// streams depth slabs of it through a cache-resident scratch buffer (see
-// im2col). The full-matrix form exists for its algebraic contract — tests
-// pair it with Col2Im3D as an adjoint, and hold the row kernel to
-// W·Im2Col3D(x) + b bit for bit — and for callers that want the classical
+// GEMM. The layers never build this matrix: their forward passes and
+// weight gradients read input rows in place (correlateRows,
+// weightGradRows). The full-matrix form exists for its algebraic contract —
+// tests pair it with Col2Im3D as an adjoint, and hold the row kernels to
+// products with it bit for bit — and for callers that want the classical
 // one-shot lowering.
 func Im2Col3D(x *tensor.Tensor, k, stride, pad int) *tensor.Tensor {
 	g := kernelGeom(x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3), x.Dim(4), k, k, pad, pad, stride)
@@ -97,13 +96,15 @@ func Col2Im3D(cols *tensor.Tensor, n, ci, d, h, w, k, stride, pad int) *tensor.T
 // rows is the height of the column matrix: one row per (cin, kz, ky, kx).
 func (g geom) rows() int { return g.ci * g.kd * g.kh * g.kw }
 
-// convSlabElems bounds the per-slab column matrix of the lowered passes —
-// every lowered backward, and ConvTranspose2D's forward — at 2²¹ float64s
+// convSlabElems bounds the per-slab column matrix of the lowered adjoint —
+// a lowered input gradient, and ConvTranspose2D's forward — at 2²¹ float64s
 // (16 MiB): small enough to sit in a last-level cache slice while the GEMM
 // streams it repeatedly, large enough that slab setup is amortized. Memory
 // use of the GEMM path is O(this bound), not O(volume) — which is why
 // kernel selection never needs to consider batch size or available memory.
-// The slab depth also fixes the order of the lowered bias-gradient sums.
+// The slab depth also fixes the orders of the lowered bias- and
+// weight-gradient sums: they build no columns, but the training bits are
+// pinned to the slabs of the GEMM they replaced.
 const convSlabElems = 1 << 21
 
 // slabDepth returns how many written-grid z-planes fit one column slab.
@@ -113,11 +114,8 @@ func (g geom) slabDepth() int {
 }
 
 // im2col fills a pre-zeroed [rows, N·(ozHi−ozLo)·Ho·Wo] matrix with the
-// unrolled windows whose output depth lies in [ozLo, ozHi). Slabbing is
-// what keeps the lowered backward cache-resident on megavoxel volumes: the
-// full column matrix of a 64³ pass runs to hundreds of megabytes, while a
-// slab reused across iterations stays in the last-level cache. For stride
-// 1 the innermost transfer is a single contiguous copy per output row.
+// unrolled windows whose output depth lies in [ozLo, ozHi). For stride 1
+// the innermost transfer is a single contiguous copy per output row.
 func im2col(cd, xd []float64, g geom, ozLo, ozHi int) {
 	n, ci, d, h, w := g.n, g.ci, g.d, g.h, g.w
 	ho, wo := g.ho, g.wo
@@ -277,21 +275,4 @@ func (s *convState) lowerAdjoint(xd, yd, bias []float64, w *Param, g geom) {
 			row[i] += b
 		}
 	})
-}
-
-// lowerWeightGrad is weightGrad as W.Grad += y·im2col(x)ᵀ. The product
-// accumulates across slabs in a scratch matrix that is added to W.Grad
-// once, through tensor.MatMulTransBInto.
-func (s *convState) lowerWeightGrad(yd, xd []float64, w *Param, g geom) {
-	co, rows := g.co, g.rows()
-	gw := s.gwBuf.get(co, rows, true)
-	dz := g.slabDepth()
-	for z0 := 0; z0 < g.do; z0 += dz {
-		z1 := min(z0+dz, g.do)
-		yMat := s.chanMajor(yd, g, z0, z1)
-		cols := s.colsBuf.get(rows, yMat.Dim(1), true)
-		im2col(cols.Data, xd, g, z0, z1)
-		tensor.MatMulTransBInto(yMat, cols, gw)
-	}
-	paramMat(&s.gwView, w.Grad.Data, co, rows).Add(gw)
 }

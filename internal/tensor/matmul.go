@@ -73,8 +73,10 @@ func checkInto(c *Tensor, m, n int, who string) {
 // is register-blocked four output rows deep, so every B row streamed from
 // memory feeds four C rows — the difference between memory-bound and
 // compute-bound for the wide, short products of the im2col convolution
-// lowering. Each C element accumulates its p-terms in ascending order, so
-// results are independent of the blocking and of the parallel partition.
+// lowering — and it takes four contraction steps per pass, so each C
+// element is loaded and stored once per four. Each C element accumulates
+// its p-terms one at a time in ascending order, so results are independent
+// of the blocking and of the parallel partition.
 func matmulTile(ad, bd, cd []float64, k, n, aSI, aSP, iLo, iHi, jLo, jHi int) {
 	for i0 := iLo; i0 < iHi; i0 += blockSize {
 		i1 := min(i0+blockSize, iHi)
@@ -82,13 +84,35 @@ func matmulTile(ad, bd, cd []float64, k, n, aSI, aSP, iLo, iHi, jLo, jHi int) {
 			p1 := min(p0+blockSize, k)
 			for j0 := jLo; j0 < jHi; j0 += blockSize {
 				j1 := min(j0+blockSize, jHi)
+				w := j1 - j0
 				i := i0
 				for ; i+4 <= i1; i += 4 {
-					c0 := cd[i*n+j0 : i*n+j1]
-					c1 := cd[(i+1)*n+j0 : (i+1)*n+j1]
-					c2 := cd[(i+2)*n+j0 : (i+2)*n+j1]
-					c3 := cd[(i+3)*n+j0 : (i+3)*n+j1]
-					for p := p0; p < p1; p++ {
+					c0 := cd[i*n+j0:][:w]
+					c1 := cd[(i+1)*n+j0:][:w]
+					c2 := cd[(i+2)*n+j0:][:w]
+					c3 := cd[(i+3)*n+j0:][:w]
+					p := p0
+					for ; p+4 <= p1; p += 4 {
+						r0, r1, r2, r3 := i*aSI+p*aSP, (i+1)*aSI+p*aSP, (i+2)*aSI+p*aSP, (i+3)*aSI+p*aSP
+						a00, a01, a02, a03 := ad[r0], ad[r0+aSP], ad[r0+2*aSP], ad[r0+3*aSP]
+						a10, a11, a12, a13 := ad[r1], ad[r1+aSP], ad[r1+2*aSP], ad[r1+3*aSP]
+						a20, a21, a22, a23 := ad[r2], ad[r2+aSP], ad[r2+2*aSP], ad[r2+3*aSP]
+						a30, a31, a32, a33 := ad[r3], ad[r3+aSP], ad[r3+2*aSP], ad[r3+3*aSP]
+						b0 := bd[p*n+j0:][:w]
+						b1 := bd[(p+1)*n+j0:][:w]
+						b2 := bd[(p+2)*n+j0:][:w]
+						b3 := bd[(p+3)*n+j0:][:w]
+						// Go adds left to right: the same sums, in the same
+						// order, as four successive +=.
+						for j, v0 := range b0 {
+							v1, v2, v3 := b1[j], b2[j], b3[j]
+							c0[j] = c0[j] + a00*v0 + a01*v1 + a02*v2 + a03*v3
+							c1[j] = c1[j] + a10*v0 + a11*v1 + a12*v2 + a13*v3
+							c2[j] = c2[j] + a20*v0 + a21*v1 + a22*v2 + a23*v3
+							c3[j] = c3[j] + a30*v0 + a31*v1 + a32*v2 + a33*v3
+						}
+					}
+					for ; p < p1; p++ {
 						av0 := ad[i*aSI+p*aSP]
 						av1 := ad[(i+1)*aSI+p*aSP]
 						av2 := ad[(i+2)*aSI+p*aSP]

@@ -106,6 +106,76 @@ func TestMatMulDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
+// matmulTileSerial is matmulTile's loop as it was before the 4-row path took
+// four contraction steps per pass: the reference the micro-kernel must match
+// bit for bit.
+func matmulTileSerial(ad, bd, cd []float64, k, n, aSI, aSP, iLo, iHi, jLo, jHi int) {
+	for i0 := iLo; i0 < iHi; i0 += blockSize {
+		i1 := min(i0+blockSize, iHi)
+		for p0 := 0; p0 < k; p0 += blockSize {
+			p1 := min(p0+blockSize, k)
+			for j0 := jLo; j0 < jHi; j0 += blockSize {
+				j1 := min(j0+blockSize, jHi)
+				i := i0
+				for ; i+4 <= i1; i += 4 {
+					c0 := cd[i*n+j0 : i*n+j1]
+					c1 := cd[(i+1)*n+j0 : (i+1)*n+j1]
+					c2 := cd[(i+2)*n+j0 : (i+2)*n+j1]
+					c3 := cd[(i+3)*n+j0 : (i+3)*n+j1]
+					for p := p0; p < p1; p++ {
+						av0 := ad[i*aSI+p*aSP]
+						av1 := ad[(i+1)*aSI+p*aSP]
+						av2 := ad[(i+2)*aSI+p*aSP]
+						av3 := ad[(i+3)*aSI+p*aSP]
+						bRow := bd[p*n+j0 : p*n+j1]
+						for j, bv := range bRow {
+							c0[j] += av0 * bv
+							c1[j] += av1 * bv
+							c2[j] += av2 * bv
+							c3[j] += av3 * bv
+						}
+					}
+				}
+				for ; i < i1; i++ {
+					cRow := cd[i*n+j0 : i*n+j1]
+					for p := p0; p < p1; p++ {
+						av := ad[i*aSI+p*aSP]
+						bRow := bd[p*n+j0 : p*n+j1]
+						for j, bv := range bRow {
+							cRow[j] += av * bv
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// Four contraction steps per pass add the same terms in the same order as
+// one step per pass, so the micro-kernel matches the old loop to the last
+// bit: plain and transposed A, m, k and n off multiples of 4 and of the
+// block size, into a C that already holds values.
+func TestMatMulTileMatchesOneStepPerPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, tc := range []struct{ m, k, n int }{{1, 1, 1}, {7, 13, 70}, {5, 130, 67}, {9, 67, 131}, {66, 3, 5}} {
+		a, b, c := randMat(rng, tc.m, tc.k), randMat(rng, tc.k, tc.n), randMat(rng, tc.m, tc.n)
+		for _, form := range []struct {
+			name     string
+			ad       []float64
+			aSI, aSP int
+		}{{"plain", a.Data, tc.k, 1}, {"transA", explicitTranspose(a).Data, 1, tc.m}} {
+			want, got := c.Clone(), c.Clone()
+			matmulTileSerial(form.ad, b.Data, want.Data, tc.k, tc.n, form.aSI, form.aSP, 0, tc.m, 0, tc.n)
+			matmulTile(form.ad, b.Data, got.Data, tc.k, tc.n, form.aSI, form.aSP, 0, tc.m, 0, tc.n)
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("%s %+v: element %d is %v, want %v", form.name, tc, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+}
+
 // The weight-gradient shape of the im2col lowering: tiny output, huge
 // contraction — exercises the fixed-chunk parallel reduction path.
 func TestMatMulTransBChunkedContraction(t *testing.T) {
