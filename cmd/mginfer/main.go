@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -40,6 +41,9 @@ func parseOmega(s string) (field.Omega, error) {
 		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil {
 			return w, fmt.Errorf("omega component %d: %w", i, err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return w, fmt.Errorf("omega component %d is %v; it must be finite", i, v)
 		}
 		w[i] = v
 	}

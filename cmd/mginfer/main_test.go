@@ -200,3 +200,37 @@ func TestWriteCSVCreateError(t *testing.T) {
 		t.Fatal("expected an error for an uncreatable path")
 	}
 }
+
+// TestRunRejectsNonFiniteOmega pins that a NaN or Inf ω component, from
+// -omega or from a line of -omega-file, is an exit-2 error naming the
+// component instead of a NaN solution reported as success.
+func TestRunRejectsNonFiniteOmega(t *testing.T) {
+	dir := t.TempDir()
+	model := saveTestModel(t, dir)
+	for _, tc := range []struct{ omega, component string }{
+		{"NaN,1,0,0", "component 0"},
+		{"0.3,Inf,0,0", "component 1"},
+		{"0.3,1.5,0.1,-Inf", "component 3"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run([]string{"-model", model, "-omega", tc.omega, "-res", "8"}, &out, &errb); code != 2 {
+			t.Fatalf("-omega %q: exit %d, want 2 (stdout %q)", tc.omega, code, out.String())
+		}
+		if !strings.Contains(errb.String(), tc.component) || !strings.Contains(errb.String(), "finite") {
+			t.Fatalf("-omega %q: stderr %q does not name %s as non-finite", tc.omega, errb.String(), tc.component)
+		}
+
+		file := dir + "/omegas.txt"
+		if err := os.WriteFile(file, []byte("0.3, 1.5, 0.1, -1.2\n"+tc.omega+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out.Reset()
+		errb.Reset()
+		if code := run([]string{"-model", model, "-omega-file", file, "-res", "8"}, &out, &errb); code != 2 {
+			t.Fatalf("-omega-file line %q: exit %d, want 2 (stdout %q)", tc.omega, code, out.String())
+		}
+		if !strings.Contains(errb.String(), "omegas.txt:2") || !strings.Contains(errb.String(), tc.component) {
+			t.Fatalf("-omega-file line %q: stderr %q does not name line 2 and %s", tc.omega, errb.String(), tc.component)
+		}
+	}
+}

@@ -1,32 +1,14 @@
 // mglint runs the repo's project-specific static analyzers — the
-// determinism, hot-path-allocation, error-handling and lock-discipline
+// determinism, hot-path-allocation, write-path and error-handling
 // invariants that after-the-fact tests used to guard one instance at a
-// time.
+// time. The suite is internal/analysis/all; stock `go vet` runs next to
+// it in `make lint`.
 //
-// Two modes share one analyzer suite (internal/analysis/all):
+//	mglint [packages]
 //
-//	mglint [-only name,...] [-exclude name,...] [-json] [-fix] [packages]
-//	    standalone: load packages (default ./...) through `go list
-//	    -export`, schedule them in dependency order so cross-package
-//	    facts flow, and report every unsuppressed diagnostic. Exit 1 if
-//	    any. -fix applies the preferred suggested fix of every
-//	    unsuppressed diagnostic that carries one (gofmt-clean, refusing
-//	    suppressed or conflicting edits) and reports only what remains.
-//
-//	go vet -vettool=$(which mglint) ./...
-//	    vettool: the go command probes -flags and -V=full, then invokes
-//	    mglint once per build unit with a vet.cfg JSON file. Dependency
-//	    facts arrive through the config's PackageVetx files and the
-//	    unit's own facts are written to VetxOutput, so analyzer behavior
-//	    is identical to standalone. Diagnostics go to stderr as
-//	    file:line:col: messages with exit status 2, exactly like the
-//	    bundled vet.
-//
-// With -json each diagnostic is emitted to stdout as one JSON object per
-// line — {"path","line","analyzer","message","suppressed"} — including
-// waived diagnostics with suppressed=true, so CI and editors can consume
-// the full picture without re-parsing positions. Exit status still
-// reflects only unsuppressed findings.
+// loads the packages (default ./...) through `go list -export`, runs them
+// in dependency order so cross-package facts flow, and prints every
+// unsuppressed diagnostic to stderr as file:line:col: message (analyzer).
 //
 // Suppressions: //mglint:ignore <analyzer> <reason> (line) and
 // //mglint:ignore-file <analyzer> <reason> (file). The reason is
@@ -34,12 +16,7 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
-	"errors"
-	"flag"
 	"fmt"
-	"go/token"
 	"io"
 	"os"
 	"strings"
@@ -49,277 +26,48 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
-	// The go vet protocol probes come before flag parsing: the argument
-	// forms are fixed by cmd/go, not by this tool.
-	for _, a := range args {
-		switch {
-		case a == "-flags":
-			return printFlags(stdout)
-		case strings.HasPrefix(a, "-V="):
-			return printVersion(stdout)
-		}
-	}
-	fs := flag.NewFlagSet("mglint", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	exclude := fs.String("exclude", "", "comma-separated analyzer names to skip")
-	jsonOut := fs.Bool("json", false, "emit one JSON diagnostic per line on stdout (includes suppressed)")
-	fix := fs.Bool("fix", false, "apply suggested fixes in place (standalone mode only)")
-	fs.Usage = func() {
-		fmt.Fprint(stderr, usage)
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0 // the user asked for the usage text; that's not an error
-		}
-		return 2
-	}
-	analyzers, err := selectAnalyzers(*only, *exclude)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
+const usage = `usage: mglint [packages]
 
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		if *fix {
-			// The vet protocol gives no way to rewrite sources mid-build,
-			// and go vet would cache the unit as analyzed anyway.
-			fmt.Fprintln(stderr, "mglint: -fix is not supported in vettool mode")
-			return 2
-		}
-		return runUnit(rest[0], analyzers, *jsonOut, stdout, stderr)
-	}
-	return runStandalone(rest, analyzers, *jsonOut, *fix, stdout, stderr)
-}
-
-const usage = `usage: mglint [flags] [packages]
-       go vet -vettool=mglint [packages]
-
-Analyzers: ` + "`mglint -only=`" + ` with an unknown name lists valid ones.
-
-Exit codes, standalone mode:
+mglint takes no flags. Exit codes:
     0  no unsuppressed diagnostics (waived-only counts as clean)
-    1  unsuppressed diagnostics reported (after fixes, with -fix)
-    2  usage, load, or fix-application error
-
-Exit codes, vettool mode (per build unit, matching cmd/vet):
-    0  clean
-    2  diagnostics reported, or an internal error
-
-Flags:
+    1  unsuppressed diagnostics reported
+    2  usage or load error
 `
 
-func selectAnalyzers(only, exclude string) ([]*analysis.Analyzer, error) {
-	suite := all.Analyzers()
-	byName := make(map[string]*analysis.Analyzer)
-	var names []string
-	for _, a := range suite {
-		byName[a.Name] = a
-		names = append(names, a.Name)
-	}
-	unknown := func(name string) error {
-		return fmt.Errorf("mglint: unknown analyzer %q (valid: %s)", name, strings.Join(names, ", "))
-	}
-	excluded := make(map[string]bool)
-	if exclude != "" {
-		for _, name := range strings.Split(exclude, ",") {
-			name = strings.TrimSpace(name)
-			if _, ok := byName[name]; !ok {
-				return nil, unknown(name)
+func run(args []string, stderr io.Writer) int {
+	for _, a := range args {
+		if strings.HasPrefix(a, "-") {
+			fmt.Fprint(stderr, usage)
+			if a == "-h" || a == "-help" || a == "--help" {
+				return 0 // the user asked for the usage text; that's not an error
 			}
-			excluded[name] = true
+			return 2
 		}
 	}
-	selected := suite
-	if only != "" {
-		selected = nil
-		for _, name := range strings.Split(only, ",") {
-			name = strings.TrimSpace(name)
-			a, ok := byName[name]
-			if !ok {
-				return nil, unknown(name)
-			}
-			selected = append(selected, a)
-		}
+	if len(args) == 0 {
+		args = []string{"./..."}
 	}
-	var out []*analysis.Analyzer
-	for _, a := range selected {
-		if !excluded[a.Name] {
-			out = append(out, a)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("mglint: -only/-exclude selected no analyzers")
-	}
-	return out, nil
-}
-
-// jsonDiag is the one-per-line wire form of -json output.
-type jsonDiag struct {
-	Path       string    `json:"path"`
-	Line       int       `json:"line"`
-	Analyzer   string    `json:"analyzer"`
-	Message    string    `json:"message"`
-	Suppressed bool      `json:"suppressed"`
-	Fixes      []jsonFix `json:"fixes,omitempty"`
-}
-
-// jsonFix mirrors analysis.SuggestedFix with byte-offset edits, so
-// editors can apply a rewrite without reparsing positions.
-type jsonFix struct {
-	Message string     `json:"message"`
-	Edits   []jsonEdit `json:"edits"`
-}
-
-type jsonEdit struct {
-	Path    string `json:"path"`
-	Start   int    `json:"start"` // byte offset, inclusive
-	End     int    `json:"end"`   // byte offset, exclusive
-	NewText string `json:"new_text"`
-}
-
-func jsonFixes(fset *token.FileSet, d analysis.Diagnostic) []jsonFix {
-	var out []jsonFix
-	for _, f := range d.SuggestedFixes {
-		jf := jsonFix{Message: f.Message}
-		for _, e := range f.TextEdits {
-			start := fset.Position(e.Pos)
-			end := start.Offset
-			if e.End.IsValid() {
-				end = fset.Position(e.End).Offset
-			}
-			jf.Edits = append(jf.Edits, jsonEdit{
-				Path:    start.Filename,
-				Start:   start.Offset,
-				End:     end,
-				NewText: string(e.NewText),
-			})
-		}
-		out = append(out, jf)
-	}
-	return out
-}
-
-// emit prints diagnostics in the selected format and returns the count of
-// unsuppressed ones, which is what exit status is based on.
-func emit(fset *token.FileSet, diags []analysis.Diagnostic, jsonOut bool, stdout, stderr io.Writer) int {
-	unsuppressed := 0
-	enc := json.NewEncoder(stdout)
-	for _, d := range diags {
-		if !d.Suppressed {
-			unsuppressed++
-		}
-		if jsonOut {
-			pos := fset.Position(d.Pos)
-			// Encode never fails for this shape; one object per line is
-			// the contract.
-			_ = enc.Encode(jsonDiag{
-				Path:       pos.Filename,
-				Line:       pos.Line,
-				Analyzer:   d.Analyzer,
-				Message:    d.Message,
-				Suppressed: d.Suppressed,
-				Fixes:      jsonFixes(fset, d),
-			})
-		} else if !d.Suppressed {
-			fmt.Fprintf(stderr, "%s: %s (%s)\n", fset.Position(d.Pos), d.Message, d.Analyzer)
-		}
-	}
-	return unsuppressed
-}
-
-func runStandalone(patterns []string, analyzers []*analysis.Analyzer, jsonOut, fix bool, stdout, stderr io.Writer) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := analysis.Load(".", patterns...)
+	pkgs, err := analysis.Load(".", args...)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	diags, err := analysis.Run(pkgs, analyzers)
+	diags, err := analysis.Run(pkgs, all.Analyzers())
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	// Packages share one FileSet per Load, so any package resolves positions.
 	fset := pkgs[0].Fset
-	if fix {
-		fixed, err := analysis.ApplyFixes(fset, diags)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		for file, content := range fixed {
-			if err := os.WriteFile(file, content, 0o644); err != nil {
-				fmt.Fprintln(stderr, "mglint:", err)
-				return 2
-			}
-			fmt.Fprintf(stderr, "mglint: fixed %s\n", file)
-		}
-		// Report only what -fix could not resolve; the rewritten
-		// occurrences are gone from the tree, so re-reporting them would
-		// just restate the diff.
-		var remaining []analysis.Diagnostic
-		for _, d := range diags {
-			if d.Suppressed || len(d.SuggestedFixes) == 0 {
-				remaining = append(remaining, d)
-			}
-		}
-		diags = remaining
-	}
-	if emit(fset, diags, jsonOut, stdout, stderr) > 0 {
-		return 1
-	}
-	return 0
-}
-
-func runUnit(cfgPath string, analyzers []*analysis.Analyzer, jsonOut bool, stdout, stderr io.Writer) int {
-	diags, pkg, err := analysis.RunUnit(cfgPath, analyzers)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	if pkg == nil || len(diags) == 0 {
-		return 0 // out-of-module unit, facts-only unit, or clean
-	}
-	if emit(pkg.Fset, diags, jsonOut, stdout, stderr) > 0 {
-		return 2 // the go command's "diagnostics reported" status
-	}
-	return 0
-}
-
-// printFlags answers the go command's -flags probe: the JSON schema of
-// flags the tool accepts, so `go vet -vettool=mglint -only=...` works.
-func printFlags(stdout io.Writer) int {
-	// -fix is deliberately absent: go vet then refuses to forward it,
-	// which is the behavior we want (fixes only make sense standalone).
-	fmt.Fprintln(stdout, `[{"Name":"only","Bool":false,"Usage":"comma-separated analyzer names to run"},{"Name":"exclude","Bool":false,"Usage":"comma-separated analyzer names to skip"},{"Name":"json","Bool":true,"Usage":"emit one JSON diagnostic per line on stdout"}]`)
-	return 0
-}
-
-// printVersion answers -V=full. The output is the go command's cache key
-// for vet results, so it must change whenever the binary does: hash the
-// executable itself.
-func printVersion(stdout io.Writer) int {
-	id := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			h := sha256.New()
-			if _, err := io.Copy(h, f); err == nil {
-				id = fmt.Sprintf("%x", h.Sum(nil)[:12])
-			}
-			if err := f.Close(); err != nil {
-				id = "unknown"
-			}
+	code := 0
+	for _, d := range diags {
+		if !d.Suppressed {
+			fmt.Fprintf(stderr, "%s: %s (%s)\n", fset.Position(d.Pos), d.Message, d.Analyzer)
+			code = 1
 		}
 	}
-	fmt.Fprintf(stdout, "mglint version devel buildID=%s\n", id)
-	return 0
+	return code
 }

@@ -2,43 +2,37 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"go/format"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // runIn invokes run with the working directory set to the exitmod
-// fixture, capturing both streams.
-func runIn(t *testing.T, args ...string) (code int, stdout, stderr string) {
+// fixture, capturing stderr.
+func runIn(t *testing.T, args ...string) (code int, stderr string) {
 	t.Helper()
 	abs, err := filepath.Abs(filepath.Join("testdata", "exitmod"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Chdir(abs)
-	var out, errb bytes.Buffer
-	code = run(args, &out, &errb)
-	return code, out.String(), errb.String()
+	var errb bytes.Buffer
+	code = run(args, &errb)
+	return code, errb.String()
 }
 
-// TestExitCodes pins the standalone exit-status contract: 0 for clean
-// and suppressed-only packages, 1 for unsuppressed diagnostics, 2 for
-// load or usage errors.
+// TestExitCodes pins the exit-status contract: 0 for clean and
+// suppressed-only packages, 1 for unsuppressed diagnostics, 2 for load
+// or usage errors.
 func TestExitCodes(t *testing.T) {
 	t.Run("clean", func(t *testing.T) {
-		code, stdout, stderr := runIn(t, "./clean")
-		if code != 0 {
-			t.Fatalf("exit %d, want 0; stderr:\n%s", code, stderr)
-		}
-		if stdout != "" || stderr != "" {
-			t.Fatalf("clean run produced output: stdout=%q stderr=%q", stdout, stderr)
+		code, stderr := runIn(t, "./clean")
+		if code != 0 || stderr != "" {
+			t.Fatalf("exit %d, want 0 and no output; stderr:\n%s", code, stderr)
 		}
 	})
 	t.Run("dirty", func(t *testing.T) {
-		code, _, stderr := runIn(t, "./dirty")
+		code, stderr := runIn(t, "./dirty")
 		if code != 1 {
 			t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr)
 		}
@@ -50,123 +44,24 @@ func TestExitCodes(t *testing.T) {
 		}
 	})
 	t.Run("suppressed", func(t *testing.T) {
-		code, stdout, stderr := runIn(t, "./suppressed")
-		if code != 0 {
-			t.Fatalf("exit %d, want 0; stderr:\n%s", code, stderr)
-		}
-		if stdout != "" || stderr != "" {
-			t.Fatalf("suppressed-only run produced output: stdout=%q stderr=%q", stdout, stderr)
+		code, stderr := runIn(t, "./suppressed")
+		if code != 0 || stderr != "" {
+			t.Fatalf("exit %d, want 0 and no output; stderr:\n%s", code, stderr)
 		}
 	})
 	t.Run("load error", func(t *testing.T) {
-		code, _, stderr := runIn(t, "./no/such/pkg")
+		code, stderr := runIn(t, "./no/such/pkg")
 		if code != 2 {
 			t.Fatalf("exit %d, want 2; stderr:\n%s", code, stderr)
 		}
 	})
-	t.Run("unknown analyzer", func(t *testing.T) {
-		code, _, stderr := runIn(t, "-only", "nosuchpass", "./clean")
+	t.Run("flag rejected", func(t *testing.T) {
+		code, stderr := runIn(t, "-json", "./clean")
 		if code != 2 {
 			t.Fatalf("exit %d, want 2", code)
 		}
-		if !strings.Contains(stderr, "unknown analyzer") {
-			t.Fatalf("stderr missing unknown-analyzer error:\n%s", stderr)
-		}
-	})
-}
-
-// TestJSONOutput pins the -json contract: one JSON object per line on
-// stdout, suppressed diagnostics included with suppressed=true, exit
-// status still driven only by unsuppressed findings.
-func TestJSONOutput(t *testing.T) {
-	t.Run("dirty", func(t *testing.T) {
-		code, stdout, _ := runIn(t, "-json", "./dirty")
-		if code != 1 {
-			t.Fatalf("exit %d, want 1", code)
-		}
-		diags := decodeLines(t, stdout)
-		if len(diags) != 1 {
-			t.Fatalf("got %d diagnostics, want 1:\n%s", len(diags), stdout)
-		}
-		d := diags[0]
-		if d.Analyzer != "closecheck" || d.Suppressed || d.Line == 0 {
-			t.Fatalf("unexpected diagnostic: %+v", d)
-		}
-		if filepath.Base(d.Path) != "dirty.go" {
-			t.Fatalf("path %q, want .../dirty.go", d.Path)
-		}
-		if !strings.Contains(d.Message, "Close") {
-			t.Fatalf("message %q missing Close", d.Message)
-		}
-	})
-	t.Run("suppressed", func(t *testing.T) {
-		code, stdout, _ := runIn(t, "-json", "./suppressed")
-		if code != 0 {
-			t.Fatalf("exit %d, want 0 for suppressed-only", code)
-		}
-		diags := decodeLines(t, stdout)
-		if len(diags) != 1 {
-			t.Fatalf("got %d diagnostics, want 1 (the waived one):\n%s", len(diags), stdout)
-		}
-		if !diags[0].Suppressed {
-			t.Fatalf("diagnostic not marked suppressed: %+v", diags[0])
-		}
-	})
-	t.Run("clean", func(t *testing.T) {
-		code, stdout, _ := runIn(t, "-json", "./clean")
-		if code != 0 {
-			t.Fatalf("exit %d, want 0", code)
-		}
-		if strings.TrimSpace(stdout) != "" {
-			t.Fatalf("clean -json run produced output:\n%s", stdout)
-		}
-	})
-}
-
-// TestSelection pins -only/-exclude: names select from the suite,
-// unknown names are a usage error, and an empty selection is refused
-// rather than silently passing everything.
-func TestSelection(t *testing.T) {
-	t.Run("exclude skips the finding analyzer", func(t *testing.T) {
-		code, stdout, stderr := runIn(t, "-exclude", "closecheck", "./dirty")
-		if code != 0 {
-			t.Fatalf("exit %d, want 0; stderr:\n%s", code, stderr)
-		}
-		if stdout != "" || stderr != "" {
-			t.Fatalf("excluded run produced output: stdout=%q stderr=%q", stdout, stderr)
-		}
-	})
-	t.Run("only an unrelated analyzer", func(t *testing.T) {
-		code, _, stderr := runIn(t, "-only", "detrand", "./dirty")
-		if code != 0 {
-			t.Fatalf("exit %d, want 0; stderr:\n%s", code, stderr)
-		}
-	})
-	t.Run("only the finding analyzer", func(t *testing.T) {
-		code, _, stderr := runIn(t, "-only", "closecheck", "./dirty")
-		if code != 1 {
-			t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr)
-		}
-		if !strings.Contains(stderr, "closecheck") {
-			t.Fatalf("stderr missing analyzer name:\n%s", stderr)
-		}
-	})
-	t.Run("unknown exclude name", func(t *testing.T) {
-		code, _, stderr := runIn(t, "-exclude", "nosuchpass", "./clean")
-		if code != 2 {
-			t.Fatalf("exit %d, want 2", code)
-		}
-		if !strings.Contains(stderr, "unknown analyzer") {
-			t.Fatalf("stderr missing unknown-analyzer error:\n%s", stderr)
-		}
-	})
-	t.Run("selection cancels to empty", func(t *testing.T) {
-		code, _, stderr := runIn(t, "-only", "closecheck", "-exclude", "closecheck", "./clean")
-		if code != 2 {
-			t.Fatalf("exit %d, want 2; stderr:\n%s", code, stderr)
-		}
-		if !strings.Contains(stderr, "no analyzers") {
-			t.Fatalf("stderr missing empty-selection error:\n%s", stderr)
+		if !strings.Contains(stderr, "takes no flags") {
+			t.Fatalf("stderr missing usage text:\n%s", stderr)
 		}
 	})
 }
@@ -174,138 +69,11 @@ func TestSelection(t *testing.T) {
 // TestUsage pins that -h prints the exit-code matrix and exits 0 —
 // asking for help is not an error.
 func TestUsage(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{"-h"}, &out, &errb)
-	if code != 0 {
+	var errb bytes.Buffer
+	if code := run([]string{"-h"}, &errb); code != 0 {
 		t.Fatalf("exit %d, want 0", code)
 	}
 	if !strings.Contains(errb.String(), "Exit codes") {
 		t.Fatalf("usage text missing exit-code matrix:\n%s", errb.String())
 	}
-}
-
-// copyTree copies the fixture module at src into dst so -fix tests can
-// rewrite files without mutating testdata.
-func copyTree(t *testing.T, src, dst string) {
-	t.Helper()
-	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(src, path)
-		if err != nil {
-			return err
-		}
-		target := filepath.Join(dst, rel)
-		if info.IsDir() {
-			return os.MkdirAll(target, 0o755)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(target, data, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFix pins the -fix contract: a clean tree is left untouched, a
-// fixable finding is rewritten in place to a gofmt-clean file that
-// lints clean on the next run, and vettool mode refuses the flag.
-func TestFix(t *testing.T) {
-	t.Run("noop on clean tree", func(t *testing.T) {
-		cleanFile := filepath.Join("testdata", "exitmod", "clean", "clean.go")
-		before, err := os.ReadFile(cleanFile)
-		if err != nil {
-			t.Fatal(err)
-		}
-		code, stdout, stderr := runIn(t, "-fix", "./clean")
-		if code != 0 {
-			t.Fatalf("exit %d, want 0; stderr:\n%s", code, stderr)
-		}
-		if stdout != "" || stderr != "" {
-			t.Fatalf("clean -fix run produced output: stdout=%q stderr=%q", stdout, stderr)
-		}
-		after, err := os.ReadFile(filepath.Join("clean", "clean.go"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(before, after) {
-			t.Fatalf("-fix modified a clean file:\n%s", after)
-		}
-	})
-	t.Run("round trip", func(t *testing.T) {
-		src, err := filepath.Abs(filepath.Join("testdata", "fixmod"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tmp := t.TempDir()
-		copyTree(t, src, tmp)
-		t.Chdir(tmp)
-
-		var out, errb bytes.Buffer
-		code := run([]string{"-fix", "./..."}, &out, &errb)
-		if code != 0 {
-			t.Fatalf("first -fix run: exit %d, want 0; stderr:\n%s", code, errb.String())
-		}
-		if !strings.Contains(errb.String(), "mglint: fixed") {
-			t.Fatalf("stderr missing fixed notice:\n%s", errb.String())
-		}
-
-		fixed, err := os.ReadFile(filepath.Join("eof", "eof.go"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Contains(fixed, []byte("errors.Is(err, io.EOF)")) {
-			t.Fatalf("comparison not rewritten:\n%s", fixed)
-		}
-		if !bytes.Contains(fixed, []byte(`"errors"`)) {
-			t.Fatalf("errors import not added:\n%s", fixed)
-		}
-		formatted, err := format.Source(fixed)
-		if err != nil {
-			t.Fatalf("fixed file does not parse: %v", err)
-		}
-		if !bytes.Equal(formatted, fixed) {
-			t.Fatalf("fixed file is not gofmt-clean:\n%s", fixed)
-		}
-
-		out.Reset()
-		errb.Reset()
-		code = run([]string{"./..."}, &out, &errb)
-		if code != 0 {
-			t.Fatalf("re-run after fix: exit %d, want 0; stderr:\n%s", code, errb.String())
-		}
-		if out.String() != "" || errb.String() != "" {
-			t.Fatalf("re-run after fix produced output: stdout=%q stderr=%q", out.String(), errb.String())
-		}
-	})
-	t.Run("vettool mode refuses fix", func(t *testing.T) {
-		var out, errb bytes.Buffer
-		code := run([]string{"-fix", "unit.cfg"}, &out, &errb)
-		if code != 2 {
-			t.Fatalf("exit %d, want 2; stderr:\n%s", code, errb.String())
-		}
-		if !strings.Contains(errb.String(), "not supported in vettool mode") {
-			t.Fatalf("stderr missing vettool refusal:\n%s", errb.String())
-		}
-	})
-}
-
-func decodeLines(t *testing.T, stdout string) []jsonDiag {
-	t.Helper()
-	var diags []jsonDiag
-	for _, line := range strings.Split(strings.TrimSpace(stdout), "\n") {
-		if line == "" {
-			continue
-		}
-		var d jsonDiag
-		if err := json.Unmarshal([]byte(line), &d); err != nil {
-			t.Fatalf("line %q: %v", line, err)
-		}
-		diags = append(diags, d)
-	}
-	return diags
 }

@@ -6,27 +6,19 @@ package all
 import (
 	"mgdiffnet/internal/analysis"
 	"mgdiffnet/internal/analysis/passes/closecheck"
-	"mgdiffnet/internal/analysis/passes/ctxcheck"
 	"mgdiffnet/internal/analysis/passes/detrand"
 	"mgdiffnet/internal/analysis/passes/errflow"
-	"mgdiffnet/internal/analysis/passes/goroutinefatal"
 	"mgdiffnet/internal/analysis/passes/hotalloc"
-	"mgdiffnet/internal/analysis/passes/lockcheck"
 	"mgdiffnet/internal/analysis/passes/maporder"
-	"mgdiffnet/internal/analysis/passes/wgcheck"
 )
 
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		closecheck.Analyzer,
-		ctxcheck.Analyzer,
 		detrand.Analyzer,
 		errflow.Analyzer,
-		goroutinefatal.Analyzer,
 		hotalloc.Analyzer,
-		lockcheck.Analyzer,
 		maporder.Analyzer,
-		wgcheck.Analyzer,
 	}
 }

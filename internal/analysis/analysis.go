@@ -11,11 +11,9 @@
 // analyzers port in either direction mechanically.
 //
 // Analyzers live in internal/analysis/passes/<name>; the aggregate
-// registry is internal/analysis/all; the CLI and `go vet -vettool` shim is
-// cmd/mglint. Cross-package facts (facts.go) flow through an in-memory
-// store in the standalone driver and through gob-encoded vetx files in
-// unit mode, so interprocedural analyzers behave identically under
-// `mglint ./...` and `go vet -vettool=mglint ./...`.
+// registry is internal/analysis/all; the CLI is cmd/mglint. Cross-package
+// facts (facts.go) flow through one in-memory store threaded through the
+// packages in dependency order.
 package analysis
 
 import (
@@ -30,47 +28,20 @@ import (
 // type-checked package through the Pass and reports findings via
 // Pass.Reportf; it must not retain the Pass.
 type Analyzer struct {
-	Name string // short lower-case identifier, used in directives and flags
+	Name string // short lower-case identifier, used in directives and output
 	Doc  string // one-paragraph description of the invariant it guards
 	Run  func(*Pass) error
-
-	// FactTypes declares the concrete types this analyzer exports and
-	// imports as facts. Each entry is a nil-safe exemplar pointer (e.g.
-	// new(UsesWallClock)); the driver gob-registers them before any vetx
-	// encode or decode.
-	FactTypes []Fact
 }
 
 // A Diagnostic is one finding, positioned in the loaded FileSet.
 // Suppressed findings (waived by an //mglint:ignore directive) are
-// retained so JSON consumers can see them; text output and exit codes
+// retained so callers can count the waivers; output and exit codes
 // consider only unsuppressed ones.
 type Diagnostic struct {
 	Pos        token.Pos
 	Message    string
 	Analyzer   string // name of the reporting analyzer (filled by the driver)
 	Suppressed bool   // waived by a directive
-
-	// SuggestedFixes are machine-applicable rewrites that resolve the
-	// finding. The first fix is the preferred one; `mglint -fix` applies
-	// it unless the diagnostic is suppressed or its edits conflict with
-	// another fix.
-	SuggestedFixes []SuggestedFix
-}
-
-// A SuggestedFix is one self-contained rewrite: applying every edit in
-// TextEdits (and nothing else) resolves the diagnostic it is attached to.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
-// A TextEdit replaces the source range [Pos, End) with NewText. End ==
-// token.NoPos means End = Pos, a pure insertion.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
 }
 
 // A Pass hands one type-checked package to one analyzer.
@@ -82,20 +53,13 @@ type Pass struct {
 	Info     *types.Info
 
 	report func(Diagnostic)
-	facts  *FactStore
+	facts  factStore
 	waived func(token.Pos) bool
 }
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name})
-}
-
-// Report records a fully-formed diagnostic; analyzers use it when they
-// attach SuggestedFixes. The driver fills the Analyzer name.
-func (p *Pass) Report(d Diagnostic) {
-	d.Analyzer = p.Analyzer.Name
-	p.report(d)
 }
 
 // TypeOf returns the type of e, or nil if unknown.
@@ -128,8 +92,7 @@ func newInfo() *types.Info {
 // diagnostics (the driver uses them for the plain variant of a
 // test-augmented package, which would otherwise double-report).
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	RegisterFactTypes(analyzers)
-	store := NewFactStore()
+	store := make(factStore)
 	var out []Diagnostic
 	for _, pkg := range dependencyOrder(pkgs) {
 		diags, err := runPackage(pkg, analyzers, store)
@@ -150,10 +113,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 }
 
 // runPackage runs the analyzers over one package against the shared fact
-// store and returns its diagnostics (suppression already marked). Both
-// the standalone driver (Run) and the vet unitchecker (RunUnit) funnel
-// through here, which is what keeps the two modes behaviorally identical.
-func runPackage(pkg *Package, analyzers []*Analyzer, store *FactStore) ([]Diagnostic, error) {
+// store and returns its diagnostics (suppression already marked).
+func runPackage(pkg *Package, analyzers []*Analyzer, store factStore) ([]Diagnostic, error) {
 	dirs := collectDirectives(pkg.Fset, pkg.Files)
 	var out []Diagnostic
 	out = append(out, dirs.malformed...)

@@ -1,13 +1,9 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"go/token"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
 // Cross-package facts. A Fact is a typed annotation an analyzer attaches
@@ -19,26 +15,17 @@ import (
 // a write handle — and the analyzers consult those marks at every call
 // site, whatever package the call crosses into.
 //
-// Identity is the hard part: the standalone driver type-checks each
-// package from source but sees its dependencies through gc export data,
-// and the vet unitchecker runs each build unit in a separate process. The
-// same function is therefore represented by distinct types.Object values
-// in different analysis units, so the store keys facts by a stable string
-// path — import path plus "Name" or "(Recv).Name" — rather than by object
+// Identity is the hard part: the driver type-checks each package from
+// source but sees its dependencies through gc export data, so the same
+// function is represented by distinct types.Object values in different
+// packages. The store therefore keys facts by a stable string path —
+// import path plus "Name" or "(Recv).Name" — rather than by object
 // identity. Only package-level objects and methods are addressable this
 // way, which is exactly the set visible across package boundaries.
 
 // A Fact is one exportable annotation. Implementations must be pointers
-// to gob-encodable structs; AFact is a marker only.
+// to structs; AFact is a marker only.
 type Fact interface{ AFact() }
-
-// An ObjectFact pairs a fact with the object it annotates. Object may be
-// nil for facts decoded from a vetx file whose package is not loaded in
-// this process.
-type ObjectFact struct {
-	Object types.Object
-	Fact   Fact
-}
 
 // objectKey returns the stable intra-package key for obj: "Name" for
 // package-level objects, "(Recv).Name" for methods. ok is false for
@@ -73,107 +60,13 @@ type factKey struct {
 	analyzer string
 }
 
-type factEntry struct {
-	obj  types.Object // nil when decoded from a vetx file
-	fact Fact
-}
-
-// A FactStore holds every fact of one analysis run. The standalone driver
-// threads one store through all packages in dependency order; the vet
-// unitchecker fills a fresh store per unit from its dependencies' vetx
-// files and serializes the unit's own facts back out.
-type FactStore struct {
-	m map[factKey]factEntry
-}
-
-func NewFactStore() *FactStore {
-	return &FactStore{m: make(map[factKey]factEntry)}
-}
-
-func (s *FactStore) put(analyzer, pkg, obj string, o types.Object, f Fact) {
-	s.m[factKey{pkg: pkg, obj: obj, analyzer: analyzer}] = factEntry{obj: o, fact: f}
-}
-
-func (s *FactStore) get(analyzer, pkg, obj string) (Fact, bool) {
-	e, ok := s.m[factKey{pkg: pkg, obj: obj, analyzer: analyzer}]
-	if !ok {
-		return nil, false
-	}
-	return e.fact, true
-}
-
-// wireFact is the vetx serialization of one fact. Fact is encoded as an
-// interface value, so every concrete fact type must be gob-registered
-// (RegisterFactTypes) before encode and decode.
-type wireFact struct {
-	Pkg      string
-	Object   string
-	Analyzer string
-	Fact     Fact
-}
-
-// EncodeVetx serializes every fact attached to objects of pkgPath — the
-// payload of the unit's vetx file. The encoding is deterministic (sorted
-// by analyzer then object) so vet result caching keys stay stable.
-func (s *FactStore) EncodeVetx(pkgPath string) ([]byte, error) {
-	var keys []factKey
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].analyzer != keys[j].analyzer {
-			return keys[i].analyzer < keys[j].analyzer
-		}
-		return keys[i].obj < keys[j].obj
-	})
-	var facts []wireFact
-	for _, k := range keys {
-		if k.pkg != pkgPath {
-			continue
-		}
-		facts = append(facts, wireFact{Pkg: k.pkg, Object: k.obj, Analyzer: k.analyzer, Fact: s.m[k].fact})
-	}
-	if len(facts) == 0 {
-		return nil, nil
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(facts); err != nil {
-		return nil, fmt.Errorf("mglint: encoding facts for %s: %v", pkgPath, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeVetx merges the facts of one dependency's vetx file into the
-// store. Empty payloads (fact-free packages, out-of-module units) are
-// valid and contribute nothing.
-func (s *FactStore) DecodeVetx(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var facts []wireFact
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&facts); err != nil {
-		return fmt.Errorf("mglint: decoding facts file: %v", err)
-	}
-	for _, f := range facts {
-		s.put(f.Analyzer, f.Pkg, f.Object, nil, f.Fact)
-	}
-	return nil
-}
-
-// RegisterFactTypes registers every analyzer's declared fact types with
-// gob. Idempotent; must run before any vetx encode or decode.
-func RegisterFactTypes(analyzers []*Analyzer) {
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			gob.Register(f)
-		}
-	}
-}
+// A factStore holds every fact of one analysis run; Run threads one store
+// through all packages in dependency order.
+type factStore map[factKey]Fact
 
 // ExportObjectFact attaches fact to obj for downstream packages. The
 // object must be package-level or a method on a named type; facts on
-// anything else are silently not exportable and dropped. Fact must be a
-// pointer whose type appears in the analyzer's FactTypes.
+// anything else are silently not exportable and dropped.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	if p.facts == nil {
 		return
@@ -182,7 +75,7 @@ func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	if !ok {
 		return
 	}
-	p.facts.put(p.Analyzer.Name, obj.Pkg().Path(), key, obj, fact)
+	p.facts[factKey{pkg: obj.Pkg().Path(), obj: key, analyzer: p.Analyzer.Name}] = fact
 }
 
 // ImportObjectFact copies the fact of the same concrete type attached to
@@ -197,7 +90,7 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	if !ok {
 		return false
 	}
-	f, ok := p.facts.get(p.Analyzer.Name, obj.Pkg().Path(), key)
+	f, ok := p.facts[factKey{pkg: obj.Pkg().Path(), obj: key, analyzer: p.Analyzer.Name}]
 	if !ok {
 		return false
 	}
@@ -207,33 +100,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	}
 	dst.Elem().Set(src.Elem())
 	return true
-}
-
-// AllObjectFacts returns every fact visible to this pass's analyzer, in
-// deterministic order. Facts decoded from vetx files of packages not
-// loaded in this process carry a nil Object.
-func (p *Pass) AllObjectFacts() []ObjectFact {
-	if p.facts == nil {
-		return nil
-	}
-	var keys []factKey
-	for k := range p.facts.m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].pkg != keys[j].pkg {
-			return keys[i].pkg < keys[j].pkg
-		}
-		return keys[i].obj < keys[j].obj
-	})
-	var out []ObjectFact
-	for _, k := range keys {
-		if k.analyzer == p.Analyzer.Name {
-			e := p.facts.m[k]
-			out = append(out, ObjectFact{Object: e.obj, Fact: e.fact})
-		}
-	}
-	return out
 }
 
 // Waived reports whether a finding of this pass's analyzer at pos is

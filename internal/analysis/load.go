@@ -50,7 +50,7 @@ type listEntry struct {
 // package — test-augmented variants preferred over their plain form, so
 // _test.go files are analyzed too — parsed and type-checked against
 // build-cache export data. It needs no network: `go list -export` compiles
-// into the local build cache, which is also how `go vet` feeds vettools.
+// into the local build cache.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	modPath, err := goOutput(dir, "list", "-m")
 	if err != nil {
@@ -177,7 +177,7 @@ func typecheck(fset *token.FileSet, path string, files []*ast.File, imp types.Im
 }
 
 // exportImporter resolves imports through gc export data files: the import
-// path goes through importMap (go list / vet.cfg test-variant mapping),
+// path goes through importMap (go list test-variant mapping),
 // then the mapped path is read from its build-cache export file. One
 // importer per package keeps test-variant and plain views of the same
 // path from sharing a cache.

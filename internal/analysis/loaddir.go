@@ -19,16 +19,6 @@ import (
 // fact flow as the real module. Standard-library imports resolve through
 // `go list -export` build-cache export data, same as regular loads.
 
-// LoadDir parses and type-checks the single golden package at dir with
-// import path pkgPath.
-func LoadDir(dir, pkgPath string) (*Package, error) {
-	pkgs, err := LoadGolden(filepath.Dir(dir), pkgPath)
-	if err != nil {
-		return nil, err
-	}
-	return pkgs[len(pkgs)-1], nil
-}
-
 // LoadGolden loads golden package target from root (testdata/src),
 // following imports that name sibling golden directories, and returns
 // every loaded package in dependency order with target last. All

@@ -35,8 +35,6 @@ import (
 	"strings"
 
 	"mgdiffnet/internal/analysis"
-	"mgdiffnet/internal/analysis/cfg"
-	"mgdiffnet/internal/analysis/dataflow"
 )
 
 // ReturnsWriteHandle marks a function whose *os.File result is opened
@@ -46,10 +44,9 @@ type ReturnsWriteHandle struct{}
 func (*ReturnsWriteHandle) AFact() {}
 
 var Analyzer = &analysis.Analyzer{
-	Name:      "closecheck",
-	Doc:       "flag dropped errors from Close/Flush/Sync/Write on buffered writers, tracking write handles across calls via facts",
-	FactTypes: []analysis.Fact{(*ReturnsWriteHandle)(nil)},
-	Run:       run,
+	Name: "closecheck",
+	Doc:  "flag dropped errors from Close/Flush/Sync/Write on buffered writers, tracking write handles across calls via facts",
+	Run:  run,
 }
 
 var checkedMethods = map[string]bool{
@@ -220,16 +217,9 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, openers map[*types.Func]bo
 		}
 		return true
 	})
-	// Locals holding write handles — opened here or returned by a
-	// fact-carrying opener in any package — expanded through the
-	// function's dataflow aliases: `w := f` makes w a write handle too,
-	// so `defer w.Close()` is caught exactly like `defer f.Close()`.
+	// Locals holding write handles: opened here or returned by a
+	// fact-carrying opener in any package.
 	writeFiles := writeHandles(pass, body, openers)
-	if len(writeFiles) > 0 {
-		g := cfg.New(body, pass.Info)
-		flow := dataflow.New(g, fd.Recv, fd.Type, body, pass.Info)
-		writeFiles = flow.AliasSeeds(writeFiles)
-	}
 
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {

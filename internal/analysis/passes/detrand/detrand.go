@@ -58,10 +58,9 @@ type UsesGlobalRand struct{ Via string }
 func (*UsesGlobalRand) AFact() {}
 
 var Analyzer = &analysis.Analyzer{
-	Name:      "detrand",
-	Doc:       "forbid global math/rand and time.Now (direct or via facts) in determinism-critical packages",
-	FactTypes: []analysis.Fact{(*UsesWallClock)(nil), (*UsesGlobalRand)(nil)},
-	Run:       run,
+	Name: "detrand",
+	Doc:  "forbid global math/rand and time.Now (direct or via facts) in determinism-critical packages",
+	Run:  run,
 }
 
 // criticalPkgs are the final import-path segments of packages under the

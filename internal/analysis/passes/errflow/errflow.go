@@ -1,104 +1,54 @@
-// Package errflow enforces the typed-error discipline PR 9 introduced:
+// Package errflow enforces the repo's typed-error discipline:
 // sentinel and typed errors (ErrOverloaded, ErrDeadline, io.EOF, ...)
 // survive wrapping only if callers test them with errors.Is/errors.As,
 // so comparing a possibly-wrapped error with == / != or matching its
 // Error() string silently breaks the moment anyone adds a %w wrap
-// upstream. The analyzer also reports dropped errors: an error-typed
-// definition from a call that no path ever reads.
+// upstream.
 //
-// Value flow comes from internal/analysis/dataflow. A comparison
-// `err == ErrFoo` is exempt only when every reaching definition of err
-// at the comparison is a direct sentinel (or nil) assignment — then the
-// value provably never passed through a wrapper. Anything produced by a
-// call may be wrapped; when the callee is known to wrap (fmt.Errorf
-// with %w, directly or transitively — tracked by the exported
-// ReturnsWrappedError fact, so wrapping two packages away still
-// counts), the message names the chain.
+// Flagged, from types alone:
 //
-// Sentinel comparisons get a SuggestedFix rewriting `err == ErrFoo` to
-// `errors.Is(err, ErrFoo)` (and `!=` to its negation), inserting the
-// errors import when the file lacks it; `mglint -fix` applies it.
+//   - `err == ErrFoo` / `err != ErrFoo`, where ErrFoo is a package-level
+//     error variable (a sentinel) and err is any other error value;
+//   - `switch err { case ErrFoo: }`, which compares with == underneath;
+//   - decisions on message text: err.Error() compared with ==/!=, or
+//     passed to strings.Contains/HasPrefix/HasSuffix/EqualFold/Index.
 //
 // Test files are exempt: tests may pin exact error identity on purpose.
 package errflow
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strconv"
 	"strings"
 
 	"mgdiffnet/internal/analysis"
-	"mgdiffnet/internal/analysis/cfg"
-	"mgdiffnet/internal/analysis/dataflow"
 )
 
-// ReturnsWrappedError marks a function that may return an error built
-// by a wrapping call (fmt.Errorf with %w), directly or through calls.
-// Via is the chain from the function to the wrap site.
-type ReturnsWrappedError struct{ Via string }
-
-func (*ReturnsWrappedError) AFact() {}
-
 var Analyzer = &analysis.Analyzer{
-	Name:      "errflow",
-	Doc:       "require errors.Is/errors.As on possibly-wrapped errors and report dropped error values",
-	FactTypes: []analysis.Fact{(*ReturnsWrappedError)(nil)},
-	Run:       run,
+	Name: "errflow",
+	Doc:  "require errors.Is/errors.As instead of ==, switch or message text on possibly-wrapped errors",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
-	fns := collectFuncs(pass)
-	wraps := computeWrapFacts(pass, fns)
-	for fn, via := range wraps {
-		pass.ExportObjectFact(fn, &ReturnsWrappedError{Via: via})
-	}
-	for _, fd := range fns {
-		checkFunc(pass, fd, wraps)
-	}
-	return nil
-}
-
-// funcDecl pairs one declared function with its lazily-solved dataflow.
-type funcDecl struct {
-	decl *ast.FuncDecl
-	fn   *types.Func
-	flow *dataflow.Flow
-}
-
-func (d *funcDecl) dataflow(pass *analysis.Pass) *dataflow.Flow {
-	if d.flow == nil {
-		g := cfg.New(d.decl.Body, pass.Info)
-		d.flow = dataflow.New(g, d.decl.Recv, d.decl.Type, d.decl.Body, pass.Info)
-	}
-	return d.flow
-}
-
-func collectFuncs(pass *analysis.Pass) []*funcDecl {
-	var out []*funcDecl
 	for _, f := range pass.Files {
-		if isTestFile(pass, f) {
+		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
 			continue
 		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.BinaryExpr:
+				checkComparison(pass, n)
+			case *ast.SwitchStmt:
+				checkSwitch(pass, n)
+			case *ast.CallExpr:
+				checkStringMatch(pass, n)
 			}
-			fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			out = append(out, &funcDecl{decl: fd, fn: fn})
-		}
+			return true
+		})
 	}
-	return out
-}
-
-func isTestFile(pass *analysis.Pass, f *ast.File) bool {
-	return strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go")
+	return nil
 }
 
 var errType = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
@@ -107,10 +57,9 @@ func isErrorType(t types.Type) bool {
 	return t != nil && types.Implements(t, errType)
 }
 
-// sentinelOf reports whether e names a package-level error variable — a
-// sentinel in the errors.Is sense. The expression source is returned
-// for messages and fixes.
-func sentinelOf(pass *analysis.Pass, e ast.Expr) (types.Object, bool) {
+// isSentinel reports whether e names a package-level error variable — a
+// sentinel in the errors.Is sense.
+func isSentinel(pass *analysis.Pass, e ast.Expr) bool {
 	var id *ast.Ident
 	switch e := e.(type) {
 	case *ast.Ident:
@@ -118,34 +67,15 @@ func sentinelOf(pass *analysis.Pass, e ast.Expr) (types.Object, bool) {
 	case *ast.SelectorExpr:
 		id = e.Sel
 	default:
-		return nil, false
+		return false
 	}
 	v, ok := pass.Info.Uses[id].(*types.Var)
-	if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
-		return nil, false
-	}
-	return v, isErrorType(v.Type())
+	return ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() && isErrorType(v.Type())
 }
 
-func checkFunc(pass *analysis.Pass, d *funcDecl, wraps map[*types.Func]string) {
-	ast.Inspect(d.decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.BinaryExpr:
-			checkComparison(pass, d, n, wraps)
-		case *ast.SwitchStmt:
-			checkSwitch(pass, n)
-		case *ast.CallExpr:
-			checkStringMatch(pass, n)
-		}
-		return true
-	})
-	checkDropped(pass, d)
-}
-
-// checkComparison flags `x == sentinel` / `x != sentinel` unless every
-// reaching definition of x proves the value never passed through a call
-// (and so cannot be wrapped).
-func checkComparison(pass *analysis.Pass, d *funcDecl, cmp *ast.BinaryExpr, wraps map[*types.Func]string) {
+// checkComparison flags `x == sentinel` / `x != sentinel` and ==/!= on
+// err.Error() text. Comparing two sentinels is exact and allowed.
+func checkComparison(pass *analysis.Pass, cmp *ast.BinaryExpr) {
 	if cmp.Op != token.EQL && cmp.Op != token.NEQ {
 		return
 	}
@@ -154,178 +84,16 @@ func checkComparison(pass *analysis.Pass, d *funcDecl, cmp *ast.BinaryExpr, wrap
 		return
 	}
 	sentinel, val := cmp.Y, cmp.X
-	if _, ok := sentinelOf(pass, sentinel); !ok {
+	if !isSentinel(pass, sentinel) {
 		sentinel, val = cmp.X, cmp.Y
-		if _, ok := sentinelOf(pass, sentinel); !ok {
+		if !isSentinel(pass, sentinel) {
 			return
 		}
 	}
-	if !isErrorType(pass.TypeOf(val)) {
+	if !isErrorType(pass.TypeOf(val)) || isSentinel(pass, val) {
 		return
 	}
-	// Exempt `a == b` between two sentinels and values that provably
-	// never crossed a call boundary.
-	if _, other := sentinelOf(pass, val); other {
-		return
-	}
-	if provablyUnwrapped(pass, d, val) {
-		return
-	}
-	sentinelSrc := types.ExprString(sentinel)
-	msg := fmt.Sprintf("%s compared with %s; the value may be wrapped — use errors.Is", sentinelSrc, cmp.Op)
-	if via := wrapChain(pass, d, val, wraps); via != "" {
-		msg = fmt.Sprintf("%s compared with %s but the value may be wrapped (%s); use errors.Is", sentinelSrc, cmp.Op, via)
-	}
-	diag := analysis.Diagnostic{Pos: cmp.Pos(), Message: msg}
-	if fix, ok := isFix(pass, d, cmp, val, sentinelSrc); ok {
-		diag.SuggestedFixes = []analysis.SuggestedFix{fix}
-	}
-	pass.Report(diag)
-}
-
-// provablyUnwrapped reports whether every definition of val reaching the
-// comparison is a direct sentinel or nil assignment — the only shapes
-// that cannot have passed through a wrapping call.
-func provablyUnwrapped(pass *analysis.Pass, d *funcDecl, val ast.Expr) bool {
-	id, ok := val.(*ast.Ident)
-	if !ok {
-		return false // call result, selector, index: can't prove anything
-	}
-	obj := pass.Info.Uses[id]
-	if obj == nil {
-		return false
-	}
-	flow := d.dataflow(pass)
-	ref, ok := findUseRef(flow, obj, id)
-	if !ok {
-		return false
-	}
-	defs := flow.ReachingDefs(ref, obj)
-	if len(defs) == 0 || flow.Addressed(obj) || flow.Captured(obj) {
-		return false
-	}
-	for _, def := range defs {
-		if def.Entry() || def.Call != nil || def.RHS == nil {
-			return false // parameter, call result, or opaque binding
-		}
-		if isNil(pass, def.RHS) {
-			continue
-		}
-		if _, ok := sentinelOf(pass, def.RHS); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func findUseRef(flow *dataflow.Flow, obj types.Object, id *ast.Ident) (cfg.NodeRef, bool) {
-	for _, u := range flow.UsesOf(obj) {
-		if u.Id == id {
-			return u.Ref, true
-		}
-	}
-	return cfg.NodeRef{}, false
-}
-
-func isNil(pass *analysis.Pass, e ast.Expr) bool {
-	tv, ok := pass.Info.Types[e]
-	return ok && tv.IsNil()
-}
-
-// wrapChain names the wrapping path when a reaching definition of val is
-// a call into a function known (locally or by fact) to return a wrapped
-// error.
-func wrapChain(pass *analysis.Pass, d *funcDecl, val ast.Expr, wraps map[*types.Func]string) string {
-	id, ok := val.(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	obj := pass.Info.Uses[id]
-	if obj == nil {
-		return ""
-	}
-	flow := d.dataflow(pass)
-	ref, ok := findUseRef(flow, obj, id)
-	if !ok {
-		return ""
-	}
-	for _, def := range flow.ReachingDefs(ref, obj) {
-		if def.Call == nil {
-			continue
-		}
-		fn := callee(pass, def.Call)
-		if fn == nil {
-			continue
-		}
-		if isErrorfWrap(pass, def.Call) {
-			return "wrapped via fmt.Errorf(%w)"
-		}
-		if via, ok := wraps[fn]; ok {
-			return "wrapped via " + fn.Name() + " -> " + via
-		}
-		var f ReturnsWrappedError
-		if pass.ImportObjectFact(fn, &f) {
-			return "wrapped via " + fn.Name() + " -> " + f.Via
-		}
-	}
-	return ""
-}
-
-// isFix builds the errors.Is rewrite for one comparison: the expression
-// becomes errors.Is(val, sentinel) (negated for !=), plus an errors
-// import when the file lacks one.
-func isFix(pass *analysis.Pass, d *funcDecl, cmp *ast.BinaryExpr, val ast.Expr, sentinelSrc string) (analysis.SuggestedFix, bool) {
-	neg := ""
-	if cmp.Op == token.NEQ {
-		neg = "!"
-	}
-	newText := fmt.Sprintf("%serrors.Is(%s, %s)", neg, types.ExprString(val), sentinelSrc)
-	fix := analysis.SuggestedFix{
-		Message:   fmt.Sprintf("replace with %serrors.Is", neg),
-		TextEdits: []analysis.TextEdit{{Pos: cmp.Pos(), End: cmp.End(), NewText: []byte(newText)}},
-	}
-	file := fileOf(pass, cmp.Pos())
-	if file == nil {
-		return analysis.SuggestedFix{}, false
-	}
-	if edit, ok := importErrorsEdit(file); ok {
-		fix.TextEdits = append(fix.TextEdits, edit)
-	}
-	return fix, true
-}
-
-func fileOf(pass *analysis.Pass, pos token.Pos) *ast.File {
-	for _, f := range pass.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
-// importErrorsEdit returns the insertion adding `"errors"` to the
-// file's imports, or ok=false when it is already imported.
-func importErrorsEdit(file *ast.File) (analysis.TextEdit, bool) {
-	for _, imp := range file.Imports {
-		if p, err := strconv.Unquote(imp.Path.Value); err == nil && p == "errors" {
-			return analysis.TextEdit{}, false
-		}
-	}
-	for _, d := range file.Decls {
-		gd, ok := d.(*ast.GenDecl)
-		if !ok || gd.Tok != token.IMPORT {
-			continue
-		}
-		if gd.Lparen.IsValid() {
-			// Inside the block, right after `import (`; format.Source
-			// re-indents it.
-			return analysis.TextEdit{Pos: gd.Lparen + 1, NewText: []byte("\n\"errors\"\n")}, true
-		}
-		// A single unparenthesized import: add a sibling decl before it.
-		return analysis.TextEdit{Pos: gd.Pos(), NewText: []byte("import \"errors\"\n")}, true
-	}
-	// No imports at all: after the package clause.
-	return analysis.TextEdit{Pos: file.Name.End(), NewText: []byte("\n\nimport \"errors\"")}, true
+	pass.Reportf(cmp.Pos(), "%s compared with %s; the value may be wrapped — use errors.Is", types.ExprString(sentinel), cmp.Op)
 }
 
 // checkSwitch flags `switch err { case io.EOF: }`, which compares with
@@ -335,12 +103,8 @@ func checkSwitch(pass *analysis.Pass, sw *ast.SwitchStmt) {
 		return
 	}
 	for _, stmt := range sw.Body.List {
-		cc, ok := stmt.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		for _, v := range cc.List {
-			if _, ok := sentinelOf(pass, v); ok {
+		for _, v := range stmt.(*ast.CaseClause).List {
+			if isSentinel(pass, v) {
 				pass.Reportf(sw.Pos(), "switch on an error value compares sentinels with ==; use if/else with errors.Is")
 				return
 			}
@@ -348,20 +112,20 @@ func checkSwitch(pass *analysis.Pass, sw *ast.SwitchStmt) {
 	}
 }
 
-// checkStringMatch flags decisions made on an error's message text:
-// err.Error() compared to a string or fed to strings matchers.
+// checkStringMatch flags err.Error() fed to a strings matcher.
 func checkStringMatch(pass *analysis.Pass, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
-	if fn, ok := pass.Info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil &&
-		fn.Pkg().Path() == "strings" && stringMatchers[fn.Name()] {
-		for _, arg := range call.Args {
-			if isErrorCall(pass, arg) {
-				pass.Reportf(call.Pos(), "strings.%s on err.Error() matches on message text; use errors.Is/errors.As on the error value", fn.Name())
-				return
-			}
+	fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "strings" || !stringMatchers[fn.Name()] {
+		return
+	}
+	for _, arg := range call.Args {
+		if isErrorCall(pass, arg) {
+			pass.Reportf(call.Pos(), "strings.%s on err.Error() matches on message text; use errors.Is/errors.As on the error value", fn.Name())
+			return
 		}
 	}
 }
@@ -383,169 +147,4 @@ func isErrorCall(pass *analysis.Pass, e ast.Expr) bool {
 		return false
 	}
 	return isErrorType(pass.TypeOf(sel.X))
-}
-
-// checkDropped reports error-typed definitions from calls whose value is
-// read on no path at all. The strict DeadEverywhere query keeps the
-// default-then-override idiom (`err := f(); if c { err = g() }`) legal —
-// only a value that nothing ever observes is a dropped error.
-func checkDropped(pass *analysis.Pass, d *funcDecl) {
-	flow := d.dataflow(pass)
-	for _, obj := range defObjs(pass, flow, d) {
-		if !isErrorType(obj.Type()) {
-			continue
-		}
-		for _, def := range flow.DefsOf(obj) {
-			if def.Entry() || def.Call == nil || def.Name == nil {
-				continue
-			}
-			if flow.DeadEverywhere(def) {
-				pass.Reportf(def.Name.Pos(), "error assigned to %s here is never checked on any path; handle it or assign to _", obj.Name())
-			}
-		}
-	}
-}
-
-// defObjs enumerates the local variables the flow holds defs for, in
-// declaration order of their defining identifiers.
-func defObjs(pass *analysis.Pass, flow *dataflow.Flow, d *funcDecl) []types.Object {
-	var out []types.Object
-	seen := make(map[types.Object]bool)
-	ast.Inspect(d.decl.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := pass.Info.Defs[id]
-		if obj == nil {
-			obj = pass.Info.Uses[id]
-		}
-		if obj != nil && !seen[obj] && len(flow.DefsOf(obj)) > 0 {
-			seen[obj] = true
-			out = append(out, obj)
-		}
-		return true
-	})
-	return out
-}
-
-// computeWrapFacts finds, to a fixpoint, the functions that may return a
-// wrapped error: a return whose expression is (or a returned variable
-// whose reaching definition is) fmt.Errorf with %w, or a call into a
-// function already known to wrap.
-func computeWrapFacts(pass *analysis.Pass, fns []*funcDecl) map[*types.Func]string {
-	wraps := make(map[*types.Func]string)
-	for changed := true; changed; {
-		changed = false
-		for _, d := range fns {
-			if _, done := wraps[d.fn]; done {
-				continue
-			}
-			if via, ok := returnsWrapped(pass, d, wraps); ok {
-				wraps[d.fn] = via
-				changed = true
-			}
-		}
-	}
-	return wraps
-}
-
-func returnsWrapped(pass *analysis.Pass, d *funcDecl, wraps map[*types.Func]string) (string, bool) {
-	var via string
-	ast.Inspect(d.decl.Body, func(n ast.Node) bool {
-		if via != "" {
-			return false
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		for _, res := range ret.Results {
-			if !isErrorType(pass.TypeOf(res)) {
-				continue
-			}
-			if v := wrapSourceOf(pass, d, res, wraps); v != "" {
-				via = v
-				return false
-			}
-		}
-		return true
-	})
-	return via, via != ""
-}
-
-// wrapSourceOf classifies one returned error expression: a wrapping call
-// itself, a call into a known wrapper, or a variable whose definitions
-// include either.
-func wrapSourceOf(pass *analysis.Pass, d *funcDecl, res ast.Expr, wraps map[*types.Func]string) string {
-	if call, ok := res.(*ast.CallExpr); ok {
-		return wrapSourceOfCall(pass, call, wraps)
-	}
-	if id, ok := res.(*ast.Ident); ok {
-		obj := pass.Info.Uses[id]
-		if obj == nil {
-			return ""
-		}
-		flow := d.dataflow(pass)
-		for _, def := range flow.DefsOf(obj) {
-			if def.Call == nil {
-				continue
-			}
-			if v := wrapSourceOfCall(pass, def.Call, wraps); v != "" {
-				return v
-			}
-		}
-	}
-	return ""
-}
-
-func wrapSourceOfCall(pass *analysis.Pass, call *ast.CallExpr, wraps map[*types.Func]string) string {
-	if isErrorfWrap(pass, call) {
-		return "fmt.Errorf(%w)"
-	}
-	fn := callee(pass, call)
-	if fn == nil {
-		return ""
-	}
-	if via, ok := wraps[fn]; ok {
-		return fn.Name() + " -> " + via
-	}
-	var f ReturnsWrappedError
-	if pass.ImportObjectFact(fn, &f) {
-		return fn.Name() + " -> " + f.Via
-	}
-	return ""
-}
-
-// isErrorfWrap reports fmt.Errorf calls whose constant format string
-// contains a %w verb.
-func isErrorfWrap(pass *analysis.Pass, call *ast.CallExpr) bool {
-	fn := callee(pass, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" || fn.Name() != "Errorf" {
-		return false
-	}
-	if len(call.Args) == 0 {
-		return false
-	}
-	lit, ok := call.Args[0].(*ast.BasicLit)
-	if !ok || lit.Kind != token.STRING {
-		return false
-	}
-	s, err := strconv.Unquote(lit.Value)
-	return err == nil && strings.Contains(s, "%w")
-}
-
-func callee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		fn, _ := pass.Info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pass.Info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }

@@ -7,9 +7,8 @@ import (
 	"mgdiffnet/internal/analysis/passes/errflow"
 )
 
-// TestErrflowGolden loads the errflow golden package together with its
-// errwrap dependency, exercising the in-package rules and the
-// cross-package ReturnsWrappedError fact chain in one run.
+// TestErrflowGolden runs errflow over its golden package: sentinel
+// comparisons and switches, message-text matching, and a waiver.
 func TestErrflowGolden(t *testing.T) {
 	analysistest.Run(t, "testdata", errflow.Analyzer, "errflow")
 }

@@ -1,15 +1,13 @@
-// Golden package for the errflow analyzer: sentinel comparisons on
-// possibly-wrapped values, provably-unwrapped exemptions, message-text
-// matching, dropped errors, and the cross-package ReturnsWrappedError
-// fact chain through the errwrap golden dependency.
+// Golden package for the errflow analyzer: sentinel comparisons on any
+// error value, sentinel switches, message-text matching, and the shapes
+// that stay legal.
 package errflow
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"strings"
-
-	"errwrap"
 )
 
 var ErrBusy = errors.New("busy")
@@ -33,15 +31,15 @@ func callResult() bool {
 	return read() == io.EOF // want `io.EOF compared with ==`
 }
 
-// Every reaching definition is a direct sentinel or nil assignment: the
-// value provably never crossed a call, so == is exact and allowed.
+// Every assignment is a sentinel or nil, but the check reads types, not
+// value flow: the comparison is still flagged.
 func provable(c bool) bool {
 	var err error
 	err = ErrBusy
 	if c {
 		err = nil
 	}
-	return err == ErrBusy
+	return err == ErrBusy // want `ErrBusy compared with ==`
 }
 
 // The sanctioned form is never flagged.
@@ -49,18 +47,26 @@ func sanctioned() bool {
 	return errors.Is(read(), io.EOF)
 }
 
+// load returns a wrapped io.EOF: callers comparing with == lose.
+func load(p string) error {
+	return fmt.Errorf("load %s: %w", p, io.EOF)
+}
+
+// indirect wraps through load, two calls deep.
+func indirect(p string) error {
+	if p == "" {
+		return nil
+	}
+	return load(p)
+}
+
 func viaFactOneHop(p string) bool {
-	err := errwrap.Load(p)
-	return err == io.EOF // want `wrapped via Load -> fmt.Errorf\(%w\)`
+	err := load(p)
+	return err == io.EOF // want `io.EOF compared with ==`
 }
 
 func viaFactTwoHops(p string) bool {
-	err := errwrap.Indirect(p)
-	return err == io.EOF // want `wrapped via Indirect -> Load -> fmt.Errorf\(%w\)`
-}
-
-func viaPlainCall() bool {
-	err := errwrap.Plain()
+	err := indirect(p)
 	return err == io.EOF // want `io.EOF compared with ==`
 }
 
@@ -86,29 +92,4 @@ func sentinelSwitch(err error) int {
 		return 0
 	}
 	return 2
-}
-
-func dropped() int {
-	err := read() // want `error assigned to err here is never checked`
-	err = read()
-	if err != nil {
-		return 1
-	}
-	return 0
-}
-
-// The default-then-override idiom: the first definition is read on the
-// non-override path, so it is not a dropped error.
-func override(c bool) error {
-	err := read()
-	if c {
-		err = errors.New("other")
-	}
-	return err
-}
-
-// A captured error has flow the CFG cannot see; never reported.
-func captured() func() error {
-	err := read()
-	return func() error { return err }
 }

@@ -58,10 +58,9 @@ type AllocatesOnSteadyPath struct{ At string }
 func (*AllocatesOnSteadyPath) AFact() {}
 
 var Analyzer = &analysis.Analyzer{
-	Name:      "hotalloc",
-	Doc:       "flag allocation sources in //mglint:hotpath functions, including allocating callees via facts",
-	FactTypes: []analysis.Fact{(*AllocatesOnSteadyPath)(nil)},
-	Run:       run,
+	Name: "hotalloc",
+	Doc:  "flag allocation sources in //mglint:hotpath functions, including allocating callees via facts",
+	Run:  run,
 }
 
 const marker = "//mglint:hotpath"

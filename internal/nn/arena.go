@@ -31,11 +31,6 @@ type Arena struct {
 // duplicates.
 func NewArena(params []*Param) *Arena {
 	a := &Arena{}
-	a.rebuild(params)
-	return a
-}
-
-func (a *Arena) rebuild(params []*Param) {
 	seen := make(map[*Param]struct{}, len(params))
 	off := make([]int, len(params)+1)
 	for i, p := range params {
@@ -59,14 +54,7 @@ func (a *Arena) rebuild(params []*Param) {
 	}
 	a.params = append([]*Param(nil), params...)
 	a.data, a.grad, a.off = data, grad, off
-}
-
-// Extend grows the arena to additionally cover fresh parameters appended
-// after the existing ones. All parameters — old and new — are re-backed
-// into freshly grown slabs; values are preserved. Callers holding raw slab
-// slices (Data/Grad) must re-fetch them afterwards.
-func (a *Arena) Extend(fresh []*Param) {
-	a.rebuild(append(a.params[:len(a.params):len(a.params)], fresh...))
+	return a
 }
 
 // Params returns the covered parameters in arena order. The returned slice

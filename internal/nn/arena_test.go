@@ -63,33 +63,6 @@ func TestArenaRebacksParamsPreservingValues(t *testing.T) {
 	}
 }
 
-func TestArenaExtendKeepsValuesAndCoversFresh(t *testing.T) {
-	ps := arenaTestParams()
-	a := NewArena(ps)
-	ps[1].Data.Data[2] = 99.5
-	fresh := NewParam("d", 4)
-	for j := range fresh.Data.Data {
-		fresh.Data.Data[j] = 0.5 * float64(j)
-	}
-	a.Extend([]*Param{fresh})
-	if ps[1].Data.Data[2] != 99.5 {
-		t.Fatal("Extend lost an existing parameter value")
-	}
-	lo, hi, ok := a.Span(fresh)
-	if !ok || hi-lo != 4 || lo != 25 {
-		t.Fatalf("fresh span (%d,%d,%v), want (25,29,true)", lo, hi, ok)
-	}
-	if fresh.Data.Data[3] != 1.5 {
-		t.Fatal("Extend lost a fresh parameter value")
-	}
-	if &a.Data()[lo] != &fresh.Data.Data[0] {
-		t.Fatal("fresh parameter not re-backed into the extended slab")
-	}
-	if got := a.Len(); got != 29 {
-		t.Fatalf("extended arena length %d, want 29", got)
-	}
-}
-
 func TestArenaRejectsDuplicates(t *testing.T) {
 	p := NewParam("x", 2)
 	defer func() {
@@ -147,12 +120,11 @@ func TestFusedAdamBitIdenticalToPerParam(t *testing.T) {
 		extF.Data.Data[j] = 0.3 * float64(j)
 		extR.Data.Data[j] = 0.3 * float64(j)
 	}
-	flatArena := flat[0].arena
-	flatArena.Extend([]*Param{extF})
-	optF.ExtendParams([]*Param{extF})
-	optR.ExtendParams([]*Param{extR})
 	flat = append(flat, extF)
 	ref = append(ref, extR)
+	NewArena(flat) // re-back old and fresh together, as Trainer.Adapt does
+	optF.ExtendParams([]*Param{extF})
+	optR.ExtendParams([]*Param{extR})
 	for s := 3; s < 6; s++ {
 		setGrads(flat, s)
 		setGrads(ref, s)

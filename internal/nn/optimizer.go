@@ -123,8 +123,8 @@ func (a *Adam) reslab() {
 // when the managed parameters are the arena's parameters, in order, so
 // that the arena's Data/Grad slabs align element-for-element with
 // mbuf/vbuf. The check is O(#parameters) per Step — noise next to the
-// O(#elements) update — and is re-evaluated every call because arenas are
-// rebuilt (reallocated) by Extend.
+// O(#elements) update — and is re-evaluated every call because a network
+// that adapts is re-backed by a fresh NewArena.
 func (a *Adam) flatArena() *Arena {
 	if len(a.params) == 0 {
 		return nil

@@ -44,6 +44,22 @@ func Load(r io.Reader) (*UNet, error) {
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("unet: decode snapshot: %w", err)
 	}
+	if err := s.Cfg.validate(); err != nil {
+		return nil, fmt.Errorf("unet: snapshot config: %w", err)
+	}
+	n := 0
+	for _, p := range s.Params {
+		n += len(p)
+	}
+	if !bottleneckFits(s.Cfg, n) {
+		return nil, fmt.Errorf("unet: snapshot config (Depth %d, BaseFilters %d, Kernel %d) needs more weights than the %d values it carries",
+			s.Cfg.Depth, s.Cfg.BaseFilters, s.Cfg.Kernel, n)
+	}
+	// Every adaptation adds parameter tensors, so a count beyond the
+	// number of tensors saved can never match.
+	if s.Adaptions < 0 || s.Adaptions > len(s.Params) {
+		return nil, fmt.Errorf("unet: snapshot has %d adaptations, want 0..%d", s.Adaptions, len(s.Params))
+	}
 	u := New(s.Cfg)
 	for i := 0; i < s.Adaptions; i++ {
 		u.Adapt()
@@ -76,6 +92,29 @@ func Load(r io.Reader) (*UNet, error) {
 		copy(bn.RunningVar, s.BNVars[i])
 	}
 	return u, nil
+}
+
+// bottleneckFits reports whether the bottleneck convolution of cfg — its
+// (BaseFilters<<(Depth-1)) · (BaseFilters<<Depth) · Kernel^Dim weights,
+// one tensor of the network — fits in n values. Checking before New runs
+// keeps a corrupt Depth or Kernel from allocating without bound.
+func bottleneckFits(cfg Config, n int) bool {
+	c := cfg.BaseFilters
+	for i := 1; i < cfg.Depth && c <= n; i++ {
+		c *= 2
+	}
+	factors := []int{c, 2 * c}
+	for i := 0; i < cfg.Dim; i++ {
+		factors = append(factors, cfg.Kernel)
+	}
+	w := 1
+	for _, f := range factors {
+		if f > n/w {
+			return false
+		}
+		w *= f
+	}
+	return true
 }
 
 // SaveFile writes the network to path. The Close error is propagated: a

@@ -105,6 +105,18 @@ func TestLoadRejectsCorruptSnapshots(t *testing.T) {
 			func(s *snapshot) { s.BNVars[0] = append(s.BNVars[0], 1) },
 			"channel",
 		},
+		// Configs New would panic on, and counts that cannot match, are
+		// rejected before anything is built.
+		"dim 7":                  {func(s *snapshot) { s.Cfg.Dim = 7 }, "Dim"},
+		"depth 0":                {func(s *snapshot) { s.Cfg.Depth = 0 }, "Depth"},
+		"even kernel":            {func(s *snapshot) { s.Cfg.Kernel = 2 }, "Kernel"},
+		"negative kernel":        {func(s *snapshot) { s.Cfg.Kernel = -1 }, "Kernel"},
+		"kernel beyond snapshot": {func(s *snapshot) { s.Cfg.Kernel = 100001 }, "weights"},
+		"negative base filters":  {func(s *snapshot) { s.Cfg.BaseFilters = -4 }, "BaseFilters"},
+		"zero input channels":    {func(s *snapshot) { s.Cfg.InChannels = 0 }, "InChannels"},
+		"zero output channels":   {func(s *snapshot) { s.Cfg.OutChannels = 0 }, "OutChannels"},
+		"negative adaptations":   {func(s *snapshot) { s.Adaptions = -1 }, "adaptations"},
+		"adaptations beyond":     {func(s *snapshot) { s.Adaptions = len(s.Params) + 1 }, "adaptations"},
 	}
 	for name, tc := range cases {
 		buf := corruptedSnapshot(t, u, tc.mutate)

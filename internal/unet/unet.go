@@ -114,17 +114,28 @@ type UNet struct {
 	refHP     []bool           // which refinement layers carry parameters
 }
 
+// validate reports the first rule cfg breaks. New panics on it; Load
+// returns it, so a corrupt checkpoint is an error rather than a crash.
+func (cfg Config) validate() error {
+	switch {
+	case cfg.Dim != 2 && cfg.Dim != 3:
+		return fmt.Errorf("unet: Dim must be 2 or 3, got %d", cfg.Dim)
+	case cfg.Depth < 1:
+		return fmt.Errorf("unet: Depth must be >= 1, got %d", cfg.Depth)
+	case cfg.Kernel < 1 || cfg.Kernel%2 == 0:
+		return fmt.Errorf("unet: Kernel must be odd and positive so padding preserves extent, got %d", cfg.Kernel)
+	case cfg.InChannels < 1 || cfg.OutChannels < 1 || cfg.BaseFilters < 1:
+		return fmt.Errorf("unet: channel and filter counts must be positive, got InChannels %d, OutChannels %d, BaseFilters %d",
+			cfg.InChannels, cfg.OutChannels, cfg.BaseFilters)
+	}
+	return nil
+}
+
 // New builds a U-Net from cfg. It panics on invalid configurations so that
 // construction errors surface at startup rather than mid-training.
 func New(cfg Config) *UNet {
-	if cfg.Dim != 2 && cfg.Dim != 3 {
-		panic(fmt.Sprintf("unet: Dim must be 2 or 3, got %d", cfg.Dim))
-	}
-	if cfg.Depth < 1 {
-		panic("unet: Depth must be >= 1")
-	}
-	if cfg.Kernel%2 == 0 {
-		panic("unet: Kernel must be odd so padding preserves extent")
+	if err := cfg.validate(); err != nil {
+		panic(err)
 	}
 	u := &UNet{Cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 	pad := cfg.Kernel / 2
