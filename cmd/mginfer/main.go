@@ -179,7 +179,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// Validate the resolution up front: the U-Net panics mid-forward on a
 	// misaligned extent, and a panic is no way to report a flag error.
-	if err := net.ValidateRes(*res); err != nil {
+	if err := serve.ValidateRes(net, *res); err != nil {
 		fmt.Fprintf(stderr, "mginfer: -res %d: %v\n", *res, err)
 		return 2
 	}

@@ -95,6 +95,19 @@ func TestRunRejectsMisalignedRes(t *testing.T) {
 	}
 }
 
+// A resolution past 512³ voxels (res² in 2D) is a flag error, refused
+// before anything of that size is allocated.
+func TestRunRejectsOversizedRes(t *testing.T) {
+	model := saveTestModel(t, t.TempDir())
+	var out, errb bytes.Buffer
+	if code := run([]string{"-model", model, "-res", "16384"}, &out, &errb); code != 2 {
+		t.Fatalf("res 16384: exit code %d, want 2 (stderr %q)", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "512³") {
+		t.Fatalf("stderr %q does not name the bound", errb.String())
+	}
+}
+
 func TestRunFlagErrors(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{}, &out, &errb); code != 2 {

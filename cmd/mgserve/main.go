@@ -88,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	for _, r := range warmRes {
-		if err := net.ValidateRes(r); err != nil {
+		if err := serve.ValidateRes(net, r); err != nil {
 			fmt.Fprintln(stderr, "mgserve: -warm:", err)
 			return 2
 		}
@@ -320,9 +320,9 @@ func newHandler(eng *serve.Engine, opt handlerOptions) http.Handler {
 		writeJSON(w, r, http.StatusBadRequest, map[string]string{"error": err.Error()})
 	}
 	// writeError maps engine errors onto the overload-safe status
-	// vocabulary: shed work is 503 + Retry-After, an exceeded request
-	// budget is 504, a vanished client gets nothing (the connection is
-	// dead), and only a genuine engine failure is a 500.
+	// vocabulary: an invalid query is 400, shed work is 503 + Retry-After,
+	// an exceeded request budget is 504, a vanished client gets nothing
+	// (the connection is dead), and only a genuine engine failure is a 500.
 	writeError := func(w http.ResponseWriter, r *http.Request, err error) {
 		var ov *serve.OverloadError
 		switch {
@@ -331,6 +331,8 @@ func newHandler(eng *serve.Engine, opt handlerOptions) http.Handler {
 			writeJSON(w, r, http.StatusServiceUnavailable, map[string]string{
 				"error": "overloaded: " + ov.Reason, "retry_after": ov.RetryAfter.String(),
 			})
+		case errors.Is(err, serve.ErrInvalidQuery):
+			badRequest(w, r, err)
 		case errors.Is(err, context.DeadlineExceeded):
 			writeJSON(w, r, http.StatusGatewayTimeout, map[string]string{"error": "deadline exceeded"})
 		case errors.Is(err, context.Canceled):

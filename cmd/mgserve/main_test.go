@@ -115,6 +115,29 @@ func TestSolveRejectsBadInput(t *testing.T) {
 			t.Fatalf("%s %q: status %d, want 400", c.path, c.body, rec.Code)
 		}
 	}
+	// More than 512³ voxels: refused before anything is allocated.
+	ucfg := unet.DefaultConfig(3)
+	ucfg.Depth, ucfg.BaseFilters = 2, 2
+	eng3, err := serve.NewEngine(serve.Config{Net: unet.New(ucfg), Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng3.Close)
+	h3 := newHandler(eng3, handlerOptions{})
+	for _, c := range []struct {
+		h          http.Handler
+		path, body string
+	}{
+		{h, "/solve", `{"omega":[0.1,0.2,0.3,0.4],"res":16384}`},
+		{h, "/solve-batch", `{"omegas":[[0.1,0.2,0.3,0.4]],"res":16384}`},
+		{h3, "/solve", `{"omega":[0.1,0.2,0.3,0.4],"res":4096}`},
+		{h3, "/solve", `{"omega":[0.1,0.2,0.3,0.4],"res":516}`},
+		{h3, "/solve-batch", `{"omegas":[[0.1,0.2,0.3,0.4]],"res":1024}`},
+	} {
+		if rec := post(t, c.h, c.path, c.body); rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s %q: status %d, want 400", c.path, c.body, rec.Code)
+		}
+	}
 	// GET on a POST endpoint.
 	req := httptest.NewRequest(http.MethodGet, "/solve", nil)
 	rec := httptest.NewRecorder()

@@ -1,6 +1,10 @@
 package nn
 
-import "mgdiffnet/internal/tensor"
+import (
+	"sync"
+
+	"mgdiffnet/internal/tensor"
+)
 
 // The three products every convolution layer is made of. With y on the
 // written grid of g and x on the read grid:
@@ -17,6 +21,12 @@ import "mgdiffnet/internal/tensor"
 // written grid in the orders weightGradRows describes, and all of them skip
 // taps that fall into the padding; the training benchmark pins the
 // resulting bits.
+//
+// On amd64 with AVX, maddRow's stride-1 four-channel loop runs four columns
+// per instruction (maddRowVec) but for the last n mod 4. Each lane is one
+// VMULPD and one VADDPD in the Go loop's operand order, never a fused
+// multiply-add, so its bits are the Go loop's, which every other CPU runs.
+// The Go loops write each product as float64(w·x), which no compiler fuses.
 
 func (s *convState) adjoint(xd, yd, bias []float64, w *Param, g geom, lower bool) {
 	if lower {
@@ -57,6 +67,10 @@ const (
 	rowStride = rowBlock + 8
 )
 
+// rowScratch pools each worker's accumulator block and weight gather, which
+// passing them to maddRowVec, a function value, would move to the heap.
+var rowScratch = sync.Pool{New: func() any { return new([4*rowStride + 4]float64) }}
+
 // rowWorkUnit is how many multiply-adds count as one unit of work when
 // jobs are shared among the kernel workers: ParallelRange runs fewer than
 // 256 units serially.
@@ -84,8 +98,9 @@ func rowProduct(out, in, wd, bias []float64, g geom, transposed, biasLast bool) 
 	u := max(1, min(rowsPer, rows)*min(ow, rowBlock)*4*terms/rowWorkUnit)
 
 	tensor.ParallelRange(jobs*u, func(lo, hi int) {
-		var acc [4 * rowStride]float64
-		var wt [4]float64
+		sc := rowScratch.Get().(*[4*rowStride + 4]float64)
+		defer rowScratch.Put(sc)
+		acc, wt := sc[:4*rowStride], (*[4]float64)(sc[4*rowStride:])
 		for j := (lo + u - 1) / u; j < (hi+u-1)/u; j++ {
 			t, c0 := j/chanBlocks, j%chanBlocks*4
 			r0, x0 := t/colBlocks*rowsPer, t%colBlocks*rowBlock
@@ -97,7 +112,9 @@ func rowProduct(out, in, wd, bias []float64, g geom, transposed, biasLast bool) 
 				if bias != nil && !biasLast {
 					b = bias[c0+c]
 				}
-				fill(acc[c*rowStride:c*rowStride+(r1-r0)*bw], b)
+				for i := range (r1 - r0) * bw {
+					acc[c*rowStride+i] = b
+				}
 			}
 			for cin := 0; cin < ic; cin++ {
 				for kz := 0; kz < kd; kz++ {
@@ -126,7 +143,7 @@ func rowProduct(out, in, wd, bias []float64, g geom, transposed, biasLast bool) 
 								iy, oky := tapRow(y, g.ph, ky, s, ih, transposed)
 								if okz && oky {
 									row := (((n*ic+cin)*id+iz)*ih + iy) * iw
-									maddRow(acc[:], (r-r0)*bw+off, nc, &wt, in[row+src:], hi-lo, sa, sx)
+									maddRow(acc, (r-r0)*bw+off, nc, wt, in[row+src:], hi-lo, sa, sx)
 								}
 								n, z, y = nextRow(n, z, y, od, oh)
 							}
@@ -178,6 +195,10 @@ func nextRow(n, z, y, nz, ny int) (int, int, int) {
 	return n + 1, 0, 0
 }
 
+// maddRowVec, if a CPU probe at start-up sets it, runs maddRow's stride-1
+// four-channel loop on a multiple-of-4 prefix of x, with the same bits.
+var maddRowVec func(acc []float64, wt *[4]float64, x []float64)
+
 // maddRow adds wt[c]·x[j·sx] into acc[c·rowStride + off + j·sa] for j < n
 // and each of the nc ≤ 4 channels.
 func maddRow(acc []float64, off, nc int, wt *[4]float64, x []float64, n, sa, sx int) {
@@ -185,36 +206,34 @@ func maddRow(acc []float64, off, nc int, wt *[4]float64, x []float64, n, sa, sx 
 	switch {
 	case nc == 4 && sa == 1 && sx == 1:
 		x = x[:n]
+		if m := n &^ 3; m > 0 && maddRowVec != nil {
+			maddRowVec(acc[off:off+3*rowStride+m], wt, x[:m])
+			off, x = off+m, x[m:]
+		}
 		a0, a1 := acc[off:][:len(x)], acc[off+rowStride:][:len(x)]
 		a2, a3 := acc[off+2*rowStride:][:len(x)], acc[off+3*rowStride:][:len(x)]
 		for j, v := range x {
-			a0[j] += w0 * v
-			a1[j] += w1 * v
-			a2[j] += w2 * v
-			a3[j] += w3 * v
+			a0[j] += float64(w0 * v)
+			a1[j] += float64(w1 * v)
+			a2[j] += float64(w2 * v)
+			a3[j] += float64(w3 * v)
 		}
 	case nc == 4:
 		a := acc[off:]
 		for j := 0; j < n; j++ {
 			v, i := x[j*sx], j*sa
-			a[i] += w0 * v
-			a[i+rowStride] += w1 * v
-			a[i+2*rowStride] += w2 * v
-			a[i+3*rowStride] += w3 * v
+			a[i] += float64(w0 * v)
+			a[i+rowStride] += float64(w1 * v)
+			a[i+2*rowStride] += float64(w2 * v)
+			a[i+3*rowStride] += float64(w3 * v)
 		}
 	default:
 		for c := 0; c < nc; c++ {
 			a := acc[c*rowStride+off:]
 			for j := 0; j < n; j++ {
-				a[j*sa] += wt[c] * x[j*sx]
+				a[j*sa] += float64(wt[c] * x[j*sx])
 			}
 		}
-	}
-}
-
-func fill(a []float64, v float64) {
-	for i := range a {
-		a[i] = v
 	}
 }
 
@@ -343,7 +362,7 @@ func maddCols(acc []float64, nc int, y []float64, cs int, x []float64, n, sx int
 		for c := 0; c < nc; c++ {
 			a := acc[c]
 			for j, v := range y[c*cs:][:n] {
-				a += v * x[j*sx]
+				a += float64(v * x[j*sx])
 			}
 			acc[c] = a
 		}
@@ -353,18 +372,18 @@ func maddCols(acc []float64, nc int, y []float64, cs int, x []float64, n, sx int
 	y0, y1, y2, y3 := y[:n], y[cs:][:n], y[2*cs:][:n], y[3*cs:][:n]
 	if sx == 1 {
 		for j, v := range x[:n] {
-			a0 += y0[j] * v
-			a1 += y1[j] * v
-			a2 += y2[j] * v
-			a3 += y3[j] * v
+			a0 += float64(y0[j] * v)
+			a1 += float64(y1[j] * v)
+			a2 += float64(y2[j] * v)
+			a3 += float64(y3[j] * v)
 		}
 	} else {
 		for j := range y0 {
 			v := x[j*sx]
-			a0 += y0[j] * v
-			a1 += y1[j] * v
-			a2 += y2[j] * v
-			a3 += y3[j] * v
+			a0 += float64(y0[j] * v)
+			a1 += float64(y1[j] * v)
+			a2 += float64(y2[j] * v)
+			a3 += float64(y3[j] * v)
 		}
 	}
 	acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3

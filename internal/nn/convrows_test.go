@@ -196,9 +196,15 @@ func TestCorrelateRowsBiasLastMatchesIm2ColProduct(t *testing.T) {
 }
 
 // The row kernels with the bias first (or none) are the per-voxel nests
-// above with the loops reordered: same terms, same order, same bits.
+// above with the loops reordered: same terms, same order, same bits. Each
+// case runs with the vector row kernel, where the CPU has one, and without.
+// Rows of 1, 3, 4, 5 and 257 columns give the vector path an empty prefix,
+// a pure tail, an exact fit, a prefix and a tail, and a second column
+// block that starts at x0 = 256; 5 output channels a channel tail.
+type rowCase struct{ n, ci, co, d, h, w, kd, k, pd, p, s int }
+
 func TestRowKernelsMatchDirectNests(t *testing.T) {
-	cases := []struct{ n, ci, co, d, h, w, kd, k, pd, p, s int }{
+	cases := []rowCase{
 		{1, 1, 1, 1, 6, 6, 1, 3, 0, 1, 1},
 		{2, 3, 5, 1, 9, 300, 1, 3, 0, 1, 1},
 		{3, 2, 4, 1, 7, 9, 1, 2, 0, 0, 2},
@@ -209,36 +215,51 @@ func TestRowKernelsMatchDirectNests(t *testing.T) {
 		{1, 4, 2, 8, 8, 8, 2, 2, 0, 0, 2},
 		{2, 1, 7, 4, 3, 270, 2, 2, 1, 0, 1},
 		{1, 6, 4, 4, 4, 4, 5, 5, 2, 2, 1},
+		{1, 2, 4, 1, 3, 1, 1, 3, 0, 1, 1},
+		{2, 2, 5, 1, 4, 3, 1, 3, 0, 1, 1},
+		{1, 3, 4, 3, 3, 4, 3, 3, 1, 1, 1},
+		{1, 2, 5, 2, 5, 5, 1, 3, 0, 1, 1},
+		{1, 2, 4, 1, 2, 257, 1, 3, 0, 1, 1},
+		{1, 1, 5, 2, 2, 257, 3, 3, 1, 1, 1},
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%+v", tc), func(t *testing.T) {
-			rng := NewRNG(int64(tc.ci*31 + tc.co*7 + tc.w))
-			g := kernelGeom(tc.n, tc.ci, tc.d, tc.h, tc.w, tc.kd, tc.k, tc.pd, tc.p, tc.s)
-			g.co = tc.co
-			wd := randTensor(rng, tc.co*g.rows()).Data
-			xd := randTensor(rng, tc.n*tc.ci*tc.d*tc.h*tc.w).Data
-			yd := randTensor(rng, tc.n*tc.co*g.do*g.ho*g.wo).Data
-			for _, bias := range [][]float64{nil, randTensor(rng, max(tc.ci, tc.co)).Data} {
-				want := make([]float64, len(yd))
-				got := make([]float64, len(yd))
-				var b []float64
-				if bias != nil {
-					b = bias[:tc.co]
-				}
-				directCorrelate(want, xd, wd, b, g)
-				correlateRows(got, xd, wd, b, g, false)
-				requireSameBits(t, fmt.Sprintf("correlate (bias %v)", b != nil), got, want)
-
-				want = make([]float64, len(xd))
-				got = make([]float64, len(xd))
-				if bias != nil {
-					b = bias[:tc.ci]
-				}
-				directAdjoint(want, yd, wd, b, g)
-				adjointRows(got, yd, wd, b, g)
-				requireSameBits(t, fmt.Sprintf("adjoint (bias %v)", b != nil), got, want)
+			for _, vec := range []bool{false, true} {
+				t.Run(vectorName(vec), func(t *testing.T) {
+					withVectorRows(t, vec)
+					rowKernelsMatchDirectNests(t, tc)
+				})
 			}
 		})
+	}
+}
+
+func rowKernelsMatchDirectNests(t *testing.T, tc rowCase) {
+	rng := NewRNG(int64(tc.ci*31 + tc.co*7 + tc.w))
+	g := kernelGeom(tc.n, tc.ci, tc.d, tc.h, tc.w, tc.kd, tc.k, tc.pd, tc.p, tc.s)
+	g.co = tc.co
+	wd := randTensor(rng, tc.co*g.rows()).Data
+	xd := randTensor(rng, tc.n*tc.ci*tc.d*tc.h*tc.w).Data
+	yd := randTensor(rng, tc.n*tc.co*g.do*g.ho*g.wo).Data
+	for _, bias := range [][]float64{nil, randTensor(rng, max(tc.ci, tc.co)).Data} {
+		want := make([]float64, len(yd))
+		got := make([]float64, len(yd))
+		var b []float64
+		if bias != nil {
+			b = bias[:tc.co]
+		}
+		directCorrelate(want, xd, wd, b, g)
+		correlateRows(got, xd, wd, b, g, false)
+		requireSameBits(t, fmt.Sprintf("correlate (bias %v)", b != nil), got, want)
+
+		want = make([]float64, len(xd))
+		got = make([]float64, len(xd))
+		if bias != nil {
+			b = bias[:tc.ci]
+		}
+		directAdjoint(want, yd, wd, b, g)
+		adjointRows(got, yd, wd, b, g)
+		requireSameBits(t, fmt.Sprintf("adjoint (bias %v)", b != nil), got, want)
 	}
 }
 

@@ -24,13 +24,19 @@ type flight struct {
 	completed bool // finish ran: the result fields are set
 }
 
-// result converts the completed flight into a caller-owned Result.
-func (f *flight) result(dim int) (Result, error) {
+// result converts the completed flight into a caller-owned Result. With
+// own the caller gets the canonical slice itself, which is sound only when
+// no cache entry and no other waiter shares it.
+func (f *flight) result(dim int, own bool) (Result, error) {
 	if f.err != nil {
 		return Result{}, f.err
 	}
+	u := f.u
+	if !own {
+		u = cloneField(u)
+	}
 	return Result{
-		U:     cloneField(f.u),
+		U:     u,
 		Res:   f.key.Res,
 		Dim:   dim,
 		Batch: f.batch,

@@ -41,6 +41,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -312,7 +313,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 // are built before traffic arrives.
 func (e *Engine) warm(r *replica) {
 	for _, res := range e.cfg.WarmRes {
-		if e.meta.ValidateRes(res) != nil {
+		if e.ValidateRes(res) != nil {
 			continue
 		}
 		in := tensor.New(e.inputShape(1, res)...)
@@ -359,8 +360,36 @@ func (e *Engine) applyBC(u []float64, res int) {
 // Dim returns the served field dimensionality (2 or 3).
 func (e *Engine) Dim() int { return e.dim }
 
+// ErrInvalidQuery is the typed refusal of a query no forward pass may
+// answer: a non-finite ω component, or a resolution ValidateRes rejects.
+// SolveQuery returns it before the cache, the flight map or any counter is
+// touched.
+var ErrInvalidQuery = errors.New("serve: invalid query")
+
+// MaxVoxels bounds the field one query may ask for: 512³, the largest
+// domain the paper solves. Without it a request's res alone would size the
+// engine's allocations.
+const MaxVoxels = 512 * 512 * 512
+
+// ValidateRes reports, as an ErrInvalidQuery, whether net cannot be queried
+// at res: res is not a size the network takes, or res^dim exceeds
+// MaxVoxels. The front ends check their resolution flags with it.
+func ValidateRes(net *unet.UNet, res int) error {
+	if err := net.ValidateRes(res); err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidQuery, err)
+	}
+	voxels := 1
+	for range net.Cfg.Dim {
+		if res > MaxVoxels/voxels {
+			return fmt.Errorf("%w: resolution %d asks for more than MaxVoxels = 512³ voxels", ErrInvalidQuery, res)
+		}
+		voxels *= res
+	}
+	return nil
+}
+
 // ValidateRes reports whether res is a feasible query resolution.
-func (e *Engine) ValidateRes(res int) error { return e.meta.ValidateRes(res) }
+func (e *Engine) ValidateRes(res int) error { return ValidateRes(e.meta, res) }
 
 // Solve answers one query, blocking until the result is available or ctx
 // is done. The call either hits the cache, joins an identical in-flight
@@ -375,8 +404,15 @@ func (e *Engine) Solve(ctx context.Context, w field.Omega, res int) (Result, err
 
 // SolveQuery is Solve with per-request options.
 func (e *Engine) SolveQuery(ctx context.Context, q Query) (Result, error) {
-	if err := e.meta.ValidateRes(q.Res); err != nil {
+	if err := e.ValidateRes(q.Res); err != nil {
 		return Result{}, err
+	}
+	// A NaN key never equals itself: it would miss the cache and the
+	// flight map forever, and its entries could never be deleted.
+	for i, v := range q.Omega {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return Result{}, fmt.Errorf("%w: omega component %d is %v; it must be finite", ErrInvalidQuery, i, v)
+		}
 	}
 	e.closeMu.RLock()
 	defer e.closeMu.RUnlock()
@@ -502,7 +538,14 @@ func (e *Engine) await(ctx context.Context, f *flight, shared, degradedReq bool)
 			return Result{}, fmt.Errorf("serve: %w", err)
 		}
 	}
-	r, err := f.result(e.dim)
+	// No waiter joins a finished flight, and one that reads it never
+	// detached, so f.waiters counts every reader: the only one can take
+	// the field when no cache keeps it, and a megavoxel answer is copied
+	// once, not twice.
+	e.mu.Lock()
+	own := e.cache == nil && f.waiters == 1
+	e.mu.Unlock()
+	r, err := f.result(e.dim, own)
 	if err != nil {
 		return r, err
 	}

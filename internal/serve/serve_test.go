@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -202,6 +204,15 @@ func TestSingleFlightDedup(t *testing.T) {
 			}
 		}
 	}
+	// Sharers still own their fields: with no cache, only a flight's sole
+	// waiter is handed the canonical slice itself.
+	owner := map[*float64]int{}
+	for i, r := range results {
+		if j, ok := owner[&r.U[0]]; ok {
+			t.Fatalf("callers %d and %d share one field", j, i)
+		}
+		owner[&r.U[0]] = i
+	}
 	st := e.Stats()
 	if st.SharedInFlight == 0 {
 		t.Fatal("expected at least one single-flight share")
@@ -257,6 +268,47 @@ func TestEngineValidation(t *testing.T) {
 	}
 	if err := e.ValidateRes(13); err == nil {
 		t.Fatal("ValidateRes accepted 13 for a min-input-size-4 network")
+	}
+}
+
+// A non-finite ω or an oversized resolution is refused with a typed error
+// before the engine keeps any state for it. A NaN key never equals itself,
+// so a flight or a cache entry made for one could never be found or deleted.
+func TestEngineRejectsInvalidQueries(t *testing.T) {
+	e := mustEngine(t, Config{Net: testNet(3)})
+	for _, q := range []Query{
+		{Omega: field.Omega{math.NaN(), 0.2, 0.3, 0.4}, Res: 8},
+		{Omega: field.Omega{0.1, math.Inf(1), 0.3, 0.4}, Res: 8},
+		{Omega: field.Omega{0.1, 0.2, 0.3, math.Inf(-1)}, Res: 8},
+		{Res: 516},
+		{Res: 4096},
+	} {
+		for i := 0; i < 5; i++ {
+			if _, err := e.SolveQuery(context.Background(), q); !errors.Is(err, ErrInvalidQuery) {
+				t.Fatalf("query %+v: error %v, want ErrInvalidQuery", q, err)
+			}
+		}
+	}
+	e.mu.Lock()
+	flights, cached := len(e.inflight), e.cache.len()
+	e.mu.Unlock()
+	if flights != 0 || cached != 0 {
+		t.Fatalf("refused queries left %d flights and %d cache entries", flights, cached)
+	}
+	if st := e.Stats(); st.Requests != 0 || st.Forwards != 0 {
+		t.Fatalf("refused queries were counted: %+v", st)
+	}
+
+	// 512³ is the largest field; in 2D the bound is on res² alike.
+	e2 := mustEngine(t, Config{Net: testNet(2)})
+	for _, c := range []struct {
+		e   *Engine
+		res int
+		ok  bool
+	}{{e, 512, true}, {e, 516, false}, {e2, 11584, true}, {e2, 11588, false}, {e2, 1 << 40, false}} {
+		if err := c.e.ValidateRes(c.res); (err == nil) != c.ok {
+			t.Errorf("%dD ValidateRes(%d) = %v, want ok %v", c.e.Dim(), c.res, err, c.ok)
+		}
 	}
 }
 
