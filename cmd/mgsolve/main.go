@@ -11,6 +11,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -35,6 +37,9 @@ func parseOmega(s string) (field.Omega, error) {
 		if err != nil {
 			return w, err
 		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return w, fmt.Errorf("omega component %d is %g, want a finite value", i, v)
+		}
 		w[i] = v
 	}
 	return w, nil
@@ -54,22 +59,67 @@ func parseCycle(s string) (gmg.CycleType, error) {
 	return gmg.VCycle, fmt.Errorf("unknown cycle %q", s)
 }
 
-func main() {
-	var (
-		dim      = flag.Int("dim", 2, "spatial dimensionality (2 or 3)")
-		res      = flag.Int("res", 65, "nodal resolution (2^k+1 for -method gmg)")
-		method   = flag.String("method", "gmg", "solver: cg or gmg")
-		cycle    = flag.String("cycle", "v", "gmg cycle: v, w, f, half-v")
-		tol      = flag.Float64("tol", 1e-8, "relative residual tolerance")
-		omegaStr = flag.String("omega", "0.3105,1.5386,0.0932,-1.2442", "parameter vector ω")
-		outVTI   = flag.String("vti", "", "write solution and diffusivity to this VTK ImageData path")
-	)
-	flag.Parse()
+// validate rejects flag values the solvers would panic on, loop on for
+// the whole iteration budget, or silently reinterpret.
+func validate(dim, res int, method string, tol float64) error {
+	if dim != 2 && dim != 3 {
+		return fmt.Errorf("-dim must be 2 or 3, got %d", dim)
+	}
+	if res < 2 {
+		return fmt.Errorf("-res must be >= 2, got %d", res)
+	}
+	if math.Pow(float64(res), float64(dim)) > field.MaxVoxels {
+		return fmt.Errorf("-res %d asks for %d^%d nodes, more than the 512³ bound", res, res, dim)
+	}
+	switch method {
+	case "cg":
+	case "gmg":
+		if n := res - 1; res < 3 || n&(n-1) != 0 {
+			return fmt.Errorf("-method gmg needs a 2^k+1 grid (3, 5, 9, 17, 33, 65, …), got -res %d", res)
+		}
+	default:
+		return fmt.Errorf("unknown method %q (want cg or gmg)", method)
+	}
+	if !(tol > 0) || math.IsInf(tol, 1) {
+		return fmt.Errorf("-tol must be finite and > 0, got %g", tol)
+	}
+	return nil
+}
 
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mgsolve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		dim      = fs.Int("dim", 2, "spatial dimensionality (2 or 3)")
+		res      = fs.Int("res", 65, "nodal resolution (2^k+1 for -method gmg)")
+		method   = fs.String("method", "gmg", "solver: cg or gmg")
+		cycle    = fs.String("cycle", "v", "gmg cycle: v, w, f, half-v")
+		tol      = fs.Float64("tol", 1e-8, "relative residual tolerance")
+		omegaStr = fs.String("omega", "0.3105,1.5386,0.0932,-1.2442", "parameter vector ω")
+		outVTI   = fs.String("vti", "", "write solution and diffusivity to this VTK ImageData path")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if err := validate(*dim, *res, *method, *tol); err != nil {
+		fmt.Fprintln(stderr, "mgsolve:", err)
+		return 2
+	}
 	w, err := parseOmega(*omegaStr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mgsolve:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "mgsolve:", err)
+		return 2
+	}
+	var ct gmg.CycleType
+	if *method == "gmg" {
+		if ct, err = parseCycle(*cycle); err != nil {
+			fmt.Fprintln(stderr, "mgsolve:", err)
+			return 2
+		}
 	}
 	var nu *tensor.Tensor
 	if *dim == 2 {
@@ -80,21 +130,15 @@ func main() {
 
 	start := time.Now()
 	var u *tensor.Tensor
-	switch *method {
-	case "cg":
+	if *method == "cg" {
 		var st sparse.CGResult
 		if *dim == 2 {
 			u, st = fem.Solve2D(nu, *tol, 100000)
 		} else {
 			u, st = fem.Solve3D(nu, *tol, 100000)
 		}
-		fmt.Printf("CG: %d iterations, residual %.3e, converged %v\n", st.Iterations, st.Residual, st.Converged)
-	case "gmg":
-		ct, err := parseCycle(*cycle)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mgsolve:", err)
-			os.Exit(2)
-		}
+		fmt.Fprintf(stdout, "CG: %d iterations, residual %.3e, converged %v\n", st.Iterations, st.Residual, st.Converged)
+	} else {
 		opt := gmg.Options{Cycle: ct, Tol: *tol}
 		var st gmg.Stats
 		if *dim == 2 {
@@ -102,22 +146,20 @@ func main() {
 		} else {
 			u, st = gmg.NewSolver3D(nu, opt).Solve()
 		}
-		fmt.Printf("GMG %s-cycle: %d cycles over %d levels, residual %.3e, converged %v\n",
+		fmt.Fprintf(stdout, "GMG %s-cycle: %d cycles over %d levels, residual %.3e, converged %v\n",
 			ct, st.Cycles, st.Levels, st.Residual, st.Converged)
-	default:
-		fmt.Fprintf(os.Stderr, "mgsolve: unknown method %q\n", *method)
-		os.Exit(2)
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("solved %dD res %d in %v; u in [%.4f, %.4f]\n",
+	fmt.Fprintf(stdout, "solved %dD res %d in %v; u in [%.4f, %.4f]\n",
 		*dim, *res, elapsed.Round(time.Millisecond), u.Min(), u.Max())
 
 	if *outVTI != "" {
 		fields := []vtkio.Field{{Name: "u_fem", Data: u}, {Name: "nu", Data: nu}}
 		if err := vtkio.WriteFile(*outVTI, fields); err != nil {
-			fmt.Fprintln(os.Stderr, "mgsolve: vti:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "mgsolve: vti:", err)
+			return 1
 		}
-		fmt.Printf("VTK ImageData written to %s\n", *outVTI)
+		fmt.Fprintf(stdout, "VTK ImageData written to %s\n", *outVTI)
 	}
+	return 0
 }

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -33,6 +34,7 @@ import (
 
 	"mgdiffnet/internal/core"
 	"mgdiffnet/internal/dist"
+	"mgdiffnet/internal/field"
 	"mgdiffnet/internal/unet"
 )
 
@@ -84,8 +86,13 @@ func (f *trainFlags) validate() error {
 	if f.res < 1 {
 		return fmt.Errorf("-res must be >= 1, got %d", f.res)
 	}
-	if f.res%(1<<(f.levels-1)) != 0 {
-		return fmt.Errorf("-res %d must be divisible by 2^(levels-1) = %d", f.res, 1<<(f.levels-1))
+	if math.Pow(float64(f.res), float64(f.dim)) > field.MaxVoxels {
+		return fmt.Errorf("-res %d asks for %d^%d voxels, more than the 512³ bound", f.res, f.res, f.dim)
+	}
+	// A shift by 64 or more yields 0, so a huge -levels fails here too
+	// instead of dividing by zero.
+	if f.res>>(f.levels-1)<<(f.levels-1) != f.res {
+		return fmt.Errorf("-res %d must be divisible by 2^(levels-1) = 2^%d", f.res, f.levels-1)
 	}
 	if f.samples < 1 {
 		return fmt.Errorf("-samples must be >= 1, got %d", f.samples)
@@ -93,8 +100,8 @@ func (f *trainFlags) validate() error {
 	if f.batch < 1 {
 		return fmt.Errorf("-batch must be >= 1, got %d", f.batch)
 	}
-	if f.lr <= 0 {
-		return fmt.Errorf("-lr must be > 0, got %g", f.lr)
+	if !(f.lr > 0) || math.IsInf(f.lr, 1) {
+		return fmt.Errorf("-lr must be finite and > 0, got %g", f.lr)
 	}
 	if f.restEpochs < 1 {
 		return fmt.Errorf("-restriction-epochs must be >= 1, got %d", f.restEpochs)

@@ -40,6 +40,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		"zero samples":          {"-samples", "0"},
 		"zero batch":            {"-batch", "0"},
 		"nonpositive lr":        {"-lr", "0"},
+		"NaN lr":                {"-lr", "NaN"},
+		"infinite lr":           {"-lr", "Inf"},
+		"2D res beyond 512³":    {"-dim", "2", "-res", "100000000", "-levels", "1"},
+		"3D res beyond 512³":    {"-dim", "3", "-res", "4096"},
+		"huge levels":           {"-levels", "70"},
 		"zero max epochs":       {"-max-epochs", "0"},
 		"zero restriction":      {"-restriction-epochs", "0"},
 		"zero patience":         {"-patience", "0"},

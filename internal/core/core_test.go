@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mgdiffnet/internal/field"
-	"mgdiffnet/internal/gmg"
 	"mgdiffnet/internal/tensor"
 	"mgdiffnet/internal/unet"
 )
@@ -141,17 +140,6 @@ func TestStrategyStrings(t *testing.T) {
 	}
 }
 
-func TestFromCycleType(t *testing.T) {
-	pairs := map[gmg.CycleType]Strategy{
-		gmg.VCycle: V, gmg.WCycle: W, gmg.FCycle: F, gmg.HalfVCycle: HalfV,
-	}
-	for ct, want := range pairs {
-		if got := FromCycleType(ct); got != want {
-			t.Fatalf("%v -> %v want %v", ct, got, want)
-		}
-	}
-}
-
 func TestEarlyStopper(t *testing.T) {
 	e := NewEarlyStopper(2, 1e-3)
 	losses := []float64{1.0, 0.5, 0.499, 0.4995}
@@ -161,12 +149,8 @@ func TestEarlyStopper(t *testing.T) {
 			t.Fatalf("step %d: Observe(%v)=%v want %v", i, l, got, want[i])
 		}
 	}
-	if e.Best() != 0.5 {
-		t.Fatalf("best %v", e.Best())
-	}
-	e.Reset()
-	if e.Observe(100) {
-		t.Fatal("fresh stopper must not stop")
+	if e.best != 0.5 {
+		t.Fatalf("best %v", e.best)
 	}
 }
 

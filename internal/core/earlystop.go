@@ -35,17 +35,6 @@ func (e *EarlyStopper) Observe(loss float64) bool {
 	return e.bad >= e.Patience
 }
 
-// Best returns the best loss seen so far (meaningless before the first
-// Observe).
-func (e *EarlyStopper) Best() float64 { return e.best }
-
-// Reset clears the stopper for reuse at the next stage.
-func (e *EarlyStopper) Reset() {
-	e.best = 0
-	e.bad = 0
-	e.started = false
-}
-
 // StopperState is the serializable snapshot of an EarlyStopper's progress,
 // saved inside training checkpoints so a resumed prolongation stage stops
 // at exactly the epoch the uninterrupted run would have stopped at.

@@ -25,8 +25,6 @@ type EpochBackend interface {
 	// backend contract for experiment harnesses and diagnostics, and the
 	// dist implementation shards it like a training epoch.
 	EvalLoss(res int) (float64, error)
-	// Params returns the trainable parameters of the (canonical) model.
-	Params() []*nn.Param
 }
 
 // AdaptingBackend is implemented by backends that support the paper's

@@ -9,11 +9,7 @@
 // multigrid citizen.
 package core
 
-import (
-	"fmt"
-
-	"mgdiffnet/internal/gmg"
-)
+import "fmt"
 
 // Strategy selects a training schedule. It extends the solver cycle types
 // with the non-multigrid baseline used throughout the paper's Table 1.
@@ -49,21 +45,6 @@ func (s Strategy) String() string {
 		return "Half-V Cycle"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
-// FromCycleType maps a solver cycle to the equivalent training strategy,
-// tying the two halves of the reproduction together.
-func FromCycleType(ct gmg.CycleType) Strategy {
-	switch ct {
-	case gmg.VCycle:
-		return V
-	case gmg.WCycle:
-		return W
-	case gmg.FCycle:
-		return F
-	default:
-		return HalfV
 	}
 }
 

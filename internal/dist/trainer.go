@@ -572,11 +572,6 @@ func (pt *ParallelTrainer) Params() []*nn.Param { return pt.reps[0].Params() }
 // Net returns replica 0's network.
 func (pt *ParallelTrainer) Net() *unet.UNet { return pt.reps[0].Net }
 
-// World returns the communicator size p — the rank count across all
-// processes, which is Workers in-process or Transport.Peers() when the
-// trainer is one rank of an external world.
-func (pt *ParallelTrainer) World() int { return pt.world }
-
 // Close shuts down the worker and communication goroutines. The trainer
 // must not be used after Close; Close is idempotent.
 func (pt *ParallelTrainer) Close() {

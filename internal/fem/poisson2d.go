@@ -15,13 +15,6 @@ type Problem2D struct {
 	h    float64
 	detJ float64 // (h/2)²
 	dudx float64 // reference→physical gradient scale, 2/h
-
-	// Generalized data of Eq. 3–5 (see loads.go); nil means the Eq. 6–9
-	// defaults (f = 0, h = 0, g = 1|0).
-	forcing        *tensor.Tensor
-	fluxY0, fluxY1 []float64
-	gLeft, gRight  []float64
-	load           *tensor.Tensor // cached LoadVector
 }
 
 // NewPoisson2D builds the problem at the given nodal resolution (≥ 2).
@@ -38,31 +31,15 @@ func NewPoisson2D(res int) *Problem2D {
 	}
 }
 
-// IsDirichlet reports whether the node at (ix, iy) carries an essential
-// boundary condition.
-func (p *Problem2D) IsDirichlet(ix, iy int) bool { return ix == 0 || ix == p.Res-1 }
-
-// DirichletValue returns the boundary value g at node (ix, iy); it is only
-// meaningful where IsDirichlet is true.
-func (p *Problem2D) DirichletValue(ix, iy int) float64 {
-	if ix == 0 {
-		return p.dirichletLeft(iy)
-	}
-	return p.dirichletRight(iy)
-}
-
-// BoundaryField returns an [R, R] field that equals the Dirichlet data on
-// Dirichlet nodes and the linear lifting between the two x-faces elsewhere.
-// It is both the (U_d)_bc of Algorithm 1 and a good initial guess for
-// iterative solvers. With default data it is 1−x.
+// BoundaryField returns the linear lifting 1−x on the [R, R] grid: it
+// equals the Dirichlet data on Dirichlet nodes, and is both the (U_d)_bc of
+// Algorithm 1 and a good initial guess for iterative solvers.
 func (p *Problem2D) BoundaryField() *tensor.Tensor {
 	r := p.Res
 	u := tensor.New(r, r)
 	for iy := 0; iy < r; iy++ {
-		gl, gr := p.dirichletLeft(iy), p.dirichletRight(iy)
 		for ix := 0; ix < r; ix++ {
-			t := float64(ix) * p.h
-			u.Data[iy*r+ix] = gl + (gr-gl)*t
+			u.Data[iy*r+ix] = 1 - float64(ix)*p.h
 		}
 	}
 	return u
@@ -73,8 +50,8 @@ func (p *Problem2D) BoundaryField() *tensor.Tensor {
 func (p *Problem2D) ApplyBC(u *tensor.Tensor) {
 	r := p.Res
 	for iy := 0; iy < r; iy++ {
-		u.Data[iy*r+0] = p.dirichletLeft(iy)
-		u.Data[iy*r+r-1] = p.dirichletRight(iy)
+		u.Data[iy*r+0] = 1
+		u.Data[iy*r+r-1] = 0
 	}
 }
 

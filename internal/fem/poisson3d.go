@@ -16,10 +16,6 @@ type Problem3D struct {
 	h    float64
 	detJ float64 // (h/2)³
 	dudx float64 // 2/h
-
-	// Generalized forcing of Eq. 3 (see loads.go); nil means f = 0.
-	forcing *tensor.Tensor
-	load    *tensor.Tensor
 }
 
 // NewPoisson3D builds the problem at the given nodal resolution (≥ 2).
@@ -34,17 +30,6 @@ func NewPoisson3D(res int) *Problem3D {
 		detJ: h * h * h / 8,
 		dudx: 2 / h,
 	}
-}
-
-// IsDirichlet reports whether node (ix, iy, iz) carries an essential BC.
-func (p *Problem3D) IsDirichlet(ix, iy, iz int) bool { return ix == 0 || ix == p.Res-1 }
-
-// DirichletValue returns the boundary datum at node (ix, iy, iz).
-func (p *Problem3D) DirichletValue(ix, iy, iz int) float64 {
-	if ix == 0 {
-		return 1
-	}
-	return 0
 }
 
 // BoundaryField returns the linear lifting 1−x on the full grid.

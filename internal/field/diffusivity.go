@@ -50,6 +50,11 @@ func init() {
 	}
 }
 
+// MaxVoxels bounds the field one run may raster: 512³, the largest domain
+// the paper solves. Every front end rejects a res whose res^dim exceeds it,
+// so a resolution flag or request alone cannot size an allocation.
+const MaxVoxels = 512 * 512 * 512
+
 // OmegaDim is the dimension m of the parameter vector ω in the paper.
 const OmegaDim = 4
 

@@ -69,20 +69,6 @@ func TestSobolStratification(t *testing.T) {
 	}
 }
 
-func TestSobolSkipEquivalence(t *testing.T) {
-	a, b := NewSobol(3), NewSobol(3)
-	a.Skip(17)
-	for i := 0; i < 17; i++ {
-		b.Next()
-	}
-	pa, pb := a.Next(), b.Next()
-	for d := range pa {
-		if pa[d] != pb[d] {
-			t.Fatal("Skip is not equivalent to repeated Next")
-		}
-	}
-}
-
 func TestSobolBadDimensionPanics(t *testing.T) {
 	for _, d := range []int{0, -1, 99} {
 		func() {

@@ -80,9 +80,6 @@ func NewSobol(dim int) *Sobol {
 	return s
 }
 
-// Dim returns the dimension of the sequence.
-func (s *Sobol) Dim() int { return s.dim }
-
 // Next returns the next point in [0,1)^dim. The first returned point is the
 // origin, matching the canonical Sobol sequence.
 func (s *Sobol) Next() []float64 {
@@ -101,12 +98,4 @@ func (s *Sobol) Next() []float64 {
 	}
 	s.n++
 	return p
-}
-
-// Skip discards n points; useful for partitioning one sequence across
-// distributed workers.
-func (s *Sobol) Skip(n int) {
-	for i := 0; i < n; i++ {
-		s.Next()
-	}
 }

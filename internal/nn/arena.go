@@ -57,10 +57,6 @@ func NewArena(params []*Param) *Arena {
 	return a
 }
 
-// Params returns the covered parameters in arena order. The returned slice
-// must not be modified.
-func (a *Arena) Params() []*Param { return a.params }
-
 // Len returns the total number of elements in each slab.
 func (a *Arena) Len() int { return a.off[len(a.params)] }
 

@@ -245,9 +245,6 @@ func NewConv2D(rng interface{ NormFloat64() float64 }, name string, inCh, outCh,
 	return c
 }
 
-// OutSize returns the spatial output size for an input extent n.
-func (c *Conv2D) OutSize(n int) int { return (n+2*c.Pad-c.Kernel)/c.Stride + 1 }
-
 // useGEMM decides whether a pass runs the lowered arithmetic (see
 // ConvAuto). The lowered backward wins at every benchmarked size in 2D, so
 // ConvAuto always lowers; ConvDirect is the opt-out.
@@ -312,9 +309,6 @@ func NewConvTranspose2D(rng interface{ NormFloat64() float64 }, name string, inC
 	return c
 }
 
-// OutSize returns the spatial output size for an input extent n.
-func (c *ConvTranspose2D) OutSize(n int) int { return (n-1)*c.Stride - 2*c.Pad + c.Kernel }
-
 // useGEMM mirrors Conv2D: the lowering wins at every benchmarked size.
 func (c *ConvTranspose2D) useGEMM() bool { return c.Algo != ConvDirect }
 
@@ -373,9 +367,6 @@ func NewConv3D(rng interface{ NormFloat64() float64 }, name string, inCh, outCh,
 	heInitAny(rng, c.W.Data, inCh*kernel*kernel*kernel)
 	return c
 }
-
-// OutSize returns the spatial output size for an input extent n.
-func (c *Conv3D) OutSize(n int) int { return (n+2*c.Pad-c.Kernel)/c.Stride + 1 }
 
 // useGEMM decides whether a pass with vol output voxels per sample runs
 // the lowered arithmetic.
@@ -441,9 +432,6 @@ func NewConvTranspose3D(rng interface{ NormFloat64() float64 }, name string, inC
 	heInitAny(rng, c.W.Data, inCh*kernel*kernel*kernel)
 	return c
 }
-
-// OutSize returns the spatial output size for an input extent n.
-func (c *ConvTranspose3D) OutSize(n int) int { return (n-1)*c.Stride - 2*c.Pad + c.Kernel }
 
 func (c *ConvTranspose3D) geom(x *tensor.Tensor) geom {
 	checkRank(x, 5, "ConvTranspose3D")

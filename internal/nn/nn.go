@@ -59,17 +59,6 @@ type Layer interface {
 	Params() []*Param
 }
 
-// ParamCount sums the element counts of all parameters of the given layers.
-func ParamCount(layers ...Layer) int {
-	n := 0
-	for _, l := range layers {
-		for _, p := range l.Params() {
-			n += p.NumElements()
-		}
-	}
-	return n
-}
-
 // ZeroGrads clears the gradients of all parameters of the given layers.
 func ZeroGrads(layers ...Layer) {
 	for _, l := range layers {

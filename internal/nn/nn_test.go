@@ -197,18 +197,11 @@ func TestMaxPool3DGradients(t *testing.T) {
 	}
 }
 
-func TestAvgPoolValuesAndGradients(t *testing.T) {
+func TestAvgPoolValues(t *testing.T) {
 	x := tensor.FromSlice([]float64{1, 3, 5, 7}, 1, 1, 2, 2)
-	a := NewAvgPool(2)
-	y := a.Forward(x, true)
+	y := AvgPoolApply(x, 2)
 	if y.Len() != 1 || y.Data[0] != 4 {
 		t.Fatalf("avgpool = %v want [4]", y.Data)
-	}
-	rng := NewRNG(14)
-	x3 := randTensor(rng, 1, 2, 4, 4, 4)
-	r := GradCheck(NewAvgPool(2), x3, rng, 1e-6)
-	if r.MaxRelErrInput > 1e-6 {
-		t.Fatalf("gradcheck input err %v", r.MaxRelErrInput)
 	}
 }
 
@@ -408,48 +401,6 @@ func TestSequentialInferenceActivatesInPlace(t *testing.T) {
 	}
 }
 
-func TestSGDStep(t *testing.T) {
-	p := NewParam("w", 2)
-	p.Data.Data[0], p.Data.Data[1] = 1, 2
-	p.Grad.Data[0], p.Grad.Data[1] = 0.5, -0.5
-	opt := NewSGD([]*Param{p}, 0.1, 0)
-	opt.Step()
-	if math.Abs(p.Data.Data[0]-0.95) > 1e-15 || math.Abs(p.Data.Data[1]-2.05) > 1e-15 {
-		t.Fatalf("sgd step wrong: %v", p.Data.Data)
-	}
-}
-
-func TestSGDMomentumAccumulates(t *testing.T) {
-	p := NewParam("w", 1)
-	p.Grad.Data[0] = 1
-	opt := NewSGD([]*Param{p}, 1, 0.9)
-	opt.Step() // v=1, w=-1
-	opt.Step() // v=1.9, w=-2.9
-	if math.Abs(p.Data.Data[0]+2.9) > 1e-12 {
-		t.Fatalf("momentum wrong: %v", p.Data.Data[0])
-	}
-}
-
-// Regression: Step branches on the current Momentum field, so turning
-// momentum on after construction used to hit a nil velocity slice; the
-// buffers are now allocated lazily and the trajectory must match an
-// optimizer built with momentum from the start.
-func TestSGDMomentumSetAfterConstruction(t *testing.T) {
-	pLate, pEager := NewParam("wl", 1), NewParam("we", 1)
-	pLate.Grad.Data[0], pEager.Grad.Data[0] = 1, 1
-	late := NewSGD([]*Param{pLate}, 1, 0)
-	eager := NewSGD([]*Param{pEager}, 1, 0.9)
-	late.Momentum = 0.9
-	for i := 0; i < 3; i++ {
-		late.Step()
-		eager.Step()
-	}
-	if pLate.Data.Data[0] != pEager.Data.Data[0] {
-		t.Fatalf("late-momentum trajectory %v differs from eager %v",
-			pLate.Data.Data[0], pEager.Data.Data[0])
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize (w-3)^2 with Adam; it must get close to 3.
 	p := NewParam("w", 1)
@@ -474,17 +425,14 @@ func TestAdamExtendParams(t *testing.T) {
 	if q.Data.Data[0] == 0 {
 		t.Fatal("extended param not updated")
 	}
-	if len(opt.Params()) != 2 {
-		t.Fatalf("params = %d", len(opt.Params()))
+	if len(opt.params) != 2 {
+		t.Fatalf("params = %d", len(opt.params))
 	}
 }
 
-func TestParamCountAndZeroGrads(t *testing.T) {
+func TestZeroGrads(t *testing.T) {
 	rng := NewRNG(23)
 	c := NewConv2D(rng, "c", 2, 4, 3, 1, 1)
-	if got, want := ParamCount(c), 4*2*3*3+4; got != want {
-		t.Fatalf("ParamCount = %d want %d", got, want)
-	}
 	c.W.Grad.Fill(1)
 	ZeroGrads(c)
 	if c.W.Grad.Sum() != 0 {

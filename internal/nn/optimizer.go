@@ -7,56 +7,6 @@ import (
 	"mgdiffnet/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update and clears nothing; callers zero gradients
-	// between mini-batches via ZeroGrads.
-	Step()
-	// Params returns the parameter set the optimizer manages.
-	Params() []*Param
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	params   []*Param
-	velocity [][]float64
-}
-
-// NewSGD builds an SGD optimizer over the given parameters.
-func NewSGD(params []*Param, lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, params: params}
-}
-
-// Step implements Optimizer. The velocity buffers are allocated lazily on
-// the first momentum step, so Momentum may be set (or changed) at any time
-// after construction — Step branches on the current field value.
-func (s *SGD) Step() {
-	for i, p := range s.params {
-		if s.Momentum == 0 {
-			for j := range p.Data.Data {
-				p.Data.Data[j] -= s.LR * p.Grad.Data[j]
-			}
-			continue
-		}
-		if s.velocity == nil {
-			s.velocity = make([][]float64, len(s.params))
-		}
-		if s.velocity[i] == nil {
-			s.velocity[i] = make([]float64, p.Data.Len())
-		}
-		v := s.velocity[i]
-		for j := range p.Data.Data {
-			v[j] = s.Momentum*v[j] + p.Grad.Data[j]
-			p.Data.Data[j] -= s.LR * v[j]
-		}
-	}
-}
-
-// Params implements Optimizer.
-func (s *SGD) Params() []*Param { return s.params }
-
 // Adam is the optimizer used throughout the paper (lr 1e-5 for the multigrid
 // study, 1e-4 for the scaling study).
 type Adam struct {
@@ -141,7 +91,7 @@ func (a *Adam) flatArena() *Arena {
 	return ar
 }
 
-// Step implements Optimizer. Bias corrections use each parameter's own age
+// Step applies one Adam update. Bias corrections use each parameter's own age
 // t − t0 rather than the shared step counter: correcting the zero moments
 // of a parameter registered at step t0 with the global count would make
 // 1−β^t ≈ 1 and silently scale its first update by ~(1−β₁) instead of 1.
@@ -206,9 +156,6 @@ func (a *Adam) stepFlat(ar *Arena) {
 		s = e
 	}
 }
-
-// Params implements Optimizer.
-func (a *Adam) Params() []*Param { return a.params }
 
 // ExtendParams registers additional parameters mid-training. This supports
 // the paper's architectural adaptation (§4.1.2), where fresh layers with

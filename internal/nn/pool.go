@@ -98,33 +98,8 @@ func (m *MaxPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // Params implements Layer.
 func (m *MaxPool) Params() []*Param { return nil }
 
-// AvgPool is an average-pooling layer with kernel == stride. Besides its
-// use as a network layer, it is the multigrid restriction operator that
-// coarsens diffusivity fields between training levels.
-type AvgPool struct {
-	K     int
-	inShp []int
-	kd    int
-}
-
-// NewAvgPool builds an average-pooling layer with window and stride k.
-func NewAvgPool(k int) *AvgPool { return &AvgPool{K: k} }
-
-// Forward implements Layer.
-func (a *AvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return a.forward(x, train, windowDepth(x, a.K))
-}
-
-func (a *AvgPool) forward(x *tensor.Tensor, train bool, kd int) *tensor.Tensor {
-	if train {
-		a.inShp = append([]int(nil), x.Shape()...)
-		a.kd = kd
-	}
-	return avgPool(x, kd, a.K)
-}
-
-// AvgPoolApply average-pools x (rank 4 or 5) with window and stride k
-// without caching anything; it is the functional form used for restriction.
+// AvgPoolApply average-pools x (rank 4 or 5) with window and stride k; it
+// is the restriction core.RestrictInput applies to coarsen input fields.
 func AvgPoolApply(x *tensor.Tensor, k int) *tensor.Tensor {
 	return avgPool(x, windowDepth(x, k), k)
 }
@@ -158,36 +133,3 @@ func avgPool(x *tensor.Tensor, kd, k int) *tensor.Tensor {
 	})
 	return out
 }
-
-// Backward implements Layer: the gradient is spread uniformly over each
-// pooling window.
-func (a *AvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	k, kd := a.K, a.kd
-	gin := tensor.New(a.inShp...)
-	d, h, w := gridOf(gin, "AvgPool")
-	do, ho, wo := gridOf(grad, "AvgPool")
-	inv := 1.0 / float64(kd*k*k)
-	tensor.ParallelFor(gin.Dim(0)*gin.Dim(1), func(job int) {
-		inBase := job * d * h * w
-		outBase := job * do * ho * wo
-		for oz := 0; oz < do; oz++ {
-			for oy := 0; oy < ho; oy++ {
-				for ox := 0; ox < wo; ox++ {
-					g := grad.Data[outBase+(oz*ho+oy)*wo+ox] * inv
-					for kz := 0; kz < kd; kz++ {
-						for ky := 0; ky < k; ky++ {
-							row := inBase + ((oz*kd+kz)*h+oy*k+ky)*w + ox*k
-							for kx := 0; kx < k; kx++ {
-								gin.Data[row+kx] += g
-							}
-						}
-					}
-				}
-			}
-		}
-	})
-	return gin
-}
-
-// Params implements Layer.
-func (a *AvgPool) Params() []*Param { return nil }

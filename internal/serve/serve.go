@@ -366,21 +366,17 @@ func (e *Engine) Dim() int { return e.dim }
 // touched.
 var ErrInvalidQuery = errors.New("serve: invalid query")
 
-// MaxVoxels bounds the field one query may ask for: 512³, the largest
-// domain the paper solves. Without it a request's res alone would size the
-// engine's allocations.
-const MaxVoxels = 512 * 512 * 512
-
 // ValidateRes reports, as an ErrInvalidQuery, whether net cannot be queried
 // at res: res is not a size the network takes, or res^dim exceeds
-// MaxVoxels. The front ends check their resolution flags with it.
+// field.MaxVoxels, so a request's res alone cannot size the engine's
+// allocations. The serving front ends check their resolution flags with it.
 func ValidateRes(net *unet.UNet, res int) error {
 	if err := net.ValidateRes(res); err != nil {
 		return fmt.Errorf("%w: %w", ErrInvalidQuery, err)
 	}
 	voxels := 1
 	for range net.Cfg.Dim {
-		if res > MaxVoxels/voxels {
+		if res > field.MaxVoxels/voxels {
 			return fmt.Errorf("%w: resolution %d asks for more than MaxVoxels = 512³ voxels", ErrInvalidQuery, res)
 		}
 		voxels *= res

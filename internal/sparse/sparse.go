@@ -1,8 +1,7 @@
 // Package sparse provides the serial numerical linear algebra the FEM
 // comparator is built on: CSR matrices assembled from triplets, a
-// matrix-free conjugate-gradient solver, and the classical stationary
-// smoothers (Jacobi, Gauss–Seidel, SSOR) used inside the geometric
-// multigrid solver.
+// matrix-free conjugate-gradient solver, and the Gauss–Seidel smoother
+// used inside the geometric multigrid solver.
 package sparse
 
 import (
@@ -112,20 +111,6 @@ func (m *CSR) Apply(y, x []float64) {
 // Size implements Operator.
 func (m *CSR) Size() int { return m.N }
 
-// Diag extracts the matrix diagonal.
-func (m *CSR) Diag() []float64 {
-	d := make([]float64, m.N)
-	for r := 0; r < m.N; r++ {
-		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			if int(m.Col[k]) == r {
-				d[r] = m.Val[k]
-				break
-			}
-		}
-	}
-	return d
-}
-
 // NNZ returns the number of stored nonzeros.
 func (m *CSR) NNZ() int { return len(m.Val) }
 
@@ -136,14 +121,20 @@ type CGResult struct {
 	Converged  bool
 }
 
+// refreshEvery is how often CG replaces the recurrence residual with the
+// explicitly computed true residual b − Ax. The recurrence drifts from the
+// true residual by accumulated rounding on long ill-conditioned runs;
+// periodic replacement bounds the drift at the cost of one extra operator
+// application per interval.
+const refreshEvery = 50
+
 // CG solves A·x = b for symmetric positive-definite A, starting from the
 // content of x. It stops when ‖r‖ ≤ tol·‖b‖ or after maxIter iterations.
-// Convergence is certified on the true residual b − Ax, with the same
-// residual-replacement policy as PCG: the cheap recurrence residual is
-// only a hint, confirmed (and refreshed every pcgRefreshEvery
-// iterations) against an explicit recomputation, so the Converged flag
-// and the reported Residual stay honest on ill-conditioned systems —
-// this is the solver behind every fem.Solve2D/3D reference field.
+// Convergence is certified on the true residual b − Ax: the cheap
+// recurrence residual is only a hint, confirmed (and refreshed every
+// refreshEvery iterations) against an explicit recomputation, so the
+// Converged flag and the reported Residual stay honest on ill-conditioned
+// systems — this is the solver behind every fem.Solve2D/3D reference field.
 func CG(a Operator, b, x []float64, tol float64, maxIter int) CGResult {
 	n := a.Size()
 	if len(b) != n || len(x) != n {
@@ -183,7 +174,7 @@ func CG(a Operator, b, x []float64, tol float64, maxIter int) CGResult {
 		res.Iterations = it + 1
 		rsNew := dot(r, r)
 		rn = math.Sqrt(rsNew)
-		if rn <= tol*bn || (it+1)%pcgRefreshEvery == 0 {
+		if rn <= tol*bn || (it+1)%refreshEvery == 0 {
 			// Residual replacement: r becomes b − Ax, so the recurrence
 			// scalar must be recomputed from the replaced residual.
 			rn = trueResidual()
@@ -214,21 +205,6 @@ func dot(a, b []float64) float64 {
 	return s
 }
 
-// Jacobi performs sweeps of the weighted Jacobi iteration
-// x ← x + ωD⁻¹(b − Ax) on the CSR matrix.
-func Jacobi(m *CSR, b, x []float64, omega float64, sweeps int) {
-	d := m.Diag()
-	r := make([]float64, m.N)
-	for s := 0; s < sweeps; s++ {
-		m.Apply(r, x)
-		for i := range x {
-			if d[i] != 0 {
-				x[i] += omega * (b[i] - r[i]) / d[i]
-			}
-		}
-	}
-}
-
 // GaussSeidel performs forward Gauss–Seidel sweeps in place.
 func GaussSeidel(m *CSR, b, x []float64, sweeps int) {
 	for s := 0; s < sweeps; s++ {
@@ -245,34 +221,6 @@ func GaussSeidel(m *CSR, b, x []float64, sweeps int) {
 			}
 			if diag != 0 {
 				x[r] = sum / diag
-			}
-		}
-	}
-}
-
-// SSOR performs symmetric successive over-relaxation sweeps (a forward then
-// a backward Gauss–Seidel pass with relaxation ω).
-func SSOR(m *CSR, b, x []float64, omega float64, sweeps int) {
-	for s := 0; s < sweeps; s++ {
-		for dir := 0; dir < 2; dir++ {
-			start, end, step := 0, m.N, 1
-			if dir == 1 {
-				start, end, step = m.N-1, -1, -1
-			}
-			for r := start; r != end; r += step {
-				sum := b[r]
-				var diag float64
-				for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-					c := int(m.Col[k])
-					if c == r {
-						diag = m.Val[k]
-						continue
-					}
-					sum -= m.Val[k] * x[c]
-				}
-				if diag != 0 {
-					x[r] = (1-omega)*x[r] + omega*sum/diag
-				}
 			}
 		}
 	}

@@ -53,16 +53,6 @@ func TestCOOBoundsPanic(t *testing.T) {
 	coo.Add(2, 0, 1)
 }
 
-func TestCSRDiag(t *testing.T) {
-	m := lap1D(4)
-	d := m.Diag()
-	for i, v := range d {
-		if v != 2 {
-			t.Fatalf("diag[%d]=%v", i, v)
-		}
-	}
-}
-
 func TestCSRApplyMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const n = 12
@@ -175,32 +165,6 @@ func TestOpFunc(t *testing.T) {
 	}
 }
 
-func TestJacobiReducesResidual(t *testing.T) {
-	const n = 30
-	m := lap1D(n)
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = 1
-	}
-	x := make([]float64, n)
-	resNorm := func() float64 {
-		r := make([]float64, n)
-		m.Apply(r, x)
-		s := 0.0
-		for i := range r {
-			d := b[i] - r[i]
-			s += d * d
-		}
-		return math.Sqrt(s)
-	}
-	before := resNorm()
-	Jacobi(m, b, x, 2.0/3.0, 20)
-	after := resNorm()
-	if after >= before {
-		t.Fatalf("Jacobi did not reduce residual: %v -> %v", before, after)
-	}
-}
-
 func TestGaussSeidelConverges(t *testing.T) {
 	const n = 20
 	m := lap1D(n)
@@ -213,24 +177,6 @@ func TestGaussSeidelConverges(t *testing.T) {
 	for i := range r {
 		if math.Abs(r[i]-b[i]) > 1e-6 {
 			t.Fatalf("GS residual at %d: %v", i, r[i]-b[i])
-		}
-	}
-}
-
-func TestSSORConverges(t *testing.T) {
-	const n = 20
-	m := lap1D(n)
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = float64(i % 3)
-	}
-	x := make([]float64, n)
-	SSOR(m, b, x, 1.5, 800)
-	r := make([]float64, n)
-	m.Apply(r, x)
-	for i := range r {
-		if math.Abs(r[i]-b[i]) > 1e-6 {
-			t.Fatalf("SSOR residual at %d: %v", i, r[i]-b[i])
 		}
 	}
 }
@@ -249,9 +195,7 @@ func TestSmootherFixedPoint(t *testing.T) {
 	m.Apply(b, xStar)
 
 	for name, run := range map[string]func(x []float64){
-		"jacobi": func(x []float64) { Jacobi(m, b, x, 1, 3) },
-		"gs":     func(x []float64) { GaussSeidel(m, b, x, 3) },
-		"ssor":   func(x []float64) { SSOR(m, b, x, 1.2, 3) },
+		"gs": func(x []float64) { GaussSeidel(m, b, x, 3) },
 	} {
 		x := make([]float64, n)
 		copy(x, xStar)
@@ -311,84 +255,5 @@ func TestQuickCGRandomSPD(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// scaledLap builds D·tridiag(-1,2,-1)·D with a wildly varying diagonal
-// scaling D — an ill-conditioned SPD system where Jacobi preconditioning
-// pays off.
-func scaledLap(n int) *CSR {
-	coo := NewCOO(n)
-	scale := func(i int) float64 { return math.Pow(10, 3*float64(i)/float64(n)) }
-	for i := 0; i < n; i++ {
-		si := scale(i)
-		coo.Add(i, i, 2*si*si)
-		if i > 0 {
-			coo.Add(i, i-1, -si*scale(i-1))
-		}
-		if i < n-1 {
-			coo.Add(i, i+1, -si*scale(i+1))
-		}
-	}
-	return coo.ToCSR()
-}
-
-func TestPCGSolvesIllConditioned(t *testing.T) {
-	const n = 60
-	m := scaledLap(n)
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = 1
-	}
-	x := make([]float64, n)
-	res := PCG(m, NewJacobiPreconditioner(m), b, x, 1e-10, 2000)
-	if !res.Converged {
-		t.Fatalf("PCG failed: %+v", res)
-	}
-	r := make([]float64, n)
-	m.Apply(r, x)
-	for i := range r {
-		if math.Abs(r[i]-b[i]) > 1e-6*(1+math.Abs(b[i])) {
-			t.Fatalf("residual at %d: %v", i, r[i]-b[i])
-		}
-	}
-}
-
-func TestPCGFasterThanCGOnIllConditioned(t *testing.T) {
-	const n = 80
-	m := scaledLap(n)
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = math.Sin(float64(i))
-	}
-	xCG := make([]float64, n)
-	resCG := CG(m, b, xCG, 1e-9, 5000)
-	xP := make([]float64, n)
-	resP := PCG(m, NewJacobiPreconditioner(m), b, xP, 1e-9, 5000)
-	if !resCG.Converged || !resP.Converged {
-		t.Fatalf("convergence failure: CG %+v PCG %+v", resCG, resP)
-	}
-	if resP.Iterations >= resCG.Iterations {
-		t.Fatalf("Jacobi PCG (%d its) not faster than CG (%d its) on a scaled system",
-			resP.Iterations, resCG.Iterations)
-	}
-}
-
-func TestPCGWithIdentityMatchesCG(t *testing.T) {
-	const n = 40
-	m := lap1D(n)
-	b := make([]float64, n)
-	b[7] = 1
-	xCG := make([]float64, n)
-	xP := make([]float64, n)
-	resCG := CG(m, b, xCG, 1e-11, 500)
-	resP := PCG(m, IdentityPreconditioner{}, b, xP, 1e-11, 500)
-	if resCG.Iterations != resP.Iterations {
-		t.Fatalf("identity-PCG iterations %d differ from CG %d", resP.Iterations, resCG.Iterations)
-	}
-	for i := range xCG {
-		if math.Abs(xCG[i]-xP[i]) > 1e-12 {
-			t.Fatalf("solutions differ at %d", i)
-		}
 	}
 }

@@ -216,30 +216,10 @@ func (t *Tensor) Sub(o *Tensor) {
 	}
 }
 
-// Mul multiplies t by o element-wise (Hadamard product). Shapes must match.
-func (t *Tensor) Mul(o *Tensor) {
-	if !t.SameShape(o) {
-		panic(fmt.Sprintf("tensor: Mul shape mismatch %v vs %v", t.shape, o.shape))
-	}
-	for i, v := range o.Data {
-		t.Data[i] *= v
-	}
-}
-
 // Scale multiplies every element by a.
 func (t *Tensor) Scale(a float64) {
 	for i := range t.Data {
 		t.Data[i] *= a
-	}
-}
-
-// AxpyInto computes t += a*o element-wise. Shapes must match.
-func (t *Tensor) AxpyInto(a float64, o *Tensor) {
-	if !t.SameShape(o) {
-		panic(fmt.Sprintf("tensor: Axpy shape mismatch %v vs %v", t.shape, o.shape))
-	}
-	for i, v := range o.Data {
-		t.Data[i] += a * v
 	}
 }
 
@@ -320,13 +300,6 @@ func (t *Tensor) RMSE(o *Tensor) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(t.Data)))
-}
-
-// Apply replaces every element x with f(x).
-func (t *Tensor) Apply(f func(float64) float64) {
-	for i, v := range t.Data {
-		t.Data[i] = f(v)
-	}
 }
 
 // String renders a compact description (shape and a few leading values),

@@ -109,23 +109,13 @@ func TestArithmetic(t *testing.T) {
 			t.Fatalf("Sub: Data[%d]=%v want %v", i, x.Data[i], w)
 		}
 	}
-	x.Mul(y)
-	for i, w := range []float64{10, 40, 90, 160} {
-		if x.Data[i] != w {
-			t.Fatalf("Mul: Data[%d]=%v want %v", i, x.Data[i], w)
-		}
-	}
 	x.Scale(0.5)
-	if x.Data[3] != 80 {
+	if x.Data[3] != 2 {
 		t.Fatalf("Scale: got %v", x.Data[3])
 	}
 	x.Zero()
 	if x.Sum() != 0 {
 		t.Fatal("Zero failed")
-	}
-	x.AxpyInto(2, y)
-	if x.Data[2] != 60 {
-		t.Fatalf("Axpy: got %v", x.Data[2])
 	}
 }
 
@@ -134,9 +124,7 @@ func TestShapeMismatchPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"Add":  func() { x.Add(y) },
 		"Sub":  func() { x.Sub(y) },
-		"Mul":  func() { x.Mul(y) },
 		"Copy": func() { x.CopyFrom(y) },
-		"Axpy": func() { x.AxpyInto(1, y) },
 	} {
 		func() {
 			defer func() {
@@ -173,16 +161,6 @@ func TestRMSE(t *testing.T) {
 	y := FromSlice([]float64{2, 2, 2, 2}, 4)
 	if got := x.RMSE(y); math.Abs(got-2) > 1e-15 {
 		t.Fatalf("RMSE=%v want 2", got)
-	}
-}
-
-func TestApply(t *testing.T) {
-	x := FromSlice([]float64{1, 4, 9}, 3)
-	x.Apply(math.Sqrt)
-	for i, w := range []float64{1, 2, 3} {
-		if math.Abs(x.Data[i]-w) > 1e-15 {
-			t.Fatalf("Apply: Data[%d]=%v", i, x.Data[i])
-		}
 	}
 }
 

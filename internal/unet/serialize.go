@@ -47,18 +47,21 @@ func Load(r io.Reader) (*UNet, error) {
 	if err := s.Cfg.validate(); err != nil {
 		return nil, fmt.Errorf("unet: snapshot config: %w", err)
 	}
-	n := 0
-	for _, p := range s.Params {
-		n += len(p)
-	}
-	if !bottleneckFits(s.Cfg, n) {
-		return nil, fmt.Errorf("unet: snapshot config (Depth %d, BaseFilters %d, Kernel %d) needs more weights than the %d values it carries",
-			s.Cfg.Depth, s.Cfg.BaseFilters, s.Cfg.Kernel, n)
-	}
 	// Every adaptation adds parameter tensors, so a count beyond the
 	// number of tensors saved can never match.
 	if s.Adaptions < 0 || s.Adaptions > len(s.Params) {
 		return nil, fmt.Errorf("unet: snapshot has %d adaptations, want 0..%d", s.Adaptions, len(s.Params))
+	}
+	n := 0
+	for _, p := range s.Params {
+		n += len(p)
+	}
+	// Bound what New and the Adapt replay allocate by the values carried.
+	// The slack of 2n lets a snapshot that is merely short a tensor or a
+	// value reach the exact checks below, which name what is missing.
+	if paramCount(s.Cfg, s.Adaptions, 2*n) > 2*n {
+		return nil, fmt.Errorf("unet: snapshot config (Dim %d, Depth %d, BaseFilters %d, Kernel %d, InChannels %d, OutChannels %d, %d adaptations) needs far more weights than the %d values it carries",
+			s.Cfg.Dim, s.Cfg.Depth, s.Cfg.BaseFilters, s.Cfg.Kernel, s.Cfg.InChannels, s.Cfg.OutChannels, s.Adaptions, n)
 	}
 	u := New(s.Cfg)
 	for i := 0; i < s.Adaptions; i++ {
@@ -94,27 +97,60 @@ func Load(r io.Reader) (*UNet, error) {
 	return u, nil
 }
 
-// bottleneckFits reports whether the bottleneck convolution of cfg — its
-// (BaseFilters<<(Depth-1)) · (BaseFilters<<Depth) · Kernel^Dim weights,
-// one tensor of the network — fits in n values. Checking before New runs
-// keeps a corrupt Depth or Kernel from allocating without bound.
-func bottleneckFits(cfg Config, n int) bool {
-	c := cfg.BaseFilters
-	for i := 1; i < cfg.Depth && c <= n; i++ {
-		c *= 2
-	}
-	factors := []int{c, 2 * c}
-	for i := 0; i < cfg.Dim; i++ {
-		factors = append(factors, cfg.Kernel)
-	}
-	w := 1
-	for _, f := range factors {
-		if f > n/w {
-			return false
+// paramCount returns the number of parameter values New(cfg) followed by
+// adaptions Adapt calls holds, or limit+1 once that count passes limit.
+// Load runs it before New with a limit proportional to the values the
+// snapshot carries, so a corrupt channel count, Depth, Kernel or
+// adaptation count is rejected before anything proportional to it is
+// allocated. Every product saturates past limit, so no count overflows.
+func paramCount(cfg Config, adaptions, limit int) int {
+	over := limit + 1
+	mul := func(a, b int) int { // a·b saturated at over; b ≥ 1
+		if a > over/b {
+			return over
 		}
-		w *= f
+		return a * b
 	}
-	return true
+	total := 0
+	// conv adds one in→out convolution with a kw^Dim kernel and its bias.
+	conv := func(in, out, kw int) {
+		w := mul(in, out)
+		for range cfg.Dim {
+			w = mul(w, kw)
+		}
+		total = min(total+w+out, over)
+	}
+	// block adds a convolution plus its batch-norm scale and shift.
+	block := func(in, out int) {
+		conv(in, out, cfg.Kernel)
+		if cfg.BatchNorm {
+			total = min(total+2*out, over)
+		}
+	}
+	ch := func(l int) int { // BaseFilters<<l, saturated
+		c := cfg.BaseFilters
+		for i := 0; i < l && c < over; i++ {
+			c = mul(c, 2)
+		}
+		return c
+	}
+	prev := cfg.InChannels
+	for l := 0; l < cfg.Depth && total < over; l++ {
+		block(prev, ch(l))
+		prev = ch(l)
+	}
+	block(prev, ch(cfg.Depth))
+	for l := cfg.Depth - 1; l >= 0 && total < over; l-- {
+		conv(ch(l+1), ch(l), 2)
+		block(2*ch(l), ch(l))
+	}
+	conv(cfg.BaseFilters, cfg.OutChannels, 1)
+	// Each Adapt adds a convolution and two transpose convolutions and
+	// drops the previous call's last layer: 2k+1 layers after k ≥ 1 calls.
+	for i := 0; adaptions > 0 && i < 2*adaptions+1 && total < over; i++ {
+		conv(cfg.BaseFilters, cfg.BaseFilters, cfg.Kernel)
+	}
+	return total
 }
 
 // SaveFile writes the network to path. The Close error is propagated: a

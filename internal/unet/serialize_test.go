@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math/rand"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -112,6 +114,9 @@ func TestLoadRejectsCorruptSnapshots(t *testing.T) {
 		"even kernel":            {func(s *snapshot) { s.Cfg.Kernel = 2 }, "Kernel"},
 		"negative kernel":        {func(s *snapshot) { s.Cfg.Kernel = -1 }, "Kernel"},
 		"kernel beyond snapshot": {func(s *snapshot) { s.Cfg.Kernel = 100001 }, "weights"},
+		"huge input channels":    {func(s *snapshot) { s.Cfg.InChannels = 10_000_000 }, "weights"},
+		"huge output channels":   {func(s *snapshot) { s.Cfg.OutChannels = 10_000_000 }, "weights"},
+		"huge adaptations":       {func(s *snapshot) { s.Adaptions = len(s.Params) }, "weights"},
 		"negative base filters":  {func(s *snapshot) { s.Cfg.BaseFilters = -4 }, "BaseFilters"},
 		"zero input channels":    {func(s *snapshot) { s.Cfg.InChannels = 0 }, "InChannels"},
 		"zero output channels":   {func(s *snapshot) { s.Cfg.OutChannels = 0 }, "OutChannels"},
@@ -120,7 +125,15 @@ func TestLoadRejectsCorruptSnapshots(t *testing.T) {
 	}
 	for name, tc := range cases {
 		buf := corruptedSnapshot(t, u, tc.mutate)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		v, err := Load(buf)
+		runtime.ReadMemStats(&after)
+		// A rejected snapshot of ~1k values must not first build a
+		// network sized by its claimed counts.
+		if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+			t.Errorf("%s: Load allocated %d bytes before rejecting", name, got)
+		}
 		if err == nil {
 			t.Errorf("%s: corrupt snapshot loaded without error", name)
 			continue
@@ -132,4 +145,47 @@ func TestLoadRejectsCorruptSnapshots(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", name, err, tc.errWant)
 		}
 	}
+}
+
+// TestParamCountMatchesNetwork holds the pre-allocation count Load bounds
+// snapshots with to the parameters New and Adapt actually build.
+func TestParamCountMatchesNetwork(t *testing.T) {
+	for _, dim := range []int{2, 3} {
+		for _, bn := range []bool{false, true} {
+			for _, depth := range []int{1, 2, 3} {
+				cfg := DefaultConfig(dim)
+				cfg.BaseFilters, cfg.Depth, cfg.BatchNorm = 2, depth, bn
+				cfg.InChannels, cfg.OutChannels = 3, 2
+				u := New(cfg)
+				for k := 0; k < 3; k++ {
+					if k > 0 {
+						u.Adapt()
+					}
+					want := u.ParamCount()
+					if got := paramCount(cfg, k, want); got != want {
+						t.Fatalf("dim %d bn %v depth %d adaptations %d: paramCount %d, network has %d", dim, bn, depth, k, got, want)
+					}
+					if got := paramCount(cfg, k, want-1); got != want {
+						t.Fatalf("dim %d bn %v depth %d adaptations %d: paramCount below the count = %d, want limit+1 = %d", dim, bn, depth, k, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzLoad feeds arbitrary bytes to Load, seeded with a saved 2D and a
+// saved 3D network (testdata/fuzz/FuzzLoad). Load must return an error or
+// a network, never panic.
+func FuzzLoad(f *testing.F) {
+	seeds, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzLoad", "*"))
+	if err != nil || len(seeds) < 2 {
+		f.Fatalf("want the 2D and 3D seed snapshots under testdata/fuzz/FuzzLoad, got %v (%v)", seeds, err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		u, err := Load(bytes.NewReader(data))
+		if (u == nil) == (err == nil) {
+			t.Fatalf("Load returned network %v with error %v", u != nil, err)
+		}
+	})
 }
