@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"mgdiffnet/internal/tensor"
+	"mgdiffnet/internal/vtkio"
 )
 
 func TestRunRejectsBadFlags(t *testing.T) {
@@ -58,5 +62,78 @@ func TestRunTinySolves(t *testing.T) {
 		if !strings.Contains(out.String(), "solved ") {
 			t.Errorf("%s: no summary line: %q", name, out.String())
 		}
+	}
+}
+
+// TestRunValidationErrorIsOneLine checks that a rejected value gets one
+// "mgsolve:" line on stderr and nothing else.
+func TestRunValidationErrorIsOneLine(t *testing.T) {
+	for _, args := range [][]string{
+		{"-dim", "4"},
+		{"-method", "cg", "-res", "1"},
+		{"-method", "gmg", "-res", "64"},
+		{"-omega", "NaN,0,0,0"},
+		{"-tol", "-1"},
+		{"-method", "gmg", "-cycle", "zigzag"},
+	} {
+		var out, errw bytes.Buffer
+		if code := run(args, &out, &errw); code != 2 {
+			t.Fatalf("%v: exit %d, want 2", args, code)
+		}
+		msg := errw.String()
+		if !strings.HasPrefix(msg, "mgsolve: ") || strings.Count(msg, "\n") != 1 || !strings.HasSuffix(msg, "\n") {
+			t.Errorf("%v: stderr is not one mgsolve: line: %q", args, msg)
+		}
+	}
+}
+
+// TestRunAcceptsEveryCycle runs a tiny GMG solve with each cycle spelling
+// the -cycle help names, and checks the summary reports the cycle used.
+func TestRunAcceptsEveryCycle(t *testing.T) {
+	for cycle, want := range map[string]string{
+		"v": "GMG V-cycle", "W": "GMG W-cycle", "f": "GMG F-cycle",
+		"half-v": "GMG Half-V-cycle", "halfv": "GMG Half-V-cycle", "hv": "GMG Half-V-cycle",
+	} {
+		var out, errw bytes.Buffer
+		if code := run([]string{"-method", "gmg", "-res", "9", "-cycle", cycle}, &out, &errw); code != 0 {
+			t.Fatalf("-cycle %s: exit %d, stderr %q", cycle, code, errw.String())
+		}
+		if !strings.Contains(out.String(), want) || !strings.Contains(out.String(), "converged true") {
+			t.Errorf("-cycle %s: want %q and convergence in %q", cycle, want, out.String())
+		}
+	}
+}
+
+// TestRunGMGAgreesWithCG solves one problem with both methods, writes
+// each answer with -vti, and checks the two fields agree node by node and
+// carry the diffusivity they were solved for.
+func TestRunGMGAgreesWithCG(t *testing.T) {
+	solve := func(method string) (u, nu *tensor.Tensor) {
+		path := filepath.Join(t.TempDir(), method+".vti")
+		var out, errw bytes.Buffer
+		if code := run([]string{"-method", method, "-res", "17", "-tol", "1e-10", "-vti", path}, &out, &errw); code != 0 {
+			t.Fatalf("%s: exit %d, stderr %q", method, code, errw.String())
+		}
+		fields, err := vtkio.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		if len(fields) != 2 || fields[0].Name != "u_fem" || fields[1].Name != "nu" {
+			t.Fatalf("%s: unexpected fields in %s", method, path)
+		}
+		return fields[0].Data, fields[1].Data
+	}
+	uCG, nuCG := solve("cg")
+	uGMG, nuGMG := solve("gmg")
+	if !uCG.ShapeIs(17, 17) || !uGMG.ShapeIs(17, 17) {
+		t.Fatalf("solution shapes %v and %v, want 17×17", uCG.Shape(), uGMG.Shape())
+	}
+	for i := range nuCG.Data {
+		if nuCG.Data[i] != nuGMG.Data[i] {
+			t.Fatalf("the two runs rasterized different diffusivities at node %d", i)
+		}
+	}
+	if d := uCG.RMSE(uGMG); d > 1e-6 {
+		t.Fatalf("CG and GMG solutions differ by RMSE %g", d)
 	}
 }

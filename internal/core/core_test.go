@@ -154,6 +154,21 @@ func TestEarlyStopper(t *testing.T) {
 	}
 }
 
+// The first observed loss only sets the baseline, whatever its value; with
+// patience 1 the next non-improving epoch stops, and an improvement by
+// exactly MinDelta does not count.
+func TestEarlyStopperFirstObservationNeverStops(t *testing.T) {
+	e := NewEarlyStopper(1, 0.25)
+	for i, step := range []struct {
+		loss float64
+		stop bool
+	}{{100, false}, {99.5, false}, {99.75, true}, {99.25, true}, {99.24, false}} {
+		if got := e.Observe(step.loss); got != step.stop {
+			t.Fatalf("step %d: Observe(%v)=%v want %v", i, step.loss, got, step.stop)
+		}
+	}
+}
+
 func TestEarlyStopperPanicsOnBadPatience(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -274,6 +289,46 @@ func TestTrainerPredictShapeAndBC(t *testing.T) {
 	u32 := tr.Predict(w, 32)
 	if u32.Dim(0) != 32 {
 		t.Fatalf("prolonged prediction shape %v", u32.Shape())
+	}
+}
+
+// PredictField on a rasterized batch must give, sample by sample, what
+// Predict gives for each ω.
+func TestPredictFieldMatchesPredict(t *testing.T) {
+	tr := NewTrainer(tinyConfig(2))
+	const res = 16
+	ws := []field.Omega{{0.3105, 1.5386, 0.0932, -1.2442}, {-2.1, 0.4, 1.7, 2.9}}
+	nu := tensor.New(len(ws), 1, res, res)
+	for i, w := range ws {
+		copy(nu.Data[i*res*res:], field.Raster2D(w, res).Data)
+	}
+	batch := tr.PredictField(nu)
+	if !batch.SameShape(nu) {
+		t.Fatalf("PredictField shape %v want %v", batch.Shape(), nu.Shape())
+	}
+	for i, w := range ws {
+		one := tr.Predict(w, res)
+		for j, v := range one.Data {
+			if got := batch.Data[i*res*res+j]; math.Abs(got-v) > 1e-12 {
+				t.Fatalf("sample %d node %d: PredictField %v, Predict %v", i, j, got, v)
+			}
+		}
+	}
+}
+
+func TestTimeToLoss(t *testing.T) {
+	curve := []CurvePoint{{1, 5, 0.1}, {2, 3, 0.2}, {3, 2, 0.3}, {4, 2.5, 0.4}}
+	if p, ok := TimeToLoss(curve, 3); !ok || p.Epoch != 2 {
+		t.Fatalf("target 3: got epoch %d reached %v, want epoch 2", p.Epoch, ok)
+	}
+	if p, ok := TimeToLoss(curve, 2); !ok || p.Epoch != 3 {
+		t.Fatalf("target 2: got epoch %d reached %v, want epoch 3", p.Epoch, ok)
+	}
+	if p, ok := TimeToLoss(curve, 1); ok || p.Epoch != 4 {
+		t.Fatalf("unreached target: got epoch %d reached %v, want the last point unreached", p.Epoch, ok)
+	}
+	if p, ok := TimeToLoss(nil, 1); ok || p != (CurvePoint{}) {
+		t.Fatalf("empty curve: got %+v reached %v", p, ok)
 	}
 }
 

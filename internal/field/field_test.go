@@ -286,3 +286,26 @@ func TestRasterMatchesEvalBitwise(t *testing.T) {
 		}
 	}
 }
+
+// TestRasterIntoDispatchesByDim checks that the dimension-generic
+// RasterInto writes exactly what Raster2D/Raster3D produce, and that it
+// refuses a dimensionality it has no rasterizer for.
+func TestRasterIntoDispatchesByDim(t *testing.T) {
+	w := Omega{-1.7, 0.4, 2.2, -0.9}
+	const res = 7
+	for dim, want := range map[int][]float64{2: Raster2D(w, res).Data, 3: Raster3D(w, res).Data} {
+		dst := make([]float64, len(want))
+		RasterInto(dst, w, dim, res)
+		for i := range want {
+			if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%dD element %d: RasterInto %v, Raster %v", dim, i, dst[i], want[i])
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RasterInto accepted dim 4")
+		}
+	}()
+	RasterInto(make([]float64, res*res*res*res), w, 4, res)
+}

@@ -104,3 +104,45 @@ func TestCGResidualIsTrueOnMaxIter(t *testing.T) {
 		t.Fatalf("reported residual %g is not the true residual %g", res.Residual, tr)
 	}
 }
+
+// scaledLap builds D·tridiag(-1,2,-1)·D with a diagonal scaling D spanning
+// three decades — an ill-conditioned SPD system.
+func scaledLap(n int) *CSR {
+	coo := NewCOO(n)
+	scale := func(i int) float64 { return math.Pow(10, 3*float64(i)/float64(n)) }
+	for i := 0; i < n; i++ {
+		si := scale(i)
+		coo.Add(i, i, 2*si*si)
+		if i > 0 {
+			coo.Add(i, i-1, -si*scale(i-1))
+		}
+		if i < n-1 {
+			coo.Add(i, i+1, -si*scale(i+1))
+		}
+	}
+	return coo.ToCSR()
+}
+
+// TestCGSolvesIllConditioned checks that unpreconditioned CG still meets a
+// tight tolerance on a badly scaled system within its budget, and that the
+// answer satisfies Ax = b entrywise.
+func TestCGSolvesIllConditioned(t *testing.T) {
+	const n = 60
+	m := scaledLap(n)
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = 1
+	}
+	x := make([]float64, n)
+	res := CG(m, b, x, 1e-10, 5000)
+	if !res.Converged {
+		t.Fatalf("CG failed: %+v", res)
+	}
+	r := make([]float64, n)
+	m.Apply(r, x)
+	for i := range r {
+		if math.Abs(r[i]-b[i]) > 1e-6*(1+math.Abs(b[i])) {
+			t.Fatalf("residual at %d: %v", i, r[i]-b[i])
+		}
+	}
+}

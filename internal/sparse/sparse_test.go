@@ -53,6 +53,31 @@ func TestCOOBoundsPanic(t *testing.T) {
 	coo.Add(2, 0, 1)
 }
 
+// COO.NNZ counts accumulated triplets, duplicates included; ToCSR then
+// merges the duplicates into one stored entry each.
+func TestCOONNZCountsTripletsBeforeDedup(t *testing.T) {
+	coo := NewCOO(3)
+	if coo.NNZ() != 0 {
+		t.Fatalf("empty COO nnz = %d", coo.NNZ())
+	}
+	coo.Add(1, 1, 1)
+	coo.Add(1, 1, 1)
+	coo.Add(1, 1, 1)
+	coo.Add(0, 2, 4)
+	if coo.NNZ() != 4 {
+		t.Fatalf("COO nnz = %d want 4", coo.NNZ())
+	}
+	m := coo.ToCSR()
+	if m.NNZ() != 2 {
+		t.Fatalf("CSR nnz = %d want 2", m.NNZ())
+	}
+	y := make([]float64, 3)
+	m.Apply(y, []float64{1, 1, 1})
+	if y[0] != 4 || y[1] != 3 || y[2] != 0 {
+		t.Fatalf("merged entries wrong: A·1 = %v", y)
+	}
+}
+
 func TestCSRApplyMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const n = 12

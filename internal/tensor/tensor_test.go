@@ -69,6 +69,61 @@ func TestFromSliceLengthMismatchPanics(t *testing.T) {
 	FromSlice([]float64{1, 2, 3}, 2, 2)
 }
 
+func TestFillAndShapeIs(t *testing.T) {
+	x := New(2, 3, 4)
+	x.Fill(-2.5)
+	for i, v := range x.Data {
+		if v != -2.5 {
+			t.Fatalf("Fill: Data[%d]=%v", i, v)
+		}
+	}
+	if !x.ShapeIs(2, 3, 4) {
+		t.Fatal("ShapeIs rejected the tensor's own shape")
+	}
+	for _, shape := range [][]int{{2, 3}, {2, 3, 4, 1}, {2, 4, 3}, {}} {
+		if x.ShapeIs(shape...) {
+			t.Fatalf("ShapeIs(%v) true for shape %v", shape, x.Shape())
+		}
+	}
+}
+
+// Rebase re-points a tensor at caller-owned storage without copying, keeps
+// shape and strides, and refuses storage of the wrong length.
+func TestRebaseAliasesStorage(t *testing.T) {
+	x := New(2, 3)
+	slab := make([]float64, 10)
+	x.Rebase(slab[4:10])
+	x.Set(7, 1, 2)
+	if slab[9] != 7 {
+		t.Fatal("Rebase must alias the given storage")
+	}
+	if x.Stride(0) != 3 || !x.ShapeIs(2, 3) {
+		t.Fatalf("Rebase changed geometry: shape %v stride %d", x.Shape(), x.Stride(0))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for length mismatch")
+		}
+	}()
+	x.Rebase(slab[:5])
+}
+
+// String prints the shape and at most the first eight values, so a
+// megavoxel field does not flood a log line.
+func TestStringShowsShapeAndPrefix(t *testing.T) {
+	small := FromSlice([]float64{1, 2, 3}, 3)
+	if got, want := small.String(), "Tensor[3][1 2 3]…"; got != want {
+		t.Fatalf("String() = %q want %q", got, want)
+	}
+	big := New(16, 16)
+	for i := range big.Data {
+		big.Data[i] = float64(i)
+	}
+	if got, want := big.String(), "Tensor[16 16][0 1 2 3 4 5 6 7]…"; got != want {
+		t.Fatalf("String() = %q want %q", got, want)
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	x := Full(2, 3, 3)
 	y := x.Clone()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mgdiffnet/internal/nn"
@@ -379,5 +380,88 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	if _, err := LoadFile(path + ".missing"); err == nil {
 		t.Fatal("expected missing-file error")
+	}
+}
+
+func TestValidateRes(t *testing.T) {
+	cfg := DefaultConfig(2)
+	cfg.Depth = 3
+	u := New(cfg)
+	for _, res := range []int{8, 16, 24, 512} {
+		if err := u.ValidateRes(res); err != nil {
+			t.Errorf("ValidateRes(%d) = %v, want nil", res, err)
+		}
+	}
+	for _, res := range []int{-8, 0, 4, 7, 12, 33} {
+		err := u.ValidateRes(res)
+		if err == nil {
+			t.Errorf("ValidateRes(%d) accepted a size depth 3 cannot pool", res)
+			continue
+		}
+		if !strings.Contains(err.Error(), "multiple of 8") {
+			t.Errorf("ValidateRes(%d) = %q, want it to name the step 8", res, err)
+		}
+	}
+}
+
+// TestReceptiveFieldRadiusBoundsInfluence checks the contract slab
+// inference sizes its halo on: replacing everything on one side of a row
+// boundary aligned to MinInputSize leaves every output row on the other
+// side with ReceptiveFieldRadius or more rows between it and the boundary
+// unchanged to the bit, while some row nearer to it does change. The adapted network's
+// extra stride-1 layers must be counted too.
+func TestReceptiveFieldRadiusBoundsInfluence(t *testing.T) {
+	const res, b = 64, 32
+	for _, adapted := range []bool{false, true} {
+		cfg := DefaultConfig(2)
+		cfg.BaseFilters = 4
+		cfg.Depth = 2
+		u := New(cfg)
+		if adapted {
+			u.Adapt()
+		}
+		r := u.ReceptiveFieldRadius()
+		if b%u.MinInputSize() != 0 || r >= b {
+			t.Fatalf("adapted=%v: boundary %d, radius %d do not fit the grid", adapted, b, r)
+		}
+		rng := rand.New(rand.NewSource(31))
+		x := randInput(rng, 1, 1, res, res)
+		base := u.Forward(x, false).Clone()
+		for _, below := range []bool{true, false} {
+			// Replace rows >= b (below) or rows < b, and watch the other side.
+			x2 := x.Clone()
+			for iy := 0; iy < res; iy++ {
+				if (iy >= b) == below {
+					for ix := 0; ix < res; ix++ {
+						x2.Data[iy*res+ix] = rng.Float64()
+					}
+				}
+			}
+			y := u.Forward(x2, false)
+			near := false
+			for iy := 0; iy < res; iy++ {
+				if (iy >= b) == below {
+					continue
+				}
+				dist := b - 1 - iy
+				if !below {
+					dist = iy - b
+				}
+				for ix := 0; ix < res; ix++ {
+					i := iy*res + ix
+					if math.Float64bits(base.Data[i]) == math.Float64bits(y.Data[i]) {
+						continue
+					}
+					if dist >= r {
+						t.Fatalf("adapted=%v below=%v: output row %d moved, %d rows past the boundary, radius %d",
+							adapted, below, iy, dist, r)
+					}
+					near = true
+				}
+			}
+			if !near {
+				t.Fatalf("adapted=%v below=%v: the change reached no output", adapted, below)
+			}
+		}
 	}
 }
