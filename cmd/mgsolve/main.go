@@ -68,8 +68,8 @@ func validate(dim, res int, method string, tol float64) error {
 	if res < 2 {
 		return fmt.Errorf("-res must be >= 2, got %d", res)
 	}
-	if math.Pow(float64(res), float64(dim)) > field.MaxVoxels {
-		return fmt.Errorf("-res %d asks for %d^%d nodes, more than the 512³ bound", res, res, dim)
+	if err := field.CheckVoxels(dim, res); err != nil {
+		return fmt.Errorf("-res: %w", err)
 	}
 	switch method {
 	case "cg":

@@ -43,47 +43,24 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		if out.Len() != 0 {
 			t.Errorf("%s: wrote to stdout: %q", name, out.String())
 		}
-	}
-}
-
-func TestRunTinySolves(t *testing.T) {
-	for name, args := range map[string][]string{
-		"cg 2D":  {"-method", "cg", "-res", "6"},
-		"gmg 2D": {"-method", "gmg", "-res", "17", "-cycle", "w"},
-		"cg 3D":  {"-dim", "3", "-method", "cg", "-res", "5", "-cycle", "ignored-by-cg"},
-	} {
-		var out, errw bytes.Buffer
-		if code := run(args, &out, &errw); code != 0 {
-			t.Fatalf("%s: exit %d, stderr %q", name, code, errw.String())
-		}
-		if !strings.Contains(out.String(), "converged true") {
-			t.Errorf("%s: solve did not converge: %q", name, out.String())
-		}
-		if !strings.Contains(out.String(), "solved ") {
-			t.Errorf("%s: no summary line: %q", name, out.String())
+		// The flag package answers an unknown flag with its own usage text;
+		// every value mgsolve rejects itself gets one "mgsolve:" line.
+		if msg := errw.String(); name != "unknown flag" &&
+			(!strings.HasPrefix(msg, "mgsolve: ") || strings.Count(msg, "\n") != 1 || !strings.HasSuffix(msg, "\n")) {
+			t.Errorf("%s: stderr is not one mgsolve: line: %q", name, msg)
 		}
 	}
 }
 
-// TestRunValidationErrorIsOneLine checks that a rejected value gets one
-// "mgsolve:" line on stderr and nothing else.
-func TestRunValidationErrorIsOneLine(t *testing.T) {
-	for _, args := range [][]string{
-		{"-dim", "4"},
-		{"-method", "cg", "-res", "1"},
-		{"-method", "gmg", "-res", "64"},
-		{"-omega", "NaN,0,0,0"},
-		{"-tol", "-1"},
-		{"-method", "gmg", "-cycle", "zigzag"},
-	} {
-		var out, errw bytes.Buffer
-		if code := run(args, &out, &errw); code != 2 {
-			t.Fatalf("%v: exit %d, want 2", args, code)
-		}
-		msg := errw.String()
-		if !strings.HasPrefix(msg, "mgsolve: ") || strings.Count(msg, "\n") != 1 || !strings.HasSuffix(msg, "\n") {
-			t.Errorf("%v: stderr is not one mgsolve: line: %q", args, msg)
-		}
+// TestRunCG3D runs a tiny 3D CG solve, the one path the GMG tests below
+// do not reach; -cycle is ignored by CG.
+func TestRunCG3D(t *testing.T) {
+	var out, errw bytes.Buffer
+	if code := run([]string{"-dim", "3", "-method", "cg", "-res", "5", "-cycle", "ignored-by-cg"}, &out, &errw); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errw.String())
+	}
+	if !strings.Contains(out.String(), "converged true") || !strings.Contains(out.String(), "solved 3D") {
+		t.Errorf("want a converged 3D solve, got %q", out.String())
 	}
 }
 

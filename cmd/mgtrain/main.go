@@ -86,8 +86,8 @@ func (f *trainFlags) validate() error {
 	if f.res < 1 {
 		return fmt.Errorf("-res must be >= 1, got %d", f.res)
 	}
-	if math.Pow(float64(f.res), float64(f.dim)) > field.MaxVoxels {
-		return fmt.Errorf("-res %d asks for %d^%d voxels, more than the 512³ bound", f.res, f.res, f.dim)
+	if err := field.CheckVoxels(f.dim, f.res); err != nil {
+		return fmt.Errorf("-res: %w", err)
 	}
 	// A shift by 64 or more yields 0, so a huge -levels fails here too
 	// instead of dividing by zero.

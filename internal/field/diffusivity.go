@@ -50,10 +50,23 @@ func init() {
 	}
 }
 
-// MaxVoxels bounds the field one run may raster: 512³, the largest domain
-// the paper solves. Every front end rejects a res whose res^dim exceeds it,
+// CheckVoxels rejects a res^dim field beyond 512³ voxels, the largest
+// domain the paper solves. Every front end checks its resolution with it,
 // so a resolution flag or request alone cannot size an allocation.
-const MaxVoxels = 512 * 512 * 512
+func CheckVoxels(dim, res int) error {
+	const maxVoxels = 512 * 512 * 512
+	if res < 1 {
+		return fmt.Errorf("resolution %d is not positive", res)
+	}
+	voxels := 1
+	for range dim {
+		if res > maxVoxels/voxels {
+			return fmt.Errorf("resolution %d asks for %d^%d voxels, more than the 512³ bound", res, res, dim)
+		}
+		voxels *= res
+	}
+	return nil
+}
 
 // OmegaDim is the dimension m of the parameter vector ω in the paper.
 const OmegaDim = 4

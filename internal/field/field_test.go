@@ -309,3 +309,22 @@ func TestRasterIntoDispatchesByDim(t *testing.T) {
 	}()
 	RasterInto(make([]float64, res*res*res*res), w, 4, res)
 }
+
+// TestCheckVoxels holds the one 512³ bound the front ends share: the
+// largest field is accepted, one step past it is not, in 2D and 3D, and a
+// resolution whose power overflows int or that is not positive is refused
+// rather than wrapped or divided by.
+func TestCheckVoxels(t *testing.T) {
+	for _, c := range []struct {
+		dim, res int
+		ok       bool
+	}{
+		{3, 512, true}, {3, 513, false}, {2, 11585, true}, {2, 11586, false},
+		{2, 1, true}, {3, 1 << 40, false}, {2, math.MaxInt, false},
+		{2, 0, false}, {3, -4, false},
+	} {
+		if err := CheckVoxels(c.dim, c.res); (err == nil) != c.ok {
+			t.Errorf("CheckVoxels(%d, %d) = %v, want ok %v", c.dim, c.res, err, c.ok)
+		}
+	}
+}

@@ -367,19 +367,16 @@ func (e *Engine) Dim() int { return e.dim }
 var ErrInvalidQuery = errors.New("serve: invalid query")
 
 // ValidateRes reports, as an ErrInvalidQuery, whether net cannot be queried
-// at res: res is not a size the network takes, or res^dim exceeds
-// field.MaxVoxels, so a request's res alone cannot size the engine's
-// allocations. The serving front ends check their resolution flags with it.
+// at res: res is not a size the network takes, or res^dim exceeds the
+// field.CheckVoxels bound, so a request's res alone cannot size the
+// engine's allocations. The serving front ends check their resolution
+// flags with it.
 func ValidateRes(net *unet.UNet, res int) error {
 	if err := net.ValidateRes(res); err != nil {
 		return fmt.Errorf("%w: %w", ErrInvalidQuery, err)
 	}
-	voxels := 1
-	for range net.Cfg.Dim {
-		if res > field.MaxVoxels/voxels {
-			return fmt.Errorf("%w: resolution %d asks for more than MaxVoxels = 512³ voxels", ErrInvalidQuery, res)
-		}
-		voxels *= res
+	if err := field.CheckVoxels(net.Cfg.Dim, res); err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidQuery, err)
 	}
 	return nil
 }

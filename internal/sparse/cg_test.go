@@ -47,6 +47,45 @@ func residualNorm(a Operator, b, x []float64) float64 {
 	return math.Sqrt(s)
 }
 
+// recurrenceCG is CG without residual replacement: it stops on the
+// recurrence residual alone. It is kept as the regression baseline that
+// shows the high-contrast system below really drifts, so the test of CG's
+// true-residual certificate cannot pass vacuously.
+func recurrenceCG(a Operator, b, x []float64, tol float64, maxIter int) CGResult {
+	n := a.Size()
+	r := make([]float64, n)
+	p := make([]float64, n)
+	ap := make([]float64, n)
+	a.Apply(r, x)
+	for i := range r {
+		r[i] = b[i] - r[i]
+	}
+	copy(p, r)
+	rs := dot(r, r)
+	bn := math.Sqrt(dot(b, b))
+	res := CGResult{Residual: math.Sqrt(rs)}
+	for it := 0; it < maxIter; it++ {
+		a.Apply(ap, p)
+		alpha := rs / dot(p, ap)
+		for i := range x {
+			x[i] += alpha * p[i]
+			r[i] -= alpha * ap[i]
+		}
+		res.Iterations = it + 1
+		rsNew := dot(r, r)
+		res.Residual = math.Sqrt(rsNew)
+		if res.Residual <= tol*bn {
+			res.Converged = true
+			return res
+		}
+		for i := range p {
+			p[i] = r[i] + rsNew/rs*p[i]
+		}
+		rs = rsNew
+	}
+	return res
+}
+
 // TestCGTrueResidualOnHighContrast is the regression test for CG's
 // convergence certificate on the solver behind every fem.Solve2D/3D
 // reference field: on a system whose recurrence residual keeps shrinking
@@ -66,6 +105,34 @@ func TestCGTrueResidualOnHighContrast(t *testing.T) {
 	}
 	if rel := math.Abs(res.Residual-tr) / tr; rel > 1e-6 {
 		t.Fatalf("reported residual %g differs from true residual %g (rel %g)", res.Residual, tr, rel)
+	}
+}
+
+// TestCGRefusesDriftingRecurrence gives CG a budget long enough for the
+// recurrence residual on the 1e8-contrast system to sink below tol·‖b‖
+// (about 5 700 iterations), which TestCGTrueResidualOnHighContrast's 4 000
+// do not reach. The recurrence-only baseline declares convergence there
+// with b − Ax far above the tolerance; CG, which certifies on b − Ax, must
+// not.
+func TestCGRefusesDriftingRecurrence(t *testing.T) {
+	const n = 200
+	const tol = 1e-13
+	const budget = 8000
+	m, b := contrastStencil(n, 1e8)
+	bn := math.Sqrt(dot(b, b))
+
+	xOld := make([]float64, n)
+	if resOld := recurrenceCG(m, b, xOld, tol, budget); !resOld.Converged {
+		t.Fatalf("baseline drifted: recurrence-only CG no longer 'converges' on this system (%+v)", resOld)
+	}
+	if trOld := residualNorm(m, b, xOld); trOld <= 100*tol*bn {
+		t.Fatalf("baseline drifted: true residual %g is too close to tol*|b| %g to show the drift", trOld, tol*bn)
+	}
+
+	x := make([]float64, n)
+	res := CG(m, b, x, tol, budget)
+	if tr := residualNorm(m, b, x); res.Converged && tr > tol*bn {
+		t.Fatalf("CG declared convergence at tol %g but the true residual is %g (tol*|b| = %g)", tol, tr, tol*bn)
 	}
 }
 

@@ -102,14 +102,21 @@ func Load(r io.Reader) (*UNet, error) {
 // Load runs it before New with a limit proportional to the values the
 // snapshot carries, so a corrupt channel count, Depth, Kernel or
 // adaptation count is rejected before anything proportional to it is
-// allocated. Every product saturates past limit, so no count overflows.
+// allocated. Every sum and product saturates at limit+1, so no count
+// overflows, however large the config's values.
 func paramCount(cfg Config, adaptions, limit int) int {
 	over := limit + 1
-	mul := func(a, b int) int { // a·b saturated at over; b ≥ 1
+	mul := func(a, b int) int { // a·b saturated at over; a ≥ 0, b ≥ 1
 		if a > over/b {
 			return over
 		}
 		return a * b
+	}
+	add := func(a, b int) int { // a+b saturated at over; 0 ≤ a ≤ over, b ≥ 0
+		if b >= over-a {
+			return over
+		}
+		return a + b
 	}
 	total := 0
 	// conv adds one in→out convolution with a kw^Dim kernel and its bias.
@@ -118,13 +125,13 @@ func paramCount(cfg Config, adaptions, limit int) int {
 		for range cfg.Dim {
 			w = mul(w, kw)
 		}
-		total = min(total+w+out, over)
+		total = add(add(total, w), out)
 	}
 	// block adds a convolution plus its batch-norm scale and shift.
 	block := func(in, out int) {
 		conv(in, out, cfg.Kernel)
 		if cfg.BatchNorm {
-			total = min(total+2*out, over)
+			total = add(total, mul(out, 2))
 		}
 	}
 	ch := func(l int) int { // BaseFilters<<l, saturated
@@ -142,7 +149,7 @@ func paramCount(cfg Config, adaptions, limit int) int {
 	block(prev, ch(cfg.Depth))
 	for l := cfg.Depth - 1; l >= 0 && total < over; l-- {
 		conv(ch(l+1), ch(l), 2)
-		block(2*ch(l), ch(l))
+		block(mul(ch(l), 2), ch(l))
 	}
 	conv(cfg.BaseFilters, cfg.OutChannels, 1)
 	// Each Adapt adds a convolution and two transpose convolutions and

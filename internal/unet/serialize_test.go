@@ -3,6 +3,7 @@ package unet
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"runtime"
@@ -116,6 +117,11 @@ func TestLoadRejectsCorruptSnapshots(t *testing.T) {
 		"kernel beyond snapshot": {func(s *snapshot) { s.Cfg.Kernel = 100001 }, "weights"},
 		"huge input channels":    {func(s *snapshot) { s.Cfg.InChannels = 10_000_000 }, "weights"},
 		"huge output channels":   {func(s *snapshot) { s.Cfg.OutChannels = 10_000_000 }, "weights"},
+		"max input channels":     {func(s *snapshot) { s.Cfg.InChannels = math.MaxInt }, "weights"},
+		"max output channels":    {func(s *snapshot) { s.Cfg.OutChannels = math.MaxInt }, "weights"},
+		"max base filters":       {func(s *snapshot) { s.Cfg.BaseFilters = math.MaxInt }, "weights"},
+		"max depth":              {func(s *snapshot) { s.Cfg.Depth = math.MaxInt }, "weights"},
+		"max kernel":             {func(s *snapshot) { s.Cfg.Kernel = math.MaxInt }, "weights"},
 		"huge adaptations":       {func(s *snapshot) { s.Adaptions = len(s.Params) }, "weights"},
 		"negative base filters":  {func(s *snapshot) { s.Cfg.BaseFilters = -4 }, "BaseFilters"},
 		"zero input channels":    {func(s *snapshot) { s.Cfg.InChannels = 0 }, "InChannels"},

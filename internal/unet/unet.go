@@ -261,9 +261,11 @@ func (u *UNet) ValidateRes(res int) error {
 
 // ReceptiveFieldRadius returns the half-width of the network's receptive
 // field along one spatial axis: output values more than this many rows
-// from an artificially introduced boundary are unaffected by it. The
-// slab-decomposed inference in internal/dist sizes its halo exchange from
-// this bound.
+// from an artificially introduced boundary aligned to MinInputSize are
+// unaffected by it. An unaligned boundary can reach farther, because the
+// max-pool windows then straddle it. The slab-decomposed
+// inference in internal/dist, whose slab boundaries and halos are
+// multiples of MinInputSize, sizes its halo exchange from this bound.
 //
 // The receptive-field size grows by (k-1)·jump per convolution and by
 // jump per 2× max-pool, where jump is the product of strides below the
