@@ -47,7 +47,8 @@ serve-smoke:
 
 # Run the repository benchmark BENCHMARK.json names: every workload once,
 # untraced, each in a process of its own (see bench/README.md). The
-# micro-ablations in bench_test.go stay reachable through `go test -bench`.
+# design-choice ablations DESIGN.md cites are `go test -bench` benchmarks in
+# the packages they measure (internal/fem, internal/core, internal/dist).
 bench:
 	bash bench/run.sh --workload all --seed 1 --seconds 20 --trace 0
 

@@ -4,12 +4,11 @@
 // solver for the generalized 3D Poisson equation with a variational FEM
 // loss, multigrid-inspired training schedules (V/W/F/Half-V cycles over
 // input resolutions), and data-parallel distributed training with
-// ring-allreduce gradient averaging.
+// allreduce gradient averaging.
 //
 // The public surface lives under internal/ packages wired together by the
-// commands in cmd/ and the runnable examples in examples/; see README.md
-// for a map and DESIGN.md for the paper-to-module inventory. The root
-// package exists to host the repository-level benchmark suite
-// (bench_test.go), which regenerates every table and figure of the paper's
-// evaluation.
+// commands in cmd/ and the runnable examples in examples/; see DESIGN.md
+// for the paper-to-module inventory and the design choices, and
+// bench/README.md for the repository benchmark, where performance is
+// measured.
 package mgdiffnet

@@ -1,8 +1,6 @@
 // FEMCompare: the traditional-solver side of the paper. Solve the same
 // variable-coefficient Poisson problem with conjugate gradients and with
-// all four geometric-multigrid cycles of Figure 3, and reproduce the §4.3
-// observation that a trained network's forward pass beats a fresh FEM
-// solve.
+// all four geometric-multigrid cycles of Figure 3.
 //
 // Run with: go run ./examples/femcompare
 package main
@@ -11,7 +9,6 @@ import (
 	"fmt"
 	"time"
 
-	"mgdiffnet/internal/experiments"
 	"mgdiffnet/internal/fem"
 	"mgdiffnet/internal/field"
 	"mgdiffnet/internal/gmg"
@@ -36,7 +33,4 @@ func main() {
 		fmt.Printf("GMG %-12s %6d cycles       %8.4fs   residual %.2e   vs CG RMSE %.2e\n",
 			ct.String()+"-cycle", st.Cycles, sec, st.Residual, u.RMSE(uCG))
 	}
-
-	fmt.Println("\n== section 4.3: inference vs solve")
-	fmt.Print(experiments.FormatTiming(experiments.InferenceVsFEM(experiments.Quick)))
 }

@@ -1,9 +1,9 @@
 // Scaling3D: the paper's distributed story at reproduction scale. Train a
-// 3D DiffNet with data-parallel workers connected by a real ring-allreduce
-// (goroutines standing in for MPI ranks), verify the worker-count
-// independence guarantee (Eq. 15), measure the in-process strong scaling,
-// and project the paper's 256³/512 GPU and 512³/128 node studies with the
-// Table 6 cluster model.
+// 3D DiffNet with data-parallel workers (goroutines standing in for MPI
+// ranks) whose gradients are averaged by the trainer's collective, the
+// rank-order reduce-scatter + all-gather of dist.Communicator; verify the
+// worker-count independence guarantee (Eq. 15) and measure the in-process
+// strong scaling.
 //
 // Run with: go run ./examples/scaling3d
 package main
@@ -13,12 +13,11 @@ import (
 	"runtime"
 
 	"mgdiffnet/internal/dist"
-	"mgdiffnet/internal/experiments"
 	"mgdiffnet/internal/unet"
 )
 
 func main() {
-	fmt.Println("== measured in-process strong scaling (3D, ring allreduce)")
+	fmt.Println("== measured in-process strong scaling (3D, rank-order allreduce)")
 	const res, samples, batch = 16, 8, 4
 	maxW := runtime.GOMAXPROCS(0)
 	if maxW > 4 {
@@ -51,13 +50,4 @@ func main() {
 		fmt.Printf("  p=%d: epoch %.3fs, speedup %.2fx, loss %.5f, replica divergence %g\n",
 			p, sec, baseSec/sec, loss, div)
 	}
-
-	fmt.Println("\n== projected: Figure 9 (Azure NDv2, 256^3) and Figure 10 (Bridges2, 512^3)")
-	r9, err := experiments.Figure9(experiments.Quick)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Print(experiments.FormatFigure9(r9))
-	fmt.Println()
-	fmt.Print(experiments.FormatFigure10(experiments.Figure10(experiments.Quick)))
 }

@@ -92,12 +92,36 @@ func TestScheduleWVisitsCoarseMoreOften(t *testing.T) {
 	}
 }
 
+// TestScheduleFBetweenVAndW also holds Table 1's claim that Half-V is the
+// cheapest schedule: a stage's cost scales with its voxel count res^dim,
+// and Σ res^dim over the stages must order Half-V < V ≤ F ≤ W at every
+// depth, strictly V < F < W from four levels on (at two levels V, F and W
+// are one schedule; at three, F and W are).
 func TestScheduleFBetweenVAndW(t *testing.T) {
 	vN := len(Schedule(V, 4, 64))
 	fN := len(Schedule(F, 4, 64))
 	wN := len(Schedule(W, 4, 64))
 	if !(vN < fN && fN < wN) {
 		t.Fatalf("stage counts must order V < F < W, got %d, %d, %d", vN, fN, wN)
+	}
+	for _, dim := range []int{2, 3} {
+		for levels := 2; levels <= 4; levels++ {
+			var cost [4]int
+			for i, s := range []Strategy{HalfV, V, F, W} {
+				for _, st := range Schedule(s, levels, 64) {
+					c := 1
+					for range dim {
+						c *= st.Res
+					}
+					cost[i] += c
+				}
+			}
+			h, v, f, w := cost[0], cost[1], cost[2], cost[3]
+			if !(h < v && v <= f && f <= w) || levels >= 4 && !(v < f && f < w) {
+				t.Fatalf("dim %d, %d levels: voxel cost must order Half-V < V <= F <= W (strict from 4 levels), got %d, %d, %d, %d",
+					dim, levels, h, v, f, w)
+			}
+		}
 	}
 }
 
@@ -316,22 +340,6 @@ func TestPredictFieldMatchesPredict(t *testing.T) {
 	}
 }
 
-func TestTimeToLoss(t *testing.T) {
-	curve := []CurvePoint{{1, 5, 0.1}, {2, 3, 0.2}, {3, 2, 0.3}, {4, 2.5, 0.4}}
-	if p, ok := TimeToLoss(curve, 3); !ok || p.Epoch != 2 {
-		t.Fatalf("target 3: got epoch %d reached %v, want epoch 2", p.Epoch, ok)
-	}
-	if p, ok := TimeToLoss(curve, 2); !ok || p.Epoch != 3 {
-		t.Fatalf("target 2: got epoch %d reached %v, want epoch 3", p.Epoch, ok)
-	}
-	if p, ok := TimeToLoss(curve, 1); ok || p.Epoch != 4 {
-		t.Fatalf("unreached target: got epoch %d reached %v, want the last point unreached", p.Epoch, ok)
-	}
-	if p, ok := TimeToLoss(nil, 1); ok || p != (CurvePoint{}) {
-		t.Fatalf("empty curve: got %+v reached %v", p, ok)
-	}
-}
-
 func TestTrainerRun3D(t *testing.T) {
 	cfg := tinyConfig(3)
 	tr := NewTrainer(cfg)
@@ -383,6 +391,26 @@ func TestRestrictInputHalvesResolution(t *testing.T) {
 	if d := coarse.RMSE(direct); d > 0.25*direct.AbsMax() {
 		t.Fatalf("restriction far from coarse raster: RMSE %v", d)
 	}
+}
+
+// BenchmarkAblationRestriction is DESIGN.md choice 4: rasterizing the
+// analytic field at the coarse grid against average-pooling the fine
+// raster, the restriction operator of Algorithm 1.
+func BenchmarkAblationRestriction(b *testing.B) {
+	const fine = 64
+	w := field.Omega{0.3105, 1.5386, 0.0932, -1.2442}
+	b.Run("RasterCoarse", func(b *testing.B) {
+		for b.Loop() {
+			field.Raster2D(w, fine/2)
+		}
+	})
+	b.Run("AvgPoolFine", func(b *testing.B) {
+		f := tensor.New(1, 1, fine, fine)
+		copy(f.Data, field.Raster2D(w, fine).Data)
+		for b.Loop() {
+			RestrictInput(f)
+		}
+	})
 }
 
 func TestTrainerBadConfigPanics(t *testing.T) {

@@ -22,8 +22,8 @@ type EpochBackend interface {
 	// EvalLoss returns the mean per-sample loss at the given resolution
 	// without updating weights. The runner itself early-stops on the
 	// training loss (the paper's criterion); EvalLoss is part of the
-	// backend contract for experiment harnesses and diagnostics, and the
-	// dist implementation shards it like a training epoch.
+	// backend contract for diagnostics, and the dist implementation
+	// shards it like a training epoch.
 	EvalLoss(res int) (float64, error)
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"time"
 
 	"mgdiffnet/internal/fem"
 	"mgdiffnet/internal/field"
@@ -60,8 +59,7 @@ type Config struct {
 }
 
 // DefaultConfig returns a small but representative configuration for the
-// given dimensionality; experiment harnesses override the fields they
-// sweep.
+// given dimensionality; tests override the fields they exercise.
 func DefaultConfig(dim int) Config {
 	return Config{
 		Dim:               dim,
@@ -166,10 +164,6 @@ type Trainer struct {
 	Arena *nn.Arena
 
 	in *tensor.Tensor // reused mini-batch input (batchReuser sources)
-	// labelLoss, when non-nil, replaces the energy loss: SupervisedTrainer
-	// scores the prediction against FEM labels, which needs the batch's
-	// first sample index rather than its coefficient field.
-	labelLoss func(pred *tensor.Tensor, start, res int) (float64, *tensor.Tensor)
 }
 
 // NewTrainer is BuildTrainer for callers whose configuration is fixed in
@@ -237,9 +231,6 @@ func (t *Trainer) ForwardLoss(start, count, res int, train bool) (float64, *tens
 		t.Arena.ZeroGrad()
 	}
 	pred := t.Net.Forward(nu, train)
-	if t.labelLoss != nil {
-		return t.labelLoss(pred, start, res)
-	}
 	return t.Loss.Eval(pred, nu)
 }
 
@@ -344,48 +335,6 @@ func (t *Trainer) Run() *Report {
 		panic(err)
 	}
 	return rep
-}
-
-// CurvePoint is one epoch of a baseline training curve: the loss reached
-// and the cumulative wall-clock spent.
-type CurvePoint struct {
-	Epoch      int
-	Loss       float64
-	CumSeconds float64
-}
-
-// BaseCurve trains directly at the given resolution for up to maxEpochs,
-// recording the (loss, cumulative time) trajectory. Experiment harnesses
-// use it for the time-to-equal-loss comparison behind Table 1: the baseline
-// cost of a multigrid run is the time direct training needs to first reach
-// the multigrid run's final loss.
-func (t *Trainer) BaseCurve(res, maxEpochs int) []CurvePoint {
-	curve := make([]CurvePoint, 0, maxEpochs)
-	start := time.Now() //mglint:ignore detrand wall-clock telemetry for reported timings; never feeds the numeric path
-	for e := 0; e < maxEpochs; e++ {
-		loss, err := t.TrainEpoch(res)
-		if err != nil {
-			panic(err) // a resolution the network cannot take: the caller's bug
-		}
-		curve = append(curve, CurvePoint{Epoch: e + 1, Loss: loss, CumSeconds: time.Since(start).Seconds()})
-	}
-	return curve
-}
-
-// TimeToLoss scans a curve for the first epoch whose loss is at or below
-// target. The boolean reports whether the target was reached; when it was
-// not, the final point is returned and the caller should treat the time as
-// a lower bound.
-func TimeToLoss(curve []CurvePoint, target float64) (CurvePoint, bool) {
-	for _, p := range curve {
-		if p.Loss <= target {
-			return p, true
-		}
-	}
-	if len(curve) == 0 {
-		return CurvePoint{}, false
-	}
-	return curve[len(curve)-1], false
 }
 
 // Predict evaluates the trained network on one parameter vector at the

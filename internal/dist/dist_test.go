@@ -101,6 +101,47 @@ func TestAllReduceRanksBitIdentical(t *testing.T) {
 	}
 }
 
+// BenchmarkFigure9Allreduce is the communication ablation of DESIGN.md
+// choice 5: the bandwidth-optimal ring against the naive all-to-all, plus
+// the trainer's own collective, the rank-order reduce-scatter + all-gather
+// of persistent Communicators.
+func BenchmarkFigure9Allreduce(b *testing.B) {
+	const p, n = 4, 1 << 16
+	run := func(b *testing.B, reduce func(rank int, x []float64) error) {
+		vecs := testVectors(p, n)
+		b.SetBytes(8 * n)
+		for b.Loop() {
+			var wg sync.WaitGroup
+			for r := 0; r < p; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					if err := reduce(r, vecs[r]); err != nil {
+						b.Error(err)
+					}
+				}(r)
+			}
+			wg.Wait()
+		}
+	}
+	b.Run("Ring", func(b *testing.B) {
+		trs := NewChannelRing(p)
+		run(b, func(r int, x []float64) error { return RingAllReduce(r, p, x, trs[r]) })
+	})
+	b.Run("NaiveAllToAll", func(b *testing.B) {
+		trs := NewChannelRing(p)
+		run(b, func(r int, x []float64) error { return NaiveAllReduce(r, p, x, trs[r]) })
+	})
+	b.Run("RankOrderComm", func(b *testing.B) {
+		trs := NewChannelRing(p)
+		comms := make([]*Communicator, p)
+		for r := range comms {
+			comms[r] = NewCommunicator(trs[r])
+		}
+		run(b, func(r int, x []float64) error { return comms[r].AllReduce(x) })
+	})
+}
+
 func TestTransportErrors(t *testing.T) {
 	trs := NewChannelRing(2)
 	if err := trs[0].Send(0, nil); err == nil {

@@ -23,6 +23,5 @@
 // loss, and averaging them with an allreduce before identical optimizer
 // steps — which keeps every replica bit-for-bit synchronized (Eq. 15's
 // worker-count independence). ParallelTrainer reproduces exactly that
-// structure at laptop scale; internal/perfmodel projects the same code
-// path onto the paper's Azure and Bridges2 clusters.
+// structure at laptop scale.
 package dist

@@ -259,6 +259,34 @@ func TestAssembledMatchesMatrixFree2D(t *testing.T) {
 	}
 }
 
+// BenchmarkAblationMatrixFree is DESIGN.md choice 1: the matrix-free
+// operator against assembling the CSR stiffness matrix and applying it,
+// and against applying an already assembled one.
+func BenchmarkAblationMatrixFree(b *testing.B) {
+	const res = 64
+	nu := field.Raster2D(field.Omega{0.3105, 1.5386, 0.0932, -1.2442}, res)
+	p := NewPoisson2D(res)
+	u := p.BoundaryField()
+	out := tensor.New(res, res)
+	b.Run("MatrixFree", func(b *testing.B) {
+		for b.Loop() {
+			p.Apply(u, nu, out)
+		}
+	})
+	b.Run("AssembleAndApply", func(b *testing.B) {
+		for b.Loop() {
+			m, _ := Assemble2D(p, nu)
+			m.Apply(out.Data, u.Data)
+		}
+	})
+	b.Run("ApplyOnlyCSR", func(b *testing.B) {
+		m, _ := Assemble2D(p, nu)
+		for b.Loop() {
+			m.Apply(out.Data, u.Data)
+		}
+	})
+}
+
 func TestAssembledSystemSolvesSameSolution2D(t *testing.T) {
 	const res = 17
 	w := field.Omega{0.3105, 1.5386, 0.0932, -1.2442}

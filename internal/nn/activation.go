@@ -113,51 +113,8 @@ func (s *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // Params implements Layer.
 func (s *Sigmoid) Params() []*Param { return nil }
 
-// Tanh is the hyperbolic-tangent activation (provided for completeness and
-// ablations; the paper uses LeakyReLU + Sigmoid).
-type Tanh struct {
-	out *tensor.Tensor
-
-	fwd, bwd outBuf
-}
-
-// NewTanh returns a Tanh layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-func (t *Tanh) setBufferReuse(on bool) { t.fwd.on, t.bwd.on = on, on }
-
-// Forward implements Layer.
-func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := t.fwd.get(x.Shape()...)
-	tensor.ParallelRange(x.Len(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Data[i] = math.Tanh(x.Data[i])
-		}
-	})
-	if train {
-		t.out = out
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := t.bwd.get(grad.Shape()...)
-	y := t.out
-	tensor.ParallelRange(grad.Len(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := y.Data[i]
-			out.Data[i] = grad.Data[i] * (1 - v*v)
-		}
-	})
-	return out
-}
-
-// Params implements Layer.
-func (t *Tanh) Params() []*Param { return nil }
-
-// Identity passes its input through unchanged. It is useful as a placeholder
-// final activation in ablation experiments.
+// Identity passes its input through unchanged: the pass-through layer the
+// tests use to exercise Sequential's input-aliasing guard.
 type Identity struct{}
 
 // NewIdentity returns an Identity layer.

@@ -106,8 +106,8 @@ type Config struct {
 	WarmRes []int
 
 	// Faults enables deterministic fault injection (slow replicas, stuck
-	// slab workers, forced degraded mode) for chaos tests and overload
-	// benchmarks. Nil in production.
+	// slab workers, forced degraded mode) for the chaos and overload
+	// tests. Nil in production.
 	Faults *Faults
 }
 
