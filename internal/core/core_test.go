@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -431,6 +432,44 @@ func TestTrainerBadConfigPanics(t *testing.T) {
 			}()
 			NewTrainer(cfg)
 		}()
+	}
+}
+
+// TestBuildTrainerLevelsFeasible checks that BuildTrainer accepts a level
+// count exactly when every level of the schedule is a grid the network
+// takes: the finest resolution must halve exactly down to the coarsest
+// level, and the coarsest must be a multiple of the depth-3 U-Net's
+// minimum input size 8. An accepted configuration must then run.
+func TestBuildTrainerLevelsFeasible(t *testing.T) {
+	for _, c := range []struct {
+		finest, levels int
+		ok             bool
+	}{
+		{40, 1, true},
+		{32, 2, true},
+		{32, 3, true},
+		{32, 4, false}, // coarsest 4 < 8
+		{48, 2, true},
+		{24, 2, false}, // coarsest 12 is not a multiple of 8
+		{64, 4, true},
+		{17, 2, false}, // 17 does not halve; 17>>1 = 8 alone would pass
+	} {
+		t.Run(fmt.Sprintf("%d_%dlevels", c.finest, c.levels), func(t *testing.T) {
+			cfg := tinyConfig(2)
+			cfg.FinestRes, cfg.Levels = c.finest, c.levels
+			tr, err := BuildTrainer(cfg)
+			if (err == nil) != c.ok {
+				t.Fatalf("BuildTrainer error %v, want ok=%v", err, c.ok)
+			}
+			if err != nil {
+				return
+			}
+			for _, st := range Schedule(V, c.levels, c.finest) {
+				if err := tr.Net.ValidateRes(st.Res); err != nil {
+					t.Fatalf("accepted configuration cannot train stage %+v: %v", st, err)
+				}
+			}
+		})
 	}
 }
 

@@ -191,7 +191,13 @@ func BuildTrainer(cfg Config) (*Trainer, error) {
 	ncfg.Dim = cfg.Dim
 	ncfg.Seed = cfg.Seed
 	net := unet.New(ncfg)
-	if err := net.ValidateRes(cfg.FinestRes >> (cfg.Levels - 1)); err != nil {
+	// Every level halves the finest resolution exactly, and a network that
+	// takes the coarsest level's size takes every finer one.
+	coarsest := cfg.FinestRes >> (cfg.Levels - 1)
+	if coarsest<<(cfg.Levels-1) != cfg.FinestRes {
+		return nil, fmt.Errorf("core: FinestRes %d does not halve exactly over %d levels", cfg.FinestRes, cfg.Levels)
+	}
+	if err := net.ValidateRes(coarsest); err != nil {
 		return nil, fmt.Errorf("core: level %d of FinestRes %d: %w", cfg.Levels, cfg.FinestRes, err)
 	}
 	net.SetBufferReuse(true)

@@ -229,6 +229,30 @@ func TestSolve3DConstantNu(t *testing.T) {
 	}
 }
 
+// A diffusivity that does not vary along z makes the 3D problem the 2D
+// one extruded: only the x faces carry Dirichlet data, so every z-slice of
+// the trilinear solution must be the bilinear 2D solution.
+func TestSolve3DOfExtrudedFieldIsSolve2D(t *testing.T) {
+	const res = 9
+	nu2 := field.Raster2D(field.Omega{0.5, -1, 0.75, 0.25}, res)
+	nu3 := tensor.New(res, res, res)
+	for z := 0; z < res; z++ {
+		copy(nu3.Data[z*res*res:], nu2.Data)
+	}
+	u2, cg2 := Solve2D(nu2, 1e-12, 5000)
+	u3, cg3 := Solve3D(nu3, 1e-12, 5000)
+	if !cg2.Converged || !cg3.Converged {
+		t.Fatalf("CG did not converge: 2D %+v, 3D %+v", cg2, cg3)
+	}
+	for z := 0; z < res; z++ {
+		for i, want := range u2.Data {
+			if got := u3.Data[z*res*res+i]; math.Abs(got-want) > 1e-9 {
+				t.Fatalf("slice z=%d node %d: 3D %v, 2D %v", z, i, got, want)
+			}
+		}
+	}
+}
+
 func TestAssembledMatchesMatrixFree2D(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const res = 9

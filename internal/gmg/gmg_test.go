@@ -198,6 +198,28 @@ func TestVCycleSolves3D(t *testing.T) {
 	}
 }
 
+// TestEveryCycleMatchesCG3D holds each cycle type's 3D solve to the
+// independent matrix-free CG solution of the same FEM system.
+func TestEveryCycleMatchesCG3D(t *testing.T) {
+	const res = 9
+	nu := field.Raster3D(field.Omega{0.3105, 1.5386, 0.0932, -1.2442}, res)
+	uCG, cg := fem.Solve3D(nu, 1e-11, 5000)
+	if !cg.Converged {
+		t.Fatalf("3D CG did not converge: %+v", cg)
+	}
+	for _, ct := range []CycleType{VCycle, WCycle, FCycle, HalfVCycle} {
+		t.Run(ct.String(), func(t *testing.T) {
+			u, st := NewSolver3D(nu, Options{Cycle: ct, Tol: 1e-10, MaxCycles: 100}).Solve()
+			if !st.Converged {
+				t.Fatalf("did not converge: %+v", st)
+			}
+			if d := u.RMSE(uCG); d > 1e-7 {
+				t.Fatalf("3D %v cycle vs CG RMSE %v", ct, d)
+			}
+		})
+	}
+}
+
 func TestHalfVCheaperPerCycleThanV(t *testing.T) {
 	// Half-V skips pre-smoothing on the descent; with smoothing dominating
 	// the cost, each cycle is cheaper. Here we verify it still converges.
