@@ -30,6 +30,7 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"mgdiffnet/internal/core"
@@ -186,6 +187,9 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) (code int) {
+	// The TCP transport logs from its read loop while training writes
+	// progress, so every write to stdout goes through one lock.
+	stdout = &lockedWriter{w: stdout}
 	// Residual invalid-configuration panics become one-line errors too.
 	defer func() {
 		if r := recover(); r != nil {
@@ -281,6 +285,18 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "mgtrain:", err)
 	}
 	return code
+}
+
+// lockedWriter serializes the writes of several goroutines to w.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }
 
 // parallelConfig is the data-parallel trainer the flags describe: f.workers

@@ -58,9 +58,9 @@ func checkCollective(rank, p int, tr Transport) error {
 // Each chunk's accumulation order starts at a different rank (a property
 // of the ring schedule), so results depend on where the chunk boundaries
 // fall; the trainer's bucketed overlapped path needs chunking-invariant
-// sums and therefore uses Communicator.AllReduce instead. This one-shot
-// function allocates its scratch per call; steady-state callers should go
-// through Communicator.RingAllReduce, which reuses persistent scratch.
+// sums and therefore uses Communicator.AllReduce instead. It allocates its
+// scratch per call: the trainer never runs it, only the allreduce ablation
+// and the tests do.
 func RingAllReduce(rank, p int, x []float64, tr Transport) error {
 	if err := checkCollective(rank, p, tr); err != nil {
 		return err
@@ -69,14 +69,7 @@ func RingAllReduce(rank, p int, x []float64, tr Transport) error {
 		return nil
 	}
 	off := chunkOffsets(len(x), p)
-	return ringAllReduce(rank, p, x, tr, off, make([]float64, off[1]-off[0]))
-}
-
-// ringAllReduce is the ring schedule over caller-provided chunk offsets
-// and scratch (len >= off[1]-off[0], chunk 0 being a largest chunk).
-//
-//mglint:hotpath
-func ringAllReduce(rank, p int, x []float64, tr Transport, off []int, scratch []float64) error {
+	scratch := make([]float64, off[1]-off[0]) // chunk 0 is a largest chunk
 	right := (rank + 1) % p
 	left := (rank - 1 + p) % p
 

@@ -29,7 +29,6 @@ type Communicator struct {
 
 	ownBak  []float64 // this rank's own-chunk contribution during reduce
 	recvBuf []float64 // incoming chunk scratch
-	ringBuf []float64 // scratch for the ring schedule (RingAllReduce)
 	offBuf  []int     // chunk offsets, p+1 entries
 }
 
@@ -162,18 +161,4 @@ func (c *Communicator) AllReduceFrom(x []float64, contrib []bool) error {
 		}
 	}
 	return nil
-}
-
-// RingAllReduce runs the Patarasuk & Yuan ring (see the free function of
-// the same name) through the communicator's persistent scratch, so
-// steady-state calls allocate nothing.
-//
-//mglint:hotpath
-func (c *Communicator) RingAllReduce(x []float64) error {
-	if c.p == 1 {
-		return nil
-	}
-	off := chunkOffsetsInto(c.offBuf, len(x), c.p)
-	scratch := growF(&c.ringBuf, off[1]-off[0])
-	return ringAllReduce(c.rank, c.p, x, c.tr, off, scratch)
 }

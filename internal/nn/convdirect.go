@@ -14,17 +14,44 @@ import (
 //	weightGrad  W.Grad += y ⊗ x        both
 //
 // correlate and adjoint are one row kernel (rowProduct), run either way,
-// and weightGrad a second one (weightGradRows); both read their operand
-// rows where they lie. Only the lowered adjoint keeps a GEMM lowering, in
-// im2col.go. Every correlate sum runs in the order cin → kz → ky → kx
-// (adjoint: cout → kz → ky → kx), every weight-gradient sum over the
-// written grid in the orders weightGradRows describes, and all of them skip
-// taps that fall into the padding; the training benchmark pins the
-// resulting bits.
+// and weightGrad a second one (weightGradRows). Only the lowered adjoint
+// keeps a GEMM lowering, in im2col.go. Every correlate sum runs in the order
+// cin → kz → ky → kx (adjoint: cout → kz → ky → kx), and every
+// weight-gradient sum over the written grid in the orders weightGradRows
+// describes; the training benchmark pins the resulting bits.
 //
-// On amd64 with AVX, maddRow's stride-1 four-channel loop runs four columns
-// per instruction (maddRowVec) but for the last n mod 4. Each lane is one
-// VMULPD and one VADDPD in the Go loop's operand order, never a fused
+// At stride 1, which is every convolution of the U-Net but the stride-2
+// up-convolutions, rowProduct stages its input. A job copies, per input
+// channel, the input rows its block of output rows reads into per-worker
+// scratch, each padded with zero columns (the convolution's padding, and
+// then up to a multiple of 4) to a width W that holds every column any tap
+// reads. Its accumulator rows have the same width, so input and
+// accumulator line up and every tap is one offset: the tap adds w times the
+// staged block, shifted by the tap, to the whole accumulator block in one
+// contiguous call, with no clamp at the edges. The columns past the output
+// width, and the rows between two planes of a block, accumulate garbage
+// that the write-out drops. On amd64 with AVX one kernel call runs three
+// kx taps, loading and storing the accumulators once for the three. The
+// strided branch reads input rows where they lie and clamps each tap to the
+// columns and rows it reaches (tapRange, tapRow).
+//
+// Why the bits hold. A staged sum also adds the padding terms that the
+// strided branch and the reference nests skip: w·(+0), which is ±0 for a
+// finite w. Adding ±0 changes no sum but a −0 one, and a sum that starts
+// at +0 never becomes −0 under round-to-nearest (x + (−x) is +0). A sum
+// that starts at a −0 bias may, but the write-out adds +0 to every
+// bias-first sum, so an exactly zero result is +0 either way. So for finite
+// weights the staged kernel gives the bits of skipping the padding. A
+// non-finite weight makes a padding term NaN (∞·0, NaN·0), and every output
+// element sums every tap of the kernel: at stride 1 the channel that weight
+// feeds is non-finite throughout, where skipping the padding leaves the
+// elements whose window that tap leaves finite.
+//
+// On amd64 with AVX, maddRow's stride-1 loops run four columns per
+// instruction (rowVec): the four-channel kernel for full channel groups,
+// the one-channel kernel per channel otherwise, and the three-tap kernel
+// for each kx triple of a staged row. Each lane is one VMULPD and one
+// VADDPD per term in the Go loop's operand order, never a fused
 // multiply-add, so its bits are the Go loop's, which every other CPU runs.
 // The Go loops write each product as float64(w·x), which no compiler fuses.
 
@@ -53,23 +80,31 @@ func adjointRows(xd, yd, wd, bias []float64, g geom) {
 	rowProduct(xd, yd, wd, bias, g, true, false)
 }
 
-// The row kernel splits its output into jobs: a block of up to rowBlock
-// elements — whole rows, or a slice of one row wider than that — times up
-// to four output channels, accumulated in a stack buffer and then written
-// out. A block of several short rows spreads each tap's setup over all of
-// them; the channel groups of a block are consecutive jobs, so its input
-// rows stay in cache across them. Each channel's stretch of the buffer is
-// padded so the four accumulator rows never sit a multiple of 4 KiB apart:
-// accumulating straight into output rows a power-of-two volume apart
-// stalls on store/load aliasing.
+// The row kernel splits its output into jobs of up to four output channels
+// times a block of up to rowBlock accumulator elements per channel, held in
+// pooled scratch and then written out. The channel groups of a block are
+// consecutive jobs, so its input rows stay in cache across them. Each
+// channel's stretch of the accumulator is padded so the four accumulator
+// rows never sit a multiple of 4 KiB apart: accumulating into rows a
+// power-of-two volume apart stalls on store/load aliasing.
 const (
-	rowBlock  = 256
+	rowBlock  = 1024
 	rowStride = rowBlock + 8
 )
 
-// rowScratch pools each worker's accumulator block and weight gather, which
-// passing them to maddRowVec, a function value, would move to the heap.
-var rowScratch = sync.Pool{New: func() any { return new([4*rowStride + 4]float64) }}
+// rowScratch is one worker's accumulator block, weight gather and staged
+// input rows, pooled as one allocation because passing them to the vector
+// kernels, function values, moves them to the heap. stage holds every
+// staged block of a kernel up to 3 taps tall (at most rowBlock accumulator
+// elements plus two halo rows of at most rowBlock columns, plus kw−1).
+type rowScratch struct {
+	acc   [4 * rowStride]float64
+	wt    [4]float64
+	wt3   [12]float64
+	stage [4 * rowBlock]float64
+}
+
+var rowScratchPool = sync.Pool{New: func() any { return new(rowScratch) }}
 
 // rowWorkUnit is how many multiply-adds count as one unit of work when
 // jobs are shared among the kernel workers: ParallelRange runs fewer than
@@ -77,97 +112,316 @@ var rowScratch = sync.Pool{New: func() any { return new([4*rowStride + 4]float64
 const rowWorkUnit = 128
 
 // rowProduct overwrites out with correlate, or with adjoint when
-// transposed, reading the rows of in where they lie. Each output element
-// sums its bias (first unless biasLast) and one term per kernel tap that
-// reaches it, in the order input channel → kz → ky → kx; taps that fall
-// into the padding are skipped.
+// transposed. Each output element sums its bias (first unless biasLast) and
+// one term per kernel tap that reaches it, in the order input channel → kz
+// → ky → kx.
 func rowProduct(out, in, wd, bias []float64, g geom, transposed, biasLast bool) {
-	s, kd, kh, kw, kvol := g.s, g.kd, g.kh, g.kw, g.kd*g.kh*g.kw
-	// The output grid (o…) with oc channels, the input grid (i…) with ic,
-	// their channel strides in W, and the terms an output element sums.
-	od, oh, ow, oc, id, ih, iw, ic := g.do, g.ho, g.wo, g.co, g.d, g.h, g.w, g.ci
-	oStep, iStep, terms := g.ci*kvol, kvol, g.ci*kvol
+	kvol := g.kd * g.kh * g.kw
+	p := rowPass{out: out, in: in, wd: wd, bias: bias, g: g, transposed: transposed, biasLast: biasLast,
+		od: g.do, oh: g.ho, ow: g.wo, oc: g.co, id: g.d, ih: g.h, iw: g.w, ic: g.ci, oStep: g.ci * kvol, iStep: kvol}
 	if transposed {
-		od, oh, ow, oc, id, ih, iw, ic = g.d, g.h, g.w, g.ci, g.do, g.ho, g.wo, g.co
-		oStep, iStep = kvol, g.ci*kvol
-		terms = ic * max(1, kd/s) * max(1, kh/s) * max(1, kw/s)
+		p.od, p.oh, p.ow, p.oc, p.id, p.ih, p.iw, p.ic = g.d, g.h, g.w, g.ci, g.do, g.ho, g.wo, g.co
+		p.oStep, p.iStep = kvol, g.ci*kvol
 	}
-	rows, rowsPer := g.n*od*oh, max(1, rowBlock/ow)
-	colBlocks, chanBlocks := (ow+rowBlock-1)/rowBlock, (oc+3)/4
-	jobs := (rows + rowsPer - 1) / rowsPer * colBlocks * chanBlocks
-	u := max(1, min(rowsPer, rows)*min(ow, rowBlock)*4*terms/rowWorkUnit)
+	if g.s == 1 {
+		p.staged()
+	} else {
+		p.strided()
+	}
+}
 
-	tensor.ParallelRange(jobs*u, func(lo, hi int) {
-		sc := rowScratch.Get().(*[4*rowStride + 4]float64)
-		defer rowScratch.Put(sc)
-		acc, wt := sc[:4*rowStride], (*[4]float64)(sc[4*rowStride:])
-		for j := (lo + u - 1) / u; j < (hi+u-1)/u; j++ {
-			t, c0 := j/chanBlocks, j%chanBlocks*4
-			r0, x0 := t/colBlocks*rowsPer, t%colBlocks*rowBlock
-			r1, x1 := min(r0+rowsPer, rows), min(x0+rowBlock, ow)
-			bw, nc := x1-x0, min(4, oc-c0)
-			n0, z0, y0 := r0/(od*oh), r0/oh%od, r0%oh
-			for c := 0; c < nc; c++ {
-				b := 0.0
-				if bias != nil && !biasLast {
-					b = bias[c0+c]
+// rowPass is one rowProduct call: its operands, the output grid (o…) with
+// oc channels, the input grid (i…) with ic, and their channel strides in
+// the weights.
+type rowPass struct {
+	out, in, wd, bias    []float64
+	g                    geom
+	transposed, biasLast bool
+	od, oh, ow, oc       int
+	id, ih, iw, ic       int
+	oStep, iStep         int
+}
+
+// initAcc sets the first span elements of each of the nc accumulator rows
+// to the bias of its channel, or to +0 when the bias comes last.
+func (p *rowPass) initAcc(acc []float64, c0, nc, span int) {
+	for c := 0; c < nc; c++ {
+		b := 0.0
+		if p.bias != nil && !p.biasLast {
+			b = p.bias[c0+c]
+		}
+		a := acc[c*rowStride:][:span]
+		for i := range a {
+			a[i] = b
+		}
+	}
+}
+
+// lastBias is what the write-out adds to channel c's sums: its bias when
+// the bias comes last, else +0.
+func (p *rowPass) lastBias(c int) float64 {
+	if p.bias != nil && p.biasLast {
+		return p.bias[c]
+	}
+	return 0
+}
+
+// taps returns the weights of taps (cin, kz, ky, ·) of output channel c0
+// on; channel c0+c's start c·oStep further.
+func (p *rowPass) taps(c0, cin, kz, ky int) []float64 {
+	return p.wd[c0*p.oStep+cin*p.iStep+(kz*p.g.kh+ky)*p.g.kw:]
+}
+
+// gather copies the weights of tap kx of the nc channels from w, laid out
+// as taps returns them, into wt.
+func gather(wt []float64, w []float64, step, nc, kx int) {
+	for c := 0; c < nc; c++ {
+		wt[c] = w[c*step+kx]
+	}
+}
+
+// staged runs a stride-1 pass over zero-padded staged input rows.
+//
+// A job owns the output columns [x0, x0+cols) of the rows [y0, y0+seg) in
+// each of the planes [q0, q1) — plane q is sample q/od, depth q%od. The
+// staged block for one (cin, kz) holds, per plane, the seg+kh−1 input rows
+// those rows read, each as the W input columns from x0−lx on, zero outside
+// the input grid; a plane whose input plane lies outside is all zero. Its
+// accumulator block holds, per plane, seg rows of W columns, plus kh−1
+// garbage rows opposite the next plane's halo. A staged-side tap (tz, ty,
+// tx) — the weight tap itself, or for the adjoint its mirror image
+// (kd−1−kz, kh−1−ky, kw−1−kx) — joins accumulator element i to staged
+// element i + ty·W + tx in every row at once. Rows wider than the
+// accumulator block are cut into column blocks, each staging its kw−1 halo
+// columns; short planes are packed into one block, tall ones cut into
+// pieces of equal height.
+func (p rowPass) staged() {
+	g, oh, ow := p.g, p.oh, p.ow
+	kd, kh, kw := g.kd, g.kh, g.kw
+	l := stagedPass{rowPass: p, lz: g.pd, ly: g.ph, lx: g.pw}
+	if p.transposed {
+		l.lz, l.ly, l.lx = kd-1-g.pd, kh-1-g.ph, kw-1-g.pw
+	}
+	l.colBlocks = ceilDiv(ow, rowBlock-kw+1)
+	l.cols = ceilDiv(ow, l.colBlocks)
+	l.colBlocks = ceilDiv(ow, l.cols)
+	l.W = (l.cols + kw + 2) &^ 3
+	rowsMax := rowBlock / l.W
+	l.planes, l.perJob, l.seg = g.n*p.od, 1, oh
+	if oh <= rowsMax {
+		l.perJob = min(l.planes, (rowsMax+kh-1)/(oh+kh-1))
+	} else {
+		l.seg = ceilDiv(oh, ceilDiv(oh, rowsMax))
+	}
+	l.perJob = ceilDiv(l.planes, ceilDiv(l.planes, l.perJob))
+	l.pieces, l.chanBlocks = ceilDiv(oh, l.seg), (p.oc+3)/4
+	jobs := ceilDiv(l.planes, l.perJob) * l.pieces * l.colBlocks * l.chanBlocks
+	l.u = max(1, ((l.perJob-1)*(l.seg+kh-1)+l.seg)*l.W*4*p.ic*kd*kh*kw/rowWorkUnit)
+	// A method value of a value receiver carries its copy of l: the pass
+	// allocates that one closure, where a func literal would also move l
+	// to the heap.
+	tensor.ParallelRange(jobs*l.u, l.run)
+}
+
+// stagedPass is a staged pass and its job layout. (lz, ly, lx) is how far
+// the input grid starts before the output grid: tap (tz, ty, tx) joins
+// output (z, y, x) to input (z−lz+tz, y−ly+ty, x−lx+tx).
+type stagedPass struct {
+	rowPass
+	lz, ly, lx                  int
+	cols, colBlocks, W          int
+	planes, perJob, seg, pieces int
+	chanBlocks, u               int
+}
+
+// run runs the jobs of work units [lo, hi).
+func (l stagedPass) run(lo, hi int) {
+	p, od, oh, ow, oc := &l.rowPass, l.od, l.oh, l.ow, l.oc
+	kd, kh, kw, W, u := l.g.kd, l.g.kh, l.g.kw, l.W, l.u
+	sc := rowScratchPool.Get().(*rowScratch)
+	defer rowScratchPool.Put(sc)
+	acc, wt := sc.acc[:], &sc.wt
+	for j := (lo + u - 1) / u; j < (hi+u-1)/u; j++ {
+		t, c0 := j/l.chanBlocks, j%l.chanBlocks*4
+		t, x0 := t/l.colBlocks, t%l.colBlocks*l.cols
+		q0, y0 := t/l.pieces*l.perJob, t%l.pieces*l.seg
+		q1, y1, x1 := min(q0+l.perJob, l.planes), min(y0+l.seg, oh), min(x0+l.cols, ow)
+		nc, pitch := min(4, oc-c0), y1-y0+kh-1
+		span := ((q1-q0)*pitch - kh + 1) * W
+		stage := sc.stage[:]
+		if n := (q1-q0)*pitch*W + kw - 1; n > len(stage) {
+			stage = make([]float64, n) // a kernel taller than 3 over rows near rowBlock wide
+		}
+		p.initAcc(acc, c0, nc, span)
+		for cin := 0; cin < p.ic; cin++ {
+			for kz := 0; kz < kd; kz++ {
+				tz := kz
+				if p.transposed {
+					tz = kd - 1 - kz
 				}
-				for i := range (r1 - r0) * bw {
-					acc[c*rowStride+i] = b
+				p.stage(stage, cin, tz-l.lz, y0-l.ly, x0-l.lx, q0, q1, pitch, W)
+				for ky := 0; ky < kh; ky++ {
+					ty, w := ky, p.taps(c0, cin, kz, ky)
+					if p.transposed {
+						ty = kh - 1 - ky
+					}
+					kx := 0
+					for ; nc == 4 && rowVec != nil && kx+3 <= kw; kx += 3 {
+						tx := kx
+						if p.transposed {
+							tx = kw - 3 - kx
+						}
+						for i := 0; i < 3; i++ {
+							gather(sc.wt3[4*i:], w, p.oStep, nc, kx+i)
+						}
+						rowVec.madd4x3(acc[:3*rowStride+span], &sc.wt3, stage[ty*W+tx:][:span+2], p.transposed)
+					}
+					for ; kx < kw; kx++ {
+						tx := kx
+						if p.transposed {
+							tx = kw - 1 - kx
+						}
+						gather(wt[:], w, p.oStep, nc, kx)
+						maddRow(acc, 0, nc, wt, stage[ty*W+tx:], span, 1, 1)
+					}
 				}
 			}
-			for cin := 0; cin < ic; cin++ {
-				for kz := 0; kz < kd; kz++ {
-					for ky := 0; ky < kh; ky++ {
-						for kx := 0; kx < kw; kx++ {
-							// The output columns [x0, x1) the tap reaches, as
-							// [lo, hi) on the strided side: out[off+j·sa] += w·in[src+j·sx].
-							var lo, hi, off, src, sa, sx int
-							if transposed {
-								lo, hi = tapRange(iw, bw, s, g.pw+x0, kx)
-								off, src, sa, sx = lo*s-g.pw+kx-x0, lo, s, 1
-							} else {
-								lo, hi = tapRange(ow, iw, s, g.pw, kx)
-								lo, hi = max(lo, x0), min(hi, x1)
-								off, src, sa, sx = lo-x0, lo*s-g.pw+kx, 1, s
+		}
+		for c := 0; c < nc; c++ {
+			b := p.lastBias(c0 + c)
+			for q := q0; q < q1; q++ {
+				for y := y0; y < y1; y++ {
+					row := p.out[(((q/od*oc+c0+c)*od+q%od)*oh+y)*ow+x0:][:x1-x0]
+					for i, v := range acc[c*rowStride+((q-q0)*pitch+y-y0)*W:][:len(row)] {
+						row[i] = v + b
+					}
+				}
+			}
+		}
+	}
+}
+
+// stage copies input channel cin into the staged block of planes [q0, q1):
+// per plane q at depth z, pitch rows of W columns from input row dy and
+// input column dx of input plane z+dz on, zero outside the input grid, then
+// kw−1 zeros for the last taps' overreach.
+func (p *rowPass) stage(stage []float64, cin, dz, dy, dx, q0, q1, pitch, W int) {
+	for q := q0; q < q1; q++ {
+		dst := stage[(q-q0)*pitch*W:][:pitch*W]
+		iz := q%p.od + dz
+		if iz < 0 || iz >= p.id {
+			clear(dst)
+			continue
+		}
+		plane := p.in[((q/p.od*p.ic+cin)*p.id+iz)*p.ih*p.iw:][:p.ih*p.iw]
+		lo, hi := max(0, -dx), max(0, min(W, p.iw-dx))
+		for r := 0; r < pitch; r++ {
+			row := dst[r*W:][:W]
+			iy := r + dy
+			if iy < 0 || iy >= p.ih || lo >= hi {
+				clear(row)
+				continue
+			}
+			// The padding is a few columns: loops beat clear's call.
+			for i := range row[:lo] {
+				row[i] = 0
+			}
+			copy(row[lo:hi], plane[iy*p.iw+dx+lo:])
+			for i := range row[hi:] {
+				row[hi+i] = 0
+			}
+		}
+	}
+	clear(stage[(q1-q0)*pitch*W:][:p.g.kw-1])
+}
+
+// strided runs a pass of stride s > 1, reading input rows where they lie.
+// A job owns a block of up to rowBlock elements — whole rows, or a slice of
+// one row wider than that — times up to four output channels. Each tap
+// adds, per output row, the columns [lo, hi) it reaches to the
+// accumulator, skipping taps that fall into the padding.
+func (p rowPass) strided() {
+	g, s := p.g, p.g.s
+	terms := p.ic * g.kd * g.kh * g.kw
+	if p.transposed {
+		terms = p.ic * max(1, g.kd/s) * max(1, g.kh/s) * max(1, g.kw/s)
+	}
+	l := stridedPass{rowPass: p, rows: g.n * p.od * p.oh, rowsPer: max(1, rowBlock/p.ow),
+		colBlocks: ceilDiv(p.ow, rowBlock), chanBlocks: (p.oc + 3) / 4}
+	jobs := ceilDiv(l.rows, l.rowsPer) * l.colBlocks * l.chanBlocks
+	l.u = max(1, min(l.rowsPer, l.rows)*min(p.ow, rowBlock)*4*terms/rowWorkUnit)
+	tensor.ParallelRange(jobs*l.u, l.run)
+}
+
+// stridedPass is a strided pass and its job layout.
+type stridedPass struct {
+	rowPass
+	rows, rowsPer, colBlocks, chanBlocks, u int
+}
+
+// run runs the jobs of work units [lo, hi).
+func (l stridedPass) run(lo, hi int) {
+	p, g, od, oh, ow, oc, id, ih, iw := &l.rowPass, l.g, l.od, l.oh, l.ow, l.oc, l.id, l.ih, l.iw
+	s, kd, kh, kw, u := g.s, g.kd, g.kh, g.kw, l.u
+	rows, rowsPer, colBlocks, chanBlocks := l.rows, l.rowsPer, l.colBlocks, l.chanBlocks
+	sc := rowScratchPool.Get().(*rowScratch)
+	defer rowScratchPool.Put(sc)
+	acc, wt := sc.acc[:], &sc.wt
+	for j := (lo + u - 1) / u; j < (hi+u-1)/u; j++ {
+		t, c0 := j/chanBlocks, j%chanBlocks*4
+		r0, x0 := t/colBlocks*rowsPer, t%colBlocks*rowBlock
+		r1, x1 := min(r0+rowsPer, rows), min(x0+rowBlock, ow)
+		bw, nc := x1-x0, min(4, oc-c0)
+		n0, z0, y0 := r0/(od*oh), r0/oh%od, r0%oh
+		p.initAcc(acc, c0, nc, (r1-r0)*bw)
+		for cin := 0; cin < p.ic; cin++ {
+			for kz := 0; kz < kd; kz++ {
+				for ky := 0; ky < kh; ky++ {
+					for kx := 0; kx < kw; kx++ {
+						// The output columns [x0, x1) the tap reaches, as
+						// [lo, hi) on the strided side: out[off+j·sa] += w·in[src+j·sx].
+						var lo, hi, off, src, sa, sx int
+						if p.transposed {
+							lo, hi = tapRange(iw, bw, s, g.pw+x0, kx)
+							off, src, sa, sx = lo*s-g.pw+kx-x0, lo, s, 1
+						} else {
+							lo, hi = tapRange(ow, iw, s, g.pw, kx)
+							lo, hi = max(lo, x0), min(hi, x1)
+							off, src, sa, sx = lo-x0, lo*s-g.pw+kx, 1, s
+						}
+						if lo >= hi {
+							continue
+						}
+						gather(wt[:], p.taps(c0, cin, kz, ky), p.oStep, nc, kx)
+						n, z, y := n0, z0, y0
+						for r := r0; r < r1; r++ {
+							iz, okz := tapRow(z, g.pd, kz, s, id, p.transposed)
+							iy, oky := tapRow(y, g.ph, ky, s, ih, p.transposed)
+							if okz && oky {
+								row := (((n*p.ic+cin)*id+iz)*ih + iy) * iw
+								maddRow(acc, (r-r0)*bw+off, nc, wt, p.in[row+src:], hi-lo, sa, sx)
 							}
-							if lo >= hi {
-								continue
-							}
-							for c := 0; c < nc; c++ {
-								wt[c] = wd[(c0+c)*oStep+cin*iStep+(kz*kh+ky)*kw+kx]
-							}
-							n, z, y := n0, z0, y0
-							for r := r0; r < r1; r++ {
-								iz, okz := tapRow(z, g.pd, kz, s, id, transposed)
-								iy, oky := tapRow(y, g.ph, ky, s, ih, transposed)
-								if okz && oky {
-									row := (((n*ic+cin)*id+iz)*ih + iy) * iw
-									maddRow(acc, (r-r0)*bw+off, nc, wt, in[row+src:], hi-lo, sa, sx)
-								}
-								n, z, y = nextRow(n, z, y, od, oh)
-							}
+							n, z, y = nextRow(n, z, y, od, oh)
 						}
 					}
 				}
 			}
-			for c := 0; c < nc; c++ {
-				b := 0.0
-				if bias != nil && biasLast {
-					b = bias[c0+c]
+		}
+		for c := 0; c < nc; c++ {
+			b := p.lastBias(c0 + c)
+			n, z, y := n0, z0, y0
+			for r := r0; r < r1; r++ {
+				row := p.out[(((n*oc+c0+c)*od+z)*oh+y)*ow+x0:][:bw]
+				for i, v := range acc[c*rowStride+(r-r0)*bw:][:len(row)] {
+					row[i] = v + b
 				}
-				n, z, y := n0, z0, y0
-				for r := r0; r < r1; r++ {
-					row := out[(((n*oc+c0+c)*od+z)*oh+y)*ow+x0:][:bw]
-					for i, v := range acc[c*rowStride+(r-r0)*bw:][:len(row)] {
-						row[i] = v + b
-					}
-					n, z, y = nextRow(n, z, y, od, oh)
-				}
+				n, z, y = nextRow(n, z, y, od, oh)
 			}
 		}
-	})
+	}
 }
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // tapRow returns the input index that kernel tap k joins to output index o
 // along one axis, if it lies in [0, n): o·s − p + k, or for the adjoint the
@@ -195,30 +449,43 @@ func nextRow(n, z, y, nz, ny int) (int, int, int) {
 	return n + 1, 0, 0
 }
 
-// maddRowVec, if a CPU probe at start-up sets it, runs maddRow's stride-1
-// four-channel loop on a multiple-of-4 prefix of x, with the same bits.
-var maddRowVec func(acc []float64, wt *[4]float64, x []float64)
+// rowVec, if a CPU probe at start-up sets it, holds the vector forms of
+// maddRow's stride-1 loop, with the same bits, over a multiple-of-4 prefix
+// of x: madd4 for four channels, madd1 for one.
+var rowVec *vecKernels
+
+type vecKernels struct {
+	madd4 func(acc []float64, wt *[4]float64, x []float64)
+	madd1 func(acc []float64, w float64, x []float64)
+	// madd4x3 is three madd4 calls at once: x[j], x[j+1], x[j+2] (rev:
+	// x[j+2], x[j+1], x[j]) times wt[0:4], wt[4:8], wt[8:12], for the
+	// len(x)−2 columns j.
+	madd4x3 func(acc []float64, wt *[12]float64, x []float64, rev bool)
+}
 
 // maddRow adds wt[c]·x[j·sx] into acc[c·rowStride + off + j·sa] for j < n
 // and each of the nc ≤ 4 channels.
 func maddRow(acc []float64, off, nc int, wt *[4]float64, x []float64, n, sa, sx int) {
-	w0, w1, w2, w3 := wt[0], wt[1], wt[2], wt[3]
-	switch {
-	case nc == 4 && sa == 1 && sx == 1:
-		x = x[:n]
-		if m := n &^ 3; m > 0 && maddRowVec != nil {
-			maddRowVec(acc[off:off+3*rowStride+m], wt, x[:m])
-			off, x = off+m, x[m:]
+	if m := n &^ 3; m > 0 && sa == 1 && sx == 1 && rowVec != nil {
+		if nc == 4 {
+			rowVec.madd4(acc[off:off+3*rowStride+m], wt, x[:m])
+		} else {
+			for c := 0; c < nc; c++ {
+				rowVec.madd1(acc[off+c*rowStride:][:m], wt[c], x[:m])
+			}
 		}
-		a0, a1 := acc[off:][:len(x)], acc[off+rowStride:][:len(x)]
-		a2, a3 := acc[off+2*rowStride:][:len(x)], acc[off+3*rowStride:][:len(x)]
-		for j, v := range x {
-			a0[j] += float64(w0 * v)
-			a1[j] += float64(w1 * v)
-			a2[j] += float64(w2 * v)
-			a3[j] += float64(w3 * v)
+		off, x, n = off+m, x[m:], n-m
+	}
+	switch {
+	case sa == 1 && sx == 1:
+		for c := 0; c < nc; c++ {
+			w, a := wt[c], acc[c*rowStride+off:][:n]
+			for j, v := range x[:n] {
+				a[j] += float64(w * v)
+			}
 		}
 	case nc == 4:
+		w0, w1, w2, w3 := wt[0], wt[1], wt[2], wt[3]
 		a := acc[off:]
 		for j := 0; j < n; j++ {
 			v, i := x[j*sx], j*sa

@@ -196,11 +196,17 @@ func TestCorrelateRowsBiasLastMatchesIm2ColProduct(t *testing.T) {
 }
 
 // The row kernels with the bias first (or none) are the per-voxel nests
-// above with the loops reordered: same terms, same order, same bits. Each
-// case runs with the vector row kernel, where the CPU has one, and without.
-// Rows of 1, 3, 4, 5 and 257 columns give the vector path an empty prefix,
-// a pure tail, an exact fit, a prefix and a tail, and a second column
-// block that starts at x0 = 256; 5 output channels a channel tail.
+// above with the loops reordered: same terms, same order, same bits (the
+// staged kernel's extra padding terms are w·(+0); see convdirect.go). Each
+// case runs with the vector row kernels, where the CPU has them, and
+// without. In the strided rows, rows of 1, 3, 4 and 5 columns give the
+// vector path an empty prefix, a pure tail, an exact fit, and a prefix and
+// a tail; 5 output channels give a channel tail. The rows after the first
+// sixteen cover the staged kernel: 2D blocks that cross samples, padded
+// widths that are not a multiple of 4, the k=1, p=0 head, the one-channel
+// stride-1 adjoint of the first layer, planes taller than a block, rows
+// wider than one, staged and strided, and a 5-tap kernel whose staged block
+// outgrows the pooled scratch.
 type rowCase struct{ n, ci, co, d, h, w, kd, k, pd, p, s int }
 
 func TestRowKernelsMatchDirectNests(t *testing.T) {
@@ -221,6 +227,20 @@ func TestRowKernelsMatchDirectNests(t *testing.T) {
 		{1, 2, 5, 2, 5, 5, 1, 3, 0, 1, 1},
 		{1, 2, 4, 1, 2, 257, 1, 3, 0, 1, 1},
 		{1, 1, 5, 2, 2, 257, 3, 3, 1, 1, 1},
+		{2, 2, 4, 1, 8, 8, 1, 3, 0, 1, 1},
+		{3, 4, 8, 1, 8, 8, 1, 3, 0, 1, 1},
+		{2, 3, 4, 1, 5, 7, 1, 3, 0, 1, 1},
+		{1, 2, 5, 1, 6, 3, 1, 3, 0, 1, 1},
+		{2, 3, 4, 3, 4, 5, 3, 3, 1, 1, 1},
+		{2, 4, 1, 1, 8, 8, 1, 1, 0, 0, 1},
+		{1, 4, 1, 4, 4, 4, 1, 1, 0, 0, 1},
+		{2, 1, 4, 1, 8, 8, 1, 3, 0, 1, 1},
+		{1, 1, 4, 6, 8, 8, 3, 3, 1, 1, 1},
+		{1, 2, 4, 1, 100, 30, 1, 3, 0, 1, 1},
+		{1, 2, 4, 3, 40, 30, 3, 3, 1, 1, 1},
+		{1, 2, 4, 1, 3, 1100, 1, 3, 0, 1, 1},
+		{1, 1, 4, 1, 2, 2100, 1, 2, 0, 0, 2},
+		{1, 1, 4, 1, 3, 900, 1, 5, 0, 2, 1},
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%+v", tc), func(t *testing.T) {
@@ -231,6 +251,98 @@ func TestRowKernelsMatchDirectNests(t *testing.T) {
 				})
 			}
 		})
+	}
+	// The inputs the staged kernel's padding terms can show on: a −0 bias
+	// and a non-finite weight. A channel of −0 terms after a −0 bias sums
+	// to −0 in the nest, and the row kernels write +0, so those compare
+	// with ==. A non-finite weight makes its padding terms NaN, so every
+	// element of the output channel it feeds is non-finite. Every other
+	// channel keeps the nest's bits.
+	for _, tc := range []rowCase{
+		{2, 3, 5, 1, 8, 8, 1, 3, 0, 1, 1},
+		{1, 2, 4, 4, 5, 6, 3, 3, 1, 1, 1},
+	} {
+		for _, special := range []float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()} {
+			t.Run(fmt.Sprintf("%+v/special%v", tc, special), func(t *testing.T) {
+				for _, vec := range []bool{false, true} {
+					t.Run(vectorName(vec), func(t *testing.T) {
+						withVectorRows(t, vec)
+						rowKernelsOnSpecialValue(t, tc, special)
+					})
+				}
+			})
+		}
+	}
+}
+
+// rowKernelsOnSpecialValue runs correlate and adjoint with special on
+// output channel 0. When special is −0 it is the channel's bias, every
+// weight of the channel is −0 and every input positive, so every term is
+// −0: the nest sums to −0 and the row kernels write +0. Otherwise it is the
+// weight of tap (0, 0, 0) from input channel 0, which falls into the
+// padding for the elements on the low edges.
+func rowKernelsOnSpecialValue(t *testing.T, tc rowCase, special float64) {
+	rng := NewRNG(int64(tc.ci*31 + tc.co*7 + tc.w))
+	g := kernelGeom(tc.n, tc.ci, tc.d, tc.h, tc.w, tc.kd, tc.k, tc.pd, tc.p, tc.s)
+	g.co = tc.co
+	kvol := tc.kd * tc.k * tc.k
+	xd := randTensor(rng, tc.n*tc.ci*tc.d*tc.h*tc.w).Data
+	yd := randTensor(rng, tc.n*tc.co*g.do*g.ho*g.wo).Data
+	if special == 0 {
+		for _, v := range [][]float64{xd, yd} {
+			for i := range v {
+				v[i] = math.Abs(v[i])
+			}
+		}
+	}
+	for _, transposed := range []bool{false, true} {
+		wd := randTensor(rng, tc.co*g.rows()).Data
+		bias := randTensor(rng, max(tc.ci, tc.co)).Data
+		// The correlate's channel 0 reads the weights [0, ·, ·], the
+		// adjoint's [·, 0, ·].
+		step, blocks := kvol, tc.ci
+		if transposed {
+			step, blocks = tc.ci*kvol, tc.co
+		}
+		if special == 0 {
+			bias[0] = special
+			for i := 0; i < blocks; i++ {
+				for j := range wd[i*step:][:kvol] {
+					wd[i*step+j] = special
+				}
+			}
+		} else {
+			wd[0] = special
+		}
+		var got, want []float64
+		if transposed {
+			got, want = make([]float64, len(xd)), make([]float64, len(xd))
+			directAdjoint(want, yd, wd, bias[:tc.ci], g)
+			adjointRows(got, yd, wd, bias[:tc.ci], g)
+		} else {
+			got, want = make([]float64, len(yd)), make([]float64, len(yd))
+			directCorrelate(want, xd, wd, bias[:tc.co], g)
+			correlateRows(got, xd, wd, bias[:tc.co], g, false)
+		}
+		oc, vol := tc.co, g.do*g.ho*g.wo
+		if transposed {
+			oc, vol = tc.ci, tc.d*tc.h*tc.w
+		}
+		for i := range want {
+			what := fmt.Sprintf("transposed %v: element %d is %v, the direct nest gives %v", transposed, i, got[i], want[i])
+			switch {
+			case i/vol%oc != 0:
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatal(what)
+				}
+			case special == 0:
+				if got[i] != want[i] || math.Signbit(got[i]) || !math.Signbit(want[i]) {
+					t.Fatal(what + ", want +0 against −0")
+				}
+			case !math.IsNaN(got[i]) && !math.IsInf(got[i], 0):
+				t.Fatal(what + ", want a non-finite value")
+			}
+		}
 	}
 }
 

@@ -20,18 +20,18 @@ func vectorName(on bool) string {
 	return "go"
 }
 
-// withVectorRows switches the vector row kernel on or off until the test
-// ends; a CPU without one skips the "on" half.
+// withVectorRows switches the vector row kernels on or off until the test
+// ends; a CPU without them skips the "on" half.
 func withVectorRows(t *testing.T, on bool) {
 	t.Helper()
-	vec := maddRowVec
+	vec := rowVec
 	if on && vec == nil {
 		t.Skip("no vector row kernel on this CPU")
 	}
 	if !on {
-		maddRowVec = nil
+		rowVec = nil
 	}
-	t.Cleanup(func() { maddRowVec = vec })
+	t.Cleanup(func() { rowVec = vec })
 }
 
 // fuzzSpecials are the values an arithmetic kernel most often gets wrong.
@@ -63,11 +63,13 @@ func fuzzValues(data []byte) func() float64 {
 	}
 }
 
-// FuzzMaddRowVector holds the vector row kernel to the Go loop bit for bit:
-// maddRow's stride-1 four-channel case over n ≤ 70 columns at any offset
-// into the accumulator block, with x read from any alignment.
+// FuzzMaddRowVector holds the vector row kernels to the Go loop bit for
+// bit: maddRow's stride-1 case for one to four channels over n ≤ 70
+// columns at any offset into the accumulator block, with x read from any
+// alignment, and the three-tap kernel to three maddRow calls over the
+// multiple-of-4 prefix of the n columns, x read forwards and backwards.
 func FuzzMaddRowVector(f *testing.F) {
-	vec := maddRowVec
+	vec := rowVec
 	if vec == nil {
 		f.Skip("no vector row kernel on this CPU")
 	}
@@ -87,17 +89,149 @@ func FuzzMaddRowVector(f *testing.F) {
 		for i := range acc {
 			acc[i] = next()
 		}
-		want := slices.Clone(acc)
-		defer func() { maddRowVec = vec }()
-		maddRowVec = nil
-		maddRow(want, at, 4, &wt, x, cols, 1, 1)
-		maddRowVec = vec
-		maddRow(acc, at, 4, &wt, x, cols, 1, 1)
-		for i := range acc {
-			if math.Float64bits(acc[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("n %d, off %d: acc[%d] is %#x, the Go loop gives %#x", cols, at, i, math.Float64bits(acc[i]), math.Float64bits(want[i]))
+		defer func() { rowVec = vec }()
+		for nc := 1; nc <= 4; nc++ {
+			want, got := slices.Clone(acc), slices.Clone(acc)
+			rowVec = nil
+			maddRow(want, at, nc, &wt, x, cols, 1, 1)
+			rowVec = vec
+			maddRow(got, at, nc, &wt, x, cols, 1, 1)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("nc %d, n %d, off %d: acc[%d] is %#x, the Go loop gives %#x", nc, cols, at, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
 			}
 		}
+		m := cols &^ 3
+		if m == 0 {
+			return
+		}
+		var wt3 [12]float64
+		for i := range wt3 {
+			wt3[i] = next()
+		}
+		x3 := make([]float64, m+5)[off%4:]
+		for j := range x3 {
+			x3[j] = next()
+		}
+		for _, rev := range []bool{false, true} {
+			want, got := slices.Clone(acc), slices.Clone(acc)
+			rowVec = nil
+			for i := 0; i < 3; i++ {
+				from := i
+				if rev {
+					from = 2 - i
+				}
+				maddRow(want, at, 4, (*[4]float64)(wt3[4*i:]), x3[from:], m, 1, 1)
+			}
+			rowVec = vec
+			vec.madd4x3(got[at:at+3*rowStride+m], &wt3, x3[:m+2], rev)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("three taps (rev %v), n %d, off %d: acc[%d] is %#x, three maddRow calls give %#x", rev, m, at, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	})
+}
+
+// FuzzStagedRows holds the stride-1 row kernel to the direct nests on a
+// fuzzed geometry, 2D or 3D, with fuzzed values: correlate with the bias
+// first, last or absent, and the adjoint. The weights are kept finite and
+// the bias off −0, the two cases where the staged kernel's padding terms
+// show (convdirect.go, and the special-value rows of
+// TestRowKernelsMatchDirectNests); the inputs may be anything. The row kernel
+// must give the nests' bits, except that two NaNs count as equal: with a
+// NaN on both sides of an add, the payload that survives depends on the
+// operand order the compiler picked, which neither side pins. With and
+// without the vector kernels, the row kernel's bits must agree exactly.
+func FuzzStagedRows(f *testing.F) {
+	f.Add(uint32(0), []byte{})
+	f.Add(uint32(0x2_0b5f), []byte("\x01\x3f\xf8\x00\x00\x00\x00\x00\x00\x04"))
+	f.Add(uint32(0xf_ffff), []byte("\x08\x0a\x0c\x01\xbc\x9a\x78\x56\x34\x12\xf8\x7f"))
+	vec := rowVec
+	f.Fuzz(func(t *testing.T, shape uint32, data []byte) {
+		// field takes the next digit of shape in base n.
+		field := func(n uint32) int {
+			v := int(shape % n)
+			shape /= n
+			return v
+		}
+		n, ci, co, k := 1+field(2), 1+field(3), 1+field(6), 1+field(3)
+		p, d, h, w := field(uint32(k)), 1+field(4), 1+field(6), 1+field(12)
+		kd, pd := 1, 0
+		if field(2) == 1 {
+			kd, pd = k, p
+		}
+		biasAt := field(3) // none, first, last
+		g := kernelGeom(n, ci, d, h, w, kd, k, pd, p, 1)
+		g.co = co
+		if g.do <= 0 || g.ho <= 0 || g.wo <= 0 {
+			return
+		}
+		next := fuzzValues(data)
+		draw := func(m int, keep func(float64) float64) []float64 {
+			v := make([]float64, m)
+			for i := range v {
+				v[i] = keep(next())
+			}
+			return v
+		}
+		asIs := func(v float64) float64 { return v }
+		wd := draw(co*g.rows(), func(v float64) float64 {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return 0.5
+			}
+			return v
+		})
+		bias := draw(max(ci, co), func(v float64) float64 { return v + 0 }) // −0 + 0 is +0
+		xd := draw(n*ci*d*h*w, asIs)
+		yd := draw(n*co*g.do*g.ho*g.wo, asIs)
+		defer func() { rowVec = vec }()
+		check := func(what string, want []float64, run func(out []float64)) {
+			rowVec = nil
+			got := make([]float64, len(want))
+			run(got)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+					t.Fatalf("%+v %s: element %d is %#x, the direct nest gives %#x", g, what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+			if vec == nil {
+				return
+			}
+			rowVec = vec
+			gotVec := make([]float64, len(want))
+			run(gotVec)
+			for i := range got {
+				if math.Float64bits(gotVec[i]) != math.Float64bits(got[i]) {
+					t.Fatalf("%+v %s: element %d is %#x with the vector kernels, %#x without", g, what, i, math.Float64bits(gotVec[i]), math.Float64bits(got[i]))
+				}
+			}
+		}
+
+		want := make([]float64, len(yd))
+		var b []float64
+		if biasAt == 1 {
+			b = bias[:co]
+		}
+		directCorrelate(want, xd, wd, b, g)
+		if biasAt == 2 {
+			vol := g.do * g.ho * g.wo
+			for i := range want {
+				want[i] += bias[i/vol%co]
+			}
+			b = bias[:co]
+		}
+		check("correlate", want, func(out []float64) { correlateRows(out, xd, wd, b, g, biasAt == 2) })
+
+		want = make([]float64, len(xd))
+		b = nil
+		if biasAt != 0 {
+			b = bias[:ci]
+		}
+		directAdjoint(want, yd, wd, b, g)
+		check("adjoint", want, func(out []float64) { adjointRows(out, yd, wd, b, g) })
 	})
 }
 

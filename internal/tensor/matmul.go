@@ -263,24 +263,3 @@ func matmulTransBTile(ad, bd, cd []float64, k, n, iLo, iHi, jLo, jHi, pLo, pHi i
 		}
 	}
 }
-
-// MatMulNaive is the textbook triple loop, kept as the correctness oracle
-// and the ablation baseline for the blocked kernel.
-func MatMulNaive(a, b *Tensor) *Tensor {
-	m, k := a.Dim(0), a.Dim(1)
-	n := b.Dim(1)
-	if b.Dim(0) != k {
-		panic("tensor: MatMulNaive inner dimensions differ")
-	}
-	c := New(m, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			s := 0.0
-			for p := 0; p < k; p++ {
-				s += a.Data[i*k+p] * b.Data[p*n+j]
-			}
-			c.Data[i*n+j] = s
-		}
-	}
-	return c
-}

@@ -27,6 +27,27 @@ func explicitTranspose(a *Tensor) *Tensor {
 	return out
 }
 
+// matMulNaive is the textbook triple loop, the correctness oracle for the
+// blocked kernel.
+func matMulNaive(a, b *Tensor) *Tensor {
+	m, k := a.Dim(0), a.Dim(1)
+	n := b.Dim(1)
+	if b.Dim(0) != k {
+		panic("tensor: matMulNaive inner dimensions differ")
+	}
+	c := New(m, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			s := 0.0
+			for p := 0; p < k; p++ {
+				s += a.Data[i*k+p] * b.Data[p*n+j]
+			}
+			c.Data[i*n+j] = s
+		}
+	}
+	return c
+}
+
 func assertClose(t *testing.T, name string, got, want *Tensor) {
 	t.Helper()
 	if !got.SameShape(want) {
@@ -49,7 +70,7 @@ func TestMatMulWideOutputMatchesNaive(t *testing.T) {
 	} {
 		a := randMat(rng, tc.m, tc.k)
 		b := randMat(rng, tc.k, tc.n)
-		assertClose(t, "MatMul", MatMul(a, b), MatMulNaive(a, b))
+		assertClose(t, "MatMul", MatMul(a, b), matMulNaive(a, b))
 	}
 }
 
@@ -60,7 +81,7 @@ func TestMatMulTransAMatchesExplicitTranspose(t *testing.T) {
 	} {
 		a := randMat(rng, tc.k, tc.m) // A is [k, m]; C = Aᵀ·B is [m, n]
 		b := randMat(rng, tc.k, tc.n)
-		assertClose(t, "MatMulTransA", MatMulTransA(a, b), MatMulNaive(explicitTranspose(a), b))
+		assertClose(t, "MatMulTransA", MatMulTransA(a, b), matMulNaive(explicitTranspose(a), b))
 	}
 }
 
@@ -71,7 +92,7 @@ func TestMatMulTransBMatchesExplicitTranspose(t *testing.T) {
 	} {
 		a := randMat(rng, tc.m, tc.k)
 		b := randMat(rng, tc.n, tc.k) // B is [n, k]; C = A·Bᵀ is [m, n]
-		assertClose(t, "MatMulTransB", MatMulTransB(a, b), MatMulNaive(a, explicitTranspose(b)))
+		assertClose(t, "MatMulTransB", MatMulTransB(a, b), matMulNaive(a, explicitTranspose(b)))
 	}
 }
 
@@ -183,7 +204,7 @@ func TestMatMulTransBChunkedContraction(t *testing.T) {
 	const m, k, n = 4, 3*transBChunkK + 137, 9
 	a := randMat(rng, m, k)
 	b := randMat(rng, n, k)
-	assertClose(t, "chunked MatMulTransB", MatMulTransB(a, b), MatMulNaive(a, explicitTranspose(b)))
+	assertClose(t, "chunked MatMulTransB", MatMulTransB(a, b), matMulNaive(a, explicitTranspose(b)))
 
 	prev := SetParallelism(1)
 	defer SetParallelism(prev)

@@ -374,7 +374,7 @@ func TestMatMulMatchesNaive(t *testing.T) {
 			b.Data[i] = rng.NormFloat64()
 		}
 		blocked := MatMul(a, b)
-		naive := MatMulNaive(a, b)
+		naive := matMulNaive(a, b)
 		for i := range blocked.Data {
 			if math.Abs(blocked.Data[i]-naive.Data[i]) > 1e-10*(1+math.Abs(naive.Data[i])) {
 				t.Fatalf("%v: element %d differs: %v vs %v", dims, i, blocked.Data[i], naive.Data[i])
