@@ -8,7 +8,9 @@
 // engine (a disconnected client detaches from its flight), a
 // -request-timeout budget bounds every solve, per-client token-bucket
 // quotas answer 429 + Retry-After, and load-shed work answers
-// 503 + Retry-After — never a generic 500.
+// 503 + Retry-After — never a generic 500. A batch longer than the
+// admission queue answers 400 before any query is built, and a body
+// larger than that queue's worth of queries answers 413 unread.
 //
 // Endpoints:
 //
@@ -169,6 +171,10 @@ func parseResList(s string) ([]int, error) {
 }
 
 // solveRequest is the JSON body of /solve and (with Omegas) /solve-batch.
+// bodyBytesPerQuery is the request body allowance per query: an ω vector
+// of a few numbers in any JSON spelling, with room to spare.
+const bodyBytesPerQuery = 1 << 10
+
 type solveRequest struct {
 	Omega   []float64   `json:"omega,omitempty"`
 	Omegas  [][]float64 `json:"omegas,omitempty"`
@@ -359,13 +365,24 @@ func newHandler(eng *serve.Engine, opt handlerOptions) http.Handler {
 		}
 		return ctx, cancel, true
 	}
+	// A request carries at most the engine's admission bound of queries,
+	// so that bound also sizes the largest body worth reading.
+	maxQueries := eng.Stats().MaxQueue
+	maxBody := int64(maxQueries+1) * bodyBytesPerQuery
 	decode := func(w http.ResponseWriter, r *http.Request) (solveRequest, bool) {
 		var req solveRequest
 		if r.Method != http.MethodPost {
 			writeJSON(w, r, http.StatusMethodNotAllowed, map[string]string{"error": "POST required"})
 			return req, false
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				writeJSON(w, r, http.StatusRequestEntityTooLarge, map[string]string{
+					"error": fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
+				})
+				return req, false
+			}
 			badRequest(w, r, fmt.Errorf("bad JSON: %w", err))
 			return req, false
 		}
@@ -406,6 +423,10 @@ func newHandler(eng *serve.Engine, opt handlerOptions) http.Handler {
 		}
 		if len(req.Omegas) == 0 {
 			badRequest(w, r, fmt.Errorf("omegas is required"))
+			return
+		}
+		if len(req.Omegas) > maxQueries {
+			badRequest(w, r, fmt.Errorf("omegas has %d entries, more than the admission bound %d", len(req.Omegas), maxQueries))
 			return
 		}
 		qs := make([]serve.Query, len(req.Omegas))

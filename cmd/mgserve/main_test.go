@@ -101,6 +101,26 @@ func TestSolveBatchEndpoint(t *testing.T) {
 	}
 }
 
+// A batch longer than the engine's admission bound is refused before any
+// query is built, and a body larger than that bound's allowance is refused
+// unread.
+func TestSolveBatchBoundedByAdmission(t *testing.T) {
+	h := newHandler(testEngine(t, serve.Config{MaxQueue: 2, CacheSize: -1}), handlerOptions{})
+	rec := post(t, h, "/solve-batch", `{"omegas":[[0.1,0.2,0.3,0.4],[1,2,-1,-2],[0.5,0.5,0.5,0.5]],"res":8,"summary":true}`)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "admission bound 2") {
+		t.Fatalf("3-ω batch against MaxQueue 2: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if rec := post(t, h, "/solve-batch", `{"omegas":[[0.1,0.2,0.3,0.4],[1,2,-1,-2]],"res":8,"summary":true}`); rec.Code != http.StatusOK {
+		t.Fatalf("2-ω batch against MaxQueue 2: status %d: %s", rec.Code, rec.Body.String())
+	}
+	big := `{"omega":[0.1,0.2,0.3,0.4` + strings.Repeat(" ", 3*bodyBytesPerQuery) + `],"res":8}`
+	for _, path := range []string{"/solve", "/solve-batch"} {
+		if rec := post(t, h, path, big); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s with a %d-byte body: status %d: %s", path, len(big), rec.Code, rec.Body.String())
+		}
+	}
+}
+
 func TestSolveRejectsBadInput(t *testing.T) {
 	h := testHandler(t)
 	cases := []struct{ path, body string }{

@@ -52,30 +52,12 @@ func NewBatchNorm(name string, c int) *BatchNorm {
 
 // Forward implements Layer.
 func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() < 3 {
-		panic("nn: BatchNorm expects at least rank-3 input (N, C, spatial...)")
-	}
-	n := x.Dim(0)
-	c := x.Dim(1)
-	if c != b.C {
-		panic("nn: BatchNorm channel mismatch")
-	}
-	spatial := x.Len() / (n * c)
+	n, c, spatial := b.dims(x)
 	out := tensor.New(x.Shape()...)
 	gamma, beta := b.Gamma.Data.Data, b.Beta.Data.Data
 
 	if !train {
-		tensor.ParallelFor(c, func(ch int) {
-			mu := b.RunningMean[ch]
-			inv := 1.0 / math.Sqrt(b.RunningVar[ch]+b.Epsilon)
-			g, bt := gamma[ch], beta[ch]
-			for bn := 0; bn < n; bn++ {
-				base := (bn*c + ch) * spatial
-				for i := 0; i < spatial; i++ {
-					out.Data[base+i] = g*(x.Data[base+i]-mu)*inv + bt
-				}
-			}
-		})
+		b.infer(out.Data, x.Data, n, c, spatial)
 		return out
 	}
 
@@ -120,6 +102,42 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 	})
 	return out
+}
+
+// forwardInPlace overwrites x with Forward(x, false).
+func (b *BatchNorm) forwardInPlace(x *tensor.Tensor) {
+	n, c, spatial := b.dims(x)
+	b.infer(x.Data, x.Data, n, c, spatial)
+}
+
+// dims returns x's batch size, channel count and per-channel volume, and
+// rejects an input BatchNorm cannot take.
+func (b *BatchNorm) dims(x *tensor.Tensor) (n, c, spatial int) {
+	if x.Rank() < 3 {
+		panic("nn: BatchNorm expects at least rank-3 input (N, C, spatial...)")
+	}
+	n, c = x.Dim(0), x.Dim(1)
+	if c != b.C {
+		panic("nn: BatchNorm channel mismatch")
+	}
+	return n, c, x.Len() / (n * c)
+}
+
+// infer writes the inference normalization of src, with the running
+// statistics, to dst, which may be src.
+func (b *BatchNorm) infer(dst, src []float64, n, c, spatial int) {
+	gamma, beta := b.Gamma.Data.Data, b.Beta.Data.Data
+	tensor.ParallelFor(c, func(ch int) {
+		mu := b.RunningMean[ch]
+		inv := 1.0 / math.Sqrt(b.RunningVar[ch]+b.Epsilon)
+		g, bt := gamma[ch], beta[ch]
+		for bn := 0; bn < n; bn++ {
+			base := (bn*c + ch) * spatial
+			for i := 0; i < spatial; i++ {
+				dst[base+i] = g*(src[base+i]-mu)*inv + bt
+			}
+		}
+	})
 }
 
 // Backward implements Layer using the standard batch-norm gradient:

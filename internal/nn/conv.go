@@ -10,13 +10,15 @@ import (
 // ConvAlgo selects how a convolution layer executes its kernels.
 type ConvAlgo int
 
-// A convolution's forward pass reads input rows in place at every size
-// (correlateRows), except ConvTranspose2D's, which lowers to GEMM + col2im,
-// and so does every weight gradient (weightGradRows). What the algorithm
-// still selects is the lowered arithmetic's order: a lowered forward adds
-// the bias after every tap instead of before, and a lowered backward sums
-// the weight gradient in the blocked order of the GEMM it replaced and
-// computes the input gradient as GEMM + col2im.
+// A convolution's forward pass runs the staged row kernel at every size
+// and stride (correlateRows; ConvTranspose3D's adjointRows, split by
+// parity class at stride 2), except ConvTranspose2D's, which lowers to
+// GEMM + col2im; every weight gradient reads rows in place too
+// (weightGradRows). What the algorithm still selects is the lowered
+// arithmetic's order: a lowered forward adds the bias after every tap
+// instead of before, and a lowered backward sums the weight gradient in
+// the blocked order of the GEMM it replaced and computes the input
+// gradient as GEMM + col2im.
 const (
 	// ConvAuto (the zero value) lowers where the lowering was measured to
 	// win: always at rank 4, and at rank 5 once the output volume reaches

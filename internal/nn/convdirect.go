@@ -20,40 +20,54 @@ import (
 // weight-gradient sum over the written grid in the orders weightGradRows
 // describes; the training benchmark pins the resulting bits.
 //
-// At stride 1, which is every convolution of the U-Net but the stride-2
-// up-convolutions, rowProduct stages its input. A job copies, per input
-// channel, the input rows its block of output rows reads into per-worker
-// scratch, each padded with zero columns (the convolution's padding, and
-// then up to a multiple of 4) to a width W that holds every column any tap
-// reads. Its accumulator rows have the same width, so input and
-// accumulator line up and every tap is one offset: the tap adds w times the
-// staged block, shifted by the tap, to the whole accumulator block in one
-// contiguous call, with no clamp at the edges. The columns past the output
-// width, and the rows between two planes of a block, accumulate garbage
-// that the write-out drops. On amd64 with AVX one kernel call runs three
-// kx taps, loading and storing the accumulators once for the three. The
-// strided branch reads input rows where they lie and clamps each tap to the
-// columns and rows it reaches (tapRange, tapRow).
+// rowProduct stages its input. A job copies, per input channel and kz, the
+// input rows its block of output rows reads into per-worker scratch, each
+// padded with zero columns (the convolution's padding, and then up to a
+// multiple of 4) to a width W that holds every column any tap reads. Its
+// accumulator rows have the same width, so input and accumulator line up
+// and every tap is one offset: the tap adds w times the staged block,
+// shifted by the tap, to the whole accumulator block in one contiguous
+// call, with no clamp at the edges. The columns past the output width, and
+// the rows between two planes of a block, accumulate garbage that the
+// write-out drops. Where the staged block would be a run of the input as it
+// lies (a kernel one tap wide, unpadded, over rows a multiple of 4 wide),
+// the job reads that run in place.
+//
+// At stride s > 1 the two directions split differently. A correlate stages
+// its rows and columns de-interleaved into s phases each, so tap k of an
+// axis with padding p reads phase (k − p) mod s at offset ⌊(k − p)/s⌋: each
+// tap is again one offset, and the taps keep their order. An adjoint splits
+// its output into parity classes r = (rz, ry, rx), the sub-pixel form of a
+// transposed convolution: class element j lands at output index s·j + r
+// and sums the taps k ≡ r + p (mod s), ascending, so each class is a
+// stride-1 adjoint with that sub-kernel, staged as above and written out
+// at stride s. An element no tap reaches gets its bias alone. At k = s and
+// p = 0, the U-Net's up-convolutions, every class is one tap per input
+// element, read in place.
 //
 // Why the bits hold. A staged sum also adds the padding terms that the
-// strided branch and the reference nests skip: w·(+0), which is ±0 for a
-// finite w. Adding ±0 changes no sum but a −0 one, and a sum that starts
-// at +0 never becomes −0 under round-to-nearest (x + (−x) is +0). A sum
-// that starts at a −0 bias may, but the write-out adds +0 to every
-// bias-first sum, so an exactly zero result is +0 either way. So for finite
-// weights the staged kernel gives the bits of skipping the padding. A
-// non-finite weight makes a padding term NaN (∞·0, NaN·0), and every output
-// element sums every tap of the kernel: at stride 1 the channel that weight
-// feeds is non-finite throughout, where skipping the padding leaves the
-// elements whose window that tap leaves finite.
+// reference nests skip: w·(+0), at every stride, which is ±0 for a finite
+// w. Adding ±0 changes no sum but a −0 one, and a sum that starts at +0
+// never becomes −0 under round-to-nearest (x + (−x) is +0). A sum that
+// starts at a −0 bias may, but the write-out adds +0 to every bias-first
+// sum, so an exactly zero result is +0 either way. So for finite weights
+// the staged kernel gives the bits of skipping the padding. A non-finite
+// weight makes a padding term NaN (∞·0, NaN·0), and every element sums
+// every tap of its (sub-)kernel: the output channel that weight feeds — in
+// a strided adjoint, that channel's parity class the tap belongs to — is
+// non-finite throughout, where skipping the padding leaves finite the
+// elements whose window that tap leaves.
 //
-// On amd64 with AVX, maddRow's stride-1 loops run four columns per
-// instruction (rowVec): the four-channel kernel for full channel groups,
-// the one-channel kernel per channel otherwise, and the three-tap kernel
-// for each kx triple of a staged row. Each lane is one VMULPD and one
-// VADDPD per term in the Go loop's operand order, never a fused
-// multiply-add, so its bits are the Go loop's, which every other CPU runs.
-// The Go loops write each product as float64(w·x), which no compiler fuses.
+// On amd64 with AVX, maddRow runs four columns per instruction (rowVec):
+// the four-channel kernel for full channel groups, the one-channel kernel
+// per channel otherwise, and the three-tap kernel for each kx triple of a
+// row staged at stride 1. With AVX-512 the same three kernels run eight
+// columns per instruction over the multiple-of-8 prefix, and the
+// four-column ones the rest. Each lane is one output column with its own
+// VMULPD and VADDPD per term in the Go loop's operand order, never a fused
+// multiply-add, so its bits are the Go loop's, which every other CPU runs,
+// at either lane count. The Go loops write each product as float64(w·x),
+// which no compiler fuses.
 
 func (s *convState) adjoint(xd, yd, bias []float64, w *Param, g geom, lower bool) {
 	if lower {
@@ -82,11 +96,10 @@ func adjointRows(xd, yd, wd, bias []float64, g geom) {
 
 // The row kernel splits its output into jobs of up to four output channels
 // times a block of up to rowBlock accumulator elements per channel, held in
-// pooled scratch and then written out. The channel groups of a block are
-// consecutive jobs, so its input rows stay in cache across them. Each
-// channel's stretch of the accumulator is padded so the four accumulator
-// rows never sit a multiple of 4 KiB apart: accumulating into rows a
-// power-of-two volume apart stalls on store/load aliasing.
+// pooled scratch and then written out. Each channel's stretch of the
+// accumulator is padded so the four accumulator rows never sit a multiple
+// of 4 KiB apart: accumulating into rows a power-of-two volume apart stalls
+// on store/load aliasing.
 const (
 	rowBlock  = 1024
 	rowStride = rowBlock + 8
@@ -95,8 +108,9 @@ const (
 // rowScratch is one worker's accumulator block, weight gather and staged
 // input rows, pooled as one allocation because passing them to the vector
 // kernels, function values, moves them to the heap. stage holds every
-// staged block of a kernel up to 3 taps tall (at most rowBlock accumulator
-// elements plus two halo rows of at most rowBlock columns, plus kw−1).
+// staged block of a stride-1 kernel up to 3 taps tall (at most rowBlock
+// accumulator elements plus two halo rows of at most rowBlock columns, plus
+// kw−1), and of a stride-2 one without halo rows.
 type rowScratch struct {
 	acc   [4 * rowStride]float64
 	wt    [4]float64
@@ -115,19 +129,59 @@ const rowWorkUnit = 128
 // transposed. Each output element sums its bias (first unless biasLast) and
 // one term per kernel tap that reaches it, in the order input channel → kz
 // → ky → kx.
+//
+// A job owns up to four output channels of one parity class (the whole
+// output, but in a strided adjoint) times a block of the class: the
+// columns [x0, x0+cols) of the rows [y0, y0+seg) in each of the planes
+// [q0, q1) — plane q is sample q/nz, class depth q%nz. All classes share
+// the layout of the largest, class 0: short planes are packed into one
+// block, tall ones cut into pieces of equal height, and rows wider than the
+// accumulator block into column blocks. The jobs of one block — its classes,
+// and in each its channel groups — are consecutive, so its input rows stay
+// in cache across them.
 func rowProduct(out, in, wd, bias []float64, g geom, transposed, biasLast bool) {
 	kvol := g.kd * g.kh * g.kw
-	p := rowPass{out: out, in: in, wd: wd, bias: bias, g: g, transposed: transposed, biasLast: biasLast,
-		od: g.do, oh: g.ho, ow: g.wo, oc: g.co, id: g.d, ih: g.h, iw: g.w, ic: g.ci, oStep: g.ci * kvol, iStep: kvol}
+	l := stagedPass{rowPass: rowPass{out: out, in: in, wd: wd, bias: bias, g: g, transposed: transposed, biasLast: biasLast,
+		od: g.do, oh: g.ho, ow: g.wo, oc: g.co, id: g.d, ih: g.h, iw: g.w, ic: g.ci, oStep: g.ci * kvol, iStep: kvol}}
+	p := &l.rowPass
+	l.S, l.os, l.cz, l.cy, l.cx = g.s, 1, 1, 1, 1
 	if transposed {
 		p.od, p.oh, p.ow, p.oc, p.id, p.ih, p.iw, p.ic = g.d, g.h, g.w, g.ci, g.do, g.ho, g.wo, g.co
 		p.oStep, p.iStep = kvol, g.ci*kvol
+		l.S, l.os, l.cz, l.cy, l.cx = 1, g.s, min(g.s, p.od), min(g.s, p.oh), min(g.s, p.ow)
 	}
-	if g.s == 1 {
-		p.staged()
+	l.nz, l.ny, l.nx = l.axis(g.kd, g.pd, p.od, 0).n, l.axis(g.kh, g.ph, p.oh, 0).n, l.axis(g.kw, g.pw, p.ow, 0).n
+	tz, ty, tx := 0, 0, 0 // the most taps of any class, per axis
+	for r := 0; r < l.cz; r++ {
+		tz = max(tz, l.axis(g.kd, g.pd, p.od, r).taps)
+	}
+	for r := 0; r < l.cy; r++ {
+		a := l.axis(g.kh, g.ph, p.oh, r)
+		ty, l.haloY = max(ty, a.taps), max(l.haloY, a.halo(l.S))
+	}
+	for r := 0; r < l.cx; r++ {
+		a := l.axis(g.kw, g.pw, p.ow, r)
+		tx, l.haloX = max(tx, a.taps), max(l.haloX, a.halo(l.S))
+	}
+	l.colBlocks = ceilDiv(l.nx, rowBlock-l.haloX)
+	l.cols = ceilDiv(l.nx, l.colBlocks)
+	l.colBlocks = ceilDiv(l.nx, l.cols)
+	l.W = (l.cols + l.haloX + 3) &^ 3
+	rowsMax := max(1, rowBlock/(l.W*l.S*l.S))
+	l.planes, l.perJob, l.seg = g.n*l.nz, 1, l.ny
+	if l.ny <= rowsMax {
+		l.perJob = min(l.planes, (rowsMax+l.haloY)/(l.ny+l.haloY))
 	} else {
-		p.strided()
+		l.seg = ceilDiv(l.ny, ceilDiv(l.ny, rowsMax))
 	}
+	l.perJob = ceilDiv(l.planes, ceilDiv(l.planes, l.perJob))
+	l.pieces, l.chanBlocks = ceilDiv(l.ny, l.seg), (p.oc+3)/4
+	jobs := ceilDiv(l.planes, l.perJob) * l.pieces * l.colBlocks * l.cz * l.cy * l.cx * l.chanBlocks
+	l.u = max(1, ((l.perJob-1)*(l.seg+l.haloY)+l.seg)*l.W*4*p.ic*tz*ty*tx/rowWorkUnit)
+	// A method value of a value receiver carries its copy of l: the pass
+	// allocates that one closure, where a func literal would also move l
+	// to the heap.
+	tensor.ParallelRange(jobs*l.u, l.run)
 }
 
 // rowPass is one rowProduct call: its operands, the output grid (o…) with
@@ -140,6 +194,138 @@ type rowPass struct {
 	od, oh, ow, oc       int
 	id, ih, iw, ic       int
 	oStep, iStep         int
+}
+
+// stagedPass is a rowPass and its job layout. The input is staged at
+// stride S (the pass's stride for a correlate, 1 for an adjoint) and
+// written out at stride os (the pass's stride for an adjoint, else 1);
+// each axis has cz, cy, cx parity classes, the largest with nz, ny, nx
+// elements. The staged blocks of a job reach haloY rows and haloX columns
+// past its accumulator block.
+type stagedPass struct {
+	rowPass
+	S, os, cz, cy, cx           int
+	nz, ny, nx, haloY, haloX    int
+	cols, colBlocks, W          int
+	planes, perJob, seg, pieces int
+	chanBlocks, u               int
+}
+
+// axisClass is parity class r of one axis of a pass, the only class but in
+// a strided adjoint. Its n elements j land at output index os·j + r. Its
+// sub-tap m < taps is weight tap k0 + s·m (m at stride 1 or in a
+// correlate), and joins element j to input index j·S − lead + t, with t,
+// the staged-side tap, m in a correlate and taps−1−m in an adjoint. A block
+// starting at element j0 stages, in phase φ, input indices S·(j0 − from +
+// i) + φ for i = 0, 1, ….
+type axisClass struct{ r, n, taps, k0, lead, from int }
+
+// axis returns class r of the axis with a k-tap kernel, padding pad and n
+// output elements.
+func (l *stagedPass) axis(k, pad, n, r int) axisClass {
+	s := l.g.s
+	if !l.transposed {
+		return axisClass{n: n, taps: k, lead: pad, from: ceilDiv(pad, s)}
+	}
+	k0 := (r + pad) % s
+	taps := ceilDiv(k-k0, s)
+	lead := taps - 1 - (r+pad)/s
+	return axisClass{r: r, n: ceilDiv(n-r, s), taps: taps, k0: k0, lead: lead, from: lead}
+}
+
+// shift returns where sub-tap m reads the staged block: phase shift%S, at
+// offset shift/S from the element it adds to.
+func (a axisClass) shift(m, S int, transposed bool) int {
+	if transposed {
+		m = a.taps - 1 - m
+	}
+	return m - a.lead + S*a.from
+}
+
+// halo returns the largest offset any sub-tap reads at.
+func (a axisClass) halo(S int) int {
+	if a.taps == 0 {
+		return 0
+	}
+	return (a.taps - 1 - a.lead + S*a.from) / S
+}
+
+// run runs the jobs of work units [lo, hi).
+func (l stagedPass) run(lo, hi int) {
+	p, g, S, W, u, tr := &l.rowPass, l.g, l.S, l.W, l.u, l.transposed
+	ks := 1 // weight taps between two sub-taps
+	if tr {
+		ks = g.s
+	}
+	sc := rowScratchPool.Get().(*rowScratch)
+	defer rowScratchPool.Put(sc)
+	acc, wt := sc.acc[:], &sc.wt
+	for j := (lo + u - 1) / u; j < (hi+u-1)/u; j++ {
+		t, c0 := j/l.chanBlocks, j%l.chanBlocks*4
+		t, cls := t/(l.cz*l.cy*l.cx), t%(l.cz*l.cy*l.cx)
+		t, x0 := t/l.colBlocks, t%l.colBlocks*l.cols
+		q0, y0 := t/l.pieces*l.perJob, t%l.pieces*l.seg
+		az := l.axis(g.kd, g.pd, p.od, cls/(l.cy*l.cx))
+		ay := l.axis(g.kh, g.ph, p.oh, cls/l.cx%l.cy)
+		ax := l.axis(g.kw, g.pw, p.ow, cls%l.cx)
+		q1, y1, x1 := min(q0+l.perJob, l.planes), min(y0+l.seg, ay.n), min(x0+l.cols, ax.n)
+		if y0 >= y1 || x0 >= x1 {
+			continue
+		}
+		nc, pitch := min(4, p.oc-c0), y1-y0+l.haloY
+		span := ((q1-q0)*pitch - l.haloY) * W
+		phase := (q1-q0)*pitch*W + l.haloX // one phase of a staged block
+		p.initAcc(acc, c0, nc, span)
+		for cin := 0; cin < p.ic; cin++ {
+			for mz := 0; mz < az.taps; mz++ {
+				dz := az.shift(mz, 1, tr) - az.from
+				stage := l.stage(sc.stage[:], cin, dz, y0-ay.from, x0-ax.from, q0, q1, pitch)
+				for my := 0; my < ay.taps; my++ {
+					w := p.taps(c0, cin, az.k0+ks*mz, ay.k0+ks*my)
+					vy := ay.shift(my, S, tr)
+					rows := stage[vy%S*S*phase+vy/S*W:]
+					mx := 0
+					for ; S == 1 && nc == 4 && rowVec != nil && mx+3 <= ax.taps; mx += 3 {
+						for i := 0; i < 3; i++ {
+							gather(sc.wt3[4*i:], w, p.oStep, nc, ax.k0+ks*(mx+i))
+						}
+						first := min(ax.shift(mx, 1, tr), ax.shift(mx+2, 1, tr))
+						madd4x3(acc, &sc.wt3, rows[first:], span, tr)
+					}
+					for ; mx < ax.taps; mx++ {
+						vx := ax.shift(mx, S, tr)
+						gather(wt[:], w, p.oStep, nc, ax.k0+ks*mx)
+						maddRow(acc, nc, wt, rows[vx%S*phase+vx/S:][:span])
+					}
+				}
+			}
+		}
+		// The write-out adds the bias where it comes last (else +0) and
+		// scatters each class row to its output row at stride os.
+		for c := 0; c < nc; c++ {
+			b := p.lastBias(c0 + c)
+			for q := q0; q < q1; q++ {
+				z := q % l.nz
+				if z >= az.n {
+					continue
+				}
+				for y := y0; y < y1; y++ {
+					src := acc[c*rowStride+((q-q0)*pitch+y-y0)*W:][:x1-x0]
+					row := p.out[(((q/l.nz*p.oc+c0+c)*p.od+l.os*z+az.r)*p.oh+l.os*y+ay.r)*p.ow+l.os*x0+ax.r:]
+					if l.os == 1 {
+						row = row[:len(src)]
+						for i, v := range src {
+							row[i] = v + b
+						}
+						continue
+					}
+					for i, v := range src {
+						row[i*l.os] = v + b
+					}
+				}
+			}
+		}
+	}
 }
 
 // initAcc sets the first span elements of each of the nc accumulator rows
@@ -180,326 +366,116 @@ func gather(wt []float64, w []float64, step, nc, kx int) {
 	}
 }
 
-// staged runs a stride-1 pass over zero-padded staged input rows.
-//
-// A job owns the output columns [x0, x0+cols) of the rows [y0, y0+seg) in
-// each of the planes [q0, q1) — plane q is sample q/od, depth q%od. The
-// staged block for one (cin, kz) holds, per plane, the seg+kh−1 input rows
-// those rows read, each as the W input columns from x0−lx on, zero outside
-// the input grid; a plane whose input plane lies outside is all zero. Its
-// accumulator block holds, per plane, seg rows of W columns, plus kh−1
-// garbage rows opposite the next plane's halo. A staged-side tap (tz, ty,
-// tx) — the weight tap itself, or for the adjoint its mirror image
-// (kd−1−kz, kh−1−ky, kw−1−kx) — joins accumulator element i to staged
-// element i + ty·W + tx in every row at once. Rows wider than the
-// accumulator block are cut into column blocks, each staging its kw−1 halo
-// columns; short planes are packed into one block, tall ones cut into
-// pieces of equal height.
-func (p rowPass) staged() {
-	g, oh, ow := p.g, p.oh, p.ow
-	kd, kh, kw := g.kd, g.kh, g.kw
-	l := stagedPass{rowPass: p, lz: g.pd, ly: g.ph, lx: g.pw}
-	if p.transposed {
-		l.lz, l.ly, l.lx = kd-1-g.pd, kh-1-g.ph, kw-1-g.pw
+// stage returns the staged block of input channel cin for the planes
+// [q0, q1). It has S² phases (ψ, φ), each pitch rows of W columns per
+// plane, then haloX zeros for the last taps' overreach: row r, column c of
+// phase (ψ, φ) in the plane at class depth z holds input element
+// (z·S + dz, S·(dy + r) + ψ, S·(dx + c) + φ), zero outside the input grid.
+// Where that block is a run of the input as it lies, stage returns the run
+// instead of copying it into buf.
+func (l *stagedPass) stage(buf []float64, cin, dz, dy, dx, q0, q1, pitch int) []float64 {
+	p, S, W := &l.rowPass, l.S, l.W
+	n0, z0, z1 := q0/l.nz, q0%l.nz+dz, (q1-1)%l.nz+dz
+	if S == 1 && l.haloX == 0 && W == p.iw && dx == 0 && (q1-1)/l.nz == n0 && z0 >= 0 && z1 < p.id &&
+		dy >= 0 && dy+pitch <= p.ih && (q1-q0 == 1 || pitch == p.ih) {
+		return p.in[((n0*p.ic+cin)*p.id+z0)*p.ih*p.iw+dy*p.iw:][:(q1-q0)*pitch*W]
 	}
-	l.colBlocks = ceilDiv(ow, rowBlock-kw+1)
-	l.cols = ceilDiv(ow, l.colBlocks)
-	l.colBlocks = ceilDiv(ow, l.cols)
-	l.W = (l.cols + kw + 2) &^ 3
-	rowsMax := rowBlock / l.W
-	l.planes, l.perJob, l.seg = g.n*p.od, 1, oh
-	if oh <= rowsMax {
-		l.perJob = min(l.planes, (rowsMax+kh-1)/(oh+kh-1))
-	} else {
-		l.seg = ceilDiv(oh, ceilDiv(oh, rowsMax))
+	phase := (q1-q0)*pitch*W + l.haloX
+	if n := S * S * phase; n > len(buf) {
+		buf = make([]float64, n) // a kernel taller than 3 over rows near rowBlock wide
 	}
-	l.perJob = ceilDiv(l.planes, ceilDiv(l.planes, l.perJob))
-	l.pieces, l.chanBlocks = ceilDiv(oh, l.seg), (p.oc+3)/4
-	jobs := ceilDiv(l.planes, l.perJob) * l.pieces * l.colBlocks * l.chanBlocks
-	l.u = max(1, ((l.perJob-1)*(l.seg+kh-1)+l.seg)*l.W*4*p.ic*kd*kh*kw/rowWorkUnit)
-	// A method value of a value receiver carries its copy of l: the pass
-	// allocates that one closure, where a func literal would also move l
-	// to the heap.
-	tensor.ParallelRange(jobs*l.u, l.run)
-}
-
-// stagedPass is a staged pass and its job layout. (lz, ly, lx) is how far
-// the input grid starts before the output grid: tap (tz, ty, tx) joins
-// output (z, y, x) to input (z−lz+tz, y−ly+ty, x−lx+tx).
-type stagedPass struct {
-	rowPass
-	lz, ly, lx                  int
-	cols, colBlocks, W          int
-	planes, perJob, seg, pieces int
-	chanBlocks, u               int
-}
-
-// run runs the jobs of work units [lo, hi).
-func (l stagedPass) run(lo, hi int) {
-	p, od, oh, ow, oc := &l.rowPass, l.od, l.oh, l.ow, l.oc
-	kd, kh, kw, W, u := l.g.kd, l.g.kh, l.g.kw, l.W, l.u
-	sc := rowScratchPool.Get().(*rowScratch)
-	defer rowScratchPool.Put(sc)
-	acc, wt := sc.acc[:], &sc.wt
-	for j := (lo + u - 1) / u; j < (hi+u-1)/u; j++ {
-		t, c0 := j/l.chanBlocks, j%l.chanBlocks*4
-		t, x0 := t/l.colBlocks, t%l.colBlocks*l.cols
-		q0, y0 := t/l.pieces*l.perJob, t%l.pieces*l.seg
-		q1, y1, x1 := min(q0+l.perJob, l.planes), min(y0+l.seg, oh), min(x0+l.cols, ow)
-		nc, pitch := min(4, oc-c0), y1-y0+kh-1
-		span := ((q1-q0)*pitch - kh + 1) * W
-		stage := sc.stage[:]
-		if n := (q1-q0)*pitch*W + kw - 1; n > len(stage) {
-			stage = make([]float64, n) // a kernel taller than 3 over rows near rowBlock wide
-		}
-		p.initAcc(acc, c0, nc, span)
-		for cin := 0; cin < p.ic; cin++ {
-			for kz := 0; kz < kd; kz++ {
-				tz := kz
-				if p.transposed {
-					tz = kd - 1 - kz
-				}
-				p.stage(stage, cin, tz-l.lz, y0-l.ly, x0-l.lx, q0, q1, pitch, W)
-				for ky := 0; ky < kh; ky++ {
-					ty, w := ky, p.taps(c0, cin, kz, ky)
-					if p.transposed {
-						ty = kh - 1 - ky
-					}
-					kx := 0
-					for ; nc == 4 && rowVec != nil && kx+3 <= kw; kx += 3 {
-						tx := kx
-						if p.transposed {
-							tx = kw - 3 - kx
-						}
-						for i := 0; i < 3; i++ {
-							gather(sc.wt3[4*i:], w, p.oStep, nc, kx+i)
-						}
-						rowVec.madd4x3(acc[:3*rowStride+span], &sc.wt3, stage[ty*W+tx:][:span+2], p.transposed)
-					}
-					for ; kx < kw; kx++ {
-						tx := kx
-						if p.transposed {
-							tx = kw - 1 - kx
-						}
-						gather(wt[:], w, p.oStep, nc, kx)
-						maddRow(acc, 0, nc, wt, stage[ty*W+tx:], span, 1, 1)
-					}
-				}
-			}
-		}
-		for c := 0; c < nc; c++ {
-			b := p.lastBias(c0 + c)
-			for q := q0; q < q1; q++ {
-				for y := y0; y < y1; y++ {
-					row := p.out[(((q/od*oc+c0+c)*od+q%od)*oh+y)*ow+x0:][:x1-x0]
-					for i, v := range acc[c*rowStride+((q-q0)*pitch+y-y0)*W:][:len(row)] {
-						row[i] = v + b
-					}
-				}
-			}
-		}
-	}
-}
-
-// stage copies input channel cin into the staged block of planes [q0, q1):
-// per plane q at depth z, pitch rows of W columns from input row dy and
-// input column dx of input plane z+dz on, zero outside the input grid, then
-// kw−1 zeros for the last taps' overreach.
-func (p *rowPass) stage(stage []float64, cin, dz, dy, dx, q0, q1, pitch, W int) {
-	for q := q0; q < q1; q++ {
-		dst := stage[(q-q0)*pitch*W:][:pitch*W]
-		iz := q%p.od + dz
-		if iz < 0 || iz >= p.id {
-			clear(dst)
-			continue
-		}
-		plane := p.in[((q/p.od*p.ic+cin)*p.id+iz)*p.ih*p.iw:][:p.ih*p.iw]
-		lo, hi := max(0, -dx), max(0, min(W, p.iw-dx))
-		for r := 0; r < pitch; r++ {
-			row := dst[r*W:][:W]
-			iy := r + dy
-			if iy < 0 || iy >= p.ih || lo >= hi {
-				clear(row)
+	for ph := 0; ph < S*S; ph++ {
+		psi, phi := ph/S, ph%S
+		blk := buf[ph*phase:][:phase]
+		lo, hi := max(0, -dx), max(0, min(W, ceilDiv(p.iw-phi, S)-dx))
+		for q := q0; q < q1; q++ {
+			dst := blk[(q-q0)*pitch*W:][:pitch*W]
+			iz := q%l.nz*S + dz
+			if iz < 0 || iz >= p.id {
+				clear(dst)
 				continue
 			}
-			// The padding is a few columns: loops beat clear's call.
-			for i := range row[:lo] {
-				row[i] = 0
-			}
-			copy(row[lo:hi], plane[iy*p.iw+dx+lo:])
-			for i := range row[hi:] {
-				row[hi+i] = 0
-			}
-		}
-	}
-	clear(stage[(q1-q0)*pitch*W:][:p.g.kw-1])
-}
-
-// strided runs a pass of stride s > 1, reading input rows where they lie.
-// A job owns a block of up to rowBlock elements — whole rows, or a slice of
-// one row wider than that — times up to four output channels. Each tap
-// adds, per output row, the columns [lo, hi) it reaches to the
-// accumulator, skipping taps that fall into the padding.
-func (p rowPass) strided() {
-	g, s := p.g, p.g.s
-	terms := p.ic * g.kd * g.kh * g.kw
-	if p.transposed {
-		terms = p.ic * max(1, g.kd/s) * max(1, g.kh/s) * max(1, g.kw/s)
-	}
-	l := stridedPass{rowPass: p, rows: g.n * p.od * p.oh, rowsPer: max(1, rowBlock/p.ow),
-		colBlocks: ceilDiv(p.ow, rowBlock), chanBlocks: (p.oc + 3) / 4}
-	jobs := ceilDiv(l.rows, l.rowsPer) * l.colBlocks * l.chanBlocks
-	l.u = max(1, min(l.rowsPer, l.rows)*min(p.ow, rowBlock)*4*terms/rowWorkUnit)
-	tensor.ParallelRange(jobs*l.u, l.run)
-}
-
-// stridedPass is a strided pass and its job layout.
-type stridedPass struct {
-	rowPass
-	rows, rowsPer, colBlocks, chanBlocks, u int
-}
-
-// run runs the jobs of work units [lo, hi).
-func (l stridedPass) run(lo, hi int) {
-	p, g, od, oh, ow, oc, id, ih, iw := &l.rowPass, l.g, l.od, l.oh, l.ow, l.oc, l.id, l.ih, l.iw
-	s, kd, kh, kw, u := g.s, g.kd, g.kh, g.kw, l.u
-	rows, rowsPer, colBlocks, chanBlocks := l.rows, l.rowsPer, l.colBlocks, l.chanBlocks
-	sc := rowScratchPool.Get().(*rowScratch)
-	defer rowScratchPool.Put(sc)
-	acc, wt := sc.acc[:], &sc.wt
-	for j := (lo + u - 1) / u; j < (hi+u-1)/u; j++ {
-		t, c0 := j/chanBlocks, j%chanBlocks*4
-		r0, x0 := t/colBlocks*rowsPer, t%colBlocks*rowBlock
-		r1, x1 := min(r0+rowsPer, rows), min(x0+rowBlock, ow)
-		bw, nc := x1-x0, min(4, oc-c0)
-		n0, z0, y0 := r0/(od*oh), r0/oh%od, r0%oh
-		p.initAcc(acc, c0, nc, (r1-r0)*bw)
-		for cin := 0; cin < p.ic; cin++ {
-			for kz := 0; kz < kd; kz++ {
-				for ky := 0; ky < kh; ky++ {
-					for kx := 0; kx < kw; kx++ {
-						// The output columns [x0, x1) the tap reaches, as
-						// [lo, hi) on the strided side: out[off+j·sa] += w·in[src+j·sx].
-						var lo, hi, off, src, sa, sx int
-						if p.transposed {
-							lo, hi = tapRange(iw, bw, s, g.pw+x0, kx)
-							off, src, sa, sx = lo*s-g.pw+kx-x0, lo, s, 1
-						} else {
-							lo, hi = tapRange(ow, iw, s, g.pw, kx)
-							lo, hi = max(lo, x0), min(hi, x1)
-							off, src, sa, sx = lo-x0, lo*s-g.pw+kx, 1, s
-						}
-						if lo >= hi {
-							continue
-						}
-						gather(wt[:], p.taps(c0, cin, kz, ky), p.oStep, nc, kx)
-						n, z, y := n0, z0, y0
-						for r := r0; r < r1; r++ {
-							iz, okz := tapRow(z, g.pd, kz, s, id, p.transposed)
-							iy, oky := tapRow(y, g.ph, ky, s, ih, p.transposed)
-							if okz && oky {
-								row := (((n*p.ic+cin)*id+iz)*ih + iy) * iw
-								maddRow(acc, (r-r0)*bw+off, nc, wt, p.in[row+src:], hi-lo, sa, sx)
-							}
-							n, z, y = nextRow(n, z, y, od, oh)
-						}
+			plane := p.in[((q/l.nz*p.ic+cin)*p.id+iz)*p.ih*p.iw:][:p.ih*p.iw]
+			for r := 0; r < pitch; r++ {
+				row := dst[r*W:][:W]
+				iy := S*(dy+r) + psi
+				if iy < 0 || iy >= p.ih || lo >= hi {
+					clear(row)
+					continue
+				}
+				// The padding is a few columns: loops beat clear's call.
+				for i := range row[:lo] {
+					row[i] = 0
+				}
+				src := plane[iy*p.iw:][:p.iw]
+				if S == 1 {
+					copy(row[lo:hi], src[dx+lo:])
+				} else {
+					for c := lo; c < hi; c++ {
+						row[c] = src[S*(dx+c)+phi]
 					}
 				}
-			}
-		}
-		for c := 0; c < nc; c++ {
-			b := p.lastBias(c0 + c)
-			n, z, y := n0, z0, y0
-			for r := r0; r < r1; r++ {
-				row := p.out[(((n*oc+c0+c)*od+z)*oh+y)*ow+x0:][:bw]
-				for i, v := range acc[c*rowStride+(r-r0)*bw:][:len(row)] {
-					row[i] = v + b
+				for i := range row[hi:] {
+					row[hi+i] = 0
 				}
-				n, z, y = nextRow(n, z, y, od, oh)
 			}
 		}
+		clear(blk[phase-l.haloX:])
 	}
+	return buf
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// tapRow returns the input index that kernel tap k joins to output index o
-// along one axis, if it lies in [0, n): o·s − p + k, or for the adjoint the
-// i with i·s − p + k = o.
-func tapRow(o, p, k, s, n int, transposed bool) (int, bool) {
-	i := o*s - p + k
-	if transposed {
-		if (o+p-k)%s != 0 {
-			return 0, false
-		}
-		i = (o + p - k) / s
-	}
-	return i, i >= 0 && i < n
-}
-
-// nextRow advances the row index (n, z, y) of a grid with nz planes of ny
-// rows.
-func nextRow(n, z, y, nz, ny int) (int, int, int) {
-	if y++; y < ny {
-		return n, z, y
-	}
-	if z++; z < nz {
-		return n, z, 0
-	}
-	return n + 1, 0, 0
-}
-
 // rowVec, if a CPU probe at start-up sets it, holds the vector forms of
-// maddRow's stride-1 loop, with the same bits, over a multiple-of-4 prefix
-// of x: madd4 for four channels, madd1 for one.
+// maddRow's loop, with the same bits, over a multiple-of-lanes prefix of x:
+// madd4 for four channels, madd1 for one. tail, if set, holds the
+// four-lane forms for the rest of an eight-lane span.
 var rowVec *vecKernels
 
 type vecKernels struct {
+	lanes int
 	madd4 func(acc []float64, wt *[4]float64, x []float64)
 	madd1 func(acc []float64, w float64, x []float64)
 	// madd4x3 is three madd4 calls at once: x[j], x[j+1], x[j+2] (rev:
 	// x[j+2], x[j+1], x[j]) times wt[0:4], wt[4:8], wt[8:12], for the
 	// len(x)−2 columns j.
 	madd4x3 func(acc []float64, wt *[12]float64, x []float64, rev bool)
+	tail    *vecKernels
 }
 
-// maddRow adds wt[c]·x[j·sx] into acc[c·rowStride + off + j·sa] for j < n
+// maddRow adds wt[c]·x[j] into acc[c·rowStride + j] for each column j of x
 // and each of the nc ≤ 4 channels.
-func maddRow(acc []float64, off, nc int, wt *[4]float64, x []float64, n, sa, sx int) {
-	if m := n &^ 3; m > 0 && sa == 1 && sx == 1 && rowVec != nil {
+func maddRow(acc []float64, nc int, wt *[4]float64, x []float64) {
+	for v := rowVec; v != nil; v = v.tail {
+		m := len(x) &^ (v.lanes - 1)
+		if m == 0 {
+			continue
+		}
 		if nc == 4 {
-			rowVec.madd4(acc[off:off+3*rowStride+m], wt, x[:m])
+			v.madd4(acc[:3*rowStride+m], wt, x[:m])
 		} else {
 			for c := 0; c < nc; c++ {
-				rowVec.madd1(acc[off+c*rowStride:][:m], wt[c], x[:m])
+				v.madd1(acc[c*rowStride:][:m], wt[c], x[:m])
 			}
 		}
-		off, x, n = off+m, x[m:], n-m
+		acc, x = acc[m:], x[m:]
 	}
-	switch {
-	case sa == 1 && sx == 1:
-		for c := 0; c < nc; c++ {
-			w, a := wt[c], acc[c*rowStride+off:][:n]
-			for j, v := range x[:n] {
-				a[j] += float64(w * v)
-			}
+	for c := 0; c < nc; c++ {
+		w, a := wt[c], acc[c*rowStride:][:len(x)]
+		for j, v := range x {
+			a[j] += float64(w * v)
 		}
-	case nc == 4:
-		w0, w1, w2, w3 := wt[0], wt[1], wt[2], wt[3]
-		a := acc[off:]
-		for j := 0; j < n; j++ {
-			v, i := x[j*sx], j*sa
-			a[i] += float64(w0 * v)
-			a[i+rowStride] += float64(w1 * v)
-			a[i+2*rowStride] += float64(w2 * v)
-			a[i+3*rowStride] += float64(w3 * v)
-		}
-	default:
-		for c := 0; c < nc; c++ {
-			a := acc[c*rowStride+off:]
-			for j := 0; j < n; j++ {
-				a[j*sa] += float64(wt[c] * x[j*sx])
-			}
+	}
+}
+
+// madd4x3 runs rowVec's three-tap kernel over the first n columns of the
+// four accumulator rows, n a multiple of 4, reading x[:n+2].
+func madd4x3(acc []float64, wt *[12]float64, x []float64, n int, rev bool) {
+	for v := rowVec; v != nil && n > 0; v = v.tail {
+		if m := n &^ (v.lanes - 1); m > 0 {
+			v.madd4x3(acc[:3*rowStride+m], wt, x[:m+2], rev)
+			acc, x, n = acc[m:], x[m:], n-m
 		}
 	}
 }

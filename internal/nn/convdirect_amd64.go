@@ -1,7 +1,8 @@
 package nn
 
-// maddRow4AVX and maddRow1AVX are rowVec's kernels on CPUs with AVX, which
-// hasAVX probes for.
+// The maddRow…AVX kernels are rowVec's on CPUs with AVX, which hasAVX
+// probes for; the maddRow…AVX512 kernels run their eight-column prefix on
+// CPUs with AVX-512, which hasAVX512 probes for.
 //
 //go:noescape
 func maddRow4AVX(acc []float64, wt *[4]float64, x []float64)
@@ -12,10 +13,25 @@ func maddRow1AVX(acc []float64, w float64, x []float64)
 //go:noescape
 func maddRow4x3AVX(acc []float64, wt *[12]float64, x []float64, rev bool)
 
+//go:noescape
+func maddRow4AVX512(acc []float64, wt *[4]float64, x []float64)
+
+//go:noescape
+func maddRow1AVX512(acc []float64, w float64, x []float64)
+
+//go:noescape
+func maddRow4x3AVX512(acc []float64, wt *[12]float64, x []float64, rev bool)
+
 func hasAVX() bool
 
+func hasAVX512() bool
+
 func init() {
-	if hasAVX() {
-		rowVec = &vecKernels{madd4: maddRow4AVX, madd1: maddRow1AVX, madd4x3: maddRow4x3AVX}
+	if !hasAVX() {
+		return
+	}
+	rowVec = &vecKernels{lanes: 4, madd4: maddRow4AVX, madd1: maddRow1AVX, madd4x3: maddRow4x3AVX}
+	if hasAVX512() {
+		rowVec = &vecKernels{lanes: 8, madd4: maddRow4AVX512, madd1: maddRow1AVX512, madd4x3: maddRow4x3AVX512, tail: rowVec}
 	}
 }

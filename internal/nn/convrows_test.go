@@ -199,14 +199,14 @@ func TestCorrelateRowsBiasLastMatchesIm2ColProduct(t *testing.T) {
 // above with the loops reordered: same terms, same order, same bits (the
 // staged kernel's extra padding terms are w·(+0); see convdirect.go). Each
 // case runs with the vector row kernels, where the CPU has them, and
-// without. In the strided rows, rows of 1, 3, 4 and 5 columns give the
-// vector path an empty prefix, a pure tail, an exact fit, and a prefix and
-// a tail; 5 output channels give a channel tail. The rows after the first
-// sixteen cover the staged kernel: 2D blocks that cross samples, padded
-// widths that are not a multiple of 4, the k=1, p=0 head, the one-channel
-// stride-1 adjoint of the first layer, planes taller than a block, rows
-// wider than one, staged and strided, and a 5-tap kernel whose staged block
-// outgrows the pooled scratch.
+// without. Rows of 1, 3, 4 and 5 columns give the vector path an empty
+// prefix, a pure tail, an exact fit, and a prefix and a tail; 5 output
+// channels give a channel tail. The rows after the first sixteen cover the
+// staging: 2D blocks that cross samples, padded widths that are not a
+// multiple of 4, the k=1, p=0 head, the one-channel stride-1 adjoint of the
+// first layer, planes taller than a block, rows wider than one at strides 1
+// and 2, and a 5-tap kernel whose staged block outgrows the pooled scratch.
+// The stride-2 rows appended after the list say what they cover.
 type rowCase struct{ n, ci, co, d, h, w, kd, k, pd, p, s int }
 
 func TestRowKernelsMatchDirectNests(t *testing.T) {
@@ -242,6 +242,19 @@ func TestRowKernelsMatchDirectNests(t *testing.T) {
 		{1, 1, 4, 1, 2, 2100, 1, 2, 0, 0, 2},
 		{1, 1, 4, 1, 3, 900, 1, 5, 0, 2, 1},
 	}
+	// Stride 2: the correlate staged by phase, the adjoint by parity class.
+	// k = s = 2, p = 0 over written-grid rows of 1 to 9 columns, 2D and 3D,
+	// where the adjoint reads rows a multiple of 4 wide in place; k3 and k4
+	// with p1; and 7×9 read grids, whose last row and column no tap of the
+	// adjoint reaches, so they get the bias alone.
+	for wo := 1; wo <= 9; wo++ {
+		cases = append(cases, rowCase{3, 2, 5, 1, 3, 2 * wo, 1, 2, 0, 0, 2}, rowCase{3, 3, 4, 4, 2, 2 * wo, 2, 2, 0, 0, 2})
+	}
+	cases = append(cases,
+		rowCase{2, 3, 5, 1, 9, 11, 1, 3, 0, 1, 2}, rowCase{1, 2, 4, 5, 6, 7, 3, 3, 1, 1, 2},
+		rowCase{2, 3, 4, 1, 8, 10, 1, 4, 0, 1, 2}, rowCase{1, 2, 5, 6, 6, 6, 4, 4, 1, 1, 2},
+		rowCase{2, 2, 4, 1, 7, 9, 1, 2, 0, 0, 2}, rowCase{1, 3, 4, 7, 7, 9, 2, 2, 0, 0, 2},
+	)
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%+v", tc), func(t *testing.T) {
 			for _, vec := range []bool{false, true} {
@@ -255,12 +268,18 @@ func TestRowKernelsMatchDirectNests(t *testing.T) {
 	// The inputs the staged kernel's padding terms can show on: a −0 bias
 	// and a non-finite weight. A channel of −0 terms after a −0 bias sums
 	// to −0 in the nest, and the row kernels write +0, so those compare
-	// with ==. A non-finite weight makes its padding terms NaN, so every
-	// element of the output channel it feeds is non-finite. Every other
-	// channel keeps the nest's bits.
+	// with ==; at stride 2 that includes the adjoint's elements no tap
+	// reaches, which hold the bias alone. A non-finite weight makes its
+	// padding terms NaN, so every element of the output channel it feeds is
+	// non-finite; at stride 2 in the adjoint, every element of the parity
+	// class that sums the weight's tap, and the other classes keep the
+	// nest's bits. Every other channel keeps the nest's bits.
 	for _, tc := range []rowCase{
 		{2, 3, 5, 1, 8, 8, 1, 3, 0, 1, 1},
 		{1, 2, 4, 4, 5, 6, 3, 3, 1, 1, 1},
+		{2, 3, 5, 1, 8, 9, 1, 3, 0, 1, 2},
+		{1, 2, 4, 5, 7, 8, 2, 2, 0, 0, 2},
+		{1, 2, 4, 4, 6, 6, 4, 4, 1, 1, 2},
 	} {
 		for _, special := range []float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()} {
 			t.Run(fmt.Sprintf("%+v/special%v", tc, special), func(t *testing.T) {
@@ -280,7 +299,8 @@ func TestRowKernelsMatchDirectNests(t *testing.T) {
 // weight of the channel is −0 and every input positive, so every term is
 // −0: the nest sums to −0 and the row kernels write +0. Otherwise it is the
 // weight of tap (0, 0, 0) from input channel 0, which falls into the
-// padding for the elements on the low edges.
+// padding for the elements on the low edges. In a strided adjoint only the
+// elements of that tap's parity class sum it.
 func rowKernelsOnSpecialValue(t *testing.T, tc rowCase, special float64) {
 	rng := NewRNG(int64(tc.ci*31 + tc.co*7 + tc.w))
 	g := kernelGeom(tc.n, tc.ci, tc.d, tc.h, tc.w, tc.kd, tc.k, tc.pd, tc.p, tc.s)
@@ -330,8 +350,12 @@ func rowKernelsOnSpecialValue(t *testing.T, tc rowCase, special float64) {
 		}
 		for i := range want {
 			what := fmt.Sprintf("transposed %v: element %d is %v, the direct nest gives %v", transposed, i, got[i], want[i])
+			sumsTap := true // whether element i sums tap (0, 0, 0)
+			if j := i % vol; transposed {
+				sumsTap = (j/(tc.h*tc.w)+tc.pd)%tc.s == 0 && (j/tc.w%tc.h+tc.p)%tc.s == 0 && (j%tc.w+tc.p)%tc.s == 0
+			}
 			switch {
-			case i/vol%oc != 0:
+			case i/vol%oc != 0 || special != 0 && !sumsTap:
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatal(what)
 				}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -194,6 +195,38 @@ func TestMaxPool3DGradients(t *testing.T) {
 	r := GradCheck(m, x, rng, 1e-6)
 	if r.MaxRelErrInput > 1e-4 {
 		t.Fatalf("gradcheck input err %v", r.MaxRelErrInput)
+	}
+}
+
+// The inference max-pool tracks no argmax, but takes the training nest's
+// maxima bit for bit: the same scan order and strict comparison, so NaN
+// is never taken, the first of ±0 wins, and an all-NaN or all-−Inf window
+// gives −Inf. Extents that K does not divide leave a remainder unread.
+func TestMaxPoolInferenceMatchesTraining(t *testing.T) {
+	vals := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(-1), math.Inf(1), 1, -1, 0.5}
+	rng := NewRNG(31)
+	for _, shape := range [][]int{{2, 3, 7, 8}, {2, 2, 7, 6, 8}} {
+		for _, k := range []int{2, 3} {
+			x := tensor.New(shape...)
+			for i := range x.Data {
+				x.Data[i] = vals[rng.Intn(len(vals))]
+			}
+			// Whole windows of one value: the first window of channels 0-2.
+			d, h, w := gridOf(x, "test")
+			kd := windowDepth(x, k)
+			for c, v := range []float64{math.NaN(), math.Inf(-1), math.Copysign(0, -1)} {
+				for kz := 0; kz < kd; kz++ {
+					for ky := 0; ky < k; ky++ {
+						for kx := 0; kx < k; kx++ {
+							x.Data[((c*d+kz)*h+ky)*w+kx] = v
+						}
+					}
+				}
+			}
+			want := NewMaxPool(k).Forward(x, true)
+			got := NewMaxPool(k).Forward(x, false)
+			requireSameBits(t, fmt.Sprintf("rank %d, K %d", len(shape), k), got.Data, want.Data)
+		}
 	}
 }
 
@@ -392,6 +425,36 @@ func TestSequentialInferenceActivatesInPlace(t *testing.T) {
 			t.Fatal("an activation returned the Sequential's input as its output")
 		}
 		requireSameBits(t, "the Sequential's input", x.Data, orig.Data)
+	}
+}
+
+// BatchNorm's inference runs in place inside a Sequential, on the same
+// loop as its Forward, so the bits are Forward(x, false)'s.
+func TestBatchNormInPlaceMatchesForward(t *testing.T) {
+	rng := NewRNG(37)
+	for _, shape := range [][]int{{3, 4, 5, 6}, {2, 3, 4, 3, 5}} {
+		bn := NewBatchNorm("bn", shape[1])
+		for i := 0; i < 3; i++ {
+			bn.Forward(randTensor(rng, shape...), true)
+		}
+		copy(bn.Gamma.Data.Data, randTensor(rng, shape[1]).Data)
+		copy(bn.Beta.Data.Data, randTensor(rng, shape[1]).Data)
+		x := randTensor(rng, shape...)
+		want := bn.Forward(x, false)
+		got := x.Clone()
+		bn.forwardInPlace(got)
+		requireSameBits(t, fmt.Sprintf("in place %v", shape), got.Data, want.Data)
+
+		conv := NewConv2D(rng, "c", shape[1], shape[1], 3, 1, 1)
+		if len(shape) == 4 {
+			SetBufferReuse(conv, true)
+			want := bn.Forward(conv.Forward(x, false).Clone(), false)
+			y := NewSequential(conv, bn).Forward(x, false)
+			if y != conv.fwd.t {
+				t.Fatal("BatchNorm did not run in place on the convolution's output")
+			}
+			requireSameBits(t, "in a Sequential", y.Data, want.Data)
+		}
 	}
 }
 

@@ -37,23 +37,28 @@ func (m *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return m.forward(x, train, windowDepth(x, m.K))
 }
 
-// forward pools over kd×K×K windows.
+// forward pools over kd×K×K windows. Training records each window's
+// argmax for Backward; inference takes maxima only.
 func (m *MaxPool) forward(x *tensor.Tensor, train bool, kd int) *tensor.Tensor {
 	d, h, w := gridOf(x, "MaxPool")
 	k := m.K
 	do, ho, wo := d/kd, h/k, w/k
 	out := m.fwd.get(gridShape(x.Rank(), x.Dim(0), x.Dim(1), do, ho, wo)...)
-	var arg []int32
-	if train {
-		// The argmax scratch is private to the layer (never escapes), so it
-		// is recycled unconditionally.
-		if cap(m.argmax) < out.Len() {
-			m.argmax = make([]int32, out.Len())
-		}
-		arg = m.argmax[:out.Len()]
-		m.inShp = append(m.inShp[:0], x.Shape()...)
-	}
 	xd, od := x.Data, out.Data
+	if !train {
+		tensor.ParallelFor(x.Dim(0)*x.Dim(1)*do*ho, func(job int) {
+			nc, oz, oy := job/(do*ho), job/ho%do, job%ho
+			maxRow(od[job*wo:][:wo], xd[((nc*d+oz*kd)*h+oy*k)*w:], kd, k, h, w)
+		})
+		return out
+	}
+	// The argmax scratch is private to the layer (never escapes), so it
+	// is recycled unconditionally.
+	if cap(m.argmax) < out.Len() {
+		m.argmax = make([]int32, out.Len())
+	}
+	arg := m.argmax[:out.Len()]
+	m.inShp = append(m.inShp[:0], x.Shape()...)
 	tensor.ParallelFor(x.Dim(0)*x.Dim(1), func(job int) {
 		inBase := job * d * h * w
 		outBase := job * do * ho * wo
@@ -75,14 +80,35 @@ func (m *MaxPool) forward(x *tensor.Tensor, train bool, kd int) *tensor.Tensor {
 					}
 					o := outBase + (oz*ho+oy)*wo + ox
 					od[o] = best
-					if arg != nil {
-						arg[o] = int32(bestIdx)
-					}
+					arg[o] = int32(bestIdx)
 				}
 			}
 		}
 	})
 	return out
+}
+
+// maxRow writes to out the maxima of the len(out) k-wide windows of the
+// kd×k input rows that start at x, planes h rows of w apart, scanned
+// kz → ky → kx from −Inf, keeping the first of equal values: the
+// training nest's maxima, NaN, ±0 and ties included.
+func maxRow(out, x []float64, kd, k, h, w int) {
+	for i := range out {
+		out[i] = math.Inf(-1)
+	}
+	for kz := 0; kz < kd; kz++ {
+		for ky := 0; ky < k; ky++ {
+			row := x[(kz*h+ky)*w:][:len(out)*k]
+			for i, best := range out {
+				for _, v := range row[i*k:][:k] {
+					if v > best {
+						best = v
+					}
+				}
+				out[i] = best
+			}
+		}
+	}
 }
 
 // Backward implements Layer: the gradient flows to the argmax positions.

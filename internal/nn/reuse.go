@@ -17,7 +17,8 @@ type bufReuser interface{ setBufferReuse(on bool) }
 // consume each activation within the step — like dist.ParallelTrainer's
 // replicas, which own their networks outright — qualify; code that keeps
 // predictions around for later comparison does not. Layers that do not
-// implement reuse (e.g. BatchNorm) are silently skipped.
+// implement reuse are silently skipped: BatchNorm, whose inference inside
+// a Sequential overwrites the previous layer's output instead.
 func SetBufferReuse(l Layer, on bool) {
 	switch v := l.(type) {
 	case *Sequential:

@@ -64,14 +64,19 @@ func fuzzValues(data []byte) func() float64 {
 }
 
 // FuzzMaddRowVector holds the vector row kernels to the Go loop bit for
-// bit: maddRow's stride-1 case for one to four channels over n ≤ 70
-// columns at any offset into the accumulator block, with x read from any
-// alignment, and the three-tap kernel to three maddRow calls over the
-// multiple-of-4 prefix of the n columns, x read forwards and backwards.
+// bit: maddRow for one to four channels over n ≤ 70 columns at any offset
+// into the accumulator block, with x read from any alignment, and the
+// three-tap kernel to three maddRow calls over the multiple-of-4 prefix of
+// the n columns, x read forwards and backwards. Each runs with every lane
+// count the CPU has: the eight-lane kernels with their four-lane tail, and
+// the four-lane kernels alone.
 func FuzzMaddRowVector(f *testing.F) {
 	vec := rowVec
 	if vec == nil {
 		f.Skip("no vector row kernel on this CPU")
+	}
+	if vec.lanes != 8 {
+		f.Log("no AVX-512 on this CPU: the eight-lane kernels are not fuzzed")
 	}
 	f.Fuzz(func(t *testing.T, n, off uint8, data []byte) {
 		cols := int(n) % 71
@@ -89,23 +94,7 @@ func FuzzMaddRowVector(f *testing.F) {
 		for i := range acc {
 			acc[i] = next()
 		}
-		defer func() { rowVec = vec }()
-		for nc := 1; nc <= 4; nc++ {
-			want, got := slices.Clone(acc), slices.Clone(acc)
-			rowVec = nil
-			maddRow(want, at, nc, &wt, x, cols, 1, 1)
-			rowVec = vec
-			maddRow(got, at, nc, &wt, x, cols, 1, 1)
-			for i := range got {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("nc %d, n %d, off %d: acc[%d] is %#x, the Go loop gives %#x", nc, cols, at, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-				}
-			}
-		}
 		m := cols &^ 3
-		if m == 0 {
-			return
-		}
 		var wt3 [12]float64
 		for i := range wt3 {
 			wt3[i] = next()
@@ -114,36 +103,54 @@ func FuzzMaddRowVector(f *testing.F) {
 		for j := range x3 {
 			x3[j] = next()
 		}
-		for _, rev := range []bool{false, true} {
-			want, got := slices.Clone(acc), slices.Clone(acc)
-			rowVec = nil
-			for i := 0; i < 3; i++ {
-				from := i
-				if rev {
-					from = 2 - i
+		defer func() { rowVec = vec }()
+		for v := vec; v != nil; v = v.tail {
+			for nc := 1; nc <= 4; nc++ {
+				want, got := slices.Clone(acc), slices.Clone(acc)
+				rowVec = nil
+				maddRow(want[at:], nc, &wt, x[:cols])
+				rowVec = v
+				maddRow(got[at:], nc, &wt, x[:cols])
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%d lanes, nc %d, n %d, off %d: acc[%d] is %#x, the Go loop gives %#x", v.lanes, nc, cols, at, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+					}
 				}
-				maddRow(want, at, 4, (*[4]float64)(wt3[4*i:]), x3[from:], m, 1, 1)
 			}
-			rowVec = vec
-			vec.madd4x3(got[at:at+3*rowStride+m], &wt3, x3[:m+2], rev)
-			for i := range got {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("three taps (rev %v), n %d, off %d: acc[%d] is %#x, three maddRow calls give %#x", rev, m, at, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			if m == 0 {
+				continue
+			}
+			for _, rev := range []bool{false, true} {
+				want, got := slices.Clone(acc), slices.Clone(acc)
+				rowVec = nil
+				for i := 0; i < 3; i++ {
+					from := i
+					if rev {
+						from = 2 - i
+					}
+					maddRow(want[at:], 4, (*[4]float64)(wt3[4*i:]), x3[from:][:m])
+				}
+				rowVec = v
+				madd4x3(got[at:], &wt3, x3, m, rev)
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%d lanes, three taps (rev %v), n %d, off %d: acc[%d] is %#x, three maddRow calls give %#x", v.lanes, rev, m, at, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+					}
 				}
 			}
 		}
 	})
 }
 
-// FuzzStagedRows holds the stride-1 row kernel to the direct nests on a
-// fuzzed geometry, 2D or 3D, with fuzzed values: correlate with the bias
-// first, last or absent, and the adjoint. The weights are kept finite and
-// the bias off −0, the two cases where the staged kernel's padding terms
-// show (convdirect.go, and the special-value rows of
-// TestRowKernelsMatchDirectNests); the inputs may be anything. The row kernel
-// must give the nests' bits, except that two NaNs count as equal: with a
-// NaN on both sides of an add, the payload that survives depends on the
-// operand order the compiler picked, which neither side pins. With and
+// FuzzStagedRows holds the row kernel to the direct nests on a fuzzed
+// geometry, 2D or 3D, at stride 1 or 2, with fuzzed values: correlate with
+// the bias first, last or absent, and the adjoint. The weights are kept
+// finite and the bias off −0, the two cases where the staged kernel's
+// padding terms show (convdirect.go, and the special-value rows of
+// TestRowKernelsMatchDirectNests); the inputs may be anything. The row
+// kernel must give the nests' bits, except that two NaNs count as equal:
+// with a NaN on both sides of an add, the payload that survives depends on
+// the operand order the compiler picked, which neither side pins. With and
 // without the vector kernels, the row kernel's bits must agree exactly.
 func FuzzStagedRows(f *testing.F) {
 	f.Add(uint32(0), []byte{})
@@ -164,7 +171,7 @@ func FuzzStagedRows(f *testing.F) {
 			kd, pd = k, p
 		}
 		biasAt := field(3) // none, first, last
-		g := kernelGeom(n, ci, d, h, w, kd, k, pd, p, 1)
+		g := kernelGeom(n, ci, d, h, w, kd, k, pd, p, 1+field(2))
 		g.co = co
 		if g.do <= 0 || g.ho <= 0 || g.wo <= 0 {
 			return

@@ -217,6 +217,32 @@ func TestAdaptAddsAndRemovesLayers(t *testing.T) {
 	}
 }
 
+// A warm inference forward with buffer reuse on allocates no activation
+// for BatchNorm: like LeakyReLU and Sigmoid, it overwrites the output of
+// the convolution before it. So the 2D net with BatchNorm on allocates one
+// more object per BatchNorm layer (its kernel closure) than the same net
+// with it off; the bound allows two, for the pooled kernel scratch a
+// collection during the runs can force the kernels to refill. Allocating
+// its output would cost five per layer.
+func TestWarmForwardBatchNormAllocatesNoActivation(t *testing.T) {
+	// AllocsPerRun measures at GOMAXPROCS 1; keep the kernels on one
+	// worker too, so no goroutine is counted.
+	defer tensor.SetParallelism(tensor.SetParallelism(1))
+	x := randInput(rand.New(rand.NewSource(9)), 1, 1, 32, 32)
+	allocs := func(bn bool) float64 {
+		cfg := DefaultConfig(2)
+		cfg.BatchNorm = bn
+		u := New(cfg)
+		u.SetBufferReuse(true)
+		u.Forward(x, false)
+		return testing.AllocsPerRun(10, func() { u.Forward(x, false) })
+	}
+	on, off := allocs(true), allocs(false)
+	if layers := 2*DefaultConfig(2).Depth + 1; on > off+float64(2*layers) {
+		t.Errorf("warm forward allocates %v times with BatchNorm on, %v with it off: want at most %d more", on, off, 2*layers)
+	}
+}
+
 func TestCloneProducesIdenticalOutputs(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.BaseFilters = 4
