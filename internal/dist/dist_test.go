@@ -324,10 +324,11 @@ func TestSpatialInferenceMatchesMonolithic3D(t *testing.T) {
 	}
 }
 
-// At 32³ the full-resolution layers cross the nn.ConvAuto threshold and
-// run the im2col+GEMM lowering; slabs may straddle the threshold, so the
-// decomposition is exact to floating-point roundoff rather than bitwise
-// (see the SpatialInference doc comment).
+// At 32³ the full-resolution layers cross the nn.ConvAuto threshold. The
+// forward reads its rows in place at every size, but the threshold moves
+// the bias to the end of each sum; slabs may fall on the other side of it,
+// so the decomposition is exact to floating-point roundoff rather than
+// bitwise (see the SpatialInference doc comment).
 func TestSpatialInferenceGEMMLowering3D(t *testing.T) {
 	cfg := unet.DefaultConfig(3)
 	cfg.BaseFilters = 2
@@ -351,6 +352,56 @@ func TestSpatialInferenceGEMMLowering3D(t *testing.T) {
 	}
 	if maxd > 1e-12 {
 		t.Fatalf("max deviation %g from monolithic GEMM forward", maxd)
+	}
+}
+
+// Away from the nn.ConvAuto threshold a slab runs the monolithic pass's
+// arithmetic on the same inputs, so every value matches to the bit: one
+// slab (the input forwarded as is), two edge slabs, and at 3 and 4 workers
+// middle slabs with a halo on each side. Kernel worker counts 1 and 4 must
+// not matter either.
+func TestSpatialInferenceBitExact(t *testing.T) {
+	cases := []struct {
+		dim, depth int
+		shape      []int
+		workers    []int
+	}{
+		{2, 2, []int{1, 1, 48, 48}, []int{1, 2, 3, 4}},
+		{2, 2, []int{1, 1, 64, 64}, []int{1, 2, 4}},
+		{3, 1, []int{1, 1, 16, 16, 16}, []int{1, 2}},
+		// 24 rows make 3 and 4 slabs of at least the 6-row halo.
+		{3, 1, []int{1, 1, 24, 16, 16}, []int{1, 2, 3, 4}},
+	}
+	for _, tc := range cases {
+		cfg := unet.DefaultConfig(tc.dim)
+		cfg.BaseFilters = 4
+		cfg.Depth = tc.depth
+		net := unet.New(cfg)
+		x := tensor.New(tc.shape...)
+		for i := range x.Data {
+			x.Data[i] = math.Sin(float64(i)*0.13) + 0.5*math.Cos(float64(i)*0.029)
+		}
+		for _, procs := range []int{1, 4} {
+			prev := tensor.SetParallelism(procs)
+			want := net.Forward(x, false)
+			for _, workers := range tc.workers {
+				si, err := NewSpatialInference(net, workers, HaloFor(net))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := si.Forward(x)
+				if err != nil {
+					t.Fatalf("%v workers=%d: %v", tc.shape, workers, err)
+				}
+				for i := range want.Data {
+					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+						t.Fatalf("%v workers=%d procs=%d: elem %d is %v, monolithic %v",
+							tc.shape, workers, procs, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+			tensor.SetParallelism(prev)
+		}
 	}
 }
 

@@ -6,8 +6,8 @@
 // the naive all-to-all baseline it is benchmarked against), a
 // data-parallel ParallelTrainer whose goroutine workers stand in for the
 // paper's MPI ranks — or, given an external Transport, one rank of a
-// multi-process world — and slab-decomposed model-parallel inference with
-// halo exchange. FaultTransport injects deterministic drops, delays and
+// multi-process world — and slab-decomposed model-parallel inference whose
+// halos are copied from the input. FaultTransport injects deterministic drops, delays and
 // rank kills for testing; the membership layer turns every failure into a
 // timely error (never a hang) and lets survivors agree on a shrunken
 // world and resume from the last checkpoint (elastic fault tolerance).

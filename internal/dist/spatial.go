@@ -21,9 +21,10 @@ func HaloFor(net *unet.UNet) int {
 
 // SpatialInference evaluates a U-Net on a domain decomposed into slabs
 // along the first spatial axis — the paper's model-parallel extension
-// (§5): each worker owns one slab, exchanges halo rows with its ring
-// neighbors through the Transport, runs the forward pass on its extended
-// slab, and keeps only the interior. Because the halo covers the
+// (§5): each worker owns one slab, copies its rows plus a halo on each
+// interior side straight from the input, runs the forward pass on that
+// extended slab, and keeps only the interior. The halo is a copy of input
+// rows, so the layers exchange nothing. Because the halo covers the
 // receptive field and slab boundaries are aligned with the pooling grid,
 // every retained output value is computed from exactly the same inputs as
 // the monolithic pass.
@@ -40,23 +41,20 @@ func HaloFor(net *unet.UNet) int {
 // pass owns the worker replicas and their scratch exclusively, so
 // concurrent callers serialize on an internal mutex (the slab workers
 // still run in parallel inside each pass). The per-worker extended-slab
-// and halo scratch is reused across passes, so steady-state inference
-// allocates nothing beyond the output tensor — and not even that when the
+// scratch is reused across passes, so a steady-state pass allocates
+// nothing beyond the replicas' own forwards, one goroutine closure per
+// slab but the last, and the output tensor — not even that tensor when the
 // caller provides one to ForwardInto.
 type SpatialInference struct {
 	workers int
 	halo    int
 	nets    []*unet.UNet // one clone per worker: forward caches are per-replica
-	trs     []Transport
 
-	mu   sync.Mutex       // one pass at a time; guards the scratch below
-	ext  []*tensor.Tensor // per-worker extended-slab input scratch
-	hbuf []*tensor.Tensor // per-worker halo exchange scratch
-	exts [][]int          // per-worker extended-slab shape scratch, grown once
-
-	shapeBuf []int   // output-shape scratch, grown once
-	haloBuf  []int   // halo-shape scratch, grown once
-	errBuf   []error // per-worker error slots, grown once
+	mu       sync.Mutex       // one pass at a time; guards the scratch below
+	wg       sync.WaitGroup   // the slab workers of the current pass
+	ext      []*tensor.Tensor // per-worker extended-slab input scratch
+	exts     [][]int          // per-worker extended-slab shape scratch, grown once
+	shapeBuf []int            // output-shape scratch, grown once
 }
 
 // NewSpatialInference builds a slab-decomposed evaluator over workers
@@ -79,6 +77,9 @@ func NewSpatialInference(net *unet.UNet, workers, halo int) (*SpatialInference, 
 			return nil, fmt.Errorf("dist: halo %d must be a multiple of the U-Net minimum input size %d", halo, m)
 		}
 	}
+	if workers == 1 {
+		halo = 0 // one slab has no interior boundary
+	}
 	si := &SpatialInference{workers: workers, halo: halo}
 	for w := 0; w < workers; w++ {
 		c := net.Clone()
@@ -90,19 +91,30 @@ func NewSpatialInference(net *unet.UNet, workers, halo int) (*SpatialInference, 
 		si.nets = append(si.nets, c)
 	}
 	si.ext = make([]*tensor.Tensor, workers)
-	si.hbuf = make([]*tensor.Tensor, workers)
 	si.exts = make([][]int, workers)
-	if workers > 1 {
-		si.trs = NewChannelRing(workers)
-	}
 	return si, nil
 }
 
-// Workers returns the slab count.
-func (s *SpatialInference) Workers() int { return s.workers }
-
-// Halo returns the configured halo width.
+// Halo returns the halo width: the configured one, or 0 for one slab.
 func (s *SpatialInference) Halo() int { return s.halo }
+
+// CheckRows reports whether an input whose first spatial axis has h rows
+// splits into the configured slabs: h divisible by the slab count, each
+// slab a multiple of the U-Net minimum input size, and no halo taller
+// than a slab.
+func (s *SpatialInference) CheckRows(h int) error {
+	if h%s.workers != 0 {
+		return fmt.Errorf("dist: extent %d not divisible into %d slabs", h, s.workers)
+	}
+	slab := h / s.workers
+	if m := s.nets[0].MinInputSize(); slab%m != 0 {
+		return fmt.Errorf("dist: slab height %d must be a multiple of the U-Net minimum input size %d", slab, m)
+	}
+	if s.halo > slab {
+		return fmt.Errorf("dist: halo %d exceeds slab height %d; use fewer workers or a larger domain", s.halo, slab)
+	}
+	return nil
+}
 
 // tailSize returns the number of elements per row of the first spatial
 // axis (W in 2D, H·W in 3D).
@@ -137,10 +149,12 @@ func (s *SpatialInference) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 
 // ForwardInto is Forward writing into a caller-provided output tensor. A
 // nil or shape-mismatched dst is replaced by a fresh tensor; the tensor
-// actually used is returned, so callers that hold onto it make the whole
-// pass allocation-free in steady state. Concurrent calls are safe and
-// serialize on an internal mutex (each pass already parallelizes across
-// the slab workers internally, so overlapping passes would only thrash).
+// actually used is returned, so callers that hold onto it make the pass
+// allocate, in steady state, only what the replicas' forwards do plus one
+// closure per slab but the last. Concurrent calls are safe and serialize on an internal mutex
+// (each pass already parallelizes across the slab workers internally, so
+// overlapping passes would only thrash). The error reports an input the
+// network or the decomposition cannot take; a valid input cannot fail.
 //
 //mglint:hotpath
 func (s *SpatialInference) ForwardInto(dst, x *tensor.Tensor) (*tensor.Tensor, error) {
@@ -160,6 +174,9 @@ func (s *SpatialInference) ForwardInto(dst, x *tensor.Tensor) (*tensor.Tensor, e
 			return nil, fmt.Errorf("dist: spatial extent %d must be a positive multiple of %d", d, m)
 		}
 	}
+	if err := s.CheckRows(x.Dim(2)); err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -172,63 +189,22 @@ func (s *SpatialInference) ForwardInto(dst, x *tensor.Tensor) (*tensor.Tensor, e
 	outShape := s.shapeBuf[:wantRank]
 	copy(outShape, x.Shape())
 	outShape[1] = cfg.OutChannels
-
-	if s.workers == 1 {
-		// The replica recycles its output buffer (SetBufferReuse), so the
-		// result must be copied out before the lock is released.
-		y := s.nets[0].Forward(x, false)
-		out := dst
-		if out == nil || !out.ShapeIs(outShape...) {
-			out = tensor.New(outShape...)
-		}
-		out.CopyFrom(y)
-		return out, nil
-	}
-	H := x.Dim(2)
-	if H%s.workers != 0 {
-		return nil, fmt.Errorf("dist: extent %d not divisible into %d slabs", H, s.workers)
-	}
-	slab := H / s.workers
-	if slab%m != 0 {
-		return nil, fmt.Errorf("dist: slab height %d must be a multiple of the U-Net minimum input size %d", slab, m)
-	}
-	if s.halo > slab {
-		return nil, fmt.Errorf("dist: halo %d exceeds slab height %d; use fewer workers or a larger domain", s.halo, slab)
-	}
-
 	out := dst
 	if out == nil || !out.ShapeIs(outShape...) {
 		//mglint:ignore hotalloc allocates only when the caller passes no reusable dst; callers that hold the returned tensor pay this once, which is the documented ForwardInto contract
 		out = tensor.New(outShape...)
 	}
-	tailDims := x.Shape()[3:]
-	N, C := x.Dim(0), x.Dim(1)
-	if cap(s.haloBuf) < wantRank {
-		s.haloBuf = make([]int, wantRank)
-	}
-	haloShape := s.haloBuf[:3+len(tailDims)]
-	haloShape[0], haloShape[1], haloShape[2] = N, C, s.halo
-	copy(haloShape[3:], tailDims)
 
-	if cap(s.errBuf) < s.workers {
-		s.errBuf = make([]error, s.workers)
+	// The last slab runs on this goroutine, so one slab forks nothing.
+	slab := x.Dim(2) / s.workers
+	last := s.workers - 1
+	s.wg.Add(s.workers)
+	for w := 0; w < last; w++ {
+		//mglint:ignore hotalloc one goroutine and closure per extra slab per pass is the fan-out design; the slab's convolution work dwarfs both
+		go s.forwardSlab(w, x, out, slab)
 	}
-	errs := s.errBuf[:s.workers]
-	var wg sync.WaitGroup
-	for w := 0; w < s.workers; w++ {
-		wg.Add(1)
-		//mglint:ignore hotalloc one goroutine and closure per slab per pass is the fan-out design; the slab's convolution work dwarfs both
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = s.forwardSlab(w, x, out, slab, haloShape)
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
+	s.forwardSlab(last, x, out, slab)
+	s.wg.Wait()
 	return out, nil
 }
 
@@ -242,57 +218,24 @@ func scratchFor(pool []*tensor.Tensor, w int, shape []int) *tensor.Tensor {
 	return pool[w]
 }
 
-// forwardSlab is one worker's share of Forward: exchange halos with the
-// ring neighbors, run the network on the extended slab, keep the interior.
-func (s *SpatialInference) forwardSlab(w int, x, out *tensor.Tensor, slab int, haloShape []int) error {
-	lo, hi := w*slab, (w+1)*slab
-	lo2, hi2 := lo, hi
-	if w > 0 {
-		lo2 = lo - s.halo
-	}
-	if w < s.workers-1 {
-		hi2 = hi + s.halo
-	}
-
-	if cap(s.exts[w]) < x.Rank() {
-		s.exts[w] = make([]int, x.Rank())
-	}
-	extShape := s.exts[w][:x.Rank()]
-	copy(extShape, x.Shape())
-	extShape[2] = hi2 - lo2
-	ext := scratchFor(s.ext, w, extShape)
-	copyRows(ext, x, lo-lo2, lo, slab) // the rows this worker owns
-
-	// Halo exchange: boundary rows travel through the transport, exactly
-	// as they would between MPI ranks that each hold only their slab.
-	tr := s.trs[w]
-	buf := scratchFor(s.hbuf, w, haloShape)
-	if w > 0 {
-		copyRows(buf, x, 0, lo, s.halo) // my top rows → left neighbor
-		if err := tr.Send(w-1, buf.Data); err != nil {
-			return err
+// forwardSlab is one worker's share of Forward: copy the slab and its
+// halos from x, run the network on the extended slab, keep the interior.
+// A slab spanning every row forwards x itself.
+func (s *SpatialInference) forwardSlab(w int, x, out *tensor.Tensor, slab int) {
+	defer s.wg.Done()
+	lo := w * slab
+	lo2, hi2 := max(lo-s.halo, 0), min(lo+slab+s.halo, x.Dim(2))
+	ext := x
+	if hi2-lo2 < x.Dim(2) {
+		if cap(s.exts[w]) < x.Rank() {
+			s.exts[w] = make([]int, x.Rank())
 		}
+		extShape := s.exts[w][:x.Rank()]
+		copy(extShape, x.Shape())
+		extShape[2] = hi2 - lo2
+		ext = scratchFor(s.ext, w, extShape)
+		copyRows(ext, x, 0, lo2, hi2-lo2)
 	}
-	if w < s.workers-1 {
-		copyRows(buf, x, 0, hi-s.halo, s.halo) // my bottom rows → right neighbor
-		if err := tr.Send(w+1, buf.Data); err != nil {
-			return err
-		}
-	}
-	if w > 0 {
-		if err := tr.Recv(w-1, buf.Data); err != nil {
-			return err
-		}
-		copyRows(ext, buf, 0, 0, s.halo)
-	}
-	if w < s.workers-1 {
-		if err := tr.Recv(w+1, buf.Data); err != nil {
-			return err
-		}
-		copyRows(ext, buf, (hi - lo2), 0, s.halo)
-	}
-
 	y := s.nets[w].Forward(ext, false)
 	copyRows(out, y, lo, lo-lo2, slab)
-	return nil
 }

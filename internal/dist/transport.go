@@ -48,7 +48,7 @@ type channelTransport struct {
 // NewChannelRing builds a p-way in-process communicator and returns one
 // Transport endpoint per rank. Despite the name (it is the transport under
 // RingAllReduce) the mesh is fully connected, so the same endpoints also
-// serve the all-to-all baseline and neighbor halo exchange.
+// serve the all-to-all baseline.
 func NewChannelRing(p int) []Transport {
 	if p < 1 {
 		panic(fmt.Sprintf("dist: communicator size must be >= 1, got %d", p))

@@ -230,6 +230,68 @@ func TestMaxPoolInferenceMatchesTraining(t *testing.T) {
 	}
 }
 
+// The training max-pool and its backward split over output rows: values,
+// argmax and input gradients must not depend on the worker count, NaN, ±0
+// and ties included. Every shape has at least 256 output rows, so
+// tensor.ParallelFor really fans out at 4 workers.
+func TestMaxPoolTrainingWorkerCountBitExact(t *testing.T) {
+	vals := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(-1), math.Inf(1), 1, -1, 0.5}
+	rng := NewRNG(47)
+	for _, shape := range [][]int{{2, 4, 100, 9}, {2, 2, 10, 66, 7}} {
+		for _, k := range []int{2, 3} {
+			x := tensor.New(shape...)
+			for i := range x.Data {
+				x.Data[i] = vals[rng.Intn(len(vals))]
+			}
+			// Whole windows of NaN, −Inf and −0: no value beats −Inf in the
+			// first two.
+			d, h, w := gridOf(x, "test")
+			kd := windowDepth(x, k)
+			for c, v := range []float64{math.NaN(), math.Inf(-1), math.Copysign(0, -1)} {
+				for kz := 0; kz < kd; kz++ {
+					for ky := 0; ky < k; ky++ {
+						for kx := 0; kx < k; kx++ {
+							x.Data[((c*d+kz)*h+ky)*w+k+kx] = v
+						}
+					}
+				}
+			}
+			var grad *tensor.Tensor
+			type pass struct {
+				y, gin []float64
+				arg    []int32
+			}
+			run := func(procs int) pass {
+				defer tensor.SetParallelism(tensor.SetParallelism(procs))
+				m := NewMaxPool(k)
+				y := m.Forward(x, true)
+				if grad == nil {
+					grad = tensor.New(y.Shape()...)
+					for i := range grad.Data {
+						grad.Data[i] = vals[rng.Intn(len(vals))]
+					}
+				}
+				gin := m.Backward(grad)
+				return pass{y.Data, gin.Data, append([]int32(nil), m.argmax[:y.Len()]...)}
+			}
+			one, four := run(1), run(4)
+			what := fmt.Sprintf("rank %d, K %d", len(shape), k)
+			requireSameBits(t, what+" forward", four.y, one.y)
+			requireSameBits(t, what+" backward", four.gin, one.gin)
+			seen := map[int32]bool{}
+			for i, a := range one.arg {
+				if four.arg[i] != a {
+					t.Fatalf("%s: argmax %d is %d at 4 workers, %d at 1", what, i, four.arg[i], a)
+				}
+				if seen[a] {
+					t.Fatalf("%s: two windows scatter to input %d", what, a)
+				}
+				seen[a] = true
+			}
+		}
+	}
+}
+
 func TestAvgPoolValues(t *testing.T) {
 	x := tensor.FromSlice([]float64{1, 3, 5, 7}, 1, 1, 2, 2)
 	y := AvgPoolApply(x, 2)

@@ -59,30 +59,27 @@ func (m *MaxPool) forward(x *tensor.Tensor, train bool, kd int) *tensor.Tensor {
 	}
 	arg := m.argmax[:out.Len()]
 	m.inShp = append(m.inShp[:0], x.Shape()...)
-	tensor.ParallelFor(x.Dim(0)*x.Dim(1), func(job int) {
-		inBase := job * d * h * w
-		outBase := job * do * ho * wo
-		for oz := 0; oz < do; oz++ {
-			for oy := 0; oy < ho; oy++ {
-				for ox := 0; ox < wo; ox++ {
-					best := math.Inf(-1)
-					bestIdx := 0
-					for kz := 0; kz < kd; kz++ {
-						for ky := 0; ky < k; ky++ {
-							row := inBase + ((oz*kd+kz)*h+oy*k+ky)*w + ox*k
-							for kx := 0; kx < k; kx++ {
-								if v := xd[row+kx]; v > best {
-									best = v
-									bestIdx = row + kx
-								}
-							}
+	tensor.ParallelFor(x.Dim(0)*x.Dim(1)*do*ho, func(job int) {
+		nc, oz, oy := job/(do*ho), job/ho%do, job%ho
+		base := ((nc*d+oz*kd)*h + oy*k) * w
+		for ox := 0; ox < wo; ox++ {
+			// A window with no value above −Inf keeps its first element,
+			// so every window's argmax lies inside it.
+			best := math.Inf(-1)
+			bestIdx := base + ox*k
+			for kz := 0; kz < kd; kz++ {
+				for ky := 0; ky < k; ky++ {
+					row := base + (kz*h+ky)*w + ox*k
+					for kx := 0; kx < k; kx++ {
+						if v := xd[row+kx]; v > best {
+							best = v
+							bestIdx = row + kx
 						}
 					}
-					o := outBase + (oz*ho+oy)*wo + ox
-					od[o] = best
-					arg[o] = int32(bestIdx)
 				}
 			}
+			od[job*wo+ox] = best
+			arg[job*wo+ox] = int32(bestIdx)
 		}
 	})
 	return out
@@ -112,12 +109,18 @@ func maxRow(out, x []float64, kd, k, h, w int) {
 }
 
 // Backward implements Layer: the gradient flows to the argmax positions.
+// Windows are disjoint (K == stride) and each argmax lies inside its
+// window, so output rows scatter to disjoint inputs and split over
+// workers without changing a bit.
 func (m *MaxPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	gin := m.bwd.getZero(m.inShp...) // scatter-adds below
-	arg := m.argmax[:grad.Len()]
-	for i, g := range grad.Data {
-		gin.Data[arg[i]] += g
-	}
+	wo := grad.Dim(grad.Rank() - 1)
+	gd, arg := grad.Data, m.argmax[:grad.Len()]
+	tensor.ParallelFor(grad.Len()/max(wo, 1), func(job int) {
+		for i := job * wo; i < (job+1)*wo; i++ {
+			gin.Data[arg[i]] += gd[i]
+		}
+	})
 	return gin
 }
 

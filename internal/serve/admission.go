@@ -79,61 +79,6 @@ func (w *ewma) estimate() time.Duration {
 	return time.Duration(w.value)
 }
 
-// breaker is a consecutive-failure circuit breaker for the slab path.
-// While open, slab-eligible requests route to the batched path instead
-// of risking another failure; after the cooldown one probe is let
-// through (half-open) and a success closes it. Guarded by Engine.mu.
-type breaker struct {
-	failures  int
-	threshold int
-	cooldown  time.Duration
-	openUntil time.Time
-	probing   bool
-}
-
-const (
-	breakerThreshold = 3
-	breakerCooldown  = 5 * time.Second
-)
-
-// allow reports whether the protected path may run now.
-//
-//mglint:hotpath
-func (b *breaker) allow(now time.Time) bool {
-	if b.failures < b.threshold {
-		return true
-	}
-	if now.Before(b.openUntil) {
-		return false
-	}
-	if b.probing {
-		return false // one half-open probe at a time
-	}
-	b.probing = true
-	return true
-}
-
-// success closes the breaker.
-func (b *breaker) success() {
-	b.failures = 0
-	b.probing = false
-}
-
-// failure records one more consecutive failure and (re)opens the
-// breaker once the threshold is reached.
-func (b *breaker) failure(now time.Time) {
-	b.failures++
-	b.probing = false
-	if b.failures >= b.threshold {
-		b.openUntil = now.Add(b.cooldown)
-	}
-}
-
-// tripped reports whether the breaker is currently refusing traffic.
-func (b *breaker) tripped(now time.Time) bool {
-	return b.failures >= b.threshold && now.Before(b.openUntil)
-}
-
 // QuotaConfig parameterizes a QuotaLimiter.
 type QuotaConfig struct {
 	// RPS is the per-client sustained refill rate in requests per second.

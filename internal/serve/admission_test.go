@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// fixedNow gives the quota/breaker tests a deterministic clock.
+// fixedNow gives the quota tests a deterministic clock.
 var fixedNow = time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
 
 func TestQuotaLimiterBurstAndRefill(t *testing.T) {
@@ -122,48 +122,6 @@ func TestEWMAConverges(t *testing.T) {
 	}
 	if est := w.estimate(); est < 9*time.Millisecond || est > 12*time.Millisecond {
 		t.Fatalf("EWMA failed to track the new regime: %v", est)
-	}
-}
-
-func TestBreakerLifecycle(t *testing.T) {
-	b := breaker{threshold: 3, cooldown: time.Second}
-	now := fixedNow
-	// Closed: failures below threshold keep admitting.
-	for i := 0; i < 2; i++ {
-		if !b.allow(now) {
-			t.Fatalf("breaker refused below threshold (failure %d)", i)
-		}
-		b.failure(now)
-	}
-	if !b.allow(now) {
-		t.Fatal("breaker refused below threshold")
-	}
-	b.failure(now) // third consecutive failure: trips
-	if b.allow(now) {
-		t.Fatal("tripped breaker admitted")
-	}
-	if !b.tripped(now) {
-		t.Fatal("tripped() false right after tripping")
-	}
-	// After the cooldown exactly one half-open probe goes through.
-	later := now.Add(2 * time.Second)
-	if !b.allow(later) {
-		t.Fatal("half-open probe refused after cooldown")
-	}
-	if b.allow(later) {
-		t.Fatal("second concurrent probe admitted in half-open state")
-	}
-	// Probe success closes the breaker.
-	b.success()
-	if !b.allow(later) || b.tripped(later) {
-		t.Fatal("breaker did not close after a successful probe")
-	}
-	// Probe failure re-opens it for another cooldown.
-	for i := 0; i < 3; i++ {
-		b.failure(later)
-	}
-	if b.allow(later) {
-		t.Fatal("re-tripped breaker admitted")
 	}
 }
 

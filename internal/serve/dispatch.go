@@ -171,28 +171,22 @@ func (e *Engine) runBatch(rep *replica, res int, fs []*flight) {
 }
 
 // runSlab answers one large request through the slab-parallel spatial
-// inference path, reusing the engine's slab input/output scratch. On a
-// slab failure the flight falls back to the batched path instead of
-// erroring, and the failure feeds the breaker that reroutes subsequent
-// slab-eligible requests until the cooldown elapses.
+// inference path: the pass's output tensor becomes the flight's answer. A
+// routed request fits the slab decomposition, so ForwardInto cannot fail;
+// should it ever, the flight fails with its error.
 func (e *Engine) runSlab(f *flight) {
 	defer e.wg.Done()
 	if e.abandonedBeforeForward(f) {
 		return
 	}
 	res := f.key.Res
-	per := e.voxels(res)
 	start := time.Now()
-
-	u, err := e.slabForward(f, per)
+	u, err := e.slabForward(f)
 	if err != nil {
-		e.slabFallback(f, err)
+		f.err = err
+		e.finish([]*flight{f}, res, 0)
 		return
 	}
-	e.mu.Lock()
-	e.slabBrk.success()
-	e.mu.Unlock()
-
 	e.applyBC(u, res)
 	f.u = u
 	f.batch = 1
@@ -213,51 +207,22 @@ func (e *Engine) runSlab(f *flight) {
 	runtime.GC()
 }
 
-// slabForward runs the spatial-inference pass (with injected faults) and
-// returns a privately owned copy of the result.
-func (e *Engine) slabForward(f *flight, per int) ([]float64, error) {
+// slabForward rasterizes f's field into the engine's slab input and runs
+// the spatial-inference pass into a fresh output, which it returns.
+func (e *Engine) slabForward(f *flight) ([]float64, error) {
 	e.slabMu.Lock()
 	defer e.slabMu.Unlock()
-	if err := e.faults.beforeSlab(); err != nil {
-		return nil, err
-	}
+	e.faults.beforeSlab()
 	shape := e.inputShape(1, f.key.Res)
 	if e.slabIn == nil || !e.slabIn.ShapeIs(shape...) {
 		e.slabIn = tensor.New(shape...)
 	}
 	field.RasterInto(e.slabIn.Data, f.key.Omega, e.dim, f.key.Res)
-	out, err := e.slab.ForwardInto(e.slabOut, e.slabIn)
+	out, err := e.slab.ForwardInto(nil, e.slabIn)
 	if err != nil {
 		return nil, err
 	}
-	e.slabOut = out
-	u := make([]float64, per)
-	copy(u, out.Data)
-	return u, nil
-}
-
-// slabFallback records a slab failure on the breaker and reroutes the
-// flight onto the batched path — same key, same bit-exact answer, just a
-// different execution plan. Only if the queue cannot take it (engine
-// shutting down, queue full) does the flight fail with the slab error.
-func (e *Engine) slabFallback(f *flight, err error) {
-	e.mu.Lock()
-	e.slabBrk.failure(time.Now())
-	abandoned := f.abandoned
-	e.mu.Unlock()
-	e.stats.Lock()
-	e.stats.slabFallbacks++
-	e.stats.Unlock()
-	if abandoned {
-		return
-	}
-	select {
-	case e.queue <- f:
-		return
-	default:
-	}
-	f.err = err
-	e.finish([]*flight{f}, f.key.Res, 0)
+	return out.Data[:e.voxels(f.key.Res)], nil
 }
 
 // abandonedBeforeForward reports (under e.mu) whether every waiter

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	rand "math/rand/v2"
 	"sync"
 	"time"
@@ -25,16 +24,10 @@ type Faults struct {
 	// StuckDelay before running — a stuck slab worker.
 	StuckSlabProb float64
 	StuckDelay    time.Duration
-	// SlabErrProb is the probability the slab pass fails outright,
-	// exercising the breaker and the batched-path fallback.
-	SlabErrProb float64
 	// ForceDegraded pins the engine in degraded mode regardless of load,
 	// so degraded-path behavior is testable without a real flood.
 	ForceDegraded bool
 }
-
-// errSlabFault is the injected slab failure.
-var errSlabFault = fmt.Errorf("serve: injected slab fault")
 
 // faultState is the engine-owned injector: config plus a seeded RNG.
 type faultState struct {
@@ -70,18 +63,13 @@ func (f *faultState) beforeBatch() {
 	}
 }
 
-// beforeSlab injects the stuck-slab-worker delay and/or an outright slab
-// failure. Called by runSlab before the spatial-inference pass; a nil
-// receiver is a no-op.
-func (f *faultState) beforeSlab() error {
-	if f == nil {
-		return nil
+// beforeSlab injects the stuck-slab-worker delay. Called by runSlab
+// before the spatial-inference pass; a nil receiver is a no-op.
+func (f *faultState) beforeSlab() {
+	if f == nil || f.cfg.StuckSlabProb <= 0 || f.cfg.StuckDelay <= 0 {
+		return
 	}
-	if f.cfg.StuckSlabProb > 0 && f.cfg.StuckDelay > 0 && f.draw() < f.cfg.StuckSlabProb {
+	if f.draw() < f.cfg.StuckSlabProb {
 		time.Sleep(f.cfg.StuckDelay)
 	}
-	if f.cfg.SlabErrProb > 0 && f.draw() < f.cfg.SlabErrProb {
-		return errSlabFault
-	}
-	return nil
 }

@@ -334,56 +334,11 @@ func TestDegradedModeCoarseAnswers(t *testing.T) {
 	}
 }
 
-// TestSlabBreakerFallback pins the breaker contract: a failing slab path
-// reroutes the flight onto the batched path (same bit-exact answer, no
-// error surfaced), and after the failure threshold the breaker routes
-// slab-eligible requests straight to the batcher.
-func TestSlabBreakerFallback(t *testing.T) {
-	net := testNet(2)
-	e := mustEngine(t, Config{
-		Net: net, Replicas: 1, MaxBatch: 2, BatchWindow: time.Millisecond,
-		SlabVoxels: 32 * 32, SlabWorkers: 2, CacheSize: -1,
-		Faults: &Faults{Seed: 4, SlabErrProb: 1},
-	})
-	ref := net.Clone()
-	omegas := field.SampleOmegas(5)
-	for i, w := range omegas {
-		r, err := e.Solve(context.Background(), w, 32)
-		if err != nil {
-			t.Fatalf("solve %d surfaced a slab failure: %v", i, err)
-		}
-		if r.Slab {
-			t.Fatalf("solve %d reported a slab answer while every slab pass fails", i)
-		}
-		want := reference(ref, w, 32)
-		for j := range want {
-			if r.U[j] != want[j] {
-				t.Fatalf("fallback answer %d diverges at %d", i, j)
-			}
-		}
-	}
-	st := e.Stats()
-	if st.SlabFallbacks < breakerThreshold {
-		t.Fatalf("slab fallbacks %d, want >= %d (breaker threshold)", st.SlabFallbacks, breakerThreshold)
-	}
-	// The breaker opened after the threshold: later requests never
-	// touched the slab path at all.
-	if st.SlabFallbacks >= uint64(len(omegas)) {
-		t.Fatalf("every request hit the failing slab path (%d fallbacks); the breaker never opened", st.SlabFallbacks)
-	}
-	if !st.BreakerOpen {
-		t.Fatal("BreakerOpen gauge not set")
-	}
-	if st.SlabRequests != 0 {
-		t.Fatalf("slab requests %d, want 0 (all passes failed or were rerouted)", st.SlabRequests)
-	}
-}
-
 // TestChaosSoak is the chaos harness acceptance test: injected slow
-// replicas, stuck slab workers, slab failures, and a client-disconnect
-// storm, all at once, against a mixed workload. Invariants pinned: every
-// admitted (successful) response is bit-identical to the monolithic
-// reference, every error is a typed overload/context error, and the
+// replicas, stuck slab workers and a client-disconnect storm, all at
+// once, against a mixed workload. Invariants pinned: every admitted
+// (successful) response is bit-identical to the monolithic reference,
+// every error is a typed overload/context error, and the
 // engine returns to baseline (queue empty, no goroutine leak) afterwards.
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
@@ -398,7 +353,6 @@ func TestChaosSoak(t *testing.T) {
 			Seed:            5,
 			SlowReplicaProb: 0.3, ReplicaDelay: 3 * time.Millisecond,
 			StuckSlabProb: 0.5, StuckDelay: 3 * time.Millisecond,
-			SlabErrProb: 0.3,
 		},
 	})
 	if err != nil {

@@ -23,16 +23,16 @@
 // full, or EWMA-estimated wait past the request's deadline) instead of
 // melting; and under sustained saturation the engine degrades gracefully
 // — cache hits still answer, cold misses shed, and opt-in requests accept
-// a coarser-resolution answer flagged Degraded. A failure-counting
-// breaker reroutes the slab path onto the batched path instead of
-// erroring.
+// a coarser-resolution answer flagged Degraded.
 //
 // Every non-degraded response is bit-identical to a fresh monolithic
 // net.Forward + boundary imposition on the same input: batching never
 // changes per-sample values (convolutions, batch-norm inference statistics
 // and pointwise activations are sample-independent, and Conv3D picks its
 // arithmetic from the per-sample volume), and the slab path
-// reproduces the monolithic pass by receptive-field-covering halos.
+// reproduces the monolithic pass by receptive-field-covering halos. A
+// request the slab decomposition cannot split takes the batched path, so
+// a slab pass, once routed, cannot fail.
 // Admission control cannot change values either — it only decides whether
 // a forward runs, never how.
 package serve
@@ -173,13 +173,11 @@ type Stats struct {
 	DeadlineExceeded uint64 `json:"deadline_exceeded"` // waiters that detached on context deadline
 	DegradedServed   uint64 `json:"degraded_served"`   // coarse answers served in degraded mode
 	DroppedFlights   uint64 `json:"dropped_flights"`   // all-waiters-gone flights dropped before their forward
-	SlabFallbacks    uint64 `json:"slab_fallbacks"`    // slab failures rerouted to the batched path
 
 	// Gauges.
 	QueueDepth   int  `json:"queue_depth"`   // in-flight computations right now
 	MaxQueue     int  `json:"max_queue"`     // admission bound
 	DegradedMode bool `json:"degraded_mode"` // currently shedding cold misses
-	BreakerOpen  bool `json:"breaker_open"`  // slab path currently rerouted
 }
 
 // replica is one pool slot: a privately owned network clone with recycled
@@ -200,9 +198,8 @@ type Engine struct {
 	queue    chan *flight
 	replicas chan *replica
 	slab     *dist.SpatialInference
-	slabMu   sync.Mutex // guards the slab path's input/output scratch
+	slabMu   sync.Mutex // guards the slab path's input scratch
 	slabIn   *tensor.Tensor
-	slabOut  *tensor.Tensor
 	faults   *faultState
 
 	mu       sync.Mutex // guards cache, inflight, admission and degradation state
@@ -212,7 +209,6 @@ type Engine struct {
 	lat      map[int]*ewma // per-resolution batch-latency EWMA
 	satScore float64       // EWMA of queue occupancy, drives degraded mode
 	degraded bool
-	slabBrk  breaker
 
 	closeMu sync.RWMutex // held (read) for the duration of every Solve
 	closed  bool
@@ -223,7 +219,7 @@ type Engine struct {
 		sync.Mutex
 		requests, cacheHits, shared, forwards, batched, slabbed uint64
 		canceled, deadlineExceeded, degradedServed              uint64
-		dropped, slabFallbacks                                  uint64
+		dropped                                                 uint64
 	}
 	// shed counters live under e.mu (they are bumped inside the admission
 	// decision, which already holds it).
@@ -279,7 +275,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		lat:      map[int]*ewma{},
 		quit:     make(chan struct{}),
 	}
-	e.slabBrk = breaker{threshold: breakerThreshold, cooldown: breakerCooldown}
 	if cfg.Faults != nil {
 		e.faults = newFaultState(*cfg.Faults)
 	}
@@ -474,8 +469,9 @@ func (e *Engine) SolveQuery(ctx context.Context, q Query) (Result, error) {
 	f := &flight{key: key, done: make(chan struct{}), waiters: 1}
 	e.inflight[key] = f
 	e.pending++
+	// A request the slab decomposition cannot split takes the batched path.
 	useSlab := e.slab != nil && e.voxels(key.Res) >= e.cfg.SlabVoxels &&
-		e.slabFits(key.Res) && e.slabBrk.allow(now)
+		e.slab.CheckRows(key.Res) == nil
 	e.mu.Unlock()
 
 	if useSlab {
@@ -596,21 +592,6 @@ func (e *Engine) countCtxErr(err error) {
 	e.stats.Unlock()
 }
 
-// slabFits reports whether res satisfies the slab decomposition's
-// divisibility constraints; requests that do not fit fall back to the
-// batched path instead of erroring.
-func (e *Engine) slabFits(res int) bool {
-	w := e.slab.Workers()
-	if w <= 1 {
-		return true
-	}
-	if res%w != 0 {
-		return false
-	}
-	slab := res / w
-	return slab%e.meta.MinInputSize() == 0 && e.slab.Halo() <= slab
-}
-
 // SolveBatch answers a set of same-resolution queries concurrently and
 // returns results in input order. The queries flow through the same cache,
 // dedup, batching and admission machinery as individual Solve calls, so a
@@ -659,7 +640,6 @@ func (e *Engine) Stats() Stats {
 		DeadlineExceeded: e.stats.deadlineExceeded,
 		DegradedServed:   e.stats.degradedServed,
 		DroppedFlights:   e.stats.dropped,
-		SlabFallbacks:    e.stats.slabFallbacks,
 		Replicas:         e.cfg.Replicas,
 		MaxBatch:         e.cfg.MaxBatch,
 		BatchWindowMS:    float64(e.cfg.BatchWindow) / float64(time.Millisecond),
@@ -677,7 +657,6 @@ func (e *Engine) Stats() Stats {
 	s.QueueDepth = e.pending
 	s.MaxQueue = e.cfg.MaxQueue
 	s.DegradedMode = e.degradedLocked()
-	s.BreakerOpen = e.slabBrk.tripped(time.Now())
 	e.mu.Unlock()
 	return s
 }

@@ -257,6 +257,55 @@ func TestSlabRouting(t *testing.T) {
 	}
 }
 
+// TestSlabAnswerOwnership pins that a slab pass's output becomes its
+// flight's answer and is never reused: two slab solves return distinct
+// backing arrays, an answer survives the next slab pass, and mutating
+// returned answers leaves a later answer for the same ω — a cache hit, or
+// a fresh slab pass with the cache off — bit-identical to the reference.
+func TestSlabAnswerOwnership(t *testing.T) {
+	net := testNet(2)
+	ref := net.Clone()
+	w1, w2 := field.Omega{0.8, -0.4, 1.3, 0.1}, field.Omega{-1.1, 0.6, -0.2, 2.4}
+	want1 := reference(ref, w1, 32)
+	for _, cacheSize := range []int{0, -1} {
+		e := mustEngine(t, Config{Net: net, SlabVoxels: 32 * 32, SlabWorkers: 2, CacheSize: cacheSize, MaxBatch: 2, BatchWindow: time.Millisecond})
+		a, err := e.Solve(context.Background(), w1, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := e.Solve(context.Background(), w2, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !a.Slab || !b.Slab {
+			t.Fatalf("cache %d: slab answers %v, %v; want both from the slab path", cacheSize, a.Slab, b.Slab)
+		}
+		if &a.U[0] == &b.U[0] {
+			t.Fatalf("cache %d: two slab solves share one backing array", cacheSize)
+		}
+		for i := range want1 {
+			if math.Float64bits(a.U[i]) != math.Float64bits(want1[i]) {
+				t.Fatalf("cache %d: idx %d of the first answer is %v after the second pass, want %v", cacheSize, i, a.U[i], want1[i])
+			}
+		}
+		for i := range a.U {
+			a.U[i], b.U[i] = -999, -999
+		}
+		c, err := e.Solve(context.Background(), w1, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached := cacheSize >= 0; c.Cached != cached || c.Slab == cached {
+			t.Fatalf("cache %d: repeat solve Cached %v Slab %v", cacheSize, c.Cached, c.Slab)
+		}
+		for i := range want1 {
+			if math.Float64bits(c.U[i]) != math.Float64bits(want1[i]) {
+				t.Fatalf("cache %d: idx %d of the repeat answer is %v, want %v", cacheSize, i, c.U[i], want1[i])
+			}
+		}
+	}
+}
+
 func TestEngineValidation(t *testing.T) {
 	if _, err := NewEngine(Config{}); err == nil {
 		t.Fatal("expected error for nil net")

@@ -265,7 +265,7 @@ func (u *UNet) ValidateRes(res int) error {
 // unaffected by it. An unaligned boundary can reach farther, because the
 // max-pool windows then straddle it. The slab-decomposed
 // inference in internal/dist, whose slab boundaries and halos are
-// multiples of MinInputSize, sizes its halo exchange from this bound.
+// multiples of MinInputSize, sizes its halo from this bound.
 //
 // The receptive-field size grows by (k-1)·jump per convolution and by
 // jump per 2× max-pool, where jump is the product of strides below the
