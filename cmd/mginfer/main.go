@@ -24,6 +24,7 @@ import (
 
 	"mgdiffnet/internal/fem"
 	"mgdiffnet/internal/field"
+	"mgdiffnet/internal/prof"
 	"mgdiffnet/internal/serve"
 	"mgdiffnet/internal/sparse"
 	"mgdiffnet/internal/tensor"
@@ -148,7 +149,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("mginfer", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -159,10 +160,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		compare   = fs.Bool("compare", false, "also run the FEM solver and report the error (exits non-zero if the FEM reference does not converge)")
 		outCSV    = fs.String("csv", "", "write the predicted field to this CSV path (single-ω mode only)")
 		outVTI    = fs.String("vti", "", "write prediction (+diffusivity, +FEM with -compare) to this VTK ImageData path (single-ω mode only)")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf   = fs.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	stopProfile, err := prof.Start(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(stderr, "mginfer:", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintln(stderr, "mginfer:", err)
+			code = max(code, 1)
+		}
+	}()
 
 	if *model == "" {
 		fmt.Fprintln(stderr, "mginfer: -model is required")

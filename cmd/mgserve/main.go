@@ -19,6 +19,7 @@
 //	GET  /stats       engine + server counters
 //	GET  /healthz     liveness + model metadata
 //	GET  /readyz      readiness (503 while degraded — load balancers drain, liveness stays green)
+//	GET  /debug/pprof/ runtime profiles (net/http/pprof), only with -pprof; 404 otherwise
 //
 // Example:
 //
@@ -35,6 +36,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
@@ -71,6 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		slabVoxels  = fs.Int("slab-voxels", 1<<21, "route single requests with >= this many voxels to the slab-parallel path (negative disables)")
 		slabWorkers = fs.Int("slab-workers", 2, "slab count of the spatial-inference path")
 		warm        = fs.String("warm", "", "comma-separated resolutions to warm each replica at (e.g. 32,64)")
+		pprofOn     = fs.Bool("pprof", false, "serve the runtime profiles (net/http/pprof) under /debug/pprof/")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -118,6 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		quota:          serve.NewQuotaLimiter(serve.QuotaConfig{RPS: *quotaRPS, Burst: *quotaBurst}),
 		quotaHeader:    *quotaHeader,
 		logf:           log.New(stderr, "mgserve: ", log.LstdFlags).Printf,
+		pprof:          *pprofOn,
 	}
 	srv := &http.Server{
 		Addr:    *addr,
@@ -250,6 +254,7 @@ type handlerOptions struct {
 	quota          *serve.QuotaLimiter // nil = unlimited
 	quotaHeader    string              // client key header; empty = remote host
 	logf           func(format string, args ...any)
+	pprof          bool // mount net/http/pprof under /debug/pprof/
 }
 
 // clientKey identifies the quota bucket for a request: the configured
@@ -481,5 +486,12 @@ func newHandler(eng *serve.Engine, opt handlerOptions) http.Handler {
 		writeJSON(w, r, http.StatusOK, map[string]any{"ready": true, "queue_depth": st.QueueDepth})
 	})
 
+	if opt.pprof {
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
 	return mux
 }

@@ -16,7 +16,7 @@ import (
 	"mgdiffnet/internal/unet"
 )
 
-func testEngine(t *testing.T, cfg serve.Config) *serve.Engine {
+func testEngine(t testing.TB, cfg serve.Config) *serve.Engine {
 	t.Helper()
 	ucfg := unet.DefaultConfig(2)
 	ucfg.Depth = 2

@@ -36,6 +36,7 @@ import (
 	"mgdiffnet/internal/core"
 	"mgdiffnet/internal/dist"
 	"mgdiffnet/internal/field"
+	"mgdiffnet/internal/prof"
 	"mgdiffnet/internal/unet"
 )
 
@@ -65,6 +66,7 @@ type trainFlags struct {
 	adapt, resume                     bool
 	seed                              int64
 	out, checkpoint                   string
+	cpuProfile, memProfile            string
 
 	transport, peers       string
 	rank                   int
@@ -221,6 +223,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs.IntVar(&f.ckEvery, "checkpoint-every", 1, "epochs between checkpoint snapshots")
 	fs.BoolVar(&f.resume, "resume", false, "resume from -checkpoint if it exists")
 	fs.StringVar(&f.out, "o", "", "output path for the trained model (gob)")
+	fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&f.memProfile, "memprofile", "", "write a heap profile at the end of the run to this file")
 	fs.StringVar(&f.transport, "transport", "inproc", "data-parallel transport: inproc (in-process workers) or tcp (one process per rank)")
 	fs.IntVar(&f.rank, "rank", -1, "this process's rank in the -peers list (tcp)")
 	fs.StringVar(&f.peers, "peers", "", "comma-separated host:port of every rank, in rank order (tcp)")
@@ -245,6 +249,17 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "mgtrain:", err)
 		return 2
 	}
+	stopProfile, err := prof.Start(f.cpuProfile, f.memProfile)
+	if err != nil {
+		fmt.Fprintln(stderr, "mgtrain:", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintln(stderr, "mgtrain:", err)
+			code = max(code, 1)
+		}
+	}()
 
 	ncfg := unet.DefaultConfig(f.dim)
 	ncfg.BaseFilters = f.filters

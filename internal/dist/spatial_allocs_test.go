@@ -46,3 +46,24 @@ func TestSpatialInferenceSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// The replica forward the test above measures: a warm inference forward of
+// the 2D BaseFilters-4 depth-2 net at 48², one worker. Its 25 objects are
+// the convolutions', max-pools' and up-convolutions' output-shape slices,
+// and the closures the kernels of those layers and the Sigmoid hand the
+// worker pool. BatchNorm and LeakyReLU add none: they run in their
+// convolution's write-out, and the decoder reads its skip tensor without a
+// concatenated copy.
+func TestWarmInferenceForwardAllocs(t *testing.T) {
+	defer tensor.SetParallelism(tensor.SetParallelism(1))
+	cfg := unet.DefaultConfig(2)
+	cfg.BaseFilters = 4
+	cfg.Depth = 2
+	replica := unet.New(cfg)
+	replica.SetBufferReuse(true)
+	x := spatialTestInput(2, 48)
+	replica.Forward(x, false)
+	if got := testing.AllocsPerRun(5, func() { replica.Forward(x, false) }); got > 25 {
+		t.Errorf("warm inference forward allocates %v objects, want at most 25", got)
+	}
+}

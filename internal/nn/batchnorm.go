@@ -134,7 +134,7 @@ func (b *BatchNorm) infer(dst, src []float64, n, c, spatial int) {
 		for bn := 0; bn < n; bn++ {
 			base := (bn*c + ch) * spatial
 			for i := 0; i < spatial; i++ {
-				dst[base+i] = g*(src[base+i]-mu)*inv + bt
+				dst[base+i] = float64(float64(g*(src[base+i]-mu))*inv) + bt
 			}
 		}
 	})

@@ -91,12 +91,20 @@ func kernelGeom(n, ci, d, h, w, kd, k, pd, p, s int) geom {
 	return g
 }
 
-// convGeom builds the geometry of a convolution layer reading x, with a
-// kd×k×k kernel and (pd, p, p) padding, and rejects inputs it cannot take.
-func convGeom(who string, x *tensor.Tensor, cin, cout, kd, k, pd, p, s int) geom {
+// convGeom builds the geometry of a convolution layer reading the channels
+// of x, then those of x2 (nil: x alone), with a kd×k×k kernel and
+// (pd, p, p) padding, and rejects inputs it cannot take.
+func convGeom(who string, x, x2 *tensor.Tensor, cin, cout, kd, k, pd, p, s int) geom {
 	d, h, w := gridOf(x, who)
-	if x.Dim(1) != cin {
-		panic(fmt.Sprintf("nn: %s expects %d input channels, got %d", who, cin, x.Dim(1)))
+	ch := x.Dim(1)
+	if x2 != nil {
+		if x2.Rank() != x.Rank() || x2.Dim(0) != x.Dim(0) || x2.Len()/x2.Dim(1) != x.Len()/x.Dim(1) {
+			panic(fmt.Sprintf("nn: %s cannot join inputs %v and %v along the channels", who, x.Shape(), x2.Shape()))
+		}
+		ch += x2.Dim(1)
+	}
+	if ch != cin {
+		panic(fmt.Sprintf("nn: %s expects %d input channels, got %d", who, cin, ch))
 	}
 	g := kernelGeom(x.Dim(0), cin, d, h, w, kd, k, pd, p, s)
 	g.co = cout
@@ -126,7 +134,9 @@ func transposedGeom(who string, x *tensor.Tensor, cin, cout, kd, k, pd, p, s int
 }
 
 // convState is what a convolution layer of either rank and direction keeps
-// between calls: the input cached for Backward, the recyclable outputs, the
+// between calls: the input cached for Backward (a decoder convolution's
+// two, in and in2, whose channels it reads in that order), the recyclable
+// outputs, the
 // scratch of the lowered adjoint (a lowered convolution's input gradient,
 // and ConvTranspose2D's forward) and the cached matrix view of the weights.
 //
@@ -135,7 +145,7 @@ func transposedGeom(who string, x *tensor.Tensor, cin, cout, kd, k, pd, p, s int
 // instance, not even with train=false. Clone the network per goroutine
 // instead, as dist.SpatialInference and dist.ParallelTrainer do.
 type convState struct {
-	in               *tensor.Tensor
+	in, in2          *tensor.Tensor
 	fwd, bwd         outBuf
 	colsBuf, prodBuf gemmBuf
 	wMatView         *tensor.Tensor
@@ -143,13 +153,26 @@ type convState struct {
 
 func (s *convState) setBufferReuse(on bool) { s.fwd.on, s.bwd.on = on, on }
 
-// convForward computes y = W ⋆ x + b on the written grid of g.
-func (s *convState) convForward(x *tensor.Tensor, train bool, w, b *Param, g geom, lower bool) *tensor.Tensor {
+// tail is what an inference forward fuses into a convolution's write-out:
+// the BatchNorm and the LeakyReLU that follow it, where they do (see
+// epilogue). Training runs them as layers of their own.
+type tail struct {
+	bn    *BatchNorm
+	leaky *LeakyReLU
+}
+
+// convForward computes y = W ⋆ x + b on the written grid of g, with x the
+// channels of x, then of x2 (nil: x alone), and applies t to every element.
+func (s *convState) convForward(x, x2 *tensor.Tensor, train bool, t tail, w, b *Param, g geom, lower bool) *tensor.Tensor {
 	if train {
-		s.in = x
+		s.in, s.in2 = x, x2
+	}
+	var in2 []float64
+	if x2 != nil {
+		in2 = x2.Data
 	}
 	out := s.fwd.get(gridShape(x.Rank(), g.n, g.co, g.do, g.ho, g.wo)...)
-	correlateRows(out.Data, x.Data, w.Data.Data, b.Data.Data, g, lower)
+	rowProduct(rowPass{out: out.Data, in: x.Data, in2: in2, wd: w.Data.Data, bias: b.Data.Data, g: g, biasLast: lower, tail: t})
 	return out
 }
 
@@ -163,8 +186,12 @@ func (s *convState) convBackward(grad *tensor.Tensor, w, b *Param, g geom, lower
 		planes = g.slabDepth()
 	}
 	biasGrad(b.Grad.Data, grad.Data, g.n, g.do*g.ho*g.wo, planes*g.ho*g.wo)
-	weightGradRows(w.Grad.Data, grad.Data, s.in.Data, g, lower)
-	gin := s.bwd.get(s.in.Shape()...)
+	var in2 []float64
+	if s.in2 != nil {
+		in2 = s.in2.Data
+	}
+	weightGradRows(w.Grad.Data, grad.Data, s.in.Data, in2, g, lower)
+	gin := s.bwd.get(gridShape(s.in.Rank(), g.n, g.ci, g.d, g.h, g.w)...)
 	s.adjoint(gin.Data, grad.Data, nil, w, g, lower)
 	return gin
 }
@@ -185,7 +212,7 @@ func (s *convState) transposedForward(x *tensor.Tensor, train bool, w, b *Param,
 func (s *convState) transposedBackward(grad *tensor.Tensor, w, b *Param, g geom, lower bool) *tensor.Tensor {
 	vol := g.d * g.h * g.w
 	biasGrad(b.Grad.Data, grad.Data, g.n, vol, vol)
-	weightGradRows(w.Grad.Data, s.in.Data, grad.Data, g, lower)
+	weightGradRows(w.Grad.Data, s.in.Data, grad.Data, nil, g, lower)
 	gin := s.bwd.get(s.in.Shape()...)
 	correlateRows(gin.Data, grad.Data, w.Data.Data, nil, g, false)
 	return gin
@@ -252,19 +279,23 @@ func NewConv2D(rng interface{ NormFloat64() float64 }, name string, inCh, outCh,
 // ConvAuto always lowers; ConvDirect is the opt-out.
 func (c *Conv2D) useGEMM() bool { return c.Algo != ConvDirect }
 
-func (c *Conv2D) geom(x *tensor.Tensor) geom {
+func (c *Conv2D) geom(x, x2 *tensor.Tensor) geom {
 	checkRank(x, 4, "Conv2D")
-	return convGeom("Conv2D", x, c.InChannels, c.OutChannels, 1, c.Kernel, 0, c.Pad, c.Stride)
+	return convGeom("Conv2D", x, x2, c.InChannels, c.OutChannels, 1, c.Kernel, 0, c.Pad, c.Stride)
 }
 
 // Forward implements Layer.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return c.convForward(x, train, c.W, c.B, c.geom(x), c.useGEMM())
+	return c.forwardCat(x, nil, train, tail{})
+}
+
+func (c *Conv2D) forwardCat(x, x2 *tensor.Tensor, train bool, t tail) *tensor.Tensor {
+	return c.convForward(x, x2, train, t, c.W, c.B, c.geom(x, x2), c.useGEMM())
 }
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return c.convBackward(grad, c.W, c.B, c.geom(c.in), c.useGEMM())
+	return c.convBackward(grad, c.W, c.B, c.geom(c.in, c.in2), c.useGEMM())
 }
 
 // Params implements Layer.
@@ -382,20 +413,24 @@ func (c *Conv3D) useGEMM(vol int) bool {
 	return vol >= conv3dGEMMMinVolume
 }
 
-func (c *Conv3D) geom(x *tensor.Tensor) geom {
+func (c *Conv3D) geom(x, x2 *tensor.Tensor) geom {
 	checkRank(x, 5, "Conv3D")
-	return convGeom("Conv3D", x, c.InChannels, c.OutChannels, c.Kernel, c.Kernel, c.Pad, c.Pad, c.Stride)
+	return convGeom("Conv3D", x, x2, c.InChannels, c.OutChannels, c.Kernel, c.Kernel, c.Pad, c.Pad, c.Stride)
 }
 
 // Forward implements Layer.
 func (c *Conv3D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	g := c.geom(x)
-	return c.convForward(x, train, c.W, c.B, g, c.useGEMM(g.do*g.ho*g.wo))
+	return c.forwardCat(x, nil, train, tail{})
+}
+
+func (c *Conv3D) forwardCat(x, x2 *tensor.Tensor, train bool, t tail) *tensor.Tensor {
+	g := c.geom(x, x2)
+	return c.convForward(x, x2, train, t, c.W, c.B, g, c.useGEMM(g.do*g.ho*g.wo))
 }
 
 // Backward implements Layer.
 func (c *Conv3D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	g := c.geom(c.in)
+	g := c.geom(c.in, c.in2)
 	return c.convBackward(grad, c.W, c.B, g, c.useGEMM(g.do*g.ho*g.wo))
 }
 

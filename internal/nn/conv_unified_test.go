@@ -57,7 +57,11 @@ func TestRank4IsDepth1OfRank5(t *testing.T) {
 			c := NewConv2D(r, "c", ci, co, k, s, p)
 			c.Algo = algo
 			return c, c.W, c.B
-		}, convGeom, (*convState).convForward, (*convState).convBackward},
+		}, func(who string, x *tensor.Tensor, cin, cout, kd, k, pd, p, s int) geom {
+			return convGeom(who, x, nil, cin, cout, kd, k, pd, p, s)
+		}, func(st *convState, x *tensor.Tensor, train bool, w, b *Param, g geom, lower bool) *tensor.Tensor {
+			return st.convForward(x, nil, train, tail{}, w, b, g, lower)
+		}, (*convState).convBackward},
 		{"ConvTranspose", func(r rng, k, s, p int, algo ConvAlgo) (Layer, *Param, *Param) {
 			c := NewConvTranspose2D(r, "t", ci, co, k, s, p)
 			c.Algo = algo

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"sync"
 
 	"mgdiffnet/internal/tensor"
@@ -84,14 +85,14 @@ func (s *convState) adjoint(xd, yd, bias []float64, w *Param, g geom, lower bool
 // the two: a lowered sum's extra padding terms are w·(+0), which cannot
 // change a sum that starts at +0.
 func correlateRows(yd, xd, wd, bias []float64, g geom, biasLast bool) {
-	rowProduct(yd, xd, wd, bias, g, false, biasLast)
+	rowProduct(rowPass{out: yd, in: xd, wd: wd, bias: bias, g: g, biasLast: biasLast})
 }
 
 // adjointRows overwrites xd with Wᵀ ⋆ y in gather form: every read-grid
 // element sums, after its bias (nil is zero), the written-grid elements
 // whose window covers it.
 func adjointRows(xd, yd, wd, bias []float64, g geom) {
-	rowProduct(xd, yd, wd, bias, g, true, false)
+	rowProduct(rowPass{out: xd, in: yd, wd: wd, bias: bias, g: g, transposed: true})
 }
 
 // The row kernel splits its output into jobs of up to four output channels
@@ -115,8 +116,16 @@ type rowScratch struct {
 	acc   [4 * rowStride]float64
 	wt    [4]float64
 	wt3   [12]float64
+	init  accInit
+	epi   epilogue
 	stage [4 * rowBlock]float64
 }
+
+// accInit holds, per channel, the value a job's first tap starts its sums
+// from: the channel's bias, or +0 when the bias comes last. Each is
+// repeated over eight lanes, so a vector kernel reads it as it would read
+// an accumulator row.
+type accInit [4][8]float64
 
 var rowScratchPool = sync.Pool{New: func() any { return new(rowScratch) }}
 
@@ -139,17 +148,21 @@ const rowWorkUnit = 128
 // accumulator block into column blocks. The jobs of one block — its classes,
 // and in each its channel groups — are consecutive, so its input rows stay
 // in cache across them.
-func rowProduct(out, in, wd, bias []float64, g geom, transposed, biasLast bool) {
+func rowProduct(pass rowPass) {
+	g := pass.g
 	kvol := g.kd * g.kh * g.kw
-	l := stagedPass{rowPass: rowPass{out: out, in: in, wd: wd, bias: bias, g: g, transposed: transposed, biasLast: biasLast,
-		od: g.do, oh: g.ho, ow: g.wo, oc: g.co, id: g.d, ih: g.h, iw: g.w, ic: g.ci, oStep: g.ci * kvol, iStep: kvol}}
+	l := stagedPass{rowPass: pass}
 	p := &l.rowPass
+	p.od, p.oh, p.ow, p.oc, p.id, p.ih, p.iw, p.ic = g.do, g.ho, g.wo, g.co, g.d, g.h, g.w, g.ci
+	p.oStep, p.iStep = g.ci*kvol, kvol
 	l.S, l.os, l.cz, l.cy, l.cx = g.s, 1, 1, 1, 1
-	if transposed {
+	if p.transposed {
 		p.od, p.oh, p.ow, p.oc, p.id, p.ih, p.iw, p.ic = g.d, g.h, g.w, g.ci, g.do, g.ho, g.wo, g.co
 		p.oStep, p.iStep = kvol, g.ci*kvol
 		l.S, l.os, l.cz, l.cy, l.cx = 1, g.s, min(g.s, p.od), min(g.s, p.oh), min(g.s, p.ow)
 	}
+	p.ivol = p.id * p.ih * p.iw
+	p.ia = len(p.in) / (g.n * p.ivol)
 	l.nz, l.ny, l.nx = l.axis(g.kd, g.pd, p.od, 0).n, l.axis(g.kh, g.ph, p.oh, 0).n, l.axis(g.kw, g.pw, p.ow, 0).n
 	tz, ty, tx := 0, 0, 0 // the most taps of any class, per axis
 	for r := 0; r < l.cz; r++ {
@@ -186,14 +199,32 @@ func rowProduct(out, in, wd, bias []float64, g geom, transposed, biasLast bool) 
 
 // rowPass is one rowProduct call: its operands, the output grid (o…) with
 // oc channels, the input grid (i…) with ic, and their channel strides in
-// the weights.
+// the weights. The input's channels are the ia of in, then those of in2:
+// a decoder convolution reads the channel concatenation of its two inputs
+// without building it. The write-out applies tail to every sum.
 type rowPass struct {
-	out, in, wd, bias    []float64
-	g                    geom
-	transposed, biasLast bool
-	od, oh, ow, oc       int
-	id, ih, iw, ic       int
-	oStep, iStep         int
+	out, in, in2, wd, bias []float64
+	g                      geom
+	transposed, biasLast   bool
+	tail                   tail
+	od, oh, ow, oc         int
+	id, ih, iw, ic         int
+	ivol, ia               int
+	oStep, iStep           int
+}
+
+// plane returns input channel c of sample n.
+func (p *rowPass) plane(n, c int) []float64 {
+	return channelPlane(p.in, p.in2, n, c, p.ia, p.ic, p.ivol)
+}
+
+// channelPlane returns channel c of sample n of an operand with ch
+// channels of vol elements: the ca channels of a, then the rest, of b.
+func channelPlane(a, b []float64, n, c, ca, ch, vol int) []float64 {
+	if c < ca {
+		return a[(n*ca+c)*vol:][:vol]
+	}
+	return b[(n*(ch-ca)+c-ca)*vol:][:vol]
 }
 
 // stagedPass is a rowPass and its job layout. The input is staged at
@@ -275,7 +306,8 @@ func (l stagedPass) run(lo, hi int) {
 		nc, pitch := min(4, p.oc-c0), y1-y0+l.haloY
 		span := ((q1-q0)*pitch - l.haloY) * W
 		phase := (q1-q0)*pitch*W + l.haloX // one phase of a staged block
-		p.initAcc(acc, c0, nc, span)
+		// The job's first tap writes init + w·x; every later one adds.
+		from := p.init(&sc.init, c0, nc)
 		for cin := 0; cin < p.ic; cin++ {
 			for mz := 0; mz < az.taps; mz++ {
 				dz := az.shift(mz, 1, tr) - az.from
@@ -290,20 +322,31 @@ func (l stagedPass) run(lo, hi int) {
 							gather(sc.wt3[4*i:], w, p.oStep, nc, ax.k0+ks*(mx+i))
 						}
 						first := min(ax.shift(mx, 1, tr), ax.shift(mx+2, 1, tr))
-						madd4x3(acc, &sc.wt3, rows[first:], span, tr)
+						madd4x3From(acc, &sc.wt3, rows[first:], span, tr, from)
+						from = nil
 					}
 					for ; mx < ax.taps; mx++ {
 						vx := ax.shift(mx, S, tr)
 						gather(wt[:], w, p.oStep, nc, ax.k0+ks*mx)
-						maddRow(acc, nc, wt, rows[vx%S*phase+vx/S:][:span])
+						maddRowFrom(acc, nc, wt, rows[vx%S*phase+vx/S:][:span], from)
+						from = nil
 					}
 				}
 			}
 		}
-		// The write-out adds the bias where it comes last (else +0) and
-		// scatters each class row to its output row at stride os.
+		if from != nil { // a parity class no tap reaches: its sums are init alone
+			for c := 0; c < nc; c++ {
+				for i := range acc[c*rowStride:][:span] {
+					acc[c*rowStride+i] = from[c][0]
+				}
+			}
+		}
+		// The write-out applies the epilogue, which adds the bias where it
+		// comes last (else +0), and scatters each class row to its output
+		// row at stride os.
 		for c := 0; c < nc; c++ {
-			b := p.lastBias(c0 + c)
+			sc.epi = p.epilogue(c0 + c)
+			e := &sc.epi
 			for q := q0; q < q1; q++ {
 				z := q % l.nz
 				if z >= az.n {
@@ -313,14 +356,12 @@ func (l stagedPass) run(lo, hi int) {
 					src := acc[c*rowStride+((q-q0)*pitch+y-y0)*W:][:x1-x0]
 					row := p.out[(((q/l.nz*p.oc+c0+c)*p.od+l.os*z+az.r)*p.oh+l.os*y+ay.r)*p.ow+l.os*x0+ax.r:]
 					if l.os == 1 {
-						row = row[:len(src)]
-						for i, v := range src {
-							row[i] = v + b
-						}
+						e.apply(row[:len(src)], src)
 						continue
 					}
+					// Only an adjoint writes at a stride, and it has no tail.
 					for i, v := range src {
-						row[i*l.os] = v + b
+						row[i*l.os] = v + e.b
 					}
 				}
 			}
@@ -328,28 +369,37 @@ func (l stagedPass) run(lo, hi int) {
 	}
 }
 
-// initAcc sets the first span elements of each of the nc accumulator rows
-// to the bias of its channel, or to +0 when the bias comes last.
-func (p *rowPass) initAcc(acc []float64, c0, nc, span int) {
+// init fills in the values the nc channels from c0 start their sums from:
+// each channel's bias where it comes first, else +0.
+func (p *rowPass) init(in *accInit, c0, nc int) *accInit {
 	for c := 0; c < nc; c++ {
 		b := 0.0
 		if p.bias != nil && !p.biasLast {
 			b = p.bias[c0+c]
 		}
-		a := acc[c*rowStride:][:span]
-		for i := range a {
-			a[i] = b
+		for i := range in[c] {
+			in[c][i] = b
 		}
 	}
+	return in
 }
 
-// lastBias is what the write-out adds to channel c's sums: its bias when
-// the bias comes last, else +0.
-func (p *rowPass) lastBias(c int) float64 {
+// epilogue returns what the write-out applies to channel c's sums: its
+// bias where it comes last (else +0), then the pass's tail.
+func (p *rowPass) epilogue(c int) epilogue {
+	e := epilogue{alpha: 1}
 	if p.bias != nil && p.biasLast {
-		return p.bias[c]
+		e.b = p.bias[c]
 	}
-	return 0
+	if bn := p.tail.bn; bn != nil {
+		e.bn = true
+		e.mu, e.g, e.beta = bn.RunningMean[c], bn.Gamma.Data.Data[c], bn.Beta.Data.Data[c]
+		e.inv = 1.0 / math.Sqrt(bn.RunningVar[c]+bn.Epsilon)
+	}
+	if lr := p.tail.leaky; lr != nil {
+		e.leaky, e.alpha = true, lr.Alpha
+	}
+	return e
 }
 
 // taps returns the weights of taps (cin, kz, ky, ·) of output channel c0
@@ -378,7 +428,7 @@ func (l *stagedPass) stage(buf []float64, cin, dz, dy, dx, q0, q1, pitch int) []
 	n0, z0, z1 := q0/l.nz, q0%l.nz+dz, (q1-1)%l.nz+dz
 	if S == 1 && l.haloX == 0 && W == p.iw && dx == 0 && (q1-1)/l.nz == n0 && z0 >= 0 && z1 < p.id &&
 		dy >= 0 && dy+pitch <= p.ih && (q1-q0 == 1 || pitch == p.ih) {
-		return p.in[((n0*p.ic+cin)*p.id+z0)*p.ih*p.iw+dy*p.iw:][:(q1-q0)*pitch*W]
+		return p.plane(n0, cin)[z0*p.ih*p.iw+dy*p.iw:][:(q1-q0)*pitch*W]
 	}
 	phase := (q1-q0)*pitch*W + l.haloX
 	if n := S * S * phase; n > len(buf) {
@@ -395,7 +445,7 @@ func (l *stagedPass) stage(buf []float64, cin, dz, dy, dx, q0, q1, pitch int) []
 				clear(dst)
 				continue
 			}
-			plane := p.in[((q/l.nz*p.ic+cin)*p.id+iz)*p.ih*p.iw:][:p.ih*p.iw]
+			plane := p.plane(q/l.nz, cin)[iz*p.ih*p.iw:][:p.ih*p.iw]
 			for r := 0; r < pitch; r++ {
 				row := dst[r*W:][:W]
 				iy := S*(dy+r) + psi
@@ -429,40 +479,60 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // rowVec, if a CPU probe at start-up sets it, holds the vector forms of
 // maddRow's loop, with the same bits, over a multiple-of-lanes prefix of x:
-// madd4 for four channels, madd1 for one. tail, if set, holds the
+// madd4 for four channels, madd1 for one; and of the write-out's epilogue.
+// A nil from adds into the accumulators, a non-nil one starts each
+// channel's sums from its row of from instead. tail, if set, holds the
 // four-lane forms for the rest of an eight-lane span.
 var rowVec *vecKernels
 
 type vecKernels struct {
 	lanes int
-	madd4 func(acc []float64, wt *[4]float64, x []float64)
-	madd1 func(acc []float64, w float64, x []float64)
+	madd4 func(acc []float64, wt *[4]float64, x []float64, from *accInit)
+	madd1 func(acc []float64, w float64, x []float64, from *[8]float64)
 	// madd4x3 is three madd4 calls at once: x[j], x[j+1], x[j+2] (rev:
 	// x[j+2], x[j+1], x[j]) times wt[0:4], wt[4:8], wt[8:12], for the
 	// len(x)−2 columns j.
-	madd4x3 func(acc []float64, wt *[12]float64, x []float64, rev bool)
+	madd4x3 func(acc []float64, wt *[12]float64, x []float64, rev bool, from *accInit)
+	epi     func(dst, src []float64, e *epilogue)
 	tail    *vecKernels
 }
 
 // maddRow adds wt[c]·x[j] into acc[c·rowStride + j] for each column j of x
 // and each of the nc ≤ 4 channels.
 func maddRow(acc []float64, nc int, wt *[4]float64, x []float64) {
+	maddRowFrom(acc, nc, wt, x, nil)
+}
+
+// maddRowFrom is maddRow, but for a non-nil from it overwrites
+// acc[c·rowStride + j] with from[c] + wt[c]·x[j]: a job's first tap.
+func maddRowFrom(acc []float64, nc int, wt *[4]float64, x []float64, from *accInit) {
 	for v := rowVec; v != nil; v = v.tail {
 		m := len(x) &^ (v.lanes - 1)
 		if m == 0 {
 			continue
 		}
 		if nc == 4 {
-			v.madd4(acc[:3*rowStride+m], wt, x[:m])
+			v.madd4(acc[:3*rowStride+m], wt, x[:m], from)
 		} else {
 			for c := 0; c < nc; c++ {
-				v.madd1(acc[c*rowStride:][:m], wt[c], x[:m])
+				var f *[8]float64
+				if from != nil {
+					f = &from[c]
+				}
+				v.madd1(acc[c*rowStride:][:m], wt[c], x[:m], f)
 			}
 		}
 		acc, x = acc[m:], x[m:]
 	}
 	for c := 0; c < nc; c++ {
 		w, a := wt[c], acc[c*rowStride:][:len(x)]
+		if from != nil {
+			b := from[c][0]
+			for j, v := range x {
+				a[j] = b + float64(w*v)
+			}
+			continue
+		}
 		for j, v := range x {
 			a[j] += float64(w * v)
 		}
@@ -472,12 +542,60 @@ func maddRow(acc []float64, nc int, wt *[4]float64, x []float64) {
 // madd4x3 runs rowVec's three-tap kernel over the first n columns of the
 // four accumulator rows, n a multiple of 4, reading x[:n+2].
 func madd4x3(acc []float64, wt *[12]float64, x []float64, n int, rev bool) {
+	madd4x3From(acc, wt, x, n, rev, nil)
+}
+
+// madd4x3From is madd4x3 starting each channel's sums from its row of a
+// non-nil from, as maddRowFrom does.
+func madd4x3From(acc []float64, wt *[12]float64, x []float64, n int, rev bool, from *accInit) {
 	for v := rowVec; v != nil && n > 0; v = v.tail {
 		if m := n &^ (v.lanes - 1); m > 0 {
-			v.madd4x3(acc[:3*rowStride+m], wt, x[:m+2], rev)
+			v.madd4x3(acc[:3*rowStride+m], wt, x[:m+2], rev, from)
 			acc, x, n = acc[m:], x[m:], n-m
 		}
 	}
+}
+
+// epilogue is what a convolution's write-out applies to each sum v of one
+// output channel, in the operations of the unfused layers: v + b (the bias
+// where it comes last, else +0); then, with bn, BatchNorm's inference
+// affine g·(v − mu)·inv + beta; then, with leaky, LeakyReLU's v·alpha where
+// v < 0. The vector kernels read its fields by offset (go_asm.h).
+type epilogue struct {
+	b, mu, g, inv, beta, alpha float64
+	bn, leaky                  bool
+}
+
+// apply writes the epilogue of each element of src to dst.
+func (e *epilogue) apply(dst, src []float64) {
+	for v := rowVec; v != nil; v = v.tail {
+		if m := len(src) &^ (v.lanes - 1); m > 0 {
+			v.epi(dst[:m], src[:m], e)
+			dst, src = dst[m:], src[m:]
+		}
+	}
+	dst = dst[:len(src)]
+	for i, v := range src {
+		v += e.b
+		if e.bn {
+			v = float64(float64(e.g*(v-e.mu))*e.inv) + e.beta
+		}
+		if e.leaky {
+			v = leaky(v, e.alpha)
+		}
+		dst[i] = v
+	}
+}
+
+// leaky is LeakyReLU's "if v < 0 { v *= a }" with no branch on v, which
+// the compiler would make a jump per element: v < 0 when v's sign bit is
+// set and its magnitude bits lie in [1, +Inf's], that is, v is neither ±0
+// nor NaN. neg is then all ones and selects v·a's bits.
+func leaky(v, a float64) float64 {
+	bits := math.Float64bits(v)
+	abs := int64(bits &^ (1 << 63))
+	neg := int64(bits) >> 63 &^ ((abs-1)>>63 | (0x7ff0000000000000-abs)>>63)
+	return math.Float64frombits(bits ^ (bits^math.Float64bits(v*a))&uint64(neg))
 }
 
 // The lowered weight-gradient order is the one the GEMM product
@@ -494,7 +612,8 @@ const (
 // weightGradRows adds y ⊗ x into gw: element (co, ci, kz, ky, kx) gains the
 // sum, over the written-grid columns (bn, oz, oy, ox), of y[bn, co, oz, oy,
 // ox] times the x element the tap joins that column to. Taps that fall into
-// the padding are skipped.
+// the padding are skipped. x's channels are those of xa, then of xb (nil
+// but for a decoder convolution's second input).
 //
 // The direct order sums each element from +0 over bn → oz → oy → ox. The
 // lowered order is the GEMM's: the pass is cut into depth slabs of
@@ -513,8 +632,9 @@ const (
 // its own: one x load feeds four multiply-adds, and the chains hide the add
 // latency. The jobs depend on the shape only and own whole gradient
 // elements, so the bits do not depend on the worker count.
-func weightGradRows(gw, yd, xd []float64, g geom, lowered bool) {
+func weightGradRows(gw, yd, xa, xb []float64, g geom, lowered bool) {
 	n, ci, co, s := g.n, g.ci, g.co, g.s
+	ca := len(xa) / (n * g.d * g.h * g.w)
 	d, h, w, do, ho, wo := g.d, g.h, g.w, g.do, g.ho, g.wo
 	kd, kh, kw := g.kd, g.kh, g.kw
 	planes := do
@@ -556,19 +676,20 @@ func weightGradRows(gw, yd, xd []float64, g geom, lowered bool) {
 				}
 				blockEnd, chunkEnd, q := min(block, chunk), chunk, 0
 				for bn := 0; bn < n; bn++ {
+					xp := channelPlane(xa, xb, bn, cin, ca, ci, d*h*w)
 					for oz := z0; oz < z1; oz++ {
 						iz := oz*s - g.pd + kz
 						for oy := 0; oy < ho; oy++ {
 							iy := oy*s - g.ph + ky
 							inside := iz >= 0 && iz < d && iy >= 0 && iy < h
 							yRow := (((bn*co+c0)*do+oz)*ho + oy) * wo
-							xRow := (((bn*ci+cin)*d+iz)*h+iy)*w - g.pw + kx0
+							xRow := (iz*h+iy)*w - g.pw + kx0
 							// [a, b) is the stretch of this row inside one block.
 							for a := 0; a < wo; {
 								b := min(wo, blockEnd-q)
 								for i := 0; inside && i < nt; i++ {
 									if lo, hi := max(tapLo[i], a), min(tapHi[i], b); lo < hi {
-										maddCols(blk[4*i:4*i+4], nc, yd[yRow+lo:], do*ho*wo, xd[xRow+lo*s+i:], hi-lo, s)
+										maddCols(blk[4*i:4*i+4], nc, yd[yRow+lo:], do*ho*wo, xp[xRow+lo*s+i:], hi-lo, s)
 									}
 								}
 								a = b

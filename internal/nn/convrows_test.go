@@ -255,6 +255,16 @@ func TestRowKernelsMatchDirectNests(t *testing.T) {
 		rowCase{2, 3, 4, 1, 8, 10, 1, 4, 0, 1, 2}, rowCase{1, 2, 5, 6, 6, 6, 4, 4, 1, 1, 2},
 		rowCase{2, 2, 4, 1, 7, 9, 1, 2, 0, 0, 2}, rowCase{1, 3, 4, 7, 7, 9, 2, 2, 0, 0, 2},
 	)
+	// The first tap of a job starts its sums from the bias (or +0) in
+	// whichever kernel runs it: one input channel and one tap, so the first
+	// tap is the only one, over three channels (the one-channel kernel and
+	// the Go tail); one input channel under a 3-wide kernel (the three-tap
+	// kernel); and k = 1 at stride 2, 2D and 3D, whose correlate takes its
+	// tap at a stride and whose adjoint has parity classes no tap reaches.
+	cases = append(cases,
+		rowCase{2, 1, 3, 1, 5, 13, 1, 1, 0, 0, 1}, rowCase{1, 1, 4, 1, 3, 9, 1, 3, 0, 1, 1},
+		rowCase{1, 1, 4, 1, 4, 6, 1, 1, 0, 0, 2}, rowCase{2, 2, 5, 3, 4, 6, 1, 1, 0, 0, 2},
+	)
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%+v", tc), func(t *testing.T) {
 			for _, vec := range []bool{false, true} {

@@ -83,13 +83,41 @@ func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: lay
 // input with their output, bit for bit what Forward(x, false) returns.
 type inPlacer interface{ forwardInPlace(x *tensor.Tensor) }
 
-// Forward applies every layer in order. At inference a pointwise layer
-// overwrites the tensor the previous layer produced instead of allocating
-// its own output — never the Sequential's own input, which belongs to the
-// caller (a layer such as Identity may hand it on unchanged).
+// convLayer is implemented by the convolutions whose write-out can take
+// the channels of a second input after x's and apply a tail.
+type convLayer interface {
+	forwardCat(x, x2 *tensor.Tensor, train bool, t tail) *tensor.Tensor
+}
+
+// Forward applies every layer in order. At inference a convolution takes
+// the BatchNorm and LeakyReLU that follow it into its write-out, and any
+// other pointwise layer overwrites the tensor the previous layer produced
+// instead of allocating its own output — never the Sequential's own input,
+// which belongs to the caller (a layer such as Identity may hand it on
+// unchanged). Either way the bits are those of running each layer alone.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return s.ForwardCat(x, nil, train)
+}
+
+// ForwardCat is Forward on the channel concatenation of x and x2 (nil: x
+// alone), which it never builds: the first layer, a convolution, reads its
+// input channels from x, then from x2. It is the U-Net decoder's skip
+// merge; Backward returns the gradient of the concatenation.
+func (s *Sequential) ForwardCat(x, x2 *tensor.Tensor, train bool) *tensor.Tensor {
 	in := x
-	for _, l := range s.Layers {
+	for i := 0; i < len(s.Layers); i++ {
+		l := s.Layers[i]
+		if c, ok := l.(convLayer); ok {
+			var t tail
+			if !train {
+				t, i = fuseTail(s.Layers, i)
+			}
+			x, x2 = c.forwardCat(x, x2, train, t), nil
+			continue
+		}
+		if x2 != nil {
+			panic(fmt.Sprintf("nn: Sequential.ForwardCat needs a convolution first, got %T", l))
+		}
 		if p, ok := l.(inPlacer); ok && !train && x != in {
 			p.forwardInPlace(x)
 			continue
@@ -97,6 +125,24 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		x = l.Forward(x, train)
 	}
 	return x
+}
+
+// fuseTail returns the tail of the convolution layers[i] — the BatchNorm
+// and then the LeakyReLU right after it, where they are — and the index of
+// its last layer.
+func fuseTail(layers []Layer, i int) (tail, int) {
+	var t tail
+	if i+1 < len(layers) {
+		if bn, ok := layers[i+1].(*BatchNorm); ok {
+			t.bn, i = bn, i+1
+		}
+	}
+	if i+1 < len(layers) {
+		if lr, ok := layers[i+1].(*LeakyReLU); ok {
+			t.leaky, i = lr, i+1
+		}
+	}
+	return t, i
 }
 
 // Backward propagates the gradient through the layers in reverse order.

@@ -85,11 +85,21 @@ func (m *MaxPool) forward(x *tensor.Tensor, train bool, kd int) *tensor.Tensor {
 	return out
 }
 
+// maxRowVec, if a CPU probe at start-up sets it, is maxRow's loop for
+// k = 2 over a multiple-of-4 prefix of out, with the same bits: its
+// arguments are w and h·w for maxRow's w and h.
+var maxRowVec func(out, x []float64, w, hw, kd int)
+
 // maxRow writes to out the maxima of the len(out) k-wide windows of the
 // kd×k input rows that start at x, planes h rows of w apart, scanned
 // kz → ky → kx from −Inf, keeping the first of equal values: the
 // training nest's maxima, NaN, ±0 and ties included.
 func maxRow(out, x []float64, kd, k, h, w int) {
+	if m := len(out) &^ 3; m > 0 && k == 2 && maxRowVec != nil {
+		_ = x[(kd-1)*h*w+w+2*m-1] // the kernel reads 2m columns of each row
+		maxRowVec(out[:m], x, w, h*w, kd)
+		out, x = out[m:], x[2*m:]
+	}
 	for i := range out {
 		out[i] = math.Inf(-1)
 	}

@@ -125,7 +125,7 @@ func TestWeightGradRowsMatchesReferences(t *testing.T) {
 						directWeightGrad(want, yd, xd, g)
 					}
 					got := append([]float64(nil), gw...)
-					weightGradRows(got, yd, xd, g, lowered)
+					weightGradRows(got, yd, xd, nil, g, lowered)
 					requireSameBits(t, fmt.Sprintf("lowered %v", lowered), got, want)
 				}
 			})
@@ -144,7 +144,7 @@ func TestWeightGradAllocatesNothing(t *testing.T) {
 	c2 := NewConv2D(rng, "c", 3, 8, 3, 1, 1)
 	c3 := NewConv3D(rng, "c", 2, 4, 3, 1, 1)
 	x2, x3 := randTensor(rng, 2, 3, 16, 16), randTensor(rng, 1, 2, 32, 32, 32)
-	g2, g3 := c2.geom(x2), c3.geom(x3)
+	g2, g3 := c2.geom(x2, nil), c3.geom(x3, nil)
 	for _, tc := range []struct {
 		name    string
 		l       Layer
@@ -164,7 +164,7 @@ func TestWeightGradAllocatesNothing(t *testing.T) {
 			SetBufferReuse(tc.l, true)
 			grad := randTensor(rng, tc.l.Forward(tc.x, true).Shape()...)
 			tc.l.Backward(grad)
-			wg := func() { weightGradRows(tc.w.Grad.Data, grad.Data, tc.st.in.Data, tc.g, tc.lowered) }
+			wg := func() { weightGradRows(tc.w.Grad.Data, grad.Data, tc.st.in.Data, nil, tc.g, tc.lowered) }
 			if allocs := testing.AllocsPerRun(5, wg); allocs > 1 {
 				t.Errorf("warm weight gradient allocates %v times, want ≤ 1", allocs)
 			}

@@ -101,14 +101,12 @@ type UNet struct {
 	skipChannels []int
 
 	// reuse mirrors nn.SetBufferReuse across the constituent layers and
-	// additionally recycles the network-level scratch below: the per-level
-	// skip slices and the concat/split tensors of the decoder. Enabled by
+	// additionally recycles the decoder's split tensors below. Enabled by
 	// owners whose training loop never retains activations across passes
 	// (core.Trainer).
 	reuse     bool
 	skips     []*tensor.Tensor
 	skipGrads []*tensor.Tensor
-	catBuf    []*tensor.Tensor // decoder concat outputs, one per level
 	splitUp   []*tensor.Tensor // decoder split: up-path gradient halves
 	splitSkip []*tensor.Tensor // decoder split: skip-path gradient halves
 	refHP     []bool           // which refinement layers carry parameters
@@ -165,7 +163,6 @@ func New(cfg Config) *UNet {
 	}
 	u.skips = make([]*tensor.Tensor, cfg.Depth)
 	u.skipGrads = make([]*tensor.Tensor, cfg.Depth)
-	u.catBuf = make([]*tensor.Tensor, cfg.Depth)
 	u.splitUp = make([]*tensor.Tensor, cfg.Depth)
 	u.splitSkip = make([]*tensor.Tensor, cfg.Depth)
 	return u
@@ -195,8 +192,8 @@ func (u *UNet) SetBufferReuse(on bool) {
 	}
 	nn.SetBufferReuse(u.head, on)
 	if !on {
-		for i := range u.catBuf {
-			u.catBuf[i], u.splitUp[i], u.splitSkip[i] = nil, nil, nil
+		for i := range u.splitUp {
+			u.splitUp[i], u.splitSkip[i] = nil, nil
 		}
 	}
 }
@@ -315,11 +312,16 @@ func (u *UNet) checkInput(x *tensor.Tensor) {
 // Forward implements nn.Layer. With train=true all activations needed by
 // Backward are cached inside the constituent layers.
 //
+// Each decoder convolution reads the up-convolution's output and the skip
+// tensor as one input, up-path channels first, without a concatenated
+// copy. At inference every block is one pass over its output: the
+// convolution's write-out applies the block's BatchNorm and LeakyReLU
+// (nn.Sequential.Forward), with the bits of running them as layers.
+//
 // Forward is not safe for concurrent calls on a shared network even with
 // train=false: the layers reuse per-layer output and scratch buffers (see
-// nn.SetBufferReuse), and at inference the activations overwrite the
-// output of the convolution before them. Use Clone to give each goroutine
-// its own replica, as internal/dist and internal/serve do.
+// nn.SetBufferReuse). Use Clone to give each goroutine its own replica, as
+// internal/dist and internal/serve do.
 func (u *UNet) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	u.checkInput(x)
 	skips := u.skips
@@ -335,13 +337,7 @@ func (u *UNet) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for i := 0; i < u.Cfg.Depth; i++ {
 		l := u.Cfg.Depth - 1 - i
 		h = u.up[i].Forward(h, train)
-		if u.reuse {
-			u.catBuf[i] = nn.ConcatChannelsInto(u.catBuf[i], h, skips[l])
-			h = u.catBuf[i]
-		} else {
-			h = nn.ConcatChannels(h, skips[l])
-		}
-		h = u.dec[i].forward(h, train)
+		h = u.dec[i].seq.ForwardCat(h, skips[l], train)
 	}
 	// The skip scratch is only needed within this pass; drop the
 	// references so a held network does not pin a batch of encoder
