@@ -124,7 +124,11 @@ func (b *BatchNorm) dims(x *tensor.Tensor) (n, c, spatial int) {
 }
 
 // infer writes the inference normalization of src, with the running
-// statistics, to dst, which may be src.
+// statistics, to dst, which may be src. Each product is rounded on its
+// own, float64(·), so no compiler fuses one into a multiply-add: a
+// convolution's write-out runs the same operations (epilogue) where this
+// layer follows one, and the two must give the same bits on every
+// architecture.
 func (b *BatchNorm) infer(dst, src []float64, n, c, spatial int) {
 	gamma, beta := b.Gamma.Data.Data, b.Beta.Data.Data
 	tensor.ParallelFor(c, func(ch int) {

@@ -167,6 +167,9 @@ func (s *convState) convForward(x, x2 *tensor.Tensor, train bool, t tail, w, b *
 	if train {
 		s.in, s.in2 = x, x2
 	}
+	if t.bn != nil && t.bn.C != g.co {
+		panic("nn: BatchNorm channel mismatch")
+	}
 	var in2 []float64
 	if x2 != nil {
 		in2 = x2.Data
@@ -186,12 +189,12 @@ func (s *convState) convBackward(grad *tensor.Tensor, w, b *Param, g geom, lower
 		planes = g.slabDepth()
 	}
 	biasGrad(b.Grad.Data, grad.Data, g.n, g.do*g.ho*g.wo, planes*g.ho*g.wo)
-	var in2 []float64
+	in2, shape := []float64(nil), s.in.Shape()
 	if s.in2 != nil {
-		in2 = s.in2.Data
+		in2, shape = s.in2.Data, gridShape(s.in.Rank(), g.n, g.ci, g.d, g.h, g.w)
 	}
 	weightGradRows(w.Grad.Data, grad.Data, s.in.Data, in2, g, lower)
-	gin := s.bwd.get(gridShape(s.in.Rank(), g.n, g.ci, g.d, g.h, g.w)...)
+	gin := s.bwd.get(shape...)
 	s.adjoint(gin.Data, grad.Data, nil, w, g, lower)
 	return gin
 }

@@ -59,6 +59,29 @@ import (
 // non-finite throughout, where skipping the padding leaves finite the
 // elements whose window that tap leaves.
 //
+// A job's first tap starts its sums: it writes init + w·x, init the bias
+// where it comes first and +0 otherwise, in the operand order of every
+// later tap's acc + w·x. That is the sum a bias-filled (or zeroed)
+// accumulator would hold after that tap, so no sweep fills the
+// accumulators first. Only a parity class that no tap reaches is filled
+// with init, its sums' only term.
+//
+// The write-out is the last pass over a block. At inference a convolution
+// that a BatchNorm and a LeakyReLU follow in a Sequential (tail) applies
+// them there (epilogue): v + b, then g·(v − mu)·inv + beta with inv =
+// 1/√(var + ε), then v·α where v < 0, each the operation those layers run,
+// with each product rounded on its own, in their order and operand order,
+// so their separate sweeps go and the bits stay. The vector form is one
+// VADDPD; VSUBPD, VMULPD, VMULPD, VADDPD; and a VCMPPD (LT_OQ, false for
+// ±0 and NaN) that selects v·α, per vector of elements. The Go form
+// selects v·α by the sign and magnitude bits of v (leaky), so neither has
+// a branch on the data: a branch per element costs what the sweep saves.
+//
+// A decoder convolution's input is the channel concatenation of the
+// up-convolution's output and the skip tensor. The pass reads its channel
+// planes from the two tensors (in, in2) where the staging and the weight
+// gradient read them, so the concatenation is never built.
+//
 // On amd64 with AVX, maddRow runs four columns per instruction (rowVec):
 // the four-channel kernel for full channel groups, the one-channel kernel
 // per channel otherwise, and the three-tap kernel for each kx triple of a
@@ -67,8 +90,8 @@ import (
 // four-column ones the rest. Each lane is one output column with its own
 // VMULPD and VADDPD per term in the Go loop's operand order, never a fused
 // multiply-add, so its bits are the Go loop's, which every other CPU runs,
-// at either lane count. The Go loops write each product as float64(w·x),
-// which no compiler fuses.
+// at either lane count, and the epilogue's lanes likewise. The Go loops
+// write each product as float64(w·x), which no compiler fuses.
 
 func (s *convState) adjoint(xd, yd, bias []float64, w *Param, g geom, lower bool) {
 	if lower {
@@ -387,7 +410,7 @@ func (p *rowPass) init(in *accInit, c0, nc int) *accInit {
 // epilogue returns what the write-out applies to channel c's sums: its
 // bias where it comes last (else +0), then the pass's tail.
 func (p *rowPass) epilogue(c int) epilogue {
-	e := epilogue{alpha: 1}
+	var e epilogue
 	if p.bias != nil && p.biasLast {
 		e.b = p.bias[c]
 	}

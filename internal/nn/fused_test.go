@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"mgdiffnet/internal/tensor"
@@ -66,7 +67,7 @@ func FuzzEpilogue(f *testing.F) {
 		lr := NewLeakyReLU(next())
 		for _, b := range []float64{next(), 0} {
 			for mode := 0; mode < 4; mode++ {
-				e := epilogue{b: b, alpha: 1}
+				e := epilogue{b: b}
 				var wantBN *BatchNorm
 				var wantLR *LeakyReLU
 				if mode&1 != 0 {
@@ -219,4 +220,17 @@ func zeroChannel(w []float64, x *tensor.Tensor) {
 			x.Data[i] = math.Abs(x.Data[i])
 		}
 	}
+}
+
+// A BatchNorm whose channel count is not its convolution's is refused
+// when fused, as the layer itself refuses it.
+func TestFusedBatchNormChannelMismatchPanics(t *testing.T) {
+	rng := NewRNG(5)
+	seq := NewSequential(NewConv2D(rng, "c", 1, 4, 3, 1, 1), NewBatchNorm("bn", 5), NewLeakyReLU(0.01))
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "channel mismatch") {
+			t.Fatalf("recovered %v, want a channel mismatch panic", r)
+		}
+	}()
+	seq.Forward(randTensor(rng, 1, 1, 6, 6), false)
 }

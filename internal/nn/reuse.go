@@ -18,7 +18,8 @@ type bufReuser interface{ setBufferReuse(on bool) }
 // replicas, which own their networks outright — qualify; code that keeps
 // predictions around for later comparison does not. Layers that do not
 // implement reuse are silently skipped: BatchNorm, whose inference inside
-// a Sequential overwrites the previous layer's output instead.
+// a Sequential runs in the write-out of the convolution before it, or
+// else overwrites the previous layer's output.
 func SetBufferReuse(l Layer, on bool) {
 	switch v := l.(type) {
 	case *Sequential:
