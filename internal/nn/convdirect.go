@@ -330,7 +330,7 @@ func (l stagedPass) run(lo, hi int) {
 		span := ((q1-q0)*pitch - l.haloY) * W
 		phase := (q1-q0)*pitch*W + l.haloX // one phase of a staged block
 		// The job's first tap writes init + w·x; every later one adds.
-		from := p.init(&sc.init, c0, nc)
+		from := p.startSums(&sc.init, c0, nc)
 		for cin := 0; cin < p.ic; cin++ {
 			for mz := 0; mz < az.taps; mz++ {
 				dz := az.shift(mz, 1, tr) - az.from
@@ -392,9 +392,9 @@ func (l stagedPass) run(lo, hi int) {
 	}
 }
 
-// init fills in the values the nc channels from c0 start their sums from:
-// each channel's bias where it comes first, else +0.
-func (p *rowPass) init(in *accInit, c0, nc int) *accInit {
+// startSums fills in the values the nc channels from c0 start their sums
+// from: each channel's bias where it comes first, else +0.
+func (p *rowPass) startSums(in *accInit, c0, nc int) *accInit {
 	for c := 0; c < nc; c++ {
 		b := 0.0
 		if p.bias != nil && !p.biasLast {
