@@ -136,9 +136,9 @@ func transposedGeom(who string, x *tensor.Tensor, cin, cout, kd, k, pd, p, s int
 // convState is what a convolution layer of either rank and direction keeps
 // between calls: the input cached for Backward (a decoder convolution's
 // two, in and in2, whose channels it reads in that order), the recyclable
-// outputs, the
-// scratch of the lowered adjoint (a lowered convolution's input gradient,
-// and ConvTranspose2D's forward) and the cached matrix view of the weights.
+// outputs, the scratch of the lowered adjoint (a lowered convolution's
+// input gradient, and ConvTranspose2D's forward) and the cached matrix
+// view of the weights.
 //
 // Outputs and scratch are per layer, so a layer — and hence any network
 // containing one — must not run concurrent Forward calls on a shared

@@ -1,12 +1,13 @@
 #include "textflag.h"
 #include "go_asm.h"
 
-// SUMS_FROM points R10 at where a kernel's sums start, channel c at
-// R10 + c·R11 (R12 = 3·R11), and R13 at how far that moves per step: with
-// a nil from (an accInit, or one row of it), the accumulator rows at DI,
-// one step of the kernel's width apart; else from's rows, 64 bytes apart,
-// which stay put. The loops read the starting sums through R10 alone, so
-// a job's first tap and every later one run the same instructions.
+// SUMS_FROM sets where a kernel reads the sums it adds to: R10 for
+// channel 0, R10 + c·R11 for channel c (R12 = 3·R11), and R13, what R10
+// moves by per step. A nil from (an *accInit, or one of its rows) reads
+// the accumulator rows at DI, rowStride apart, moving with the step;
+// otherwise from's rows, 64 bytes apart, which stay put: a job's first
+// tap. The loops read the sums only through R10, so the first tap and
+// every later one run the same instructions.
 #define SUMS_FROM(from, step) \
 	MOVQ    from, R10; \
 	MOVQ    $64, R11; \
