@@ -23,8 +23,8 @@ const fuzzMaxRes = 64
 // queue's allowance) or the engine's own answer to the same queries, bit
 // for bit — never a panic and never a 500. The seeds cover NaN, Inf and
 // absent ω, wrong arity, a res that is 0, negative, not a multiple of the
-// network's granularity or huge, and a batch longer than the admission
-// queue. A resolution alone cannot size an allocation: ValidateRes
+// network's granularity or huge, a batch longer than the admission queue,
+// and bytes or a second value after the request object. A resolution alone cannot size an allocation: ValidateRes
 // refuses anything past 512³ voxels before a field is built, and the body
 // is read through a bound of its own.
 func FuzzSolveBody(f *testing.F) {
@@ -48,10 +48,12 @@ func FuzzSolveBody(f *testing.F) {
 		{false, `{"omega":[0.3,1.5,0.1,-1.2],"res":99999999999999999999}`},
 		{false, `not json`},
 		{false, `{"omega":[0.3,1.5,0.1,-1.2],"res":8} trailing`},
+		{false, `{"omega":[0.3,1.5,0.1,-1.2],"res":8}` + "\n"},
 		{true, `{"omegas":[[0.3,1.5,0.1,-1.2],[0,0,0,0]],"res":8,"summary":true}`},
 		{true, `{"omegas":[],"res":8}`},
 		{true, `{"omegas":[[0.3,1.5,0.1]],"res":8}`},
 		{true, `{"omegas":[[0.3,1.5,0.1,-1.2]],"res":12}`},
+		{true, `{"omegas":[[0.3,1.5,0.1,-1.2]],"res":8} {"res":16}`},
 		{true, `{"omegas":[` + strings.Repeat(`[0,0,0,0],`, 70) + `[0,0,0,0]],"res":8}`},
 		{true, `{"omegas":[` + strings.Repeat(`[0,0,0,0],`, 8000) + `[0,0,0,0]],"res":8}`},
 	} {
@@ -64,8 +66,8 @@ func FuzzSolveBody(f *testing.F) {
 		if batch {
 			path = "/solve-batch"
 		}
-		var req solveRequest // decoded as the handler decodes it
-		parsed := json.NewDecoder(strings.NewReader(body)).Decode(&req) == nil
+		var req solveRequest // the whole body, one JSON value
+		parsed := json.Unmarshal([]byte(body), &req) == nil
 		if parsed && eng.ValidateRes(req.Res) == nil && req.Res > fuzzMaxRes {
 			t.Skip("a valid resolution above the fuzz bound")
 		}

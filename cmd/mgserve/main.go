@@ -380,7 +380,13 @@ func newHandler(eng *serve.Engine, opt handlerOptions) http.Handler {
 			writeJSON(w, r, http.StatusMethodNotAllowed, map[string]string{"error": "POST required"})
 			return req, false
 		}
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
+		// Unmarshal takes the body as one JSON value, so anything but white
+		// space after the request object makes it malformed.
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+		if err == nil {
+			err = json.Unmarshal(body, &req)
+		}
+		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
 				writeJSON(w, r, http.StatusRequestEntityTooLarge, map[string]string{

@@ -311,7 +311,7 @@ func TestCommunicatorAllReduceSteadyStateAllocs(t *testing.T) {
 // activations). With the arena, bucketed zero-alloc collectives and buffer
 // reuse those structural sources are gone; what remains is one closure
 // environment per parallel-kernel call (a static escape-analysis cost of
-// the tensor.ParallelFor call sites, ~50 per replica-batch) plus a handful
+// the tensor.Parallel call sites, ~50 per replica-batch) plus a handful
 // of loss-view rebinds. The pinned budgets keep any structural alloc creep
 // — the 898→2701 regression this PR removed — from coming back.
 func TestParallelEpochSteadyStateAllocs(t *testing.T) {

@@ -113,30 +113,33 @@ func (p *Problem2D) AddEnergyGrad(u, nu, g *tensor.Tensor) {
 		if nx <= 0 || nyc <= 0 {
 			continue
 		}
-		tensor.ParallelFor(nx*nyc, func(job int) {
-			ex := cx + 2*(job%nx)
-			ey := cy + 2*(job/nx)
-			i00 := ey*r + ex
-			var ue, ve [4]float64
-			ue[0], ue[1], ue[2], ue[3] = ud[i00], ud[i00+1], ud[i00+r], ud[i00+r+1]
-			ve[0], ve[1], ve[2], ve[3] = nd[i00], nd[i00+1], nd[i00+r], nd[i00+r+1]
-			var ge [4]float64
-			for q := 0; q < 4; q++ {
-				nuQ, gx, gy := 0.0, 0.0, 0.0
-				for a := 0; a < 4; a++ {
-					nuQ += q2.n[q][a] * ve[a]
-					gx += q2.dndx[q][a] * ue[a]
-					gy += q2.dndy[q][a] * ue[a]
+		// An element: 4 quadrature points × 4 nodes × 5 multiply-adds.
+		tensor.Parallel(nx*nyc, 4*4*5, func(lo, hi int) {
+			for job := lo; job < hi; job++ {
+				ex := cx + 2*(job%nx)
+				ey := cy + 2*(job/nx)
+				i00 := ey*r + ex
+				var ue, ve [4]float64
+				ue[0], ue[1], ue[2], ue[3] = ud[i00], ud[i00+1], ud[i00+r], ud[i00+r+1]
+				ve[0], ve[1], ve[2], ve[3] = nd[i00], nd[i00+1], nd[i00+r], nd[i00+r+1]
+				var ge [4]float64
+				for q := 0; q < 4; q++ {
+					nuQ, gx, gy := 0.0, 0.0, 0.0
+					for a := 0; a < 4; a++ {
+						nuQ += q2.n[q][a] * ve[a]
+						gx += q2.dndx[q][a] * ue[a]
+						gy += q2.dndy[q][a] * ue[a]
+					}
+					w := p.detJ * nuQ * scale * scale
+					for b := 0; b < 4; b++ {
+						ge[b] += w * (gx*q2.dndx[q][b] + gy*q2.dndy[q][b])
+					}
 				}
-				w := p.detJ * nuQ * scale * scale
-				for b := 0; b < 4; b++ {
-					ge[b] += w * (gx*q2.dndx[q][b] + gy*q2.dndy[q][b])
-				}
+				gd[i00] += ge[0]
+				gd[i00+1] += ge[1]
+				gd[i00+r] += ge[2]
+				gd[i00+r+1] += ge[3]
 			}
-			gd[i00] += ge[0]
-			gd[i00+1] += ge[1]
-			gd[i00+r] += ge[2]
-			gd[i00+r+1] += ge[3]
 		})
 	}
 }

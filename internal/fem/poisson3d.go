@@ -128,36 +128,39 @@ func (p *Problem3D) AddEnergyGrad(u, nu, g *tensor.Tensor) {
 		if nx <= 0 || ny <= 0 || nz <= 0 {
 			continue
 		}
-		tensor.ParallelFor(nx*ny*nz, func(job int) {
-			ex := cx + 2*(job%nx)
-			ey := cy + 2*((job/nx)%ny)
-			ez := cz + 2*(job/(nx*ny))
-			base := (ez*r+ey)*r + ex
-			var off [8]int
-			off[0], off[1] = base, base+1
-			off[2], off[3] = base+r, base+r+1
-			off[4], off[5] = base+r*r, base+r*r+1
-			off[6], off[7] = base+r*r+r, base+r*r+r+1
-			var ue, ve, ge [8]float64
-			for a := 0; a < 8; a++ {
-				ue[a] = ud[off[a]]
-				ve[a] = nd[off[a]]
-			}
-			for q := 0; q < 8; q++ {
-				nuQ, gx, gy, gz := 0.0, 0.0, 0.0, 0.0
+		// An element: 8 quadrature points × 8 nodes × 7 multiply-adds.
+		tensor.Parallel(nx*ny*nz, 8*8*7, func(lo, hi int) {
+			for job := lo; job < hi; job++ {
+				ex := cx + 2*(job%nx)
+				ey := cy + 2*((job/nx)%ny)
+				ez := cz + 2*(job/(nx*ny))
+				base := (ez*r+ey)*r + ex
+				var off [8]int
+				off[0], off[1] = base, base+1
+				off[2], off[3] = base+r, base+r+1
+				off[4], off[5] = base+r*r, base+r*r+1
+				off[6], off[7] = base+r*r+r, base+r*r+r+1
+				var ue, ve, ge [8]float64
 				for a := 0; a < 8; a++ {
-					nuQ += q3.n[q][a] * ve[a]
-					gx += q3.dndx[q][a] * ue[a]
-					gy += q3.dndy[q][a] * ue[a]
-					gz += q3.dndz[q][a] * ue[a]
+					ue[a] = ud[off[a]]
+					ve[a] = nd[off[a]]
 				}
-				w := p.detJ * nuQ * scale * scale
+				for q := 0; q < 8; q++ {
+					nuQ, gx, gy, gz := 0.0, 0.0, 0.0, 0.0
+					for a := 0; a < 8; a++ {
+						nuQ += q3.n[q][a] * ve[a]
+						gx += q3.dndx[q][a] * ue[a]
+						gy += q3.dndy[q][a] * ue[a]
+						gz += q3.dndz[q][a] * ue[a]
+					}
+					w := p.detJ * nuQ * scale * scale
+					for b := 0; b < 8; b++ {
+						ge[b] += w * (gx*q3.dndx[q][b] + gy*q3.dndy[q][b] + gz*q3.dndz[q][b])
+					}
+				}
 				for b := 0; b < 8; b++ {
-					ge[b] += w * (gx*q3.dndx[q][b] + gy*q3.dndy[q][b] + gz*q3.dndz[q][b])
+					gd[off[b]] += ge[b]
 				}
-			}
-			for b := 0; b < 8; b++ {
-				gd[off[b]] += ge[b]
 			}
 		})
 	}

@@ -135,14 +135,16 @@ func Raster2DInto(dst []float64, omega Omega, res int) {
 	// ((ω·λ)·ξx)·ξy association of Eval2D; xy is the plain y-axis table.
 	wx, xy, put := xiTables(omega, res, h)
 	defer put()
-	tensor.ParallelFor(res, func(iy int) {
-		row := iy * res
-		for ix := 0; ix < res; ix++ {
-			s := 0.0
-			for i := 0; i < OmegaDim; i++ {
-				s += wx[i*res+ix] * xy[i*res+iy]
+	tensor.Parallel(res, res, func(lo, hi int) {
+		for iy := lo; iy < hi; iy++ {
+			row := iy * res
+			for ix := 0; ix < res; ix++ {
+				s := 0.0
+				for i := 0; i < OmegaDim; i++ {
+					s += wx[i*res+ix] * xy[i*res+iy]
+				}
+				dst[row+ix] = math.Exp(s)
 			}
-			dst[row+ix] = math.Exp(s)
 		}
 	})
 }
@@ -168,15 +170,17 @@ func Raster3DInto(dst []float64, omega Omega, res int) {
 	h := 1.0 / float64(res-1)
 	wx, xt, put := xiTables(omega, res, h)
 	defer put()
-	tensor.ParallelFor(res, func(iz int) {
-		for iy := 0; iy < res; iy++ {
-			row := (iz*res + iy) * res
-			for ix := 0; ix < res; ix++ {
-				s := 0.0
-				for i := 0; i < OmegaDim; i++ {
-					s += wx[i*res+ix] * xt[i*res+iy] * xt[i*res+iz]
+	tensor.Parallel(res, res*res, func(lo, hi int) {
+		for iz := lo; iz < hi; iz++ {
+			for iy := 0; iy < res; iy++ {
+				row := (iz*res + iy) * res
+				for ix := 0; ix < res; ix++ {
+					s := 0.0
+					for i := 0; i < OmegaDim; i++ {
+						s += wx[i*res+ix] * xt[i*res+iy] * xt[i*res+iz]
+					}
+					dst[row+ix] = math.Exp(s)
 				}
-				dst[row+ix] = math.Exp(s)
 			}
 		}
 	})

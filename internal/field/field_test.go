@@ -1,10 +1,13 @@
 package field
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"mgdiffnet/internal/tensor"
 )
 
 func TestSobolFirstPointsDim1(t *testing.T) {
@@ -284,6 +287,56 @@ func TestRasterMatchesEvalBitwise(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The rasters at sizes whose work tensor.Parallel spreads over its
+// workers (a 3D plane costs res², a 2D row res) give Eval's bits at every
+// worker count.
+func TestRasterMatchesEvalBitwiseFannedOut(t *testing.T) {
+	w := Omega{0.91, -2.17, 1.33, -0.42}
+	for _, procs := range []int{1, 2, 4} {
+		func() {
+			defer tensor.SetParallelism(tensor.SetParallelism(procs))
+			const res2, res3 = 200, 40
+			h := 1.0 / float64(res2-1)
+			f2 := Raster2D(w, res2)
+			for iy := 0; iy < res2; iy++ {
+				for ix := 0; ix < res2; ix++ {
+					if got, want := f2.At(iy, ix), Eval2D(w, float64(ix)*h, float64(iy)*h); got != want {
+						t.Fatalf("%d workers, 2D (%d,%d): raster %v, eval %v", procs, iy, ix, got, want)
+					}
+				}
+			}
+			h = 1.0 / float64(res3-1)
+			f3 := Raster3D(w, res3)
+			for iz := 0; iz < res3; iz++ {
+				for iy := 0; iy < res3; iy++ {
+					for ix := 0; ix < res3; ix++ {
+						got := f3.At(iz, iy, ix)
+						if want := Eval3D(w, float64(ix)*h, float64(iy)*h, float64(iz)*h); got != want {
+							t.Fatalf("%d workers, 3D (%d,%d,%d): raster %v, eval %v", procs, iz, iy, ix, got, want)
+						}
+					}
+				}
+			}
+		}()
+	}
+}
+
+// BenchmarkRaster3DInto rasterizes the megavoxel benchmark's 128³ field at
+// one and at two workers.
+func BenchmarkRaster3DInto(b *testing.B) {
+	const res = 128
+	w := Omega{0.91, -2.17, 1.33, -0.42}
+	dst := make([]float64, res*res*res)
+	for _, procs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", procs), func(b *testing.B) {
+			defer tensor.SetParallelism(tensor.SetParallelism(procs))
+			for i := 0; i < b.N; i++ {
+				Raster3DInto(dst, w, res)
+			}
+		})
 	}
 }
 

@@ -95,10 +95,12 @@ func (c *Composite) Eval3D(x, y, z float64) float64 {
 func (c *Composite) Raster2D(res int) *tensor.Tensor {
 	out := tensor.New(res, res)
 	h := 1.0 / float64(res-1)
-	tensor.ParallelFor(res, func(iy int) {
-		y := float64(iy) * h
-		for ix := 0; ix < res; ix++ {
-			out.Data[iy*res+ix] = c.Eval2D(float64(ix)*h, y)
+	tensor.Parallel(res, res*len(c.Inclusions), func(lo, hi int) {
+		for iy := lo; iy < hi; iy++ {
+			y := float64(iy) * h
+			for ix := 0; ix < res; ix++ {
+				out.Data[iy*res+ix] = c.Eval2D(float64(ix)*h, y)
+			}
 		}
 	})
 	return out
@@ -108,13 +110,15 @@ func (c *Composite) Raster2D(res int) *tensor.Tensor {
 func (c *Composite) Raster3D(res int) *tensor.Tensor {
 	out := tensor.New(res, res, res)
 	h := 1.0 / float64(res-1)
-	tensor.ParallelFor(res, func(iz int) {
-		z := float64(iz) * h
-		for iy := 0; iy < res; iy++ {
-			y := float64(iy) * h
-			row := (iz*res + iy) * res
-			for ix := 0; ix < res; ix++ {
-				out.Data[row+ix] = c.Eval3D(float64(ix)*h, y, z)
+	tensor.Parallel(res, res*res*len(c.Inclusions), func(lo, hi int) {
+		for iz := lo; iz < hi; iz++ {
+			z := float64(iz) * h
+			for iy := 0; iy < res; iy++ {
+				y := float64(iy) * h
+				row := (iz*res + iy) * res
+				for ix := 0; ix < res; ix++ {
+					out.Data[row+ix] = c.Eval3D(float64(ix)*h, y, z)
+				}
 			}
 		}
 	})

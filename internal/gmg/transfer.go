@@ -20,24 +20,26 @@ func prolong2D(c *tensor.Tensor) *tensor.Tensor {
 	rf := 2*rc - 1
 	f := tensor.New(rf, rf)
 	cd, fd := c.Data, f.Data
-	tensor.ParallelFor(rf, func(fy int) {
-		cy := fy / 2
-		oddY := fy%2 == 1
-		for fx := 0; fx < rf; fx++ {
-			cx := fx / 2
-			oddX := fx%2 == 1
-			var v float64
-			switch {
-			case !oddX && !oddY:
-				v = cd[cy*rc+cx]
-			case oddX && !oddY:
-				v = 0.5 * (cd[cy*rc+cx] + cd[cy*rc+cx+1])
-			case !oddX && oddY:
-				v = 0.5 * (cd[cy*rc+cx] + cd[(cy+1)*rc+cx])
-			default:
-				v = 0.25 * (cd[cy*rc+cx] + cd[cy*rc+cx+1] + cd[(cy+1)*rc+cx] + cd[(cy+1)*rc+cx+1])
+	tensor.Parallel(rf, rf, func(lo, hi int) {
+		for fy := lo; fy < hi; fy++ {
+			cy := fy / 2
+			oddY := fy%2 == 1
+			for fx := 0; fx < rf; fx++ {
+				cx := fx / 2
+				oddX := fx%2 == 1
+				var v float64
+				switch {
+				case !oddX && !oddY:
+					v = cd[cy*rc+cx]
+				case oddX && !oddY:
+					v = 0.5 * (cd[cy*rc+cx] + cd[cy*rc+cx+1])
+				case !oddX && oddY:
+					v = 0.5 * (cd[cy*rc+cx] + cd[(cy+1)*rc+cx])
+				default:
+					v = 0.25 * (cd[cy*rc+cx] + cd[cy*rc+cx+1] + cd[(cy+1)*rc+cx] + cd[(cy+1)*rc+cx+1])
+				}
+				fd[fy*rf+fx] = v
 			}
-			fd[fy*rf+fx] = v
 		}
 	})
 	return f
@@ -52,36 +54,38 @@ func restrict2D(f *tensor.Tensor) *tensor.Tensor {
 	cd, fd := c.Data, f.Data
 	// Gather form of the adjoint: each coarse node collects from the fine
 	// nodes whose interpolation involves it, with the same weights.
-	tensor.ParallelFor(rc, func(cy int) {
-		fy := 2 * cy
-		for cx := 0; cx < rc; cx++ {
-			fx := 2 * cx
-			v := fd[fy*rf+fx]
-			if fx > 0 {
-				v += 0.5 * fd[fy*rf+fx-1]
-			}
-			if fx < rf-1 {
-				v += 0.5 * fd[fy*rf+fx+1]
-			}
-			if fy > 0 {
-				v += 0.5 * fd[(fy-1)*rf+fx]
+	tensor.Parallel(rc, 9*rc, func(lo, hi int) {
+		for cy := lo; cy < hi; cy++ {
+			fy := 2 * cy
+			for cx := 0; cx < rc; cx++ {
+				fx := 2 * cx
+				v := fd[fy*rf+fx]
 				if fx > 0 {
-					v += 0.25 * fd[(fy-1)*rf+fx-1]
+					v += 0.5 * fd[fy*rf+fx-1]
 				}
 				if fx < rf-1 {
-					v += 0.25 * fd[(fy-1)*rf+fx+1]
+					v += 0.5 * fd[fy*rf+fx+1]
 				}
+				if fy > 0 {
+					v += 0.5 * fd[(fy-1)*rf+fx]
+					if fx > 0 {
+						v += 0.25 * fd[(fy-1)*rf+fx-1]
+					}
+					if fx < rf-1 {
+						v += 0.25 * fd[(fy-1)*rf+fx+1]
+					}
+				}
+				if fy < rf-1 {
+					v += 0.5 * fd[(fy+1)*rf+fx]
+					if fx > 0 {
+						v += 0.25 * fd[(fy+1)*rf+fx-1]
+					}
+					if fx < rf-1 {
+						v += 0.25 * fd[(fy+1)*rf+fx+1]
+					}
+				}
+				cd[cy*rc+cx] = v
 			}
-			if fy < rf-1 {
-				v += 0.5 * fd[(fy+1)*rf+fx]
-				if fx > 0 {
-					v += 0.25 * fd[(fy+1)*rf+fx-1]
-				}
-				if fx < rf-1 {
-					v += 0.25 * fd[(fy+1)*rf+fx+1]
-				}
-			}
-			cd[cy*rc+cx] = v
 		}
 	})
 	return c
@@ -109,26 +113,28 @@ func prolong3D(c *tensor.Tensor) *tensor.Tensor {
 	f := tensor.New(rf, rf, rf)
 	cd, fd := c.Data, f.Data
 	at := func(z, y, x int) float64 { return cd[(z*rc+y)*rc+x] }
-	tensor.ParallelFor(rf, func(fz int) {
-		cz := fz / 2
-		oz := fz % 2
-		for fy := 0; fy < rf; fy++ {
-			cy := fy / 2
-			oy := fy % 2
-			for fx := 0; fx < rf; fx++ {
-				cx := fx / 2
-				ox := fx % 2
-				sum := 0.0
-				cnt := 0.0
-				for dz := 0; dz <= oz; dz++ {
-					for dy := 0; dy <= oy; dy++ {
-						for dx := 0; dx <= ox; dx++ {
-							sum += at(cz+dz, cy+dy, cx+dx)
-							cnt++
+	tensor.Parallel(rf, 8*rf*rf, func(lo, hi int) {
+		for fz := lo; fz < hi; fz++ {
+			cz := fz / 2
+			oz := fz % 2
+			for fy := 0; fy < rf; fy++ {
+				cy := fy / 2
+				oy := fy % 2
+				for fx := 0; fx < rf; fx++ {
+					cx := fx / 2
+					ox := fx % 2
+					sum := 0.0
+					cnt := 0.0
+					for dz := 0; dz <= oz; dz++ {
+						for dy := 0; dy <= oy; dy++ {
+							for dx := 0; dx <= ox; dx++ {
+								sum += at(cz+dz, cy+dy, cx+dx)
+								cnt++
+							}
 						}
 					}
+					fd[(fz*rf+fy)*rf+fx] = sum / cnt
 				}
-				fd[(fz*rf+fy)*rf+fx] = sum / cnt
 			}
 		}
 	})
@@ -141,45 +147,47 @@ func restrict3D(f *tensor.Tensor) *tensor.Tensor {
 	rc := (rf + 1) / 2
 	c := tensor.New(rc, rc, rc)
 	fd, cd := f.Data, c.Data
-	tensor.ParallelFor(rc, func(cz int) {
-		fz := 2 * cz
-		for cy := 0; cy < rc; cy++ {
-			fy := 2 * cy
-			for cx := 0; cx < rc; cx++ {
-				fx := 2 * cx
-				v := 0.0
-				for dz := -1; dz <= 1; dz++ {
-					z := fz + dz
-					if z < 0 || z >= rf {
-						continue
-					}
-					wz := 1.0
-					if dz != 0 {
-						wz = 0.5
-					}
-					for dy := -1; dy <= 1; dy++ {
-						y := fy + dy
-						if y < 0 || y >= rf {
+	tensor.Parallel(rc, 27*rc*rc, func(lo, hi int) {
+		for cz := lo; cz < hi; cz++ {
+			fz := 2 * cz
+			for cy := 0; cy < rc; cy++ {
+				fy := 2 * cy
+				for cx := 0; cx < rc; cx++ {
+					fx := 2 * cx
+					v := 0.0
+					for dz := -1; dz <= 1; dz++ {
+						z := fz + dz
+						if z < 0 || z >= rf {
 							continue
 						}
-						wy := 1.0
-						if dy != 0 {
-							wy = 0.5
+						wz := 1.0
+						if dz != 0 {
+							wz = 0.5
 						}
-						for dx := -1; dx <= 1; dx++ {
-							x := fx + dx
-							if x < 0 || x >= rf {
+						for dy := -1; dy <= 1; dy++ {
+							y := fy + dy
+							if y < 0 || y >= rf {
 								continue
 							}
-							wx := 1.0
-							if dx != 0 {
-								wx = 0.5
+							wy := 1.0
+							if dy != 0 {
+								wy = 0.5
 							}
-							v += wz * wy * wx * fd[(z*rf+y)*rf+x]
+							for dx := -1; dx <= 1; dx++ {
+								x := fx + dx
+								if x < 0 || x >= rf {
+									continue
+								}
+								wx := 1.0
+								if dx != 0 {
+									wx = 0.5
+								}
+								v += wz * wy * wx * fd[(z*rf+y)*rf+x]
+							}
 						}
 					}
+					cd[(cz*rc+cy)*rc+cx] = v
 				}
-				cd[(cz*rc+cy)*rc+cx] = v
 			}
 		}
 	})

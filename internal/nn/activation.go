@@ -33,7 +33,7 @@ func (l *LeakyReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (l *LeakyReLU) forwardInPlace(x *tensor.Tensor) { leakyReLU(x.Data, x.Data, l.Alpha) }
 
 func leakyReLU(dst, src []float64, a float64) {
-	tensor.ParallelRange(len(src), func(lo, hi int) {
+	tensor.Parallel(len(src), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v := src[i]
 			if v < 0 {
@@ -49,7 +49,7 @@ func (l *LeakyReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	out := l.bwd.get(grad.Shape()...)
 	a := l.Alpha
 	in := l.in
-	tensor.ParallelRange(grad.Len(), func(lo, hi int) {
+	tensor.Parallel(grad.Len(), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			g := grad.Data[i]
 			if in.Data[i] < 0 {
@@ -90,7 +90,7 @@ func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (s *Sigmoid) forwardInPlace(x *tensor.Tensor) { sigmoid(x.Data, x.Data) }
 
 func sigmoid(dst, src []float64) {
-	tensor.ParallelRange(len(src), func(lo, hi int) {
+	tensor.Parallel(len(src), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = 1.0 / (1.0 + math.Exp(-src[i]))
 		}
@@ -101,7 +101,7 @@ func sigmoid(dst, src []float64) {
 func (s *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	out := s.bwd.get(grad.Shape()...)
 	y := s.out
-	tensor.ParallelRange(grad.Len(), func(lo, hi int) {
+	tensor.Parallel(grad.Len(), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v := y.Data[i]
 			out.Data[i] = grad.Data[i] * v * (1 - v)

@@ -68,36 +68,38 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	b.xhat = make([]float64, x.Len())
 	m := float64(n * spatial)
 
-	tensor.ParallelFor(c, func(ch int) {
-		sum := 0.0
-		for bn := 0; bn < n; bn++ {
-			base := (bn*c + ch) * spatial
-			for i := 0; i < spatial; i++ {
-				sum += x.Data[base+i]
+	tensor.Parallel(c, 3*n*spatial, func(lo, hi int) {
+		for ch := lo; ch < hi; ch++ {
+			sum := 0.0
+			for bn := 0; bn < n; bn++ {
+				base := (bn*c + ch) * spatial
+				for i := 0; i < spatial; i++ {
+					sum += x.Data[base+i]
+				}
 			}
-		}
-		mu := sum / m
-		varSum := 0.0
-		for bn := 0; bn < n; bn++ {
-			base := (bn*c + ch) * spatial
-			for i := 0; i < spatial; i++ {
-				d := x.Data[base+i] - mu
-				varSum += d * d
+			mu := sum / m
+			varSum := 0.0
+			for bn := 0; bn < n; bn++ {
+				base := (bn*c + ch) * spatial
+				for i := 0; i < spatial; i++ {
+					d := x.Data[base+i] - mu
+					varSum += d * d
+				}
 			}
-		}
-		v := varSum / m
-		inv := 1.0 / math.Sqrt(v+b.Epsilon)
-		b.mean[ch] = mu
-		b.invStd[ch] = inv
-		b.RunningMean[ch] = (1-b.Momentum)*b.RunningMean[ch] + b.Momentum*mu
-		b.RunningVar[ch] = (1-b.Momentum)*b.RunningVar[ch] + b.Momentum*v
-		g, bt := gamma[ch], beta[ch]
-		for bn := 0; bn < n; bn++ {
-			base := (bn*c + ch) * spatial
-			for i := 0; i < spatial; i++ {
-				xh := (x.Data[base+i] - mu) * inv
-				b.xhat[base+i] = xh
-				out.Data[base+i] = g*xh + bt
+			v := varSum / m
+			inv := 1.0 / math.Sqrt(v+b.Epsilon)
+			b.mean[ch] = mu
+			b.invStd[ch] = inv
+			b.RunningMean[ch] = (1-b.Momentum)*b.RunningMean[ch] + b.Momentum*mu
+			b.RunningVar[ch] = (1-b.Momentum)*b.RunningVar[ch] + b.Momentum*v
+			g, bt := gamma[ch], beta[ch]
+			for bn := 0; bn < n; bn++ {
+				base := (bn*c + ch) * spatial
+				for i := 0; i < spatial; i++ {
+					xh := (x.Data[base+i] - mu) * inv
+					b.xhat[base+i] = xh
+					out.Data[base+i] = g*xh + bt
+				}
 			}
 		}
 	})
@@ -131,14 +133,16 @@ func (b *BatchNorm) dims(x *tensor.Tensor) (n, c, spatial int) {
 // architecture.
 func (b *BatchNorm) infer(dst, src []float64, n, c, spatial int) {
 	gamma, beta := b.Gamma.Data.Data, b.Beta.Data.Data
-	tensor.ParallelFor(c, func(ch int) {
-		mu := b.RunningMean[ch]
-		inv := 1.0 / math.Sqrt(b.RunningVar[ch]+b.Epsilon)
-		g, bt := gamma[ch], beta[ch]
-		for bn := 0; bn < n; bn++ {
-			base := (bn*c + ch) * spatial
-			for i := 0; i < spatial; i++ {
-				dst[base+i] = float64(float64(g*(src[base+i]-mu))*inv) + bt
+	tensor.Parallel(c, n*spatial, func(lo, hi int) {
+		for ch := lo; ch < hi; ch++ {
+			mu := b.RunningMean[ch]
+			inv := 1.0 / math.Sqrt(b.RunningVar[ch]+b.Epsilon)
+			g, bt := gamma[ch], beta[ch]
+			for bn := 0; bn < n; bn++ {
+				base := (bn*c + ch) * spatial
+				for i := 0; i < spatial; i++ {
+					dst[base+i] = float64(float64(g*(src[base+i]-mu))*inv) + bt
+				}
 			}
 		}
 	})
@@ -154,24 +158,26 @@ func (b *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	gGamma, gBeta := b.Gamma.Grad.Data, b.Beta.Grad.Data
 	gamma := b.Gamma.Data.Data
 
-	tensor.ParallelFor(c, func(ch int) {
-		sumDy, sumDyXhat := 0.0, 0.0
-		for bn := 0; bn < n; bn++ {
-			base := (bn*c + ch) * spatial
-			for i := 0; i < spatial; i++ {
-				dy := grad.Data[base+i]
-				sumDy += dy
-				sumDyXhat += dy * b.xhat[base+i]
+	tensor.Parallel(c, 2*n*spatial, func(lo, hi int) {
+		for ch := lo; ch < hi; ch++ {
+			sumDy, sumDyXhat := 0.0, 0.0
+			for bn := 0; bn < n; bn++ {
+				base := (bn*c + ch) * spatial
+				for i := 0; i < spatial; i++ {
+					dy := grad.Data[base+i]
+					sumDy += dy
+					sumDyXhat += dy * b.xhat[base+i]
+				}
 			}
-		}
-		gGamma[ch] += sumDyXhat
-		gBeta[ch] += sumDy
-		scale := gamma[ch] * b.invStd[ch] / m
-		for bn := 0; bn < n; bn++ {
-			base := (bn*c + ch) * spatial
-			for i := 0; i < spatial; i++ {
-				dy := grad.Data[base+i]
-				gin.Data[base+i] = scale * (m*dy - sumDy - b.xhat[base+i]*sumDyXhat)
+			gGamma[ch] += sumDyXhat
+			gBeta[ch] += sumDy
+			scale := gamma[ch] * b.invStd[ch] / m
+			for bn := 0; bn < n; bn++ {
+				base := (bn*c + ch) * spatial
+				for i := 0; i < spatial; i++ {
+					dy := grad.Data[base+i]
+					gin.Data[base+i] = scale * (m*dy - sumDy - b.xhat[base+i]*sumDyXhat)
+				}
 			}
 		}
 	})

@@ -152,11 +152,6 @@ type accInit [4][8]float64
 
 var rowScratchPool = sync.Pool{New: func() any { return new(rowScratch) }}
 
-// rowWorkUnit is how many multiply-adds count as one unit of work when
-// jobs are shared among the kernel workers: ParallelRange runs fewer than
-// 256 units serially.
-const rowWorkUnit = 128
-
 // rowProduct overwrites out with correlate, or with adjoint when
 // transposed. Each output element sums its bias (first unless biasLast) and
 // one term per kernel tap that reaches it, in the order input channel → kz
@@ -213,11 +208,11 @@ func rowProduct(pass rowPass) {
 	l.perJob = ceilDiv(l.planes, ceilDiv(l.planes, l.perJob))
 	l.pieces, l.chanBlocks = ceilDiv(l.ny, l.seg), (p.oc+3)/4
 	jobs := ceilDiv(l.planes, l.perJob) * l.pieces * l.colBlocks * l.cz * l.cy * l.cx * l.chanBlocks
-	l.u = max(1, ((l.perJob-1)*(l.seg+l.haloY)+l.seg)*l.W*4*p.ic*tz*ty*tx/rowWorkUnit)
+	madds := ((l.perJob-1)*(l.seg+l.haloY) + l.seg) * l.W * 4 * p.ic * tz * ty * tx // per job, at most
 	// A method value of a value receiver carries its copy of l: the pass
 	// allocates that one closure, where a func literal would also move l
 	// to the heap.
-	tensor.ParallelRange(jobs*l.u, l.run)
+	tensor.Parallel(jobs, madds, l.run)
 }
 
 // rowPass is one rowProduct call: its operands, the output grid (o…) with
@@ -258,11 +253,10 @@ func channelPlane(a, b []float64, n, c, ca, ch, vol int) []float64 {
 // past its accumulator block.
 type stagedPass struct {
 	rowPass
-	S, os, cz, cy, cx           int
-	nz, ny, nx, haloY, haloX    int
-	cols, colBlocks, W          int
-	planes, perJob, seg, pieces int
-	chanBlocks, u               int
+	S, os, cz, cy, cx                       int
+	nz, ny, nx, haloY, haloX                int
+	cols, colBlocks, W                      int
+	planes, perJob, seg, pieces, chanBlocks int
 }
 
 // axisClass is parity class r of one axis of a pass, the only class but in
@@ -304,9 +298,9 @@ func (a axisClass) halo(S int) int {
 	return (a.taps - 1 - a.lead + S*a.from) / S
 }
 
-// run runs the jobs of work units [lo, hi).
+// run runs the jobs [lo, hi).
 func (l stagedPass) run(lo, hi int) {
-	p, g, S, W, u, tr := &l.rowPass, l.g, l.S, l.W, l.u, l.transposed
+	p, g, S, W, tr := &l.rowPass, l.g, l.S, l.W, l.transposed
 	ks := 1 // weight taps between two sub-taps
 	if tr {
 		ks = g.s
@@ -314,7 +308,7 @@ func (l stagedPass) run(lo, hi int) {
 	sc := rowScratchPool.Get().(*rowScratch)
 	defer rowScratchPool.Put(sc)
 	acc, wt := sc.acc[:], &sc.wt
-	for j := (lo + u - 1) / u; j < (hi+u-1)/u; j++ {
+	for j := lo; j < hi; j++ {
 		t, c0 := j/l.chanBlocks, j%l.chanBlocks*4
 		t, cls := t/(l.cz*l.cy*l.cx), t%(l.cz*l.cy*l.cx)
 		t, x0 := t/l.colBlocks, t%l.colBlocks*l.cols
@@ -667,12 +661,11 @@ func weightGradRows(gw, yd, xa, xb []float64, g geom, lowered bool) {
 	small := co*g.rows() <= gradChunk
 	chanBlocks, tapBlocks := (co+3)/4, (kw+gradTaps-1)/gradTaps
 	jobs := chanBlocks * ci * kd * kh * tapBlocks
-	u := max(1, n*do*ho*wo*4*min(kw, gradTaps)/rowWorkUnit)
 
-	tensor.ParallelRange(jobs*u, func(lo, hi int) {
+	tensor.Parallel(jobs, n*do*ho*wo*4*min(kw, gradTaps), func(lo, hi int) {
 		var blk, part, tot [4 * gradTaps]float64
 		var tapLo, tapHi [gradTaps]int
-		for j := (lo + u - 1) / u; j < (hi+u-1)/u; j++ {
+		for j := lo; j < hi; j++ {
 			kx0 := j % tapBlocks * gradTaps
 			ky, kz := j/tapBlocks%kh, j/(tapBlocks*kh)%kd
 			cin, c0 := j/(tapBlocks*kh*kd)%ci, j/(tapBlocks*kh*kd*ci)*4

@@ -21,41 +21,43 @@ func directCorrelate(yd, xd, wd, bias []float64, g geom) {
 	kd, kh, kw := g.kd, g.kh, g.kw
 	pd, ph, pw := g.pd, g.ph, g.pw
 
-	tensor.ParallelFor(g.n*co, func(job int) {
-		bn := job / co
-		oc := job % co
-		outBase := (bn*co + oc) * do * ho * wo
-		b := 0.0
-		if bias != nil {
-			b = bias[oc]
-		}
-		// Clamping each tap range to the read grid skips the same padding
-		// terms a per-tap bounds test would, in the same order.
-		for oz := 0; oz < do; oz++ {
-			iz0 := oz*s - pd
-			kzLo, kzHi := max(0, -iz0), min(kd, d-iz0)
-			for oy := 0; oy < ho; oy++ {
-				iy0 := oy*s - ph
-				kyLo, kyHi := max(0, -iy0), min(kh, h-iy0)
-				for ox := 0; ox < wo; ox++ {
-					ix0 := ox*s - pw
-					kxLo, kxHi := max(0, -ix0), min(kw, w-ix0)
-					acc := b
-					for cin := 0; cin < ci; cin++ {
-						wBase := (oc*ci + cin) * kd * kh * kw
-						xBase := (bn*ci+cin)*d*h*w + ix0
-						for kz := kzLo; kz < kzHi; kz++ {
-							for ky := kyLo; ky < kyHi; ky++ {
-								rowW := wBase + (kz*kh+ky)*kw
-								rowX := xBase + ((iz0+kz)*h+iy0+ky)*w
-								xr := xd[rowX+kxLo : rowX+kxHi]
-								for i, wv := range wd[rowW+kxLo : rowW+kxHi] {
-									acc += wv * xr[i]
+	tensor.Parallel(g.n*co, do*ho*wo*ci*kd*kh*kw, func(lo, hi int) {
+		for job := lo; job < hi; job++ {
+			bn := job / co
+			oc := job % co
+			outBase := (bn*co + oc) * do * ho * wo
+			b := 0.0
+			if bias != nil {
+				b = bias[oc]
+			}
+			// Clamping each tap range to the read grid skips the same padding
+			// terms a per-tap bounds test would, in the same order.
+			for oz := 0; oz < do; oz++ {
+				iz0 := oz*s - pd
+				kzLo, kzHi := max(0, -iz0), min(kd, d-iz0)
+				for oy := 0; oy < ho; oy++ {
+					iy0 := oy*s - ph
+					kyLo, kyHi := max(0, -iy0), min(kh, h-iy0)
+					for ox := 0; ox < wo; ox++ {
+						ix0 := ox*s - pw
+						kxLo, kxHi := max(0, -ix0), min(kw, w-ix0)
+						acc := b
+						for cin := 0; cin < ci; cin++ {
+							wBase := (oc*ci + cin) * kd * kh * kw
+							xBase := (bn*ci+cin)*d*h*w + ix0
+							for kz := kzLo; kz < kzHi; kz++ {
+								for ky := kyLo; ky < kyHi; ky++ {
+									rowW := wBase + (kz*kh+ky)*kw
+									rowX := xBase + ((iz0+kz)*h+iy0+ky)*w
+									xr := xd[rowX+kxLo : rowX+kxHi]
+									for i, wv := range wd[rowW+kxLo : rowW+kxHi] {
+										acc += wv * xr[i]
+									}
 								}
 							}
 						}
+						yd[outBase+(oz*ho+oy)*wo+ox] = acc
 					}
-					yd[outBase+(oz*ho+oy)*wo+ox] = acc
 				}
 			}
 		}
@@ -72,54 +74,56 @@ func directAdjoint(xd, yd, wd, bias []float64, g geom) {
 	kd, kh, kw := g.kd, g.kh, g.kw
 	pd, ph, pw := g.pd, g.ph, g.pw
 
-	tensor.ParallelFor(g.n*ci, func(job int) {
-		bn := job / ci
-		cin := job % ci
-		inBase := (bn*ci + cin) * d * h * w
-		b := 0.0
-		if bias != nil {
-			b = bias[cin]
-		}
-		for iz := 0; iz < d; iz++ {
-			for iy := 0; iy < h; iy++ {
-				for ix := 0; ix < w; ix++ {
-					acc := b
-					for oc := 0; oc < co; oc++ {
-						wBase := (oc*ci + cin) * kd * kh * kw
-						yBase := (bn*co + oc) * do * ho * wo
-						for kz := 0; kz < kd; kz++ {
-							ozNum := iz + pd - kz
-							if ozNum < 0 || ozNum%s != 0 {
-								continue
-							}
-							oz := ozNum / s
-							if oz >= do {
-								continue
-							}
-							for ky := 0; ky < kh; ky++ {
-								oyNum := iy + ph - ky
-								if oyNum < 0 || oyNum%s != 0 {
+	tensor.Parallel(g.n*ci, d*h*w*co*kd*kh*kw, func(lo, hi int) {
+		for job := lo; job < hi; job++ {
+			bn := job / ci
+			cin := job % ci
+			inBase := (bn*ci + cin) * d * h * w
+			b := 0.0
+			if bias != nil {
+				b = bias[cin]
+			}
+			for iz := 0; iz < d; iz++ {
+				for iy := 0; iy < h; iy++ {
+					for ix := 0; ix < w; ix++ {
+						acc := b
+						for oc := 0; oc < co; oc++ {
+							wBase := (oc*ci + cin) * kd * kh * kw
+							yBase := (bn*co + oc) * do * ho * wo
+							for kz := 0; kz < kd; kz++ {
+								ozNum := iz + pd - kz
+								if ozNum < 0 || ozNum%s != 0 {
 									continue
 								}
-								oy := oyNum / s
-								if oy >= ho {
+								oz := ozNum / s
+								if oz >= do {
 									continue
 								}
-								for kx := 0; kx < kw; kx++ {
-									oxNum := ix + pw - kx
-									if oxNum < 0 || oxNum%s != 0 {
+								for ky := 0; ky < kh; ky++ {
+									oyNum := iy + ph - ky
+									if oyNum < 0 || oyNum%s != 0 {
 										continue
 									}
-									ox := oxNum / s
-									if ox >= wo {
+									oy := oyNum / s
+									if oy >= ho {
 										continue
 									}
-									acc += wd[wBase+(kz*kh+ky)*kw+kx] * yd[yBase+(oz*ho+oy)*wo+ox]
+									for kx := 0; kx < kw; kx++ {
+										oxNum := ix + pw - kx
+										if oxNum < 0 || oxNum%s != 0 {
+											continue
+										}
+										ox := oxNum / s
+										if ox >= wo {
+											continue
+										}
+										acc += wd[wBase+(kz*kh+ky)*kw+kx] * yd[yBase+(oz*ho+oy)*wo+ox]
+									}
 								}
 							}
 						}
+						xd[inBase+(iz*h+iy)*w+ix] = acc
 					}
-					xd[inBase+(iz*h+iy)*w+ix] = acc
 				}
 			}
 		}

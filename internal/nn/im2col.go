@@ -129,37 +129,39 @@ func im2col(cd, xd []float64, g geom, ozLo, ozHi int) {
 	// scales with the volume, not just the channel count, so the unroll
 	// fans out even at the paper's small Cin. Each job owns a disjoint
 	// stretch of its column row — race-free by construction.
-	tensor.ParallelFor(ci*kvol*n*dz, func(job int) {
-		row := job / (n * dz)
-		rem := job % (n * dz)
-		bn := rem / dz
-		ozl := rem % dz
-		cin := row / kvol
-		krem := row % kvol
-		kz := krem / (kh * kw)
-		ky := (krem / kw) % kh
-		kx := krem % kw
+	tensor.Parallel(ci*kvol*n*dz, ho*wo, func(lo, hi int) {
+		for job := lo; job < hi; job++ {
+			row := job / (n * dz)
+			rem := job % (n * dz)
+			bn := rem / dz
+			ozl := rem % dz
+			cin := row / kvol
+			krem := row % kvol
+			kz := krem / (kh * kw)
+			ky := (krem / kw) % kh
+			kx := krem % kw
 
-		iz := (ozLo+ozl)*stride - pd + kz
-		if iz < 0 || iz >= d {
-			return // zeros already there
-		}
-		base := row * colW
-		xBase := (bn*ci+cin)*d*h*w + iz*h*w
-		oxLo, oxHi := tapRange(wo, w, stride, pw, kx)
-		for oy := 0; oy < ho; oy++ {
-			iy := oy*stride - ph + ky
-			if iy < 0 || iy >= h {
-				continue
+			iz := (ozLo+ozl)*stride - pd + kz
+			if iz < 0 || iz >= d {
+				continue // zeros already there
 			}
-			outRow := base + ((bn*dz+ozl)*ho+oy)*wo
-			src := xBase + iy*w - pw + kx
-			if stride == 1 {
-				copy(cd[outRow+oxLo:outRow+oxHi], xd[src+oxLo:src+oxHi])
-				continue
-			}
-			for ox := oxLo; ox < oxHi; ox++ {
-				cd[outRow+ox] = xd[src+ox*stride]
+			base := row * colW
+			xBase := (bn*ci+cin)*d*h*w + iz*h*w
+			oxLo, oxHi := tapRange(wo, w, stride, pw, kx)
+			for oy := 0; oy < ho; oy++ {
+				iy := oy*stride - ph + ky
+				if iy < 0 || iy >= h {
+					continue
+				}
+				outRow := base + ((bn*dz+ozl)*ho+oy)*wo
+				src := xBase + iy*w - pw + kx
+				if stride == 1 {
+					copy(cd[outRow+oxLo:outRow+oxHi], xd[src+oxLo:src+oxHi])
+					continue
+				}
+				for ox := oxLo; ox < oxHi; ox++ {
+					cd[outRow+ox] = xd[src+ox*stride]
+				}
 			}
 		}
 	})
@@ -190,40 +192,42 @@ func col2im(od, cd []float64, g geom, ozLo, ozHi int) {
 	pd, ph, pw, stride := g.pd, g.ph, g.pw, g.s
 	dz := ozHi - ozLo
 	colW := n * dz * ho * wo
-	tensor.ParallelFor(n*ci*d*h, func(job int) {
-		iy := job % h
-		rest := job / h
-		iz := rest % d
-		rest /= d
-		cin := rest % ci
-		bn := rest / ci
-		dstRow := ((bn*ci+cin)*d+iz)*h*w + iy*w
-		for kz := 0; kz < kd; kz++ {
-			ozNum := iz + pd - kz
-			if ozNum < 0 || ozNum%stride != 0 {
-				continue
-			}
-			oz := ozNum / stride
-			if oz < ozLo || oz >= ozHi {
-				continue
-			}
-			for ky := 0; ky < kh; ky++ {
-				oyNum := iy + ph - ky
-				if oyNum < 0 || oyNum%stride != 0 {
+	tensor.Parallel(n*ci*d*h, kd*kh*kw*w, func(lo, hi int) {
+		for job := lo; job < hi; job++ {
+			iy := job % h
+			rest := job / h
+			iz := rest % d
+			rest /= d
+			cin := rest % ci
+			bn := rest / ci
+			dstRow := ((bn*ci+cin)*d+iz)*h*w + iy*w
+			for kz := 0; kz < kd; kz++ {
+				ozNum := iz + pd - kz
+				if ozNum < 0 || ozNum%stride != 0 {
 					continue
 				}
-				oy := oyNum / stride
-				if oy >= ho {
+				oz := ozNum / stride
+				if oz < ozLo || oz >= ozHi {
 					continue
 				}
-				for kx := 0; kx < kw; kx++ {
-					row := ((cin*kd+kz)*kh+ky)*kw + kx
-					srcRow := row*colW + ((bn*dz+oz-ozLo)*ho+oy)*wo
-					oxLo, oxHi := tapRange(wo, w, stride, pw, kx)
-					dst := dstRow - pw + kx + oxLo*stride
-					for _, v := range cd[srcRow+oxLo : srcRow+oxHi] {
-						od[dst] += v
-						dst += stride
+				for ky := 0; ky < kh; ky++ {
+					oyNum := iy + ph - ky
+					if oyNum < 0 || oyNum%stride != 0 {
+						continue
+					}
+					oy := oyNum / stride
+					if oy >= ho {
+						continue
+					}
+					for kx := 0; kx < kw; kx++ {
+						row := ((cin*kd+kz)*kh+ky)*kw + kx
+						srcRow := row*colW + ((bn*dz+oz-ozLo)*ho+oy)*wo
+						oxLo, oxHi := tapRange(wo, w, stride, pw, kx)
+						dst := dstRow - pw + kx + oxLo*stride
+						for _, v := range cd[srcRow+oxLo : srcRow+oxHi] {
+							od[dst] += v
+							dst += stride
+						}
 					}
 				}
 			}
@@ -268,11 +272,13 @@ func (s *convState) lowerAdjoint(xd, yd, bias []float64, w *Param, g geom) {
 		return
 	}
 	vol := g.d * g.h * g.w
-	tensor.ParallelFor(n*ci, func(job int) {
-		b := bias[job%ci]
-		row := xd[job*vol : (job+1)*vol]
-		for i := range row {
-			row[i] += b
+	tensor.Parallel(n*ci, vol, func(lo, hi int) {
+		for job := lo; job < hi; job++ {
+			b := bias[job%ci]
+			row := xd[job*vol : (job+1)*vol]
+			for i := range row {
+				row[i] += b
+			}
 		}
 	})
 }

@@ -7,7 +7,7 @@
 // Backward needs, Backward consumes the gradient of the loss with respect to
 // the layer output and returns the gradient with respect to the layer input,
 // accumulating parameter gradients along the way. All heavy kernels are
-// parallelized with tensor.ParallelFor, which plays the role the paper's
+// parallelized with tensor.Parallel, which plays the role the paper's
 // OpenMP/CUDA threads play inside one MPI rank.
 package nn
 

@@ -232,12 +232,12 @@ func TestMaxPoolInferenceMatchesTraining(t *testing.T) {
 
 // The training max-pool and its backward split over output rows: values,
 // argmax and input gradients must not depend on the worker count, NaN, ±0
-// and ties included. Every shape has at least 256 output rows, so
-// tensor.ParallelFor really fans out at 4 workers.
+// and ties included. The last shape holds enough work for tensor.Parallel
+// to fan out at 4 workers, in the forward and in the backward, at K 2 and 3.
 func TestMaxPoolTrainingWorkerCountBitExact(t *testing.T) {
 	vals := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(-1), math.Inf(1), 1, -1, 0.5}
 	rng := NewRNG(47)
-	for _, shape := range [][]int{{2, 4, 100, 9}, {2, 2, 10, 66, 7}} {
+	for _, shape := range [][]int{{2, 4, 100, 9}, {2, 2, 10, 66, 7}, {2, 4, 300, 150}} {
 		for _, k := range []int{2, 3} {
 			x := tensor.New(shape...)
 			for i := range x.Data {

@@ -98,7 +98,7 @@ func (a *Adam) flatArena() *Arena {
 //
 // When the parameters are arena-backed (nn.Arena) the update runs as a
 // fused sweep over the contiguous data/grad/moment slabs, partitioned into
-// parallel chunks by tensor.ParallelRange. The arithmetic per element is
+// parallel chunks by tensor.Parallel. The arithmetic per element is
 // identical to the per-parameter loop — the update is pointwise, so chunk
 // boundaries cannot change results — making the fused path bit-exact with
 // the fallback.
@@ -142,8 +142,8 @@ func (a *Adam) stepFlat(ar *Arena) {
 		d, g := data[lo:hi], grad[lo:hi]
 		m, v := a.mbuf[lo:hi], a.vbuf[lo:hi]
 		b1, b2, lr, eps := a.Beta1, a.Beta2, a.LR, a.Epsilon
-		//mglint:ignore hotalloc one closure environment per ParallelRange call is the pinned steady-state cost; TestParallelEpochSteadyStateAllocs budgets it
-		tensor.ParallelRange(hi-lo, func(jlo, jhi int) {
+		//mglint:ignore hotalloc one closure environment per tensor.Parallel call is the pinned steady-state cost; TestParallelEpochSteadyStateAllocs budgets it
+		tensor.Parallel(hi-lo, 1, func(jlo, jhi int) {
 			for j := jlo; j < jhi; j++ {
 				gj := g[j]
 				m[j] = b1*m[j] + (1-b1)*gj

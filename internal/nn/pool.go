@@ -46,9 +46,11 @@ func (m *MaxPool) forward(x *tensor.Tensor, train bool, kd int) *tensor.Tensor {
 	out := m.fwd.get(gridShape(x.Rank(), x.Dim(0), x.Dim(1), do, ho, wo)...)
 	xd, od := x.Data, out.Data
 	if !train {
-		tensor.ParallelFor(x.Dim(0)*x.Dim(1)*do*ho, func(job int) {
-			nc, oz, oy := job/(do*ho), job/ho%do, job%ho
-			maxRow(od[job*wo:][:wo], xd[((nc*d+oz*kd)*h+oy*k)*w:], kd, k, h, w)
+		tensor.Parallel(x.Dim(0)*x.Dim(1)*do*ho, wo*kd*k*k, func(lo, hi int) {
+			for job := lo; job < hi; job++ {
+				nc, oz, oy := job/(do*ho), job/ho%do, job%ho
+				maxRow(od[job*wo:][:wo], xd[((nc*d+oz*kd)*h+oy*k)*w:], kd, k, h, w)
+			}
 		})
 		return out
 	}
@@ -59,27 +61,29 @@ func (m *MaxPool) forward(x *tensor.Tensor, train bool, kd int) *tensor.Tensor {
 	}
 	arg := m.argmax[:out.Len()]
 	m.inShp = append(m.inShp[:0], x.Shape()...)
-	tensor.ParallelFor(x.Dim(0)*x.Dim(1)*do*ho, func(job int) {
-		nc, oz, oy := job/(do*ho), job/ho%do, job%ho
-		base := ((nc*d+oz*kd)*h + oy*k) * w
-		for ox := 0; ox < wo; ox++ {
-			// A window with no value above −Inf keeps its first element,
-			// so every window's argmax lies inside it.
-			best := math.Inf(-1)
-			bestIdx := base + ox*k
-			for kz := 0; kz < kd; kz++ {
-				for ky := 0; ky < k; ky++ {
-					row := base + (kz*h+ky)*w + ox*k
-					for kx := 0; kx < k; kx++ {
-						if v := xd[row+kx]; v > best {
-							best = v
-							bestIdx = row + kx
+	tensor.Parallel(x.Dim(0)*x.Dim(1)*do*ho, wo*kd*k*k, func(lo, hi int) {
+		for job := lo; job < hi; job++ {
+			nc, oz, oy := job/(do*ho), job/ho%do, job%ho
+			base := ((nc*d+oz*kd)*h + oy*k) * w
+			for ox := 0; ox < wo; ox++ {
+				// A window with no value above −Inf keeps its first element,
+				// so every window's argmax lies inside it.
+				best := math.Inf(-1)
+				bestIdx := base + ox*k
+				for kz := 0; kz < kd; kz++ {
+					for ky := 0; ky < k; ky++ {
+						row := base + (kz*h+ky)*w + ox*k
+						for kx := 0; kx < k; kx++ {
+							if v := xd[row+kx]; v > best {
+								best = v
+								bestIdx = row + kx
+							}
 						}
 					}
 				}
+				od[job*wo+ox] = best
+				arg[job*wo+ox] = int32(bestIdx)
 			}
-			od[job*wo+ox] = best
-			arg[job*wo+ox] = int32(bestIdx)
 		}
 	})
 	return out
@@ -126,9 +130,11 @@ func (m *MaxPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	gin := m.bwd.getZero(m.inShp...) // scatter-adds below
 	wo := grad.Dim(grad.Rank() - 1)
 	gd, arg := grad.Data, m.argmax[:grad.Len()]
-	tensor.ParallelFor(grad.Len()/max(wo, 1), func(job int) {
-		for i := job * wo; i < (job+1)*wo; i++ {
-			gin.Data[arg[i]] += gd[i]
+	tensor.Parallel(grad.Len()/max(wo, 1), wo, func(lo, hi int) {
+		for job := lo; job < hi; job++ {
+			for i := job * wo; i < (job+1)*wo; i++ {
+				gin.Data[arg[i]] += gd[i]
+			}
 		}
 	})
 	return gin
@@ -150,22 +156,24 @@ func avgPool(x *tensor.Tensor, kd, k int) *tensor.Tensor {
 	out := tensor.New(gridShape(x.Rank(), x.Dim(0), x.Dim(1), do, ho, wo)...)
 	inv := 1.0 / float64(kd*k*k)
 	xd, od := x.Data, out.Data
-	tensor.ParallelFor(x.Dim(0)*x.Dim(1), func(job int) {
-		inBase := job * d * h * w
-		outBase := job * do * ho * wo
-		for oz := 0; oz < do; oz++ {
-			for oy := 0; oy < ho; oy++ {
-				for ox := 0; ox < wo; ox++ {
-					s := 0.0
-					for kz := 0; kz < kd; kz++ {
-						for ky := 0; ky < k; ky++ {
-							row := inBase + ((oz*kd+kz)*h+oy*k+ky)*w + ox*k
-							for kx := 0; kx < k; kx++ {
-								s += xd[row+kx]
+	tensor.Parallel(x.Dim(0)*x.Dim(1), do*ho*wo*kd*k*k, func(lo, hi int) {
+		for job := lo; job < hi; job++ {
+			inBase := job * d * h * w
+			outBase := job * do * ho * wo
+			for oz := 0; oz < do; oz++ {
+				for oy := 0; oy < ho; oy++ {
+					for ox := 0; ox < wo; ox++ {
+						s := 0.0
+						for kz := 0; kz < kd; kz++ {
+							for ky := 0; ky < k; ky++ {
+								row := inBase + ((oz*kd+kz)*h+oy*k+ky)*w + ox*k
+								for kx := 0; kx < k; kx++ {
+									s += xd[row+kx]
+								}
 							}
 						}
+						od[outBase+(oz*ho+oy)*wo+ox] = s * inv
 					}
-					od[outBase+(oz*ho+oy)*wo+ox] = s * inv
 				}
 			}
 		}

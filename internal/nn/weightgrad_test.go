@@ -20,38 +20,40 @@ func directWeightGrad(gw, yd, xd []float64, g geom) {
 	kd, kh, kw := g.kd, g.kh, g.kw
 	pd, ph, pw := g.pd, g.ph, g.pw
 
-	tensor.ParallelFor(co*ci, func(job int) {
-		oc := job / ci
-		cin := job % ci
-		wBase := (oc*ci + cin) * kd * kh * kw
-		for kz := 0; kz < kd; kz++ {
-			for ky := 0; ky < kh; ky++ {
-				for kx := 0; kx < kw; kx++ {
-					oxLo, oxHi := tapRange(wo, w, s, pw, kx)
-					acc := 0.0
-					for bn := 0; bn < n; bn++ {
-						yBase := (bn*co + oc) * do * ho * wo
-						xBase := (bn*ci + cin) * d * h * w
-						for oz := 0; oz < do; oz++ {
-							iz := oz*s - pd + kz
-							if iz < 0 || iz >= d {
-								continue
-							}
-							for oy := 0; oy < ho; oy++ {
-								iy := oy*s - ph + ky
-								if iy < 0 || iy >= h {
+	tensor.Parallel(co*ci, kd*kh*kw*do*ho*wo*n, func(lo, hi int) {
+		for job := lo; job < hi; job++ {
+			oc := job / ci
+			cin := job % ci
+			wBase := (oc*ci + cin) * kd * kh * kw
+			for kz := 0; kz < kd; kz++ {
+				for ky := 0; ky < kh; ky++ {
+					for kx := 0; kx < kw; kx++ {
+						oxLo, oxHi := tapRange(wo, w, s, pw, kx)
+						acc := 0.0
+						for bn := 0; bn < n; bn++ {
+							yBase := (bn*co + oc) * do * ho * wo
+							xBase := (bn*ci + cin) * d * h * w
+							for oz := 0; oz < do; oz++ {
+								iz := oz*s - pd + kz
+								if iz < 0 || iz >= d {
 									continue
 								}
-								yRow := yBase + (oz*ho+oy)*wo
-								xi := xBase + (iz*h+iy)*w - pw + kx + oxLo*s
-								for _, yv := range yd[yRow+oxLo : yRow+oxHi] {
-									acc += yv * xd[xi]
-									xi += s
+								for oy := 0; oy < ho; oy++ {
+									iy := oy*s - ph + ky
+									if iy < 0 || iy >= h {
+										continue
+									}
+									yRow := yBase + (oz*ho+oy)*wo
+									xi := xBase + (iz*h+iy)*w - pw + kx + oxLo*s
+									for _, yv := range yd[yRow+oxLo : yRow+oxHi] {
+										acc += yv * xd[xi]
+										xi += s
+									}
 								}
 							}
 						}
+						gw[wBase+(kz*kh+ky)*kw+kx] += acc
 					}
-					gw[wBase+(kz*kh+ky)*kw+kx] += acc
 				}
 			}
 		}

@@ -97,7 +97,7 @@ func (c *COO) ToCSR() *CSR {
 
 // Apply implements Operator with a parallel row sweep.
 func (m *CSR) Apply(y, x []float64) {
-	tensor.ParallelRange(m.N, func(lo, hi int) {
+	tensor.Parallel(m.N, len(m.Val)/max(m.N, 1), func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			s := 0.0
 			for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {

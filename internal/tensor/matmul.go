@@ -32,9 +32,9 @@ func MatMulInto(a, b, c *Tensor) {
 	checkInto(c, m, n, "MatMulInto")
 	ad, bd, cd := a.Data, b.Data, c.Data
 	if m >= n {
-		ParallelRange(m, func(lo, hi int) { matmulTile(ad, bd, cd, k, n, k, 1, lo, hi, 0, n) })
+		Parallel(m, k*n, func(lo, hi int) { matmulTile(ad, bd, cd, k, n, k, 1, lo, hi, 0, n) })
 	} else {
-		ParallelRange(n, func(lo, hi int) { matmulTile(ad, bd, cd, k, n, k, 1, 0, m, lo, hi) })
+		Parallel(n, k*m, func(lo, hi int) { matmulTile(ad, bd, cd, k, n, k, 1, 0, m, lo, hi) })
 	}
 }
 
@@ -151,7 +151,7 @@ func matmulTile(ad, bd, cd []float64, k, n, aSI, aSP, iLo, iHi, jLo, jHi int) {
 // [k, n] without materializing the transpose: the kernel walks A down its
 // columns instead. It is the backward-pass workhorse of the im2col
 // convolution lowering (input gradient Wᵀ·gradOut), cache-blocked and
-// ParallelRange-parallel like MatMul, with the same fixed summation order.
+// parallel like MatMul, with the same fixed summation order.
 func MatMulTransA(a, b *Tensor) *Tensor {
 	m, _ := checkOperands(a, b, true, false, "MatMulTransA")
 	c := New(m, b.Dim(1))
@@ -168,9 +168,9 @@ func MatMulTransAInto(a, b, c *Tensor) {
 	ad, bd, cd := a.Data, b.Data, c.Data
 	// A is [k, m] row-major: i-stride 1, p-stride m (the transposed walk).
 	if m >= n {
-		ParallelRange(m, func(lo, hi int) { matmulTile(ad, bd, cd, k, n, 1, m, lo, hi, 0, n) })
+		Parallel(m, k*n, func(lo, hi int) { matmulTile(ad, bd, cd, k, n, 1, m, lo, hi, 0, n) })
 	} else {
-		ParallelRange(n, func(lo, hi int) { matmulTile(ad, bd, cd, k, n, 1, m, 0, m, lo, hi) })
+		Parallel(n, k*m, func(lo, hi int) { matmulTile(ad, bd, cd, k, n, 1, m, 0, m, lo, hi) })
 	}
 }
 
@@ -178,7 +178,7 @@ func MatMulTransAInto(a, b, c *Tensor) {
 // [n, k] without materializing the transpose: every output element is a
 // dot product of two contiguous rows, which is the cache-optimal shape for
 // the weight gradient gradOut·colsᵀ of the im2col lowering. Cache-blocked
-// and ParallelRange-parallel like MatMul, with a fixed summation order
+// and parallel like MatMul, with a fixed summation order
 // (ascending p-blocks).
 func MatMulTransB(a, b *Tensor) *Tensor {
 	m, _ := checkOperands(a, b, false, true, "MatMulTransB")
@@ -216,9 +216,11 @@ func MatMulTransBInto(a, b, c *Tensor) {
 		}
 		nChunks := (k + chunkLen - 1) / chunkLen
 		parts := make([]float64, nChunks*m*n)
-		parallelHeavy(nChunks, func(ch int) {
-			p0 := ch * chunkLen
-			matmulTransBTile(ad, bd, parts[ch*m*n:(ch+1)*m*n], k, n, 0, m, 0, n, p0, min(p0+chunkLen, k))
+		Parallel(nChunks, chunkLen*m*n, func(lo, hi int) {
+			for ch := lo; ch < hi; ch++ {
+				p0 := ch * chunkLen
+				matmulTransBTile(ad, bd, parts[ch*m*n:(ch+1)*m*n], k, n, 0, m, 0, n, p0, min(p0+chunkLen, k))
+			}
 		})
 		for ch := 0; ch < nChunks; ch++ {
 			part := parts[ch*m*n : (ch+1)*m*n]
@@ -229,9 +231,9 @@ func MatMulTransBInto(a, b, c *Tensor) {
 		return
 	}
 	if m >= n {
-		ParallelRange(m, func(lo, hi int) { matmulTransBTile(ad, bd, cd, k, n, lo, hi, 0, n, 0, k) })
+		Parallel(m, k*n, func(lo, hi int) { matmulTransBTile(ad, bd, cd, k, n, lo, hi, 0, n, 0, k) })
 	} else {
-		ParallelRange(n, func(lo, hi int) { matmulTransBTile(ad, bd, cd, k, n, 0, m, lo, hi, 0, k) })
+		Parallel(n, k*m, func(lo, hi int) { matmulTransBTile(ad, bd, cd, k, n, 0, m, lo, hi, 0, k) })
 	}
 }
 

@@ -6,144 +6,88 @@ import (
 	"sync/atomic"
 )
 
-// maxProcs caps the number of worker goroutines spawned by ParallelFor.
-// It defaults to GOMAXPROCS and can be lowered for reproducible profiling.
-// It is atomic because distributed trainers adjust it around concurrent
-// epochs (each in-process replica gets GOMAXPROCS/p kernel workers) while
-// worker goroutines are reading it.
-var maxProcs atomic.Int64
+// override is the kernel worker count SetParallelism set, or 0 to follow
+// GOMAXPROCS. It is atomic because distributed trainers change it around
+// concurrent epochs (each in-process replica gets GOMAXPROCS/p kernel
+// workers) while worker goroutines are reading it.
+var override atomic.Int64
 
-func init() { maxProcs.Store(int64(runtime.GOMAXPROCS(0))) }
+// SetParallelism sets how many goroutines Parallel and ParallelReduce fan
+// out to; n <= 0 makes the count follow runtime.GOMAXPROCS again, the
+// default. It returns the previous setting, 0 for following, so
+// defer SetParallelism(SetParallelism(k)) restores it exactly.
+func SetParallelism(n int) int { return int(override.Swap(int64(max(n, 0)))) }
 
-// SetParallelism overrides the worker count used by ParallelFor.
-// A value <= 0 restores the default (GOMAXPROCS). It returns the previous
-// setting so callers can restore it.
-func SetParallelism(n int) int {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
+// Parallelism reports the worker count Parallel fans out to: the one
+// SetParallelism set, else GOMAXPROCS at the time of the call.
+func Parallelism() int {
+	if n := override.Load(); n > 0 {
+		return int(n)
 	}
-	return int(maxProcs.Swap(int64(n)))
+	return runtime.GOMAXPROCS(0)
 }
 
-// Parallelism reports the current ParallelFor worker count.
-func Parallelism() int { return int(maxProcs.Load()) }
+// minWork is the work, in scalar operations, below which Parallel runs on
+// the calling goroutine, where starting goroutines costs more than it
+// saves: 256 items of 128 multiply-adds.
+const minWork = 256 * 128
 
-// parallelThreshold is the minimum iteration count below which ParallelFor
-// runs serially; goroutine fan-out costs more than it saves on tiny loops.
-const parallelThreshold = 256
-
-// ParallelFor runs body(i) for i in [0, n) across worker goroutines,
-// partitioning the range into contiguous blocks. It is the workhorse behind
-// the convolution and FEM kernels: one block per worker keeps memory access
-// streaming and avoids per-iteration channel traffic.
-//
-// The range logic is spelled out rather than delegated to ParallelRange:
-// wrapping body in a range adapter costs one heap closure per call, and at
-// a few ParallelFor calls per layer per batch that adapter was one of the
-// largest allocation sources in the training profile.
-func ParallelFor(n int, body func(i int)) {
+// Parallel runs body over the items [0, n), each about cost scalar
+// operations of work, as calls body(lo, hi) on disjoint chunks. With one
+// worker, or under minWork of work in all, it is body(0, n) on the calling
+// goroutine. Otherwise up to Parallelism() goroutines, the caller among
+// them, claim chunks of about n/(4·workers) items from one shared counter
+// until none is left, so a worker that finishes early takes more. The
+// chunks follow the worker count, and which goroutine runs each varies
+// from call to call: a body whose items write disjoint outputs gives the
+// same bits however they fall. A sum over items is ParallelReduce's job.
+func Parallel(n, cost int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	workers := int(maxProcs.Load())
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < parallelThreshold {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				body(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// ParallelRange partitions [0, n) into contiguous chunks and runs
-// body(lo, hi) on each chunk concurrently. Use this instead of ParallelFor
-// when the body can amortize per-chunk setup (scratch buffers, accumulators).
-func ParallelRange(n int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	workers := int(maxProcs.Load())
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < parallelThreshold {
+	w := min(Parallelism(), n)
+	if w <= 1 || n*cost < minWork {
 		body(0, n)
 		return
 	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
+	f := &fanout{n: n, chunk: max(1, n/(4*w)), body: body}
+	f.wg.Add(w - 1)
+	for i := 1; i < w; i++ {
+		go f.work()
 	}
-	wg.Wait()
+	f.run()
+	f.wg.Wait()
 }
 
-// parallelHeavy runs body(i) for i in [0, n) across workers without the
-// small-n serial cutoff of ParallelFor. It exists for callers whose
-// iterations are individually heavy — e.g. one GEMM contraction chunk
-// each — where even a handful of iterations are worth fanning out.
-func parallelHeavy(n int, body func(i int)) {
-	if n <= 0 {
-		return
-	}
-	workers := min(int(maxProcs.Load()), n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				body(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+// fanout is one Parallel call: next is the first item no worker has
+// claimed yet.
+type fanout struct {
+	n, chunk int
+	next     atomic.Int64
+	body     func(lo, hi int)
+	wg       sync.WaitGroup
 }
+
+// run claims and runs chunks until every item is claimed.
+func (f *fanout) run() {
+	for {
+		hi := int(f.next.Add(int64(f.chunk)))
+		lo := hi - f.chunk
+		if lo >= f.n {
+			return
+		}
+		f.body(lo, min(hi, f.n))
+	}
+}
+
+func (f *fanout) work() {
+	defer f.wg.Done()
+	f.run()
+}
+
+// parallelThreshold is the item count below which ParallelReduce runs
+// serially.
+const parallelThreshold = 256
 
 // ParallelReduce computes a sum over [0, n) where body(lo, hi) returns the
 // partial sum for its chunk. Partial sums are combined deterministically in
@@ -152,10 +96,7 @@ func ParallelReduce(n int, body func(lo, hi int) float64) float64 {
 	if n <= 0 {
 		return 0
 	}
-	workers := int(maxProcs.Load())
-	if workers > n {
-		workers = n
-	}
+	workers := min(Parallelism(), n)
 	if workers <= 1 || n < parallelThreshold {
 		return body(0, n)
 	}

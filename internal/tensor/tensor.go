@@ -5,8 +5,10 @@
 // layouts used by the neural-network layers are NCHW for 2D fields and
 // NCDHW for 3D fields, where N is the batch dimension and C the channel
 // dimension. The package is deliberately small: shape algebra, element
-// access, BLAS-1 style kernels, and a work-stealing-free parallel range
-// helper that the convolution and FEM kernels build on.
+// access, BLAS-1 style kernels, the GEMM kernels, and the fan-out the
+// convolution and FEM kernels build on: Parallel, which sizes its serial
+// cutoff by work and lets workers claim chunks from one shared counter,
+// and ParallelReduce for sums.
 package tensor
 
 import (
@@ -26,12 +28,14 @@ type Tensor struct {
 }
 
 // New allocates a zero-filled tensor with the given shape.
-// It panics if any dimension is non-positive.
+// It panics if any dimension is non-positive. Neither the tensor nor the
+// panic message holds on to shape itself (the message formats a copy), so
+// a caller's shape slice can live on its stack.
 func New(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dimension %d in shape %v", d, shape))
+			panic(fmt.Sprintf("tensor: non-positive dimension %d in shape %v", d, append([]int(nil), shape...)))
 		}
 		n *= d
 	}

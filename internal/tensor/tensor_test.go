@@ -270,33 +270,6 @@ func TestQuickDotNormConsistency(t *testing.T) {
 	}
 }
 
-func TestParallelForMatchesSerial(t *testing.T) {
-	const n = 10000
-	serial := make([]float64, n)
-	for i := range serial {
-		serial[i] = math.Sin(float64(i))
-	}
-	par := make([]float64, n)
-	ParallelFor(n, func(i int) { par[i] = math.Sin(float64(i)) })
-	for i := range par {
-		if par[i] != serial[i] {
-			t.Fatalf("mismatch at %d", i)
-		}
-	}
-}
-
-func TestParallelForSmallAndEmpty(t *testing.T) {
-	count := 0
-	ParallelFor(0, func(i int) { count++ })
-	if count != 0 {
-		t.Fatal("empty range must not invoke body")
-	}
-	ParallelFor(3, func(i int) { count++ })
-	if count != 3 {
-		t.Fatalf("count=%d want 3", count)
-	}
-}
-
 func TestParallelReduceDeterministic(t *testing.T) {
 	const n = 100000
 	vals := make([]float64, n)
@@ -331,21 +304,6 @@ func TestSetParallelism(t *testing.T) {
 	got = ParallelReduce(1000, func(lo, hi int) float64 { return float64(hi - lo) })
 	if got != 1000 {
 		t.Fatalf("reduce under serial mode = %v", got)
-	}
-}
-
-func TestParallelRangeCoversAllOnce(t *testing.T) {
-	const n = 5000
-	seen := make([]int32, n)
-	ParallelRange(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			seen[i]++
-		}
-	})
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("index %d visited %d times", i, c)
-		}
 	}
 }
 
