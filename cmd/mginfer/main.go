@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -31,25 +30,6 @@ import (
 	"mgdiffnet/internal/unet"
 	"mgdiffnet/internal/vtkio"
 )
-
-func parseOmega(s string) (field.Omega, error) {
-	var w field.Omega
-	parts := strings.Split(s, ",")
-	if len(parts) != field.OmegaDim {
-		return w, fmt.Errorf("omega needs %d comma-separated values", field.OmegaDim)
-	}
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return w, fmt.Errorf("omega component %d: %w", i, err)
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return w, fmt.Errorf("omega component %d is %v; it must be finite", i, v)
-		}
-		w[i] = v
-	}
-	return w, nil
-}
 
 // readOmegaFile parses one ω per line; blank lines and #-comments are
 // skipped.
@@ -68,7 +48,7 @@ func readOmegaFile(path string) ([]field.Omega, error) {
 		if s == "" || strings.HasPrefix(s, "#") {
 			continue
 		}
-		w, err := parseOmega(s)
+		w, err := field.ParseOmega(s)
 		if err != nil {
 			return nil, fmt.Errorf("%s:%d: %w", path, line, err)
 		}
@@ -115,9 +95,9 @@ func writeCSV(path string, f *tensor.Tensor) (err error) {
 // solveFEM runs the FEM reference for ω at res and reports the CG outcome.
 func solveFEM(dim int, w field.Omega, res int) (*tensor.Tensor, sparse.CGResult) {
 	if dim == 2 {
-		return fem.Solve2D(field.Raster2D(w, res), 1e-9, 50000)
+		return fem.Solve(field.Raster2D(w, res), 1e-9, 50000)
 	}
-	return fem.Solve3D(field.Raster3D(w, res), 1e-8, 50000)
+	return fem.Solve(field.Raster3D(w, res), 1e-8, 50000)
 }
 
 // compareLine prints the error metrics of u against the FEM reference and
@@ -203,7 +183,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return runBatch(net, *omegaFile, *res, *compare, stdout, stderr)
 	}
 
-	w, err := parseOmega(*omegaStr)
+	w, err := field.ParseOmega(*omegaStr)
 	if err != nil {
 		fmt.Fprintln(stderr, "mginfer:", err)
 		return 2

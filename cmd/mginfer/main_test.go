@@ -25,21 +25,6 @@ func saveTestModel(t *testing.T, dir string) string {
 	return path
 }
 
-func TestParseOmega(t *testing.T) {
-	w, err := parseOmega("0.3105, 1.5386 ,0.0932,-1.2442")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w[0] != 0.3105 || w[3] != -1.2442 {
-		t.Fatalf("parsed %v", w)
-	}
-	for _, bad := range []string{"1,2,3", "1,2,3,4,5", "a,b,c,d", ""} {
-		if _, err := parseOmega(bad); err == nil {
-			t.Fatalf("expected error for %q", bad)
-		}
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	path := t.TempDir() + "/field.csv"
 	f := tensor.FromSlice([]float64{1, 2, 3, 4}, 2, 2)

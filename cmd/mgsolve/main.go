@@ -14,7 +14,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -25,25 +24,6 @@ import (
 	"mgdiffnet/internal/tensor"
 	"mgdiffnet/internal/vtkio"
 )
-
-func parseOmega(s string) (field.Omega, error) {
-	var w field.Omega
-	parts := strings.Split(s, ",")
-	if len(parts) != field.OmegaDim {
-		return w, fmt.Errorf("omega needs %d comma-separated values", field.OmegaDim)
-	}
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return w, err
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return w, fmt.Errorf("omega component %d is %g, want a finite value", i, v)
-		}
-		w[i] = v
-	}
-	return w, nil
-}
 
 func parseCycle(s string) (gmg.CycleType, error) {
 	switch strings.ToLower(s) {
@@ -59,8 +39,17 @@ func parseCycle(s string) (gmg.CycleType, error) {
 	return gmg.VCycle, fmt.Errorf("unknown cycle %q", s)
 }
 
+// gmgMemLimit bounds the memory a multigrid solve may be estimated to
+// need. gmgBytesPerNode is the measured peak memory per fine-grid node by
+// dimension: assembly stages every element matrix in COO form before it
+// compresses the CSR (3D 65³ peaked at 1308 MB, 2D 1025² at 1398 MB).
+const gmgMemLimit = 4 << 30
+
+var gmgBytesPerNode = map[int]int{2: 1300, 3: 4800}
+
 // validate rejects flag values the solvers would panic on, loop on for
-// the whole iteration budget, or silently reinterpret.
+// the whole iteration budget, run out of memory on, or silently
+// reinterpret.
 func validate(dim, res int, method string, tol float64) error {
 	if dim != 2 && dim != 3 {
 		return fmt.Errorf("-dim must be 2 or 3, got %d", dim)
@@ -76,6 +65,14 @@ func validate(dim, res int, method string, tol float64) error {
 	case "gmg":
 		if n := res - 1; res < 3 || n&(n-1) != 0 {
 			return fmt.Errorf("-method gmg needs a 2^k+1 grid (3, 5, 9, 17, 33, 65, …), got -res %d", res)
+		}
+		nodes := 1
+		for range dim {
+			nodes *= res
+		}
+		if need := nodes * gmgBytesPerNode[dim]; need > gmgMemLimit {
+			return fmt.Errorf("-method gmg at %dD -res %d needs an estimated %.1f GiB to assemble, over the %d GiB limit; -method cg is matrix-free",
+				dim, res, float64(need)/(1<<30), gmgMemLimit>>30)
 		}
 	default:
 		return fmt.Errorf("unknown method %q (want cg or gmg)", method)
@@ -109,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "mgsolve:", err)
 		return 2
 	}
-	w, err := parseOmega(*omegaStr)
+	w, err := field.ParseOmega(*omegaStr)
 	if err != nil {
 		fmt.Fprintln(stderr, "mgsolve:", err)
 		return 2
@@ -132,20 +129,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var u *tensor.Tensor
 	if *method == "cg" {
 		var st sparse.CGResult
-		if *dim == 2 {
-			u, st = fem.Solve2D(nu, *tol, 100000)
-		} else {
-			u, st = fem.Solve3D(nu, *tol, 100000)
-		}
+		u, st = fem.Solve(nu, *tol, 100000)
 		fmt.Fprintf(stdout, "CG: %d iterations, residual %.3e, converged %v\n", st.Iterations, st.Residual, st.Converged)
 	} else {
-		opt := gmg.Options{Cycle: ct, Tol: *tol}
 		var st gmg.Stats
-		if *dim == 2 {
-			u, st = gmg.NewSolver2D(nu, opt).Solve()
-		} else {
-			u, st = gmg.NewSolver3D(nu, opt).Solve()
-		}
+		u, st = gmg.NewSolver(nu, gmg.Options{Cycle: ct, Tol: *tol}).Solve()
 		fmt.Fprintf(stdout, "GMG %s-cycle: %d cycles over %d levels, residual %.3e, converged %v\n",
 			ct, st.Cycles, st.Levels, st.Residual, st.Converged)
 	}

@@ -20,6 +20,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		"3D res too big":  {"-dim", "3", "-method", "cg", "-res", "513"},
 		"gmg grid 64":     {"-method", "gmg", "-res", "64"},
 		"gmg grid 2":      {"-method", "gmg", "-res", "2"},
+		"3D gmg too big":  {"-dim", "3", "-res", "129", "-method", "gmg"},
+		"2D gmg too big":  {"-dim", "2", "-res", "4097", "-method", "gmg"},
 		"NaN omega":       {"-omega", "NaN,0,0,0"},
 		"infinite omega":  {"-omega", "0,0,0,-Inf"},
 		"short omega":     {"-omega", "1,2,3"},

@@ -46,7 +46,7 @@ func main() {
 	uBatch := tr.PredictField(nuBatch)
 
 	nu := held.Composites[0].Raster2D(res)
-	uFEM, cg := fem.Solve2D(nu, 1e-10, 20000)
+	uFEM, cg := fem.Solve(nu, 1e-10, 20000)
 	fmt.Printf("held-out microstructure: volume fraction %.3f, FEM in %d CG iterations\n",
 		held.Composites[0].VolumeFraction(2, 101), cg.Iterations)
 

@@ -71,7 +71,7 @@ func main() {
 	fmt.Printf("%-36s %-10s %-10s %-10s\n", "omega", "RMSE", "max|err|", "rel L2")
 	for _, w := range omegas {
 		uNN := tr.Predict(w, res)
-		uFEM, _ := fem.Solve2D(field.Raster2D(w, res), 1e-10, 20000)
+		uFEM, _ := fem.Solve(field.Raster2D(w, res), 1e-10, 20000)
 		diff := uNN.Clone()
 		diff.Sub(uFEM)
 		fmt.Printf("(%7.4f %7.4f %7.4f %7.4f) %-10.5f %-10.5f %-10.5f\n",
@@ -83,7 +83,7 @@ func main() {
 	w := omegas[0]
 	nu := field.Raster2D(w, res)
 	uNN := tr.Predict(w, res)
-	uFEM, _ := fem.Solve2D(nu, 1e-10, 20000)
+	uFEM, _ := fem.Solve(nu, 1e-10, 20000)
 	fmt.Println(heatmap(nu, "diffusivity ν(x; ω)"))
 	fmt.Println(heatmap(uNN, "u_MGDiffNet"))
 	fmt.Println(heatmap(uFEM, "u_FEM"))

@@ -7,7 +7,6 @@ import (
 
 	"mgdiffnet/internal/fem"
 	"mgdiffnet/internal/field"
-	"mgdiffnet/internal/sparse"
 	"mgdiffnet/internal/tensor"
 )
 
@@ -184,17 +183,15 @@ func TestTrainedEnergyNotBelowFEMOptimum(t *testing.T) {
 		t.Run(fmt.Sprintf("%dD", dim), func(t *testing.T) {
 			cfg := tinyConfig(dim)
 			res := cfg.FinestRes
-			var nuField, uFEM *tensor.Tensor
-			var cg sparse.CGResult
+			var nuField *tensor.Tensor
 			shape := []int{1, 1, res, res}
 			if dim == 2 {
 				nuField = field.Raster2D(w, res)
-				uFEM, cg = fem.Solve2D(nuField, 1e-10, 5000)
 			} else {
 				nuField = field.Raster3D(w, res)
-				uFEM, cg = fem.Solve3D(nuField, 1e-10, 5000)
 				shape = append(shape, res)
 			}
+			uFEM, cg := fem.Solve(nuField, 1e-10, 5000)
 			if !cg.Converged {
 				t.Fatalf("FEM reference did not converge: %+v", cg)
 			}

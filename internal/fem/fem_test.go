@@ -119,7 +119,7 @@ func TestApplyPositiveSemidefinite(t *testing.T) {
 func TestSolve2DConstantNu(t *testing.T) {
 	const res = 17
 	nu := tensor.Full(1, res, res)
-	u, cg := Solve2D(nu, 1e-10, 2000)
+	u, cg := Solve(nu, 1e-10, 2000)
 	if !cg.Converged {
 		t.Fatalf("CG did not converge: %+v", cg)
 	}
@@ -133,7 +133,7 @@ func TestSolve2DVariableNuProperties(t *testing.T) {
 	const res = 33
 	w := field.Omega{0.3105, 1.5386, 0.0932, -1.2442}
 	nu := field.Raster2D(w, res)
-	u, cg := Solve2D(nu, 1e-9, 5000)
+	u, cg := Solve(nu, 1e-9, 5000)
 	if !cg.Converged {
 		t.Fatalf("CG did not converge: %+v", cg)
 	}
@@ -164,7 +164,7 @@ func TestSolutionMinimizesEnergy(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	w := field.Omega{0.6681, 1.5354, 0.7644, -2.9709}
 	nu := field.Raster2D(w, res)
-	uStar, _ := Solve2D(nu, 1e-10, 5000)
+	uStar, _ := Solve(nu, 1e-10, 5000)
 	p := NewPoisson2D(res)
 	jStar := p.Energy(uStar, nu)
 	for trial := 0; trial < 10; trial++ {
@@ -219,7 +219,7 @@ func TestEnergyGradMatchesFiniteDifference3D(t *testing.T) {
 func TestSolve3DConstantNu(t *testing.T) {
 	const res = 9
 	nu := tensor.Full(1, res, res, res)
-	u, cg := Solve3D(nu, 1e-10, 3000)
+	u, cg := Solve(nu, 1e-10, 3000)
 	if !cg.Converged {
 		t.Fatalf("CG did not converge: %+v", cg)
 	}
@@ -239,8 +239,8 @@ func TestSolve3DOfExtrudedFieldIsSolve2D(t *testing.T) {
 	for z := 0; z < res; z++ {
 		copy(nu3.Data[z*res*res:], nu2.Data)
 	}
-	u2, cg2 := Solve2D(nu2, 1e-12, 5000)
-	u3, cg3 := Solve3D(nu3, 1e-12, 5000)
+	u2, cg2 := Solve(nu2, 1e-12, 5000)
+	u3, cg3 := Solve(nu3, 1e-12, 5000)
 	if !cg2.Converged || !cg3.Converged {
 		t.Fatalf("CG did not converge: 2D %+v, 3D %+v", cg2, cg3)
 	}
@@ -323,7 +323,7 @@ func TestAssembledSystemSolvesSameSolution2D(t *testing.T) {
 	for it := 0; it < 4000; it++ {
 		gaussSeidelOnce(m, b, x)
 	}
-	uCG, _ := Solve2D(nu, 1e-11, 5000)
+	uCG, _ := Solve(nu, 1e-11, 5000)
 	xT := tensor.FromSlice(x, res, res)
 	if d := xT.RMSE(uCG); d > 1e-5 {
 		t.Fatalf("assembled vs matrix-free solutions differ: RMSE %v", d)
@@ -454,7 +454,7 @@ func TestEnergyLossMinimizedByFEMSolution(t *testing.T) {
 	const res = 16
 	w := field.Omega{0.2838, -2.3550, 2.9574, -1.8963}
 	nuField := field.Raster2D(w, res)
-	uStar, _ := Solve2D(nuField, 1e-10, 5000)
+	uStar, _ := Solve(nuField, 1e-10, 5000)
 
 	nu := tensor.New(1, 1, res, res)
 	copy(nu.Data, nuField.Data)
@@ -549,7 +549,7 @@ func TestEnergyMeshConvergence(t *testing.T) {
 	var energies []float64
 	for _, res := range []int{9, 17, 33, 65} {
 		nu := field.Raster2D(w, res)
-		u, cg := Solve2D(nu, 1e-11, 50000)
+		u, cg := Solve(nu, 1e-11, 50000)
 		if !cg.Converged {
 			t.Fatalf("res %d CG failed", res)
 		}
@@ -569,10 +569,10 @@ func TestSolutionStableUnderNuPerturbation(t *testing.T) {
 	const res = 17
 	w := field.Omega{0.3105, 1.5386, 0.0932, -1.2442}
 	nu := field.Raster2D(w, res)
-	u1, _ := Solve2D(nu, 1e-11, 20000)
+	u1, _ := Solve(nu, 1e-11, 20000)
 	nu2 := nu.Clone()
 	nu2.Scale(1.01) // uniform scaling leaves the solution invariant
-	u2, _ := Solve2D(nu2, 1e-11, 20000)
+	u2, _ := Solve(nu2, 1e-11, 20000)
 	if d := u1.RMSE(u2); d > 1e-7 {
 		t.Fatalf("uniform nu scaling changed the solution by %v", d)
 	}
@@ -580,7 +580,7 @@ func TestSolutionStableUnderNuPerturbation(t *testing.T) {
 	for i := range nu3.Data {
 		nu3.Data[i] *= 1 + 0.01*math.Sin(float64(i))
 	}
-	u3, _ := Solve2D(nu3, 1e-11, 20000)
+	u3, _ := Solve(nu3, 1e-11, 20000)
 	if d := u1.RMSE(u3); d > 0.05 {
 		t.Fatalf("1%% nu perturbation moved the solution by %v", d)
 	}

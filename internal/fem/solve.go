@@ -5,54 +5,37 @@ import (
 	"mgdiffnet/internal/tensor"
 )
 
-// Solve2D computes the FEM reference solution u_FEM for a nodal diffusivity
-// field nu of shape [R, R] by conjugate gradients on the interior degrees
-// of freedom with the Dirichlet lifting u₀ = 1 − x. This is the comparator
-// used for the paper's Tables 3, 4, 5 and 7.
-func Solve2D(nu *tensor.Tensor, tol float64, maxIter int) (*tensor.Tensor, sparse.CGResult) {
-	res := nu.Dim(0)
-	p := NewPoisson2D(res)
-	u0 := p.BoundaryField()
+// problem is what Solve needs of Problem2D and Problem3D.
+type problem interface {
+	BoundaryField() *tensor.Tensor
+	Apply(u, nu, out *tensor.Tensor)
+	MaskInterior(g *tensor.Tensor)
+}
 
-	n := res * res
+// Solve computes the FEM reference solution u_FEM for a nodal diffusivity
+// field nu of shape [R, R] or [R, R, R] by conjugate gradients on the
+// interior degrees of freedom with the Dirichlet lifting u₀ = 1 − x. This
+// is the comparator used for the paper's Tables 3, 4, 5 and 7.
+func Solve(nu *tensor.Tensor, tol float64, maxIter int) (*tensor.Tensor, sparse.CGResult) {
+	var p problem
+	if nu.Rank() == 2 {
+		p = NewPoisson2D(nu.Dim(0))
+	} else {
+		p = NewPoisson3D(nu.Dim(0))
+	}
+	u0 := p.BoundaryField()
+	shape := u0.Shape()
+
+	n := u0.Len()
 	op := sparse.OpFunc{N: n, F: func(y, x []float64) {
-		xt := tensor.FromSlice(x, res, res)
-		yt := tensor.FromSlice(y, res, res)
+		xt := tensor.FromSlice(x, shape...)
+		yt := tensor.FromSlice(y, shape...)
 		p.Apply(xt, nu, yt)
 		p.MaskInterior(yt)
 	}}
 
 	// b = −(K u₀) restricted to the interior.
-	b := tensor.New(res, res)
-	p.Apply(u0, nu, b)
-	b.Scale(-1)
-	p.MaskInterior(b)
-
-	w := make([]float64, n)
-	cg := sparse.CG(op, b.Data, w, tol, maxIter)
-
-	u := u0.Clone()
-	for i := range u.Data {
-		u.Data[i] += w[i]
-	}
-	return u, cg
-}
-
-// Solve3D is the 3D analogue of Solve2D for nu of shape [R, R, R].
-func Solve3D(nu *tensor.Tensor, tol float64, maxIter int) (*tensor.Tensor, sparse.CGResult) {
-	res := nu.Dim(0)
-	p := NewPoisson3D(res)
-	u0 := p.BoundaryField()
-
-	n := res * res * res
-	op := sparse.OpFunc{N: n, F: func(y, x []float64) {
-		xt := tensor.FromSlice(x, res, res, res)
-		yt := tensor.FromSlice(y, res, res, res)
-		p.Apply(xt, nu, yt)
-		p.MaskInterior(yt)
-	}}
-
-	b := tensor.New(res, res, res)
+	b := tensor.New(shape...)
 	p.Apply(u0, nu, b)
 	b.Scale(-1)
 	p.MaskInterior(b)

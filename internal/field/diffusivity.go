@@ -3,6 +3,8 @@ package field
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"sync"
 
 	"mgdiffnet/internal/tensor"
@@ -76,6 +78,27 @@ const OmegaRange = 3.0
 
 // Omega is a parameter vector of the diffusivity family.
 type Omega [OmegaDim]float64
+
+// ParseOmega reads OmegaDim comma-separated finite numbers; spaces around
+// each are ignored. Errors name the offending component.
+func ParseOmega(s string) (Omega, error) {
+	var w Omega
+	parts := strings.Split(s, ",")
+	if len(parts) != OmegaDim {
+		return w, fmt.Errorf("omega needs %d comma-separated values, got %d", OmegaDim, len(parts))
+	}
+	for i, p := range parts {
+		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil {
+			return w, fmt.Errorf("omega component %d: %w", i, err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return w, fmt.Errorf("omega component %d is %v; it must be finite", i, v)
+		}
+		w[i] = v
+	}
+	return w, nil
+}
 
 // xi evaluates the separable eigenfunction ξ_i(t) = (a_i/2)cos(a_i t) + sin(a_i t).
 func xi(i int, t float64) float64 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -378,6 +379,41 @@ func TestCheckVoxels(t *testing.T) {
 	} {
 		if err := CheckVoxels(c.dim, c.res); (err == nil) != c.ok {
 			t.Errorf("CheckVoxels(%d, %d) = %v, want ok %v", c.dim, c.res, err, c.ok)
+		}
+	}
+}
+
+// TestParseOmega holds the one ω parser both commands use: surrounding
+// spaces are ignored, and every rejection names what is wrong, by
+// component where there is one.
+func TestParseOmega(t *testing.T) {
+	good := map[string]Omega{
+		"0.3105,1.5386,0.0932,-1.2442":         {0.3105, 1.5386, 0.0932, -1.2442},
+		" 0.3105, 1.5386 ,0.0932,\t-1.2442 \n": {0.3105, 1.5386, 0.0932, -1.2442},
+		"1e-3,+2,-0,3":                         {1e-3, 2, 0, 3},
+	}
+	for in, want := range good {
+		w, err := ParseOmega(in)
+		if err != nil || w != want {
+			t.Errorf("ParseOmega(%q) = %v, %v; want %v", in, w, err, want)
+		}
+	}
+	bad := map[string]string{
+		"":            "4 comma-separated values, got 1",
+		"1,2,3":       "4 comma-separated values, got 3",
+		"1,2,3,4,5":   "4 comma-separated values, got 5",
+		"1,2,x,4":     "component 2",
+		"1,,3,4":      "component 1",
+		"1,NaN,3,4":   "component 1 is NaN",
+		"Inf,2,3,4":   "component 0 is +Inf",
+		"1,2,3,-Inf":  "component 3 is -Inf",
+		"1,2,+Inf,4":  "component 2 is +Inf",
+		"1,2,3,1e999": "component 3",
+	}
+	for in, want := range bad {
+		_, err := ParseOmega(in)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseOmega(%q) error %v, want one containing %q", in, err, want)
 		}
 	}
 }

@@ -49,10 +49,6 @@ type Options struct {
 	Tol float64
 	// MaxCycles bounds the outer iteration (default 50).
 	MaxCycles int
-	// Galerkin builds coarse operators variationally (A_c = PᵀA P)
-	// instead of rediscretizing the FEM stiffness on the coarse grid.
-	// 2D only; the two choices agree closely for smooth ν.
-	Galerkin bool
 }
 
 func (o *Options) defaults() {
@@ -80,71 +76,51 @@ type Stats struct {
 
 // level is one rung of the grid hierarchy.
 type level struct {
-	res int
-	a   *sparse.CSR
-	b   []float64 // finest level only: assembled RHS with BC lifting
+	g grid
+	a *sparse.CSR
+	b []float64 // finest level only: assembled RHS with BC lifting
 }
 
 // Solver solves K(ν)u = b with geometric multigrid in 2 or 3 dimensions.
 type Solver struct {
-	Dim    int
 	Opt    Options
+	shape  []int // ν's shape, which Solve returns
 	levels []*level
 }
 
-// NewSolver2D builds the hierarchy for a nodal diffusivity field of shape
-// [R, R]; R must be 2^k+1 for exact nested coarsening.
-func NewSolver2D(nu *tensor.Tensor, opt Options) *Solver {
+// NewSolver builds the hierarchy for a nodal diffusivity field of shape
+// [R, R] or [R, R, R]; R must be 2^k+1 for exact nested coarsening.
+func NewSolver(nu *tensor.Tensor, opt Options) *Solver {
 	opt.defaults()
 	res := nu.Dim(0)
 	checkGridRes(res)
-	s := &Solver{Dim: 2, Opt: opt}
-	cur := nu
-	for {
-		curRes := cur.Dim(0)
-		var lv *level
-		if opt.Galerkin && len(s.levels) > 0 {
-			prev := s.levels[len(s.levels)-1]
-			lv = &level{res: curRes, a: galerkinCoarse2D(prev.a, prev.res)}
-		} else {
-			p := fem.NewPoisson2D(curRes)
-			a, b := fem.Assemble2D(p, cur)
-			lv = &level{res: curRes, a: a}
-			if len(s.levels) == 0 {
-				lv.b = b
-			}
-		}
-		s.levels = append(s.levels, lv)
-		if done(len(s.levels), curRes, opt.Levels) {
-			break
-		}
-		cur = inject2D(cur)
+	if !nu.ShapeIs(res, res) && !nu.ShapeIs(res, res, res) {
+		panic(fmt.Sprintf("gmg: ν must have shape [R, R] or [R, R, R], got %v", nu.Shape()))
 	}
-	return s
-}
-
-// NewSolver3D builds the hierarchy for a nodal diffusivity field of shape
-// [R, R, R]; R must be 2^k+1.
-func NewSolver3D(nu *tensor.Tensor, opt Options) *Solver {
-	opt.defaults()
-	res := nu.Dim(0)
-	checkGridRes(res)
-	s := &Solver{Dim: 3, Opt: opt}
-	cur := nu
+	s := &Solver{Opt: opt, shape: append([]int(nil), nu.Shape()...)}
+	g, cur := grid{nu.Len() / (res * res), res, res}, nu.Data
 	for {
-		p := fem.NewPoisson3D(cur.Dim(0))
-		a, b := fem.Assemble3D(p, cur)
-		lv := &level{res: cur.Dim(0), a: a}
+		a, b := assemble(cur, g)
+		lv := &level{g: g, a: a}
 		if len(s.levels) == 0 {
 			lv.b = b
 		}
 		s.levels = append(s.levels, lv)
-		if done(len(s.levels), cur.Dim(0), opt.Levels) {
+		if done(len(s.levels), g.w, opt.Levels) {
 			break
 		}
-		cur = inject3D(cur)
+		cur, g = inject(cur, g), g.coarse()
 	}
 	return s
+}
+
+// assemble builds one level's FEM system. It is the package's only
+// dimension branch: a grid one plane deep is a 2D field.
+func assemble(nu []float64, g grid) (*sparse.CSR, []float64) {
+	if g.d == 1 {
+		return fem.Assemble2D(fem.NewPoisson2D(g.w), tensor.FromSlice(nu, g.h, g.w))
+	}
+	return fem.Assemble3D(fem.NewPoisson3D(g.w), tensor.FromSlice(nu, g.d, g.h, g.w))
 }
 
 func checkGridRes(res int) {
@@ -165,7 +141,7 @@ func done(nLevels, res, maxLevels int) bool {
 func (s *Solver) NumLevels() int { return len(s.levels) }
 
 // Solve runs multigrid cycles until convergence and returns the solution
-// field ([R,R] or [R,R,R]) plus statistics.
+// field, shaped like ν, plus statistics.
 func (s *Solver) Solve() (*tensor.Tensor, Stats) {
 	top := s.levels[0]
 	n := top.a.Size()
@@ -173,7 +149,7 @@ func (s *Solver) Solve() (*tensor.Tensor, Stats) {
 	// Start from the Dirichlet-consistent zero guess: identity rows of the
 	// assembled system pin the boundary after the first smoothing pass, but
 	// setting them now keeps the initial residual meaningful.
-	s.seedBC(x, top.res)
+	seedBC(x, top.g)
 
 	b := top.b
 	bn := norm2(b)
@@ -195,26 +171,14 @@ func (s *Solver) Solve() (*tensor.Tensor, Stats) {
 			break
 		}
 	}
-	var u *tensor.Tensor
-	if s.Dim == 2 {
-		u = tensor.FromSlice(x, top.res, top.res)
-	} else {
-		u = tensor.FromSlice(x, top.res, top.res, top.res)
-	}
-	return u, st
+	return tensor.FromSlice(x, s.shape...), st
 }
 
-func (s *Solver) seedBC(x []float64, res int) {
-	if s.Dim == 2 {
-		for iy := 0; iy < res; iy++ {
-			x[iy*res] = 1
-		}
-		return
-	}
-	for iz := 0; iz < res; iz++ {
-		for iy := 0; iy < res; iy++ {
-			x[(iz*res+iy)*res] = 1
-		}
+// seedBC writes the Dirichlet value u = 1 at the start (ix = 0) of every
+// x-row.
+func seedBC(x []float64, g grid) {
+	for row := 0; row < g.d*g.h; row++ {
+		x[row*g.w] = 1
 	}
 }
 
@@ -245,9 +209,10 @@ func (s *Solver) cycle(lv int, b, x []float64, ct CycleType, firstDescent bool) 
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
-	s.maskDirichlet(r, l.res)
-	rc := s.restrict(r, l.res)
-	s.maskDirichlet(rc, s.levels[lv+1].res)
+	maskDirichlet(r, l.g)
+	gc := s.levels[lv+1].g
+	rc := restrict(r, l.g)
+	maskDirichlet(rc, gc)
 
 	ec := make([]float64, len(rc))
 	switch ct {
@@ -261,44 +226,20 @@ func (s *Solver) cycle(lv int, b, x []float64, ct CycleType, firstDescent bool) 
 		s.cycle(lv+1, rc, ec, ct, firstDescent)
 	}
 
-	e := s.prolong(ec, s.levels[lv+1].res)
-	s.maskDirichlet(e, l.res)
+	e := prolong(ec, gc)
+	maskDirichlet(e, l.g)
 	for i := range x {
 		x[i] += e[i]
 	}
 	sparse.GaussSeidel(l.a, b, x, s.Opt.PostSmooth)
 }
 
-func (s *Solver) restrict(r []float64, res int) []float64 {
-	if s.Dim == 2 {
-		return restrict2D(tensor.FromSlice(r, res, res)).Data
-	}
-	return restrict3D(tensor.FromSlice(r, res, res, res)).Data
-}
-
-func (s *Solver) prolong(e []float64, res int) []float64 {
-	if s.Dim == 2 {
-		return prolong2D(tensor.FromSlice(e, res, res)).Data
-	}
-	return prolong3D(tensor.FromSlice(e, res, res, res)).Data
-}
-
-// maskDirichlet zeroes the x-face entries (ix = 0 and ix = res−1), where
-// corrections must vanish.
-func (s *Solver) maskDirichlet(v []float64, res int) {
-	if s.Dim == 2 {
-		for iy := 0; iy < res; iy++ {
-			v[iy*res] = 0
-			v[iy*res+res-1] = 0
-		}
-		return
-	}
-	for iz := 0; iz < res; iz++ {
-		for iy := 0; iy < res; iy++ {
-			row := (iz*res + iy) * res
-			v[row] = 0
-			v[row+res-1] = 0
-		}
+// maskDirichlet zeroes both ends (ix = 0 and ix = w−1) of every x-row,
+// where corrections must vanish.
+func maskDirichlet(v []float64, g grid) {
+	for row := 0; row < g.d*g.h; row++ {
+		v[row*g.w] = 0
+		v[row*g.w+g.w-1] = 0
 	}
 }
 

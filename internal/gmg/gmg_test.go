@@ -10,46 +10,37 @@ import (
 	"mgdiffnet/internal/tensor"
 )
 
-func TestProlongRestrictAdjoint2D(t *testing.T) {
-	// <P c, f> == <c, Pᵀ f> for random fields: restriction must be the
-	// exact adjoint of prolongation.
-	rng := rand.New(rand.NewSource(1))
-	const rc = 9
-	rf := 2*rc - 1
-	c := tensor.New(rc, rc)
-	f := tensor.New(rf, rf)
-	for i := range c.Data {
-		c.Data[i] = rng.NormFloat64()
-	}
-	for i := range f.Data {
-		f.Data[i] = rng.NormFloat64()
-	}
-	pc := prolong2D(c)
-	rtf := restrict2D(f)
-	lhs := pc.Dot(f)
-	rhs := c.Dot(rtf)
-	if math.Abs(lhs-rhs) > 1e-10*(1+math.Abs(lhs)) {
-		t.Fatalf("adjoint identity violated: %v vs %v", lhs, rhs)
+// TestProlongRestrictAdjoint checks <P c, f> == <c, Pᵀ f> for random
+// fields on a grid one plane deep and on a cube: restriction must be the
+// exact adjoint of prolongation at both depths.
+func TestProlongRestrictAdjoint(t *testing.T) {
+	for _, tc := range []struct {
+		gc   grid
+		seed int64
+	}{{grid{1, 9, 9}, 1}, {grid{5, 5, 5}, 2}} {
+		rng := rand.New(rand.NewSource(tc.seed))
+		c := make([]float64, tc.gc.size())
+		f := make([]float64, tc.gc.fine().size())
+		for i := range c {
+			c[i] = rng.NormFloat64()
+		}
+		for i := range f {
+			f[i] = rng.NormFloat64()
+		}
+		lhs := dot(prolong(c, tc.gc), f)
+		rhs := dot(c, restrict(f, tc.gc.fine()))
+		if math.Abs(lhs-rhs) > 1e-10*(1+math.Abs(lhs)) {
+			t.Fatalf("%v: adjoint identity violated: %v vs %v", tc.gc, lhs, rhs)
+		}
 	}
 }
 
-func TestProlongRestrictAdjoint3D(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	const rc = 5
-	rf := 2*rc - 1
-	c := tensor.New(rc, rc, rc)
-	f := tensor.New(rf, rf, rf)
-	for i := range c.Data {
-		c.Data[i] = rng.NormFloat64()
+func dot(a, b []float64) float64 {
+	s := 0.0
+	for i := range a {
+		s += a[i] * b[i]
 	}
-	for i := range f.Data {
-		f.Data[i] = rng.NormFloat64()
-	}
-	lhs := prolong3D(c).Dot(f)
-	rhs := c.Dot(restrict3D(f))
-	if math.Abs(lhs-rhs) > 1e-10*(1+math.Abs(lhs)) {
-		t.Fatalf("adjoint identity violated: %v vs %v", lhs, rhs)
-	}
+	return s
 }
 
 func TestProlongReproducesLinear2D(t *testing.T) {
@@ -61,13 +52,13 @@ func TestProlongReproducesLinear2D(t *testing.T) {
 			c.Data[y*rc+x] = 2*float64(x) + 3*float64(y)
 		}
 	}
-	f := prolong2D(c)
+	f := prolong(c.Data, grid{1, rc, rc})
 	rf := 2*rc - 1
 	for y := 0; y < rf; y++ {
 		for x := 0; x < rf; x++ {
 			want := 2*float64(x)/2 + 3*float64(y)/2
-			if math.Abs(f.Data[y*rf+x]-want) > 1e-12 {
-				t.Fatalf("prolong(%d,%d)=%v want %v", y, x, f.Data[y*rf+x], want)
+			if math.Abs(f[y*rf+x]-want) > 1e-12 {
+				t.Fatalf("prolong(%d,%d)=%v want %v", y, x, f[y*rf+x], want)
 			}
 		}
 	}
@@ -79,10 +70,7 @@ func TestInjectSamplesEvenNodes(t *testing.T) {
 	for i := range f.Data {
 		f.Data[i] = float64(i)
 	}
-	c := inject2D(f)
-	if c.Dim(0) != 5 {
-		t.Fatalf("coarse res %d", c.Dim(0))
-	}
+	c := tensor.FromSlice(inject(f.Data, grid{1, rf, rf}), 5, 5)
 	if c.At(2, 3) != f.At(4, 6) {
 		t.Fatal("injection index mismatch")
 	}
@@ -90,7 +78,7 @@ func TestInjectSamplesEvenNodes(t *testing.T) {
 	for i := range f3.Data {
 		f3.Data[i] = float64(i)
 	}
-	c3 := inject3D(f3)
+	c3 := tensor.FromSlice(inject(f3.Data, grid{5, 5, 5}), 3, 3, 3)
 	if c3.At(1, 1, 1) != f3.At(2, 2, 2) {
 		t.Fatal("3D injection mismatch")
 	}
@@ -104,7 +92,22 @@ func TestSolverRejectsBadResolution(t *testing.T) {
 					t.Fatalf("res %d: expected panic", res)
 				}
 			}()
-			NewSolver2D(tensor.Full(1, res, res), Options{})
+			NewSolver(tensor.Full(1, res, res), Options{})
+		}()
+	}
+}
+
+// TestSolverRejectsBadShape: ν must be a square or a cube of one
+// resolution; anything else would index past a grid.
+func TestSolverRejectsBadShape(t *testing.T) {
+	for _, shape := range [][]int{{9}, {9, 17}, {9, 9, 17}, {9, 9, 9, 9}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("shape %v: expected panic", shape)
+				}
+			}()
+			NewSolver(tensor.Full(1, shape...), Options{})
 		}()
 	}
 }
@@ -112,7 +115,7 @@ func TestSolverRejectsBadResolution(t *testing.T) {
 func TestVCycleSolvesConstantNu2D(t *testing.T) {
 	const res = 33
 	nu := tensor.Full(1, res, res)
-	s := NewSolver2D(nu, Options{Cycle: VCycle, Tol: 1e-9})
+	s := NewSolver(nu, Options{Cycle: VCycle, Tol: 1e-9})
 	if s.NumLevels() < 3 {
 		t.Fatalf("expected a deep hierarchy, got %d levels", s.NumLevels())
 	}
@@ -133,7 +136,7 @@ func TestAllCyclesAgreeOnVariableNu2D(t *testing.T) {
 	nu := field.Raster2D(w, res)
 	var ref *tensor.Tensor
 	for _, ct := range []CycleType{VCycle, WCycle, FCycle, HalfVCycle} {
-		s := NewSolver2D(nu, Options{Cycle: ct, Tol: 1e-10, MaxCycles: 100})
+		s := NewSolver(nu, Options{Cycle: ct, Tol: 1e-10, MaxCycles: 100})
 		u, st := s.Solve()
 		if !st.Converged {
 			t.Fatalf("%v cycle did not converge: %+v", ct, st)
@@ -152,11 +155,11 @@ func TestGMGMatchesCG2D(t *testing.T) {
 	const res = 17
 	w := field.Omega{0.6681, 1.5354, 0.7644, -2.9709}
 	nu := field.Raster2D(w, res)
-	uMG, st := NewSolver2D(nu, Options{Tol: 1e-10, MaxCycles: 60}).Solve()
+	uMG, st := NewSolver(nu, Options{Tol: 1e-10, MaxCycles: 60}).Solve()
 	if !st.Converged {
 		t.Fatalf("MG did not converge: %+v", st)
 	}
-	uCG, cg := fem.Solve2D(nu, 1e-11, 5000)
+	uCG, cg := fem.Solve(nu, 1e-11, 5000)
 	if !cg.Converged {
 		t.Fatalf("CG did not converge")
 	}
@@ -171,8 +174,8 @@ func TestWCycleConvergesFasterPerCycleThanV(t *testing.T) {
 	const res = 33
 	w := field.Omega{1.5, -2, 2.5, -1}
 	nu := field.Raster2D(w, res)
-	_, stV := NewSolver2D(nu, Options{Cycle: VCycle, Tol: 1e-9, MaxCycles: 100}).Solve()
-	_, stW := NewSolver2D(nu, Options{Cycle: WCycle, Tol: 1e-9, MaxCycles: 100}).Solve()
+	_, stV := NewSolver(nu, Options{Cycle: VCycle, Tol: 1e-9, MaxCycles: 100}).Solve()
+	_, stW := NewSolver(nu, Options{Cycle: WCycle, Tol: 1e-9, MaxCycles: 100}).Solve()
 	if !stV.Converged || !stW.Converged {
 		t.Fatalf("convergence failure: V %+v W %+v", stV, stW)
 	}
@@ -185,11 +188,11 @@ func TestVCycleSolves3D(t *testing.T) {
 	const res = 9
 	w := field.Omega{0.5, -1, 0.75, 0.25}
 	nu := field.Raster3D(w, res)
-	u, st := NewSolver3D(nu, Options{Cycle: VCycle, Tol: 1e-9, MaxCycles: 60}).Solve()
+	u, st := NewSolver(nu, Options{Cycle: VCycle, Tol: 1e-9, MaxCycles: 60}).Solve()
 	if !st.Converged {
 		t.Fatalf("3D V-cycle did not converge: %+v", st)
 	}
-	uCG, cg := fem.Solve3D(nu, 1e-10, 5000)
+	uCG, cg := fem.Solve(nu, 1e-10, 5000)
 	if !cg.Converged {
 		t.Fatal("3D CG failed")
 	}
@@ -203,13 +206,13 @@ func TestVCycleSolves3D(t *testing.T) {
 func TestEveryCycleMatchesCG3D(t *testing.T) {
 	const res = 9
 	nu := field.Raster3D(field.Omega{0.3105, 1.5386, 0.0932, -1.2442}, res)
-	uCG, cg := fem.Solve3D(nu, 1e-11, 5000)
+	uCG, cg := fem.Solve(nu, 1e-11, 5000)
 	if !cg.Converged {
 		t.Fatalf("3D CG did not converge: %+v", cg)
 	}
 	for _, ct := range []CycleType{VCycle, WCycle, FCycle, HalfVCycle} {
 		t.Run(ct.String(), func(t *testing.T) {
-			u, st := NewSolver3D(nu, Options{Cycle: ct, Tol: 1e-10, MaxCycles: 100}).Solve()
+			u, st := NewSolver(nu, Options{Cycle: ct, Tol: 1e-10, MaxCycles: 100}).Solve()
 			if !st.Converged {
 				t.Fatalf("did not converge: %+v", st)
 			}
@@ -220,12 +223,40 @@ func TestEveryCycleMatchesCG3D(t *testing.T) {
 	}
 }
 
+// A diffusivity that does not vary along z makes the 3D problem the 2D
+// one extruded, so every plane of the 3D multigrid solution must be the 2D
+// one: the cube and the single plane take the same path through the
+// transfers, at depths 9 and 1.
+func TestSolve3DOfExtrudedFieldIsSolve2D(t *testing.T) {
+	const res, tol = 9, 1e-12
+	nu2 := field.Raster2D(field.Omega{0.5, -1, 0.75, 0.25}, res)
+	nu3 := tensor.New(res, res, res)
+	for z := 0; z < res; z++ {
+		copy(nu3.Data[z*res*res:], nu2.Data)
+	}
+	for _, ct := range []CycleType{VCycle, WCycle, FCycle, HalfVCycle} {
+		opt := Options{Cycle: ct, Tol: tol, MaxCycles: 200}
+		u2, st2 := NewSolver(nu2, opt).Solve()
+		u3, st3 := NewSolver(nu3, opt).Solve()
+		if !st2.Converged || !st3.Converged {
+			t.Fatalf("%v: did not converge: 2D %+v, 3D %+v", ct, st2, st3)
+		}
+		for z := 0; z < res; z++ {
+			for i, want := range u2.Data {
+				if got := u3.Data[z*res*res+i]; math.Abs(got-want) > 1e3*tol {
+					t.Fatalf("%v: plane z=%d node %d: 3D %v, 2D %v", ct, z, i, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestHalfVCheaperPerCycleThanV(t *testing.T) {
 	// Half-V skips pre-smoothing on the descent; with smoothing dominating
 	// the cost, each cycle is cheaper. Here we verify it still converges.
 	const res = 17
 	nu := tensor.Full(2, res, res)
-	_, st := NewSolver2D(nu, Options{Cycle: HalfVCycle, Tol: 1e-9, MaxCycles: 100}).Solve()
+	_, st := NewSolver(nu, Options{Cycle: HalfVCycle, Tol: 1e-9, MaxCycles: 100}).Solve()
 	if !st.Converged {
 		t.Fatalf("Half-V did not converge: %+v", st)
 	}
@@ -234,7 +265,7 @@ func TestHalfVCheaperPerCycleThanV(t *testing.T) {
 func TestLevelsCapRespected(t *testing.T) {
 	const res = 33
 	nu := tensor.Full(1, res, res)
-	s := NewSolver2D(nu, Options{Levels: 2})
+	s := NewSolver(nu, Options{Levels: 2})
 	if s.NumLevels() != 2 {
 		t.Fatalf("levels = %d want 2", s.NumLevels())
 	}
@@ -260,7 +291,7 @@ func TestResidualMonotoneOverCycles(t *testing.T) {
 	nu := field.Raster2D(w, res)
 	prev := math.Inf(1)
 	for cycles := 1; cycles <= 4; cycles++ {
-		_, st := NewSolver2D(nu, Options{Cycle: VCycle, Tol: 0, MaxCycles: cycles}).Solve()
+		_, st := NewSolver(nu, Options{Cycle: VCycle, Tol: 0, MaxCycles: cycles}).Solve()
 		if st.Residual > prev*1.001 {
 			t.Fatalf("residual grew at %d cycles: %v -> %v", cycles, prev, st.Residual)
 		}
@@ -279,7 +310,7 @@ func TestGridIndependentConvergence(t *testing.T) {
 	var cycles []int
 	for _, res := range []int{17, 33, 65} {
 		nu := field.Raster2D(w, res)
-		_, st := NewSolver2D(nu, Options{Cycle: VCycle, Tol: 1e-8, MaxCycles: 100}).Solve()
+		_, st := NewSolver(nu, Options{Cycle: VCycle, Tol: 1e-8, MaxCycles: 100}).Solve()
 		if !st.Converged {
 			t.Fatalf("res %d did not converge", res)
 		}
@@ -299,58 +330,11 @@ func TestHighContrastCoefficient(t *testing.T) {
 	if contrast < 50 {
 		t.Fatalf("test field not high-contrast: %v", contrast)
 	}
-	u, st := NewSolver2D(nu, Options{Cycle: WCycle, Tol: 1e-8, MaxCycles: 200}).Solve()
+	u, st := NewSolver(nu, Options{Cycle: WCycle, Tol: 1e-8, MaxCycles: 200}).Solve()
 	if !st.Converged {
 		t.Fatalf("high-contrast solve failed: %+v", st)
 	}
 	if u.Min() < -1e-6 || u.Max() > 1+1e-6 {
 		t.Fatalf("maximum principle violated: [%v, %v]", u.Min(), u.Max())
-	}
-}
-
-func TestGalerkinCoarseOperatorSolves(t *testing.T) {
-	const res = 33
-	w := field.Omega{0.3105, 1.5386, 0.0932, -1.2442}
-	nu := field.Raster2D(w, res)
-	uG, stG := NewSolver2D(nu, Options{Cycle: VCycle, Tol: 1e-9, MaxCycles: 100, Galerkin: true}).Solve()
-	if !stG.Converged {
-		t.Fatalf("Galerkin V-cycle did not converge: %+v", stG)
-	}
-	uR, stR := NewSolver2D(nu, Options{Cycle: VCycle, Tol: 1e-9, MaxCycles: 100}).Solve()
-	if !stR.Converged {
-		t.Fatalf("rediscretized V-cycle did not converge: %+v", stR)
-	}
-	// Both hierarchies solve the same fine system: solutions agree.
-	if d := uG.RMSE(uR); d > 1e-6 {
-		t.Fatalf("Galerkin and rediscretized solutions differ by %v", d)
-	}
-	// The variational coarse operator must not degrade convergence by much.
-	if stG.Cycles > stR.Cycles+3 {
-		t.Fatalf("Galerkin needs %d cycles vs rediscretized %d", stG.Cycles, stR.Cycles)
-	}
-}
-
-func TestGalerkinCoarseMatrixIsSymmetric(t *testing.T) {
-	const res = 17
-	w := field.Omega{1, -1, 0.5, 0.25}
-	nu := field.Raster2D(w, res)
-	p := fem.NewPoisson2D(res)
-	af, _ := fem.Assemble2D(p, nu)
-	ac := galerkinCoarse2D(af, res)
-	rc := (res + 1) / 2
-	// Check symmetry by dense reconstruction (small system).
-	dense := make([][]float64, rc*rc)
-	for i := range dense {
-		dense[i] = make([]float64, rc*rc)
-		for k := ac.RowPtr[i]; k < ac.RowPtr[i+1]; k++ {
-			dense[i][ac.Col[k]] = ac.Val[k]
-		}
-	}
-	for i := range dense {
-		for j := range dense {
-			if math.Abs(dense[i][j]-dense[j][i]) > 1e-12 {
-				t.Fatalf("A_c not symmetric at (%d,%d): %v vs %v", i, j, dense[i][j], dense[j][i])
-			}
-		}
 	}
 }

@@ -87,7 +87,7 @@ func recurrenceCG(a Operator, b, x []float64, tol float64, maxIter int) CGResult
 }
 
 // TestCGTrueResidualOnHighContrast is the regression test for CG's
-// convergence certificate on the solver behind every fem.Solve2D/3D
+// convergence certificate on the solver behind every fem.Solve
 // reference field: on a system whose recurrence residual keeps shrinking
 // long after the attainable true residual has stagnated, Converged must be
 // certified on b − Ax, not the drifting recurrence.

@@ -134,7 +134,7 @@ const refreshEvery = 50
 // recurrence residual is only a hint, confirmed (and refreshed every
 // refreshEvery iterations) against an explicit recomputation, so the
 // Converged flag and the reported Residual stay honest on ill-conditioned
-// systems — this is the solver behind every fem.Solve2D/3D reference field.
+// systems — this is the solver behind every fem.Solve reference field.
 func CG(a Operator, b, x []float64, tol float64, maxIter int) CGResult {
 	n := a.Size()
 	if len(b) != n || len(x) != n {
