@@ -15,23 +15,26 @@ import (
 // exact adjoint of prolongation at both depths.
 func TestProlongRestrictAdjoint(t *testing.T) {
 	for _, tc := range []struct {
+		name string
 		gc   grid
 		seed int64
-	}{{grid{1, 9, 9}, 1}, {grid{5, 5, 5}, 2}} {
-		rng := rand.New(rand.NewSource(tc.seed))
-		c := make([]float64, tc.gc.size())
-		f := make([]float64, tc.gc.fine().size())
-		for i := range c {
-			c[i] = rng.NormFloat64()
-		}
-		for i := range f {
-			f[i] = rng.NormFloat64()
-		}
-		lhs := dot(prolong(c, tc.gc), f)
-		rhs := dot(c, restrict(f, tc.gc.fine()))
-		if math.Abs(lhs-rhs) > 1e-10*(1+math.Abs(lhs)) {
-			t.Fatalf("%v: adjoint identity violated: %v vs %v", tc.gc, lhs, rhs)
-		}
+	}{{"2D", grid{1, 9, 9}, 1}, {"3D", grid{5, 5, 5}, 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(tc.seed))
+			c := make([]float64, tc.gc.size())
+			f := make([]float64, tc.gc.fine().size())
+			for i := range c {
+				c[i] = rng.NormFloat64()
+			}
+			for i := range f {
+				f[i] = rng.NormFloat64()
+			}
+			lhs := dot(prolong(c, tc.gc), f)
+			rhs := dot(c, restrict(f, tc.gc.fine()))
+			if math.Abs(lhs-rhs) > 1e-10*(1+math.Abs(lhs)) {
+				t.Fatalf("%v: adjoint identity violated: %v vs %v", tc.gc, lhs, rhs)
+			}
+		})
 	}
 }
 
