@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"strconv"
 	"strings"
@@ -145,6 +146,25 @@ func TestRunOmegaFileBatch(t *testing.T) {
 	}
 	if first == "" || first != third {
 		t.Fatalf("duplicate ω answered differently:\n  %q\n  %q", first, third)
+	}
+
+	// A file of more distinct ω than the engine's admission bound
+	// (8·MaxBatch·Replicas) is the CLI's own work, not overload: every
+	// line is answered.
+	var many strings.Builder
+	for i := 0; i < 600; i++ {
+		fmt.Fprintf(&many, "%g, 0.5, -0.25, 1\n", -3+0.01*float64(i))
+	}
+	if err := os.WriteFile(omegas, []byte(many.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	errb.Reset()
+	if code := run([]string{"-model", model, "-omega-file", omegas, "-res", "8"}, &out, &errb); code != 0 {
+		t.Fatalf("600-line file: exit code %d (stderr %q)", code, errb.String())
+	}
+	if got := strings.Count(out.String(), "\nomega "); got != 600 {
+		t.Fatalf("600-line file: %d result lines, want 600", got)
 	}
 
 	if code := run([]string{"-model", model, "-omega-file", dir + "/missing.txt", "-res", "8"}, &out, &errb); code != 2 {

@@ -118,12 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	var nu *tensor.Tensor
-	if *dim == 2 {
-		nu = field.Raster2D(w, *res)
-	} else {
-		nu = field.Raster3D(w, *res)
-	}
+	nu := field.Raster(w, *dim, *res)
 
 	start := time.Now()
 	var u *tensor.Tensor

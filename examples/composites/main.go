@@ -45,7 +45,7 @@ func main() {
 	nuBatch := held.Batch(0, 1, res)
 	uBatch := tr.PredictField(nuBatch)
 
-	nu := held.Composites[0].Raster2D(res)
+	nu := held.Composites[0].Raster(2, res)
 	uFEM, cg := fem.Solve(nu, 1e-10, 20000)
 	fmt.Printf("held-out microstructure: volume fraction %.3f, FEM in %d CG iterations\n",
 		held.Composites[0].VolumeFraction(2, 101), cg.Iterations)

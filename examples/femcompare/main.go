@@ -19,7 +19,7 @@ import (
 func main() {
 	const res = 65 // 2^6+1 nodes: GMG-friendly
 	w := field.Omega{0.3105, 1.5386, 0.0932, -1.2442}
-	nu := field.Raster2D(w, res)
+	nu := field.Raster(w, 2, res)
 
 	fmt.Printf("solving -div(nu grad u)=0 at %dx%d for omega %v\n\n", res, res, w)
 

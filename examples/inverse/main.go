@@ -40,7 +40,7 @@ func main() {
 	// 2. A hidden design produced an observed field (here: the FEM solution
 	// for a secret ω*, as a stand-in for sparse sensor data).
 	hidden := field.Omega{1.25, -0.80, 0.60, -2.10}
-	target, _ := fem.Solve(field.Raster2D(hidden, res), 1e-10, 20000)
+	target, _ := fem.Solve(field.Raster(hidden, 2, res), 1e-10, 20000)
 	fmt.Printf("hidden design: ω* = (%.2f, %.2f, %.2f, %.2f)\n", hidden[0], hidden[1], hidden[2], hidden[3])
 
 	mismatch := func(u *tensor.Tensor) float64 { return u.RMSE(target) }
@@ -92,11 +92,11 @@ func main() {
 
 	// 4. Validate the recovered design with one real FEM solve, and show
 	// what the same search would have cost with FEM in the loop.
-	uCheck, _ := fem.Solve(field.Raster2D(best, res), 1e-10, 20000)
+	uCheck, _ := fem.Solve(field.Raster(best, 2, res), 1e-10, 20000)
 	fmt.Printf("field mismatch (FEM check): %.5f\n", uCheck.RMSE(target))
 
 	femStart := time.Now()
-	fem.Solve(field.Raster2D(best, res), 1e-10, 20000)
+	fem.Solve(field.Raster(best, 2, res), 1e-10, 20000)
 	femOne := time.Since(femStart).Seconds()
 	fmt.Printf("\namortization: %d surrogate evals took %.1fs; the same search with FEM would take ≈%.0fs (%d × %.3fs/solve)\n",
 		evals, searchSec, float64(evals)*femOne, evals, femOne)

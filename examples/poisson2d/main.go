@@ -71,7 +71,7 @@ func main() {
 	fmt.Printf("%-36s %-10s %-10s %-10s\n", "omega", "RMSE", "max|err|", "rel L2")
 	for _, w := range omegas {
 		uNN := tr.Predict(w, res)
-		uFEM, _ := fem.Solve(field.Raster2D(w, res), 1e-10, 20000)
+		uFEM, _ := fem.Solve(field.Raster(w, 2, res), 1e-10, 20000)
 		diff := uNN.Clone()
 		diff.Sub(uFEM)
 		fmt.Printf("(%7.4f %7.4f %7.4f %7.4f) %-10.5f %-10.5f %-10.5f\n",
@@ -81,7 +81,7 @@ func main() {
 
 	// Visualize the first case like the paper's field plots.
 	w := omegas[0]
-	nu := field.Raster2D(w, res)
+	nu := field.Raster(w, 2, res)
 	uNN := tr.Predict(w, res)
 	uFEM, _ := fem.Solve(nu, 1e-10, 20000)
 	fmt.Println(heatmap(nu, "diffusivity ν(x; ω)"))

@@ -49,7 +49,7 @@ func main() {
 	uNN := tr.Predict(w, 32)
 
 	// FEM reference on the same grid.
-	uFEM, cg := fem.Solve(field.Raster2D(w, 32), 1e-10, 20000)
+	uFEM, cg := fem.Solve(field.Raster(w, 2, 32), 1e-10, 20000)
 	fmt.Printf("FEM reference solved in %d CG iterations\n", cg.Iterations)
 
 	diff := uNN.Clone()

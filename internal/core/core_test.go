@@ -325,7 +325,7 @@ func TestPredictFieldMatchesPredict(t *testing.T) {
 	ws := []field.Omega{{0.3105, 1.5386, 0.0932, -1.2442}, {-2.1, 0.4, 1.7, 2.9}}
 	nu := tensor.New(len(ws), 1, res, res)
 	for i, w := range ws {
-		copy(nu.Data[i*res*res:], field.Raster2D(w, res).Data)
+		copy(nu.Data[i*res*res:], field.Raster(w, 2, res).Data)
 	}
 	batch := tr.PredictField(nu)
 	if !batch.SameShape(nu) {
@@ -380,7 +380,7 @@ func TestTimePerLevel(t *testing.T) {
 func TestRestrictInputHalvesResolution(t *testing.T) {
 	w := field.Omega{1, -1, 0.5, -0.5}
 	fine := tensor.New(1, 1, 16, 16)
-	copy(fine.Data, field.Raster2D(w, 16).Data)
+	copy(fine.Data, field.Raster(w, 2, 16).Data)
 	coarse := RestrictInput(fine)
 	if coarse.Dim(2) != 8 {
 		t.Fatalf("restricted shape %v", coarse.Shape())
@@ -388,7 +388,7 @@ func TestRestrictInputHalvesResolution(t *testing.T) {
 	// Restriction approximates rasterizing at the coarse grid: the two
 	// fields must be close (same smooth function, different sampling).
 	direct := tensor.New(1, 1, 8, 8)
-	copy(direct.Data, field.Raster2D(w, 8).Data)
+	copy(direct.Data, field.Raster(w, 2, 8).Data)
 	if d := coarse.RMSE(direct); d > 0.25*direct.AbsMax() {
 		t.Fatalf("restriction far from coarse raster: RMSE %v", d)
 	}
@@ -402,12 +402,12 @@ func BenchmarkAblationRestriction(b *testing.B) {
 	w := field.Omega{0.3105, 1.5386, 0.0932, -1.2442}
 	b.Run("RasterCoarse", func(b *testing.B) {
 		for b.Loop() {
-			field.Raster2D(w, fine/2)
+			field.Raster(w, 2, fine/2)
 		}
 	})
 	b.Run("AvgPoolFine", func(b *testing.B) {
 		f := tensor.New(1, 1, fine, fine)
-		copy(f.Data, field.Raster2D(w, fine).Data)
+		copy(f.Data, field.Raster(w, 2, fine).Data)
 		for b.Loop() {
 			RestrictInput(f)
 		}

@@ -183,14 +183,8 @@ func TestTrainedEnergyNotBelowFEMOptimum(t *testing.T) {
 		t.Run(fmt.Sprintf("%dD", dim), func(t *testing.T) {
 			cfg := tinyConfig(dim)
 			res := cfg.FinestRes
-			var nuField *tensor.Tensor
-			shape := []int{1, 1, res, res}
-			if dim == 2 {
-				nuField = field.Raster2D(w, res)
-			} else {
-				nuField = field.Raster3D(w, res)
-				shape = append(shape, res)
-			}
+			nuField := field.Raster(w, dim, res)
+			shape := append([]int{1, 1}, field.Shape(dim, res)...)
 			uFEM, cg := fem.Solve(nuField, 1e-10, 5000)
 			if !cg.Converged {
 				t.Fatalf("FEM reference did not converge: %+v", cg)

@@ -347,22 +347,10 @@ func (t *Trainer) Run() *Report {
 // given resolution and returns the solution field with exact boundary
 // values imposed ([res,res] or [res,res,res]).
 func (t *Trainer) Predict(w field.Omega, res int) *tensor.Tensor {
-	var nu *tensor.Tensor
-	if t.Cfg.Dim == 2 {
-		nu = tensor.New(1, 1, res, res)
-		f := field.Raster2D(w, res)
-		copy(nu.Data, f.Data)
-	} else {
-		nu = tensor.New(1, 1, res, res, res)
-		f := field.Raster3D(w, res)
-		copy(nu.Data, f.Data)
-	}
-	pred := t.Net.Forward(nu, false)
-	out := t.Loss.WithBC(pred)
-	if t.Cfg.Dim == 2 {
-		return tensor.FromSlice(out.Data, res, res)
-	}
-	return tensor.FromSlice(out.Data, res, res, res)
+	shape := field.Shape(t.Cfg.Dim, res)
+	nu := tensor.New(append([]int{1, 1}, shape...)...)
+	field.RasterInto(nu.Data, w, t.Cfg.Dim, res)
+	return t.Loss.WithBC(t.Net.Forward(nu, false)).Reshape(shape...)
 }
 
 // PredictField evaluates the trained network on an explicit coefficient

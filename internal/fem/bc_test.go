@@ -13,7 +13,7 @@ import (
 // columns ApplyBC writes to exactly 1 and 0, bit for bit.
 func TestBoundaryDataBits2D(t *testing.T) {
 	for _, res := range []int{2, 5, 7, 10, 33, 100} {
-		p := NewPoisson2D(res)
+		p := NewProblem(2, res)
 		h := 1.0 / float64(res-1)
 		u := p.BoundaryField()
 		for iy := 0; iy < res; iy++ {
@@ -47,7 +47,7 @@ func TestBoundaryDataBits2D(t *testing.T) {
 // the Dirichlet faces ApplyBC writes to exactly 1 (x = 0) and 0 (x = 1).
 func TestBoundaryDataBits3D(t *testing.T) {
 	for _, res := range []int{2, 5, 9, 12} {
-		p := NewPoisson3D(res)
+		p := NewProblem(3, res)
 		h := 1.0 / float64(res-1)
 		u := p.BoundaryField()
 		v := tensor.Full(0.5, res, res, res)

@@ -9,67 +9,57 @@
 // face, u = 0 on the x = 1 face, homogeneous Neumann elsewhere. With f = 0
 // and natural Neumann conditions the linear form L vanishes, so
 // J(u) = ½ ∫ ν |∇u|² dx, strictly positive and minimized by the solution.
+//
+// One Problem type serves both dimensions. A field is a (d, h, w) nodal
+// grid with d = 1 in 2D, so the boundary data, the masks, the assembly and
+// the CG solve are written once; only the matrix-free sweeps (Energy,
+// AddEnergyGrad) keep a 4-node quad kernel and an 8-node hex kernel, since
+// one kernel for both made the 2D sweep compute zero z terms.
 package fem
 
 import "math"
 
-// quad2D holds the bilinear basis and its reference gradients evaluated at
-// the 2×2 Gauss points. Local node order: (−,−), (+,−), (−,+), (+,+) in
-// (ξ, η), i.e. x varies fastest — matching the nodal gather order below.
-type quad2D struct {
-	n    [4][4]float64 // n[q][a]
-	dndx [4][4]float64 // reference dN/dξ
-	dndy [4][4]float64 // reference dN/dη
+// elem holds the multilinear basis and its reference gradients at the
+// 2^dim Gauss points. Local node a and quadrature point q count x fastest,
+// then y, then z: bit k of the index set means the + side along axis k,
+// matching the nodal gather order of the sweeps. A 2D table fills the
+// leading 4×4 block and leaves dndz zero.
+type elem struct {
+	n    [8][8]float64 // n[q][a]
+	dndx [8][8]float64 // reference dN/dξ
+	dndy [8][8]float64 // reference dN/dη
+	dndz [8][8]float64 // reference dN/dζ
 }
 
-var q2 = buildQuad2D()
+var (
+	q2, q3 = buildElem(2), buildElem(3)
+	// elems is the element table by dimension.
+	elems = [4]*elem{2: &q2, 3: &q3}
+)
 
-func buildQuad2D() quad2D {
-	var q quad2D
-	signs := [4][2]float64{{-1, -1}, {1, -1}, {-1, 1}, {1, 1}}
-	g := 1.0 / math.Sqrt(3)
-	pts := [4][2]float64{{-g, -g}, {g, -g}, {-g, g}, {g, g}}
-	for qi, p := range pts {
-		xi, eta := p[0], p[1]
-		for a, s := range signs {
-			sx, sy := s[0], s[1]
-			q.n[qi][a] = 0.25 * (1 + sx*xi) * (1 + sy*eta)
-			q.dndx[qi][a] = 0.25 * sx * (1 + sy*eta)
-			q.dndy[qi][a] = 0.25 * (1 + sx*xi) * sy
+// buildElem tabulates N_a(q) = Π_k (1 + s_k p_k) / 2^dim, for node signs
+// s and Gauss point coordinates p = ±1/√3, and its axis derivatives,
+// multiplying the axis factors in order x, y, z.
+func buildElem(dim int) elem {
+	var e elem
+	tab := [4]*[8][8]float64{&e.n, &e.dndx, &e.dndy, &e.dndz} // tab[1+j] differentiates along axis j
+	nn := 1 << dim
+	g := 1 / math.Sqrt(3)
+	sign := func(i, k int) float64 { return float64(2*(i>>k&1) - 1) }
+	for q := 0; q < nn; q++ {
+		for a := 0; a < nn; a++ {
+			for t := 0; t <= dim; t++ {
+				v := 1 / float64(nn)
+				for k := 0; k < dim; k++ {
+					if k == t-1 {
+						v *= sign(a, k)
+					} else {
+						v *= 1 + sign(a, k)*(g*sign(q, k))
+					}
+				}
+				tab[t][q][a] = v
+			}
 		}
 	}
-	return q
-}
-
-// quad3D holds the trilinear basis data at the 2×2×2 Gauss points. Local
-// node order: x fastest, then y, then z.
-type quad3D struct {
-	n    [8][8]float64
-	dndx [8][8]float64
-	dndy [8][8]float64
-	dndz [8][8]float64
-}
-
-var q3 = buildQuad3D()
-
-func buildQuad3D() quad3D {
-	var q quad3D
-	g := 1.0 / math.Sqrt(3)
-	for qi := 0; qi < 8; qi++ {
-		xi := g * float64(1-2*(qi&1))
-		eta := g * float64(1-2*((qi>>1)&1))
-		zeta := g * float64(1-2*((qi>>2)&1))
-		// Flip so that bit 0 set means +ξ, to mirror the 2D convention:
-		xi, eta, zeta = -xi, -eta, -zeta
-		for a := 0; a < 8; a++ {
-			sx := float64(2*(a&1) - 1)
-			sy := float64(2*((a>>1)&1) - 1)
-			sz := float64(2*((a>>2)&1) - 1)
-			q.n[qi][a] = 0.125 * (1 + sx*xi) * (1 + sy*eta) * (1 + sz*zeta)
-			q.dndx[qi][a] = 0.125 * sx * (1 + sy*eta) * (1 + sz*zeta)
-			q.dndy[qi][a] = 0.125 * (1 + sx*xi) * sy * (1 + sz*zeta)
-			q.dndz[qi][a] = 0.125 * (1 + sx*xi) * (1 + sy*eta) * sz
-		}
-	}
-	return q
+	return e
 }

@@ -13,7 +13,7 @@ import (
 // elements represent exactly; its energy is ½∫|∇u|² = ½.
 func TestEnergyOfExactSolution2D(t *testing.T) {
 	for _, res := range []int{3, 9, 17, 33} {
-		p := NewPoisson2D(res)
+		p := NewProblem(2, res)
 		u := p.BoundaryField() // 1 − x
 		nu := tensor.Full(1, res, res)
 		if got := p.Energy(u, nu); math.Abs(got-0.5) > 1e-12 {
@@ -23,7 +23,7 @@ func TestEnergyOfExactSolution2D(t *testing.T) {
 }
 
 func TestEnergyOfConstantFieldIsZero(t *testing.T) {
-	p := NewPoisson2D(9)
+	p := NewProblem(2, 9)
 	u := tensor.Full(0.7, 9, 9)
 	nu := tensor.Full(2, 9, 9)
 	if got := p.Energy(u, nu); math.Abs(got) > 1e-14 {
@@ -34,7 +34,7 @@ func TestEnergyOfConstantFieldIsZero(t *testing.T) {
 func TestEnergyScalesLinearlyWithNu(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const res = 9
-	p := NewPoisson2D(res)
+	p := NewProblem(2, res)
 	u := tensor.New(res, res)
 	for i := range u.Data {
 		u.Data[i] = rng.Float64()
@@ -50,7 +50,7 @@ func TestEnergyScalesLinearlyWithNu(t *testing.T) {
 func TestEnergyGradMatchesFiniteDifference2D(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	const res = 7
-	p := NewPoisson2D(res)
+	p := NewProblem(2, res)
 	u := tensor.New(res, res)
 	nu := tensor.New(res, res)
 	for i := range u.Data {
@@ -77,7 +77,7 @@ func TestEnergyGradMatchesFiniteDifference2D(t *testing.T) {
 func TestApplyIsSymmetric2D(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const res = 9
-	p := NewPoisson2D(res)
+	p := NewProblem(2, res)
 	nu := tensor.New(res, res)
 	for i := range nu.Data {
 		nu.Data[i] = 0.5 + rng.Float64()
@@ -101,7 +101,7 @@ func TestApplyIsSymmetric2D(t *testing.T) {
 func TestApplyPositiveSemidefinite(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const res = 9
-	p := NewPoisson2D(res)
+	p := NewProblem(2, res)
 	nu := tensor.Full(1, res, res)
 	for trial := 0; trial < 20; trial++ {
 		u := tensor.New(res, res)
@@ -123,7 +123,7 @@ func TestSolve2DConstantNu(t *testing.T) {
 	if !cg.Converged {
 		t.Fatalf("CG did not converge: %+v", cg)
 	}
-	want := NewPoisson2D(res).BoundaryField()
+	want := NewProblem(2, res).BoundaryField()
 	if d := u.RMSE(want); d > 1e-8 {
 		t.Fatalf("solution RMSE %v from 1-x", d)
 	}
@@ -132,12 +132,12 @@ func TestSolve2DConstantNu(t *testing.T) {
 func TestSolve2DVariableNuProperties(t *testing.T) {
 	const res = 33
 	w := field.Omega{0.3105, 1.5386, 0.0932, -1.2442}
-	nu := field.Raster2D(w, res)
+	nu := field.Raster(w, 2, res)
 	u, cg := Solve(nu, 1e-9, 5000)
 	if !cg.Converged {
 		t.Fatalf("CG did not converge: %+v", cg)
 	}
-	p := NewPoisson2D(res)
+	p := NewProblem(2, res)
 	// Dirichlet faces are exact.
 	for iy := 0; iy < res; iy++ {
 		if u.At(iy, 0) != 1 || u.At(iy, res-1) != 0 {
@@ -163,9 +163,9 @@ func TestSolutionMinimizesEnergy(t *testing.T) {
 	const res = 17
 	rng := rand.New(rand.NewSource(5))
 	w := field.Omega{0.6681, 1.5354, 0.7644, -2.9709}
-	nu := field.Raster2D(w, res)
+	nu := field.Raster(w, 2, res)
 	uStar, _ := Solve(nu, 1e-10, 5000)
-	p := NewPoisson2D(res)
+	p := NewProblem(2, res)
 	jStar := p.Energy(uStar, nu)
 	for trial := 0; trial < 10; trial++ {
 		u := uStar.Clone()
@@ -181,7 +181,7 @@ func TestSolutionMinimizesEnergy(t *testing.T) {
 
 func TestEnergyOfExactSolution3D(t *testing.T) {
 	const res = 9
-	p := NewPoisson3D(res)
+	p := NewProblem(3, res)
 	u := p.BoundaryField()
 	nu := tensor.Full(1, res, res, res)
 	if got := p.Energy(u, nu); math.Abs(got-0.5) > 1e-12 {
@@ -192,7 +192,7 @@ func TestEnergyOfExactSolution3D(t *testing.T) {
 func TestEnergyGradMatchesFiniteDifference3D(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	const res = 5
-	p := NewPoisson3D(res)
+	p := NewProblem(3, res)
 	u := tensor.New(res, res, res)
 	nu := tensor.New(res, res, res)
 	for i := range u.Data {
@@ -223,7 +223,7 @@ func TestSolve3DConstantNu(t *testing.T) {
 	if !cg.Converged {
 		t.Fatalf("CG did not converge: %+v", cg)
 	}
-	want := NewPoisson3D(res).BoundaryField()
+	want := NewProblem(3, res).BoundaryField()
 	if d := u.RMSE(want); d > 1e-8 {
 		t.Fatalf("solution RMSE %v from 1-x", d)
 	}
@@ -234,7 +234,7 @@ func TestSolve3DConstantNu(t *testing.T) {
 // the trilinear solution must be the bilinear 2D solution.
 func TestSolve3DOfExtrudedFieldIsSolve2D(t *testing.T) {
 	const res = 9
-	nu2 := field.Raster2D(field.Omega{0.5, -1, 0.75, 0.25}, res)
+	nu2 := field.Raster(field.Omega{0.5, -1, 0.75, 0.25}, 2, res)
 	nu3 := tensor.New(res, res, res)
 	for z := 0; z < res; z++ {
 		copy(nu3.Data[z*res*res:], nu2.Data)
@@ -256,10 +256,10 @@ func TestSolve3DOfExtrudedFieldIsSolve2D(t *testing.T) {
 func TestAssembledMatchesMatrixFree2D(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const res = 9
-	p := NewPoisson2D(res)
+	p := NewProblem(2, res)
 	w := field.Omega{1, -0.5, 0.25, 2}
-	nu := field.Raster2D(w, res)
-	m, _ := Assemble2D(p, nu)
+	nu := field.Raster(w, 2, res)
+	m, _ := Assemble(p, nu)
 
 	// For x supported on the interior, CSR·x must equal the masked
 	// matrix-free apply on interior rows.
@@ -288,8 +288,8 @@ func TestAssembledMatchesMatrixFree2D(t *testing.T) {
 // and against applying an already assembled one.
 func BenchmarkAblationMatrixFree(b *testing.B) {
 	const res = 64
-	nu := field.Raster2D(field.Omega{0.3105, 1.5386, 0.0932, -1.2442}, res)
-	p := NewPoisson2D(res)
+	nu := field.Raster(field.Omega{0.3105, 1.5386, 0.0932, -1.2442}, 2, res)
+	p := NewProblem(2, res)
 	u := p.BoundaryField()
 	out := tensor.New(res, res)
 	b.Run("MatrixFree", func(b *testing.B) {
@@ -299,12 +299,12 @@ func BenchmarkAblationMatrixFree(b *testing.B) {
 	})
 	b.Run("AssembleAndApply", func(b *testing.B) {
 		for b.Loop() {
-			m, _ := Assemble2D(p, nu)
+			m, _ := Assemble(p, nu)
 			m.Apply(out.Data, u.Data)
 		}
 	})
 	b.Run("ApplyOnlyCSR", func(b *testing.B) {
-		m, _ := Assemble2D(p, nu)
+		m, _ := Assemble(p, nu)
 		for b.Loop() {
 			m.Apply(out.Data, u.Data)
 		}
@@ -314,9 +314,9 @@ func BenchmarkAblationMatrixFree(b *testing.B) {
 func TestAssembledSystemSolvesSameSolution2D(t *testing.T) {
 	const res = 17
 	w := field.Omega{0.3105, 1.5386, 0.0932, -1.2442}
-	nu := field.Raster2D(w, res)
-	p := NewPoisson2D(res)
-	m, b := Assemble2D(p, nu)
+	nu := field.Raster(w, 2, res)
+	p := NewProblem(2, res)
+	m, b := Assemble(p, nu)
 
 	x := make([]float64, res*res)
 	// Plain Gauss-Seidel until tight convergence (small system).
@@ -333,10 +333,10 @@ func TestAssembledSystemSolvesSameSolution2D(t *testing.T) {
 func TestAssembled3DMatchesMatrixFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	const res = 5
-	p := NewPoisson3D(res)
+	p := NewProblem(3, res)
 	w := field.Omega{0.5, -1, 1.5, -0.25}
-	nu := field.Raster3D(w, res)
-	m, _ := Assemble3D(p, nu)
+	nu := field.Raster(w, 3, res)
+	m, _ := Assemble(p, nu)
 	x := tensor.New(res, res, res)
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
@@ -453,7 +453,7 @@ func TestEnergyLossMinimizedByFEMSolution(t *testing.T) {
 	l := NewEnergyLoss(2)
 	const res = 16
 	w := field.Omega{0.2838, -2.3550, 2.9574, -1.8963}
-	nuField := field.Raster2D(w, res)
+	nuField := field.Raster(w, 2, res)
 	uStar, _ := Solve(nuField, 1e-10, 5000)
 
 	nu := tensor.New(1, 1, res, res)
@@ -524,8 +524,9 @@ func TestEnergyLoss3D(t *testing.T) {
 
 func TestBadResolutionPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"p2d":  func() { NewPoisson2D(1) },
-		"p3d":  func() { NewPoisson3D(0) },
+		"p2d":  func() { NewProblem(2, 1) },
+		"p3d":  func() { NewProblem(3, 0) },
+		"dim":  func() { NewProblem(4, 9) },
 		"loss": func() { NewEnergyLoss(4) },
 	} {
 		func() {
@@ -548,12 +549,12 @@ func TestEnergyMeshConvergence(t *testing.T) {
 	w := field.Omega{0.6681, 1.5354, 0.7644, -2.9709}
 	var energies []float64
 	for _, res := range []int{9, 17, 33, 65} {
-		nu := field.Raster2D(w, res)
+		nu := field.Raster(w, 2, res)
 		u, cg := Solve(nu, 1e-11, 50000)
 		if !cg.Converged {
 			t.Fatalf("res %d CG failed", res)
 		}
-		energies = append(energies, NewPoisson2D(res).Energy(u, nu))
+		energies = append(energies, NewProblem(2, res).Energy(u, nu))
 	}
 	d1 := math.Abs(energies[1] - energies[0])
 	d3 := math.Abs(energies[3] - energies[2])
@@ -568,7 +569,7 @@ func TestEnergyMeshConvergence(t *testing.T) {
 func TestSolutionStableUnderNuPerturbation(t *testing.T) {
 	const res = 17
 	w := field.Omega{0.3105, 1.5386, 0.0932, -1.2442}
-	nu := field.Raster2D(w, res)
+	nu := field.Raster(w, 2, res)
 	u1, _ := Solve(nu, 1e-11, 20000)
 	nu2 := nu.Clone()
 	nu2.Scale(1.01) // uniform scaling leaves the solution invariant

@@ -128,43 +128,72 @@ func Eval3D(omega Omega, x, y, z float64) float64 {
 	return math.Exp(s)
 }
 
-// Raster2D evaluates the diffusivity on an res×res nodal grid over [0,1]²
-// (nodes at i/(res-1)) and returns a [res, res] tensor indexed [y][x].
-func Raster2D(omega Omega, res int) *tensor.Tensor {
-	if res < 2 {
-		panic(fmt.Sprintf("field: Raster2D needs res >= 2, got %d", res))
+// Shape returns the nodal shape of a res^dim field: [res, res] in 2D,
+// [res, res, res] in 3D. It panics unless dim is 2 or 3.
+func Shape(dim, res int) []int {
+	checkDim(dim)
+	return []int{res, res, res}[:dim]
+}
+
+// checkDim panics unless dim is 2 or 3.
+func checkDim(dim int) {
+	if dim != 2 && dim != 3 {
+		panic(fmt.Sprintf("field: dim must be 2 or 3, got %d", dim))
 	}
-	out := tensor.New(res, res)
-	Raster2DInto(out.Data, omega, res)
+}
+
+// Raster evaluates the diffusivity on a res^dim nodal grid over [0,1]^dim
+// (nodes at i/(res-1)) and returns a tensor of Shape(dim, res), indexed
+// [y][x] or [z][y][x].
+func Raster(omega Omega, dim, res int) *tensor.Tensor {
+	if res < 2 {
+		panic(fmt.Sprintf("field: Raster needs res >= 2, got %d", res))
+	}
+	out := tensor.New(Shape(dim, res)...)
+	RasterInto(out.Data, omega, dim, res)
 	return out
 }
 
-// Raster2DInto rasterizes like Raster2D directly into dst (row-major
-// [y][x], length res²), letting batch builders fill slices of a reused
-// tensor without intermediate copies.
+// RasterInto rasterizes omega at res into dst (length res^dim), letting
+// batch builders (the training data, the serving engine) fill slices of a
+// reused tensor without intermediate copies or per-request allocation.
 //
 // The eigenfunctions are separable, so ξ_i is tabulated once per axis
-// (O(res) trig calls) instead of being re-evaluated at every grid point
-// (O(res²)); per-term multiplication and summation association matches
-// Eval2D exactly, so the result is bit-identical to the pointwise path —
+// (O(res) trig calls) instead of being re-evaluated at every grid point;
+// per-term multiplication and summation association matches Eval2D and
+// Eval3D exactly, so the result is bit-identical to the pointwise path —
 // the serving cache and the distributed trainer's replica-sync proofs
-// both rely on rasterization being a pure function of (ω, res).
-func Raster2DInto(dst []float64, omega Omega, res int) {
-	if len(dst) != res*res {
-		panic(fmt.Sprintf("field: Raster2DInto needs %d elements, got %d", res*res, len(dst)))
+// both rely on rasterization being a pure function of (ω, dim, res).
+func RasterInto(dst []float64, omega Omega, dim, res int) {
+	checkDim(dim)
+	n := 1
+	for range dim {
+		n *= res
+	}
+	if len(dst) != n {
+		panic(fmt.Sprintf("field: RasterInto needs %d elements, got %d", n, len(dst)))
 	}
 	h := 1.0 / float64(res-1)
 	// wx folds ω_i·λ_i into the x-axis table so the inner loop keeps the
-	// ((ω·λ)·ξx)·ξy association of Eval2D; xy is the plain y-axis table.
-	wx, xy, put := xiTables(omega, res, h)
+	// ((ω·λ)·ξx)·ξy(·ξz) association of Eval2D/Eval3D; xt is the plain
+	// table for the y and z axes.
+	wx, xt, put := xiTables(omega, res, h)
 	defer put()
+	if dim == 2 {
+		raster2DInto(dst, wx, xt, res)
+		return
+	}
+	raster3DInto(dst, wx, xt, res)
+}
+
+func raster2DInto(dst, wx, xt []float64, res int) {
 	tensor.Parallel(res, res, func(lo, hi int) {
 		for iy := lo; iy < hi; iy++ {
 			row := iy * res
 			for ix := 0; ix < res; ix++ {
 				s := 0.0
 				for i := 0; i < OmegaDim; i++ {
-					s += wx[i*res+ix] * xy[i*res+iy]
+					s += wx[i*res+ix] * xt[i*res+iy]
 				}
 				dst[row+ix] = math.Exp(s)
 			}
@@ -172,27 +201,7 @@ func Raster2DInto(dst []float64, omega Omega, res int) {
 	})
 }
 
-// Raster3D evaluates the diffusivity on an res³ nodal grid over [0,1]³ and
-// returns a [res, res, res] tensor indexed [z][y][x].
-func Raster3D(omega Omega, res int) *tensor.Tensor {
-	if res < 2 {
-		panic(fmt.Sprintf("field: Raster3D needs res >= 2, got %d", res))
-	}
-	out := tensor.New(res, res, res)
-	Raster3DInto(out.Data, omega, res)
-	return out
-}
-
-// Raster3DInto rasterizes like Raster3D directly into dst (row-major
-// [z][y][x], length res³), with the same per-axis ξ tabulation — and the
-// same bit-identical-to-Eval3D contract — as Raster2DInto.
-func Raster3DInto(dst []float64, omega Omega, res int) {
-	if len(dst) != res*res*res {
-		panic(fmt.Sprintf("field: Raster3DInto needs %d elements, got %d", res*res*res, len(dst)))
-	}
-	h := 1.0 / float64(res-1)
-	wx, xt, put := xiTables(omega, res, h)
-	defer put()
+func raster3DInto(dst, wx, xt []float64, res int) {
 	tensor.Parallel(res, res*res, func(lo, hi int) {
 		for iz := lo; iz < hi; iz++ {
 			for iy := 0; iy < res; iy++ {
@@ -207,21 +216,6 @@ func Raster3DInto(dst []float64, omega Omega, res int) {
 			}
 		}
 	})
-}
-
-// RasterInto rasterizes omega at res into dst (length res^dim) for the
-// given dimensionality, dispatching to Raster2DInto or Raster3DInto.
-// Dimension-generic consumers (the serving engine's batch builder) use it
-// to fill slices of a reused batch tensor without per-request allocation.
-func RasterInto(dst []float64, omega Omega, dim, res int) {
-	switch dim {
-	case 2:
-		Raster2DInto(dst, omega, res)
-	case 3:
-		Raster3DInto(dst, omega, res)
-	default:
-		panic(fmt.Sprintf("field: RasterInto dim must be 2 or 3, got %d", dim))
-	}
 }
 
 // SampleOmegas draws n parameter vectors from [-3,3]^4 with the Sobol
@@ -251,9 +245,7 @@ type Dataset struct {
 
 // NewDataset samples n Sobol parameter vectors for dim-dimensional fields.
 func NewDataset(n, dim int) *Dataset {
-	if dim != 2 && dim != 3 {
-		panic("field: Dataset dim must be 2 or 3")
-	}
+	checkDim(dim)
 	return &Dataset{Omegas: SampleOmegas(n), Dim: dim}
 }
 
@@ -276,26 +268,14 @@ func (d *Dataset) Batch(start, count, res int) *tensor.Tensor {
 // allocation-free, and the samples are rasterized in place rather than
 // copied through per-sample temporaries.
 func (d *Dataset) BatchInto(dst *tensor.Tensor, start, count, res int) *tensor.Tensor {
-	var shape []int
-	var per int
-	if d.Dim == 2 {
-		shape = []int{count, 1, res, res}
-		per = res * res
-	} else {
-		shape = []int{count, 1, res, res, res}
-		per = res * res * res
-	}
+	shape := []int{count, 1, res, res, res}[:2+d.Dim] // [count, 1] + Shape(d.Dim, res), on the stack
 	out := dst
 	if out == nil || !out.ShapeIs(shape...) {
 		out = tensor.New(shape...)
 	}
+	per := out.Len() / count
 	for k := 0; k < count; k++ {
-		w := d.Omegas[(start+k)%len(d.Omegas)]
-		if d.Dim == 2 {
-			Raster2DInto(out.Data[k*per:(k+1)*per], w, res)
-		} else {
-			Raster3DInto(out.Data[k*per:(k+1)*per], w, res)
-		}
+		RasterInto(out.Data[k*per:(k+1)*per], d.Omegas[(start+k)%len(d.Omegas)], d.Dim, res)
 	}
 	return out
 }

@@ -134,10 +134,10 @@ func TestEvalZeroOmegaIsOne(t *testing.T) {
 	}
 }
 
-func TestRaster2DMatchesPointwiseEval(t *testing.T) {
+func TestRasterMatchesPointwiseEval2D(t *testing.T) {
 	w := Omega{0.3105, 1.5386, 0.0932, -1.2442} // ω from the paper's Table 3
 	const res = 17
-	f := Raster2D(w, res)
+	f := Raster(w, 2, res)
 	h := 1.0 / float64(res-1)
 	for iy := 0; iy < res; iy += 5 {
 		for ix := 0; ix < res; ix += 3 {
@@ -149,10 +149,10 @@ func TestRaster2DMatchesPointwiseEval(t *testing.T) {
 	}
 }
 
-func TestRaster3DMatchesPointwiseEval(t *testing.T) {
+func TestRasterMatchesPointwiseEval3D(t *testing.T) {
 	w := Omega{0.6681, 1.5354, 0.7644, -2.9709}
 	const res = 9
-	f := Raster3D(w, res)
+	f := Raster(w, 3, res)
 	h := 1.0 / float64(res-1)
 	for iz := 0; iz < res; iz += 4 {
 		for iy := 0; iy < res; iy += 3 {
@@ -172,7 +172,7 @@ func TestRasterBadResPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Raster2D(Omega{}, 1)
+	Raster(Omega{}, 2, 1)
 }
 
 func TestSampleOmegasRange(t *testing.T) {
@@ -232,7 +232,7 @@ func TestDiffusivityVariesWithOmega(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	w1 := Omega{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
 	w2 := Omega{-1, 2, -2, 1}
-	f1, f2 := Raster2D(w1, 16), Raster2D(w2, 16)
+	f1, f2 := Raster(w1, 2, 16), Raster(w2, 2, 16)
 	if f1.RMSE(f2) < 1e-6 {
 		t.Fatal("different omegas must give different fields")
 	}
@@ -269,7 +269,7 @@ func TestRasterMatchesEvalBitwise(t *testing.T) {
 	w := Omega{0.91, -2.17, 1.33, -0.42}
 	const res = 9
 	h := 1.0 / float64(res-1)
-	f2 := Raster2D(w, res)
+	f2 := Raster(w, 2, res)
 	for iy := 0; iy < res; iy++ {
 		for ix := 0; ix < res; ix++ {
 			if got, want := f2.At(iy, ix), Eval2D(w, float64(ix)*h, float64(iy)*h); got != want {
@@ -277,7 +277,7 @@ func TestRasterMatchesEvalBitwise(t *testing.T) {
 			}
 		}
 	}
-	f3 := Raster3D(w, res)
+	f3 := Raster(w, 3, res)
 	for iz := 0; iz < res; iz++ {
 		for iy := 0; iy < res; iy++ {
 			for ix := 0; ix < res; ix++ {
@@ -301,7 +301,7 @@ func TestRasterMatchesEvalBitwiseFannedOut(t *testing.T) {
 			defer tensor.SetParallelism(tensor.SetParallelism(procs))
 			const res2, res3 = 200, 40
 			h := 1.0 / float64(res2-1)
-			f2 := Raster2D(w, res2)
+			f2 := Raster(w, 2, res2)
 			for iy := 0; iy < res2; iy++ {
 				for ix := 0; ix < res2; ix++ {
 					if got, want := f2.At(iy, ix), Eval2D(w, float64(ix)*h, float64(iy)*h); got != want {
@@ -310,7 +310,7 @@ func TestRasterMatchesEvalBitwiseFannedOut(t *testing.T) {
 				}
 			}
 			h = 1.0 / float64(res3-1)
-			f3 := Raster3D(w, res3)
+			f3 := Raster(w, 3, res3)
 			for iz := 0; iz < res3; iz++ {
 				for iy := 0; iy < res3; iy++ {
 					for ix := 0; ix < res3; ix++ {
@@ -325,9 +325,9 @@ func TestRasterMatchesEvalBitwiseFannedOut(t *testing.T) {
 	}
 }
 
-// BenchmarkRaster3DInto rasterizes the megavoxel benchmark's 128³ field at
+// BenchmarkRasterInto3D rasterizes the megavoxel benchmark's 128³ field at
 // one and at two workers.
-func BenchmarkRaster3DInto(b *testing.B) {
+func BenchmarkRasterInto3D(b *testing.B) {
 	const res = 128
 	w := Omega{0.91, -2.17, 1.33, -0.42}
 	dst := make([]float64, res*res*res)
@@ -335,33 +335,33 @@ func BenchmarkRaster3DInto(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", procs), func(b *testing.B) {
 			defer tensor.SetParallelism(tensor.SetParallelism(procs))
 			for i := 0; i < b.N; i++ {
-				Raster3DInto(dst, w, res)
+				RasterInto(dst, w, 3, res)
 			}
 		})
 	}
 }
 
-// TestRasterIntoDispatchesByDim checks that the dimension-generic
-// RasterInto writes exactly what Raster2D/Raster3D produce, and that it
-// refuses a dimensionality it has no rasterizer for.
-func TestRasterIntoDispatchesByDim(t *testing.T) {
+// TestRasterIntoRejectsBadInput checks that RasterInto refuses a
+// dimensionality it has no rasterizer for and a destination of the wrong
+// length, rather than writing past or short of it.
+func TestRasterIntoRejectsBadInput(t *testing.T) {
 	w := Omega{-1.7, 0.4, 2.2, -0.9}
 	const res = 7
-	for dim, want := range map[int][]float64{2: Raster2D(w, res).Data, 3: Raster3D(w, res).Data} {
-		dst := make([]float64, len(want))
-		RasterInto(dst, w, dim, res)
-		for i := range want {
-			if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%dD element %d: RasterInto %v, Raster %v", dim, i, dst[i], want[i])
-			}
-		}
+	for name, call := range map[string]func(){
+		"dim 4":    func() { RasterInto(make([]float64, res*res*res*res), w, 4, res) },
+		"2D short": func() { RasterInto(make([]float64, res*res-1), w, 2, res) },
+		"3D as 2D": func() { RasterInto(make([]float64, res*res), w, 3, res) },
+		"2D as 3D": func() { RasterInto(make([]float64, res*res*res), w, 2, res) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: RasterInto did not panic", name)
+				}
+			}()
+			call()
+		}()
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RasterInto accepted dim 4")
-		}
-	}()
-	RasterInto(make([]float64, res*res*res*res), w, 4, res)
 }
 
 // TestCheckVoxels holds the one 512³ bound the front ends share: the

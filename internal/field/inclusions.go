@@ -37,9 +37,7 @@ type Composite struct {
 // [rMin, rMax] from rng. Overlaps are permitted (as in real particulate
 // composites); centers keep the inclusion inside the domain.
 func NewRandomComposite(rng *rand.Rand, dim, n int, rMin, rMax, matrixNu, inclusionNu float64) *Composite {
-	if dim != 2 && dim != 3 {
-		panic("field: composite dim must be 2 or 3")
-	}
+	checkDim(dim)
 	if rMin <= 0 || rMax < rMin {
 		panic(fmt.Sprintf("field: bad radius range [%v, %v]", rMin, rMax))
 	}
@@ -91,34 +89,25 @@ func (c *Composite) Eval3D(x, y, z float64) float64 {
 	return c.MatrixNu + (c.InclusionNu-c.MatrixNu)*phi
 }
 
-// Raster2D samples the conductivity on an res×res nodal grid ([y][x]).
-func (c *Composite) Raster2D(res int) *tensor.Tensor {
-	out := tensor.New(res, res)
-	h := 1.0 / float64(res-1)
-	tensor.Parallel(res, res*len(c.Inclusions), func(lo, hi int) {
-		for iy := lo; iy < hi; iy++ {
-			y := float64(iy) * h
-			for ix := 0; ix < res; ix++ {
-				out.Data[iy*res+ix] = c.Eval2D(float64(ix)*h, y)
-			}
-		}
-	})
-	return out
+// eval is Eval2D or Eval3D by dim.
+func (c *Composite) eval(dim int, x, y, z float64) float64 {
+	if dim == 2 {
+		return c.Eval2D(x, y)
+	}
+	return c.Eval3D(x, y, z)
 }
 
-// Raster3D samples the conductivity on an res³ nodal grid ([z][y][x]).
-func (c *Composite) Raster3D(res int) *tensor.Tensor {
-	out := tensor.New(res, res, res)
+// Raster samples the conductivity on a res^dim nodal grid, a tensor of
+// Shape(dim, res) indexed [y][x] or [z][y][x].
+func (c *Composite) Raster(dim, res int) *tensor.Tensor {
+	out := tensor.New(Shape(dim, res)...)
 	h := 1.0 / float64(res-1)
-	tensor.Parallel(res, res*res*len(c.Inclusions), func(lo, hi int) {
-		for iz := lo; iz < hi; iz++ {
-			z := float64(iz) * h
-			for iy := 0; iy < res; iy++ {
-				y := float64(iy) * h
-				row := (iz*res + iy) * res
-				for ix := 0; ix < res; ix++ {
-					out.Data[row+ix] = c.Eval3D(float64(ix)*h, y, z)
-				}
+	rows := out.Len() / res // d·res x-rows, d = 1 in 2D
+	tensor.Parallel(rows, res*len(c.Inclusions), func(lo, hi int) {
+		for row := lo; row < hi; row++ {
+			y, z := float64(row%res)*h, float64(row/res)*h
+			for ix := 0; ix < res; ix++ {
+				out.Data[row*res+ix] = c.eval(dim, float64(ix)*h, y, z)
 			}
 		}
 	})
@@ -129,33 +118,14 @@ func (c *Composite) Raster3D(res int) *tensor.Tensor {
 // indicator on an n-per-dim grid.
 func (c *Composite) VolumeFraction(dim, n int) float64 {
 	mid := 0.5 * (c.MatrixNu + c.InclusionNu)
+	f := c.Raster(dim, n)
 	count := 0
-	total := 0
-	h := 1.0 / float64(n-1)
-	if dim == 2 {
-		for iy := 0; iy < n; iy++ {
-			for ix := 0; ix < n; ix++ {
-				v := c.Eval2D(float64(ix)*h, float64(iy)*h)
-				if (c.InclusionNu > c.MatrixNu && v > mid) || (c.InclusionNu < c.MatrixNu && v < mid) {
-					count++
-				}
-				total++
-			}
-		}
-	} else {
-		for iz := 0; iz < n; iz++ {
-			for iy := 0; iy < n; iy++ {
-				for ix := 0; ix < n; ix++ {
-					v := c.Eval3D(float64(ix)*h, float64(iy)*h, float64(iz)*h)
-					if (c.InclusionNu > c.MatrixNu && v > mid) || (c.InclusionNu < c.MatrixNu && v < mid) {
-						count++
-					}
-					total++
-				}
-			}
+	for _, v := range f.Data {
+		if (c.InclusionNu > c.MatrixNu && v > mid) || (c.InclusionNu < c.MatrixNu && v < mid) {
+			count++
 		}
 	}
-	return float64(count) / float64(total)
+	return float64(count) / float64(f.Len())
 }
 
 // InclusionDataset is a core.DataSource of random composite
@@ -181,24 +151,11 @@ func (d *InclusionDataset) Len() int { return len(d.Composites) }
 
 // Batch implements core.DataSource.
 func (d *InclusionDataset) Batch(start, count, res int) *tensor.Tensor {
-	var out *tensor.Tensor
-	var per int
-	if d.Dim == 2 {
-		out = tensor.New(count, 1, res, res)
-		per = res * res
-	} else {
-		out = tensor.New(count, 1, res, res, res)
-		per = res * res * res
-	}
+	out := tensor.New(append([]int{count, 1}, Shape(d.Dim, res)...)...)
+	per := out.Len() / count
 	for k := 0; k < count; k++ {
 		c := d.Composites[(start+k)%len(d.Composites)]
-		var f *tensor.Tensor
-		if d.Dim == 2 {
-			f = c.Raster2D(res)
-		} else {
-			f = c.Raster3D(res)
-		}
-		copy(out.Data[k*per:(k+1)*per], f.Data)
+		copy(out.Data[k*per:(k+1)*per], c.Raster(d.Dim, res).Data)
 	}
 	return out
 }

@@ -35,7 +35,7 @@ func TestCompositeEvalInsideOutside(t *testing.T) {
 func TestCompositeValuesBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	c := NewRandomComposite(rng, 2, 12, 0.03, 0.1, 1, 25)
-	f := c.Raster2D(33)
+	f := c.Raster(2, 33)
 	if f.Min() < 1-1e-9 || f.Max() > 25+1e-9 {
 		t.Fatalf("field escapes [matrix, inclusion] range: [%v, %v]", f.Min(), f.Max())
 	}

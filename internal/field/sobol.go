@@ -1,7 +1,9 @@
 // Package field generates the parametric diffusivity maps of the paper:
 // the log-permeability family of Eq. 10, with coefficient vectors ω drawn
-// by quasi-random Sobol sampling (§4.1), and helpers that rasterize the
-// fields onto nodal grids as network inputs.
+// by quasi-random Sobol sampling (§4.1), and rasterizes them onto nodal
+// grids as network inputs. The dimension is a value: Raster, RasterInto
+// and Composite.Raster take dim = 2 or 3 and return fields of
+// Shape(dim, res), so batch builders and front ends carry no 2D/3D twins.
 package field
 
 import "fmt"

@@ -77,9 +77,13 @@ type Stats struct {
 // level is one rung of the grid hierarchy.
 type level struct {
 	g grid
+	p *fem.Problem // the level's FEM problem: assembly and boundary data
 	a *sparse.CSR
 	b []float64 // finest level only: assembled RHS with BC lifting
 }
+
+// field views v, a vector on the level's grid, as the problem's field.
+func (l *level) field(v []float64) *tensor.Tensor { return tensor.FromSlice(v, l.p.Shape()...) }
 
 // Solver solves K(ν)u = b with geometric multigrid in 2 or 3 dimensions.
 type Solver struct {
@@ -100,8 +104,9 @@ func NewSolver(nu *tensor.Tensor, opt Options) *Solver {
 	s := &Solver{Opt: opt, shape: append([]int(nil), nu.Shape()...)}
 	g, cur := grid{nu.Len() / (res * res), res, res}, nu.Data
 	for {
-		a, b := assemble(cur, g)
-		lv := &level{g: g, a: a}
+		p := fem.NewProblem(nu.Rank(), g.w)
+		a, b := fem.Assemble(p, tensor.FromSlice(cur, p.Shape()...))
+		lv := &level{g: g, p: p, a: a}
 		if len(s.levels) == 0 {
 			lv.b = b
 		}
@@ -112,15 +117,6 @@ func NewSolver(nu *tensor.Tensor, opt Options) *Solver {
 		cur, g = inject(cur, g), g.coarse()
 	}
 	return s
-}
-
-// assemble builds one level's FEM system. It is the package's only
-// dimension branch: a grid one plane deep is a 2D field.
-func assemble(nu []float64, g grid) (*sparse.CSR, []float64) {
-	if g.d == 1 {
-		return fem.Assemble2D(fem.NewPoisson2D(g.w), tensor.FromSlice(nu, g.h, g.w))
-	}
-	return fem.Assemble3D(fem.NewPoisson3D(g.w), tensor.FromSlice(nu, g.d, g.h, g.w))
 }
 
 func checkGridRes(res int) {
@@ -137,9 +133,6 @@ func done(nLevels, res, maxLevels int) bool {
 	return (res+1)/2 < 5 // next level would be tiny
 }
 
-// NumLevels returns the hierarchy depth.
-func (s *Solver) NumLevels() int { return len(s.levels) }
-
 // Solve runs multigrid cycles until convergence and returns the solution
 // field, shaped like ν, plus statistics.
 func (s *Solver) Solve() (*tensor.Tensor, Stats) {
@@ -149,7 +142,7 @@ func (s *Solver) Solve() (*tensor.Tensor, Stats) {
 	// Start from the Dirichlet-consistent zero guess: identity rows of the
 	// assembled system pin the boundary after the first smoothing pass, but
 	// setting them now keeps the initial residual meaningful.
-	seedBC(x, top.g)
+	top.p.ApplyBC(top.field(x))
 
 	b := top.b
 	bn := norm2(b)
@@ -172,14 +165,6 @@ func (s *Solver) Solve() (*tensor.Tensor, Stats) {
 		}
 	}
 	return tensor.FromSlice(x, s.shape...), st
-}
-
-// seedBC writes the Dirichlet value u = 1 at the start (ix = 0) of every
-// x-row.
-func seedBC(x []float64, g grid) {
-	for row := 0; row < g.d*g.h; row++ {
-		x[row*g.w] = 1
-	}
 }
 
 // cycle performs one multigrid cycle of the requested type at the given
@@ -209,10 +194,10 @@ func (s *Solver) cycle(lv int, b, x []float64, ct CycleType, firstDescent bool) 
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
-	maskDirichlet(r, l.g)
-	gc := s.levels[lv+1].g
+	l.p.MaskInterior(l.field(r))
+	lc := s.levels[lv+1]
 	rc := restrict(r, l.g)
-	maskDirichlet(rc, gc)
+	lc.p.MaskInterior(lc.field(rc))
 
 	ec := make([]float64, len(rc))
 	switch ct {
@@ -226,21 +211,12 @@ func (s *Solver) cycle(lv int, b, x []float64, ct CycleType, firstDescent bool) 
 		s.cycle(lv+1, rc, ec, ct, firstDescent)
 	}
 
-	e := prolong(ec, gc)
-	maskDirichlet(e, l.g)
+	e := prolong(ec, lc.g)
+	l.p.MaskInterior(l.field(e))
 	for i := range x {
 		x[i] += e[i]
 	}
 	sparse.GaussSeidel(l.a, b, x, s.Opt.PostSmooth)
-}
-
-// maskDirichlet zeroes both ends (ix = 0 and ix = w−1) of every x-row,
-// where corrections must vanish.
-func maskDirichlet(v []float64, g grid) {
-	for row := 0; row < g.d*g.h; row++ {
-		v[row*g.w] = 0
-		v[row*g.w+g.w-1] = 0
-	}
 }
 
 func norm2(v []float64) float64 {

@@ -118,16 +118,15 @@ func TestSolverRejectsBadShape(t *testing.T) {
 func TestVCycleSolvesConstantNu2D(t *testing.T) {
 	const res = 33
 	nu := tensor.Full(1, res, res)
-	s := NewSolver(nu, Options{Cycle: VCycle, Tol: 1e-9})
-	if s.NumLevels() < 3 {
-		t.Fatalf("expected a deep hierarchy, got %d levels", s.NumLevels())
+	u, st := NewSolver(nu, Options{Cycle: VCycle, Tol: 1e-9}).Solve()
+	if st.Levels < 3 {
+		t.Fatalf("expected a deep hierarchy, got %d levels", st.Levels)
 	}
-	u, st := s.Solve()
 	if !st.Converged {
 		t.Fatalf("V-cycle did not converge: %+v", st)
 	}
 	// Exact solution is 1-x.
-	p := fem.NewPoisson2D(res)
+	p := fem.NewProblem(2, res)
 	if d := u.RMSE(p.BoundaryField()); d > 1e-6 {
 		t.Fatalf("solution RMSE %v", d)
 	}
@@ -136,7 +135,7 @@ func TestVCycleSolvesConstantNu2D(t *testing.T) {
 func TestAllCyclesAgreeOnVariableNu2D(t *testing.T) {
 	const res = 33
 	w := field.Omega{0.3105, 1.5386, 0.0932, -1.2442}
-	nu := field.Raster2D(w, res)
+	nu := field.Raster(w, 2, res)
 	var ref *tensor.Tensor
 	for _, ct := range []CycleType{VCycle, WCycle, FCycle, HalfVCycle} {
 		s := NewSolver(nu, Options{Cycle: ct, Tol: 1e-10, MaxCycles: 100})
@@ -157,7 +156,7 @@ func TestAllCyclesAgreeOnVariableNu2D(t *testing.T) {
 func TestGMGMatchesCG2D(t *testing.T) {
 	const res = 17
 	w := field.Omega{0.6681, 1.5354, 0.7644, -2.9709}
-	nu := field.Raster2D(w, res)
+	nu := field.Raster(w, 2, res)
 	uMG, st := NewSolver(nu, Options{Tol: 1e-10, MaxCycles: 60}).Solve()
 	if !st.Converged {
 		t.Fatalf("MG did not converge: %+v", st)
@@ -176,7 +175,7 @@ func TestWCycleConvergesFasterPerCycleThanV(t *testing.T) {
 	// most as many cycles as V for the same tolerance.
 	const res = 33
 	w := field.Omega{1.5, -2, 2.5, -1}
-	nu := field.Raster2D(w, res)
+	nu := field.Raster(w, 2, res)
 	_, stV := NewSolver(nu, Options{Cycle: VCycle, Tol: 1e-9, MaxCycles: 100}).Solve()
 	_, stW := NewSolver(nu, Options{Cycle: WCycle, Tol: 1e-9, MaxCycles: 100}).Solve()
 	if !stV.Converged || !stW.Converged {
@@ -190,7 +189,7 @@ func TestWCycleConvergesFasterPerCycleThanV(t *testing.T) {
 func TestVCycleSolves3D(t *testing.T) {
 	const res = 9
 	w := field.Omega{0.5, -1, 0.75, 0.25}
-	nu := field.Raster3D(w, res)
+	nu := field.Raster(w, 3, res)
 	u, st := NewSolver(nu, Options{Cycle: VCycle, Tol: 1e-9, MaxCycles: 60}).Solve()
 	if !st.Converged {
 		t.Fatalf("3D V-cycle did not converge: %+v", st)
@@ -208,7 +207,7 @@ func TestVCycleSolves3D(t *testing.T) {
 // independent matrix-free CG solution of the same FEM system.
 func TestEveryCycleMatchesCG3D(t *testing.T) {
 	const res = 9
-	nu := field.Raster3D(field.Omega{0.3105, 1.5386, 0.0932, -1.2442}, res)
+	nu := field.Raster(field.Omega{0.3105, 1.5386, 0.0932, -1.2442}, 3, res)
 	uCG, cg := fem.Solve(nu, 1e-11, 5000)
 	if !cg.Converged {
 		t.Fatalf("3D CG did not converge: %+v", cg)
@@ -232,7 +231,7 @@ func TestEveryCycleMatchesCG3D(t *testing.T) {
 // transfers, at depths 9 and 1.
 func TestSolve3DOfExtrudedFieldIsSolve2D(t *testing.T) {
 	const res, tol = 9, 1e-12
-	nu2 := field.Raster2D(field.Omega{0.5, -1, 0.75, 0.25}, res)
+	nu2 := field.Raster(field.Omega{0.5, -1, 0.75, 0.25}, 2, res)
 	nu3 := tensor.New(res, res, res)
 	for z := 0; z < res; z++ {
 		copy(nu3.Data[z*res*res:], nu2.Data)
@@ -268,9 +267,9 @@ func TestHalfVCheaperPerCycleThanV(t *testing.T) {
 func TestLevelsCapRespected(t *testing.T) {
 	const res = 33
 	nu := tensor.Full(1, res, res)
-	s := NewSolver(nu, Options{Levels: 2})
-	if s.NumLevels() != 2 {
-		t.Fatalf("levels = %d want 2", s.NumLevels())
+	_, st := NewSolver(nu, Options{Levels: 2}).Solve()
+	if st.Levels != 2 {
+		t.Fatalf("levels = %d want 2", st.Levels)
 	}
 }
 
@@ -291,7 +290,7 @@ func TestResidualMonotoneOverCycles(t *testing.T) {
 	// residual shrinks as the budget grows.
 	const res = 17
 	w := field.Omega{2, 1, -1, 0.5}
-	nu := field.Raster2D(w, res)
+	nu := field.Raster(w, 2, res)
 	prev := math.Inf(1)
 	for cycles := 1; cycles <= 4; cycles++ {
 		_, st := NewSolver(nu, Options{Cycle: VCycle, Tol: 0, MaxCycles: cycles}).Solve()
@@ -312,7 +311,7 @@ func TestGridIndependentConvergence(t *testing.T) {
 	w := field.Omega{0.3105, 1.5386, 0.0932, -1.2442}
 	var cycles []int
 	for _, res := range []int{17, 33, 65} {
-		nu := field.Raster2D(w, res)
+		nu := field.Raster(w, 2, res)
 		_, st := NewSolver(nu, Options{Cycle: VCycle, Tol: 1e-8, MaxCycles: 100}).Solve()
 		if !st.Converged {
 			t.Fatalf("res %d did not converge", res)
@@ -328,7 +327,7 @@ func TestGridIndependentConvergence(t *testing.T) {
 // paper's Table 7 spans three orders of magnitude in ν).
 func TestHighContrastCoefficient(t *testing.T) {
 	w := field.Omega{0.2838, -2.3550, 2.9574, -1.8963}
-	nu := field.Raster2D(w, 33)
+	nu := field.Raster(w, 2, 33)
 	contrast := nu.Max() / nu.Min()
 	if contrast < 50 {
 		t.Fatalf("test field not high-contrast: %v", contrast)

@@ -314,42 +314,27 @@ func (e *Engine) warm(r *replica) {
 		in := tensor.New(e.inputShape(1, res)...)
 		field.RasterInto(in.Data, field.Omega{}, e.dim, res)
 		r.net.Forward(in, false)
-		e.problemFor(res) // build the BC problem cache entry
+		e.loss.ProblemAt(res) // build the BC problem cache entry
 	}
 }
 
 func (e *Engine) inputShape(n, res int) []int {
-	if e.dim == 2 {
-		return []int{n, 1, res, res}
-	}
-	return []int{n, 1, res, res, res}
+	return []int{n, 1, res, res, res}[:2+e.dim]
 }
 
 func (e *Engine) voxels(res int) int {
-	if e.dim == 2 {
-		return res * res
+	n := 1
+	for range e.dim {
+		n *= res
 	}
-	return res * res * res
-}
-
-// problemFor returns the cached FEM problem used for boundary imposition.
-func (e *Engine) problemFor(res int) interface{ ApplyBC(*tensor.Tensor) } {
-	if e.dim == 2 {
-		return e.loss.Problem2DAt(res)
-	}
-	return e.loss.Problem3DAt(res)
+	return n
 }
 
 // applyBC imposes the exact Dirichlet data on u (length res^dim) in place
 // — Algorithm 1 step 8, the same imposition fem.EnergyLoss.WithBC performs.
 func (e *Engine) applyBC(u []float64, res int) {
-	var view *tensor.Tensor
-	if e.dim == 2 {
-		view = tensor.FromSlice(u, res, res)
-	} else {
-		view = tensor.FromSlice(u, res, res, res)
-	}
-	e.problemFor(res).ApplyBC(view)
+	p := e.loss.ProblemAt(res)
+	p.ApplyBC(tensor.FromSlice(u, p.Shape()...))
 }
 
 // Dim returns the served field dimensionality (2 or 3).

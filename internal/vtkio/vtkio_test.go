@@ -41,7 +41,7 @@ func TestRoundTrip2D(t *testing.T) {
 
 func TestRoundTrip3D(t *testing.T) {
 	w := field.Omega{0.5, -1, 1, -0.5}
-	f := field.Raster3D(w, 9)
+	f := field.Raster(w, 3, 9)
 	var buf bytes.Buffer
 	if err := WriteImageData(&buf, []Field{{"nu", f}}); err != nil {
 		t.Fatal(err)
