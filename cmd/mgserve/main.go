@@ -1,8 +1,9 @@
 // Command mgserve exposes a trained MGDiffNet model as an HTTP inference
 // service built on the batched multi-replica engine in internal/serve:
-// single-ω requests arriving close together are coalesced into one
-// forward pass, identical queries are deduplicated and cached, and very
-// large fields route through the slab-parallel path.
+// single-ω requests are coalesced into one forward pass while enough
+// demand is in flight to fill a batch (a lone request runs at once),
+// identical queries are deduplicated and cached, and very large fields
+// route through the slab-parallel path.
 //
 // The server is overload-safe: request contexts propagate into the
 // engine (a disconnected client detaches from its flight), a
@@ -27,6 +28,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -54,6 +56,14 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// windowRule describes the engine's batching rule for the startup line.
+func windowRule(st serve.Stats) string {
+	if st.BatchWindowMS <= 0 {
+		return "greedy batching, no window"
+	}
+	return fmt.Sprintf("batch window %gms, opened only while demand could fill a batch", st.BatchWindowMS)
+}
+
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mgserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -62,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		addr        = fs.String("addr", ":8080", "listen address")
 		replicas    = fs.Int("replicas", 0, "network replicas (0 = auto)")
 		maxBatch    = fs.Int("max-batch", 8, "max coalesced requests per forward pass")
-		window      = fs.Duration("window", 2*time.Millisecond, "micro-batching latency window (0 = greedy)")
+		window      = fs.Duration("window", 2*time.Millisecond, "longest a partial batch waits for company, opened only while demand could fill a batch (<= 0 = never: greedy)")
 		maxQueue    = fs.Int("max-queue", 0, "admission-queue bound; excess work answers 503 (0 = auto: 8*max-batch*replicas)")
 		reqTimeout  = fs.Duration("request-timeout", 30*time.Second, "per-request solve budget propagated into the engine (0 = none)")
 		quotaRPS    = fs.Float64("quota-rps", 0, "per-client sustained requests/second; over-quota answers 429 (0 = unlimited)")
@@ -102,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Net:         net,
 		Replicas:    *replicas,
 		MaxBatch:    *maxBatch,
-		BatchWindow: *window,
+		BatchWindow: cmp.Or(*window, -1), // -window 0 is greedy; the engine reads 0 as its 2ms default
 		MaxQueue:    *maxQueue,
 		CacheSize:   *cacheSize,
 		CacheMB:     *cacheMB,
@@ -137,8 +147,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	fmt.Fprintf(stdout, "mgserve: %dD model %s on %s (replicas %d, max batch %d, window %v, queue %d, request timeout %v)\n",
-		eng.Dim(), *model, *addr, eng.Stats().Replicas, *maxBatch, *window, eng.Stats().MaxQueue, *reqTimeout)
+	st := eng.Stats()
+	fmt.Fprintf(stdout, "mgserve: %dD model %s on %s (replicas %d, max batch %d, %s, queue %d, request timeout %v)\n",
+		eng.Dim(), *model, *addr, st.Replicas, st.MaxBatch, windowRule(st), st.MaxQueue, *reqTimeout)
 
 	select {
 	case <-ctx.Done():

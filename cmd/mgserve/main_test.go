@@ -173,8 +173,10 @@ func TestStatsAndHealth(t *testing.T) {
 	req := httptest.NewRequest(http.MethodGet, "/stats", nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"requests":1`) {
-		t.Fatalf("stats: %d %s", rec.Code, rec.Body.String())
+	// The lone request on an idle engine launched at once.
+	if body := rec.Body.String(); rec.Code != http.StatusOK || !strings.Contains(body, `"requests":1`) ||
+		!strings.Contains(body, `"launched_at_once":1`) || !strings.Contains(body, `"launched_after_window":0`) {
+		t.Fatalf("stats: %d %s", rec.Code, body)
 	}
 	req = httptest.NewRequest(http.MethodGet, "/healthz", nil)
 	rec = httptest.NewRecorder()

@@ -3,8 +3,9 @@ package nn
 import "mgdiffnet/internal/tensor"
 
 // gemmBuf is a persistently held scratch matrix for the GEMM convolution
-// lowering: backing storage grown on demand plus a cached shaped view, so
-// steady-state passes with stable shapes allocate nothing. Reuse across
+// lowering: backing storage grown on demand plus a shaped view reframed in
+// place, so steady-state passes allocate nothing, even when the batch size
+// changes the matrix's width from one pass to the next. Reuse across
 // passes is also what keeps the column slabs cache-resident instead of
 // re-faulting fresh pages every backward.
 type gemmBuf struct {
@@ -23,11 +24,12 @@ func (b *gemmBuf) get(rows, cols int, zero bool) *tensor.Tensor {
 	fresh := false
 	if cap(b.data) < need {
 		b.data = make([]float64, need)
-		b.view = nil
 		fresh = true
 	}
-	if b.view == nil || !b.view.ShapeIs(rows, cols) {
+	if b.view == nil {
 		b.view = tensor.FromSlice(b.data[:need], rows, cols)
+	} else {
+		b.view.Reframe(b.data[:need], rows, cols)
 	}
 	if zero && !fresh {
 		b.view.Zero()

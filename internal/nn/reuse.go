@@ -32,7 +32,11 @@ func SetBufferReuse(l Layer, on bool) {
 }
 
 // outBuf is a single reusable output slot. With reuse off it degenerates
-// to tensor.New, so layers pay nothing for carrying one.
+// to tensor.New, so layers pay nothing for carrying one. With reuse on, a
+// request that changes only the batch dimension reshapes the held tensor
+// in place while its storage suffices (tensor.ResizeBatch), so a replica
+// that serves batches of 8, 1 and 3 in turn keeps one buffer per layer
+// sized for 8; any other change of shape gets a fresh tensor, as before.
 type outBuf struct {
 	on bool
 	t  *tensor.Tensor
@@ -41,7 +45,7 @@ type outBuf struct {
 // get returns a tensor of the given shape whose contents are arbitrary;
 // callers must overwrite every element.
 func (b *outBuf) get(shape ...int) *tensor.Tensor {
-	if b.on && b.t != nil && b.t.ShapeIs(shape...) {
+	if b.on && b.t != nil && b.t.ResizeBatch(shape...) {
 		return b.t
 	}
 	t := tensor.New(shape...)
@@ -54,7 +58,7 @@ func (b *outBuf) get(shape ...int) *tensor.Tensor {
 // getZero returns a zero-filled tensor of the given shape, for callers
 // that accumulate into it.
 func (b *outBuf) getZero(shape ...int) *tensor.Tensor {
-	if b.on && b.t != nil && b.t.ShapeIs(shape...) {
+	if b.on && b.t != nil && b.t.ResizeBatch(shape...) {
 		b.t.Zero()
 		return b.t
 	}

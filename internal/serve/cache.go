@@ -1,6 +1,9 @@
 package serve
 
-import "container/list"
+import (
+	"container/list"
+	"time"
+)
 
 // flight is one in-progress computation of a key, shared by every caller
 // that asked for the same key while it ran (single-flight dedup). The
@@ -17,6 +20,8 @@ type flight struct {
 	err   error
 	batch int
 	slab  bool
+
+	admitted time.Time // when SolveQuery admitted it; the dispatcher's demand signal
 
 	waiters   int  // Solve calls attached to this flight
 	abandoned bool // all waiters detached before the forward ran

@@ -8,108 +8,162 @@ import (
 	"mgdiffnet/internal/tensor"
 )
 
+// launchCause records why the dispatcher launched a batch, for the
+// launched_at_once and launched_after_window counters.
+type launchCause uint8
+
+const (
+	launchFull        launchCause = iota // the group reached MaxBatch
+	launchAtOnce                         // demand could not fill a batch, or BatchWindow ≤ 0
+	launchAfterWindow                    // the batch window elapsed first
+)
+
 // dispatch is the micro-batching loop: it accumulates queued flights into
-// per-resolution groups and launches a group when it reaches MaxBatch or
-// when the batch window (opened by the first pending request) elapses.
-// Launching blocks while every replica is busy — natural backpressure that
-// lets the queue keep filling, so saturation produces full batches.
+// per-resolution groups and launches a group when it reaches MaxBatch.
+// When the first flight of a group arrives and demand could not fill a
+// batch (batchCanFill), it drains what is already queued and launches at
+// once: a lone request waits for nothing. Otherwise it opens the batch
+// window and launches whatever has gathered when it elapses. Launching
+// blocks while every replica is busy — natural backpressure that lets the
+// queue keep filling, so saturation produces full batches.
 func (e *Engine) dispatch() {
 	defer e.wg.Done()
-	groups := map[int][]*flight{}
+	groups := map[int][]*flight{} // open groups, never empty
 	var timer *time.Timer
 	var window <-chan time.Time
-	pending := 0
+	recent := arrivals{at: make([]time.Time, e.cfg.MaxBatch)}
 
-	flushAll := func() {
-		for res, fs := range groups {
-			delete(groups, res)
-			e.launch(res, fs)
-		}
-		pending = 0
+	stopWindow := func() {
 		if timer != nil {
 			timer.Stop()
 			timer = nil
 		}
 		window = nil
 	}
+	// add files f in its group and launches the group if that fills it.
+	add := func(f *flight) {
+		recent.note(f.admitted)
+		g := append(groups[f.key.Res], f)
+		if len(g) < e.cfg.MaxBatch {
+			groups[f.key.Res] = g
+			return
+		}
+		delete(groups, f.key.Res)
+		e.launch(f.key.Res, g, launchFull)
+	}
+	flushAll := func(cause launchCause) {
+		for res, fs := range groups {
+			delete(groups, res)
+			e.launch(res, fs, cause)
+		}
+		stopWindow()
+	}
 
 	for {
 		select {
 		case f := <-e.queue:
-			g := append(groups[f.key.Res], f)
-			pending++
-			if len(g) >= e.cfg.MaxBatch {
-				delete(groups, f.key.Res)
-				pending -= len(g)
-				e.launch(f.key.Res, g)
-				if pending == 0 && timer != nil {
-					timer.Stop()
-					timer = nil
-					window = nil
+			add(f)
+			if len(groups) == 0 {
+				stopWindow() // f filled the last open group
+				continue
+			}
+			if window != nil {
+				continue
+			}
+			if !e.batchCanFill(&recent) {
+				// Coalesce only what is already queued.
+				for drained := false; !drained; {
+					select {
+					case f := <-e.queue:
+						add(f)
+					default:
+						drained = true
+					}
 				}
+				flushAll(launchAtOnce)
 				continue
 			}
-			groups[f.key.Res] = g
-			if e.cfg.BatchWindow <= 0 {
-				// Greedy mode: coalesce only what is already queued.
-				e.drainQueued(groups, &pending)
-				flushAll()
-				continue
-			}
-			if window == nil {
-				timer = time.NewTimer(e.cfg.BatchWindow)
-				window = timer.C
-			}
+			timer = time.NewTimer(e.cfg.BatchWindow)
+			window = timer.C
 		case <-window:
-			timer = nil
-			window = nil
-			flushAll()
+			flushAll(launchAfterWindow)
 		case <-e.quit:
 			// Close waited for every Solve to return before signalling
 			// quit, so every queued or grouped flight is abandoned (its
 			// waiters are gone); flush anyway — launch drops abandoned
-			// flights without taking a replica.
-			flushAll()
+			// flights without running a forward.
+			flushAll(launchAtOnce)
 			return
 		}
 	}
 }
 
-// drainQueued moves every already-queued flight into groups without
-// blocking, launching any group that fills to MaxBatch.
-func (e *Engine) drainQueued(groups map[int][]*flight, pending *int) {
-	for {
-		select {
-		case f := <-e.queue:
-			g := append(groups[f.key.Res], f)
-			*pending++
-			if len(g) >= e.cfg.MaxBatch {
-				delete(groups, f.key.Res)
-				*pending -= len(g)
-				e.launch(f.key.Res, g)
-				continue
-			}
-			groups[f.key.Res] = g
-		default:
-			return
-		}
-	}
+// arrivals rings the admission times of the last MaxBatch flights the
+// dispatcher received. Only the dispatcher touches it.
+type arrivals struct {
+	at   []time.Time
+	seen int
 }
 
-// launch drops flights whose waiters have all detached, then takes a
-// replica from the pool (blocking until one frees up) and runs the
-// surviving batch on it asynchronously, so the dispatcher can keep
-// accumulating the next batch meanwhile. A fully abandoned group is
-// dropped before it consumes a replica — the promise behind waiter
-// detachment: no forward pass runs for work nobody is waiting on.
-func (e *Engine) launch(res int, fs []*flight) {
+func (a *arrivals) note(t time.Time) {
+	a.at[a.seen%len(a.at)] = t
+	a.seen++
+}
+
+// within reports whether the last len(a.at) flights were all admitted
+// within d of the latest.
+func (a *arrivals) within(d time.Duration) bool {
+	if a.seen < len(a.at) {
+		return false
+	}
+	latest := a.at[(a.seen-1)%len(a.at)]
+	return latest.Sub(a.at[a.seen%len(a.at)]) <= d
+}
+
+// batchCanFill reports whether demand could fill a batch within one
+// window, the one case in which holding a partial batch open buys
+// company. Either signal says so:
+//   - the engine's admitted, unfinished flights number MaxBatch or more;
+//   - the last MaxBatch flights were admitted within one window, so the
+//     arrival rate alone fills a batch per window. Closed-loop clients need
+//     it: once their batch is answered they are between requests and not
+//     pending, and with forwards short next to a client's turnaround (or
+//     one processor, where every flight is dispatched before the next
+//     client runs) the pending count alone stays below MaxBatch and
+//     batches shrink toward 1. It cannot tell one client sending back to
+//     back from many: such a client, when MaxBatch requests take less than
+//     a window, waits one window in every MaxBatch.
+//
+// It takes e.mu once per window the dispatcher would open, not once per
+// queued flight. With BatchWindow ≤ 0 it is always false.
+func (e *Engine) batchCanFill(recent *arrivals) bool {
+	if e.cfg.BatchWindow <= 0 {
+		return false
+	}
+	if recent.within(e.cfg.BatchWindow) {
+		return true
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.pending >= e.cfg.MaxBatch
+}
+
+// launch takes a replica from the pool (blocking until one frees up),
+// then drops flights whose waiters have all detached, and runs the
+// surviving batch on the replica asynchronously, so the dispatcher can
+// keep accumulating the next batch meanwhile. A fully abandoned group
+// hands the replica straight back — the promise behind waiter detachment:
+// no forward pass runs for work nobody is waiting on, including work whose
+// waiters left while it queued for a busy replica.
+func (e *Engine) launch(res int, fs []*flight, cause launchCause) {
+	rep := <-e.replicas
 	fs = e.compactLive(fs)
 	if len(fs) == 0 {
+		e.replicas <- rep
 		return
 	}
-	rep := <-e.replicas
 	e.wg.Add(1)
-	go e.runBatch(rep, res, fs)
+	go e.runBatch(rep, res, fs, cause)
 }
 
 // compactLive filters abandoned flights out of fs in place (no
@@ -130,20 +184,20 @@ func (e *Engine) compactLive(fs []*flight) []*flight {
 // runBatch executes one coalesced forward pass: rasterize every ω into the
 // replica's reused batch tensor, run the network, then copy each sample
 // out, impose boundary conditions, publish to the cache and wake waiters.
-// Flights abandoned between launch and here still ride the batch — the
+// Flights abandoned after launch took the replica still ride the batch — the
 // forward is already paid for by the live sharers, and caching their
 // result is sound (admission never changes values, only whether a forward
 // runs).
 //
 //mglint:hotpath
-func (e *Engine) runBatch(rep *replica, res int, fs []*flight) {
+func (e *Engine) runBatch(rep *replica, res int, fs []*flight, cause launchCause) {
 	defer e.wg.Done()
 	start := time.Now()
 	n := len(fs)
 	per := e.voxels(res)
 	shape := e.inputShape(n, res)
-	if rep.in == nil || !rep.in.ShapeIs(shape...) {
-		//mglint:ignore hotalloc the replica's batch tensor is allocated once per (batch size, resolution) and reused across every later batch of that shape
+	if rep.in == nil || !rep.in.ResizeBatch(shape...) {
+		//mglint:ignore hotalloc the replica's batch tensor is allocated once per resolution and batch capacity; smaller batches reuse its storage
 		rep.in = tensor.New(shape...)
 	}
 	for i, f := range fs {
@@ -166,6 +220,12 @@ func (e *Engine) runBatch(rep *replica, res int, fs []*flight) {
 	e.stats.Lock()
 	e.stats.forwards++
 	e.stats.batched += uint64(n)
+	switch cause {
+	case launchAtOnce:
+		e.stats.atOnce++
+	case launchAfterWindow:
+		e.stats.afterWindow++
+	}
 	e.stats.Unlock()
 	e.finish(fs, res, time.Since(start))
 }

@@ -118,15 +118,16 @@ func TestCancelStormSurvivorBitExact(t *testing.T) {
 }
 
 // TestAllWaitersGoneFlightDropped pins the other half of the detachment
-// contract: a flight whose every waiter cancels before the batch window
-// closes is dropped without running its forward.
+// contract: a flight whose every waiter cancels while it waits for a
+// replica is dropped without running its forward.
 func TestAllWaitersGoneFlightDropped(t *testing.T) {
 	net := testNet(2)
-	// A long window keeps the flight parked in the dispatcher while the
-	// waiter cancels.
 	e := mustEngine(t, Config{Net: net, Replicas: 1, MaxBatch: 8, BatchWindow: 150 * time.Millisecond})
 	w := field.Omega{0.2, 0.9, -1.3, 0.5}
 
+	// Holding the only replica parks the flight in the dispatcher's launch
+	// while the waiter cancels, with no forward of another flight counted.
+	rep := <-e.replicas
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
@@ -138,8 +139,9 @@ func TestAllWaitersGoneFlightDropped(t *testing.T) {
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled waiter returned %v", err)
 	}
-	// Wait out the batch window: the dispatcher must drop the abandoned
-	// flight instead of forwarding it.
+	// Free the replica: the dispatcher must drop the abandoned flight
+	// instead of forwarding it.
+	e.replicas <- rep
 	time.Sleep(300 * time.Millisecond)
 	st := e.Stats()
 	if st.Forwards != 0 {
@@ -164,6 +166,51 @@ func TestAllWaitersGoneFlightDropped(t *testing.T) {
 		if got.U[j] != want[j] {
 			t.Fatalf("recomputed value diverges at %d", j)
 		}
+	}
+}
+
+// TestFlightAbandonedWhileWaitingForReplicaDropped: a flight whose only
+// waiter cancels while it queues behind a slow batch on the engine's one
+// replica is dropped when the replica frees up, so the only forward that
+// runs is the blocker's.
+func TestFlightAbandonedWhileWaitingForReplicaDropped(t *testing.T) {
+	net := testNet(2)
+	e := mustEngine(t, Config{Net: net, Replicas: 1, MaxBatch: 8, CacheSize: -1,
+		Faults: &Faults{Seed: 1, SlowReplicaProb: 1, ReplicaDelay: 200 * time.Millisecond}})
+	blocker := make(chan error, 1)
+	go func() {
+		_, err := e.Solve(context.Background(), field.Omega{0.4, -0.7, 1.1, 0.2}, 16)
+		blocker <- err
+	}()
+	for len(e.replicas) > 0 { // wait for the blocker to take the replica
+		time.Sleep(time.Millisecond)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := e.Solve(ctx, field.Omega{0.2, 0.9, -1.3, 0.5}, 16)
+		errc <- err
+	}()
+	// Long past a default window: the flight waits for the replica.
+	time.Sleep(30 * time.Millisecond)
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled waiter returned %v", err)
+	}
+	if err := <-blocker; err != nil {
+		t.Fatal(err)
+	}
+	e.Close() // waits for every batch the dispatcher launched
+	st := e.Stats()
+	if st.Forwards != 1 {
+		t.Fatalf("%d forwards, want only the blocker's", st.Forwards)
+	}
+	if st.DroppedFlights != 1 {
+		t.Fatalf("dropped flights %d, want 1", st.DroppedFlights)
+	}
+	if st.QueueDepth != 0 {
+		t.Fatalf("queue depth %d, want 0", st.QueueDepth)
 	}
 }
 

@@ -8,10 +8,11 @@
 //   - an ω+resolution-keyed LRU result cache with single-flight
 //     deduplication, so identical queries — common when many users probe
 //     the same design point — cost one forward pass total;
-//   - a micro-batching dispatcher that coalesces single-ω requests
-//     arriving within a latency window into one [N, 1, ...] forward pass,
-//     amortizing per-pass overhead (buffer traffic, layer dispatch, GEMM
-//     setup) across the batch;
+//   - a micro-batching dispatcher that coalesces single-ω requests into
+//     one [N, 1, ...] forward pass, amortizing per-pass overhead (buffer
+//     traffic, layer dispatch, GEMM setup) across the batch. It holds a
+//     partial batch open for a latency window only while demand could
+//     fill it; a lone request launches at once;
 //   - a routing rule that sends very large single requests to the
 //     slab-parallel dist.SpatialInference path instead of the batcher, so
 //     a megavoxel query neither stalls the batch pipeline nor pays for it.
@@ -67,12 +68,16 @@ type Config struct {
 	// pass. Default 8.
 	MaxBatch int
 
-	// BatchWindow is how long the dispatcher holds the first request of a
-	// batch open for co-arriving requests. Under saturation batches fill
-	// to MaxBatch immediately and the window never elapses; it only costs
-	// latency when traffic is sparse — exactly when latency is cheapest.
-	// Zero or negative coalesces only requests already queued (greedy
-	// drain, no added latency). Default 2ms.
+	// BatchWindow is the longest a partial batch waits for company while
+	// enough demand is in flight to fill it: MaxBatch admitted, unfinished
+	// requests, or MaxBatch admitted within the last window. With less, a
+	// batch cannot fill, so the dispatcher launches what is queued at once
+	// and a lone request waits for nothing. Under saturation batches fill
+	// to MaxBatch before the window elapses. Zero or negative never opens
+	// it: only requests already queued are coalesced (greedy drain).
+	// Default 2ms. The knob is meant to go, but the benchmark harness sets
+	// it (bench/serve.go's serveBatchWindow), so deleting it waits for a
+	// change that edits the harness too.
 	BatchWindow time.Duration
 
 	// MaxQueue bounds the admission queue: the number of distinct
@@ -174,6 +179,11 @@ type Stats struct {
 	DegradedServed   uint64 `json:"degraded_served"`   // coarse answers served in degraded mode
 	DroppedFlights   uint64 `json:"dropped_flights"`   // all-waiters-gone flights dropped before their forward
 
+	// Why batches launched. A batch that neither counter names filled to
+	// MaxBatch; slab passes are not batches.
+	LaunchedAtOnce      uint64 `json:"launched_at_once"`      // batches launched unwaited: demand could not fill one
+	LaunchedAfterWindow uint64 `json:"launched_after_window"` // batches that waited out the whole BatchWindow
+
 	// Gauges.
 	QueueDepth   int  `json:"queue_depth"`   // in-flight computations right now
 	MaxQueue     int  `json:"max_queue"`     // admission bound
@@ -219,7 +229,7 @@ type Engine struct {
 		sync.Mutex
 		requests, cacheHits, shared, forwards, batched, slabbed uint64
 		canceled, deadlineExceeded, degradedServed              uint64
-		dropped                                                 uint64
+		dropped, atOnce, afterWindow                            uint64
 	}
 	// shed counters live under e.mu (they are bumped inside the admission
 	// decision, which already holds it).
@@ -451,7 +461,7 @@ func (e *Engine) SolveQuery(ctx context.Context, q Query) (Result, error) {
 		e.mu.Unlock()
 		return Result{}, err
 	}
-	f := &flight{key: key, done: make(chan struct{}), waiters: 1}
+	f := &flight{key: key, done: make(chan struct{}), waiters: 1, admitted: now}
 	e.inflight[key] = f
 	e.pending++
 	// A request the slab decomposition cannot split takes the batched path.
@@ -629,6 +639,7 @@ func (e *Engine) Stats() Stats {
 		MaxBatch:         e.cfg.MaxBatch,
 		BatchWindowMS:    float64(e.cfg.BatchWindow) / float64(time.Millisecond),
 	}
+	s.LaunchedAtOnce, s.LaunchedAfterWindow = e.stats.atOnce, e.stats.afterWindow
 	e.stats.Unlock()
 	e.mu.Lock()
 	if e.cache != nil {

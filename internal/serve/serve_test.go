@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -138,6 +139,82 @@ func TestEngineConcurrentBitIdentical(t *testing.T) {
 	}
 }
 
+// TestIdleEngineSkipsWindow pins the dispatcher's rule for sparse
+// traffic: with too little demand in flight to fill a batch, a request is
+// launched at once instead of waiting out the batch window, so each of
+// five sequential solves is answered well inside a 200 ms window.
+func TestIdleEngineSkipsWindow(t *testing.T) {
+	const window = 200 * time.Millisecond
+	e := mustEngine(t, Config{Net: testNet(2), Replicas: 1, CacheSize: -1, BatchWindow: window, WarmRes: []int{8}})
+	for i, w := range field.SampleOmegas(5) {
+		start := time.Now()
+		if _, err := e.Solve(context.Background(), w, 16); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); took >= window/2 {
+			t.Fatalf("solve %d took %v with an idle engine; the %v window was waited on", i, took, window)
+		}
+	}
+	st := e.Stats()
+	if st.LaunchedAtOnce != 5 || st.LaunchedAfterWindow != 0 {
+		t.Fatalf("launched at once %d, after the window %d; want 5 and 0", st.LaunchedAtOnce, st.LaunchedAfterWindow)
+	}
+}
+
+// TestLoadedEngineFillsBatches pins the other half of the rule: 2·MaxBatch
+// closed-loop clients on two replicas keep enough demand in flight to
+// fill a batch, so the window stays open and batches fill to MaxBatch.
+// The mean is taken over batches run after a warm-up and while every
+// client is still sending: the first flights of a cold engine, and the
+// last ones once clients start to stop, cannot fill a batch and rightly
+// launch at once.
+func TestLoadedEngineFillsBatches(t *testing.T) {
+	const maxBatch, warmup, batches = 8, 4, 24
+	e := mustEngine(t, Config{Net: testNet(2), Replicas: 2, MaxBatch: maxBatch, CacheSize: -1, BatchWindow: 20 * time.Millisecond})
+	omegas := field.SampleOmegas(4096)
+	var next atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < 2*maxBatch; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				w := omegas[int(next.Add(1))%len(omegas)]
+				if _, err := e.Solve(context.Background(), w, 16); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	// batchedAtLeast polls the counters until n requests have been batched.
+	batchedAtLeast := func(n uint64) Stats {
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			st := e.Stats()
+			if st.BatchedRequests >= n || time.Now().After(deadline) {
+				return st
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	s0 := batchedAtLeast(warmup * maxBatch)
+	s1 := batchedAtLeast(s0.BatchedRequests + batches*maxBatch)
+	close(stop)
+	wg.Wait()
+	fw := s1.Forwards - s0.Forwards
+	if mean := float64(s1.BatchedRequests-s0.BatchedRequests) / float64(fw); mean < 0.9*maxBatch {
+		t.Fatalf("mean batch %.2f over %d forwards (%d at once, %d after the window), want at least %.1f",
+			mean, fw, s1.LaunchedAtOnce-s0.LaunchedAtOnce, s1.LaunchedAfterWindow-s0.LaunchedAfterWindow, 0.9*maxBatch)
+	}
+}
+
 // TestCacheHitEqualsCold pins that a cache hit returns the same values as
 // the cold miss that populated it, and that mutating a returned field
 // cannot poison the cache.
@@ -176,9 +253,12 @@ func TestCacheHitEqualsCold(t *testing.T) {
 
 // TestSingleFlightDedup checks that identical concurrent queries share one
 // computation when the cache is disabled (so dedup, not caching, answers).
+// A slow replica keeps the first flight's forward running while the other
+// callers arrive.
 func TestSingleFlightDedup(t *testing.T) {
 	net := testNet(2)
-	e := mustEngine(t, Config{Net: net, CacheSize: -1, MaxBatch: 4, BatchWindow: 5 * time.Millisecond})
+	e := mustEngine(t, Config{Net: net, CacheSize: -1, MaxBatch: 4, BatchWindow: 5 * time.Millisecond,
+		Faults: &Faults{SlowReplicaProb: 1, ReplicaDelay: 50 * time.Millisecond}})
 	w := field.Omega{1.5, 0.2, -0.8, 0.3}
 
 	const callers = 16

@@ -59,7 +59,7 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 	}
 	t := &Tensor{
 		shape: append([]int(nil), shape...),
-		Data:  data,
+		Data:  data[:n:n], // ResizeBatch never grows a view into storage beyond it
 	}
 	t.stride = computeStrides(t.shape)
 	return t
@@ -76,12 +76,17 @@ func Full(v float64, shape ...int) *Tensor {
 
 func computeStrides(shape []int) []int {
 	s := make([]int, len(shape))
+	fillStrides(s, shape)
+	return s
+}
+
+// fillStrides writes shape's row-major strides into s.
+func fillStrides(s, shape []int) {
 	acc := 1
 	for i := len(shape) - 1; i >= 0; i-- {
 		s[i] = acc
 		acc *= shape[i]
 	}
-	return s
 }
 
 // Shape returns the tensor's dimensions. The returned slice must not be
@@ -175,7 +180,51 @@ func (t *Tensor) Rebase(data []float64) {
 	if len(data) != len(t.Data) {
 		panic(fmt.Sprintf("tensor: Rebase length %d does not match tensor volume %d", len(data), len(t.Data)))
 	}
-	t.Data = data
+	t.Data = data[:len(data):len(data)]
+}
+
+// Reframe re-points t at data with a new shape of t's rank, in place: it
+// is FromSlice for a view that outlives its shape, so a scratch matrix
+// whose extent changes from pass to pass (nn's lowered-convolution
+// buffers) follows it without allocating. len(data) must equal the
+// shape's volume.
+func (t *Tensor) Reframe(data []float64, shape ...int) {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	if len(shape) != len(t.shape) || len(data) != n {
+		panic(fmt.Sprintf("tensor: cannot reframe rank-%d tensor as %v over %d values", len(t.shape), append([]int(nil), shape...), len(data)))
+	}
+	copy(t.shape, shape)
+	fillStrides(t.stride, t.shape)
+	t.Data = data[:n:n]
+}
+
+// ResizeBatch re-shapes t in place to shape when shape differs from t's
+// shape at most in dim 0 and t's storage has the capacity for it, and
+// reports whether it did; otherwise t is left as it is. It never
+// allocates, so a buffer sized for the largest batch serves every smaller
+// one: shrinking reslices Data, growing back reclaims the storage the
+// shrink kept. Elements a grow brings back hold whatever they held last.
+// Any other change of shape is refused, so a caller that allocates on
+// refusal gets a fresh buffer for every change but the batch size.
+func (t *Tensor) ResizeBatch(shape ...int) bool {
+	if len(shape) != len(t.shape) || len(shape) == 0 || shape[0] <= 0 {
+		return false
+	}
+	for i := 1; i < len(shape); i++ {
+		if shape[i] != t.shape[i] {
+			return false
+		}
+	}
+	n := shape[0] * t.stride[0]
+	if n > cap(t.Data) {
+		return false
+	}
+	t.shape[0] = shape[0]
+	t.Data = t.Data[:n]
+	return true
 }
 
 // Zero sets every element to zero.

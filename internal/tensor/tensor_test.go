@@ -108,6 +108,69 @@ func TestRebaseAliasesStorage(t *testing.T) {
 	x.Rebase(slab[:5])
 }
 
+// ResizeBatch reshapes in place, keeping the storage, when only dim 0
+// changes and the storage holds the new batch; it refuses any other change
+// and leaves the tensor as it was.
+func TestResizeBatchKeepsStorage(t *testing.T) {
+	x := New(4, 2, 3)
+	base := &x.Data[0]
+	for _, n := range []int{1, 3, 4, 2} {
+		if !x.ResizeBatch(n, 2, 3) {
+			t.Fatalf("ResizeBatch(%d, 2, 3) refused within capacity", n)
+		}
+		if !x.ShapeIs(n, 2, 3) || x.Len() != n*6 || x.Stride(0) != 6 || &x.Data[0] != base {
+			t.Fatalf("after ResizeBatch(%d, 2, 3): shape %v len %d stride %d, storage moved %v",
+				n, x.Shape(), x.Len(), x.Stride(0), &x.Data[0] != base)
+		}
+	}
+	for _, shape := range [][]int{{5, 2, 3}, {2, 3, 2}, {2, 6}, {2, 2, 3, 1}, {0, 2, 3}, {}} {
+		if x.ResizeBatch(shape...) {
+			t.Errorf("ResizeBatch(%v) accepted", shape)
+		}
+		if !x.ShapeIs(2, 2, 3) || x.Len() != 12 {
+			t.Fatalf("refused ResizeBatch(%v) changed the tensor: shape %v len %d", shape, x.Shape(), x.Len())
+		}
+	}
+	// A view never grows into storage past its own end.
+	slab := make([]float64, 12)
+	v := FromSlice(slab[:6], 1, 2, 3)
+	if v.ResizeBatch(2, 2, 3) {
+		t.Fatal("a view of 6 values grew into the rest of its slab")
+	}
+	x.Rebase(slab[:12])
+	if !x.ResizeBatch(1, 2, 3) || x.ResizeBatch(3, 2, 3) {
+		t.Fatal("a rebased tensor must keep the capacity it was given, no more")
+	}
+}
+
+// Reframe re-points a tensor at new storage with a new shape of its rank,
+// recomputing the strides, and refuses a length or rank mismatch.
+func TestReframe(t *testing.T) {
+	x := New(2, 3)
+	data := make([]float64, 20)
+	x.Reframe(data[:20], 4, 5)
+	if !x.ShapeIs(4, 5) || x.Stride(0) != 5 || x.Len() != 20 {
+		t.Fatalf("Reframe(4, 5): shape %v stride %d len %d", x.Shape(), x.Stride(0), x.Len())
+	}
+	x.Set(7, 3, 4)
+	if data[19] != 7 {
+		t.Fatal("Reframe must alias the given storage")
+	}
+	for _, bad := range []func(){
+		func() { x.Reframe(data[:19], 4, 5) },
+		func() { x.Reframe(data[:20], 20) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic")
+				}
+			}()
+			bad()
+		}()
+	}
+}
+
 // String prints the shape and at most the first eight values, so a
 // megavoxel field does not flood a log line.
 func TestStringShowsShapeAndPrefix(t *testing.T) {
