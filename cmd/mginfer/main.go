@@ -14,6 +14,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,16 +32,37 @@ import (
 	"mgdiffnet/internal/vtkio"
 )
 
-// readOmegaFile parses one ω per line; blank lines and #-comments are
-// skipped.
+// readOmegaFile parses the ω file at path (see parseOmegas).
 func readOmegaFile(path string) ([]field.Omega, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	return parseOmegas(f, path)
+}
+
+// lineError is a line of an ω file that is not an ω: a malformed or
+// non-finite vector, or a line longer than bufio.MaxScanTokenSize (64 KiB).
+type lineError struct {
+	name string
+	line int
+	err  error
+}
+
+func (e *lineError) Error() string { return fmt.Sprintf("%s:%d: %v", e.name, e.line, e.err) }
+func (e *lineError) Unwrap() error { return e.err }
+
+// errNoOmega reports an ω file without a single ω line.
+var errNoOmega = errors.New("no omega vectors found")
+
+// parseOmegas reads one ω per line from r, skipping blank lines and
+// #-comments; name labels the errors. Every ω it returns is finite. A
+// malformed line is a *lineError and a file without ω wraps errNoOmega;
+// any other error is r's own.
+func parseOmegas(r io.Reader, name string) ([]field.Omega, error) {
 	var ws []field.Omega
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	line := 0
 	for sc.Scan() {
 		line++
@@ -50,15 +72,17 @@ func readOmegaFile(path string) ([]field.Omega, error) {
 		}
 		w, err := field.ParseOmega(s)
 		if err != nil {
-			return nil, fmt.Errorf("%s:%d: %w", path, line, err)
+			return nil, &lineError{name, line, err}
 		}
 		ws = append(ws, w)
 	}
-	if err := sc.Err(); err != nil {
+	if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
+		return nil, &lineError{name, line + 1, err}
+	} else if err != nil {
 		return nil, err
 	}
 	if len(ws) == 0 {
-		return nil, fmt.Errorf("%s: no omega vectors found", path)
+		return nil, fmt.Errorf("%s: %w", name, errNoOmega)
 	}
 	return ws, nil
 }
@@ -111,11 +135,11 @@ func compareLine(stdout, stderr io.Writer, dim int, w field.Omega, u *tensor.Ten
 	uFEM, cg := solveFEM(dim, w, res)
 	diff := u.Clone()
 	diff.Sub(uFEM)
-	fmt.Fprintf(stdout, "vs FEM: RMSE %.6f, max|err| %.6f, rel L2 %.6f (CG %d iters, residual %.3g)\n",
-		u.RMSE(uFEM), diff.AbsMax(), diff.Norm2()/uFEM.Norm2(), cg.Iterations, cg.Residual)
+	fmt.Fprintf(stdout, "vs FEM: RMSE %.6f, max|err| %.6f, rel L2 %.6f (CG %d iters, relative residual %.3g)\n",
+		u.RMSE(uFEM), diff.AbsMax(), diff.Norm2()/uFEM.Norm2(), cg.Iterations, cg.RelResidual)
 	if !cg.Converged {
-		fmt.Fprintf(stderr, "mginfer: FEM reference did not converge after %d iterations (residual %.3g); the comparison above is against an unconverged field\n",
-			cg.Iterations, cg.Residual)
+		fmt.Fprintf(stderr, "mginfer: FEM reference did not converge after %d iterations (relative residual %.3g); the comparison above is against an unconverged field\n",
+			cg.Iterations, cg.RelResidual)
 		return uFEM, false
 	}
 	return uFEM, true

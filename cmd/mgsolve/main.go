@@ -125,11 +125,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *method == "cg" {
 		var st sparse.CGResult
 		u, st = fem.Solve(nu, *tol, 100000)
-		fmt.Fprintf(stdout, "CG: %d iterations, residual %.3e, converged %v\n", st.Iterations, st.Residual, st.Converged)
+		fmt.Fprintf(stdout, "CG: %d iterations, relative residual %.3e, converged %v\n", st.Iterations, st.RelResidual, st.Converged)
 	} else {
 		var st gmg.Stats
 		u, st = gmg.NewSolver(nu, gmg.Options{Cycle: ct, Tol: *tol}).Solve()
-		fmt.Fprintf(stdout, "GMG %s-cycle: %d cycles over %d levels, residual %.3e, converged %v\n",
+		fmt.Fprintf(stdout, "GMG %s-cycle: %d cycles over %d levels, relative residual %.3e, converged %v\n",
 			ct, st.Cycles, st.Levels, st.Residual, st.Converged)
 	}
 	elapsed := time.Since(start)

@@ -26,14 +26,14 @@ func main() {
 	start := time.Now()
 	uCG, cg := fem.Solve(nu, 1e-9, 50000)
 	cgSec := time.Since(start).Seconds()
-	fmt.Printf("%-16s %6d iterations   %8.4fs   residual %.2e\n", "CG", cg.Iterations, cgSec, cg.Residual)
+	fmt.Printf("%-16s %6d iterations   %8.4fs   rel. residual %.2e\n", "CG", cg.Iterations, cgSec, cg.RelResidual)
 	ok := cg.Converged
 
 	for _, ct := range []gmg.CycleType{gmg.VCycle, gmg.WCycle, gmg.FCycle, gmg.HalfVCycle} {
 		start = time.Now()
 		u, st := gmg.NewSolver(nu, gmg.Options{Cycle: ct, Tol: 1e-9}).Solve()
 		sec := time.Since(start).Seconds()
-		fmt.Printf("GMG %-12s %6d cycles       %8.4fs   residual %.2e   vs CG RMSE %.2e\n",
+		fmt.Printf("GMG %-12s %6d cycles       %8.4fs   rel. residual %.2e   vs CG RMSE %.2e\n",
 			ct.String()+"-cycle", st.Cycles, sec, st.Residual, u.RMSE(uCG))
 		ok = ok && st.Converged && u.RMSE(uCG) < 1e-6
 	}

@@ -38,23 +38,23 @@ func HaloFor(net *unet.UNet) int {
 // to rounding (≲1e-13) instead; pin unet.Config.DirectConv to recover
 // exact bitwise equality.
 // SpatialInference is safe for concurrent Forward/ForwardInto calls: a
-// pass owns the worker replicas and their scratch exclusively, so
-// concurrent callers serialize on an internal mutex (the slab workers
-// still run in parallel inside each pass). The per-worker extended-slab
-// scratch is reused across passes, so a steady-state pass allocates
-// nothing beyond the replicas' own forwards, one goroutine closure per
-// slab but the last, and the output tensor — not even that tensor when the
-// caller provides one to ForwardInto.
+// pass owns the worker replicas exclusively, so concurrent callers
+// serialize on an internal mutex (the slab workers still run in parallel
+// inside each pass). Each worker's replica is an inference clone
+// (unet.UNet.InferenceClone): it copies its extended slab into its own
+// input slot and keeps every activation in one arena planned by lifetime,
+// so a steady-state pass allocates nothing beyond the replicas' own
+// forwards, one goroutine closure per slab but the last, and the output
+// tensor — not even that tensor when the caller provides one to
+// ForwardInto.
 type SpatialInference struct {
 	workers int
 	halo    int
-	nets    []*unet.UNet // one clone per worker: forward caches are per-replica
+	nets    []*unet.UNet // one inference clone per worker
 
-	mu       sync.Mutex       // one pass at a time; guards the scratch below
-	wg       sync.WaitGroup   // the slab workers of the current pass
-	ext      []*tensor.Tensor // per-worker extended-slab input scratch
-	exts     [][]int          // per-worker extended-slab shape scratch, grown once
-	shapeBuf []int            // output-shape scratch, grown once
+	mu       sync.Mutex     // one pass at a time; guards the replicas and shapeBuf
+	wg       sync.WaitGroup // the slab workers of the current pass
+	shapeBuf []int          // output-shape scratch, grown once
 }
 
 // NewSpatialInference builds a slab-decomposed evaluator over workers
@@ -82,16 +82,11 @@ func NewSpatialInference(net *unet.UNet, workers, halo int) (*SpatialInference, 
 	}
 	si := &SpatialInference{workers: workers, halo: halo}
 	for w := 0; w < workers; w++ {
-		c := net.Clone()
 		// The replicas are owned outright and every output is copied into
-		// the caller-visible tensor before the pass returns, so recycling
-		// the layer buffers across passes is sound and makes steady-state
-		// slab inference allocation-free.
-		c.SetBufferReuse(true)
-		si.nets = append(si.nets, c)
+		// the caller-visible tensor before the pass returns, so they can
+		// keep their activations in an arena that the next pass overwrites.
+		si.nets = append(si.nets, net.InferenceClone())
 	}
-	si.ext = make([]*tensor.Tensor, workers)
-	si.exts = make([][]int, workers)
 	return si, nil
 }
 
@@ -208,34 +203,23 @@ func (s *SpatialInference) ForwardInto(dst, x *tensor.Tensor) (*tensor.Tensor, e
 	return out, nil
 }
 
-// scratchFor returns worker w's reusable scratch tensor from pool,
-// replacing it when the requested shape changes.
-func scratchFor(pool []*tensor.Tensor, w int, shape []int) *tensor.Tensor {
-	if t := pool[w]; t != nil && t.ShapeIs(shape...) {
-		return t
-	}
-	pool[w] = tensor.New(shape...)
-	return pool[w]
-}
-
 // forwardSlab is one worker's share of Forward: copy the slab and its
-// halos from x, run the network on the extended slab, keep the interior.
-// A slab spanning every row forwards x itself.
+// halos from x into the replica's input slot, run the network on the
+// extended slab, keep the interior. A slab spanning every row forwards x
+// itself.
 func (s *SpatialInference) forwardSlab(w int, x, out *tensor.Tensor, slab int) {
 	defer s.wg.Done()
+	net := s.nets[w]
 	lo := w * slab
 	lo2, hi2 := max(lo-s.halo, 0), min(lo+slab+s.halo, x.Dim(2))
 	ext := x
 	if hi2-lo2 < x.Dim(2) {
-		if cap(s.exts[w]) < x.Rank() {
-			s.exts[w] = make([]int, x.Rank())
-		}
-		extShape := s.exts[w][:x.Rank()]
-		copy(extShape, x.Shape())
-		extShape[2] = hi2 - lo2
-		ext = scratchFor(s.ext, w, extShape)
+		var shape [5]int
+		copy(shape[:], x.Shape())
+		shape[2] = hi2 - lo2
+		ext = net.Input(shape[:x.Rank()]...)
 		copyRows(ext, x, 0, lo2, hi2-lo2)
 	}
-	y := s.nets[w].Forward(ext, false)
+	y := net.Forward(ext, false)
 	copyRows(out, y, lo, lo-lo2, slab)
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -580,51 +581,94 @@ func (t *TCPTransport) deliver(from int, msg, buf []float64) error {
 	return nil
 }
 
+// ErrBadFrame reports an inbound frame that breaks the wire protocol: an
+// unknown kind, a payload longer than maxFramePayload, or one whose length
+// does not fit the kind. A truncated frame reads as io.ErrUnexpectedEOF.
+var ErrBadFrame = errors.New("dist: malformed frame")
+
+// frameChunk is the most a frame's payload buffer grows by before the
+// bytes it makes room for have arrived.
+const frameChunk = 1 << 20
+
+// readFrame reads one frame from r — any kind but hello, which readHello
+// reads — and returns its kind and payload, which reuses buf's storage.
+// The payload grows as its bytes arrive, at most doubling and by at most
+// frameChunk more than has arrived, so a header that claims more than the
+// stream holds costs what the stream holds, not what the header claims.
+// The error is io.EOF for a clean end before a header, io.ErrUnexpectedEOF
+// (or r's own error) for a frame cut short, and ErrBadFrame for a frame
+// that breaks the protocol.
+func readFrame(r io.Reader, buf []byte) (kind byte, payload []byte, err error) {
+	var hdr [frameHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, buf[:0], err
+	}
+	kind = hdr[0]
+	n := int(binary.BigEndian.Uint32(hdr[1:]))
+	switch {
+	case n > maxFramePayload:
+		return kind, buf[:0], fmt.Errorf("%w: %d payload bytes", ErrBadFrame, n)
+	case kind == frameData && n%8 != 0:
+		return kind, buf[:0], fmt.Errorf("%w: data frame of %d bytes (not a float64 multiple)", ErrBadFrame, n)
+	case kind == frameAbort && n%4 != 0:
+		return kind, buf[:0], fmt.Errorf("%w: abort frame of %d bytes (not a rank multiple)", ErrBadFrame, n)
+	case kind != frameData && kind != frameHeartbeat && kind != frameLeave && kind != frameAbort:
+		return kind, buf[:0], fmt.Errorf("%w: unknown frame kind 0x%02x", ErrBadFrame, kind)
+	}
+	payload = buf[:0]
+	for len(payload) < n {
+		if len(payload) == cap(payload) {
+			grown := make([]byte, len(payload), len(payload)+min(n-len(payload), max(len(payload), frameChunk)))
+			payload = grown[:copy(grown, payload)]
+		}
+		got, err := io.ReadFull(r, payload[len(payload):min(n, cap(payload))])
+		payload = payload[:len(payload)+got]
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return kind, payload, err
+		}
+	}
+	return kind, payload, nil
+}
+
+// linkReader reads one link with the failure detector's deadline: every
+// read must bring bytes within HeartbeatTimeout.
+type linkReader struct {
+	conn    net.Conn
+	timeout time.Duration
+}
+
+func (l linkReader) Read(p []byte) (int, error) {
+	l.conn.SetReadDeadline(time.Now().Add(l.timeout))
+	return l.conn.Read(p)
+}
+
 // readLoop is the sole reader of one link. The read deadline doubles as
 // the failure detector: the peer's writer guarantees a frame at least
-// every HeartbeatInterval, so HeartbeatTimeout of silence (or a
-// connection error without a leave/abort announcement) declares it dead —
-// which closes the membership gone-channel and unblocks every pending
-// operation against that rank.
+// every HeartbeatInterval, so HeartbeatTimeout of silence — before a
+// frame or inside one — or a connection error without a leave/abort
+// announcement declares it dead, which closes the membership gone-channel
+// and unblocks every pending operation against that rank.
 func (t *TCPTransport) readLoop(q int) {
 	defer t.readWg.Done()
 	conn := t.conns[q]
-	var hdr [frameHeaderLen]byte
+	r := linkReader{conn, t.opt.HeartbeatTimeout}
 	var payload []byte
 	for {
-		conn.SetReadDeadline(time.Now().Add(t.opt.HeartbeatTimeout))
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		var kind byte
+		var err error
+		kind, payload, err = readFrame(r, payload)
+		if err != nil {
 			t.readFailed(q, err)
 			return
-		}
-		kind := hdr[0]
-		n := int(binary.BigEndian.Uint32(hdr[1:]))
-		if n < 0 || n > maxFramePayload {
-			t.readFailed(q, fmt.Errorf("frame of %d payload bytes", n))
-			return
-		}
-		if n > 0 {
-			if cap(payload) < n {
-				payload = make([]byte, n)
-			}
-			payload = payload[:n]
-			// Large frames get transmission time beyond the heartbeat
-			// deadline: one extra second per MiB on top of the base.
-			conn.SetReadDeadline(time.Now().Add(t.opt.HeartbeatTimeout + time.Duration(n>>20)*time.Second))
-			if _, err := io.ReadFull(conn, payload); err != nil {
-				t.readFailed(q, err)
-				return
-			}
 		}
 		switch kind {
 		case frameHeartbeat:
 			// Liveness proven by arrival; nothing to deliver.
 		case frameData:
-			if n%8 != 0 {
-				t.readFailed(q, fmt.Errorf("data frame of %d bytes (not a float64 multiple)", n))
-				return
-			}
-			msg := t.getBuf(n / 8)
+			msg := t.getBuf(len(payload) / 8)
 			for i := range msg {
 				msg[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
 			}
@@ -640,11 +684,7 @@ func (t *TCPTransport) readLoop(q int) {
 			conn.Close()
 			return
 		case frameAbort:
-			if n%4 != 0 {
-				t.readFailed(q, fmt.Errorf("abort frame of %d bytes", n))
-				return
-			}
-			for i := 0; i < n; i += 4 {
+			for i := 0; i < len(payload); i += 4 {
 				d := int(binary.BigEndian.Uint32(payload[i:]))
 				if d == t.rank || d < 0 || d >= t.p {
 					continue
@@ -657,9 +697,6 @@ func (t *TCPTransport) readLoop(q int) {
 				t.logf("dist: rank %d: peer %d aborted to reform", t.rank, q)
 			}
 			conn.Close()
-			return
-		default:
-			t.readFailed(q, fmt.Errorf("unknown frame kind 0x%02x", kind))
 			return
 		}
 	}

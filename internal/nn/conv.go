@@ -151,7 +151,8 @@ type convState struct {
 	wMatView         *tensor.Tensor
 }
 
-func (s *convState) setBufferReuse(on bool) { s.fwd.on, s.bwd.on = on, on }
+func (s *convState) setBufferReuse(on bool)     { s.fwd.on, s.bwd.on = on, on }
+func (s *convState) setOutput(t *tensor.Tensor) { s.fwd.set = t }
 
 // tail is what an inference forward fuses into a convolution's write-out:
 // the BatchNorm and the LeakyReLU that follow it, where they do (see

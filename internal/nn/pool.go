@@ -30,7 +30,8 @@ type MaxPool struct {
 // NewMaxPool builds a max-pooling layer with window and stride k.
 func NewMaxPool(k int) *MaxPool { return &MaxPool{K: k} }
 
-func (m *MaxPool) setBufferReuse(on bool) { m.fwd.on, m.bwd.on = on, on }
+func (m *MaxPool) setBufferReuse(on bool)     { m.fwd.on, m.bwd.on = on, on }
+func (m *MaxPool) setOutput(t *tensor.Tensor) { m.fwd.set = t }
 
 // Forward implements Layer.
 func (m *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {

@@ -182,7 +182,7 @@ func (e *Engine) compactLive(fs []*flight) []*flight {
 }
 
 // runBatch executes one coalesced forward pass: rasterize every ω into the
-// replica's reused batch tensor, run the network, then copy each sample
+// replica's input slot, run the network, then copy each sample
 // out, impose boundary conditions, publish to the cache and wake waiters.
 // Flights abandoned after launch took the replica still ride the batch — the
 // forward is already paid for by the live sharers, and caching their
@@ -195,16 +195,12 @@ func (e *Engine) runBatch(rep *replica, res int, fs []*flight, cause launchCause
 	start := time.Now()
 	n := len(fs)
 	per := e.voxels(res)
-	shape := e.inputShape(n, res)
-	if rep.in == nil || !rep.in.ResizeBatch(shape...) {
-		//mglint:ignore hotalloc the replica's batch tensor is allocated once per resolution and batch capacity; smaller batches reuse its storage
-		rep.in = tensor.New(shape...)
-	}
+	in := rep.net.Input(e.inputShape(n, res)...)
 	for i, f := range fs {
-		field.RasterInto(rep.in.Data[i*per:(i+1)*per], f.key.Omega, e.dim, res)
+		field.RasterInto(in.Data[i*per:(i+1)*per], f.key.Omega, e.dim, res)
 	}
 	e.faults.beforeBatch()
-	y := rep.net.Forward(rep.in, false)
+	y := rep.net.Forward(in, false)
 	for i, f := range fs {
 		//mglint:ignore hotalloc the result buffer's ownership transfers to the flight and the LRU cache; pooling it would let cache entries alias live responses
 		u := make([]float64, per)
@@ -213,7 +209,7 @@ func (e *Engine) runBatch(rep *replica, res int, fs []*flight, cause launchCause
 		f.u = u
 		f.batch = n
 	}
-	// The forward output lives in the replica's reuse buffers; everything
+	// The forward output lives in the replica's arena; everything
 	// needed has been copied out, so the replica can serve the next batch.
 	e.replicas <- rep
 
@@ -258,12 +254,13 @@ func (e *Engine) runSlab(f *flight) {
 	e.stats.Unlock()
 	e.finish([]*flight{f}, res, time.Since(start))
 	// Every slab answer is a fresh volume-sized slice, and the slab
-	// replicas hold dozens of volume-sized buffers, so under the default
-	// GOGC the answers callers drop pile up to the size of that live set
-	// before the collector runs: peak memory would grow with the request
-	// rate. Collecting once the answer is out holds it
-	// at the live set plus the answers still held, for under a
-	// millisecond of marking at 128³ (the scratch is pointer-free).
+	// replicas' arenas hold over a dozen volumes (twelve slab volumes per
+	// replica for the bench 3D net, at 0.59 of the domain each with two
+	// slabs), so under the default GOGC the answers callers drop pile up
+	// to the size of that live set before the collector runs: peak memory
+	// would grow with the request rate. Collecting once the answer is out
+	// holds it at the live set plus the answers still held, for under a
+	// millisecond of marking at 128³ (the arenas are pointer-free).
 	runtime.GC()
 }
 

@@ -190,11 +190,10 @@ type Stats struct {
 	DegradedMode bool `json:"degraded_mode"` // currently shedding cold misses
 }
 
-// replica is one pool slot: a privately owned network clone with recycled
-// layer buffers plus a reusable batch-input tensor.
+// replica is one pool slot: a privately owned inference clone, whose
+// input slot holds the batch and whose arena holds every activation.
 type replica struct {
 	net *unet.UNet
-	in  *tensor.Tensor
 }
 
 // Engine is a concurrent, batched inference server over a trained network.
@@ -292,12 +291,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.cache = newLRUCache(cfg.CacheSize, int64(cfg.CacheMB)<<20)
 	}
 	for i := 0; i < cfg.Replicas; i++ {
-		c := cfg.Net.Clone()
 		// Replicas are engine-owned and results are copied out before the
-		// replica returns to the pool, so recycling layer buffers across
-		// passes is sound and makes steady-state serving allocation-light.
-		c.SetBufferReuse(true)
-		r := &replica{net: c}
+		// replica returns to the pool, so each can keep its activations in
+		// an arena the next batch overwrites.
+		r := &replica{net: cfg.Net.InferenceClone()}
 		e.warm(r)
 		e.replicas <- r
 	}
@@ -314,14 +311,14 @@ func NewEngine(cfg Config) (*Engine, error) {
 }
 
 // warm runs one single-sample forward per configured warm resolution so
-// the replica's reuse buffers, GEMM scratch and the shared FEM problems
-// are built before traffic arrives.
+// the replica's arena, GEMM scratch and the shared FEM problems are built
+// before traffic arrives.
 func (e *Engine) warm(r *replica) {
 	for _, res := range e.cfg.WarmRes {
 		if e.ValidateRes(res) != nil {
 			continue
 		}
-		in := tensor.New(e.inputShape(1, res)...)
+		in := r.net.Input(e.inputShape(1, res)...)
 		field.RasterInto(in.Data, field.Omega{}, e.dim, res)
 		r.net.Forward(in, false)
 		e.loss.ProblemAt(res) // build the BC problem cache entry

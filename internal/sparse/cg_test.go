@@ -213,3 +213,25 @@ func TestCGSolvesIllConditioned(t *testing.T) {
 		}
 	}
 }
+
+// RelResidual is the absolute Residual over ‖b‖ — the quantity the
+// tolerance bounds — on the converged path, at the iteration cap, and for
+// a zero right-hand side, whose ‖b‖ counts as 1.
+func TestCGRelResidualIsResidualOverRHS(t *testing.T) {
+	a, b := contrastStencil(200, 1e4)
+	bn := math.Sqrt(dot(b, b))
+	for _, maxIter := range []int{5, 10000} {
+		res := CG(a, b, make([]float64, a.Size()), 1e-10, maxIter)
+		if res.RelResidual != res.Residual/bn {
+			t.Fatalf("maxIter %d: relative residual %v, want %v / %v", maxIter, res.RelResidual, res.Residual, bn)
+		}
+		if res.Converged != (res.RelResidual <= 1e-10) {
+			t.Fatalf("maxIter %d: converged %v at relative residual %v", maxIter, res.Converged, res.RelResidual)
+		}
+	}
+	x := []float64{1, 2}
+	res := CG(a, make([]float64, a.Size()), append(x, make([]float64, a.Size()-2)...), 1e-10, 0)
+	if res.RelResidual != res.Residual {
+		t.Fatalf("zero b: relative residual %v, absolute %v", res.RelResidual, res.Residual)
+	}
+}

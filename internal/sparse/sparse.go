@@ -116,9 +116,10 @@ func (m *CSR) NNZ() int { return len(m.Val) }
 
 // CGResult reports the outcome of a conjugate-gradient solve.
 type CGResult struct {
-	Iterations int
-	Residual   float64 // final ‖b − Ax‖₂
-	Converged  bool
+	Iterations  int
+	Residual    float64 // final ‖b − Ax‖₂
+	RelResidual float64 // Residual / ‖b‖₂ (‖b‖ = 0 counts as 1): what tol bounds
+	Converged   bool
 }
 
 // refreshEvery is how often CG replaces the recurrence residual with the
@@ -160,9 +161,12 @@ func CG(a Operator, b, x []float64, tol float64, maxIter int) CGResult {
 		bn = 1
 	}
 	res := CGResult{Residual: rn}
-	if rn <= tol*bn {
-		res.Converged = true
+	done := func(converged bool) CGResult {
+		res.RelResidual, res.Converged = res.Residual/bn, converged
 		return res
+	}
+	if rn <= tol*bn {
+		return done(true)
 	}
 	for it := 0; it < maxIter; it++ {
 		a.Apply(ap, p)
@@ -181,8 +185,7 @@ func CG(a Operator, b, x []float64, tol float64, maxIter int) CGResult {
 			rsNew = dot(r, r)
 			res.Residual = rn
 			if rn <= tol*bn {
-				res.Converged = true
-				return res
+				return done(true)
 			}
 		}
 		res.Residual = rn
@@ -193,8 +196,7 @@ func CG(a Operator, b, x []float64, tol float64, maxIter int) CGResult {
 		rs = rsNew
 	}
 	res.Residual = trueResidual()
-	res.Converged = res.Residual <= tol*bn
-	return res
+	return done(res.Residual <= tol*bn)
 }
 
 func dot(a, b []float64) float64 {

@@ -93,3 +93,45 @@ func TestReplicaBatchResizeBitExact(t *testing.T) {
 		})
 	}
 }
+
+// A warm inference clone writes no activation outside its arena: after a
+// batch of 8, passes of 1, 3 and 8 samples, from the caller's tensor or
+// through the input slot, allocate fewer bytes than one sample's input —
+// only the kernels' closures — because every tensor a pass writes is a
+// view into the arena, re-pointed in place.
+func TestInferenceCloneAllocatesNoActivation(t *testing.T) {
+	for _, tc := range []struct{ dim, res int }{{2, 48}, {3, 16}} {
+		t.Run(fmt.Sprintf("%dD", tc.dim), func(t *testing.T) {
+			cfg := DefaultConfig(tc.dim)
+			cfg.BaseFilters, cfg.Depth = 4, 2
+			ic := New(cfg).InferenceClone()
+			ic.Forward(batchInput(tc.dim, 8, tc.res), false)
+			sample := 8 * batchInput(tc.dim, 1, tc.res).Len()
+			for _, n := range []int{1, 3, 8} {
+				x := batchInput(tc.dim, n, tc.res)
+				for _, slot := range []bool{false, true} {
+					got := allocatedBytes(func() {
+						in := x
+						if slot {
+							in = ic.Input(x.Shape()...)
+						}
+						ic.Forward(in, false)
+					})
+					if got >= uint64(sample) {
+						t.Errorf("batch %d (input slot %v): a warm pass allocates %d bytes, one sample's input is %d", n, slot, got, sample)
+					}
+				}
+			}
+		})
+	}
+}
+
+// allocatedBytes is mallocs counting bytes instead of objects.
+func allocatedBytes(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
+}

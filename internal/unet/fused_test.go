@@ -56,7 +56,8 @@ func concatChannels(a, b *tensor.Tensor) *tensor.Tensor {
 // and first under DirectConv; 3D nets add it first below 32³ and last from
 // there. BatchNorm's running statistics are drawn away from the identity,
 // so its affine shows. Each runs at 1 and 4 kernel workers, with buffer
-// reuse, and after an adaptation (whose refinement layers stay unfused).
+// reuse, and after an adaptation (whose convolution fuses the LeakyReLU
+// after it, and whose other LeakyReLU runs in place).
 func TestFusedInferenceMatchesLayerByLayer(t *testing.T) {
 	for _, tc := range []struct {
 		dim, res, batch int

@@ -110,6 +110,9 @@ type UNet struct {
 	splitUp   []*tensor.Tensor // decoder split: up-path gradient halves
 	splitSkip []*tensor.Tensor // decoder split: skip-path gradient halves
 	refHP     []bool           // which refinement layers carry parameters
+
+	// arena holds every activation of an inference clone; nil otherwise.
+	arena *arena
 }
 
 // validate reports the first rule cfg breaks. New panics on it; Load
@@ -173,7 +176,10 @@ func New(cfg Config) *UNet {
 // It is sound only when no caller retains a Forward output or Backward
 // gradient across passes; training loops that consume each activation
 // within the step qualify. Layers added by later Adapt calls inherit the
-// current setting.
+// current setting. Every layer keeps its own buffer, so a reuse-on
+// network holds all its activations at once; an inference-only replica
+// is better made with InferenceClone, whose arena holds only those live
+// together.
 func (u *UNet) SetBufferReuse(on bool) {
 	u.reuse = on
 	for _, b := range u.enc {
@@ -244,7 +250,7 @@ func (u *UNet) MinInputSize() int { return 1 << u.Cfg.Depth }
 
 // ValidateRes reports whether a square/cubic domain of extent res per
 // spatial axis is a feasible input size, as an error instead of the panic
-// checkInput raises mid-forward. Front ends (cmd/mginfer, internal/serve)
+// checkShape raises mid-forward. Front ends (cmd/mginfer, internal/serve)
 // call this after loading a model so an incompatible resolution becomes a
 // one-line diagnostic naming the allowed granularity.
 func (u *UNet) ValidateRes(res int) error {
@@ -291,18 +297,20 @@ func (u *UNet) ReceptiveFieldRadius() int {
 	return rf / 2
 }
 
-// checkInput validates shape constraints and panics with a precise message.
-func (u *UNet) checkInput(x *tensor.Tensor) {
+// checkShape validates an input shape and panics with a precise message.
+func (u *UNet) checkShape(shape []int) {
 	wantRank := u.Cfg.Dim + 2
-	if x.Rank() != wantRank {
-		panic(fmt.Sprintf("unet: expected rank-%d input for %dD, got %v", wantRank, u.Cfg.Dim, x.Shape()))
+	if len(shape) != wantRank {
+		panic(fmt.Sprintf("unet: expected rank-%d input for %dD, got %v", wantRank, u.Cfg.Dim, append([]int(nil), shape...)))
 	}
-	if x.Dim(1) != u.Cfg.InChannels {
-		panic(fmt.Sprintf("unet: expected %d input channels, got %d", u.Cfg.InChannels, x.Dim(1)))
+	if shape[0] < 1 {
+		panic(fmt.Sprintf("unet: batch size %d must be positive", shape[0]))
+	}
+	if shape[1] != u.Cfg.InChannels {
+		panic(fmt.Sprintf("unet: expected %d input channels, got %d", u.Cfg.InChannels, shape[1]))
 	}
 	min := u.MinInputSize()
-	for i := 2; i < wantRank; i++ {
-		d := x.Dim(i)
+	for _, d := range shape[2:] {
 		if d < min || d%min != 0 {
 			panic(fmt.Sprintf("unet: spatial extent %d must be a positive multiple of %d", d, min))
 		}
@@ -316,14 +324,27 @@ func (u *UNet) checkInput(x *tensor.Tensor) {
 // tensor as one input, up-path channels first, without a concatenated
 // copy. At inference every block is one pass over its output: the
 // convolution's write-out applies the block's BatchNorm and LeakyReLU
-// (nn.Sequential.Forward), with the bits of running them as layers.
+// (nn.Sequential.Forward), with the bits of running them as layers; the
+// refinement layers of Adapt run as one such chain, so each activation
+// there is fused or runs in place.
 //
 // Forward is not safe for concurrent calls on a shared network even with
 // train=false: the layers reuse per-layer output and scratch buffers (see
-// nn.SetBufferReuse). Use Clone to give each goroutine its own replica, as
-// internal/dist and internal/serve do.
+// nn.SetBufferReuse). Give each goroutine its own replica, as
+// internal/dist and internal/serve do with InferenceClone. On an
+// inference clone, x must be its input slot (Input) or lie outside its
+// arena.
 func (u *UNet) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	u.checkInput(x)
+	u.checkShape(x.Shape())
+	if a := u.arena; a != nil {
+		if train {
+			panic("unet: Forward(train=true) on an inference clone, whose activations share one arena and keep nothing for Backward; train a Clone")
+		}
+		u.frame(x.Dim(0), x.Shape()[2:])
+		if x != a.views[0] && a.holds(x.Data) {
+			panic("unet: the input lies in this inference clone's arena, which the pass overwrites; copy it out, or write it into Input")
+		}
+	}
 	skips := u.skips
 	u.skipChannels = u.skipChannels[:0]
 	h := x
@@ -346,9 +367,8 @@ func (u *UNet) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for l := range skips {
 		skips[l] = nil
 	}
-	for _, r := range u.refinement {
-		h = r.Forward(h, train)
-	}
+	refine := nn.Sequential{Layers: u.refinement}
+	h = refine.Forward(h, train)
 	return u.head.Forward(h, train)
 }
 
@@ -517,6 +537,9 @@ func (u *UNet) Adapt() []*nn.Param {
 
 	u.refinement = append(u.refinement, conv, act1, tc1, act2, tc2)
 	u.adaptions++
+	if u.arena != nil {
+		u.arena.recs = nil // replan for the new topology
+	}
 	if u.reuse {
 		for _, l := range []nn.Layer{conv, act1, tc1, act2, tc2} {
 			nn.SetBufferReuse(l, true)
