@@ -1,7 +1,7 @@
 GO ?= go
 MGLINT := bin/mglint
 
-.PHONY: all build vet test race bench ci clean tcp-smoke serve-smoke mglint lint
+.PHONY: all build vet test race bench ci clean tcp-smoke serve-smoke mglint lint loc
 
 all: build
 
@@ -27,6 +27,12 @@ lint: mglint
 	./$(MGLINT) ./...
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l found unformatted files:"; echo "$$out"; exit 1; fi
+
+# loc prints the non-test Go lines of every package directory and the
+# module total (testdata excluded): the count ROADMAP acceptance criteria
+# use. `scripts/loc.sh DIR` counts another checkout.
+loc:
+	./scripts/loc.sh
 
 race:
 	$(GO) test -race -short ./...

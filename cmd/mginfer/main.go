@@ -1,8 +1,8 @@
-// Command mginfer loads a model trained by cmd/mgtrain and produces a
-// full-field solution for a given parameter vector ω — or, with
-// -omega-file, for a whole batch of ω vectors coalesced through the
-// internal/serve engine — optionally comparing against the FEM reference
-// and writing the fields as CSV or VTK.
+// Command mginfer loads a model trained by cmd/mgtrain and produces,
+// through the internal/serve engine, a full-field solution for a given
+// parameter vector ω — or, with -omega-file, for a whole batch of ω
+// vectors coalesced into shared forward passes — optionally comparing
+// against the FEM reference and writing the fields as CSV or VTK.
 //
 // Examples:
 //
@@ -209,10 +209,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 
-	nuField := field.Raster(w, dim, *res)
-	shape := nuField.Shape()
-	in := nuField.Reshape(append([]int{1, 1}, shape...)...)
-	u := fem.NewEnergyLoss(dim).WithBC(net.Forward(in, false)).Reshape(shape...)
+	u, err := solveOne(net, w, *res)
+	if err != nil {
+		fmt.Fprintln(stderr, "mginfer:", err)
+		return 1
+	}
 	fmt.Fprintf(stdout, "mginfer: %dD field at res %d, u in [%.4f, %.4f], mean %.4f\n",
 		dim, *res, u.Min(), u.Max(), u.Mean())
 
@@ -223,7 +224,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	if *outVTI != "" {
-		fields := []vtkio.Field{{Name: "u_mgdiffnet", Data: u}, {Name: "nu", Data: nuField}}
+		fields := []vtkio.Field{{Name: "u_mgdiffnet", Data: u}, {Name: "nu", Data: field.Raster(w, dim, *res)}}
 		if uFEM != nil {
 			fields = append(fields, vtkio.Field{Name: "u_fem", Data: uFEM})
 		}
@@ -245,6 +246,22 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 1
 	}
 	return 0
+}
+
+// solveOne answers ω at res through a one-replica engine without a cache:
+// its arena holds only the activations live together, and a field of
+// serve.Config.SlabVoxels voxels or more takes the slab path.
+func solveOne(net *unet.UNet, w field.Omega, res int) (*tensor.Tensor, error) {
+	eng, err := serve.NewEngine(serve.Config{Net: net, Replicas: 1, CacheSize: -1, BatchWindow: -1})
+	if err != nil {
+		return nil, err
+	}
+	defer eng.Close()
+	r, err := eng.Solve(context.Background(), w, res)
+	if err != nil {
+		return nil, err
+	}
+	return tensor.FromSlice(r.U, field.Shape(net.Cfg.Dim, res)...), nil
 }
 
 // runBatch answers every ω in the file through the serving engine's

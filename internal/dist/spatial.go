@@ -31,7 +31,7 @@ func HaloFor(net *unet.UNet) int {
 //
 // When both passes run the same arithmetic the results agree bit-for-bit.
 // Every convolution forward reads input rows in place at every size, but
-// in 3D the nn.ConvAuto volume threshold still decides where the bias
+// at Dim 3 the nn.ConvAuto volume threshold still decides where the bias
 // enters each sum (first below 32³ output voxels per sample, last from
 // there on), so a slab's smaller extended volume can add it at the other
 // end than the monolithic pass near the threshold, and the results agree

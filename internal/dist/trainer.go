@@ -257,10 +257,10 @@ func newReplica(t *core.Trainer, workers int, tr Transport, bucketElems int) (*r
 // BatchNorm enabled the trajectory and the replicas' running statistics
 // depend on p even though the parameters still match bit-for-bit. The
 // paper's scaling study — and every harness in this repository — runs the
-// scaling nets with BatchNorm disabled. (Conv3D's automatic im2col+GEMM
-// lowering keeps worker-count independence intact: its kernel selection
-// depends only on the per-sample output volume, never on the local shard
-// size.)
+// scaling nets with BatchNorm disabled. (A Dim-3 nn.Conv's automatic
+// im2col+GEMM lowering keeps worker-count independence intact: its kernel
+// selection depends only on the per-sample output volume, never on the
+// local shard size.)
 type ParallelTrainer struct {
 	Cfg ParallelConfig
 

@@ -11,9 +11,9 @@ import (
 type ConvAlgo int
 
 // A convolution's forward pass runs the staged row kernel at every size
-// and stride (correlateRows; ConvTranspose3D's adjointRows, split by
-// parity class at stride 2), except ConvTranspose2D's, which lowers to
-// GEMM + col2im; every weight gradient reads rows in place too
+// and stride (correlateRows; a Dim-3 ConvTranspose's adjointRows, split by
+// parity class at stride 2), except a Dim-2 ConvTranspose's, which lowers
+// to GEMM + col2im; every weight gradient reads rows in place too
 // (weightGradRows). What the algorithm still selects is the lowered
 // arithmetic's order: a lowered forward adds the bias after every tap
 // instead of before, and a lowered backward sums the weight gradient in
@@ -21,8 +21,11 @@ type ConvAlgo int
 // gradient as GEMM + col2im.
 const (
 	// ConvAuto (the zero value) lowers where the lowering was measured to
-	// win: always at rank 4, and at rank 5 once the output volume reaches
-	// conv3dGEMMMinVolume.
+	// win: always at Dim 2, where a Conv's GEMM input gradient beat the
+	// direct nests at every U-Net level size and a ConvTranspose's GEMM
+	// forward the row kernel at serving sizes, and a Dim-3 Conv once the
+	// output volume reaches conv3dGEMMMinVolume. A Dim-3 ConvTranspose
+	// never lowers.
 	ConvAuto ConvAlgo = iota
 	// ConvDirect forces the direct order — bias first, one sum per
 	// weight-gradient element, the row gather for the input gradient — the
@@ -33,12 +36,12 @@ const (
 )
 
 // conv3dGEMMMinVolume is the per-sample output voxel count from which
-// ConvAuto gives Conv3D the lowered arithmetic: the bias enters its forward
-// sums last and its backward runs the lowered orders. The forward and
-// weight-gradient kernels are the same either way; the threshold stays
-// because the training bits are pinned to it. It reads the per-sample volume only — not the batch size —
-// so data-parallel batch sharding (dist.ParallelTrainer) cannot change which
-// order a replica runs.
+// ConvAuto gives a Dim-3 Conv the lowered arithmetic: the bias enters its
+// forward sums last and its backward runs the lowered orders. The forward
+// and weight-gradient kernels are the same either way; the threshold stays
+// because the training bits are pinned to it. It reads the per-sample
+// volume only — not the batch size — so data-parallel batch sharding
+// (dist.ParallelTrainer) cannot change which order a replica runs.
 const conv3dGEMMMinVolume = 32 * 32 * 32
 
 // geom is the geometry of one convolution over NCDHW data: the grid it
@@ -137,7 +140,7 @@ func transposedGeom(who string, x *tensor.Tensor, cin, cout, kd, k, pd, p, s int
 // between calls: the input cached for Backward (a decoder convolution's
 // two, in and in2, whose channels it reads in that order), the recyclable
 // outputs, the scratch of the lowered adjoint (a lowered convolution's
-// input gradient, and ConvTranspose2D's forward) and the cached matrix
+// input gradient, and a Dim-2 ConvTranspose's forward) and the cached matrix
 // view of the weights.
 //
 // Outputs and scratch are per layer, so a layer — and hence any network
@@ -234,19 +237,49 @@ func heInitAny(rng interface{ NormFloat64() float64 }, w *tensor.Tensor, fanIn i
 	}
 }
 
-// Conv2D is a 2D cross-correlation layer over NCHW tensors with zero
-// padding. Weight layout is [Cout, Cin, KH, KW]. It runs the kernels of
-// Conv3D at depth 1 (see geom).
-//
-// Forward reads input rows in place; with ConvAuto (the default) it adds
-// the bias last and Backward runs the lowered orders — its GEMM input
-// gradient beat the direct nests at every U-Net level size on this
-// substrate — while ConvDirect pins the direct order, kept as the
-// correctness oracle. Every output element
-// accumulates its terms in a fixed order, so per-sample results are
-// bit-identical regardless of batch composition, which the serving
-// engine's coalescing relies on.
-type Conv2D struct {
+// convNames and convTransposeNames label a layer's diagnostics by its
+// rank, indexed by Dim-2: the geometry runs on every pass, and a formatted
+// name would allocate.
+var (
+	convNames          = [2]string{"Conv2D", "Conv3D"}
+	convTransposeNames = [2]string{"ConvTranspose2D", "ConvTranspose3D"}
+)
+
+// newConvParams allocates the [a, b, K…] weight (one K per spatial axis)
+// and the outCh biases of a dim-dimensional layer. The weight is
+// He-initialized for a fan-in of inCh·K^dim: its size over outCh, whichever
+// of a and b is inCh.
+func newConvParams(rng interface{ NormFloat64() float64 }, name string, dim, a, b, outCh, k int) (w, bias *Param) {
+	if dim != 2 && dim != 3 {
+		panic(fmt.Sprintf("nn: convolution dimension must be 2 or 3, got %d", dim))
+	}
+	w = NewParam(name+".W", []int{a, b, k, k, k}[:2+dim]...)
+	heInitAny(rng, w.Data, w.NumElements()/outCh)
+	return w, NewParam(name+".B", outCh)
+}
+
+// window checks that x has the rank of a dim-dimensional layer and returns
+// the depth axis's kernel and padding: a 2D layer is the depth-1 case of a
+// 3D one (see geom).
+func window(x *tensor.Tensor, who string, dim, kernel, pad int) (kd, pd int) {
+	if x.Rank() != dim+2 {
+		panic(fmt.Sprintf("nn: %s expects rank-%d input, got shape %v", who, dim+2, x.Shape()))
+	}
+	if dim == 2 {
+		return 1, 0
+	}
+	return kernel, pad
+}
+
+// Conv is a cross-correlation layer with zero padding over NCHW (Dim 2)
+// or NCDHW (Dim 3) tensors, the volumetric kernel behind the paper's
+// megavoxel 3D DiffNet. Weight layout is [Cout, Cin, K…]. Forward reads
+// input rows in place at every size; Algo picks the order of the
+// arithmetic (see ConvAlgo). Every output element accumulates its terms in
+// a fixed order, so per-sample results are bit-identical regardless of
+// batch composition, which the serving engine's coalescing relies on.
+type Conv struct {
+	Dim         int
 	InChannels  int
 	OutChannels int
 	Kernel      int
@@ -262,196 +295,80 @@ type Conv2D struct {
 	convState
 }
 
-// NewConv2D builds a 2D convolution with square kernels and He
+// NewConv builds a dim-dimensional convolution with cubic kernels and He
 // initialization appropriate for LeakyReLU networks.
-func NewConv2D(rng interface{ NormFloat64() float64 }, name string, inCh, outCh, kernel, stride, pad int) *Conv2D {
-	c := &Conv2D{
-		InChannels:  inCh,
-		OutChannels: outCh,
-		Kernel:      kernel,
-		Stride:      stride,
-		Pad:         pad,
-		W:           NewParam(name+".W", outCh, inCh, kernel, kernel),
-		B:           NewParam(name+".B", outCh),
-	}
-	heInitAny(rng, c.W.Data, inCh*kernel*kernel)
+func NewConv(rng interface{ NormFloat64() float64 }, name string, dim, inCh, outCh, kernel, stride, pad int) *Conv {
+	c := &Conv{Dim: dim, InChannels: inCh, OutChannels: outCh, Kernel: kernel, Stride: stride, Pad: pad}
+	c.W, c.B = newConvParams(rng, name, dim, outCh, inCh, outCh, kernel)
 	return c
 }
 
-// useGEMM decides whether a pass runs the lowered arithmetic (see
-// ConvAuto). The lowered backward wins at every benchmarked size in 2D, so
-// ConvAuto always lowers; ConvDirect is the opt-out.
-func (c *Conv2D) useGEMM() bool { return c.Algo != ConvDirect }
-
-func (c *Conv2D) geom(x, x2 *tensor.Tensor) geom {
-	checkRank(x, 4, "Conv2D")
-	return convGeom("Conv2D", x, x2, c.InChannels, c.OutChannels, 1, c.Kernel, 0, c.Pad, c.Stride)
+// NewConv2D is NewConv at Dim 2.
+func NewConv2D(rng interface{ NormFloat64() float64 }, name string, inCh, outCh, kernel, stride, pad int) *Conv {
+	return NewConv(rng, name, 2, inCh, outCh, kernel, stride, pad)
 }
 
-// Forward implements Layer.
-func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return c.forwardCat(x, nil, train, tail{})
+// NewConv3D is NewConv at Dim 3.
+func NewConv3D(rng interface{ NormFloat64() float64 }, name string, inCh, outCh, kernel, stride, pad int) *Conv {
+	return NewConv(rng, name, 3, inCh, outCh, kernel, stride, pad)
 }
 
-func (c *Conv2D) forwardCat(x, x2 *tensor.Tensor, train bool, t tail) *tensor.Tensor {
-	return c.convForward(x, x2, train, t, c.W, c.B, c.geom(x, x2), c.useGEMM())
-}
-
-// Backward implements Layer.
-func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return c.convBackward(grad, c.W, c.B, c.geom(c.in, c.in2), c.useGEMM())
-}
-
-// Params implements Layer.
-func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
-
-// ConvTranspose2D is a 2D transposed convolution (fractionally strided
-// convolution) over NCHW tensors. Weight layout is [Cin, Cout, KH, KW];
-// the output extent for input n is (n-1)*stride - 2*pad + kernel.
-//
-// Like Conv2D, Algo selects the execution strategy: ConvAuto (default)
-// lowers the forward to GEMM + col2im — the only forward that still builds
-// a column matrix, because the row kernel measured slower for it at
-// serving sizes — and sums the weight gradient in the lowered order;
-// ConvDirect pins the row gather and the direct order, kept as the oracle. Both are bit-identical across batch compositions, matching the
-// serving engine's coalescing contract.
-type ConvTranspose2D struct {
-	InChannels  int
-	OutChannels int
-	Kernel      int
-	Stride      int
-	Pad         int
-
-	// Algo selects the execution strategy; the zero value is ConvAuto.
-	Algo ConvAlgo
-
-	W *Param
-	B *Param
-
-	convState
-}
-
-// NewConvTranspose2D builds a 2D transpose convolution with He init.
-func NewConvTranspose2D(rng interface{ NormFloat64() float64 }, name string, inCh, outCh, kernel, stride, pad int) *ConvTranspose2D {
-	c := &ConvTranspose2D{
-		InChannels:  inCh,
-		OutChannels: outCh,
-		Kernel:      kernel,
-		Stride:      stride,
-		Pad:         pad,
-		W:           NewParam(name+".W", inCh, outCh, kernel, kernel),
-		B:           NewParam(name+".B", outCh),
-	}
-	heInitAny(rng, c.W.Data, inCh*kernel*kernel)
-	return c
-}
-
-// useGEMM mirrors Conv2D: the lowering wins at every benchmarked size.
-func (c *ConvTranspose2D) useGEMM() bool { return c.Algo != ConvDirect }
-
-func (c *ConvTranspose2D) geom(x *tensor.Tensor) geom {
-	checkRank(x, 4, "ConvTranspose2D")
-	return transposedGeom("ConvTranspose2D", x, c.InChannels, c.OutChannels, 1, c.Kernel, 0, c.Pad, c.Stride)
-}
-
-// Forward implements Layer.
-func (c *ConvTranspose2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return c.transposedForward(x, train, c.W, c.B, c.geom(x), c.useGEMM())
-}
-
-// Backward implements Layer.
-func (c *ConvTranspose2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return c.transposedBackward(grad, c.W, c.B, c.geom(c.in), c.useGEMM())
-}
-
-// Params implements Layer.
-func (c *ConvTranspose2D) Params() []*Param { return []*Param{c.W, c.B} }
-
-// Conv3D is a 3D cross-correlation layer over NCDHW tensors with zero
-// padding. Weight layout is [Cout, Cin, KD, KH, KW]. It is the volumetric
-// kernel behind the paper's megavoxel 3D DiffNet.
-//
-// Forward reads input rows in place at every size. From the ConvAuto size
-// threshold on it adds the bias last and Backward runs the lowered orders;
-// below it the direct order remains, which is also the correctness oracle.
-// Set Algo to pin either.
-type Conv3D struct {
-	InChannels  int
-	OutChannels int
-	Kernel      int
-	Stride      int
-	Pad         int
-	// Algo selects the execution strategy; the zero value is ConvAuto.
-	Algo ConvAlgo
-
-	W *Param
-	B *Param
-
-	convState
-}
-
-// NewConv3D builds a cubic-kernel 3D convolution with He initialization.
-func NewConv3D(rng interface{ NormFloat64() float64 }, name string, inCh, outCh, kernel, stride, pad int) *Conv3D {
-	c := &Conv3D{
-		InChannels:  inCh,
-		OutChannels: outCh,
-		Kernel:      kernel,
-		Stride:      stride,
-		Pad:         pad,
-		W:           NewParam(name+".W", outCh, inCh, kernel, kernel, kernel),
-		B:           NewParam(name+".B", outCh),
-	}
-	heInitAny(rng, c.W.Data, inCh*kernel*kernel*kernel)
-	return c
-}
-
-// useGEMM decides whether a pass with vol output voxels per sample runs
-// the lowered arithmetic.
-func (c *Conv3D) useGEMM(vol int) bool {
+// lowers decides whether a pass over g runs the lowered arithmetic (see
+// ConvAuto).
+func (c *Conv) lowers(g geom) bool {
 	switch c.Algo {
 	case ConvDirect:
 		return false
 	case ConvGEMM:
 		return true
 	}
-	return vol >= conv3dGEMMMinVolume
+	return c.Dim == 2 || g.do*g.ho*g.wo >= conv3dGEMMMinVolume
 }
 
-func (c *Conv3D) geom(x, x2 *tensor.Tensor) geom {
-	checkRank(x, 5, "Conv3D")
-	return convGeom("Conv3D", x, x2, c.InChannels, c.OutChannels, c.Kernel, c.Kernel, c.Pad, c.Pad, c.Stride)
+func (c *Conv) geom(x, x2 *tensor.Tensor) geom {
+	who := convNames[c.Dim-2]
+	kd, pd := window(x, who, c.Dim, c.Kernel, c.Pad)
+	return convGeom(who, x, x2, c.InChannels, c.OutChannels, kd, c.Kernel, pd, c.Pad, c.Stride)
 }
 
 // Forward implements Layer.
-func (c *Conv3D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (c *Conv) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return c.forwardCat(x, nil, train, tail{})
 }
 
-func (c *Conv3D) forwardCat(x, x2 *tensor.Tensor, train bool, t tail) *tensor.Tensor {
+func (c *Conv) forwardCat(x, x2 *tensor.Tensor, train bool, t tail) *tensor.Tensor {
 	g := c.geom(x, x2)
-	return c.convForward(x, x2, train, t, c.W, c.B, g, c.useGEMM(g.do*g.ho*g.wo))
+	return c.convForward(x, x2, train, t, c.W, c.B, g, c.lowers(g))
 }
 
 // Backward implements Layer.
-func (c *Conv3D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (c *Conv) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	g := c.geom(c.in, c.in2)
-	return c.convBackward(grad, c.W, c.B, g, c.useGEMM(g.do*g.ho*g.wo))
+	return c.convBackward(grad, c.W, c.B, g, c.lowers(g))
 }
 
 // Params implements Layer.
-func (c *Conv3D) Params() []*Param { return []*Param{c.W, c.B} }
+func (c *Conv) Params() []*Param { return []*Param{c.W, c.B} }
 
-// ConvTranspose3D is a 3D transposed convolution over NCDHW tensors.
-// Weight layout is [Cin, Cout, KD, KH, KW]. It never lowers: its forward
-// is the row gather (adjointRows), its input gradient the row correlation
-// and its weight gradient the direct order at every size, the arithmetic
-// the training benchmark pins.
-type ConvTranspose3D struct {
+// ConvTranspose is a transposed (fractionally strided) convolution over
+// NCHW (Dim 2) or NCDHW (Dim 3) tensors. Weight layout is [Cin, Cout, K…];
+// the output extent for input n is (n-1)*stride - 2*pad + kernel. A
+// lowered pass (Dim 2 unless ConvDirect) runs the only forward that still
+// builds a column matrix, GEMM + col2im, and sums the weight gradient in
+// the lowered order; otherwise the forward is the row gather (adjointRows)
+// and the weight gradient the direct order, the arithmetic the training
+// benchmark pins at Dim 3. Both are bit-identical across batch
+// compositions, matching the serving engine's coalescing contract.
+type ConvTranspose struct {
+	Dim         int
 	InChannels  int
 	OutChannels int
 	Kernel      int
 	Stride      int
 	Pad         int
+
+	// Algo selects the execution strategy; the zero value is ConvAuto.
+	Algo ConvAlgo
 
 	W *Param
 	B *Param
@@ -459,35 +376,33 @@ type ConvTranspose3D struct {
 	convState
 }
 
-// NewConvTranspose3D builds a cubic-kernel 3D transpose convolution.
-func NewConvTranspose3D(rng interface{ NormFloat64() float64 }, name string, inCh, outCh, kernel, stride, pad int) *ConvTranspose3D {
-	c := &ConvTranspose3D{
-		InChannels:  inCh,
-		OutChannels: outCh,
-		Kernel:      kernel,
-		Stride:      stride,
-		Pad:         pad,
-		W:           NewParam(name+".W", inCh, outCh, kernel, kernel, kernel),
-		B:           NewParam(name+".B", outCh),
-	}
-	heInitAny(rng, c.W.Data, inCh*kernel*kernel*kernel)
+// NewConvTranspose builds a dim-dimensional transposed convolution with
+// cubic kernels and He initialization.
+func NewConvTranspose(rng interface{ NormFloat64() float64 }, name string, dim, inCh, outCh, kernel, stride, pad int) *ConvTranspose {
+	c := &ConvTranspose{Dim: dim, InChannels: inCh, OutChannels: outCh, Kernel: kernel, Stride: stride, Pad: pad}
+	c.W, c.B = newConvParams(rng, name, dim, inCh, outCh, outCh, kernel)
 	return c
 }
 
-func (c *ConvTranspose3D) geom(x *tensor.Tensor) geom {
-	checkRank(x, 5, "ConvTranspose3D")
-	return transposedGeom("ConvTranspose3D", x, c.InChannels, c.OutChannels, c.Kernel, c.Kernel, c.Pad, c.Pad, c.Stride)
+// lowers decides whether a pass runs the lowered arithmetic: at Dim 2
+// unless ConvDirect, never at Dim 3.
+func (c *ConvTranspose) lowers() bool { return c.Dim == 2 && c.Algo != ConvDirect }
+
+func (c *ConvTranspose) geom(x *tensor.Tensor) geom {
+	who := convTransposeNames[c.Dim-2]
+	kd, pd := window(x, who, c.Dim, c.Kernel, c.Pad)
+	return transposedGeom(who, x, c.InChannels, c.OutChannels, kd, c.Kernel, pd, c.Pad, c.Stride)
 }
 
 // Forward implements Layer.
-func (c *ConvTranspose3D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return c.transposedForward(x, train, c.W, c.B, c.geom(x), false)
+func (c *ConvTranspose) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return c.transposedForward(x, train, c.W, c.B, c.geom(x), c.lowers())
 }
 
 // Backward implements Layer.
-func (c *ConvTranspose3D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return c.transposedBackward(grad, c.W, c.B, c.geom(c.in), false)
+func (c *ConvTranspose) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return c.transposedBackward(grad, c.W, c.B, c.geom(c.in), c.lowers())
 }
 
 // Params implements Layer.
-func (c *ConvTranspose3D) Params() []*Param { return []*Param{c.W, c.B} }
+func (c *ConvTranspose) Params() []*Param { return []*Param{c.W, c.B} }

@@ -108,9 +108,9 @@ func TestConvTranspose2DGEMMEquivalence(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("n%d_ci%d_co%d_res%d_k%d_s%d", tc.n, tc.ci, tc.co, tc.res, tc.k, tc.s), func(t *testing.T) {
 			rng := NewRNG(23)
-			direct := NewConvTranspose2D(rng, "t", tc.ci, tc.co, tc.k, tc.s, tc.p)
+			direct := NewConvTranspose(rng, "t", 2, tc.ci, tc.co, tc.k, tc.s, tc.p)
 			direct.Algo = ConvDirect
-			gemm := NewConvTranspose2D(NewRNG(0), "t", tc.ci, tc.co, tc.k, tc.s, tc.p)
+			gemm := NewConvTranspose(NewRNG(0), "t", 2, tc.ci, tc.co, tc.k, tc.s, tc.p)
 			gemm.Algo = ConvGEMM
 			gemm.W.Data.CopyFrom(direct.W.Data)
 			gemm.B.Data.CopyFrom(direct.B.Data)
@@ -150,7 +150,7 @@ func TestConvTranspose2DGEMMEquivalence(t *testing.T) {
 // the upsampling path: batched results are bit-identical to solo runs.
 func TestConvTranspose2DGEMMBatchInvariance(t *testing.T) {
 	rng := NewRNG(29)
-	c := NewConvTranspose2D(rng, "t", 4, 3, 2, 2, 0)
+	c := NewConvTranspose(rng, "t", 2, 4, 3, 2, 2, 0)
 	const res = 8
 	const n = 5
 	per := 4 * res * res

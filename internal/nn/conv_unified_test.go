@@ -63,7 +63,7 @@ func TestRank4IsDepth1OfRank5(t *testing.T) {
 			return st.convForward(x, nil, train, tail{}, w, b, g, lower)
 		}, (*convState).convBackward},
 		{"ConvTranspose", func(r rng, k, s, p int, algo ConvAlgo) (Layer, *Param, *Param) {
-			c := NewConvTranspose2D(r, "t", ci, co, k, s, p)
+			c := NewConvTranspose(r, "t", 2, ci, co, k, s, p)
 			c.Algo = algo
 			return c, c.W, c.B
 		}, transposedGeom, (*convState).transposedForward, (*convState).transposedBackward},
@@ -144,7 +144,7 @@ func TestKernelSelection(t *testing.T) {
 		return c, &c.convState
 	}
 	convT2 := func(a ConvAlgo) (Layer, *convState) {
-		c := NewConvTranspose2D(NewRNG(1), "t", 1, 1, 2, 2, 0)
+		c := NewConvTranspose(NewRNG(1), "t", 2, 1, 1, 2, 2, 0)
 		c.Algo = a
 		return c, &c.convState
 	}
@@ -154,7 +154,7 @@ func TestKernelSelection(t *testing.T) {
 		return c, &c.convState
 	}
 	convT3 := func(ConvAlgo) (Layer, *convState) {
-		c := NewConvTranspose3D(NewRNG(1), "t", 1, 1, 2, 2, 0)
+		c := NewConvTranspose(NewRNG(1), "t", 3, 1, 1, 2, 2, 0)
 		return c, &c.convState
 	}
 	for _, tc := range []struct {
@@ -206,8 +206,8 @@ func TestCollapsedOutputDiagnostic(t *testing.T) {
 	}{
 		{"Conv2D", func() { NewConv2D(rng, "c", 1, 1, 5, 2, 0).Forward(tensor.New(1, 1, 2, 2), false) }},
 		{"Conv3D", func() { NewConv3D(rng, "c", 1, 1, 5, 2, 0).Forward(tensor.New(1, 1, 2, 2, 2), false) }},
-		{"ConvTranspose2D", func() { NewConvTranspose2D(rng, "t", 1, 1, 1, 1, 1).Forward(tensor.New(1, 1, 2, 2), false) }},
-		{"ConvTranspose3D", func() { NewConvTranspose3D(rng, "t", 1, 1, 1, 1, 1).Forward(tensor.New(1, 1, 2, 2, 2), false) }},
+		{"ConvTranspose2D", func() { NewConvTranspose(rng, "t", 2, 1, 1, 1, 1, 1).Forward(tensor.New(1, 1, 2, 2), false) }},
+		{"ConvTranspose3D", func() { NewConvTranspose(rng, "t", 3, 1, 1, 1, 1, 1).Forward(tensor.New(1, 1, 2, 2, 2), false) }},
 	} {
 		t.Run(tc.who, func(t *testing.T) {
 			defer func() {

@@ -104,9 +104,9 @@ func (s *convState) adjoint(xd, yd, bias []float64, w *Param, g geom, lower bool
 // correlateRows overwrites yd with W ⋆ x. A nil bias is zero; otherwise
 // biasLast picks where it enters each sum: first, as the direct nest adds
 // it, or after every tap, as the lowering y = W·im2col(x) + b does. Both
-// orders are pinned (see Conv3D), and they are the only difference between
-// the two: a lowered sum's extra padding terms are w·(+0), which cannot
-// change a sum that starts at +0.
+// orders are pinned (see ConvAlgo), and they are the only difference
+// between the two: a lowered sum's extra padding terms are w·(+0), which
+// cannot change a sum that starts at +0.
 func correlateRows(yd, xd, wd, bias []float64, g geom, biasLast bool) {
 	rowProduct(rowPass{out: yd, in: xd, wd: wd, bias: bias, g: g, biasLast: biasLast})
 }

@@ -186,10 +186,10 @@ func TestFusedConvMatchesLayers(t *testing.T) {
 					x := randTensor(rng, shape...)
 					x.Data[5], x.Data[40], x.Data[77] = math.NaN(), math.Inf(1), math.Inf(-1)
 					// Output channel 1: a −0 bias, −0 weights over positive inputs.
-					if c, ok := conv.(*Conv2D); ok {
+					if c := conv.(*Conv); rank == 4 {
 						zeroChannel(c.W.Data.Data[1*27:][:27], x)
 					} else {
-						zeroChannel(conv.(*Conv3D).W.Data.Data[1*81:][:81], x)
+						zeroChannel(c.W.Data.Data[1*81:][:81], x)
 					}
 					want := x
 					for _, l := range layers {

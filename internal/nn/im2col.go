@@ -99,11 +99,12 @@ func Col2Im3D(cols *tensor.Tensor, n, ci, d, h, w, k, stride, pad int) *tensor.T
 func (g geom) rows() int { return g.ci * g.kd * g.kh * g.kw }
 
 // convSlabElems bounds the per-slab column matrix of the lowered adjoint —
-// a lowered input gradient, and ConvTranspose2D's forward — at 2²¹ float64s
-// (16 MiB): small enough to sit in a last-level cache slice while the GEMM
-// streams it repeatedly, large enough that slab setup is amortized. Memory
-// use of the GEMM path is O(this bound), not O(volume) — which is why
-// kernel selection never needs to consider batch size or available memory.
+// a lowered input gradient, and a Dim-2 ConvTranspose's forward — at 2²¹
+// float64s (16 MiB): small enough to sit in a last-level cache slice while
+// the GEMM streams it repeatedly, large enough that slab setup is
+// amortized. Memory use of the GEMM path is O(this bound), not O(volume) —
+// which is why kernel selection never needs to consider batch size or
+// available memory.
 // The slab depth also fixes the orders of the lowered bias- and
 // weight-gradient sums: they build no columns, but the training bits are
 // pinned to the slabs of the GEMM they replaced.

@@ -83,12 +83,6 @@ func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: lay
 // input with their output, bit for bit what Forward(x, false) returns.
 type inPlacer interface{ forwardInPlace(x *tensor.Tensor) }
 
-// convLayer is implemented by the convolutions whose write-out can take
-// the channels of a second input after x's and apply a tail.
-type convLayer interface {
-	forwardCat(x, x2 *tensor.Tensor, train bool, t tail) *tensor.Tensor
-}
-
 // Forward applies every layer in order. At inference a convolution takes
 // the BatchNorm and LeakyReLU that follow it into its write-out, and any
 // other pointwise layer overwrites the tensor the previous layer produced
@@ -107,7 +101,7 @@ func (s *Sequential) ForwardCat(x, x2 *tensor.Tensor, train bool) *tensor.Tensor
 	in := x
 	for i := 0; i < len(s.Layers); i++ {
 		l := s.Layers[i]
-		if c, ok := l.(convLayer); ok {
+		if c, ok := l.(*Conv); ok {
 			var t tail
 			if !train {
 				t, i = fuseTail(s.Layers, i)
@@ -164,9 +158,3 @@ func (s *Sequential) Params() []*Param {
 
 // Append adds layers to the end of the chain.
 func (s *Sequential) Append(layers ...Layer) { s.Layers = append(s.Layers, layers...) }
-
-func checkRank(x *tensor.Tensor, rank int, who string) {
-	if x.Rank() != rank {
-		panic(fmt.Sprintf("nn: %s expects rank-%d input, got shape %v", who, rank, x.Shape()))
-	}
-}

@@ -89,7 +89,7 @@ func TestConv2DStridedGradients(t *testing.T) {
 
 func TestConvTranspose2DShapesAndGradients(t *testing.T) {
 	rng := NewRNG(9)
-	c := NewConvTranspose2D(rng, "ct", 3, 2, 2, 2, 0)
+	c := NewConvTranspose(rng, "ct", 2, 3, 2, 2, 2, 0)
 	x := randTensor(rng, 1, 3, 4, 4)
 	y := c.Forward(x, false)
 	if y.Dim(2) != 8 || y.Dim(3) != 8 {
@@ -108,7 +108,7 @@ func TestConvTransposeIsAdjointOfConv(t *testing.T) {
 	const ci, co, k, s, p = 2, 3, 2, 2, 0
 	conv := NewConv2D(rng, "c", ci, co, k, s, p)
 	conv.B.Data.Zero()
-	ct := NewConvTranspose2D(rng, "ct", co, ci, k, s, p)
+	ct := NewConvTranspose(rng, "ct", 2, co, ci, k, s, p)
 	ct.B.Data.Zero()
 	// Share weights: ct.W[oc, ic, ky, kx] = conv.W[ic→co dims swapped].
 	for a := 0; a < co; a++ {
@@ -150,7 +150,7 @@ func TestConv3DShapesAndGradients(t *testing.T) {
 
 func TestConvTranspose3DShapesAndGradients(t *testing.T) {
 	rng := NewRNG(12)
-	c := NewConvTranspose3D(rng, "ct3", 2, 2, 2, 2, 0)
+	c := NewConvTranspose(rng, "ct3", 3, 2, 2, 2, 2, 0)
 	x := randTensor(rng, 1, 2, 3, 3, 3)
 	y := c.Forward(x, false)
 	if y.Dim(2) != 6 || y.Dim(3) != 6 || y.Dim(4) != 6 {

@@ -156,8 +156,8 @@ func TestWeightGradAllocatesNothing(t *testing.T) {
 		g       geom
 		lowered bool
 	}{
-		{"Conv2D", c2, c2.W, &c2.convState, x2, g2, c2.useGEMM()},
-		{"Conv3D/32³", c3, c3.W, &c3.convState, x3, g3, c3.useGEMM(g3.do * g3.ho * g3.wo)},
+		{"Conv2D", c2, c2.W, &c2.convState, x2, g2, c2.lowers(g2)},
+		{"Conv3D/32³", c3, c3.W, &c3.convState, x3, g3, c3.lowers(g3)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if !tc.lowered {

@@ -29,8 +29,8 @@
 // Every non-degraded response is bit-identical to a fresh monolithic
 // net.Forward + boundary imposition on the same input: batching never
 // changes per-sample values (convolutions, batch-norm inference statistics
-// and pointwise activations are sample-independent, and Conv3D picks its
-// arithmetic from the per-sample volume), and the slab path
+// and pointwise activations are sample-independent, and a Dim-3 nn.Conv
+// picks its arithmetic from the per-sample volume), and the slab path
 // reproduces the monolithic pass by receptive-field-covering halos. A
 // request the slab decomposition cannot split takes the batched path, so
 // a slab pass, once routed, cannot fail.

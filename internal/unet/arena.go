@@ -45,10 +45,14 @@ type arena struct {
 // values are stored changes: the outputs equal those of Clone bit for bit.
 //
 // Forward's result lives in the arena until the next Forward or Input
-// call. Forward(x, true) panics: train a Clone instead.
+// call. Forward(x, true) panics: train a Clone instead. No parameter of
+// the clone, nor of its later Adapt layers, has a gradient (Grad is nil).
 func (u *UNet) InferenceClone() *UNet {
 	c := u.Clone()
 	c.arena = &arena{}
+	for _, p := range c.Params() {
+		p.Grad = nil
+	}
 	return c
 }
 

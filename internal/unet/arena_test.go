@@ -131,6 +131,27 @@ func TestInferenceCloneBitExact(t *testing.T) {
 	}
 }
 
+// An inference clone never trains, so it carries no gradient: every
+// parameter has a nil Grad, the layers of a later Adapt included, while
+// the network it was cloned from keeps its own.
+func TestInferenceCloneHasNoGradients(t *testing.T) {
+	cfg := DefaultConfig(2)
+	cfg.BaseFilters, cfg.Depth = 4, 2
+	u := New(cfg)
+	ic := u.InferenceClone()
+	ic.Adapt()
+	for _, p := range ic.Params() {
+		if p.Grad != nil {
+			t.Errorf("inference clone parameter %s has a %v gradient", p.Name, p.Grad.Shape())
+		}
+	}
+	for _, p := range u.Params() {
+		if p.Grad == nil {
+			t.Fatalf("source network parameter %s lost its gradient", p.Name)
+		}
+	}
+}
+
 // mustPanic runs f and returns its panic message, failing if it returns.
 func mustPanic(t *testing.T, f func()) (msg string) {
 	t.Helper()

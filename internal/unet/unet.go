@@ -154,7 +154,8 @@ func New(cfg Config) *UNet {
 	// Decoder from deepest to shallowest.
 	for l := cfg.Depth - 1; l >= 0; l-- {
 		inCh := ch(l + 1)
-		u.up = append(u.up, u.newUp(fmt.Sprintf("up%d", l), inCh, ch(l)))
+		// Kernel 2 / stride 2 exactly doubles the extent (adjoint of pooling).
+		u.up = append(u.up, u.newConvT(fmt.Sprintf("up%d", l), inCh, ch(l), 2, 2, 0))
 		// After concat with the skip, channels are 2*ch(l).
 		u.dec = append(u.dec, u.newBlock(fmt.Sprintf("dec%d", l), 2*ch(l), ch(l), cfg.Kernel, pad))
 	}
@@ -205,14 +206,7 @@ func (u *UNet) SetBufferReuse(on bool) {
 }
 
 func (u *UNet) newConv(name string, in, out, k, s, p int) nn.Layer {
-	if u.Cfg.Dim == 2 {
-		c := nn.NewConv2D(u.rng, name, in, out, k, s, p)
-		if u.Cfg.DirectConv {
-			c.Algo = nn.ConvDirect
-		}
-		return c
-	}
-	c := nn.NewConv3D(u.rng, name, in, out, k, s, p)
+	c := nn.NewConv(u.rng, name, u.Cfg.Dim, in, out, k, s, p)
 	if u.Cfg.DirectConv {
 		c.Algo = nn.ConvDirect
 	}
@@ -220,19 +214,11 @@ func (u *UNet) newConv(name string, in, out, k, s, p int) nn.Layer {
 }
 
 func (u *UNet) newConvT(name string, in, out, k, s, p int) nn.Layer {
-	if u.Cfg.Dim == 2 {
-		c := nn.NewConvTranspose2D(u.rng, name, in, out, k, s, p)
-		if u.Cfg.DirectConv {
-			c.Algo = nn.ConvDirect
-		}
-		return c
+	c := nn.NewConvTranspose(u.rng, name, u.Cfg.Dim, in, out, k, s, p)
+	if u.Cfg.DirectConv {
+		c.Algo = nn.ConvDirect
 	}
-	return nn.NewConvTranspose3D(u.rng, name, in, out, k, s, p)
-}
-
-func (u *UNet) newUp(name string, in, out int) nn.Layer {
-	// Kernel 2 / stride 2 exactly doubles the extent (adjoint of pooling).
-	return u.newConvT(name, in, out, 2, 2, 0)
+	return c
 }
 
 func (u *UNet) newBlock(name string, in, out, k, pad int) *block {
@@ -388,7 +374,7 @@ func (u *UNet) Backward(grad *tensor.Tensor) *tensor.Tensor {
 func (u *UNet) BackwardWithHook(grad *tensor.Tensor, onGroup func(group int)) *tensor.Tensor {
 	// The unconditional fire() calls below rely on a construction
 	// invariant: head, decoder, upsampler, bottleneck and encoder units
-	// always carry parameters (newBlock/newUp/newConv always install a
+	// always carry parameters (newBlock/newConvT/newConv always install a
 	// convolution), so they always correspond to a BackwardParamGroups
 	// entry. Refinement layers are the only unit kind that can be
 	// parameter-free (activations), hence the refHP guard. The
@@ -537,19 +523,18 @@ func (u *UNet) Adapt() []*nn.Param {
 
 	u.refinement = append(u.refinement, conv, act1, tc1, act2, tc2)
 	u.adaptions++
+	fresh := append(append(conv.Params(), tc1.Params()...), tc2.Params()...)
 	if u.arena != nil {
 		u.arena.recs = nil // replan for the new topology
+		for _, p := range fresh {
+			p.Grad = nil // an inference clone keeps no gradient
+		}
 	}
 	if u.reuse {
 		for _, l := range []nn.Layer{conv, act1, tc1, act2, tc2} {
 			nn.SetBufferReuse(l, true)
 		}
 	}
-
-	var fresh []*nn.Param
-	fresh = append(fresh, conv.Params()...)
-	fresh = append(fresh, tc1.Params()...)
-	fresh = append(fresh, tc2.Params()...)
 	return fresh
 }
 
