@@ -30,8 +30,10 @@ func HaloFor(net *unet.UNet) int {
 // the monolithic pass.
 //
 // When both passes run the same arithmetic the results agree bit-for-bit.
-// Every convolution forward reads input rows in place at every size, but
-// at Dim 3 the nn.ConvAuto volume threshold still decides where the bias
+// Every convolution forward reads input rows in place at every size, and
+// a 2D or transposed convolution always adds its bias first, so a 2D net's
+// slabs match its monolithic pass bit for bit. A Dim-3 nn.Conv is the one
+// exception: the nn.ConvAuto volume threshold decides where its bias
 // enters each sum (first below 32³ output voxels per sample, last from
 // there on), so a slab's smaller extended volume can add it at the other
 // end than the monolithic pass near the threshold, and the results agree

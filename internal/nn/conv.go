@@ -11,21 +11,17 @@ import (
 type ConvAlgo int
 
 // A convolution's forward pass runs the staged row kernel at every size
-// and stride (correlateRows; a Dim-3 ConvTranspose's adjointRows, split by
-// parity class at stride 2), except a Dim-2 ConvTranspose's, which lowers
-// to GEMM + col2im; every weight gradient reads rows in place too
-// (weightGradRows). What the algorithm still selects is the lowered
-// arithmetic's order: a lowered forward adds the bias after every tap
-// instead of before, and a lowered backward sums the weight gradient in
-// the blocked order of the GEMM it replaced and computes the input
-// gradient as GEMM + col2im.
+// and stride (correlateRows; a ConvTranspose's adjointRows, split by parity
+// class at stride 2), and every weight gradient reads rows in place too
+// (weightGradRows). What the algorithm selects is a Conv's order of the
+// arithmetic: a lowered forward adds the bias after every tap instead of
+// before, and a lowered backward sums the weight gradient in the blocked
+// order of the GEMM it replaced and computes the input gradient as
+// GEMM + col2im. A ConvTranspose never lowers.
 const (
-	// ConvAuto (the zero value) lowers where the lowering was measured to
-	// win: always at Dim 2, where a Conv's GEMM input gradient beat the
-	// direct nests at every U-Net level size and a ConvTranspose's GEMM
-	// forward the row kernel at serving sizes, and a Dim-3 Conv once the
-	// output volume reaches conv3dGEMMMinVolume. A Dim-3 ConvTranspose
-	// never lowers.
+	// ConvAuto (the zero value) lowers a Dim-3 Conv once the output
+	// volume reaches conv3dGEMMMinVolume, the order the 3D training bits
+	// are pinned to, and nothing else.
 	ConvAuto ConvAlgo = iota
 	// ConvDirect forces the direct order — bias first, one sum per
 	// weight-gradient element, the row gather for the input gradient — the
@@ -139,9 +135,8 @@ func transposedGeom(who string, x *tensor.Tensor, cin, cout, kd, k, pd, p, s int
 // convState is what a convolution layer of either rank and direction keeps
 // between calls: the input cached for Backward (a decoder convolution's
 // two, in and in2, whose channels it reads in that order), the recyclable
-// outputs, the scratch of the lowered adjoint (a lowered convolution's
-// input gradient, and a Dim-2 ConvTranspose's forward) and the cached matrix
-// view of the weights.
+// outputs, the scratch of a lowered Conv's input gradient and the cached
+// matrix view of the weights.
 //
 // Outputs and scratch are per layer, so a layer — and hence any network
 // containing one — must not run concurrent Forward calls on a shared
@@ -199,27 +194,31 @@ func (s *convState) convBackward(grad *tensor.Tensor, w, b *Param, g geom, lower
 	}
 	weightGradRows(w.Grad.Data, grad.Data, s.in.Data, in2, g, lower)
 	gin := s.bwd.get(shape...)
-	s.adjoint(gin.Data, grad.Data, nil, w, g, lower)
+	if lower {
+		s.lowerAdjoint(gin.Data, grad.Data, w, g)
+	} else {
+		adjointRows(gin.Data, grad.Data, w.Data.Data, nil, g)
+	}
 	return gin
 }
 
 // transposedForward computes y = Wᵀ ⋆ x + b on the read grid of g.
-func (s *convState) transposedForward(x *tensor.Tensor, train bool, w, b *Param, g geom, lower bool) *tensor.Tensor {
+func (s *convState) transposedForward(x *tensor.Tensor, train bool, w, b *Param, g geom) *tensor.Tensor {
 	if train {
 		s.in = x
 	}
 	out := s.fwd.get(gridShape(x.Rank(), g.n, g.ci, g.d, g.h, g.w)...)
-	s.adjoint(out.Data, x.Data, b.Data.Data, w, g, lower)
+	adjointRows(out.Data, x.Data, w.Data.Data, b.Data.Data, g)
 	return out
 }
 
 // transposedBackward accumulates the parameter gradients of
 // transposedForward and returns the input gradient — a plain strided
 // correlation of grad with W.
-func (s *convState) transposedBackward(grad *tensor.Tensor, w, b *Param, g geom, lower bool) *tensor.Tensor {
+func (s *convState) transposedBackward(grad *tensor.Tensor, w, b *Param, g geom) *tensor.Tensor {
 	vol := g.d * g.h * g.w
 	biasGrad(b.Grad.Data, grad.Data, g.n, vol, vol)
-	weightGradRows(w.Grad.Data, s.in.Data, grad.Data, nil, g, lower)
+	weightGradRows(w.Grad.Data, s.in.Data, grad.Data, nil, g, false)
 	gin := s.bwd.get(s.in.Shape()...)
 	correlateRows(gin.Data, grad.Data, w.Data.Data, nil, g, false)
 	return gin
@@ -322,7 +321,7 @@ func (c *Conv) lowers(g geom) bool {
 	case ConvGEMM:
 		return true
 	}
-	return c.Dim == 2 || g.do*g.ho*g.wo >= conv3dGEMMMinVolume
+	return c.Dim == 3 && g.do*g.ho*g.wo >= conv3dGEMMMinVolume
 }
 
 func (c *Conv) geom(x, x2 *tensor.Tensor) geom {
@@ -352,13 +351,12 @@ func (c *Conv) Params() []*Param { return []*Param{c.W, c.B} }
 
 // ConvTranspose is a transposed (fractionally strided) convolution over
 // NCHW (Dim 2) or NCDHW (Dim 3) tensors. Weight layout is [Cin, Cout, K…];
-// the output extent for input n is (n-1)*stride - 2*pad + kernel. A
-// lowered pass (Dim 2 unless ConvDirect) runs the only forward that still
-// builds a column matrix, GEMM + col2im, and sums the weight gradient in
-// the lowered order; otherwise the forward is the row gather (adjointRows)
-// and the weight gradient the direct order, the arithmetic the training
-// benchmark pins at Dim 3. Both are bit-identical across batch
-// compositions, matching the serving engine's coalescing contract.
+// the output extent for input n is (n-1)*stride - 2*pad + kernel. Its
+// forward is the row gather (adjointRows), bias first, and its weight
+// gradient sums in the direct order, the arithmetic the training benchmark
+// pins at Dim 3. Every output element sums in a fixed order, so results
+// are bit-identical across batch compositions, matching the serving
+// engine's coalescing contract.
 type ConvTranspose struct {
 	Dim         int
 	InChannels  int
@@ -366,9 +364,6 @@ type ConvTranspose struct {
 	Kernel      int
 	Stride      int
 	Pad         int
-
-	// Algo selects the execution strategy; the zero value is ConvAuto.
-	Algo ConvAlgo
 
 	W *Param
 	B *Param
@@ -384,10 +379,6 @@ func NewConvTranspose(rng interface{ NormFloat64() float64 }, name string, dim, 
 	return c
 }
 
-// lowers decides whether a pass runs the lowered arithmetic: at Dim 2
-// unless ConvDirect, never at Dim 3.
-func (c *ConvTranspose) lowers() bool { return c.Dim == 2 && c.Algo != ConvDirect }
-
 func (c *ConvTranspose) geom(x *tensor.Tensor) geom {
 	who := convTransposeNames[c.Dim-2]
 	kd, pd := window(x, who, c.Dim, c.Kernel, c.Pad)
@@ -396,12 +387,12 @@ func (c *ConvTranspose) geom(x *tensor.Tensor) geom {
 
 // Forward implements Layer.
 func (c *ConvTranspose) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return c.transposedForward(x, train, c.W, c.B, c.geom(x), c.lowers())
+	return c.transposedForward(x, train, c.W, c.B, c.geom(x))
 }
 
 // Backward implements Layer.
 func (c *ConvTranspose) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return c.transposedBackward(grad, c.W, c.B, c.geom(c.in), c.lowers())
+	return c.transposedBackward(grad, c.W, c.B, c.geom(c.in))
 }
 
 // Params implements Layer.

@@ -35,7 +35,7 @@ func depth1Param(p *Param) *Param {
 // The 2D layers are the depth-1 case of the 3D kernels: a rank-4 layer and
 // the shared kernels run on the same data as NC1HW with a depth-1 kernel
 // must agree to the last bit — output, input gradient and parameter
-// gradients, direct and lowered.
+// gradients, direct and (for a Conv) lowered.
 func TestRank4IsDepth1OfRank5(t *testing.T) {
 	cases := []struct{ k, s, p, n int }{
 		{3, 1, 1, 1},
@@ -47,29 +47,33 @@ func TestRank4IsDepth1OfRank5(t *testing.T) {
 	const ci, co, res = 3, 4, 8
 	type rng = interface{ NormFloat64() float64 }
 	for _, kind := range []struct {
-		name  string
-		rank4 func(r rng, k, s, p int, algo ConvAlgo) (l Layer, w, b *Param)
-		geom  func(who string, x *tensor.Tensor, cin, cout, kd, k, pd, p, s int) geom
-		fwd   func(st *convState, x *tensor.Tensor, train bool, w, b *Param, g geom, lower bool) *tensor.Tensor
-		bwd   func(st *convState, grad *tensor.Tensor, w, b *Param, g geom, lower bool) *tensor.Tensor
+		name   string
+		lowers []bool
+		rank4  func(r rng, k, s, p int, algo ConvAlgo) (l Layer, w, b *Param)
+		geom   func(who string, x *tensor.Tensor, cin, cout, kd, k, pd, p, s int) geom
+		fwd    func(st *convState, x *tensor.Tensor, w, b *Param, g geom, lower bool) *tensor.Tensor
+		bwd    func(st *convState, grad *tensor.Tensor, w, b *Param, g geom, lower bool) *tensor.Tensor
 	}{
-		{"Conv", func(r rng, k, s, p int, algo ConvAlgo) (Layer, *Param, *Param) {
+		{"Conv", []bool{false, true}, func(r rng, k, s, p int, algo ConvAlgo) (Layer, *Param, *Param) {
 			c := NewConv2D(r, "c", ci, co, k, s, p)
 			c.Algo = algo
 			return c, c.W, c.B
 		}, func(who string, x *tensor.Tensor, cin, cout, kd, k, pd, p, s int) geom {
 			return convGeom(who, x, nil, cin, cout, kd, k, pd, p, s)
-		}, func(st *convState, x *tensor.Tensor, train bool, w, b *Param, g geom, lower bool) *tensor.Tensor {
-			return st.convForward(x, nil, train, tail{}, w, b, g, lower)
+		}, func(st *convState, x *tensor.Tensor, w, b *Param, g geom, lower bool) *tensor.Tensor {
+			return st.convForward(x, nil, true, tail{}, w, b, g, lower)
 		}, (*convState).convBackward},
-		{"ConvTranspose", func(r rng, k, s, p int, algo ConvAlgo) (Layer, *Param, *Param) {
+		{"ConvTranspose", []bool{false}, func(r rng, k, s, p int, _ ConvAlgo) (Layer, *Param, *Param) {
 			c := NewConvTranspose(r, "t", 2, ci, co, k, s, p)
-			c.Algo = algo
 			return c, c.W, c.B
-		}, transposedGeom, (*convState).transposedForward, (*convState).transposedBackward},
+		}, transposedGeom, func(st *convState, x *tensor.Tensor, w, b *Param, g geom, _ bool) *tensor.Tensor {
+			return st.transposedForward(x, true, w, b, g)
+		}, func(st *convState, grad *tensor.Tensor, w, b *Param, g geom, _ bool) *tensor.Tensor {
+			return st.transposedBackward(grad, w, b, g)
+		}},
 	} {
 		for _, tc := range cases {
-			for _, lower := range []bool{false, true} {
+			for _, lower := range kind.lowers {
 				algo := ConvDirect
 				if lower {
 					algo = ConvGEMM
@@ -86,7 +90,7 @@ func TestRank4IsDepth1OfRank5(t *testing.T) {
 					w5, b5 := depth1Param(w), &Param{Data: b.Data.Clone(), Grad: tensor.New(co)}
 					x5 := depth1(x)
 					g := kind.geom("rank 5", x5, ci, co, 1, tc.k, 0, tc.p, tc.s)
-					y5 := kind.fwd(&st, x5, true, w5, b5, g, lower)
+					y5 := kind.fwd(&st, x5, w5, b5, g, lower)
 					if y5.Rank() != 5 || y5.Dim(2) != 1 {
 						t.Fatalf("rank-5 output shape %v", y5.Shape())
 					}
@@ -129,10 +133,9 @@ func TestRank4IsDepth1OfRank5(t *testing.T) {
 	}
 }
 
-// Kernel selection is what was measured and what the benchmark pins. Every
-// forward pass reads its input rows in place, except ConvTranspose2D's,
-// which lowers unless ConvDirect. A convolution's backward lowers its input
-// gradient in rank 4 unless ConvDirect and in Conv3D from 32³ output voxels
+// Kernel selection is what the benchmark pins. Every forward pass reads its
+// input rows in place. A convolution's backward lowers its input gradient
+// under ConvGEMM, and under ConvAuto only in Conv3D from 32³ output voxels
 // per sample; a transposed convolution's backward builds no columns (its
 // input gradient is a correlation), and no weight gradient does. Each row
 // runs a forward and a backward pass and observes whether the lowering's
@@ -143,9 +146,8 @@ func TestKernelSelection(t *testing.T) {
 		c.Algo = a
 		return c, &c.convState
 	}
-	convT2 := func(a ConvAlgo) (Layer, *convState) {
+	convT2 := func(ConvAlgo) (Layer, *convState) {
 		c := NewConvTranspose(NewRNG(1), "t", 2, 1, 1, 2, 2, 0)
-		c.Algo = a
 		return c, &c.convState
 	}
 	conv3 := func(a ConvAlgo) (Layer, *convState) {
@@ -164,12 +166,12 @@ func TestKernelSelection(t *testing.T) {
 		in       []int
 		fwd, bwd bool
 	}{
-		{"Conv2D/auto", conv2, ConvAuto, []int{1, 1, 4, 4}, false, true},
+		{"Conv2D/auto/4²", conv2, ConvAuto, []int{1, 1, 4, 4}, false, false},
+		{"Conv2D/auto/256²", conv2, ConvAuto, []int{1, 1, 256, 256}, false, false},
 		{"Conv2D/direct", conv2, ConvDirect, []int{1, 1, 64, 64}, false, false},
 		{"Conv2D/gemm", conv2, ConvGEMM, []int{1, 1, 4, 4}, false, true},
-		{"ConvTranspose2D/auto", convT2, ConvAuto, []int{1, 1, 4, 4}, true, false},
-		{"ConvTranspose2D/direct", convT2, ConvDirect, []int{1, 1, 64, 64}, false, false},
-		{"ConvTranspose2D/gemm", convT2, ConvGEMM, []int{1, 1, 4, 4}, true, false},
+		{"ConvTranspose2D/4²→8²", convT2, ConvAuto, []int{1, 1, 4, 4}, false, false},
+		{"ConvTranspose2D/64²→128²", convT2, ConvAuto, []int{1, 1, 64, 64}, false, false},
 		{"Conv3D/auto/16³", conv3, ConvAuto, []int{1, 1, 16, 16, 16}, false, false},
 		{"Conv3D/auto/31·32·32", conv3, ConvAuto, []int{1, 1, 31, 32, 32}, false, false},
 		{"Conv3D/auto/32³", conv3, ConvAuto, []int{1, 1, 32, 32, 32}, false, true},

@@ -15,11 +15,12 @@ import (
 //	weightGrad  W.Grad += y ⊗ x        both
 //
 // correlate and adjoint are one row kernel (rowProduct), run either way,
-// and weightGrad a second one (weightGradRows). Only the lowered adjoint
-// keeps a GEMM lowering, in im2col.go. Every correlate sum runs in the order
-// cin → kz → ky → kx (adjoint: cout → kz → ky → kx), and every
-// weight-gradient sum over the written grid in the orders weightGradRows
-// describes; the training benchmark pins the resulting bits.
+// and weightGrad a second one (weightGradRows). Only a lowered Conv's
+// input gradient keeps a GEMM lowering, in im2col.go. Every correlate sum
+// runs in the order cin → kz → ky → kx (adjoint: cout → kz → ky → kx),
+// and every weight-gradient sum over the written grid in the orders
+// weightGradRows describes; the training benchmark pins the resulting
+// bits.
 //
 // rowProduct stages its input. A job copies, per input channel and kz, the
 // input rows its block of output rows reads into per-worker scratch, each
@@ -92,14 +93,6 @@ import (
 // multiply-add, so its bits are the Go loop's, which every other CPU runs,
 // at either lane count, and the epilogue's lanes likewise. The Go loops
 // write each product as float64(w·x), which no compiler fuses.
-
-func (s *convState) adjoint(xd, yd, bias []float64, w *Param, g geom, lower bool) {
-	if lower {
-		s.lowerAdjoint(xd, yd, bias, w, g)
-	} else {
-		adjointRows(xd, yd, w.Data.Data, bias, g)
-	}
-}
 
 // correlateRows overwrites yd with W ⋆ x. A nil bias is zero; otherwise
 // biasLast picks where it enters each sum: first, as the direct nest adds

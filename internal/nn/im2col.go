@@ -49,27 +49,6 @@ func paramMat(view **tensor.Tensor, data []float64, rows, cols int) *tensor.Tens
 	return *view
 }
 
-// Im2Col2D unrolls the sliding windows of an NCHW input into a
-// [Cin·K·K, N·Ho·Wo] matrix so that convolution becomes one GEMM — the
-// lowering used by most production deep-learning engines. Out-of-bounds
-// (padding) positions contribute zeros.
-func Im2Col2D(x *tensor.Tensor, k, stride, pad int) *tensor.Tensor {
-	g := kernelGeom(x.Dim(0), x.Dim(1), 1, x.Dim(2), x.Dim(3), 1, k, 0, pad, stride)
-	cols := tensor.New(g.rows(), g.n*g.ho*g.wo)
-	im2col(cols.Data, x.Data, g, 0, 1)
-	return cols
-}
-
-// Col2Im2D is the adjoint of Im2Col2D: it scatters a [Cin·K·K, N·Ho·Wo]
-// column matrix back onto the NCHW image grid, summing overlapping
-// contributions. It turns the GEMM gradient Wᵀ·gradOut into the input
-// gradient of the convolution.
-func Col2Im2D(cols *tensor.Tensor, n, ci, h, w, k, stride, pad int) *tensor.Tensor {
-	out := tensor.New(n, ci, h, w)
-	col2im(out.Data, cols.Data, kernelGeom(n, ci, 1, h, w, 1, k, 0, pad, stride), 0, 1)
-	return out
-}
-
 // Im2Col3D unrolls the sliding windows of an NCDHW input into a
 // [Cin·K³, N·Do·Ho·Wo] matrix so that volumetric convolution becomes one
 // GEMM. The layers never build this matrix: their forward passes and
@@ -99,12 +78,11 @@ func Col2Im3D(cols *tensor.Tensor, n, ci, d, h, w, k, stride, pad int) *tensor.T
 func (g geom) rows() int { return g.ci * g.kd * g.kh * g.kw }
 
 // convSlabElems bounds the per-slab column matrix of the lowered adjoint —
-// a lowered input gradient, and a Dim-2 ConvTranspose's forward — at 2²¹
-// float64s (16 MiB): small enough to sit in a last-level cache slice while
-// the GEMM streams it repeatedly, large enough that slab setup is
-// amortized. Memory use of the GEMM path is O(this bound), not O(volume) —
-// which is why kernel selection never needs to consider batch size or
-// available memory.
+// a lowered Conv's input gradient — at 2²¹ float64s (16 MiB): small
+// enough to sit in a last-level cache slice while the GEMM streams it
+// repeatedly, large enough that slab setup is amortized. Memory use of the
+// GEMM path is O(this bound), not O(volume) — which is why kernel
+// selection never needs to consider batch size or available memory.
 // The slab depth also fixes the orders of the lowered bias- and
 // weight-gradient sums: they build no columns, but the training bits are
 // pinned to the slabs of the GEMM they replaced.
@@ -256,11 +234,11 @@ func (s *convState) chanMajor(yd []float64, g geom, z0, z1 int) *tensor.Tensor {
 	return yMat
 }
 
-// lowerAdjoint is adjoint as x = col2im(Wᵀ·y) + bias over the same depth
-// slabs. The transposed product runs through tensor.MatMulTransAInto, so
-// no explicit transpose is ever materialized.
-func (s *convState) lowerAdjoint(xd, yd, bias []float64, w *Param, g geom) {
-	n, ci, rows := g.n, g.ci, g.rows()
+// lowerAdjoint overwrites xd with x = col2im(Wᵀ·y) over depth slabs of
+// slabDepth() planes. The transposed product runs through
+// tensor.MatMulTransAInto, so no explicit transpose is ever materialized.
+func (s *convState) lowerAdjoint(xd, yd []float64, w *Param, g geom) {
+	rows := g.rows()
 	wMat := paramMat(&s.wMatView, w.Data.Data, g.co, rows)
 	clear(xd) // col2im adds into it
 	dz := g.slabDepth()
@@ -271,17 +249,4 @@ func (s *convState) lowerAdjoint(xd, yd, bias []float64, w *Param, g geom) {
 		tensor.MatMulTransAInto(wMat, yMat, cols)
 		col2im(xd, cols.Data, g, z0, z1)
 	}
-	if bias == nil {
-		return
-	}
-	vol := g.d * g.h * g.w
-	tensor.Parallel(n*ci, vol, func(lo, hi int) {
-		for job := lo; job < hi; job++ {
-			b := bias[job%ci]
-			row := xd[job*vol : (job+1)*vol]
-			for i := range row {
-				row[i] += b
-			}
-		}
-	})
 }

@@ -624,6 +624,26 @@ func TestConv2DGEMMMatchesDirect(t *testing.T) {
 	}
 }
 
+// Im2Col2D unrolls the sliding windows of an NCHW input into a
+// [Cin·K·K, N·Ho·Wo] matrix so that convolution becomes one GEMM.
+// Out-of-bounds (padding) positions contribute zeros. No layer builds it at
+// rank 4; tests hold the row kernels to it.
+func Im2Col2D(x *tensor.Tensor, k, stride, pad int) *tensor.Tensor {
+	g := kernelGeom(x.Dim(0), x.Dim(1), 1, x.Dim(2), x.Dim(3), 1, k, 0, pad, stride)
+	cols := tensor.New(g.rows(), g.n*g.ho*g.wo)
+	im2col(cols.Data, x.Data, g, 0, 1)
+	return cols
+}
+
+// Col2Im2D is the adjoint of Im2Col2D: it scatters a [Cin·K·K, N·Ho·Wo]
+// column matrix back onto the NCHW image grid, summing overlapping
+// contributions.
+func Col2Im2D(cols *tensor.Tensor, n, ci, h, w, k, stride, pad int) *tensor.Tensor {
+	out := tensor.New(n, ci, h, w)
+	col2im(out.Data, cols.Data, kernelGeom(n, ci, 1, h, w, 1, k, 0, pad, stride), 0, 1)
+	return out
+}
+
 func TestIm2ColShape(t *testing.T) {
 	rng := NewRNG(41)
 	x := randTensor(rng, 2, 3, 8, 8)

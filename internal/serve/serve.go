@@ -10,7 +10,7 @@
 //     the same design point — cost one forward pass total;
 //   - a micro-batching dispatcher that coalesces single-ω requests into
 //     one [N, 1, ...] forward pass, amortizing per-pass overhead (buffer
-//     traffic, layer dispatch, GEMM setup) across the batch. It holds a
+//     traffic, layer dispatch, kernel setup) across the batch. It holds a
 //     partial batch open for a latency window only while demand could
 //     fill it; a lone request launches at once;
 //   - a routing rule that sends very large single requests to the
@@ -311,7 +311,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 }
 
 // warm runs one single-sample forward per configured warm resolution so
-// the replica's arena, GEMM scratch and the shared FEM problems are built
+// the replica's arena, kernel scratch and the shared FEM problems are built
 // before traffic arrives.
 func (e *Engine) warm(r *replica) {
 	for _, res := range e.cfg.WarmRes {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"mgdiffnet/internal/tensor"
@@ -98,10 +99,17 @@ func TestReplicaBatchResizeBitExact(t *testing.T) {
 // batch of 8, passes of 1, 3 and 8 samples, from the caller's tensor or
 // through the input slot, allocate fewer bytes than one sample's input —
 // only the kernels' closures — because every tensor a pass writes is a
-// view into the arena, re-pointed in place.
+// view into the arena, re-pointed in place. The collector stays off and
+// the scheduler on one P from the warm-up pass through the last
+// measurement: refilling the kernels' pooled scratch is not an activation,
+// and a collection empties that pool, while a warm-up spread over several
+// Ps can leave its scratch in another P's private slot, where a pass on
+// one P cannot take it.
 func TestInferenceCloneAllocatesNoActivation(t *testing.T) {
 	for _, tc := range []struct{ dim, res int }{{2, 48}, {3, 16}} {
 		t.Run(fmt.Sprintf("%dD", tc.dim), func(t *testing.T) {
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			cfg := DefaultConfig(tc.dim)
 			cfg.BaseFilters, cfg.Depth = 4, 2
 			ic := New(cfg).InferenceClone()

@@ -52,9 +52,8 @@ func concatChannels(a, b *tensor.Tensor) *tensor.Tensor {
 
 // The inference forward fuses each block's BatchNorm and LeakyReLU into
 // its convolution's write-out and reads the decoder's two inputs without a
-// concatenated copy; neither may move a bit. 2D nets add the bias last,
-// and first under DirectConv; 3D nets add it first below 32³ and last from
-// there. BatchNorm's running statistics are drawn away from the identity,
+// concatenated copy; neither may move a bit. 2D nets add the bias first;
+// 3D nets add it first below 32³ and last from there. BatchNorm's running statistics are drawn away from the identity,
 // so its affine shows. Each runs at 1 and 4 kernel workers, with buffer
 // reuse, and after an adaptation (whose convolution fuses the LeakyReLU
 // after it, and whose other LeakyReLU runs in place).

@@ -37,15 +37,15 @@ type Config struct {
 	// FinalSigmoid applies the paper's Sigmoid output activation; when
 	// false the output is linear (used in ablations).
 	FinalSigmoid bool
-	// DirectConv pins every convolution (2D and 3D) to the direct order
+	// DirectConv pins every 3D convolution to the direct order
 	// (nn.ConvDirect, the correctness oracle): bias first in the forward
-	// sums, direct backward nests, and the row gather for 2D upsampling.
-	// When false — the default — layers pick the lowered order
-	// automatically (always in 2D, from the nn.ConvAuto volume threshold
-	// in 3D): bias last in the forward sums, im2col+GEMM backward, and a
-	// GEMM 2D upsampler. Every other forward reads input rows in place
-	// either way, so megavoxel inference is as fast with it as without.
-	// Old gob snapshots decode this as false.
+	// sums and the direct backward. When false — the default — a 3D
+	// convolution whose output reaches the nn.ConvAuto volume threshold
+	// runs the lowered order: bias last in the forward sums and an
+	// im2col+GEMM input gradient. 2D convolutions and every transposed
+	// convolution run the direct order either way, and every forward reads
+	// input rows in place, so megavoxel inference is as fast with it as
+	// without. Old gob snapshots decode this as false.
 	DirectConv bool
 	// Seed drives deterministic weight initialization.
 	Seed int64
@@ -214,11 +214,7 @@ func (u *UNet) newConv(name string, in, out, k, s, p int) nn.Layer {
 }
 
 func (u *UNet) newConvT(name string, in, out, k, s, p int) nn.Layer {
-	c := nn.NewConvTranspose(u.rng, name, u.Cfg.Dim, in, out, k, s, p)
-	if u.Cfg.DirectConv {
-		c.Algo = nn.ConvDirect
-	}
-	return c
+	return nn.NewConvTranspose(u.rng, name, u.Cfg.Dim, in, out, k, s, p)
 }
 
 func (u *UNet) newBlock(name string, in, out, k, pad int) *block {
