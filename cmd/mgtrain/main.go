@@ -71,7 +71,7 @@ type trainFlags struct {
 	transport, peers       string
 	rank                   int
 	elastic                bool
-	hbInterval, hbTimeout  time.Duration
+	hbTimeout              time.Duration
 	opTimeout, dialTimeout time.Duration
 	peerList               []string // parsed from peers by validate
 }
@@ -161,11 +161,8 @@ func (f *trainFlags) validate() error {
 		if f.elastic && f.checkpoint == "" {
 			return errors.New("-elastic requires -checkpoint (survivors resume from it)")
 		}
-		if f.hbInterval <= 0 || f.hbTimeout <= 0 {
-			return errors.New("-heartbeat-interval and -heartbeat-timeout must be > 0")
-		}
-		if f.hbTimeout < 2*f.hbInterval {
-			return fmt.Errorf("-heartbeat-timeout %v must be at least twice -heartbeat-interval %v", f.hbTimeout, f.hbInterval)
+		if f.hbTimeout <= 0 {
+			return errors.New("-heartbeat-timeout must be > 0")
 		}
 		if f.dialTimeout <= 0 {
 			return errors.New("-dial-timeout must be > 0")
@@ -229,8 +226,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs.IntVar(&f.rank, "rank", -1, "this process's rank in the -peers list (tcp)")
 	fs.StringVar(&f.peers, "peers", "", "comma-separated host:port of every rank, in rank order (tcp)")
 	fs.BoolVar(&f.elastic, "elastic", false, "on a rank failure, reform the surviving ranks and resume from -checkpoint (tcp)")
-	fs.DurationVar(&f.hbInterval, "heartbeat-interval", 500*time.Millisecond, "max send-idle time before a heartbeat frame (tcp)")
-	fs.DurationVar(&f.hbTimeout, "heartbeat-timeout", 5*time.Second, "receive silence after which a peer is declared dead (tcp)")
+	fs.DurationVar(&f.hbTimeout, "heartbeat-timeout", 5*time.Second, "receive silence after which a peer is declared dead; idle links heartbeat every tenth of it (tcp)")
 	fs.DurationVar(&f.opTimeout, "op-timeout", 2*time.Minute, "per-operation send/recv deadline (tcp)")
 	fs.DurationVar(&f.dialTimeout, "dial-timeout", 30*time.Second, "total rendezvous budget for assembling the world (tcp)")
 	if err := fs.Parse(args); err != nil {
@@ -393,7 +389,6 @@ func runTCP(f *trainFlags, cfg core.Config, ncfg *unet.Config, stdout, stderr io
 	self := peers[rank]
 
 	opt := dist.DefaultTCPOptions()
-	opt.HeartbeatInterval = f.hbInterval
 	opt.HeartbeatTimeout = f.hbTimeout
 	opt.OpTimeout = f.opTimeout
 	opt.DialTimeout = f.dialTimeout

@@ -68,7 +68,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		"inproc with peers":   {"-peers", "a:1,b:2"},
 		"inproc with elastic": {"-elastic"},
 		"elastic sans ck":     {"-transport", "tcp", "-rank", "0", "-peers", "a:1,b:2", "-elastic"},
-		"tight hb timeout":    {"-transport", "tcp", "-rank", "0", "-peers", "a:1,b:2", "-heartbeat-timeout", "500ms", "-heartbeat-interval", "400ms"},
+		"zero hb timeout":     {"-transport", "tcp", "-rank", "0", "-peers", "a:1,b:2", "-heartbeat-timeout", "0"},
 		"zero dial timeout":   {"-transport", "tcp", "-rank", "0", "-peers", "a:1,b:2", "-dial-timeout", "0"},
 	}
 	for name, args := range cases {

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"sort"
 
 	"mgdiffnet/internal/nn"
 	"mgdiffnet/internal/unet"
@@ -17,31 +16,28 @@ const defaultBucketElems = 8192
 
 // bucketPlan fixes the comm/compute overlap schedule for one arena
 // layout: the gradient slab is cut at fixed element boundaries into
-// buckets, and each bucket's ring reduction starts as soon as every
-// backward group overlapping it has produced its final gradients. All
-// fields are derived deterministically from the network structure and the
-// bucket size, so every replica computes the identical plan — which is
-// what keeps the per-batch collective sequence identical across ranks
-// (including ranks that skipped backward because their shard was empty;
-// they replay `order` verbatim).
+// buckets, and each bucket's ring reduction starts as soon as backward has
+// produced its final gradients. The arena lays the parameters out in
+// unet.Params order, the exact reverse of the backward groups, so backward
+// finalizes the slab from the top down and the final buckets are always a
+// suffix of it: they are released top-down. Both fields are derived
+// deterministically from the network structure and the bucket size, so
+// every replica computes the identical plan — which is what keeps the
+// per-batch collective sequence identical across ranks (including ranks
+// that skipped backward because their shard was empty; they release every
+// bucket in the same top-down order).
 type bucketPlan struct {
 	// bounds holds the nb+1 slab offsets of the fixed bucket boundaries.
 	bounds []int
-	// order lists bucket indices in completion order: bucket order[k]
-	// finishes no later than order[k+1] as backward walks its groups.
-	order []int
-	// groups[g] lists the buckets overlapped by backward group g; when the
-	// group's gradients finalize, each listed bucket's remaining count
-	// drops by one, and buckets reaching zero are released in `order`.
-	groups [][]int
-	// remainingInit is the per-bucket overlap count that the per-batch
-	// countdown starts from.
-	remainingInit []int
+	// ready[g] is how many buckets, counted from the top of the slab, are
+	// final once backward group g has fired.
+	ready []int
 }
 
 // newBucketPlan builds the plan for a network whose parameters live in ar.
 // bucketElems fixes the bucket boundaries; the last bucket is shorter when
-// the slab length is not a multiple.
+// the slab length is not a multiple. It fails unless the backward groups,
+// in firing order, tile the slab from its top down to offset 0.
 func newBucketPlan(net *unet.UNet, ar *nn.Arena, bucketElems int) (*bucketPlan, error) {
 	if bucketElems <= 0 {
 		bucketElems = defaultBucketElems
@@ -51,45 +47,35 @@ func newBucketPlan(net *unet.UNet, ar *nn.Arena, bucketElems int) (*bucketPlan, 
 		return nil, fmt.Errorf("dist: bucket plan over an empty arena")
 	}
 	nb := (n + bucketElems - 1) / bucketElems
-	p := &bucketPlan{bounds: make([]int, nb+1), remainingInit: make([]int, nb)}
+	p := &bucketPlan{bounds: make([]int, nb+1)}
 	for b := 0; b < nb; b++ {
 		p.bounds[b+1] = min((b+1)*bucketElems, n)
 	}
 
 	groups := net.BackwardParamGroups()
-	covered := 0
-	lastGroup := make([]int, nb) // completion index: last group touching each bucket
-	for b := range lastGroup {
-		lastGroup[b] = -1
-	}
-	p.groups = make([][]int, len(groups))
+	p.ready = make([]int, len(groups))
+	top := n // the groups walked so far finalize [top, n)
 	for g, ps := range groups {
-		gLo, gHi := n, 0
+		gLo, gHi, size := n, 0, 0
 		for _, pr := range ps {
 			lo, hi, ok := ar.Span(pr)
 			if !ok {
 				return nil, fmt.Errorf("dist: parameter %q of backward group %d not covered by the arena", pr.Name, g)
 			}
-			covered += hi - lo
+			size += hi - lo
 			gLo = min(gLo, lo)
 			gHi = max(gHi, hi)
 		}
-		for b := gLo / bucketElems; b*bucketElems < gHi && b < nb; b++ {
-			p.groups[g] = append(p.groups[g], b)
-			p.remainingInit[b]++
-			lastGroup[b] = max(lastGroup[b], g)
+		if gHi != top || gHi-gLo != size {
+			return nil, fmt.Errorf("dist: backward group %d spans [%d, %d) of the gradient slab, want a contiguous span ending at %d",
+				g, gLo, gHi, top)
 		}
+		top = gLo
+		p.ready[g] = nb - (top+bucketElems-1)/bucketElems
 	}
-	if covered != n {
-		return nil, fmt.Errorf("dist: backward groups cover %d of %d arena elements", covered, n)
+	if top != 0 {
+		return nil, fmt.Errorf("dist: backward groups cover [%d, %d) of the %d-element gradient slab", top, n, n)
 	}
-	p.order = make([]int, nb)
-	for b := range p.order {
-		p.order[b] = b
-	}
-	sort.SliceStable(p.order, func(i, j int) bool {
-		return lastGroup[p.order[i]] < lastGroup[p.order[j]]
-	})
 	return p, nil
 }
 

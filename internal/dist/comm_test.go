@@ -2,10 +2,12 @@ package dist
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
 	"mgdiffnet/internal/core"
+	"mgdiffnet/internal/nn"
 	"mgdiffnet/internal/tensor"
 	"mgdiffnet/internal/unet"
 )
@@ -214,6 +216,24 @@ func TestBucketedAllReduceBitIdenticalToMonolithic(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// Top-down bucket release relies on the arena laying the parameters out
+// in the exact reverse of the backward groups (unet.Params order); a plan
+// over any other layout is refused, naming the group that breaks it.
+func TestBucketPlanRequiresReverseBackwardLayout(t *testing.T) {
+	net := unet.New(*smallNet(2))
+	if _, err := newBucketPlan(net, nn.NewArena(net.Params()), 64); err != nil {
+		t.Fatalf("arena in Params order: %v", err)
+	}
+	var backwardOrder []*nn.Param
+	for _, g := range net.BackwardParamGroups() {
+		backwardOrder = append(backwardOrder, g...)
+	}
+	_, err := newBucketPlan(net, nn.NewArena(backwardOrder), 64)
+	if err == nil || !strings.Contains(err.Error(), "backward group 0 ") {
+		t.Fatalf("arena in backward order: %v, want an error naming group 0", err)
 	}
 }
 

@@ -7,10 +7,11 @@
 // data-parallel ParallelTrainer whose goroutine workers stand in for the
 // paper's MPI ranks — or, given an external Transport, one rank of a
 // multi-process world — and slab-decomposed model-parallel inference whose
-// halos are copied from the input. FaultTransport injects deterministic drops, delays and
-// rank kills for testing; the membership layer turns every failure into a
-// timely error (never a hang) and lets survivors agree on a shrunken
-// world and resume from the last checkpoint (elastic fault tolerance).
+// halos are copied from the input. The membership layer turns every
+// failure into a timely error (never a hang) and lets survivors agree on a
+// shrunken world and resume from the last checkpoint (elastic fault
+// tolerance); the tests exercise it on loopback TCP worlds
+// (NewLocalTCPWorld), where TCPTransport.Terminate is a killed rank.
 // Each replica of a ParallelTrainer is a core.Trainer — the one
 // implementation of the training step, Adapt and the checkpoint encoding —
 // plus a communicator; dist adds only the sharded loop and the overlapped

@@ -32,15 +32,13 @@ var (
 	ErrDeadline = errors.New("deadline exceeded")
 	// ErrClosed reports an operation on a locally closed endpoint.
 	ErrClosed = errors.New("transport closed")
-	// ErrKilled reports an operation on a fault-injected endpoint whose
-	// simulated process has been killed (FaultTransport.Kill).
-	ErrKilled = errors.New("endpoint killed")
 )
 
 // membership tracks the lifecycle of every peer of one endpoint. Blocked
 // transport operations select on goneCh so a peer's death or departure
 // unblocks them immediately — the membership layer is why a dead rank
-// produces timeout errors instead of hangs.
+// produces an ErrPeerDead or ErrPeerLeft error at once instead of a hang
+// or an OpTimeout wait.
 type membership struct {
 	mu     sync.Mutex
 	states []int

@@ -27,8 +27,8 @@ import (
 //	data      8·n bytes: n float64 values, little-endian IEEE-754 bits —
 //	          the exact bits of the sender's buffer, so collectives over
 //	          TCP are bit-identical to the in-process channel mesh.
-//	heartbeat empty. Written whenever a link has been send-idle for
-//	          HeartbeatInterval; any inbound frame proves liveness.
+//	heartbeat empty. Written whenever a link has been send-idle for a
+//	          tenth of HeartbeatTimeout; any inbound frame proves liveness.
 //	leave     empty. Clean shutdown announcement (training finished).
 //	abort     4·k bytes: k uint32 ranks the sender has declared dead. Sent
 //	          when a survivor tears down to reform; receivers adopt the
@@ -49,29 +49,30 @@ const (
 	maxFramePayload = 1 << 31
 )
 
+// The dial backoff of a rendezvous: the first retry waits ~dialRetryBase
+// (with jitter in [b/2, b]), doubling up to dialRetryMax, until
+// DialTimeout expires.
+const (
+	dialRetryBase = 50 * time.Millisecond
+	dialRetryMax  = 2 * time.Second
+)
+
 // TCPOptions tunes a TCPTransport. The zero value of any field selects the
 // default noted on it (DefaultTCPOptions spells them all out).
 type TCPOptions struct {
 	// DialTimeout is the total rendezvous budget: every connection of the
 	// full mesh must be up within it. Default 30s.
 	DialTimeout time.Duration
-	// RetryBase/RetryMax bound the exponential dial backoff: the first
-	// retry waits ~RetryBase (with jitter in [b/2, b]), doubling up to
-	// RetryMax, until DialTimeout expires. Defaults 50ms / 2s.
-	RetryBase time.Duration
-	RetryMax  time.Duration
 	// OpTimeout is the per-operation deadline of Send (time allowed to
 	// enqueue against backpressure) and Recv (time allowed for the
 	// matching message to arrive from a peer that is alive but not
 	// sending). Negative disables the deadline; peer death still unblocks
 	// every pending operation. Default 2m.
 	OpTimeout time.Duration
-	// HeartbeatInterval is how long a link may be send-idle before the
-	// writer emits a heartbeat frame. Default 500ms.
-	HeartbeatInterval time.Duration
 	// HeartbeatTimeout is how long a link may be receive-silent before the
-	// peer is declared dead. It must comfortably exceed HeartbeatInterval
-	// (the default pair gives 10 missed heartbeats). Default 5s.
+	// peer is declared dead. A writer emits a heartbeat frame whenever its
+	// link has been send-idle for a tenth of it, so the detector fires
+	// after 10 missed heartbeats. Default 5s.
 	HeartbeatTimeout time.Duration
 	// SendQueue is the number of frames buffered per peer before Send
 	// exerts backpressure (blocks, then fails after OpTimeout). Default 16.
@@ -84,13 +85,10 @@ type TCPOptions struct {
 // DefaultTCPOptions returns the defaults documented on TCPOptions.
 func DefaultTCPOptions() TCPOptions {
 	return TCPOptions{
-		DialTimeout:       30 * time.Second,
-		RetryBase:         50 * time.Millisecond,
-		RetryMax:          2 * time.Second,
-		OpTimeout:         2 * time.Minute,
-		HeartbeatInterval: 500 * time.Millisecond,
-		HeartbeatTimeout:  5 * time.Second,
-		SendQueue:         16,
+		DialTimeout:      30 * time.Second,
+		OpTimeout:        2 * time.Minute,
+		HeartbeatTimeout: 5 * time.Second,
+		SendQueue:        16,
 	}
 }
 
@@ -99,17 +97,8 @@ func (o TCPOptions) normalized() TCPOptions {
 	if o.DialTimeout == 0 {
 		o.DialTimeout = d.DialTimeout
 	}
-	if o.RetryBase == 0 {
-		o.RetryBase = d.RetryBase
-	}
-	if o.RetryMax == 0 {
-		o.RetryMax = d.RetryMax
-	}
 	if o.OpTimeout == 0 {
 		o.OpTimeout = d.OpTimeout
-	}
-	if o.HeartbeatInterval == 0 {
-		o.HeartbeatInterval = d.HeartbeatInterval
 	}
 	if o.HeartbeatTimeout == 0 {
 		o.HeartbeatTimeout = d.HeartbeatTimeout
@@ -374,7 +363,7 @@ func (t *TCPTransport) rendezvous(ln net.Listener) error {
 // rendezvous deadline: connection refused just means the peer has not
 // bound its port yet (it may be restarting after a failure).
 func (t *TCPTransport) dialPeer(q int, deadline time.Time, hash uint64) (net.Conn, error) {
-	backoff := t.opt.RetryBase
+	backoff := dialRetryBase
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		d := net.Dialer{Deadline: deadline}
@@ -396,8 +385,8 @@ func (t *TCPTransport) dialPeer(q int, deadline time.Time, hash uint64) (net.Con
 			sleep = remaining
 		}
 		time.Sleep(sleep)
-		if backoff *= 2; backoff > t.opt.RetryMax {
-			backoff = t.opt.RetryMax
+		if backoff *= 2; backoff > dialRetryMax {
+			backoff = dialRetryMax
 		}
 	}
 }
@@ -647,7 +636,7 @@ func (l linkReader) Read(p []byte) (int, error) {
 
 // readLoop is the sole reader of one link. The read deadline doubles as
 // the failure detector: the peer's writer guarantees a frame at least
-// every HeartbeatInterval, so HeartbeatTimeout of silence — before a
+// every tenth of HeartbeatTimeout, so HeartbeatTimeout of silence — before a
 // frame or inside one — or a connection error without a leave/abort
 // announcement declares it dead, which closes the membership gone-channel
 // and unblocks every pending operation against that rank.
@@ -722,12 +711,13 @@ func (t *TCPTransport) readFailed(q int, err error) {
 }
 
 // writeLoop is the per-link writer: it drains the send queue and keeps
-// the link warm with heartbeats whenever it has been idle for
-// HeartbeatInterval, so the peer's failure detector only fires on real
+// the link warm with heartbeats whenever it has been idle for a tenth of
+// HeartbeatTimeout, so the peer's failure detector only fires on real
 // silence.
 func (t *TCPTransport) writeLoop(q int) {
 	defer t.writeWg.Done()
-	hb := time.NewTimer(t.opt.HeartbeatInterval)
+	interval := t.opt.HeartbeatTimeout / 10
+	hb := time.NewTimer(interval)
 	defer hb.Stop()
 	for {
 		select {
@@ -755,7 +745,7 @@ func (t *TCPTransport) writeLoop(q int) {
 			default:
 			}
 		}
-		hb.Reset(t.opt.HeartbeatInterval)
+		hb.Reset(interval)
 	}
 }
 

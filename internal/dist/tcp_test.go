@@ -22,13 +22,10 @@ import (
 // short op deadlines, loopback-scale dial budget.
 func fastTCPOptions() TCPOptions {
 	return TCPOptions{
-		DialTimeout:       10 * time.Second,
-		RetryBase:         5 * time.Millisecond,
-		RetryMax:          100 * time.Millisecond,
-		OpTimeout:         2 * time.Second,
-		HeartbeatInterval: 50 * time.Millisecond,
-		HeartbeatTimeout:  500 * time.Millisecond,
-		SendQueue:         16,
+		DialTimeout:      10 * time.Second,
+		OpTimeout:        2 * time.Second,
+		HeartbeatTimeout: 500 * time.Millisecond,
+		SendQueue:        16,
 	}
 }
 
@@ -252,9 +249,16 @@ func TestTCPDeathDetection(t *testing.T) {
 		}
 	}
 
-	// Fresh operations against the dead rank fail immediately.
+	// Fresh operations against the dead rank fail immediately, and the
+	// terminated endpoint itself neither sends nor receives.
 	if err := world[0].Send(2, []float64{1}); !errors.Is(err, ErrPeerDead) {
 		t.Fatalf("send to dead rank: %v, want ErrPeerDead", err)
+	}
+	if err := world[2].Send(0, []float64{1}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("send on the terminated endpoint: %v, want ErrClosed", err)
+	}
+	if err := world[2].Recv(0, make([]float64, 1)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("recv on the terminated endpoint: %v, want ErrClosed", err)
 	}
 
 	// The surviving pair still communicates.
@@ -365,9 +369,10 @@ func TestTCPHeartbeatTimeoutDetectsSilence(t *testing.T) {
 		lns[i] = ln
 		addrs[i] = ln.Addr().String()
 	}
-	// Rank 1 heartbeats so rarely that rank 0's 300ms silence budget fires.
+	// Rank 1 heartbeats so rarely (every hour) that rank 0's 300ms
+	// silence budget fires.
 	optSlow := fastTCPOptions()
-	optSlow.HeartbeatInterval = time.Hour
+	optSlow.HeartbeatTimeout = 10 * time.Hour
 	optFast := fastTCPOptions()
 	optFast.HeartbeatTimeout = 300 * time.Millisecond
 
@@ -423,5 +428,41 @@ func TestTCPSendBackpressureTimesOut(t *testing.T) {
 	}
 	if !errors.Is(last, ErrDeadline) {
 		t.Fatalf("send against a stuck peer: %v, want ErrDeadline", last)
+	}
+}
+
+// A peer that is alive — its links heartbeat — but never sends must end a
+// collective in ErrDeadline, and a training epoch within one OpTimeout:
+// once a batch's first collective has failed, the batch's remaining
+// buckets are skipped instead of each waiting out its own deadline.
+func TestTCPSilentPeerFailsEpochWithinOneDeadline(t *testing.T) {
+	opt := fastTCPOptions()
+	opt.OpTimeout = 200 * time.Millisecond
+	world, err := NewLocalTCPWorld(2, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeWorld(world)
+	// Rank 1 never calls Send or Recv; only its writer's heartbeats flow.
+
+	if err := NewCommunicator(world[0]).AllReduce([]float64{0, 1, 2, 3}); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("allreduce against a silent peer: %v, want ErrDeadline", err)
+	}
+
+	cfg := multigridCfg()
+	pt := newTransportPT(t, cfg, world[0], 64)
+	defer pt.Close()
+	nb := pt.reps[0].plan.numBuckets()
+	start := time.Now()
+	_, err = pt.TrainEpoch(cfg.FinestRes)
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrDeadline) {
+		t.Fatalf("epoch against a silent peer: %v, want ErrDeadline", err)
+	}
+	if elapsed > 3*opt.OpTimeout {
+		t.Fatalf("epoch with %d buckets failed after %v, want within %v", nb, elapsed, 3*opt.OpTimeout)
+	}
+	if failed := world[0].Failed(); len(failed) != 0 {
+		t.Fatalf("a heartbeating peer was declared dead: %v", failed)
 	}
 }

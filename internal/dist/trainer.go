@@ -83,11 +83,10 @@ type replica struct {
 	// touches them again until the batch completes; the comm goroutine
 	// reads them only after receiving an id, so the bucket channel's
 	// send/receive pairs order every access.
-	weight    float64
-	contrib   []bool
-	remaining []int // per-bucket countdown of outstanding backward groups
-	cursor    int   // next position in plan.order to release
-	hook      func(group int)
+	weight   float64
+	contrib  []bool
+	released int // buckets released this batch, counted from the top
+	hook     func(group int)
 
 	buckets chan int   // collective ids in execution order; lossBucket first
 	done    chan error // one result per completed batch
@@ -124,39 +123,30 @@ func (r *replica) replan(bucketElems int) error {
 	}
 	r.stopComm()
 	r.plan = plan
-	r.remaining = make([]int, plan.numBuckets())
 	r.startComm()
 	return nil
 }
 
 // commLoop executes the enqueued collectives in order. Every rank enqueues
-// the identical id sequence for every batch (loss first, then buckets in
-// plan-completion order), so the sequential per-rank processing matches up
-// across ranks and the in-order channel transport keeps messages of
+// the identical id sequence for every batch (loss first, then buckets from
+// the top of the slab down), so the sequential per-rank processing matches
+// up across ranks and the in-order channel transport keeps messages of
 // consecutive collectives from mixing. Scaling a contributing rank's
 // bucket by its shard weight happens here, just before the reduction —
 // overlapped with the compute goroutine's ongoing backward like the
 // reduction itself.
+//
+// Once a collective of a batch has failed, the batch's remaining ids are
+// counted but not run: the epoch returns the error and the world is
+// abandoned, so their results would be discarded, and against a live but
+// silent peer each would wait out its own OpTimeout.
 func (r *replica) commLoop(plan *bucketPlan, buckets chan int) {
 	count := 0
 	total := plan.numBuckets() + 1
 	var firstErr error
 	for id := range buckets {
-		var err error
-		if id == lossBucket {
-			err = r.comm.AllReduceFrom(r.lossBuf, r.contrib)
-		} else {
-			lo, hi := plan.bounds[id], plan.bounds[id+1]
-			span := r.Arena.Grad()[lo:hi]
-			if r.contrib[r.comm.Rank()] && r.weight != 1 {
-				for i := range span {
-					span[i] *= r.weight
-				}
-			}
-			err = r.comm.AllReduceFrom(span, r.contrib)
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
+		if firstErr == nil {
+			firstErr = r.collective(plan, id)
 		}
 		if count++; count == total {
 			r.done <- firstErr
@@ -165,45 +155,45 @@ func (r *replica) commLoop(plan *bucketPlan, buckets chan int) {
 	}
 }
 
-// beginBatch arms the per-batch countdown and enqueues the loss collective
-// — known before backward even starts, so it overlaps the whole pass.
+// collective runs the allreduce of one enqueued id: the batch loss, or a
+// gradient bucket scaled by this rank's shard weight.
+func (r *replica) collective(plan *bucketPlan, id int) error {
+	if id == lossBucket {
+		return r.comm.AllReduceFrom(r.lossBuf, r.contrib)
+	}
+	span := r.Arena.Grad()[plan.bounds[id]:plan.bounds[id+1]]
+	if r.contrib[r.comm.Rank()] && r.weight != 1 {
+		for i := range span {
+			span[i] *= r.weight
+		}
+	}
+	return r.comm.AllReduceFrom(span, r.contrib)
+}
+
+// beginBatch resets the release count and enqueues the loss collective —
+// known before backward even starts, so it overlaps the whole pass.
 func (r *replica) beginBatch() {
-	copy(r.remaining, r.plan.remainingInit)
-	r.cursor = 0
+	r.released = 0
 	r.buckets <- lossBucket
 }
 
+// release hands the comm goroutine, top-down, every bucket among the top
+// `ready` that it does not have yet.
+func (r *replica) release(ready int) {
+	nb := r.plan.numBuckets()
+	for ; r.released < ready; r.released++ {
+		r.buckets <- nb - 1 - r.released
+	}
+}
+
 // onGroup is the BackwardWithHook callback: group g's gradients are final,
-// so its buckets' countdowns drop and every bucket whose countdown reached
-// zero is released to the comm goroutine. plan.order is sorted by
-// completion, so the ready buckets always form a prefix.
-func (r *replica) onGroup(g int) {
-	for _, b := range r.plan.groups[g] {
-		r.remaining[b]--
-	}
-	for r.cursor < len(r.plan.order) && r.remaining[r.plan.order[r.cursor]] == 0 {
-		r.buckets <- r.plan.order[r.cursor]
-		r.cursor++
-	}
-}
+// so every bucket that lies wholly above its span's start is released.
+func (r *replica) onGroup(g int) { r.release(r.plan.ready[g]) }
 
-// flushBuckets releases any bucket the hook sequence left behind. With a
-// consistent plan this is dead code, but it keeps a planning bug from
-// deadlocking the batch — every rank flushes identically, so the
-// collective sequence stays aligned either way.
-func (r *replica) flushBuckets() {
-	for r.cursor < len(r.plan.order) {
-		r.buckets <- r.plan.order[r.cursor]
-		r.cursor++
-	}
-}
-
-// enqueueAll releases every bucket in plan order; empty-shard ranks use it
+// releaseAll releases every bucket not yet released. After a backward pass
+// the last group has already released them all; empty-shard ranks call it
 // in place of running backward.
-func (r *replica) enqueueAll() {
-	r.cursor = 0
-	r.flushBuckets()
-}
+func (r *replica) releaseAll() { r.release(r.plan.numBuckets()) }
 
 type workerResult struct {
 	rank int
@@ -370,9 +360,9 @@ func (pt *ParallelTrainer) shard(rank, n int) (int, int) {
 // with each batch's loss a separate 1-element collective.
 //
 // Empty shards (more workers than samples in a clamped batch) neither run
-// backward nor zero-fill the slab: they replay the plan's bucket order
-// verbatim and the collective skips non-contributors, overwriting their
-// slab with the reduced result during the all-gather.
+// backward nor zero-fill the slab: they release the buckets in the same
+// top-down order and the collective skips non-contributors, overwriting
+// their slab with the reduced result during the all-gather.
 func (pt *ParallelTrainer) runEpoch(w, res int) (float64, error) {
 	r := pt.reps[w]
 	p := pt.world
@@ -401,12 +391,11 @@ func (pt *ParallelTrainer) runEpoch(w, res int) (float64, error) {
 			r.lossBuf[0] = lossVal * float64(hi-lo)
 			r.beginBatch()
 			r.Net.BackwardWithHook(grad, r.hook)
-			r.flushBuckets()
 		} else {
 			r.lossBuf[0] = 0
 			r.beginBatch()
-			r.enqueueAll()
 		}
+		r.releaseAll()
 		if err := <-r.done; err != nil {
 			return 0, err
 		}

@@ -38,7 +38,7 @@ func retryAfterHint(wait time.Duration) time.Duration {
 	if wait <= time.Second {
 		return time.Second
 	}
-	return wait.Round(time.Second)
+	return (wait + time.Second - 1).Truncate(time.Second)
 }
 
 // ewma tracks an exponentially weighted moving average of batch latency

@@ -132,6 +132,10 @@ func TestRetryAfterHint(t *testing.T) {
 	if got := retryAfterHint(2600 * time.Millisecond); got != 3*time.Second {
 		t.Fatalf("rounding: %v", got)
 	}
+	// A client that waits the hint must find the estimated drain over.
+	if got := retryAfterHint(1400 * time.Millisecond); got != 2*time.Second {
+		t.Fatalf("rounding up: %v", got)
+	}
 }
 
 func TestCoarserRes(t *testing.T) {

@@ -6,12 +6,11 @@ import (
 	"time"
 )
 
-// Faults drives deterministic fault injection inside an Engine, in the
-// spirit of dist.FaultTransport: the schedule is a pure function of Seed
-// and the operation sequence, so an overload failure mode reproduces
-// exactly run after run. It exists for the chaos/soak and overload
-// tests — production configs leave Config.Faults nil, which compiles
-// every hook down to a nil check.
+// Faults drives deterministic fault injection inside an Engine: the
+// schedule is a pure function of Seed and the operation sequence, so an
+// overload failure mode reproduces exactly run after run. It exists for
+// the chaos/soak and overload tests — production configs leave
+// Config.Faults nil, which compiles every hook down to a nil check.
 type Faults struct {
 	// Seed fixes the injector's RNG.
 	Seed int64

@@ -25,7 +25,7 @@ ARGS=(-dim 2 -strategy half-v -res 16 -levels 1 -samples 8 -batch 4
   -filters 4 -max-epochs 600 -patience 600 -restriction-epochs 1
   -transport tcp -peers "$PEERS" -elastic
   -checkpoint "$CK" -checkpoint-every 1
-  -heartbeat-interval 100ms -heartbeat-timeout 1s
+  -heartbeat-timeout 1s
   -op-timeout 10s -dial-timeout 20s)
 
 "$BIN" "${ARGS[@]}" -rank 0 >"$WORK/r0.log" 2>&1 &
