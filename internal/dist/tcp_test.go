@@ -249,16 +249,9 @@ func TestTCPDeathDetection(t *testing.T) {
 		}
 	}
 
-	// Fresh operations against the dead rank fail immediately, and the
-	// terminated endpoint itself neither sends nor receives.
+	// Fresh operations against the dead rank fail immediately.
 	if err := world[0].Send(2, []float64{1}); !errors.Is(err, ErrPeerDead) {
 		t.Fatalf("send to dead rank: %v, want ErrPeerDead", err)
-	}
-	if err := world[2].Send(0, []float64{1}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("send on the terminated endpoint: %v, want ErrClosed", err)
-	}
-	if err := world[2].Recv(0, make([]float64, 1)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("recv on the terminated endpoint: %v, want ErrClosed", err)
 	}
 
 	// The surviving pair still communicates.
@@ -274,6 +267,39 @@ func TestTCPDeathDetection(t *testing.T) {
 	}
 	if got[0] != 3 || got[1] != 1 || got[2] != 4 {
 		t.Fatalf("survivor message corrupted: %v", got)
+	}
+}
+
+// Terminating a rank silences it: its own Send and Recv fail with
+// ErrClosed, and a peer blocked on it is released with a peer-dead or
+// deadline error instead of hanging.
+func TestTCPTerminateSilencesRank(t *testing.T) {
+	world, err := NewLocalTCPWorld(2, fastTCPOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeWorld(world)
+
+	recvErr := make(chan error, 1)
+	go func() {
+		buf := make([]float64, 2)
+		recvErr <- world[0].Recv(1, buf)
+	}()
+	world[1].Terminate()
+	if err := world[1].Send(0, []float64{1}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("send on the terminated endpoint: %v, want ErrClosed", err)
+	}
+	if err := world[1].Recv(0, make([]float64, 1)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("recv on the terminated endpoint: %v, want ErrClosed", err)
+	}
+
+	select {
+	case err := <-recvErr:
+		if !errors.Is(err, ErrPeerDead) && !errors.Is(err, ErrDeadline) {
+			t.Fatalf("recv from the terminated rank: %v, want peer-dead or deadline", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("recv from the terminated rank never returned")
 	}
 }
 
