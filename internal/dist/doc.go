@@ -7,7 +7,11 @@
 // data-parallel ParallelTrainer whose goroutine workers stand in for the
 // paper's MPI ranks — or, given an external Transport, one rank of a
 // multi-process world — and slab-decomposed model-parallel inference whose
-// halos are copied from the input. The membership layer turns every
+// halos are copied from the input. Both transports share one receive side
+// (mailbox: per-peer in-order queues, a buffer free list, length-checked
+// delivery), and TCPTransport writes a peer off in one place, declareDead,
+// whether a read failed, a write failed or an abort gossiped the death.
+// The membership layer turns every
 // failure into a timely error (never a hang) and lets survivors agree on a
 // shrunken world and resume from the last checkpoint (elastic fault
 // tolerance); the tests exercise it on loopback TCP worlds

@@ -82,3 +82,28 @@ func TestReadFrameGrowsAndReuses(t *testing.T) {
 		t.Fatalf("end of stream: %v, want io.EOF", err)
 	}
 }
+
+// FuzzParseHello holds parseHello to its contract on any byte string: the
+// sender's rank, in [0, world), for a hello of this world, and an error
+// for anything else — never a panic. A hello of this world is exactly what
+// helloFrame encodes for a rank below the world size. The committed seeds
+// are a valid hello, a wrong magic, a wrong world size, a wrong address
+// hash, and a rank equal to the world size.
+func FuzzParseHello(f *testing.F) {
+	const world = 3
+	hash := worldHash([]string{"a:1", "b:2", "c:3"})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rank, err := parseHello(data, world, hash)
+		claimed := -1
+		if len(data) == frameHeaderLen+helloBytes {
+			claimed = int(binary.BigEndian.Uint32(data[13:]))
+		}
+		valid := claimed >= 0 && claimed < world && bytes.Equal(data, helloFrame(world, claimed, hash))
+		switch {
+		case valid && (err != nil || rank != claimed):
+			t.Fatalf("hello from rank %d of this world: rank %d, err %v", claimed, rank, err)
+		case !valid && err == nil:
+			t.Fatalf("accepted %x as a hello from rank %d", data, rank)
+		}
+	})
+}

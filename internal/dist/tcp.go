@@ -127,18 +127,15 @@ func (o TCPOptions) normalized() TCPOptions {
 // Failed reports the accumulated dead set; CloseAbort spreads it so the
 // survivors agree on the shrunken world and can re-rendezvous.
 type TCPTransport struct {
-	rank  int
-	p     int
-	opt   TCPOptions
-	addrs []string
+	mailbox // filled by the readers, one queue per peer
+	opt     TCPOptions
+	addrs   []string
 
 	conns []net.Conn
 	wmu   []sync.Mutex // per-conn write lock: writer goroutine vs final leave/abort
 	wbuf  [][]byte     // per-conn frame-encode scratch, guarded by wmu
 
 	sendq []chan []float64
-	inbox []chan []float64
-	free  chan []float64
 
 	mem       *membership
 	closed    chan struct{}
@@ -152,9 +149,11 @@ type TCPTransport struct {
 	writeWg sync.WaitGroup
 }
 
-// validateWorld checks a rank/address-list pair the same way for the
-// transport constructor and for launcher flag validation.
-func validateWorld(rank int, peers []string) error {
+// ValidateWorld checks a rank/address-list pair without binding any
+// socket, so a launcher can reject a bad -rank/-peers combination with a
+// one-line diagnostic before any process starts listening. The transport
+// constructor applies the same check.
+func ValidateWorld(rank int, peers []string) error {
 	if len(peers) < 1 {
 		return fmt.Errorf("dist: peer list is empty")
 	}
@@ -174,11 +173,6 @@ func validateWorld(rank int, peers []string) error {
 	return nil
 }
 
-// ValidateWorld checks a rank/address-list pair without binding any
-// socket, so a launcher can reject a bad -rank/-peers combination with a
-// one-line diagnostic before any process starts listening.
-func ValidateWorld(rank int, peers []string) error { return validateWorld(rank, peers) }
-
 func worldHash(addrs []string) uint64 {
 	h := fnv.New64a()
 	for _, a := range addrs {
@@ -195,7 +189,7 @@ func worldHash(addrs []string) uint64 {
 // DialTimeout expires. All ranks must be started with the identical peers
 // list; ranks may start in any order within the dial budget.
 func NewTCPTransport(rank int, peers []string, opt TCPOptions) (*TCPTransport, error) {
-	if err := validateWorld(rank, peers); err != nil {
+	if err := ValidateWorld(rank, peers); err != nil {
 		return nil, err
 	}
 	ln, err := net.Listen("tcp", peers[rank])
@@ -253,23 +247,19 @@ func newTCPTransport(rank int, peers []string, opt TCPOptions, ln net.Listener) 
 	opt = opt.normalized()
 	p := len(peers)
 	t := &TCPTransport{
-		rank:   rank,
-		p:      p,
-		opt:    opt,
-		addrs:  append([]string(nil), peers...),
-		conns:  make([]net.Conn, p),
-		wmu:    make([]sync.Mutex, p),
-		wbuf:   make([][]byte, p),
-		sendq:  make([]chan []float64, p),
-		inbox:  make([]chan []float64, p),
-		free:   make(chan []float64, 2*p*opt.SendQueue),
-		mem:    newMembership(rank, p),
-		closed: make(chan struct{}),
+		mailbox: newMailbox(rank, p, opt.SendQueue, make(chan []float64, 2*p*opt.SendQueue)),
+		opt:     opt,
+		addrs:   append([]string(nil), peers...),
+		conns:   make([]net.Conn, p),
+		wmu:     make([]sync.Mutex, p),
+		wbuf:    make([][]byte, p),
+		sendq:   make([]chan []float64, p),
+		mem:     newMembership(rank, p),
+		closed:  make(chan struct{}),
 	}
 	for q := range t.sendq {
 		if q != rank {
 			t.sendq[q] = make(chan []float64, opt.SendQueue)
-			t.inbox[q] = make(chan []float64, opt.SendQueue)
 		}
 	}
 	if p == 1 {
@@ -314,26 +304,7 @@ func (t *TCPTransport) rendezvous(ln net.Listener) error {
 		if dl, ok := ln.(*net.TCPListener); ok {
 			dl.SetDeadline(deadline)
 		}
-		go func() {
-			need := t.rank
-			for need > 0 {
-				conn, err := ln.Accept()
-				if err != nil {
-					acceptDone <- fmt.Errorf("dist: rank %d accept (still waiting for %d lower ranks): %w", t.rank, need, err)
-					return
-				}
-				q, err := readHello(conn, t.p, hash, deadline)
-				if err != nil || q < 0 || q >= t.rank || t.conns[q] != nil {
-					// A stray, stale or duplicate dialer must not kill the
-					// rendezvous; drop the connection and keep accepting.
-					conn.Close()
-					continue
-				}
-				t.conns[q] = conn
-				need--
-			}
-			acceptDone <- nil
-		}()
+		go func() { acceptDone <- t.acceptLower(ln, deadline, hash) }()
 	}
 
 	var dialWg sync.WaitGroup
@@ -353,10 +324,59 @@ func (t *TCPTransport) rendezvous(ln net.Listener) error {
 	dialWg.Wait()
 	for _, err := range dialErrs {
 		if err != nil {
+			ln.Close() // end the accept side before the caller closes t.conns
+			<-acceptDone
 			return err
 		}
 	}
 	return <-acceptDone
+}
+
+// acceptLower accepts one connection from every rank below ours. Each
+// hello is read off the accept loop, so a connection that never sends one
+// (a port scanner, a half-open socket) cannot hold it; a stray, stale or
+// duplicate dialer is dropped.
+func (t *TCPTransport) acceptLower(ln net.Listener, deadline time.Time, hash uint64) error {
+	type hello struct {
+		conn net.Conn
+		rank int
+		err  error
+	}
+	hellos := make(chan hello)
+	acceptErr := make(chan error, 1)
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				acceptErr <- err
+				return
+			}
+			go func() {
+				q, err := readHello(conn, t.p, hash, deadline)
+				select {
+				case hellos <- hello{conn, q, err}:
+				case <-done:
+					conn.Close()
+				}
+			}()
+		}
+	}()
+	for need := t.rank; need > 0; {
+		select {
+		case h := <-hellos:
+			if h.err != nil || h.rank >= t.rank || t.conns[h.rank] != nil {
+				h.conn.Close()
+				continue
+			}
+			t.conns[h.rank] = h.conn
+			need--
+		case err := <-acceptErr:
+			return fmt.Errorf("dist: rank %d accept (still waiting for %d lower ranks): %w", t.rank, need, err)
+		}
+	}
+	return nil
 }
 
 // dialPeer dials rank q with exponential backoff plus jitter until the
@@ -369,7 +389,8 @@ func (t *TCPTransport) dialPeer(q int, deadline time.Time, hash uint64) (net.Con
 		d := net.Dialer{Deadline: deadline}
 		conn, err := d.Dial("tcp", t.addrs[q])
 		if err == nil {
-			if err = writeHello(conn, t.p, t.rank, hash, deadline); err == nil {
+			conn.SetWriteDeadline(deadline) // every later frame sets its own
+			if _, err = conn.Write(helloFrame(t.p, t.rank, hash)); err == nil {
 				return conn, nil
 			}
 			conn.Close()
@@ -391,50 +412,52 @@ func (t *TCPTransport) dialPeer(q int, deadline time.Time, hash uint64) (net.Con
 	}
 }
 
-func writeHello(conn net.Conn, world, rank int, hash uint64, deadline time.Time) error {
-	var buf [frameHeaderLen + helloBytes]byte
+// helloFrame encodes a dialer's hello frame, header included.
+func helloFrame(world, rank int, hash uint64) []byte {
+	buf := make([]byte, frameHeaderLen+helloBytes)
 	buf[0] = frameHello
 	binary.BigEndian.PutUint32(buf[1:], helloBytes)
 	binary.BigEndian.PutUint32(buf[5:], helloMagic)
 	binary.BigEndian.PutUint32(buf[9:], uint32(world))
 	binary.BigEndian.PutUint32(buf[13:], uint32(rank))
 	binary.BigEndian.PutUint64(buf[17:], hash)
-	conn.SetWriteDeadline(deadline)
-	_, err := conn.Write(buf[:])
-	conn.SetWriteDeadline(time.Time{})
-	return err
+	return buf
 }
 
-// readHello validates a dialer's hello frame and returns its rank, or an
-// error for connections from another world (wrong magic, size or address
-// list — e.g. a stale dial from before an elastic reform).
+// readHello reads a dialer's hello frame by the deadline (the link's
+// reader sets its own from then on) and returns the rank parseHello finds.
 func readHello(conn net.Conn, world int, hash uint64, deadline time.Time) (int, error) {
 	var buf [frameHeaderLen + helloBytes]byte
 	conn.SetReadDeadline(deadline)
 	if _, err := io.ReadFull(conn, buf[:]); err != nil {
 		return -1, err
 	}
-	conn.SetReadDeadline(time.Time{})
-	if buf[0] != frameHello || binary.BigEndian.Uint32(buf[1:]) != helloBytes {
-		return -1, fmt.Errorf("dist: malformed hello frame")
-	}
-	if binary.BigEndian.Uint32(buf[5:]) != helloMagic {
-		return -1, fmt.Errorf("dist: bad hello magic")
-	}
-	if got := int(binary.BigEndian.Uint32(buf[9:])); got != world {
-		return -1, fmt.Errorf("dist: hello from a %d-rank world, want %d", got, world)
-	}
-	if got := binary.BigEndian.Uint64(buf[17:]); got != hash {
-		return -1, fmt.Errorf("dist: hello from a world with a different address list")
-	}
-	return int(binary.BigEndian.Uint32(buf[13:])), nil
+	return parseHello(buf[:], world, hash)
 }
 
-// Rank implements Transport.
-func (t *TCPTransport) Rank() int { return t.rank }
-
-// Peers implements Transport.
-func (t *TCPTransport) Peers() int { return t.p }
+// parseHello validates a hello frame, header included, and returns the
+// sender's rank in [0, world), or an error for a malformed frame or a
+// connection from another world (wrong magic, size or address list — e.g.
+// a stale dial from before an elastic reform).
+func parseHello(b []byte, world int, hash uint64) (int, error) {
+	if len(b) != frameHeaderLen+helloBytes || b[0] != frameHello || binary.BigEndian.Uint32(b[1:]) != helloBytes {
+		return -1, fmt.Errorf("dist: malformed hello frame")
+	}
+	if binary.BigEndian.Uint32(b[5:]) != helloMagic {
+		return -1, fmt.Errorf("dist: bad hello magic")
+	}
+	if got := int(binary.BigEndian.Uint32(b[9:])); got != world {
+		return -1, fmt.Errorf("dist: hello from a %d-rank world, want %d", got, world)
+	}
+	if got := binary.BigEndian.Uint64(b[17:]); got != hash {
+		return -1, fmt.Errorf("dist: hello from a world with a different address list")
+	}
+	rank := int(binary.BigEndian.Uint32(b[13:]))
+	if rank < 0 || rank >= world {
+		return -1, fmt.Errorf("dist: hello from rank %d of a %d-rank world", rank, world)
+	}
+	return rank, nil
+}
 
 // Failed returns the ranks this endpoint has declared dead (directly
 // detected or gossiped), ascending. Ranks that left cleanly — survivors
@@ -444,35 +467,6 @@ func (t *TCPTransport) Failed() []int { return t.mem.deadRanks() }
 func (t *TCPTransport) logf(format string, args ...any) {
 	if t.opt.Logf != nil {
 		t.opt.Logf(format, args...)
-	}
-}
-
-func (t *TCPTransport) checkPeer(peer int) error {
-	if peer < 0 || peer >= t.p {
-		return fmt.Errorf("dist: peer %d out of range [0,%d)", peer, t.p)
-	}
-	if peer == t.rank {
-		return fmt.Errorf("dist: rank %d cannot message itself", t.rank)
-	}
-	return nil
-}
-
-// getBuf / putBuf mirror the channel transport's recycling free list.
-func (t *TCPTransport) getBuf(n int) []float64 {
-	select {
-	case b := <-t.free:
-		if cap(b) >= n {
-			return b[:n]
-		}
-	default:
-	}
-	return make([]float64, n)
-}
-
-func (t *TCPTransport) putBuf(msg []float64) {
-	select {
-	case t.free <- msg:
-	default:
 	}
 }
 
@@ -558,18 +552,6 @@ func (t *TCPTransport) Recv(from int, buf []float64) error {
 	}
 }
 
-func (t *TCPTransport) deliver(from int, msg, buf []float64) error {
-	if len(msg) != len(buf) {
-		err := fmt.Errorf("dist: rank %d expected %d values from rank %d, got %d",
-			t.rank, len(buf), from, len(msg))
-		t.putBuf(msg)
-		return err
-	}
-	copy(buf, msg)
-	t.putBuf(msg)
-	return nil
-}
-
 // ErrBadFrame reports an inbound frame that breaks the wire protocol: an
 // unknown kind, a payload longer than maxFramePayload, or one whose length
 // does not fit the kind. A truncated frame reads as io.ErrUnexpectedEOF.
@@ -650,7 +632,7 @@ func (t *TCPTransport) readLoop(q int) {
 		var err error
 		kind, payload, err = readFrame(r, payload)
 		if err != nil {
-			t.readFailed(q, err)
+			t.linkFailed(q, "read", err)
 			return
 		}
 		switch kind {
@@ -673,41 +655,46 @@ func (t *TCPTransport) readLoop(q int) {
 			conn.Close()
 			return
 		case frameAbort:
-			for i := 0; i < len(payload); i += 4 {
-				d := int(binary.BigEndian.Uint32(payload[i:]))
-				if d == t.rank || d < 0 || d >= t.p {
-					continue
-				}
-				if t.mem.markDead(d, fmt.Sprintf("reported dead by rank %d", q)) {
-					t.logf("dist: rank %d: peer %d reported dead by rank %d", t.rank, d, q)
-				}
-			}
+			// The sender's departure is recorded first: whoever sees the
+			// adopted dead set must already see the sender as left.
 			if t.mem.markLeft(q, "aborted to reform") {
 				t.logf("dist: rank %d: peer %d aborted to reform", t.rank, q)
 			}
 			conn.Close()
+			for i := 0; i < len(payload); i += 4 {
+				d := int(binary.BigEndian.Uint32(payload[i:]))
+				if d != t.rank && d >= 0 && d < t.p {
+					t.declareDead(d, fmt.Sprintf("reported dead by rank %d", q))
+				}
+			}
 			return
 		}
 	}
 }
 
-func (t *TCPTransport) readFailed(q int, err error) {
+// linkFailed writes q off after an I/O error on its link, unless our own
+// shutdown caused it. A timeout is the failure detector firing.
+func (t *TCPTransport) linkFailed(q int, op string, err error) {
 	select {
 	case <-t.closed:
 		return
 	default:
 	}
-	if !t.mem.alive(q) {
-		return
-	}
-	reason := fmt.Sprintf("connection failed: %v", err)
+	reason := fmt.Sprintf("%s failed: %v", op, err)
 	if ne, ok := err.(net.Error); ok && ne.Timeout() {
-		reason = fmt.Sprintf("heartbeat timeout: no frame within %v", t.opt.HeartbeatTimeout)
+		reason = fmt.Sprintf("heartbeat timeout: %s stalled beyond %v", op, t.opt.HeartbeatTimeout)
 	}
+	t.declareDead(q, reason)
+}
+
+// declareDead is the one way a peer is written off: after a read or write
+// failure, or by an abort's gossip. The first cause wins; its call logs it
+// and closes the link, which unblocks a writer stuck mid-Write.
+func (t *TCPTransport) declareDead(q int, reason string) {
 	if t.mem.markDead(q, reason) {
 		t.logf("dist: rank %d: peer %d declared dead (%s)", t.rank, q, reason)
+		t.conns[q].Close()
 	}
-	t.conns[q].Close() // unblock a writer stuck mid-Write on the dead link
 }
 
 // writeLoop is the per-link writer: it drains the send queue and keeps
@@ -730,12 +717,12 @@ func (t *TCPTransport) writeLoop(q int) {
 			err := t.writeFrame(q, frameData, msg, nil)
 			t.putBuf(msg)
 			if err != nil {
-				t.writeFailed(q, err)
+				t.linkFailed(q, "write", err)
 				return
 			}
 		case <-hb.C:
 			if err := t.writeFrame(q, frameHeartbeat, nil, nil); err != nil {
-				t.writeFailed(q, err)
+				t.linkFailed(q, "write", err)
 				return
 			}
 		}
@@ -771,25 +758,6 @@ func (t *TCPTransport) finish(q int) {
 			return
 		}
 	}
-}
-
-func (t *TCPTransport) writeFailed(q int, err error) {
-	select {
-	case <-t.closed:
-		return
-	default:
-	}
-	if !t.mem.alive(q) {
-		return
-	}
-	reason := fmt.Sprintf("write failed: %v", err)
-	if ne, ok := err.(net.Error); ok && ne.Timeout() {
-		reason = fmt.Sprintf("write stalled beyond %v", t.opt.HeartbeatTimeout)
-	}
-	if t.mem.markDead(q, reason) {
-		t.logf("dist: rank %d: peer %d declared dead (%s)", t.rank, q, reason)
-	}
-	t.conns[q].Close()
 }
 
 // writeFrame encodes one frame into the link's scratch buffer and writes

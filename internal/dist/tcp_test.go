@@ -10,6 +10,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -490,5 +491,68 @@ func TestTCPSilentPeerFailsEpochWithinOneDeadline(t *testing.T) {
 	}
 	if failed := world[0].Failed(); len(failed) != 0 {
 		t.Fatalf("a heartbeating peer was declared dead: %v", failed)
+	}
+}
+
+// Connections that never prove themselves must not hold the rendezvous: an
+// idle connection and one that sends garbage reach rank 1's listener ahead
+// of rank 0, and the world still forms, with the garbage sender dropped.
+func TestTCPRendezvousSurvivesStrayConnections(t *testing.T) {
+	lns := make([]net.Listener, 2)
+	addrs := make([]string, 2)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i] = ln
+		addrs[i] = ln.Addr().String()
+	}
+	idle, err := net.Dial("tcp", addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	garbage, err := net.Dial("tcp", addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer garbage.Close()
+	if _, err := garbage.Write([]byte(strings.Repeat("GET / HTTP/1.0\r\n", 4))); err != nil {
+		t.Fatal(err)
+	}
+
+	opt := fastTCPOptions()
+	opt.DialTimeout = 2 * time.Second
+	world := make([]*TCPTransport, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for r := range world {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			world[r], errs[r] = newTCPTransport(r, addrs, opt, lns[r])
+		}(r)
+	}
+	wg.Wait()
+	defer closeWorld(world)
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	// Dropped with bytes unread, the connection may read as reset, not EOF.
+	garbage.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := garbage.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("garbage sender: read %v, want the connection dropped", err)
+	}
+	got := make([]float64, 1)
+	sendErr := make(chan error, 1)
+	go func() { sendErr <- world[0].Send(1, []float64{7}) }()
+	if err := world[1].Recv(0, got); err != nil || got[0] != 7 {
+		t.Fatalf("recv over the formed world: %v %v", got, err)
+	}
+	if err := <-sendErr; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -29,61 +29,40 @@ type Transport interface {
 // the matching Recv.
 const linkDepth = 4
 
-// channelTransport is the in-process Transport: a full mesh of buffered
-// channels shared by the p endpoints returned from NewChannelRing. It is
-// the goroutine analogue of an MPI communicator; Send copies through a
-// shared recycling channel of message buffers so transfers cost one memcpy
-// per hop, like a real interconnect, with zero per-message allocation in
-// steady state. (A sync.Pool is the obvious choice but costs one heap
-// allocation per Put — the *[]float64 box — which at 4(p−1) messages per
-// collective was a measurable share of the epoch's allocations; a buffered
-// channel recycles slices without boxing.)
-type channelTransport struct {
+// mailbox is the receive side both transports share: an in-order queue
+// per peer, a free list of message buffers and length-checked delivery.
+// The free list is a buffered channel, not a sync.Pool, whose Put boxes
+// each slice: one heap allocation per message, at 4(p−1) messages per
+// collective. Steady state allocates nothing.
+type mailbox struct {
 	rank  int
 	p     int
-	links [][]chan []float64 // links[from][to], nil on the diagonal
-	free  chan []float64     // recycled message buffers, shared by the mesh
+	inbox []chan []float64 // inbox[from], nil at our own rank
+	free  chan []float64   // recycled message buffers
 }
 
-// NewChannelRing builds a p-way in-process communicator and returns one
-// Transport endpoint per rank. Despite the name (it is the transport under
-// RingAllReduce) the mesh is fully connected, so the same endpoints also
-// serve the all-to-all baseline.
-func NewChannelRing(p int) []Transport {
-	if p < 1 {
-		panic(fmt.Sprintf("dist: communicator size must be >= 1, got %d", p))
-	}
-	links := make([][]chan []float64, p)
-	for from := range links {
-		links[from] = make([]chan []float64, p)
-		for to := range links[from] {
-			if to != from {
-				links[from][to] = make(chan []float64, linkDepth)
-			}
+func newMailbox(rank, p, depth int, free chan []float64) mailbox {
+	m := mailbox{rank: rank, p: p, inbox: make([]chan []float64, p), free: free}
+	for q := range m.inbox {
+		if q != rank {
+			m.inbox[q] = make(chan []float64, depth)
 		}
 	}
-	// Capacity for every link's in-flight depth plus slack, so Put never
-	// blocks and drops are rare.
-	free := make(chan []float64, p*p*(linkDepth+1))
-	out := make([]Transport, p)
-	for r := range out {
-		out[r] = &channelTransport{rank: r, p: p, links: links, free: free}
-	}
-	return out
+	return m
 }
 
 // Rank implements Transport.
-func (t *channelTransport) Rank() int { return t.rank }
+func (m *mailbox) Rank() int { return m.rank }
 
 // Peers implements Transport.
-func (t *channelTransport) Peers() int { return t.p }
+func (m *mailbox) Peers() int { return m.p }
 
-func (t *channelTransport) checkPeer(peer int) error {
-	if peer < 0 || peer >= t.p {
-		return fmt.Errorf("dist: peer %d out of range [0,%d)", peer, t.p)
+func (m *mailbox) checkPeer(peer int) error {
+	if peer < 0 || peer >= m.p {
+		return fmt.Errorf("dist: peer %d out of range [0,%d)", peer, m.p)
 	}
-	if peer == t.rank {
-		return fmt.Errorf("dist: rank %d cannot message itself", t.rank)
+	if peer == m.rank {
+		return fmt.Errorf("dist: rank %d cannot message itself", m.rank)
 	}
 	return nil
 }
@@ -94,15 +73,67 @@ func (t *channelTransport) checkPeer(peer int) error {
 // that pops it allocate again, whereas dropping lets the pool converge to
 // uniformly message-sized buffers (small messages happily reuse large
 // ones, so after warm-up steady state allocates nothing).
-func (t *channelTransport) getBuf(n int) []float64 {
+func (m *mailbox) getBuf(n int) []float64 {
 	select {
-	case b := <-t.free:
+	case b := <-m.free:
 		if cap(b) >= n {
 			return b[:n]
 		}
 	default:
 	}
 	return make([]float64, n)
+}
+
+// putBuf returns a message buffer to the free list, dropping it when the
+// list is full.
+func (m *mailbox) putBuf(msg []float64) {
+	select {
+	case m.free <- msg:
+	default: // free list full: let the buffer go
+	}
+}
+
+// deliver copies a message popped from peer from's queue into buf, whose
+// length must match, and recycles the message — on the error path too, or
+// the buffer leaks.
+func (m *mailbox) deliver(from int, msg, buf []float64) error {
+	if len(msg) != len(buf) {
+		err := fmt.Errorf("dist: rank %d expected %d values from rank %d, got %d",
+			m.rank, len(buf), from, len(msg))
+		m.putBuf(msg)
+		return err
+	}
+	copy(buf, msg)
+	m.putBuf(msg)
+	return nil
+}
+
+// channelTransport is the in-process Transport, the goroutine analogue of
+// an MPI communicator: Send puts a copy straight into the receiver's
+// mailbox, one memcpy per hop, and the p endpoints share one free list.
+type channelTransport struct {
+	mailbox
+	mesh []*channelTransport // every endpoint, indexed by rank
+}
+
+// NewChannelRing builds a p-way in-process communicator and returns one
+// Transport endpoint per rank. Despite the name (it is the transport under
+// RingAllReduce) the mesh is fully connected, so the same endpoints also
+// serve the all-to-all baseline.
+func NewChannelRing(p int) []Transport {
+	if p < 1 {
+		panic(fmt.Sprintf("dist: communicator size must be >= 1, got %d", p))
+	}
+	// Capacity for every link's in-flight depth plus slack, so Put never
+	// blocks and drops are rare.
+	free := make(chan []float64, p*p*(linkDepth+1))
+	mesh := make([]*channelTransport, p)
+	out := make([]Transport, p)
+	for r := range mesh {
+		mesh[r] = &channelTransport{mailbox: newMailbox(r, p, linkDepth, free), mesh: mesh}
+		out[r] = mesh[r]
+	}
+	return out
 }
 
 // Send implements Transport.
@@ -112,7 +143,7 @@ func (t *channelTransport) Send(to int, buf []float64) error {
 	}
 	msg := t.getBuf(len(buf))
 	copy(msg, buf)
-	t.links[t.rank][to] <- msg
+	t.mesh[to].inbox[t.rank] <- msg
 	return nil
 }
 
@@ -121,23 +152,5 @@ func (t *channelTransport) Recv(from int, buf []float64) error {
 	if err := t.checkPeer(from); err != nil {
 		return err
 	}
-	msg := <-t.links[from][t.rank]
-	if len(msg) != len(buf) {
-		err := fmt.Errorf("dist: rank %d expected %d values from rank %d, got %d",
-			t.rank, len(buf), from, len(msg))
-		t.putBuf(msg) // recycle even on the error path, or the buffer leaks
-		return err
-	}
-	copy(buf, msg)
-	t.putBuf(msg)
-	return nil
-}
-
-// putBuf returns a message buffer to the shared free list, dropping it when
-// the list is full.
-func (t *channelTransport) putBuf(msg []float64) {
-	select {
-	case t.free <- msg:
-	default: // free list full: let the buffer go
-	}
+	return t.deliver(from, <-t.inbox[from], buf)
 }

@@ -18,9 +18,10 @@ import (
 
 // Tensor is a dense, row-major n-dimensional array of float64.
 //
-// The zero value is not usable; construct tensors with New, Zeros, Full,
-// FromSlice or the arithmetic helpers. Data is shared on slicing-style
-// operations (View) and copied by Clone.
+// The zero value is not usable; construct tensors with New, Full or
+// FromSlice. FromSlice and Reshape share the data they are given or view,
+// Rebase and Reframe re-point a tensor at a caller's slice, and Clone
+// copies.
 type Tensor struct {
 	shape  []int
 	stride []int

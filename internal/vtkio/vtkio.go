@@ -16,6 +16,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"strings"
 
 	"mgdiffnet/internal/tensor"
 )
@@ -146,7 +147,7 @@ func ReadImageData(r io.Reader) ([]Field, error) {
 	var fields []Field
 	rest := s
 	for {
-		idx := indexOf(rest, "<DataArray")
+		idx := strings.Index(rest, "<DataArray")
 		if idx < 0 {
 			break
 		}
@@ -155,12 +156,12 @@ func ReadImageData(r io.Reader) ([]Field, error) {
 		if err != nil {
 			return nil, err
 		}
-		open := indexOf(rest, ">")
-		closeTag := indexOf(rest, "</DataArray>")
+		open := strings.Index(rest, ">")
+		closeTag := strings.Index(rest, "</DataArray>")
 		if open < 0 || closeTag < 0 {
 			return nil, fmt.Errorf("vtkio: malformed DataArray")
 		}
-		payload := trimSpace(rest[open+1 : closeTag])
+		payload := strings.TrimSpace(rest[open+1 : closeTag])
 		vals, err := decompressBlock(payload)
 		if err != nil {
 			return nil, fmt.Errorf("vtkio: field %q: %w", name, err)
@@ -226,29 +227,14 @@ func decompressBlock(payload string) ([]float64, error) {
 // attrValue extracts the first attr="value" occurrence after the start of s.
 func attrValue(s, attr string) (string, error) {
 	key := attr + "=\""
-	i := indexOf(s, key)
+	i := strings.Index(s, key)
 	if i < 0 {
 		return "", fmt.Errorf("vtkio: attribute %q not found", attr)
 	}
 	rest := s[i+len(key):]
-	j := indexOf(rest, "\"")
+	j := strings.Index(rest, "\"")
 	if j < 0 {
 		return "", fmt.Errorf("vtkio: unterminated attribute %q", attr)
 	}
 	return rest[:j], nil
-}
-
-func indexOf(s, sub string) int {
-	return bytes.Index([]byte(s), []byte(sub))
-}
-
-func trimSpace(s string) string {
-	start, end := 0, len(s)
-	for start < end && (s[start] == ' ' || s[start] == '\n' || s[start] == '\t' || s[start] == '\r') {
-		start++
-	}
-	for end > start && (s[end-1] == ' ' || s[end-1] == '\n' || s[end-1] == '\t' || s[end-1] == '\r') {
-		end--
-	}
-	return s[start:end]
 }
