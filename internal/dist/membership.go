@@ -64,20 +64,35 @@ func newMembership(rank, p int) *membership {
 // left). Selecting on it is how Send/Recv avoid blocking on a gone peer.
 func (m *membership) goneCh(q int) <-chan struct{} { return m.gone[q] }
 
-// markDead transitions q to dead and reports whether this call made the
-// transition (false when q had already left or died — first cause wins).
-func (m *membership) markDead(q int, reason string) bool {
-	return m.transition(q, peerDead, reason)
+// markDead transitions every rank in qs to dead and returns those this call
+// moved (a rank already gone keeps its first cause). When aborter ≥ 0 the
+// deaths are gossip from that rank's abort, and it leaves cleanly in the
+// same step: one lock covers both, so whoever sees the aborter gone sees
+// the dead set it reported, and the reverse.
+func (m *membership) markDead(qs []int, reason string, aborter int) (dead []int, aborterLeft bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if aborter >= 0 {
+		aborterLeft = m.transition(aborter, peerLeft, "aborted to reform")
+	}
+	for _, q := range qs {
+		if m.transition(q, peerDead, reason) {
+			dead = append(dead, q)
+		}
+	}
+	return dead, aborterLeft
 }
 
 // markLeft transitions q to left cleanly; same first-cause-wins contract.
 func (m *membership) markLeft(q int, reason string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return m.transition(q, peerLeft, reason)
 }
 
+// transition moves q out of peerAlive and reports whether it did; the
+// caller holds mu.
 func (m *membership) transition(q, state int, reason string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.states[q] != peerAlive {
 		return false
 	}

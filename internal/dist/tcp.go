@@ -655,18 +655,14 @@ func (t *TCPTransport) readLoop(q int) {
 			conn.Close()
 			return
 		case frameAbort:
-			// The sender's departure is recorded first: whoever sees the
-			// adopted dead set must already see the sender as left.
-			if t.mem.markLeft(q, "aborted to reform") {
-				t.logf("dist: rank %d: peer %d aborted to reform", t.rank, q)
-			}
-			conn.Close()
+			var dead []int
 			for i := 0; i < len(payload); i += 4 {
-				d := int(binary.BigEndian.Uint32(payload[i:]))
-				if d != t.rank && d >= 0 && d < t.p {
-					t.declareDead(d, fmt.Sprintf("reported dead by rank %d", q))
+				if d := int(binary.BigEndian.Uint32(payload[i:])); d != t.rank && d >= 0 && d < t.p {
+					dead = append(dead, d)
 				}
 			}
+			t.declareDead(dead, fmt.Sprintf("reported dead by rank %d", q), q)
+			conn.Close()
 			return
 		}
 	}
@@ -684,14 +680,20 @@ func (t *TCPTransport) linkFailed(q int, op string, err error) {
 	if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		reason = fmt.Sprintf("heartbeat timeout: %s stalled beyond %v", op, t.opt.HeartbeatTimeout)
 	}
-	t.declareDead(q, reason)
+	t.declareDead([]int{q}, reason, -1)
 }
 
-// declareDead is the one way a peer is written off: after a read or write
-// failure, or by an abort's gossip. The first cause wins; its call logs it
-// and closes the link, which unblocks a writer stuck mid-Write.
-func (t *TCPTransport) declareDead(q int, reason string) {
-	if t.mem.markDead(q, reason) {
+// declareDead is the one way peers are written off: after a read or write
+// failure (aborter -1), or by the gossip of rank aborter's abort, whose
+// clean departure membership records in the same step as the deaths it
+// reports. The first cause wins; each new death is logged and its link
+// closed, which unblocks a writer stuck mid-Write.
+func (t *TCPTransport) declareDead(qs []int, reason string, aborter int) {
+	dead, left := t.mem.markDead(qs, reason, aborter)
+	if left {
+		t.logf("dist: rank %d: peer %d aborted to reform", t.rank, aborter)
+	}
+	for _, q := range dead {
 		t.logf("dist: rank %d: peer %d declared dead (%s)", t.rank, q, reason)
 		t.conns[q].Close()
 	}

@@ -358,6 +358,44 @@ func TestTCPAbortGossipsDeadSet(t *testing.T) {
 	}
 }
 
+// A rank released from a Recv by an abort must already see the abort's
+// dead set: an elastic survivor reads Failed() once, right after its epoch
+// fails, to decide whether to reform. A slow logger widens any window
+// between the aborter's departure and the adopted deaths.
+func TestTCPAbortDeadSetVisibleWhenRecvReturns(t *testing.T) {
+	opt := fastTCPOptions()
+	opt.Logf = func(string, ...any) { time.Sleep(100 * time.Millisecond) }
+	world, err := NewLocalTCPWorld(3, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeWorld(world)
+
+	type result struct {
+		err    error
+		failed []int
+	}
+	done := make(chan result, 1)
+	go func() {
+		err := world[1].Recv(0, make([]float64, 1))
+		done <- result{err, world[1].Failed()}
+	}()
+	time.Sleep(50 * time.Millisecond) // let rank 1 block in Recv
+	world[0].CloseAbort([]int{2})
+
+	select {
+	case r := <-done:
+		if !errors.Is(r.err, ErrPeerLeft) {
+			t.Fatalf("recv from aborted rank: %v, want ErrPeerLeft", r.err)
+		}
+		if len(r.failed) != 1 || r.failed[0] != 2 {
+			t.Fatalf("Failed() = %v when Recv returned, want [2]", r.failed)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("recv from aborted rank never returned")
+	}
+}
+
 // Rendezvous must give up at the dial deadline when a peer never shows.
 func TestTCPRendezvousTimeout(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

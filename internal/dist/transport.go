@@ -94,17 +94,14 @@ func (m *mailbox) putBuf(msg []float64) {
 }
 
 // deliver copies a message popped from peer from's queue into buf, whose
-// length must match, and recycles the message — on the error path too, or
-// the buffer leaks.
+// length must match, and recycles the message on either path.
 func (m *mailbox) deliver(from int, msg, buf []float64) error {
+	defer m.putBuf(msg)
 	if len(msg) != len(buf) {
-		err := fmt.Errorf("dist: rank %d expected %d values from rank %d, got %d",
+		return fmt.Errorf("dist: rank %d expected %d values from rank %d, got %d",
 			m.rank, len(buf), from, len(msg))
-		m.putBuf(msg)
-		return err
 	}
 	copy(buf, msg)
-	m.putBuf(msg)
 	return nil
 }
 
